@@ -275,10 +275,6 @@ def _sample_row(row: Array, rng: np.random.Generator) -> int:
     return int(np.searchsorted(np.cumsum(row), rng.random(), side="right"))
 
 
-def _sample_action(probs: Array, rng: np.random.Generator) -> int:
-    return _sample_row(probs, rng)
-
-
 def rollout(env, policy: AnyPolicy, rng: np.random.Generator) -> Trajectory:
     """Sample one trajectory of ``policy`` in ``env``.
 
@@ -299,7 +295,7 @@ def rollout(env, policy: AnyPolicy, rng: np.random.Generator) -> Trajectory:
             if policy.is_open_loop:
                 a = int(policy.action_seq[h])
             else:
-                a = _sample_action(policy.action_probs[h, s], rng)
+                a = _sample_row(policy.action_probs[h, s], rng)
             s = _sample_row(env.kernel(h)[s, a], rng)
             actions[h] = a
             states[h + 1] = s

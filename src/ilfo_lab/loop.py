@@ -33,6 +33,7 @@ from .models import (
     ensemble_bonus,
     fit_knr_model,
     fit_tabular,
+    mean_bonus_on_path,
     theory_bonus,
 )
 from .planner import MinMaxConfig, solve_minmax
@@ -56,11 +57,9 @@ class MobileConfig:
     w_max: float = 2.0
     minmax: MinMaxConfig = field(default_factory=MinMaxConfig)
     buffer_capacity: int = 0
-    seed: int = 0
     mmd_features: int = 64
     mmd_bandwidth: object = "auto"
     knr_eval_rollouts: int = 64
-    f_class_size: int | None = None   # envelope heuristic, see regret_summary
 
     def __post_init__(self):
         if self.t_iters < 1:
@@ -171,12 +170,6 @@ def info_gain_accumulate(tally: list, model, trajectory) -> list:
     return tally
 
 
-def _mean_bonus_on_trajectory(bonus, trajectory) -> float:
-    vals = [float(bonus(trajectory.states[h], int(trajectory.actions[h])))
-            for h in range(trajectory.horizon)]
-    return float(np.mean(vals))
-
-
 def run_mobile(env, expert_dataset: ExpertDataset, cfg: MobileConfig,
                rng: np.random.Generator,
                expert_value: float | None = None
@@ -188,12 +181,20 @@ def run_mobile(env, expert_dataset: ExpertDataset, cfg: MobileConfig,
     every shipped experiment is the optimal policy) and the KNR path
     estimates the best open-loop sequence by Monte Carlo.
     """
+    if not isinstance(env, (TabularMdp, KnrSystem)):
+        raise ConfigurationError(f"unsupported environment type: {type(env)!r}")
+    if expert_dataset.horizon != env.horizon:
+        raise ConfigurationError(
+            f"expert dataset horizon {expert_dataset.horizon} does not match "
+            f"environment horizon {env.horizon}")
+    if expert_dataset.num_trajectories != cfg.n_expert:
+        raise ConfigurationError(
+            f"n_expert {cfg.n_expert} does not match the expert dataset's "
+            f"{expert_dataset.num_trajectories} trajectories")
     if isinstance(env, TabularMdp):
         return _run_mobile_tabular(env, expert_dataset, cfg, rng,
                                    expert_value)
-    if isinstance(env, KnrSystem):
-        return _run_mobile_knr(env, expert_dataset, cfg, rng, expert_value)
-    raise ConfigurationError(f"unsupported environment type: {type(env)!r}")
+    return _run_mobile_knr(env, expert_dataset, cfg, rng, expert_value)
 
 
 def _run_mobile_tabular(env, expert_dataset, cfg, rng, expert_value):
@@ -227,7 +228,7 @@ def _run_mobile_tabular(env, expert_dataset, cfg, rng, expert_value):
         d_pi = occupancy_exact(env, mixture).average.sum(axis=1)
         cols["ipm"].append(tv_best_response(d_pi, d_e)[1])
         cols["mean_bonus"].append(
-            0.0 if bonus is None else _mean_bonus_on_trajectory(bonus, traj))
+            mean_bonus_on_path(bonus, traj.states, traj.actions))
         cols["objective"].append(objective)
         buffer.extend_trajectory(traj)
     values = np.asarray(cols["value"])
@@ -299,7 +300,7 @@ def _run_mobile_knr(env, expert_dataset, cfg, rng, expert_value):
         cols["ipm"].append(float(np.linalg.norm(
             traj_feats.mean(axis=0) - mean_e)))
         cols["mean_bonus"].append(
-            0.0 if bonus is None else _mean_bonus_on_trajectory(bonus, traj))
+            mean_bonus_on_path(bonus, traj.states, traj.actions))
         cols["objective"].append(objective)
         buffer.extend_trajectory(traj)
     values = np.asarray(cols["value"])
@@ -326,8 +327,8 @@ def regret_summary(record: RunRecord, threshold: float | None = None,
 
     The envelope 6 H^2.5 sqrt(I_T / T) + 2 H sqrt(ln(2 T^2 |F|/delta)/N)
     is reported for comparison, never asserted.  For the box class |F|
-    is replaced by the heuristic effective size 2^min(S, 16) unless a
-    finite class size is configured.
+    is replaced by the heuristic effective size 2^min(S, 16) unless
+    f_class_size gives a finite class size.
     """
     horizon = record.horizon
     if threshold is None:

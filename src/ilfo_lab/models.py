@@ -1,12 +1,10 @@
 """Calibrated dynamics models learned from replayed transitions.
 
-Three model families share one container:
+Two model families share one container:
 
 * tabular count models with per-(s, a) confidence widths,
 * kernelized nonlinear regulator (KNR) ridge models with elliptical
-  confidence widths,
-* finite version spaces that keep every hypothesis still consistent
-  with the data.
+  confidence widths.
 
 All widths are reported through ``CalibratedModel.sigma`` which caps at
 ``SIGMA_CAP`` so downstream bonuses stay bounded.
@@ -16,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -110,53 +108,6 @@ def bootstrap_buffers(buffer: ReplayBuffer, rng: np.random.Generator,
 
 
 @dataclass(frozen=True)
-class VersionSpace:
-    """Finite hypothesis class filtered by squared prediction distance.
-
-    A hypothesis survives when the summed squared distance between its
-    predictions and the least-squares winner's predictions over the
-    buffer stays below ``threshold``.
-    """
-
-    hypotheses: tuple
-    lsq_index: int
-    threshold: float
-    survivor_mask: Array
-    noise_std: float
-
-    def __post_init__(self):
-        if len(self.hypotheses) == 0:
-            raise ConfigurationError("version space needs >= 1 hypothesis")
-        mask = np.asarray(self.survivor_mask, dtype=bool)
-        if mask.shape != (len(self.hypotheses),):
-            raise ConfigurationError("survivor mask shape mismatch")
-        if not mask[self.lsq_index]:
-            raise ConfigurationError("least-squares winner must survive")
-        object.__setattr__(self, "survivor_mask", _frozen(mask))
-
-    @property
-    def num_survivors(self) -> int:
-        return int(self.survivor_mask.sum())
-
-    def predict(self, s, a) -> Array:
-        return np.atleast_1d(np.asarray(
-            self.hypotheses[self.lsq_index](s, a), dtype=float))
-
-    def uncertainty(self, s, a) -> float:
-        """Width = max pairwise disagreement of survivors, scaled by 1/sigma."""
-        preds = [np.atleast_1d(np.asarray(g(s, a), dtype=float))
-                 for g, keep in zip(self.hypotheses, self.survivor_mask)
-                 if keep]
-        if len(preds) == 1:
-            return 0.0
-        width = 0.0
-        for i in range(len(preds)):
-            for j in range(i + 1, len(preds)):
-                width = max(width, float(np.linalg.norm(preds[i] - preds[j])))
-        return min(width / self.noise_std, SIGMA_CAP)
-
-
-@dataclass(frozen=True)
 class CalibratedModel:
     """A fitted dynamics model plus its per-(s, a) confidence width."""
 
@@ -175,11 +126,9 @@ class CalibratedModel:
     w_max: float | None = None
     beta: float | None = None
     features: Callable | None = field(default=None, repr=False)
-    # version-space field
-    version_space: VersionSpace | None = None
 
     def __post_init__(self):
-        if self.kind not in ("tabular", "knr", "version_space"):
+        if self.kind not in ("tabular", "knr"):
             raise ConfigurationError(f"unknown model kind: {self.kind!r}")
         if self.t < 1:
             raise ConfigurationError("model index t must be >= 1")
@@ -196,7 +145,7 @@ class CalibratedModel:
                 raise ConfigurationError("sigma_table shape or sign mismatch")
             object.__setattr__(self, "p_hat", _frozen(p))
             object.__setattr__(self, "sigma_table", _frozen(sig))
-        elif self.kind == "knr":
+        else:
             for name in ("w_hat", "cov", "lam_ridge", "noise_std", "w_max",
                          "beta", "features"):
                 if getattr(self, name) is None:
@@ -210,9 +159,6 @@ class CalibratedModel:
             object.__setattr__(self, "w_hat", _frozen(w))
             object.__setattr__(self, "cov", _frozen(c))
             object.__setattr__(self, "cov_inv", _frozen(np.linalg.inv(c)))
-        else:
-            if self.version_space is None:
-                raise ConfigurationError("version_space model missing data")
 
     # dims
     @property
@@ -232,18 +178,14 @@ class CalibratedModel:
         """Confidence width, always capped at SIGMA_CAP."""
         if self.kind == "tabular":
             return float(min(self.sigma_table[int(s), int(a)], SIGMA_CAP))
-        if self.kind == "knr":
-            return float(min(knr_uncertainty(self, s, a), SIGMA_CAP))
-        return self.version_space.uncertainty(s, a)
+        return float(min(knr_uncertainty(self, s, a), SIGMA_CAP))
 
     def mean_prediction(self, s, a) -> Array:
         """Next-state mean: a distribution row (tabular) or a vector."""
         if self.kind == "tabular":
             return self.p_hat[int(s), int(a)].copy()
-        if self.kind == "knr":
-            phi = np.asarray(self.features(s, a), dtype=float)
-            return self.w_hat @ phi
-        return self.version_space.predict(s, a)
+        phi = np.asarray(self.features(s, a), dtype=float)
+        return self.w_hat @ phi
 
 
 def fit_tabular(buffer: ReplayBuffer, t: int, delta: float) -> CalibratedModel:
@@ -329,49 +271,6 @@ def knr_uncertainty(model: CalibratedModel, s, a) -> float:
     return model.beta / model.noise_std * np.sqrt(quad)
 
 
-def fit_version_space(buffer: ReplayBuffer, hypotheses: Sequence[Callable],
-                      noise_std: float, g_bound: float, t: int,
-                      delta: float) -> VersionSpace:
-    """Keep hypotheses within squared distance z_t of the LS winner.
-
-    z_t = 2 sigma^2 G^2 ln(2 t^2 |G| / delta).  Distances compare
-    predictions on the buffered (s, a) pairs, not excess losses.
-    """
-    if t < 1:
-        raise ConfigurationError("model index t must be >= 1")
-    if noise_std <= 0 or g_bound <= 0:
-        raise ConfigurationError("noise_std and g_bound must be positive")
-    hyps = tuple(hypotheses)
-    if not hyps:
-        raise ConfigurationError("version space needs >= 1 hypothesis")
-    n_g = len(hyps)
-    preds = []  # preds[i] = stacked predictions of hypothesis i
-    targets = []
-    for _, s, a, s_next in buffer:
-        targets.append(np.atleast_1d(np.asarray(s_next, dtype=float)))
-        preds.append([np.atleast_1d(np.asarray(g(s, a), dtype=float))
-                      for g in hyps])
-    z_t = 2 * noise_std**2 * g_bound**2 * np.log(2 * t**2 * n_g / delta)
-    if not targets:
-        return VersionSpace(hypotheses=hyps, lsq_index=0, threshold=float(z_t),
-                            survivor_mask=np.ones(n_g, dtype=bool),
-                            noise_std=noise_std)
-    losses = np.zeros(n_g)
-    for row, y in zip(preds, targets):
-        for i in range(n_g):
-            losses[i] += float(np.sum((row[i] - y) ** 2))
-    winner = int(np.argmin(losses))
-    dist = np.zeros(n_g)
-    for row in preds:
-        ref = row[winner]
-        for i in range(n_g):
-            dist[i] += float(np.sum((row[i] - ref) ** 2))
-    mask = dist <= z_t
-    return VersionSpace(hypotheses=hyps, lsq_index=winner,
-                        threshold=float(z_t), survivor_mask=mask,
-                        noise_std=noise_std)
-
-
 @dataclass(frozen=True)
 class BonusFunction:
     """Per-(s, a) exploration bonus with a known upper bound."""
@@ -394,6 +293,14 @@ class BonusFunction:
         if self.table is not None:
             return float(self.table[int(s), int(a)])
         return float(self.fn(s, a))
+
+
+def mean_bonus_on_path(bonus, states, actions) -> float:
+    """Mean of b(s_h, a_h) over a path's decision steps; 0 without a bonus."""
+    if bonus is None:
+        return 0.0
+    return float(np.mean([float(bonus(states[h], int(actions[h])))
+                          for h in range(len(actions))]))
 
 
 def theory_bonus(model: CalibratedModel, horizon: int) -> BonusFunction:

@@ -3,11 +3,13 @@
 The learner-side game is min over occupancy measures of
 sup_f E_d[f] - E_e[f] - <d, b>, with f from a witness class and b an
 exploration bonus.  Best responses are exact: backward DP for tabular
-models, open-loop sequence search for KNR models.  The outer loop is
-Frank-Wolfe / fictitious play with 1/k averaging, which returns a
-uniform mixture of the per-round best responses.  A linear program over
-the occupancy polytope provides an independent value oracle for small
-tabular games.
+models, open-loop sequence search for KNR models.  The witness class
+picks the outer loop: the box class runs Frank-Wolfe / fictitious play
+with 1/k averaging, an explicit list of per-state witness vectors runs
+multiplicative weights, and an MMD witness runs Frank-Wolfe under a KNR
+model.  Each returns a uniform mixture of the per-round best responses.
+A linear program over the occupancy polytope provides an independent
+value oracle for small tabular games.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from scipy.optimize import linprog
 from .discriminators import MmdDiscriminator, mmd_update, tv_best_response
 from .envs import ConfigurationError, MixedPolicy, Policy, occupancy_exact
 from .expert import ExpertDataset
-from .models import BonusFunction, CalibratedModel
+from .models import BonusFunction, CalibratedModel, mean_bonus_on_path
 
 Array = np.ndarray
 
@@ -43,10 +45,7 @@ class MinMaxConfig:
     """Outer-loop settings for the min-max solver."""
 
     k_iters: int = 200
-    averaging: str = "harmonic"       # or "uniform" (same final mixture)
-    solver: str = "frank_wolfe"       # or "mw_finite"
     mw_learning_rate: float = 0.5
-    tolerance: float = 1e-2
     mmd_update_mode: str = "exact"    # or "grad"
     mmd_eta: float = 0.67
     knr_search: KnrSearchConfig = field(default_factory=KnrSearchConfig)
@@ -54,12 +53,6 @@ class MinMaxConfig:
     def __post_init__(self):
         if self.k_iters < 1:
             raise ConfigurationError("k_iters must be >= 1")
-        if self.tolerance <= 0:
-            raise ConfigurationError("tolerance must be positive")
-        if self.averaging not in ("harmonic", "uniform"):
-            raise ConfigurationError(f"unknown averaging: {self.averaging!r}")
-        if self.solver not in ("frank_wolfe", "mw_finite"):
-            raise ConfigurationError(f"unknown solver: {self.solver!r}")
         if self.mw_learning_rate <= 0:
             raise ConfigurationError("mw_learning_rate must be positive")
         if self.mmd_update_mode not in ("exact", "grad"):
@@ -208,22 +201,11 @@ def solve_minmax(model: CalibratedModel, bonus, disc_class, expert,
     """Solve the occupancy-matching game under the learned model.
 
     Returns a uniform mixture of the per-round best responses and the
-    final sup-over-witnesses objective at that mixture.  disc_class is
-    "box" (tabular Frank-Wolfe), an explicit list of per-state witness
-    vectors (tabular multiplicative weights), or an MmdDiscriminator
-    (KNR path).
+    final sup-over-witnesses objective at that mixture.  disc_class picks
+    the solver: "box" runs Frank-Wolfe and an explicit list of per-state
+    witness vectors runs multiplicative weights, both on tabular models;
+    an MmdDiscriminator runs Frank-Wolfe on KNR models.
     """
-    if model.kind == "tabular":
-        if cfg.solver == "mw_finite":
-            if isinstance(disc_class, str):
-                raise ConfigurationError(
-                    "mw_finite needs an explicit finite witness list")
-            return _solve_mw_finite(model, bonus, disc_class, expert, cfg,
-                                    horizon, init_state)
-        if disc_class != "box":
-            raise ConfigurationError(
-                "tabular frank_wolfe uses the box witness class")
-        return _solve_fw_box(model, bonus, expert, cfg, horizon, init_state)
     if model.kind == "knr":
         if not isinstance(disc_class, MmdDiscriminator):
             raise ConfigurationError("knr solving needs an MmdDiscriminator")
@@ -231,7 +213,14 @@ def solve_minmax(model: CalibratedModel, bonus, disc_class, expert,
             raise ConfigurationError("knr solving needs num_actions")
         return _solve_fw_mmd(model, bonus, disc_class, expert, cfg,
                              horizon, num_actions, init_state, rng)
-    raise ConfigurationError(f"unsupported model kind: {model.kind!r}")
+    if isinstance(disc_class, str) and disc_class == "box":
+        return _solve_fw_box(model, bonus, expert, cfg, horizon, init_state)
+    if isinstance(disc_class, (list, tuple, np.ndarray)):
+        return _solve_mw_finite(model, bonus, disc_class, expert, cfg,
+                                horizon, init_state)
+    raise ConfigurationError(
+        "tabular solving needs the box class or a list of witness vectors, "
+        f"got {disc_class!r}")
 
 
 def _solve_fw_box(model, bonus, expert, cfg, horizon, init_state):
@@ -243,18 +232,13 @@ def _solve_fw_box(model, bonus, expert, cfg, horizon, init_state):
     uniform = Policy.tabular(np.full((horizon, s_dim, a_dim), 1.0 / a_dim))
     d_bar = _occupancy_avg(view, uniform)
     components = []
-    occs = []        # kept only in uniform-averaging mode
     for k in range(1, cfg.k_iters + 1):
         f_k, _ = tv_best_response(d_bar.sum(axis=1), d_e)
         cost = f_k.values[:, None] - b_table
         pi_k = best_response_tabular(model, cost, horizon)
         occ_k = _occupancy_avg(view, pi_k)
         components.append(pi_k)
-        if cfg.averaging == "harmonic":
-            d_bar = (1.0 - 1.0 / k) * d_bar + occ_k / k
-        else:
-            occs.append(occ_k)
-            d_bar = np.mean(occs, axis=0)
+        d_bar = (1.0 - 1.0 / k) * d_bar + occ_k / k
     mixture = MixedPolicy(components=tuple(components),
                           weights=np.full(len(components),
                                           1.0 / len(components)))
@@ -266,7 +250,10 @@ def _solve_mw_finite(model, bonus, witness_list, expert, cfg, horizon,
     s_dim, a_dim = model.num_states, model.num_actions
     view = _ModelView(horizon=horizon, num_states=s_dim, num_actions=a_dim,
                       init_state=int(init_state), p=model.p_hat)
-    witnesses = np.asarray([np.asarray(f, dtype=float) for f in witness_list])
+    try:
+        witnesses = np.asarray(witness_list, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"witness list is not numeric: {exc}") from exc
     if witnesses.ndim != 2 or witnesses.shape[1] != s_dim:
         raise ConfigurationError("witness list must be M vectors of length S")
     d_e = _expert_state_distribution(expert, s_dim)
@@ -302,13 +289,6 @@ def _nominal_decision_states(model, seq, init_state, horizon):
     return np.asarray(states)
 
 
-def _mean_bonus_on_path(bonus, states, seq) -> float:
-    if bonus is None:
-        return 0.0
-    return float(np.mean([bonus(states[h], int(seq[h]))
-                          for h in range(len(seq))]))
-
-
 def _solve_fw_mmd(model, bonus, disc, expert, cfg, horizon, num_actions,
                   init_state, rng):
     fmap = disc.feature_map
@@ -339,7 +319,7 @@ def _solve_fw_mmd(model, bonus, disc, expert, cfg, horizon, num_actions,
                           weights=np.full(len(components),
                                           1.0 / len(components)))
     sup_ipm = disc.zeta * float(np.linalg.norm(mean_bar - mean_e))
-    mean_b = float(np.mean([_mean_bonus_on_path(bonus, st, sq)
+    mean_b = float(np.mean([mean_bonus_on_path(bonus, st, sq)
                             for st, sq in paths]))
     return mixture, sup_ipm - mean_b
 

@@ -58,7 +58,7 @@ class TestParseConfig:
             "subcommand": "mobile-tabular",
             "env": {"kind": "lock", "horizon": 12},
             "mobile": {"t_iters": 7, "bonus_mode": "off",
-                       "minmax": {"k_iters": 2, "solver": "frank_wolfe"}},
+                       "minmax": {"k_iters": 2}},
             "seeds": [3, 4], "out": "x"})
         cfg = parse_config(text)
         again = parse_config(serialize_config(cfg))
@@ -228,6 +228,22 @@ class TestMain:
         cfg_path.write_text('{"subcommand": "mobile-tabular", "wat": 1}')
         assert main(["mobile-tabular", "--config", str(cfg_path)]) == 2
         assert "wat" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mobile, key", [
+        ({"seed": 0}, "mobile.seed"),
+        ({"f_class_size": 64}, "mobile.f_class_size"),
+        ({"minmax": {"averaging": "uniform"}}, "mobile.minmax.averaging"),
+        ({"minmax": {"tolerance": 0.01}}, "mobile.minmax.tolerance"),
+        ({"minmax": {"solver": "mw_finite"}}, "mobile.minmax.solver"),
+    ])
+    def test_removed_keys_are_rejected(self, tmp_path, capsys, mobile, key):
+        out = tmp_path / "o"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(TINY_TABULAR, mobile=mobile,
+                                            out=str(out))))
+        assert main(["mobile-tabular", "--config", str(cfg_path)]) == 2
+        assert f"unknown key '{key}'" in capsys.readouterr().err
+        assert not (out / "config.json").exists()
 
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["mobile-tabular", "--config",

@@ -233,6 +233,24 @@ class TestRunMobileTabular:
         assert np.min(rec.regret) <= 0.25
         assert rec.regret[0] > np.min(rec.regret)
 
+    def test_rejects_expert_horizon_mismatch(self):
+        mdp = make_chain(horizon=5)
+        _, data = expert_for(make_chain(horizon=3), n=10)
+        cfg = MobileConfig(t_iters=5, n_expert=10,
+                           minmax=MinMaxConfig(k_iters=3))
+        with pytest.raises(ConfigurationError,
+                           match="horizon 3 does not match .* horizon 5"):
+            run_mobile(mdp, data, cfg, np.random.default_rng(0))
+
+    def test_rejects_n_expert_mismatch(self):
+        mdp = make_chain(num_states=3, num_actions=2, horizon=3)
+        _, data = expert_for(mdp, n=50)
+        cfg = MobileConfig(t_iters=1, n_expert=500,
+                           minmax=MinMaxConfig(k_iters=3))
+        with pytest.raises(ConfigurationError,
+                           match="n_expert 500 does not match .* 50 traj"):
+            run_mobile(mdp, data, cfg, np.random.default_rng(0))
+
     def test_mixture_returned_is_runnable(self):
         mdp = make_chain(num_states=3, num_actions=2, horizon=3)
         _, data = expert_for(mdp, n=10)
@@ -258,6 +276,18 @@ class TestRunMobileKnr:
                            minmax=MinMaxConfig(k_iters=3))
         with pytest.raises(ConfigurationError):
             run_mobile(system, data, cfg, rng)
+
+    def test_rejects_expert_horizon_mismatch(self):
+        system = make_knr_example(noise_std=0.05, horizon=3)
+        data = self._expert_data(make_knr_example(noise_std=0.05, horizon=2),
+                                 np.random.default_rng(0))
+        cfg = MobileConfig(t_iters=1, n_expert=12, mmd_features=16,
+                           knr_eval_rollouts=4,
+                           minmax=MinMaxConfig(k_iters=3))
+        with pytest.raises(ConfigurationError,
+                           match="horizon 2 does not match .* horizon 3"):
+            run_mobile(system, data, cfg, np.random.default_rng(1),
+                       expert_value=0.0)
 
     def test_smoke_records_verification_extras(self):
         system = make_knr_example(noise_std=0.05, horizon=3)

@@ -12,7 +12,6 @@ from ilfo_lab.models import (
     fit_knr_model,
     fit_knr_ridge,
     fit_tabular,
-    fit_version_space,
     knr_beta,
     knr_uncertainty,
     theory_bonus,
@@ -21,7 +20,6 @@ from ilfo_lab.worlds import make_knr_example, make_random_mdp, make_random_polic
 
 # frozen from notes/oracles/model_oracle.py
 SIGMA_S2_N50 = 0.45576120286352634
-Z_T_EXAMPLE = 1.8444397270569681
 BETA_EMPTY = 1.8021461590691488
 UNC_EMPTY = 32.9025367747822
 
@@ -234,80 +232,6 @@ class TestKnrRidge:
         with pytest.raises(ConfigurationError):
             knr_beta(t=0, delta=0.1, lam_ridge=0.1, noise_std=0.1,
                      w_max=1.0, state_dim=2, cov=np.eye(2))
-
-
-class TestVersionSpace:
-    def test_single_hypothesis_zero_uncertainty(self):
-        g = lambda s, a: np.array([0.0])
-        buf = ReplayBuffer()
-        vs = fit_version_space(buf, [g], noise_std=0.5, g_bound=1.0,
-                               t=1, delta=0.1)
-        assert vs.num_survivors == 1
-        assert vs.uncertainty(0, 0) == 0.0
-
-    def test_empty_buffer_keeps_everything(self):
-        gs = [lambda s, a, k=k: np.array([float(k)]) for k in range(5)]
-        vs = fit_version_space(ReplayBuffer(), gs, noise_std=0.5,
-                               g_bound=1.0, t=1, delta=0.1)
-        assert vs.num_survivors == 5
-        assert vs.threshold == pytest.approx(
-            2 * 0.25 * np.log(2 * 5 / 0.1), abs=1e-12)
-
-    def test_threshold_frozen_value(self):
-        gs = [lambda s, a: np.array([0.0]), lambda s, a: np.array([1.0])]
-        vs = fit_version_space(ReplayBuffer(), gs, noise_std=0.5,
-                               g_bound=1.0, t=1, delta=0.1)
-        assert vs.threshold == pytest.approx(Z_T_EXAMPLE, abs=1e-12)
-
-    def test_far_hypothesis_eliminated_near_survives(self):
-        g_true = lambda s, a: np.array([0.0])
-        g_near = lambda s, a: np.array([0.05])
-        g_far = lambda s, a: np.array([1.0])
-        buf = ReplayBuffer()
-        for _ in range(100):
-            buf.append(0, 0.0, 0, np.array([0.0]))  # noise-free from g_true
-        vs = fit_version_space(buf, [g_true, g_near, g_far], noise_std=0.5,
-                               g_bound=1.0, t=1, delta=0.1)
-        # z_t with |G|=3: 0.5 * ln(60) ~ 2.047; far distance 100 >> z_t,
-        # near distance 100 * 0.0025 = 0.25 <= z_t
-        assert vs.lsq_index == 0
-        assert list(vs.survivor_mask) == [True, True, False]
-        # width = (0.05 / 0.5) between the two survivors
-        assert vs.uncertainty(0.0, 0) == pytest.approx(0.1, abs=1e-12)
-
-    def test_uncertainty_caps_at_two(self):
-        gs = [lambda s, a: np.array([0.0]), lambda s, a: np.array([50.0])]
-        vs = fit_version_space(ReplayBuffer(), gs, noise_std=0.5,
-                               g_bound=1.0, t=1, delta=0.1)
-        assert vs.uncertainty(0, 0) == SIGMA_CAP
-
-    def test_truth_survives_with_high_probability(self):
-        rng = np.random.default_rng(17)
-        noise = 0.3
-        delta = 0.1
-        gs = [lambda s, a: np.array([0.0]),
-              lambda s, a: np.array([0.4]),
-              lambda s, a: np.array([-0.7])]
-        survived = 0
-        trials = 500
-        for _ in range(trials):
-            buf = ReplayBuffer()
-            n = int(rng.integers(5, 40))
-            for _ in range(n):
-                buf.append(0, 0.0, 0, np.array([rng.normal(0.0, noise)]))
-            vs = fit_version_space(buf, gs, noise_std=noise, g_bound=1.0,
-                                   t=1, delta=delta)
-            if vs.survivor_mask[0]:
-                survived += 1
-        assert survived / trials >= 1 - delta
-
-    def test_lsq_winner_always_survives(self):
-        gs = [lambda s, a: np.array([0.3]), lambda s, a: np.array([0.31])]
-        buf = ReplayBuffer()
-        buf.append(0, 0.0, 0, np.array([0.3]))
-        vs = fit_version_space(buf, gs, noise_std=0.01, g_bound=1.0,
-                               t=1, delta=0.1)
-        assert vs.survivor_mask[vs.lsq_index]
 
 
 class TestBonuses:
