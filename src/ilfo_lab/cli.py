@@ -44,11 +44,18 @@ ENV_KEYS = {
     "knr_example": ("noise_std", "horizon"),
 }
 
+# mw_learning_rate only steers the witness-list solver, which no CLI run
+# reaches (the loop solves with the box class or an MMD witness)
+MINMAX_KEYS = tuple(f.name for f in dataclasses.fields(MinMaxConfig)
+                    if f.name != "mw_learning_rate")
+
 MOBILE_SUMMARY_COLUMNS = ("seed", "expert_value", "best_regret",
                           "final_regret", "best_iterate",
                           "iterations_to_threshold", "info_gain_total")
+MOBILE_SUMMARY_FORMAT = "%d,%.17g,%.17g,%.17g,%d,%d,%.17g"
 MAB_SUMMARY_COLUMNS = ("algorithm", "instance_id", "final_mean_regret",
                        "loglog_slope")
+MAB_SUMMARY_FORMAT = "%s,%s,%.17g,%.17g"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,8 +88,7 @@ def _build_mobile(d: dict) -> MobileConfig:
         mm = kwargs["minmax"]
         if not isinstance(mm, dict):
             raise ConfigurationError("'mobile.minmax' must be an object")
-        mm_allowed = tuple(f.name for f in dataclasses.fields(MinMaxConfig))
-        _check_keys(mm, mm_allowed, "mobile.minmax.")
+        _check_keys(mm, MINMAX_KEYS, "mobile.minmax.")
         mm_kwargs = dict(mm)
         if "knr_search" in mm_kwargs:
             ks = mm_kwargs["knr_search"]
@@ -192,6 +198,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         d["env"] = cfg.env
     if cfg.mobile is not None:
         d["mobile"] = dataclasses.asdict(cfg.mobile)
+        del d["mobile"]["minmax"]["mw_learning_rate"]
     if cfg.bandit is not None:
         d["bandit"] = cfg.bandit
     return json.dumps(d, indent=2, sort_keys=True) + "\n"
@@ -298,7 +305,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> int:
         tasks = [(cfg_text, seed) for seed in cfg.seeds]
         rows = _map_tasks(_mobile_seed_task, tasks, jobs)
         write_csv_rows(os.path.join(cfg.out, "summary.csv"),
-                       MOBILE_SUMMARY_COLUMNS, rows)
+                       MOBILE_SUMMARY_COLUMNS, rows, MOBILE_SUMMARY_FORMAT)
         return 0
 
     b = cfg.bandit
@@ -307,7 +314,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> int:
              for idx in range(family_size)]
     rows = _map_tasks(_bandit_pair_task, tasks, jobs)
     write_csv_rows(os.path.join(cfg.out, "summary.csv"),
-                   MAB_SUMMARY_COLUMNS, rows)
+                   MAB_SUMMARY_COLUMNS, rows, MAB_SUMMARY_FORMAT)
     return 0
 
 

@@ -115,19 +115,24 @@ def project_ball(w: Array, zeta: float) -> Array:
     return np.asarray(w, dtype=float) * (zeta / nrm)
 
 
+def box_witness(d_pi: Array, d_e: Array) -> Array:
+    """Values of the box class's best response: f*(s) = 1 where d_pi puts
+    strictly more mass than d_e, 0 elsewhere (ties get 0)."""
+    return (d_pi > d_e).astype(float)
+
+
 def tv_best_response(d_pi: Array, d_e: Array) -> tuple[BoxDiscriminator, float]:
     """Closed-form best response of the box class.
 
-    f*(s) = 1 where d_pi puts strictly more mass than d_e (ties get 0);
-    the attained value is sum_s max(0, d_pi(s) - d_e(s)).
+    f* is ``box_witness(d_pi, d_e)``; the attained value is
+    sum_s max(0, d_pi(s) - d_e(s)).
     """
     p = np.asarray(d_pi, dtype=float)
     q = np.asarray(d_e, dtype=float)
     if p.shape != q.shape or p.ndim != 1:
         raise ConfigurationError("marginals must be 1-D with equal length")
-    f_star = (p > q).astype(float)
     value = float(np.maximum(p - q, 0.0).sum())
-    return BoxDiscriminator(values=f_star), value
+    return BoxDiscriminator(values=box_witness(p, q)), value
 
 
 def mmd_update(disc: MmdDiscriminator, mean_pi: Array, mean_e: Array,

@@ -128,23 +128,44 @@ class KnrSystem:
 
 @dataclass(frozen=True)
 class Policy:
-    """Nonstationary tabular policy (H, S, A) or an open-loop action sequence."""
+    """Nonstationary policy in one of three forms.
 
-    action_probs: Array | None = None
+    A deterministic tabular policy is an (H, S) ``action_table`` of action
+    indices in [0, num_actions); a stochastic one is an (H, S, A)
+    ``probs`` distribution; an open-loop policy is a flat ``action_seq``.
+    ``action_probs`` reads as the (H, S, A) distribution of either tabular
+    form: for an action table it is the exact one-hot cube, built on demand.
+    """
+
+    action_table: Array | None = None
+    num_actions: int | None = None
+    probs: Array | None = None
     action_seq: Array | None = None
 
     def __post_init__(self):
-        if (self.action_probs is None) == (self.action_seq is None):
-            raise ConfigurationError("exactly one of action_probs / action_seq required")
-        if self.action_probs is not None:
-            probs = np.asarray(self.action_probs, dtype=float)
+        forms = (self.action_table, self.probs, self.action_seq)
+        if sum(f is not None for f in forms) != 1:
+            raise ConfigurationError(
+                "exactly one of action_table / probs / action_seq required")
+        if self.action_table is not None:
+            table = np.asarray(self.action_table)
+            if table.ndim != 2 or table.dtype.kind not in "iu":
+                raise ConfigurationError("action_table must be (H, S) integers")
+            if self.num_actions is None or self.num_actions < 1:
+                raise ConfigurationError("an action table needs num_actions >= 1")
+            if table.size and (table.min() < 0
+                               or table.max() >= self.num_actions):
+                raise ConfigurationError("action index out of range")
+            object.__setattr__(self, "action_table", _frozen(table))
+        elif self.probs is not None:
+            probs = np.asarray(self.probs, dtype=float)
             if probs.ndim != 3:
-                raise ConfigurationError("action_probs must be (H, S, A)")
+                raise ConfigurationError("probs must be (H, S, A)")
             if np.any(probs < 0):
                 raise ConfigurationError("negative action probability")
             if np.max(np.abs(probs.sum(axis=2) - 1.0)) > ROW_TOL:
                 raise ConfigurationError("per-(h,s) action distribution must sum to 1")
-            object.__setattr__(self, "action_probs", _frozen(probs))
+            object.__setattr__(self, "probs", _frozen(probs))
         else:
             seq = np.asarray(self.action_seq, dtype=int)
             if seq.ndim != 1:
@@ -153,17 +174,12 @@ class Policy:
 
     @classmethod
     def tabular(cls, probs: Array) -> "Policy":
-        return cls(action_probs=probs)
+        return cls(probs=probs)
 
     @classmethod
     def deterministic(cls, actions: Array, num_actions: int) -> "Policy":
         """Build from an (H, S) table of action indices."""
-        actions = np.asarray(actions, dtype=int)
-        H, S = actions.shape
-        probs = np.zeros((H, S, num_actions))
-        for h in range(H):
-            probs[h, np.arange(S), actions[h]] = 1.0
-        return cls(action_probs=probs)
+        return cls(action_table=actions, num_actions=num_actions)
 
     @classmethod
     def open_loop(cls, seq: Sequence[int]) -> "Policy":
@@ -177,15 +193,34 @@ class Policy:
     def horizon(self) -> int:
         if self.action_seq is not None:
             return len(self.action_seq)
-        return self.action_probs.shape[0]
+        if self.action_table is not None:
+            return self.action_table.shape[0]
+        return self.probs.shape[0]
+
+    @property
+    def action_probs(self) -> Array | None:
+        """(H, S, A) action distribution; None for an open-loop policy."""
+        if self.action_table is None:
+            return self.probs
+        return _frozen(_one_hot(self.action_table, self.num_actions))
 
     def probs_at(self, h: int, num_states: int, num_actions: int) -> Array:
-        """(S, A) action distribution at step h, lifting open-loop sequences."""
+        """(S, A) action distribution at step h, lifting open-loop sequences
+        and action tables."""
         if self.action_seq is not None:
             out = np.zeros((num_states, num_actions))
             out[:, int(self.action_seq[h])] = 1.0
             return out
-        return self.action_probs[h]
+        if self.action_table is not None:
+            return _one_hot(self.action_table[h], num_actions)
+        return self.probs[h]
+
+
+def _one_hot(actions: Array, num_actions: int) -> Array:
+    """Float indicator cube of an integer action array, on a new last axis."""
+    out = np.zeros(actions.shape + (num_actions,))
+    np.put_along_axis(out, actions[..., None], 1.0, axis=-1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -294,8 +329,13 @@ def rollout(env, policy: AnyPolicy, rng: np.random.Generator) -> Trajectory:
         for h in range(env.horizon):
             if policy.is_open_loop:
                 a = int(policy.action_seq[h])
+            elif policy.action_table is not None:
+                # the uniform draw an inverse-cdf sample of the one-hot row
+                # would consume, so every rng stream matches a probs policy
+                rng.random()
+                a = int(policy.action_table[h, s])
             else:
-                a = _sample_row(policy.action_probs[h, s], rng)
+                a = _sample_row(policy.probs[h, s], rng)
             s = _sample_row(env.kernel(h)[s, a], rng)
             actions[h] = a
             states[h + 1] = s
@@ -323,11 +363,58 @@ def rollout(env, policy: AnyPolicy, rng: np.random.Generator) -> Trajectory:
     raise ConfigurationError(f"unsupported environment type {type(env).__name__}")
 
 
+def _mixture_tables(mdp, mixture: MixedPolicy) -> Array | None:
+    """(K, H, S) stack of the components' action tables, or None when some
+    component is not a deterministic tabular policy."""
+    tables = [c.action_table for c in mixture.components]
+    if any(t is None for t in tables):
+        return None
+    if any(t.shape != (mdp.horizon, mdp.num_states) for t in tables):
+        raise ConfigurationError("action table shape does not match environment")
+    return np.stack(tables)
+
+
+def table_occupancy(mdp, tables: Array, out: Array | None = None) -> Array:
+    """(K, H, S, A) per-step occupancies of K (H, S) action tables.
+
+    One forward pass batched over K.  Each d_h slice holds the state
+    distribution at the chosen actions and zeros elsewhere, exactly as
+    ``occupancy_exact`` builds it for one component, so the two agree bit
+    for bit.  Written into ``out`` when given.
+    """
+    K, H, S = tables.shape
+    A = mdp.num_actions
+    if out is None:
+        d = np.zeros((K, H, S, A))
+    elif out.shape != (K, H, S, A) or not out.flags.c_contiguous:
+        raise ConfigurationError("out must be a C-contiguous (K, H, S, A) array")
+    else:
+        d = out
+        d.fill(0.0)
+    flat = d.reshape(-1)
+    # flat position of d[k, h, s, tables[k, h, s]]
+    cells = np.arange(K * H * S).reshape(K, H, S) * A + tables
+    p = np.zeros((K, S))
+    p[:, mdp.init_state] = 1.0
+    for h in range(H):
+        flat[cells[:, h]] = p
+        p = np.einsum("ksa,sat->kt", d[:, h], mdp.kernel(h))
+    return d
+
+
 def occupancy_exact(mdp: TabularMdp, policy: AnyPolicy) -> OccupancyMeasure:
-    """Forward dynamic program for d_h(s, a); mixtures combine exactly."""
+    """Forward dynamic program for d_h(s, a); mixtures combine exactly.
+
+    A mixture of action tables runs one forward pass over the whole stack.
+    """
     if isinstance(policy, MixedPolicy):
-        parts = [occupancy_exact(mdp, c).per_step for c in policy.components]
-        blend = np.tensordot(policy.weights, np.stack(parts), axes=1)
+        tables = _mixture_tables(mdp, policy)
+        if tables is None:
+            parts = np.stack([occupancy_exact(mdp, c).per_step
+                              for c in policy.components])
+        else:
+            parts = table_occupancy(mdp, tables)
+        blend = np.tensordot(policy.weights, parts, axes=1)
         return OccupancyMeasure(per_step=blend)
 
     if policy.horizon != mdp.horizon:
@@ -357,14 +444,35 @@ def _cost_table(cost, S: int, A: int) -> Array:
     raise ConfigurationError("cost must be (S,), (S,A), or callable(s,a)")
 
 
+def _table_values(mdp, tables: Array, c: Array) -> Array:
+    """(K,) initial-state values of K (H, S) action tables under the (S, A)
+    cost table c, by one backward pass batched over K."""
+    K, H, S = tables.shape
+    ks, ss = np.arange(K)[:, None], np.arange(S)
+    v = np.zeros((K, S))
+    for h in range(H - 1, -1, -1):
+        # a stacked matmul sums in the order of one component's kernel @ v
+        q = c + (mdp.kernel(h)[None] @ v[:, None, :, None])[..., 0]
+        v = q[ks, ss, tables[:, h]]
+    # contiguous, so the weighted sum below matches a list of floats
+    return np.ascontiguousarray(v[:, mdp.init_state])
+
+
 def value_eval_tabular(mdp, policy: AnyPolicy, cost) -> float:
     """Expected total cost of ``policy`` under a tabular kernel, by backward DP.
 
     ``mdp`` is anything exposing horizon / num_states / num_actions /
     init_state / kernel(h). Equals H * <d_avg, cost> from occupancy_exact.
+    A mixture of action tables runs one backward pass over the whole stack.
     """
     if isinstance(policy, MixedPolicy):
-        vals = [value_eval_tabular(mdp, c, cost) for c in policy.components]
+        tables = _mixture_tables(mdp, policy)
+        if tables is None:
+            vals = [value_eval_tabular(mdp, c, cost)
+                    for c in policy.components]
+        else:
+            c = _cost_table(cost, mdp.num_states, mdp.num_actions)
+            vals = _table_values(mdp, tables, c)
         return float(np.dot(policy.weights, vals))
 
     if policy.horizon != mdp.horizon:

@@ -42,6 +42,7 @@ Array = np.ndarray
 
 CSV_COLUMNS = ("t", "value", "expert_value", "regret", "ipm", "mean_bonus",
                "info_gain_cum", "objective")
+CSV_ROW_FORMAT = "%d" + ",%.17g" * 7
 
 
 @dataclass(frozen=True)
@@ -131,23 +132,20 @@ class RunRecord:
                    float(self.objective[i]))
 
     def write_csv(self, path) -> None:
-        write_csv_rows(path, CSV_COLUMNS, self.rows())
+        write_csv_rows(path, CSV_COLUMNS, self.rows(), CSV_ROW_FORMAT)
 
 
-def format_cell(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
+def write_csv_rows(path, columns, rows, row_format: str) -> None:
+    """Stable CSV: LF endings, '.' decimals, 17 significant digits.
 
-
-def write_csv_rows(path, columns, rows) -> None:
-    """Stable CSV: LF endings, '.' decimals, 17 significant digits."""
+    ``row_format`` formats one whole row with ``%``: ``%d`` for an integer
+    column, ``%.17g`` for a float column and ``%s`` for a string column,
+    comma-separated, e.g. ``"%d,%.17g,%s"``.
+    """
+    template = row_format + "\n"
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(format_cell(x) for x in row) + "\n")
+        fh.writelines(template % tuple(row) for row in rows)
 
 
 def info_gain_increment(model, trajectory) -> float:
@@ -220,7 +218,7 @@ def _run_mobile_tabular(env, expert_dataset, cfg, rng, expert_value):
         else:
             bonus = None
         mixture, objective = solve_minmax(
-            model, bonus, "box", expert_dataset, cfg.minmax,
+            model, bonus, "box", d_e, cfg.minmax,
             horizon=horizon, init_state=env.init_state)
         traj = rollout(env, mixture, rng)
         info_gain_accumulate(info_tally, model, traj)

@@ -18,6 +18,7 @@ from .loop import write_csv_rows
 ALGORITHMS = ("ucb1", "eps_greedy", "known_mean_elim")
 
 REGRET_CSV_COLUMNS = ("t", "mean_regret", "stderr", "algorithm", "instance_id")
+REGRET_CSV_ROW_FORMAT = "%d,%.17g,%.17g,%s,%s"
 
 
 @dataclass(frozen=True)
@@ -260,6 +261,9 @@ def fit_loglog_slope(t_grid: Array, regret: Array,
 
 def write_regret_csv(path, algorithm: str, instance_id: str, t_grid: Array,
                      mean: Array, stderr: Array) -> None:
-    rows = [(int(t), float(m), float(se), algorithm, instance_id)
-            for t, m, se in zip(t_grid, mean, stderr)]
-    write_csv_rows(path, REGRET_CSV_COLUMNS, rows)
+    n = len(t_grid)
+    rows = zip(np.asarray(t_grid).astype(int).tolist(),
+               np.asarray(mean, dtype=float).tolist(),
+               np.asarray(stderr, dtype=float).tolist(),
+               [algorithm] * n, [instance_id] * n)
+    write_csv_rows(path, REGRET_CSV_COLUMNS, rows, REGRET_CSV_ROW_FORMAT)

@@ -20,8 +20,10 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .discriminators import MmdDiscriminator, mmd_update, tv_best_response
-from .envs import ConfigurationError, MixedPolicy, Policy, occupancy_exact
+from .discriminators import (MmdDiscriminator, box_witness, mmd_update,
+                             tv_best_response)
+from .envs import (ConfigurationError, MixedPolicy, Policy, occupancy_exact,
+                   table_occupancy)
 from .expert import ExpertDataset
 from .models import BonusFunction, CalibratedModel, mean_bonus_on_path
 
@@ -93,11 +95,12 @@ def best_response_tabular(model, cost, horizon: int) -> Policy:
     if c.shape != (s_dim, a_dim):
         raise ConfigurationError("cost must be (S, A) or (S,)")
     actions = np.zeros((horizon, s_dim), dtype=np.int64)
+    rows = np.arange(s_dim)
     v = np.zeros(s_dim)
     for h in range(horizon - 1, -1, -1):
         q = c + kernel @ v
-        actions[h] = np.argmin(q, axis=1)
-        v = q[np.arange(s_dim), actions[h]]
+        actions[h] = q.argmin(axis=1)
+        v = q[rows, actions[h]]
     return Policy.deterministic(actions, num_actions=a_dim)
 
 
@@ -184,8 +187,7 @@ def _expert_state_distribution(expert, s_dim: int) -> Array:
 
 def box_objective(d_avg_sa: Array, d_e: Array, bonus_table: Array) -> float:
     """sup over the box class of the IPM, minus the mean bonus."""
-    d_state = d_avg_sa.sum(axis=1)
-    ipm = float(np.maximum(d_state - d_e, 0.0).sum())
+    ipm = tv_best_response(d_avg_sa.sum(axis=1), d_e)[1]
     return ipm - float((d_avg_sa * bonus_table).sum())
 
 
@@ -231,14 +233,14 @@ def _solve_fw_box(model, bonus, expert, cfg, horizon, init_state):
     b_table = _bonus_table(bonus, s_dim, a_dim)
     uniform = Policy.tabular(np.full((horizon, s_dim, a_dim), 1.0 / a_dim))
     d_bar = _occupancy_avg(view, uniform)
+    occ = np.empty((1, horizon, s_dim, a_dim))   # rewritten every round
     components = []
     for k in range(1, cfg.k_iters + 1):
-        f_k, _ = tv_best_response(d_bar.sum(axis=1), d_e)
-        cost = f_k.values[:, None] - b_table
-        pi_k = best_response_tabular(model, cost, horizon)
-        occ_k = _occupancy_avg(view, pi_k)
+        f_k = box_witness(d_bar.sum(axis=1), d_e)
+        pi_k = best_response_tabular(model, f_k[:, None] - b_table, horizon)
+        table_occupancy(view, pi_k.action_table[None], out=occ)
         components.append(pi_k)
-        d_bar = (1.0 - 1.0 / k) * d_bar + occ_k / k
+        d_bar = (1.0 - 1.0 / k) * d_bar + occ[0].mean(axis=0) / k
     mixture = MixedPolicy(components=tuple(components),
                           weights=np.full(len(components),
                                           1.0 / len(components)))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ilfo_lab.envs import (
     ConfigurationError,
@@ -224,3 +226,134 @@ def test_occupancy_measure_validation():
     bad = np.full((1, 2, 2), 0.3)
     with pytest.raises(ConfigurationError):
         OccupancyMeasure(per_step=bad)
+
+
+def test_deterministic_policy_stores_its_action_table():
+    table = np.array([[0, 2, 1], [1, 1, 0]])
+    pol = Policy.deterministic(table, num_actions=3)
+    np.testing.assert_array_equal(pol.action_table, table)
+    assert pol.horizon == 2
+    expect = np.zeros((2, 3, 3))
+    for h in range(2):
+        for s in range(3):
+            expect[h, s, table[h, s]] = 1.0
+    np.testing.assert_array_equal(pol.action_probs, expect)
+    np.testing.assert_array_equal(pol.probs_at(1, 3, 3), expect[1])
+
+
+def test_action_table_validated():
+    with pytest.raises(ConfigurationError):
+        Policy.deterministic(np.array([[0, 3]]), num_actions=3)
+    with pytest.raises(ConfigurationError):
+        Policy.deterministic(np.array([[0, -1]]), num_actions=3)
+    with pytest.raises(ConfigurationError):
+        Policy.deterministic(np.array([0, 1]), num_actions=3)
+    with pytest.raises(ConfigurationError):
+        Policy.deterministic(np.array([[0.0, 1.0]]), num_actions=3)
+    with pytest.raises(ConfigurationError):
+        Policy(action_table=np.zeros((1, 2), dtype=int))
+
+
+# -- the batched table engine against per-component references kept here --
+
+def reference_occupancy(mdp, probs):
+    """Forward DP of one (H, S, A) policy, one step at a time."""
+    S, A, H = mdp.num_states, mdp.num_actions, mdp.horizon
+    d = np.zeros((H, S, A))
+    p = np.zeros(S)
+    p[mdp.init_state] = 1.0
+    for h in range(H):
+        d[h] = p[:, None] * probs[h]
+        p = np.einsum("sa,sat->t", d[h], mdp.kernel(h))
+    return d
+
+
+def reference_value(mdp, probs, cost):
+    """Backward DP of one (H, S, A) policy under an (S,) state cost."""
+    c = np.repeat(np.asarray(cost)[:, None], mdp.num_actions, axis=1)
+    v = np.zeros(mdp.num_states)
+    for h in range(mdp.horizon - 1, -1, -1):
+        q = c + mdp.kernel(h) @ v
+        v = (probs[h] * q).sum(axis=1)
+    return float(v[mdp.init_state])
+
+
+table_mixtures = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "S": st.integers(1, 6), "A": st.integers(1, 4), "H": st.integers(1, 6),
+    "K": st.integers(1, 220), "per_step": st.booleans(),
+    "init": st.integers(0, 5),
+})
+
+
+def build_table_mixture(spec):
+    rng = np.random.default_rng(spec["seed"])
+    S, A, H, K = spec["S"], spec["A"], spec["H"], spec["K"]
+    shape = (H, S, A) if spec["per_step"] else (S, A)
+    mdp = TabularMdp(horizon=H, transitions=rng.dirichlet(np.ones(S), size=shape),
+                     cost=rng.random(S), init_state=spec["init"] % S)
+    tables = rng.integers(0, A, size=(K, H, S))
+    weights = rng.dirichlet(np.ones(K))
+    mix = MixedPolicy(components=tuple(Policy.deterministic(t, A) for t in tables),
+                      weights=weights)
+    return mdp, tables, weights, mix
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_mixtures)
+def test_batched_mixture_occupancy_equals_per_component_reference(spec):
+    mdp, tables, weights, mix = build_table_mixture(spec)
+    eye = np.eye(mdp.num_actions)
+    parts = np.stack([reference_occupancy(mdp, eye[t]) for t in tables])
+    expect = np.tensordot(weights, parts, axes=1)
+    assert np.array_equal(occupancy_exact(mdp, mix).per_step, expect)
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_mixtures)
+def test_batched_mixture_value_equals_per_component_reference(spec):
+    mdp, tables, weights, mix = build_table_mixture(spec)
+    eye = np.eye(mdp.num_actions)
+    vals = [reference_value(mdp, eye[t], mdp.cost) for t in tables]
+    assert value_eval_tabular(mdp, mix, mdp.cost) == float(np.dot(weights, vals))
+
+
+def test_mixture_of_tables_and_cubes_falls_back_per_component():
+    rng = np.random.default_rng(4)
+    mdp = make_random_mdp(rng, 3, 2, 3, per_step=True)
+    det = Policy.deterministic(rng.integers(0, 2, size=(3, 3)), num_actions=2)
+    soft = make_random_policy(rng, 3, 2, 3)
+    mix = MixedPolicy(components=(det, soft), weights=np.array([0.4, 0.6]))
+    expect = 0.4 * reference_occupancy(mdp, det.action_probs) \
+        + 0.6 * reference_occupancy(mdp, soft.action_probs)
+    assert np.max(np.abs(occupancy_exact(mdp, mix).per_step - expect)) < 1e-15
+    v = 0.4 * reference_value(mdp, det.action_probs, mdp.cost) \
+        + 0.6 * reference_value(mdp, soft.action_probs, mdp.cost)
+    assert abs(value_eval_tabular(mdp, mix, mdp.cost) - v) < 1e-15
+
+
+def test_mixture_table_shape_must_match_environment():
+    mdp = make_two_state(0.5, horizon=2)
+    pol = Policy.deterministic(np.zeros((3, 2), dtype=int), num_actions=2)
+    mix = MixedPolicy(components=(pol,), weights=np.ones(1))
+    with pytest.raises(ConfigurationError):
+        occupancy_exact(mdp, mix)
+    with pytest.raises(ConfigurationError):
+        value_eval_tabular(mdp, mix, mdp.cost)
+
+
+@settings(max_examples=100, deadline=None)
+@given(table_mixtures, st.integers(0, 2**32 - 1))
+def test_rollout_of_table_matches_one_hot_cube(spec, rng_seed):
+    mdp, tables, weights, mix = build_table_mixture(spec)
+    eye = np.eye(mdp.num_actions)
+    cubes = MixedPolicy(components=tuple(Policy.tabular(eye[t]) for t in tables),
+                        weights=weights)
+    for lean, full in ((mix, cubes), (mix.components[0], cubes.components[0])):
+        rng_a = np.random.default_rng(rng_seed)
+        rng_b = np.random.default_rng(rng_seed)
+        for _ in range(3):
+            a, b = rollout(mdp, lean, rng_a), rollout(mdp, full, rng_b)
+            np.testing.assert_array_equal(a.states, b.states)
+            np.testing.assert_array_equal(a.actions, b.actions)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state

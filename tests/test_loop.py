@@ -13,7 +13,9 @@ from ilfo_lab.loop import (
     info_gain_increment,
     regret_summary,
     run_mobile,
+    write_csv_rows,
 )
+from ilfo_lab.mab import REGRET_CSV_COLUMNS, write_regret_csv
 from ilfo_lab.planner import MinMaxConfig
 from ilfo_lab.worlds import make_chain, make_combination_lock, make_knr_example
 
@@ -352,3 +354,63 @@ class TestCombinationLock:
             _, rec = run_mobile(env, data, cfg, np.random.default_rng(0))
             reach[mode] = regret_summary(rec)["iterations_to_threshold"]
         assert reach["theory"] < reach["off"]
+
+
+def cell_by_cell_csv(path, columns, rows):
+    """The per-cell CSV formatter the row templates replaced."""
+    def cell(x):
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        if isinstance(x, float):
+            return format(x, ".17g")
+        return str(x)
+
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(cell(x) for x in row) + "\n")
+
+
+class TestCsvRowTemplates:
+    ROWS = [
+        (0, 0.0, -0.0, "chain"),
+        (np.int64(7), np.float64(1.0 / 3.0), float("nan"), "lock"),
+        (np.int32(-3), float("inf"), float("-inf"), "instance-10"),
+        (2**40, 1e-300, -1e300, ""),
+        (True, np.float64(5e-324), 0.1, "a b"),
+        (12, 1.0, 123456789.12345678, "x"),
+    ]
+
+    def test_bytes_match_cell_formatter(self, tmp_path):
+        cols = ("i", "f", "g", "s")
+        write_csv_rows(tmp_path / "new.csv", cols, self.ROWS,
+                       "%d,%.17g,%.17g,%s")
+        cell_by_cell_csv(tmp_path / "old.csv", cols, self.ROWS)
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "old.csv").read_bytes())
+
+    def test_run_record_csv_matches_cell_formatter(self, tmp_path):
+        env = make_chain(num_states=4, num_actions=2, horizon=3)
+        _, data = expert_for(env, n=20)
+        _, rec = run_mobile(env, data, MobileConfig(
+            t_iters=4, n_expert=20, minmax=MinMaxConfig(k_iters=3)),
+            np.random.default_rng(0))
+        rec.write_csv(tmp_path / "new.csv")
+        cell_by_cell_csv(tmp_path / "old.csv", CSV_COLUMNS, rec.rows())
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "old.csv").read_bytes())
+
+    def test_regret_csv_matches_cell_formatter(self, tmp_path):
+        rng = np.random.default_rng(3)
+        t_grid = np.arange(1, 501)
+        mean = np.cumsum(rng.random(500))
+        mean[:3] = [0.0, -0.0, 1e-300]
+        stderr = rng.random(500)
+        stderr[:2] = [np.inf, np.nan]
+        write_regret_csv(tmp_path / "new.csv", "ucb1", "instance-3", t_grid,
+                         mean, stderr)
+        rows = [(int(t), float(m), float(se), "ucb1", "instance-3")
+                for t, m, se in zip(t_grid, mean, stderr)]
+        cell_by_cell_csv(tmp_path / "old.csv", REGRET_CSV_COLUMNS, rows)
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "old.csv").read_bytes())

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ilfo_lab import ConfigurationError, Policy, planner, value_eval_tabular
 from ilfo_lab.discriminators import MmdDiscriminator, rff_featurize
@@ -187,6 +189,54 @@ class TestSolveMinmaxTabular:
         cfg = MinMaxConfig(k_iters=200)
         _, obj = solve_minmax(model, None, "box", d_e, cfg, horizon=3)
         assert obj <= 1e-2
+
+    @staticmethod
+    def reference_fw_box(model, bonus, d_e, k_iters, horizon, init_state):
+        """Frank-Wolfe on one-hot (H, S, A) cubes through occupancy_exact."""
+        from ilfo_lab import occupancy_exact
+        view = model_view(model, horizon, init_state)
+        s_dim, a_dim = model.num_states, model.num_actions
+        b = np.zeros((s_dim, a_dim)) if bonus is None else bonus
+        d_bar = occupancy_exact(view, Policy.tabular(
+            np.full((horizon, s_dim, a_dim), 1.0 / a_dim))).average
+        tables = []
+        for k in range(1, k_iters + 1):
+            f = (d_bar.sum(axis=1) > d_e).astype(float)
+            cost = f[:, None] - b
+            actions = np.zeros((horizon, s_dim), dtype=int)
+            v = np.zeros(s_dim)
+            for h in range(horizon - 1, -1, -1):
+                q = cost + model.p_hat @ v
+                actions[h] = np.argmin(q, axis=1)
+                v = q[np.arange(s_dim), actions[h]]
+            cube = np.eye(a_dim)[actions]
+            occ = occupancy_exact(view, Policy.tabular(cube)).average
+            tables.append(actions)
+            d_bar = (1.0 - 1.0 / k) * d_bar + occ / k
+        ipm = float(np.maximum(d_bar.sum(axis=1) - d_e, 0.0).sum())
+        return tables, ipm - float((d_bar * b).sum())
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), s_dim=st.integers(1, 5),
+           a_dim=st.integers(1, 3), horizon=st.integers(1, 5),
+           k_iters=st.integers(1, 30), with_bonus=st.booleans(),
+           init=st.integers(0, 4))
+    def test_table_fw_matches_one_hot_reference(self, seed, s_dim, a_dim,
+                                                horizon, k_iters, with_bonus,
+                                                init):
+        rng = np.random.default_rng(seed)
+        model, bonus, d_e = self.random_game(rng, s_dim, a_dim, horizon,
+                                             with_bonus)
+        init %= s_dim
+        mix, obj = solve_minmax(model, bonus, "box", d_e,
+                                MinMaxConfig(k_iters=k_iters),
+                                horizon=horizon, init_state=init)
+        tables, ref_obj = self.reference_fw_box(model, bonus, d_e, k_iters,
+                                                horizon, init)
+        assert len(mix.components) == k_iters
+        for comp, table in zip(mix.components, tables):
+            assert np.array_equal(comp.action_table, table)
+        assert obj == ref_obj
 
     def test_final_objective_not_above_initial(self):
         rng = np.random.default_rng(8)
