@@ -44,11 +44,6 @@ ENV_KEYS = {
     "knr_example": ("noise_std", "horizon"),
 }
 
-# mw_learning_rate only steers the witness-list solver, which no CLI run
-# reaches (the loop solves with the box class or an MMD witness)
-MINMAX_KEYS = tuple(f.name for f in dataclasses.fields(MinMaxConfig)
-                    if f.name != "mw_learning_rate")
-
 MOBILE_SUMMARY_COLUMNS = ("seed", "expert_value", "best_regret",
                           "final_regret", "best_iterate",
                           "iterations_to_threshold", "info_gain_total")
@@ -88,7 +83,8 @@ def _build_mobile(d: dict) -> MobileConfig:
         mm = kwargs["minmax"]
         if not isinstance(mm, dict):
             raise ConfigurationError("'mobile.minmax' must be an object")
-        _check_keys(mm, MINMAX_KEYS, "mobile.minmax.")
+        mm_allowed = tuple(f.name for f in dataclasses.fields(MinMaxConfig))
+        _check_keys(mm, mm_allowed, "mobile.minmax.")
         mm_kwargs = dict(mm)
         if "knr_search" in mm_kwargs:
             ks = mm_kwargs["knr_search"]
@@ -198,7 +194,6 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         d["env"] = cfg.env
     if cfg.mobile is not None:
         d["mobile"] = dataclasses.asdict(cfg.mobile)
-        del d["mobile"]["minmax"]["mw_learning_rate"]
     if cfg.bandit is not None:
         d["bandit"] = cfg.bandit
     return json.dumps(d, indent=2, sort_keys=True) + "\n"

@@ -218,9 +218,7 @@ class Policy:
 
 def _one_hot(actions: Array, num_actions: int) -> Array:
     """Float indicator cube of an integer action array, on a new last axis."""
-    out = np.zeros(actions.shape + (num_actions,))
-    np.put_along_axis(out, actions[..., None], 1.0, axis=-1)
-    return out
+    return np.eye(num_actions).take(actions, axis=0)
 
 
 @dataclass(frozen=True)
@@ -363,72 +361,75 @@ def rollout(env, policy: AnyPolicy, rng: np.random.Generator) -> Trajectory:
     raise ConfigurationError(f"unsupported environment type {type(env).__name__}")
 
 
-def _mixture_tables(mdp, mixture: MixedPolicy) -> Array | None:
-    """(K, H, S) stack of the components' action tables, or None when some
-    component is not a deterministic tabular policy."""
-    tables = [c.action_table for c in mixture.components]
-    if any(t is None for t in tables):
-        return None
-    if any(t.shape != (mdp.horizon, mdp.num_states) for t in tables):
-        raise ConfigurationError("action table shape does not match environment")
-    return np.stack(tables)
+def _probs_stack(mdp, policies: Sequence[Policy]) -> Array:
+    """(K, H, S, A) action distributions of K policies on ``mdp``.
 
-
-def table_occupancy(mdp, tables: Array, out: Array | None = None) -> Array:
-    """(K, H, S, A) per-step occupancies of K (H, S) action tables.
-
-    One forward pass batched over K.  Each d_h slice holds the state
-    distribution at the chosen actions and zeros elsewhere, exactly as
-    ``occupancy_exact`` builds it for one component, so the two agree bit
-    for bit.  Written into ``out`` when given.
+    Action tables and open-loop sequences become exact one-hot cubes in one
+    indexing call over the whole stack; stochastic policies are copied in.
     """
-    K, H, S = tables.shape
-    A = mdp.num_actions
-    if out is None:
-        d = np.zeros((K, H, S, A))
-    elif out.shape != (K, H, S, A) or not out.flags.c_contiguous:
-        raise ConfigurationError("out must be a C-contiguous (K, H, S, A) array")
-    else:
-        d = out
-        d.fill(0.0)
-    flat = d.reshape(-1)
-    # flat position of d[k, h, s, tables[k, h, s]]
-    cells = np.arange(K * H * S).reshape(K, H, S) * A + tables
+    H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
+    det, tables, soft = [], [], []
+    for k, pol in enumerate(policies):
+        if pol.horizon != H:
+            raise ConfigurationError("policy horizon does not match environment")
+        if pol.action_seq is not None:
+            if pol.action_seq.min() < 0 or pol.action_seq.max() >= A:
+                raise ConfigurationError("action index out of range")
+            tables.append(np.broadcast_to(pol.action_seq[:, None], (H, S)))
+        elif pol.action_table is not None:
+            if pol.num_actions != A or pol.action_table.shape != (H, S):
+                raise ConfigurationError(
+                    "action table does not match environment")
+            tables.append(pol.action_table)
+        elif pol.probs.shape != (H, S, A):
+            raise ConfigurationError(
+                "action probabilities do not match environment")
+        else:
+            soft.append((k, pol.probs))
+            continue
+        det.append(k)
+    # np.array stacks the equal-shape tables faster than np.stack
+    cubes = _one_hot(np.array(tables), A) if tables else None
+    if not soft:
+        return cubes
+    out = np.empty((len(policies), H, S, A))
+    if det:
+        out[det] = cubes
+    for k, probs in soft:
+        out[k] = probs
+    return out
+
+
+def occupancy_stack(mdp, policies: Sequence[Policy]) -> Array:
+    """(K, H, S, A) per-step occupancies of K policies.
+
+    One forward pass batched over K; each slice equals the one-policy
+    dynamic program bit for bit.
+    """
+    probs = _probs_stack(mdp, policies)
+    K, H, S, _ = probs.shape
+    d = np.empty_like(probs)
+    # step-major views: indexing them is cheaper than d[:, h]
+    d_steps, probs_steps = d.swapaxes(0, 1), probs.swapaxes(0, 1)
     p = np.zeros((K, S))
     p[:, mdp.init_state] = 1.0
     for h in range(H):
-        flat[cells[:, h]] = p
-        p = np.einsum("ksa,sat->kt", d[:, h], mdp.kernel(h))
+        np.multiply(p[:, :, None], probs_steps[h], out=d_steps[h])
+        # next-state distribution: sum_{s,a} d_h(s,a) P_h(s'|s,a)
+        p = np.einsum("ksa,sat->kt", d_steps[h], mdp.kernel(h))
     return d
 
 
 def occupancy_exact(mdp: TabularMdp, policy: AnyPolicy) -> OccupancyMeasure:
     """Forward dynamic program for d_h(s, a); mixtures combine exactly.
 
-    A mixture of action tables runs one forward pass over the whole stack.
+    A mixture runs one forward pass over the stack of its components.
     """
     if isinstance(policy, MixedPolicy):
-        tables = _mixture_tables(mdp, policy)
-        if tables is None:
-            parts = np.stack([occupancy_exact(mdp, c).per_step
-                              for c in policy.components])
-        else:
-            parts = table_occupancy(mdp, tables)
-        blend = np.tensordot(policy.weights, parts, axes=1)
-        return OccupancyMeasure(per_step=blend)
-
-    if policy.horizon != mdp.horizon:
-        raise ConfigurationError("policy horizon does not match environment")
-    S, A, H = mdp.num_states, mdp.num_actions, mdp.horizon
-    d = np.zeros((H, S, A))
-    p = np.zeros(S)
-    p[mdp.init_state] = 1.0
-    for h in range(H):
-        probs = policy.probs_at(h, S, A)
-        d[h] = p[:, None] * probs
-        # next-state distribution: sum_{s,a} d_h(s,a) P_h(s'|s,a)
-        p = np.einsum("sa,sat->t", d[h], mdp.kernel(h))
-    return OccupancyMeasure(per_step=d)
+        parts = occupancy_stack(mdp, policy.components)
+        return OccupancyMeasure(per_step=np.tensordot(policy.weights, parts,
+                                                      axes=1))
+    return OccupancyMeasure(per_step=occupancy_stack(mdp, (policy,))[0])
 
 
 def _cost_table(cost, S: int, A: int) -> Array:
@@ -444,47 +445,28 @@ def _cost_table(cost, S: int, A: int) -> Array:
     raise ConfigurationError("cost must be (S,), (S,A), or callable(s,a)")
 
 
-def _table_values(mdp, tables: Array, c: Array) -> Array:
-    """(K,) initial-state values of K (H, S) action tables under the (S, A)
-    cost table c, by one backward pass batched over K."""
-    K, H, S = tables.shape
-    ks, ss = np.arange(K)[:, None], np.arange(S)
-    v = np.zeros((K, S))
-    for h in range(H - 1, -1, -1):
-        # a stacked matmul sums in the order of one component's kernel @ v
-        q = c + (mdp.kernel(h)[None] @ v[:, None, :, None])[..., 0]
-        v = q[ks, ss, tables[:, h]]
-    # contiguous, so the weighted sum below matches a list of floats
-    return np.ascontiguousarray(v[:, mdp.init_state])
-
-
 def value_eval_tabular(mdp, policy: AnyPolicy, cost) -> float:
     """Expected total cost of ``policy`` under a tabular kernel, by backward DP.
 
     ``mdp`` is anything exposing horizon / num_states / num_actions /
     init_state / kernel(h). Equals H * <d_avg, cost> from occupancy_exact.
-    A mixture of action tables runs one backward pass over the whole stack.
+    A mixture runs one backward pass over the stack of its components.
     """
-    if isinstance(policy, MixedPolicy):
-        tables = _mixture_tables(mdp, policy)
-        if tables is None:
-            vals = [value_eval_tabular(mdp, c, cost)
-                    for c in policy.components]
-        else:
-            c = _cost_table(cost, mdp.num_states, mdp.num_actions)
-            vals = _table_values(mdp, tables, c)
-        return float(np.dot(policy.weights, vals))
-
-    if policy.horizon != mdp.horizon:
-        raise ConfigurationError("policy horizon does not match environment")
-    S, A, H = mdp.num_states, mdp.num_actions, mdp.horizon
+    mixed = isinstance(policy, MixedPolicy)
+    probs = _probs_stack(mdp, policy.components if mixed else (policy,))
+    K, H, S, A = probs.shape
     c = _cost_table(cost, S, A)
-    v = np.zeros(S)
+    probs_steps = probs.swapaxes(0, 1)
+    v = np.zeros((K, S))
     for h in range(H - 1, -1, -1):
-        q = c + mdp.kernel(h) @ v  # (S, A)
-        probs = policy.probs_at(h, S, A)
-        v = (probs * q).sum(axis=1)
-    return float(v[mdp.init_state])
+        # a stacked matmul sums in the order of one policy's kernel @ v
+        q = c + (mdp.kernel(h)[None] @ v[:, None, :, None])[..., 0]
+        v = (probs_steps[h] * q).sum(axis=-1)
+    if not mixed:
+        return float(v[0, mdp.init_state])
+    # contiguous, so the weighted sum matches one over a list of floats
+    return float(np.dot(policy.weights,
+                        np.ascontiguousarray(v[:, mdp.init_state])))
 
 
 def value_eval_mc(

@@ -23,11 +23,14 @@ from scipy.optimize import linprog
 from .discriminators import (MmdDiscriminator, box_witness, mmd_update,
                              tv_best_response)
 from .envs import (ConfigurationError, MixedPolicy, Policy, occupancy_exact,
-                   table_occupancy)
+                   occupancy_stack)
 from .expert import ExpertDataset
 from .models import BonusFunction, CalibratedModel, mean_bonus_on_path
 
 Array = np.ndarray
+
+# step size of the multiplicative-weights update over a witness list
+MW_LEARNING_RATE = 0.5
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,6 @@ class MinMaxConfig:
     """Outer-loop settings for the min-max solver."""
 
     k_iters: int = 200
-    mw_learning_rate: float = 0.5
     mmd_update_mode: str = "exact"    # or "grad"
     mmd_eta: float = 0.67
     knr_search: KnrSearchConfig = field(default_factory=KnrSearchConfig)
@@ -55,8 +57,6 @@ class MinMaxConfig:
     def __post_init__(self):
         if self.k_iters < 1:
             raise ConfigurationError("k_iters must be >= 1")
-        if self.mw_learning_rate <= 0:
-            raise ConfigurationError("mw_learning_rate must be positive")
         if self.mmd_update_mode not in ("exact", "grad"):
             raise ConfigurationError("mmd_update_mode must be exact or grad")
 
@@ -233,14 +233,13 @@ def _solve_fw_box(model, bonus, expert, cfg, horizon, init_state):
     b_table = _bonus_table(bonus, s_dim, a_dim)
     uniform = Policy.tabular(np.full((horizon, s_dim, a_dim), 1.0 / a_dim))
     d_bar = _occupancy_avg(view, uniform)
-    occ = np.empty((1, horizon, s_dim, a_dim))   # rewritten every round
     components = []
     for k in range(1, cfg.k_iters + 1):
         f_k = box_witness(d_bar.sum(axis=1), d_e)
         pi_k = best_response_tabular(model, f_k[:, None] - b_table, horizon)
-        table_occupancy(view, pi_k.action_table[None], out=occ)
+        occ_k = occupancy_stack(view, (pi_k,))[0].mean(axis=0)
         components.append(pi_k)
-        d_bar = (1.0 - 1.0 / k) * d_bar + occ[0].mean(axis=0) / k
+        d_bar = (1.0 - 1.0 / k) * d_bar + occ_k / k
     mixture = MixedPolicy(components=tuple(components),
                           weights=np.full(len(components),
                                           1.0 / len(components)))
@@ -271,7 +270,7 @@ def _solve_mw_finite(model, bonus, witness_list, expert, cfg, horizon,
         components.append(pi_k)
         d_bar = occ_k if d_bar is None else (1 - 1.0 / k) * d_bar + occ_k / k
         payoff = witnesses @ (occ_k.sum(axis=1) - d_e)
-        weights = weights * np.exp(cfg.mw_learning_rate * payoff)
+        weights = weights * np.exp(MW_LEARNING_RATE * payoff)
         weights /= weights.sum()
     mixture = MixedPolicy(components=tuple(components),
                           weights=np.full(len(components),

@@ -14,7 +14,6 @@ from ilfo_lab.cli import (
     run_experiment,
     serialize_config,
 )
-from ilfo_lab.planner import MinMaxConfig
 from ilfo_lab.verify import CheckReport
 
 TINY_TABULAR = {
@@ -64,18 +63,6 @@ class TestParseConfig:
         cfg = parse_config(text)
         again = parse_config(serialize_config(cfg))
         assert again == cfg
-
-    def test_mw_learning_rate_is_not_a_cli_key(self):
-        # only the witness-list solver reads it, and no CLI run reaches it
-        with pytest.raises(ConfigurationError,
-                           match="unknown key 'mobile.minmax.mw_learning_rate'"):
-            parse_config('{"subcommand": "mobile-tabular", '
-                         '"mobile": {"minmax": {"mw_learning_rate": 50.0}}}')
-        cfg = parse_config('{"subcommand": "mobile-tabular"}')
-        text = serialize_config(cfg)
-        assert "mw_learning_rate" not in text
-        assert parse_config(text) == cfg
-        assert MinMaxConfig(mw_learning_rate=50.0).mw_learning_rate == 50.0
 
     def test_subcommand_mismatch(self):
         with pytest.raises(ConfigurationError, match="command line"):

@@ -254,7 +254,7 @@ def test_action_table_validated():
         Policy(action_table=np.zeros((1, 2), dtype=int))
 
 
-# -- the batched table engine against per-component references kept here --
+# -- the batched mixture engine against per-component references kept here --
 
 def reference_occupancy(mdp, probs):
     """Forward DP of one (H, S, A) policy, one step at a time."""
@@ -278,78 +278,100 @@ def reference_value(mdp, probs, cost):
     return float(v[mdp.init_state])
 
 
-table_mixtures = st.fixed_dictionaries({
-    "seed": st.integers(0, 2**32 - 1),
-    "S": st.integers(1, 6), "A": st.integers(1, 4), "H": st.integers(1, 6),
-    "K": st.integers(1, 220), "per_step": st.booleans(),
-    "init": st.integers(0, 5),
-})
+def mixture_specs(forms):
+    return st.fixed_dictionaries({
+        "seed": st.integers(0, 2**32 - 1),
+        "S": st.integers(1, 6), "A": st.integers(1, 4), "H": st.integers(1, 6),
+        "K": st.integers(1, 220), "per_step": st.booleans(),
+        "init": st.integers(0, 5), "form": st.sampled_from(forms),
+    })
 
 
-def build_table_mixture(spec):
+def build_mixture(spec):
+    """A random MDP, a random mixture on it, and each component's (H, S, A)
+    action distribution built directly.
+
+    Form "table" holds only action tables; form "mixed" draws each
+    component as an action table, a stochastic cube or an open-loop
+    sequence.
+    """
     rng = np.random.default_rng(spec["seed"])
     S, A, H, K = spec["S"], spec["A"], spec["H"], spec["K"]
     shape = (H, S, A) if spec["per_step"] else (S, A)
     mdp = TabularMdp(horizon=H, transitions=rng.dirichlet(np.ones(S), size=shape),
                      cost=rng.random(S), init_state=spec["init"] % S)
-    tables = rng.integers(0, A, size=(K, H, S))
+    eye = np.eye(A)
+    kinds = rng.integers(0, 3 if spec["form"] == "mixed" else 1, size=K)
+    components, cubes = [], []
+    for kind in kinds:
+        if kind == 0:
+            table = rng.integers(0, A, size=(H, S))
+            components.append(Policy.deterministic(table, A))
+            cubes.append(eye[table])
+        elif kind == 1:
+            probs = rng.dirichlet(np.ones(A), size=(H, S))
+            components.append(Policy.tabular(probs))
+            cubes.append(probs)
+        else:
+            seq = rng.integers(0, A, size=H)
+            components.append(Policy.open_loop(seq))
+            cubes.append(np.repeat(eye[seq][:, None, :], S, axis=1))
     weights = rng.dirichlet(np.ones(K))
-    mix = MixedPolicy(components=tuple(Policy.deterministic(t, A) for t in tables),
-                      weights=weights)
-    return mdp, tables, weights, mix
+    mix = MixedPolicy(components=tuple(components), weights=weights)
+    return mdp, np.stack(cubes), weights, mix
 
 
 @settings(max_examples=150, deadline=None)
-@given(table_mixtures)
-def test_batched_mixture_occupancy_equals_per_component_reference(spec):
-    mdp, tables, weights, mix = build_table_mixture(spec)
-    eye = np.eye(mdp.num_actions)
-    parts = np.stack([reference_occupancy(mdp, eye[t]) for t in tables])
+@given(mixture_specs(["table", "mixed"]))
+def test_batched_occupancy_equals_per_component_reference(spec):
+    mdp, cubes, weights, mix = build_mixture(spec)
+    parts = np.stack([reference_occupancy(mdp, cube) for cube in cubes])
     expect = np.tensordot(weights, parts, axes=1)
     assert np.array_equal(occupancy_exact(mdp, mix).per_step, expect)
+    for pol, part in zip(mix.components[:3], parts):
+        assert np.array_equal(occupancy_exact(mdp, pol).per_step, part)
 
 
 @settings(max_examples=150, deadline=None)
-@given(table_mixtures)
-def test_batched_mixture_value_equals_per_component_reference(spec):
-    mdp, tables, weights, mix = build_table_mixture(spec)
-    eye = np.eye(mdp.num_actions)
-    vals = [reference_value(mdp, eye[t], mdp.cost) for t in tables]
+@given(mixture_specs(["table", "mixed"]))
+def test_batched_value_equals_per_component_reference(spec):
+    mdp, cubes, weights, mix = build_mixture(spec)
+    vals = [reference_value(mdp, cube, mdp.cost) for cube in cubes]
     assert value_eval_tabular(mdp, mix, mdp.cost) == float(np.dot(weights, vals))
+    for pol, val in zip(mix.components[:3], vals):
+        assert value_eval_tabular(mdp, pol, mdp.cost) == val
 
 
-def test_mixture_of_tables_and_cubes_falls_back_per_component():
-    rng = np.random.default_rng(4)
-    mdp = make_random_mdp(rng, 3, 2, 3, per_step=True)
-    det = Policy.deterministic(rng.integers(0, 2, size=(3, 3)), num_actions=2)
-    soft = make_random_policy(rng, 3, 2, 3)
-    mix = MixedPolicy(components=(det, soft), weights=np.array([0.4, 0.6]))
-    expect = 0.4 * reference_occupancy(mdp, det.action_probs) \
-        + 0.6 * reference_occupancy(mdp, soft.action_probs)
-    assert np.max(np.abs(occupancy_exact(mdp, mix).per_step - expect)) < 1e-15
-    v = 0.4 * reference_value(mdp, det.action_probs, mdp.cost) \
-        + 0.6 * reference_value(mdp, soft.action_probs, mdp.cost)
-    assert abs(value_eval_tabular(mdp, mix, mdp.cost) - v) < 1e-15
-
-
-def test_mixture_table_shape_must_match_environment():
-    mdp = make_two_state(0.5, horizon=2)
-    pol = Policy.deterministic(np.zeros((3, 2), dtype=int), num_actions=2)
-    mix = MixedPolicy(components=(pol,), weights=np.ones(1))
-    with pytest.raises(ConfigurationError):
-        occupancy_exact(mdp, mix)
-    with pytest.raises(ConfigurationError):
-        value_eval_tabular(mdp, mix, mdp.cost)
+def test_mixture_components_must_match_environment():
+    mdp = make_random_mdp(np.random.default_rng(0), 2, 2, 2)
+    ok = Policy.deterministic(np.zeros((2, 2), dtype=int), num_actions=2)
+    assert occupancy_exact(mdp, MixedPolicy(components=(ok,),
+                                            weights=np.ones(1))).horizon == 2
+    wrong = [
+        Policy.deterministic(np.zeros((3, 2), dtype=int), num_actions=2),
+        # an action the 2-action environment does not have
+        Policy.deterministic(np.full((2, 2), 2), num_actions=3),
+        Policy.tabular(np.full((2, 2, 3), 1.0 / 3.0)),
+        Policy.open_loop([0, 2]),
+        Policy.open_loop([0, -1]),
+    ]
+    for pol in wrong:
+        for policy in (pol, MixedPolicy(components=(ok, pol),
+                                        weights=np.full(2, 0.5))):
+            with pytest.raises(ConfigurationError):
+                occupancy_exact(mdp, policy)
+            with pytest.raises(ConfigurationError):
+                value_eval_tabular(mdp, policy, mdp.cost)
 
 
 @settings(max_examples=100, deadline=None)
-@given(table_mixtures, st.integers(0, 2**32 - 1))
+@given(mixture_specs(["table"]), st.integers(0, 2**32 - 1))
 def test_rollout_of_table_matches_one_hot_cube(spec, rng_seed):
-    mdp, tables, weights, mix = build_table_mixture(spec)
-    eye = np.eye(mdp.num_actions)
-    cubes = MixedPolicy(components=tuple(Policy.tabular(eye[t]) for t in tables),
-                        weights=weights)
-    for lean, full in ((mix, cubes), (mix.components[0], cubes.components[0])):
+    mdp, cubes, weights, mix = build_mixture(spec)
+    full_mix = MixedPolicy(components=tuple(Policy.tabular(c) for c in cubes),
+                           weights=weights)
+    for lean, full in ((mix, full_mix),
+                       (mix.components[0], full_mix.components[0])):
         rng_a = np.random.default_rng(rng_seed)
         rng_b = np.random.default_rng(rng_seed)
         for _ in range(3):

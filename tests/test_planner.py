@@ -266,7 +266,7 @@ class TestSolveMinmaxTabular:
         vertices = [np.array(v, dtype=float)
                     for v in itertools.product((0.0, 1.0), repeat=3)]
         lp = game_value_lp(model, bonus, d_e, horizon=2)
-        cfg = MinMaxConfig(k_iters=500, mw_learning_rate=0.5)
+        cfg = MinMaxConfig(k_iters=500)
         _, obj = solve_minmax(model, bonus, vertices, d_e, cfg, horizon=2)
         assert obj >= lp - 1e-9
         assert obj - lp <= 0.05
