@@ -13,8 +13,7 @@ concatenated vector; everything below is state-only by default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -135,25 +134,12 @@ def tv_best_response(d_pi: Array, d_e: Array) -> tuple[BoxDiscriminator, float]:
     return BoxDiscriminator(values=box_witness(p, q)), value
 
 
-def mmd_update(disc: MmdDiscriminator, mean_pi: Array, mean_e: Array,
-               mode: str = "exact", eta_w: float = 0.67) -> MmdDiscriminator:
-    """Witness update toward the feature-mean difference.
-
-    exact:  w <- proj(mean_pi - mean_e)
-    grad:   w <- proj((1 - eta_w) w + eta_w (mean_pi - mean_e))
-    eta_w = 1 makes grad coincide with exact.
-    """
+def mmd_update(disc: MmdDiscriminator, mean_pi: Array,
+               mean_e: Array) -> MmdDiscriminator:
+    """Best-response witness w <- proj(mean_pi - mean_e)."""
     diff = np.asarray(mean_pi, dtype=float) - np.asarray(mean_e, dtype=float)
-    if mode == "exact":
-        new_w = project_ball(diff, disc.zeta)
-    elif mode == "grad":
-        if not 0 < eta_w <= 1:
-            raise ConfigurationError("eta_w must lie in (0, 1]")
-        new_w = project_ball((1 - eta_w) * disc.w + eta_w * diff, disc.zeta)
-    else:
-        raise ConfigurationError(f"unknown update mode: {mode!r}")
-    return MmdDiscriminator(feature_map=disc.feature_map, w=new_w,
-                            zeta=disc.zeta)
+    return MmdDiscriminator(feature_map=disc.feature_map,
+                            w=project_ball(diff, disc.zeta), zeta=disc.zeta)
 
 
 def rff_featurize(states: Array, m: int, bandwidth,

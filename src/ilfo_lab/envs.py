@@ -278,10 +278,6 @@ class OccupancyMeasure:
         """(S, A) average over the H decision steps."""
         return self.per_step.mean(axis=0)
 
-    def state_marginal(self) -> Array:
-        """(S,) state distribution of the averaged occupancy."""
-        return self.average.sum(axis=1)
-
 
 @dataclass(frozen=True)
 class Trajectory:

@@ -8,7 +8,6 @@ average state occupancy; the flat view exposes all decision-step states.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,14 +89,12 @@ def solve_optimal_tabular(mdp: TabularMdp) -> Policy:
     return Policy.deterministic(greedy, num_actions=A)
 
 
-def solve_openloop_knr(system: KnrSystem, n_eval_rollouts: int = 0,
-                       rng: np.random.Generator | None = None) -> Policy:
+def solve_openloop_knr(system: KnrSystem) -> Policy:
     """Best open-loop action sequence under the noise-free nominal dynamics.
 
     Scores every one of the A^H sequences on the deterministic rollout
-    (noise treated as zero), so ``n_eval_rollouts`` and ``rng`` do not affect
-    the selection; they are accepted for interface stability only. Ties go to
-    the lexicographically smallest sequence.
+    (noise treated as zero). Ties go to the lexicographically smallest
+    sequence.
     """
     A, H = system.num_actions, system.horizon
     if A ** H > OPENLOOP_SEARCH_LIMIT:

@@ -73,6 +73,21 @@ class MobileConfig:
             raise ConfigurationError(f"unknown bonus_mode: {self.bonus_mode!r}")
         if self.lam_bonus < 0:
             raise ConfigurationError("lam_bonus must be >= 0")
+        if self.lam_ridge is not None and not self.lam_ridge > 0:
+            raise ConfigurationError("lam_ridge must be null or > 0")
+        if not self.w_max > 0:
+            raise ConfigurationError("w_max must be > 0")
+        if self.buffer_capacity < 0:
+            raise ConfigurationError("buffer_capacity must be >= 0")
+        if self.mmd_features < 1:
+            raise ConfigurationError("mmd_features must be >= 1")
+        bw = self.mmd_bandwidth
+        if bw != "auto" and (isinstance(bw, bool) or not isinstance(
+                bw, (int, float)) or not bw > 0):
+            raise ConfigurationError(
+                f"mmd_bandwidth must be 'auto' or a positive number: {bw!r}")
+        if self.knr_eval_rollouts < 2:
+            raise ConfigurationError("knr_eval_rollouts must be >= 2")
 
 
 @dataclass
@@ -176,8 +191,8 @@ def run_mobile(env, expert_dataset: ExpertDataset, cfg: MobileConfig,
 
     expert_value is the reference value used in the regret column; when
     omitted the tabular path uses the exact optimal value (the expert in
-    every shipped experiment is the optimal policy) and the KNR path
-    estimates the best open-loop sequence by Monte Carlo.
+    every shipped experiment is the optimal policy), and a KNR run needs
+    it given.
     """
     if not isinstance(env, (TabularMdp, KnrSystem)):
         raise ConfigurationError(f"unsupported environment type: {type(env)!r}")
@@ -190,133 +205,125 @@ def run_mobile(env, expert_dataset: ExpertDataset, cfg: MobileConfig,
             f"n_expert {cfg.n_expert} does not match the expert dataset's "
             f"{expert_dataset.num_trajectories} trajectories")
     if isinstance(env, TabularMdp):
-        return _run_mobile_tabular(env, expert_dataset, cfg, rng,
-                                   expert_value)
-    return _run_mobile_knr(env, expert_dataset, cfg, rng, expert_value)
+        family = _tabular_family(env, expert_dataset, cfg, expert_value)
+    else:
+        family = _knr_family(env, expert_dataset, cfg, rng, expert_value)
+    buffer = family.buffer
+    rows, info_tally = [], []
+    for t in range(1, cfg.t_iters + 1):
+        model = family.fit(buffer, t)
+        if cfg.bonus_mode == "theory":
+            bonus = theory_bonus(model, env.horizon)
+        elif cfg.bonus_mode == "ensemble":
+            half_a, half_b = bootstrap_buffers(buffer, rng)
+            bonus = ensemble_bonus(family.fit(half_a, t),
+                                   family.fit(half_b, t), buffer,
+                                   cfg.lam_bonus)
+        else:
+            bonus = None
+        mixture, objective = solve_minmax(
+            model, bonus, family.witness, family.expert, cfg.minmax,
+            horizon=env.horizon, init_state=env.init_state,
+            num_actions=env.num_actions, rng=rng)
+        traj = rollout(env, mixture, rng)
+        info_gain_accumulate(info_tally, model, traj)
+        value, ipm = family.evaluate(model, mixture, traj)
+        rows.append((value, ipm,
+                     mean_bonus_on_path(bonus, traj.states, traj.actions),
+                     objective))
+        buffer.extend_trajectory(traj)
+    value, ipm, mean_bonus, objective = map(np.asarray, zip(*rows))
+    record = RunRecord(
+        t=np.arange(1, cfg.t_iters + 1), value=value,
+        expert_value=float(family.expert_value),
+        regret=value - float(family.expert_value), ipm=ipm,
+        mean_bonus=mean_bonus, info_gain_cum=np.asarray(info_tally),
+        objective=objective, horizon=env.horizon, delta=cfg.delta,
+        n_expert=expert_dataset.num_trajectories, **family.record_fields)
+    return mixture, record
 
 
-def _run_mobile_tabular(env, expert_dataset, cfg, rng, expert_value):
-    s_dim, a_dim, horizon = env.num_states, env.num_actions, env.horizon
+@dataclass(frozen=True)
+class _Family:
+    """The parts of the loop that depend on the model family.
+
+    ``fit(buffer, t)`` fits the family's model, ``witness`` and ``expert``
+    are the solver's witness class and expert argument, and
+    ``evaluate(model, mixture, trajectory)`` returns the iteration's value
+    and IPM.  The closures look the package functions up at call time, so
+    wrapping a module attribute of this module reaches every call.
+    """
+
+    buffer: ReplayBuffer
+    fit: Callable
+    witness: object
+    expert: object
+    evaluate: Callable
+    expert_value: float
+    record_fields: dict
+
+
+def _tabular_family(env, expert_dataset, cfg, expert_value) -> _Family:
     if expert_value is None:
         expert_value = value_eval_tabular(env, solve_optimal_tabular(env),
                                           env.cost)
-    d_e = expert_dataset.state_distribution(s_dim)
-    buffer = ReplayBuffer(capacity=cfg.buffer_capacity, num_states=s_dim,
-                          num_actions=a_dim)
-    cols = {name: [] for name in ("value", "ipm", "mean_bonus", "objective")}
-    info_tally: list = []
-    mixture = None
-    for t in range(1, cfg.t_iters + 1):
-        model = fit_tabular(buffer, t=t, delta=cfg.delta)
-        if cfg.bonus_mode == "theory":
-            bonus = theory_bonus(model, horizon)
-        elif cfg.bonus_mode == "ensemble":
-            half_a, half_b = bootstrap_buffers(buffer, rng)
-            bonus = ensemble_bonus(fit_tabular(half_a, t=t, delta=cfg.delta),
-                                   fit_tabular(half_b, t=t, delta=cfg.delta),
-                                   buffer, cfg.lam_bonus)
-        else:
-            bonus = None
-        mixture, objective = solve_minmax(
-            model, bonus, "box", d_e, cfg.minmax,
-            horizon=horizon, init_state=env.init_state)
-        traj = rollout(env, mixture, rng)
-        info_gain_accumulate(info_tally, model, traj)
-        cols["value"].append(value_eval_tabular(env, mixture, env.cost))
+    d_e = expert_dataset.state_distribution(env.num_states)
+
+    def evaluate(model, mixture, traj):
+        value = value_eval_tabular(env, mixture, env.cost)
         d_pi = occupancy_exact(env, mixture).average.sum(axis=1)
-        cols["ipm"].append(tv_best_response(d_pi, d_e)[1])
-        cols["mean_bonus"].append(
-            mean_bonus_on_path(bonus, traj.states, traj.actions))
-        cols["objective"].append(objective)
-        buffer.extend_trajectory(traj)
-    values = np.asarray(cols["value"])
-    record = RunRecord(
-        t=np.arange(1, cfg.t_iters + 1), value=values,
-        expert_value=float(expert_value),
-        regret=values - float(expert_value),
-        ipm=np.asarray(cols["ipm"]),
-        mean_bonus=np.asarray(cols["mean_bonus"]),
-        info_gain_cum=np.asarray(info_tally),
-        objective=np.asarray(cols["objective"]),
-        kind="tabular", horizon=horizon, delta=cfg.delta,
-        n_expert=expert_dataset.num_trajectories,
-        num_states=s_dim, num_actions=a_dim)
-    return mixture, record
+        return value, tv_best_response(d_pi, d_e)[1]
+
+    return _Family(
+        buffer=ReplayBuffer(capacity=cfg.buffer_capacity,
+                            num_states=env.num_states,
+                            num_actions=env.num_actions),
+        fit=lambda buffer, t: fit_tabular(buffer, t=t, delta=cfg.delta),
+        witness="box", expert=d_e, evaluate=evaluate,
+        expert_value=expert_value,
+        record_fields=dict(kind="tabular", num_states=env.num_states,
+                           num_actions=env.num_actions))
 
 
-def _run_mobile_knr(env, expert_dataset, cfg, rng, expert_value):
-    horizon, a_dim = env.horizon, env.num_actions
-    lam_ridge = cfg.lam_ridge
-    if lam_ridge is None:
-        lam_ridge = env.noise_std**2 / cfg.w_max**2
+def _knr_family(env, expert_dataset, cfg, rng, expert_value) -> _Family:
     if expert_value is None:
         raise ConfigurationError(
             "knr runs need an explicit expert_value reference")
-    expert_states = expert_dataset.flat_view()
-    fmap, expert_feats = rff_featurize(expert_states, m=cfg.mmd_features,
+    lam_ridge = (env.noise_std**2 / cfg.w_max**2 if cfg.lam_ridge is None
+                 else cfg.lam_ridge)
+    fmap, expert_feats = rff_featurize(expert_dataset.flat_view(),
+                                       m=cfg.mmd_features,
                                        bandwidth=cfg.mmd_bandwidth, rng=rng)
     mean_e = expert_feats.mean(axis=0)
-    buffer = ReplayBuffer(capacity=cfg.buffer_capacity)
-    cols = {name: [] for name in ("value", "ipm", "mean_bonus", "objective")}
-    info_tally: list = []
-    cov_snapshots = []
-    executed_features = []
-    mixture = None
-    for t in range(1, cfg.t_iters + 1):
-        model = fit_knr_model(buffer, env.features, env.feature_dim,
-                              env.state_dim, lam_ridge, env.noise_std,
-                              cfg.w_max, t=t, delta=cfg.delta)
-        if cfg.bonus_mode == "theory":
-            bonus = theory_bonus(model, horizon)
-        elif cfg.bonus_mode == "ensemble":
-            half_a, half_b = bootstrap_buffers(buffer, rng)
-            kw = dict(features=env.features, feature_dim=env.feature_dim,
-                      state_dim=env.state_dim, lam_ridge=lam_ridge,
-                      noise_std=env.noise_std, w_max=cfg.w_max, t=t,
-                      delta=cfg.delta)
-            bonus = ensemble_bonus(fit_knr_model(half_a, **kw),
-                                   fit_knr_model(half_b, **kw),
-                                   buffer, cfg.lam_bonus)
-        else:
-            bonus = None
-        disc = MmdDiscriminator(feature_map=fmap,
-                                w=np.zeros(cfg.mmd_features))
-        mixture, objective = solve_minmax(
-            model, bonus, disc, expert_dataset, cfg.minmax,
-            horizon=horizon, init_state=env.init_state,
-            num_actions=a_dim, rng=rng)
-        traj = rollout(env, mixture, rng)
-        info_gain_accumulate(info_tally, model, traj)
+    # per iteration: the pre-update covariance and the executed features
+    cov_snapshots, executed_features = [], []
+
+    def fit(buffer, t):
+        return fit_knr_model(buffer, env.features, env.feature_dim,
+                             env.state_dim, lam_ridge, env.noise_std,
+                             cfg.w_max, t=t, delta=cfg.delta)
+
+    def evaluate(model, mixture, traj):
         cov_snapshots.append(np.asarray(model.cov))
         executed_features.append(np.asarray(
             [env.features(traj.states[h], int(traj.actions[h]))
-             for h in range(horizon)]))
-        val, _ = value_eval_mc(env, mixture, env.cost_of,
-                               n_rollouts=cfg.knr_eval_rollouts, rng=rng)
-        cols["value"].append(val)
-        traj_feats = fmap(np.asarray(traj.states[:horizon], dtype=float))
-        cols["ipm"].append(float(np.linalg.norm(
-            traj_feats.mean(axis=0) - mean_e)))
-        cols["mean_bonus"].append(
-            mean_bonus_on_path(bonus, traj.states, traj.actions))
-        cols["objective"].append(objective)
-        buffer.extend_trajectory(traj)
-    values = np.asarray(cols["value"])
-    record = RunRecord(
-        t=np.arange(1, cfg.t_iters + 1), value=values,
-        expert_value=float(expert_value),
-        regret=values - float(expert_value),
-        ipm=np.asarray(cols["ipm"]),
-        mean_bonus=np.asarray(cols["mean_bonus"]),
-        info_gain_cum=np.asarray(info_tally),
-        objective=np.asarray(cols["objective"]),
-        kind="knr", horizon=horizon, delta=cfg.delta,
-        n_expert=expert_dataset.num_trajectories,
-        cov_snapshots=cov_snapshots, executed_features=executed_features,
-        knr_params={"lam_ridge": lam_ridge, "noise_std": env.noise_std,
-                    "w_max": cfg.w_max, "feature_dim": env.feature_dim,
-                    "state_dim": env.state_dim})
-    return mixture, record
+             for h in range(env.horizon)]))
+        value, _ = value_eval_mc(env, mixture, env.cost_of,
+                                 n_rollouts=cfg.knr_eval_rollouts, rng=rng)
+        traj_feats = fmap(np.asarray(traj.states[:env.horizon], dtype=float))
+        return value, float(np.linalg.norm(traj_feats.mean(axis=0) - mean_e))
+
+    return _Family(
+        buffer=ReplayBuffer(capacity=cfg.buffer_capacity), fit=fit,
+        witness=MmdDiscriminator(feature_map=fmap,
+                                 w=np.zeros(cfg.mmd_features)),
+        expert=expert_dataset, evaluate=evaluate, expert_value=expert_value,
+        record_fields=dict(
+            kind="knr", cov_snapshots=cov_snapshots,
+            executed_features=executed_features,
+            knr_params={"lam_ridge": lam_ridge, "noise_std": env.noise_std,
+                        "w_max": cfg.w_max, "feature_dim": env.feature_dim,
+                        "state_dim": env.state_dim}))
 
 
 def regret_summary(record: RunRecord, threshold: float | None = None,

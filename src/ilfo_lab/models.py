@@ -1,13 +1,13 @@
 """Calibrated dynamics models learned from replayed transitions.
 
-Two model families share one container:
+Two model families, one type each:
 
-* tabular count models with per-(s, a) confidence widths,
-* kernelized nonlinear regulator (KNR) ridge models with elliptical
-  confidence widths.
+* ``TabularModel``, a count model with per-(s, a) confidence widths,
+* ``KnrModel``, a kernelized nonlinear regulator (KNR) ridge model with
+  elliptical confidence widths.
 
-All widths are reported through ``CalibratedModel.sigma`` which caps at
-``SIGMA_CAP`` so downstream bonuses stay bounded.
+Both report widths through ``sigma``, which caps at ``SIGMA_CAP`` so
+downstream bonuses stay bounded.
 """
 
 from __future__ import annotations
@@ -86,10 +86,6 @@ class ReplayBuffer:
             raise ConfigurationError("counts require a tabular buffer")
         return self._counts_sas.copy()
 
-    @property
-    def counts_sa(self) -> Array:
-        return self.counts_sas.sum(axis=2)
-
 
 def bootstrap_buffers(buffer: ReplayBuffer, rng: np.random.Generator,
                       n: int = 2) -> list[ReplayBuffer]:
@@ -107,60 +103,35 @@ def bootstrap_buffers(buffer: ReplayBuffer, rng: np.random.Generator,
     return out
 
 
-@dataclass(frozen=True)
-class CalibratedModel:
-    """A fitted dynamics model plus its per-(s, a) confidence width."""
+def _check_index(t: int, delta: float) -> None:
+    if t < 1:
+        raise ConfigurationError("model index t must be >= 1")
+    if not 0 < delta < 1:
+        raise ConfigurationError("delta must lie in (0, 1)")
 
-    kind: str
+
+@dataclass(frozen=True)
+class TabularModel:
+    """Count-based kernel estimate plus its per-(s, a) confidence width."""
+
     t: int
     delta: float
-    # tabular fields
-    p_hat: Array | None = None
-    sigma_table: Array | None = None
-    # knr fields
-    w_hat: Array | None = None
-    cov: Array | None = None
-    cov_inv: Array | None = field(default=None, repr=False)
-    lam_ridge: float | None = None
-    noise_std: float | None = None
-    w_max: float | None = None
-    beta: float | None = None
-    features: Callable | None = field(default=None, repr=False)
+    p_hat: Array
+    sigma_table: Array
 
     def __post_init__(self):
-        if self.kind not in ("tabular", "knr"):
-            raise ConfigurationError(f"unknown model kind: {self.kind!r}")
-        if self.t < 1:
-            raise ConfigurationError("model index t must be >= 1")
-        if not 0 < self.delta < 1:
-            raise ConfigurationError("delta must lie in (0, 1)")
-        if self.kind == "tabular":
-            p = np.asarray(self.p_hat, dtype=float)
-            if p.ndim != 3 or p.shape[0] != p.shape[2]:
-                raise ConfigurationError("p_hat must have shape (S, A, S)")
-            if np.any(np.abs(p.sum(axis=2) - 1.0) > 1e-12) or np.any(p < 0):
-                raise ConfigurationError("p_hat rows must be distributions")
-            sig = np.asarray(self.sigma_table, dtype=float)
-            if sig.shape != p.shape[:2] or np.any(sig < 0):
-                raise ConfigurationError("sigma_table shape or sign mismatch")
-            object.__setattr__(self, "p_hat", _frozen(p))
-            object.__setattr__(self, "sigma_table", _frozen(sig))
-        else:
-            for name in ("w_hat", "cov", "lam_ridge", "noise_std", "w_max",
-                         "beta", "features"):
-                if getattr(self, name) is None:
-                    raise ConfigurationError(f"knr model missing {name}")
-            w = np.asarray(self.w_hat, dtype=float)
-            c = np.asarray(self.cov, dtype=float)
-            if c.shape != (w.shape[1], w.shape[1]):
-                raise ConfigurationError("cov must be (d, d) matching w_hat")
-            # cov = sum phi phi^T + lam I is symmetric PD by construction
-            np.linalg.cholesky(c)
-            object.__setattr__(self, "w_hat", _frozen(w))
-            object.__setattr__(self, "cov", _frozen(c))
-            object.__setattr__(self, "cov_inv", _frozen(np.linalg.inv(c)))
+        _check_index(self.t, self.delta)
+        p = np.asarray(self.p_hat, dtype=float)
+        if p.ndim != 3 or p.shape[0] != p.shape[2]:
+            raise ConfigurationError("p_hat must have shape (S, A, S)")
+        if np.any(np.abs(p.sum(axis=2) - 1.0) > 1e-12) or np.any(p < 0):
+            raise ConfigurationError("p_hat rows must be distributions")
+        sig = np.asarray(self.sigma_table, dtype=float)
+        if sig.shape != p.shape[:2] or np.any(sig < 0):
+            raise ConfigurationError("sigma_table shape or sign mismatch")
+        object.__setattr__(self, "p_hat", _frozen(p))
+        object.__setattr__(self, "sigma_table", _frozen(sig))
 
-    # dims
     @property
     def num_states(self) -> int:
         return self.p_hat.shape[0]
@@ -169,34 +140,63 @@ class CalibratedModel:
     def num_actions(self) -> int:
         return self.p_hat.shape[1]
 
-    def kernel(self, h: int) -> Array:
-        if self.kind != "tabular":
-            raise ConfigurationError("kernel is defined for tabular models")
-        return self.p_hat
+    def sigma(self, s, a) -> float:
+        """Confidence width, capped at SIGMA_CAP."""
+        return float(min(self.sigma_table[int(s), int(a)], SIGMA_CAP))
+
+    def mean_prediction(self, s, a) -> Array:
+        """The next-state distribution row."""
+        return self.p_hat[int(s), int(a)].copy()
+
+
+@dataclass(frozen=True)
+class KnrModel:
+    """Ridge estimate of a KNR system plus its elliptical confidence set."""
+
+    t: int
+    delta: float
+    w_hat: Array
+    cov: Array
+    lam_ridge: float
+    noise_std: float
+    w_max: float
+    beta: float
+    features: Callable = field(repr=False)
+    cov_inv: Array = field(init=False, repr=False)
+
+    def __post_init__(self):
+        _check_index(self.t, self.delta)
+        w = np.asarray(self.w_hat, dtype=float)
+        c = np.asarray(self.cov, dtype=float)
+        if c.shape != (w.shape[1], w.shape[1]):
+            raise ConfigurationError("cov must be (d, d) matching w_hat")
+        # cov = sum phi phi^T + lam I is symmetric PD by construction
+        try:
+            np.linalg.cholesky(c)
+        except np.linalg.LinAlgError as exc:
+            raise ConfigurationError("cov must be positive definite") from exc
+        object.__setattr__(self, "w_hat", _frozen(w))
+        object.__setattr__(self, "cov", _frozen(c))
+        object.__setattr__(self, "cov_inv", _frozen(np.linalg.inv(c)))
 
     def sigma(self, s, a) -> float:
-        """Confidence width, always capped at SIGMA_CAP."""
-        if self.kind == "tabular":
-            return float(min(self.sigma_table[int(s), int(a)], SIGMA_CAP))
+        """Confidence width, capped at SIGMA_CAP."""
         return float(min(knr_uncertainty(self, s, a), SIGMA_CAP))
 
     def mean_prediction(self, s, a) -> Array:
-        """Next-state mean: a distribution row (tabular) or a vector."""
-        if self.kind == "tabular":
-            return self.p_hat[int(s), int(a)].copy()
+        """The next-state mean vector."""
         phi = np.asarray(self.features(s, a), dtype=float)
         return self.w_hat @ phi
 
 
-def fit_tabular(buffer: ReplayBuffer, t: int, delta: float) -> CalibratedModel:
+def fit_tabular(buffer: ReplayBuffer, t: int, delta: float) -> TabularModel:
     """Count-based model with width min{sqrt(S ln(t^2 S A / delta) / N), 2}.
 
     Unvisited (s, a) pairs fall back to the uniform row and the full cap.
     """
     if not buffer.tabular:
         raise ConfigurationError("fit_tabular needs a tabular buffer")
-    if t < 1:
-        raise ConfigurationError("model index t must be >= 1")
+    _check_index(t, delta)
     counts = buffer.counts_sas
     s_dim, a_dim = counts.shape[0], counts.shape[1]
     n_sa = counts.sum(axis=2)
@@ -207,8 +207,7 @@ def fit_tabular(buffer: ReplayBuffer, t: int, delta: float) -> CalibratedModel:
     sigma = np.full((s_dim, a_dim), SIGMA_CAP)
     sigma[visited] = np.minimum(
         np.sqrt(s_dim * log_term / n_sa[visited]), SIGMA_CAP)
-    return CalibratedModel(kind="tabular", t=t, delta=delta,
-                           p_hat=p_hat, sigma_table=sigma)
+    return TabularModel(t=t, delta=delta, p_hat=p_hat, sigma_table=sigma)
 
 
 def fit_knr_ridge(buffer: ReplayBuffer, features: Callable,
@@ -251,19 +250,17 @@ def knr_beta(t: int, delta: float, lam_ridge: float, noise_std: float,
 def fit_knr_model(buffer: ReplayBuffer, features: Callable,
                   feature_dim: int, state_dim: int, lam_ridge: float,
                   noise_std: float, w_max: float, t: int,
-                  delta: float) -> CalibratedModel:
+                  delta: float) -> KnrModel:
     w_hat, cov = fit_knr_ridge(buffer, features, feature_dim, state_dim,
                                lam_ridge)
     beta = knr_beta(t, delta, lam_ridge, noise_std, w_max, state_dim, cov)
-    return CalibratedModel(kind="knr", t=t, delta=delta, w_hat=w_hat,
-                           cov=cov, lam_ridge=lam_ridge, noise_std=noise_std,
-                           w_max=w_max, beta=beta, features=features)
+    return KnrModel(t=t, delta=delta, w_hat=w_hat, cov=cov,
+                    lam_ridge=lam_ridge, noise_std=noise_std, w_max=w_max,
+                    beta=beta, features=features)
 
 
-def knr_uncertainty(model: CalibratedModel, s, a) -> float:
+def knr_uncertainty(model: KnrModel, s, a) -> float:
     """Raw width (beta / sigma) * |phi|_{cov^{-1}}, not capped."""
-    if model.kind != "knr":
-        raise ConfigurationError("knr_uncertainty needs a knr model")
     phi = np.asarray(model.features(s, a), dtype=float)
     quad = float(phi @ model.cov_inv @ phi)
     # clip tiny negative round-off from the explicit inverse
@@ -275,14 +272,11 @@ def knr_uncertainty(model: CalibratedModel, s, a) -> float:
 class BonusFunction:
     """Per-(s, a) exploration bonus with a known upper bound."""
 
-    mode: str
     fn: Callable = field(repr=False)
     upper: float
     table: Array | None = None
 
     def __post_init__(self):
-        if self.mode not in ("theory", "ensemble"):
-            raise ConfigurationError(f"unknown bonus mode: {self.mode!r}")
         if self.table is not None:
             tab = np.asarray(self.table, dtype=float)
             if np.any(tab < 0) or np.any(tab > self.upper + 1e-12):
@@ -303,20 +297,21 @@ def mean_bonus_on_path(bonus, states, actions) -> float:
                           for h in range(len(actions))]))
 
 
-def theory_bonus(model: CalibratedModel, horizon: int) -> BonusFunction:
+def theory_bonus(model: TabularModel | KnrModel,
+                 horizon: int) -> BonusFunction:
     """b(s, a) = H * min{sigma(s, a), 2}, so b is bounded by 2H."""
     if horizon < 1:
         raise ConfigurationError("horizon must be >= 1")
     table = None
-    if model.kind == "tabular":
+    if isinstance(model, TabularModel):
         table = horizon * np.minimum(model.sigma_table, SIGMA_CAP)
     return BonusFunction(
-        mode="theory",
         fn=lambda s, a: horizon * min(model.sigma(s, a), SIGMA_CAP),
         upper=SIGMA_CAP * horizon, table=table)
 
 
-def ensemble_bonus(model_a: CalibratedModel, model_b: CalibratedModel,
+def ensemble_bonus(model_a: TabularModel | KnrModel,
+                   model_b: TabularModel | KnrModel,
                    buffer: ReplayBuffer, lam_bonus: float) -> BonusFunction:
     """Disagreement bonus b = lam * min{1, delta(s,a) / delta_max}.
 
@@ -341,10 +336,10 @@ def ensemble_bonus(model_a: CalibratedModel, model_b: CalibratedModel,
         fn = lambda s, a: lam_bonus * min(1.0, gap(s, a) / delta_max)
 
     table = None
-    if model_a.kind == "tabular" and model_b.kind == "tabular":
+    if isinstance(model_a, TabularModel) and isinstance(model_b, TabularModel):
         tab = np.zeros((model_a.num_states, model_a.num_actions))
         for s in range(model_a.num_states):
             for a in range(model_a.num_actions):
                 tab[s, a] = fn(s, a)
         table = tab
-    return BonusFunction(mode="ensemble", fn=fn, upper=lam_bonus, table=table)
+    return BonusFunction(fn=fn, upper=lam_bonus, table=table)

@@ -15,17 +15,17 @@ value oracle for small tabular games.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import linprog
 
 from .discriminators import (MmdDiscriminator, box_witness, mmd_update,
                              tv_best_response)
-from .envs import (ConfigurationError, MixedPolicy, Policy, occupancy_exact,
-                   occupancy_stack)
+from .envs import (ConfigurationError, MixedPolicy, Policy, TabularMdp,
+                   occupancy_exact, occupancy_stack)
 from .expert import ExpertDataset
-from .models import BonusFunction, CalibratedModel, mean_bonus_on_path
+from .models import BonusFunction, KnrModel, TabularModel, mean_bonus_on_path
 
 Array = np.ndarray
 
@@ -50,44 +50,27 @@ class MinMaxConfig:
     """Outer-loop settings for the min-max solver."""
 
     k_iters: int = 200
-    mmd_update_mode: str = "exact"    # or "grad"
-    mmd_eta: float = 0.67
     knr_search: KnrSearchConfig = field(default_factory=KnrSearchConfig)
 
     def __post_init__(self):
         if self.k_iters < 1:
             raise ConfigurationError("k_iters must be >= 1")
-        if self.mmd_update_mode not in ("exact", "grad"):
-            raise ConfigurationError("mmd_update_mode must be exact or grad")
 
 
-@dataclass(frozen=True)
-class _ModelView:
-    """Adapter exposing a stationary kernel with MDP-like attributes."""
-
-    horizon: int
-    num_states: int
-    num_actions: int
-    init_state: int
-    p: Array
-
-    def kernel(self, h: int) -> Array:
-        return self.p
+def _model_mdp(model: TabularModel, horizon: int, init_state) -> TabularMdp:
+    """The learned kernel as a cost-free MDP; rejects an out-of-range start."""
+    return TabularMdp(horizon=horizon, transitions=model.p_hat,
+                      cost=np.zeros(model.num_states),
+                      init_state=int(init_state))
 
 
-def _kernel_of(model) -> Array:
-    if isinstance(model, CalibratedModel):
-        return model.p_hat
-    return np.asarray(model, dtype=float)
-
-
-def best_response_tabular(model, cost, horizon: int) -> Policy:
+def best_response_tabular(model: TabularModel, cost, horizon: int) -> Policy:
     """Exact optimal deterministic nonstationary policy via backward DP.
 
     cost may be (S, A) or (S,); ties pick the lowest action index.
     Costs may be negative (bonus-augmented objectives).
     """
-    kernel = _kernel_of(model)
+    kernel = model.p_hat
     s_dim, a_dim = kernel.shape[0], kernel.shape[1]
     c = np.asarray(cost, dtype=float)
     if c.ndim == 1:
@@ -112,7 +95,7 @@ def _decode_sequence(index: int, horizon: int, num_actions: int) -> Array:
     return seq
 
 
-def _score_sequence(model: CalibratedModel, seq: Array, cost_fn: Callable,
+def _score_sequence(model: KnrModel, seq: Array, cost_fn: Callable,
                     bonus, init_state) -> float:
     s = np.asarray(init_state, dtype=float)
     total = 0.0
@@ -124,7 +107,7 @@ def _score_sequence(model: CalibratedModel, seq: Array, cost_fn: Callable,
     return total
 
 
-def best_response_knr(model: CalibratedModel, cost_fn: Callable, bonus,
+def best_response_knr(model: KnrModel, cost_fn: Callable, bonus,
                       horizon: int, num_actions: int, init_state,
                       search_cfg: KnrSearchConfig,
                       rng: np.random.Generator | None = None) -> Policy:
@@ -135,8 +118,6 @@ def best_response_knr(model: CalibratedModel, cost_fn: Callable, bonus,
     otherwise random shooting over n_candidates distinct sequences; ties
     pick the lexicographically smallest sequence.
     """
-    if model.kind != "knr":
-        raise ConfigurationError("best_response_knr needs a knr model")
     total = num_actions ** horizon
     if total <= search_cfg.exhaustive_limit:
         candidate_ids = np.arange(total)
@@ -168,12 +149,10 @@ def best_response_knr(model: CalibratedModel, cost_fn: Callable, bonus,
 def _bonus_table(bonus, s_dim: int, a_dim: int) -> Array:
     if bonus is None:
         return np.zeros((s_dim, a_dim))
-    if isinstance(bonus, BonusFunction) and bonus.table is not None:
-        return np.asarray(bonus.table, dtype=float)
-    if isinstance(bonus, np.ndarray):
-        return np.asarray(bonus, dtype=float)
-    return np.array([[float(bonus(s, a)) for a in range(a_dim)]
-                     for s in range(s_dim)])
+    table = bonus.table if isinstance(bonus, BonusFunction) else bonus
+    if not isinstance(table, np.ndarray) or table.shape != (s_dim, a_dim):
+        raise ConfigurationError("a tabular solve needs an (S, A) bonus table")
+    return np.asarray(table, dtype=float)
 
 
 def _expert_state_distribution(expert, s_dim: int) -> Array:
@@ -191,11 +170,11 @@ def box_objective(d_avg_sa: Array, d_e: Array, bonus_table: Array) -> float:
     return ipm - float((d_avg_sa * bonus_table).sum())
 
 
-def _occupancy_avg(view: _ModelView, policy) -> Array:
+def _occupancy_avg(view: TabularMdp, policy) -> Array:
     return occupancy_exact(view, policy).average
 
 
-def solve_minmax(model: CalibratedModel, bonus, disc_class, expert,
+def solve_minmax(model: TabularModel | KnrModel, bonus, disc_class, expert,
                  cfg: MinMaxConfig, *, horizon: int, init_state=0,
                  num_actions: int | None = None,
                  rng: np.random.Generator | None = None
@@ -208,7 +187,7 @@ def solve_minmax(model: CalibratedModel, bonus, disc_class, expert,
     witness vectors runs multiplicative weights, both on tabular models;
     an MmdDiscriminator runs Frank-Wolfe on KNR models.
     """
-    if model.kind == "knr":
+    if isinstance(model, KnrModel):
         if not isinstance(disc_class, MmdDiscriminator):
             raise ConfigurationError("knr solving needs an MmdDiscriminator")
         if num_actions is None:
@@ -227,8 +206,7 @@ def solve_minmax(model: CalibratedModel, bonus, disc_class, expert,
 
 def _solve_fw_box(model, bonus, expert, cfg, horizon, init_state):
     s_dim, a_dim = model.num_states, model.num_actions
-    view = _ModelView(horizon=horizon, num_states=s_dim, num_actions=a_dim,
-                      init_state=int(init_state), p=model.p_hat)
+    view = _model_mdp(model, horizon, init_state)
     d_e = _expert_state_distribution(expert, s_dim)
     b_table = _bonus_table(bonus, s_dim, a_dim)
     uniform = Policy.tabular(np.full((horizon, s_dim, a_dim), 1.0 / a_dim))
@@ -249,8 +227,7 @@ def _solve_fw_box(model, bonus, expert, cfg, horizon, init_state):
 def _solve_mw_finite(model, bonus, witness_list, expert, cfg, horizon,
                      init_state):
     s_dim, a_dim = model.num_states, model.num_actions
-    view = _ModelView(horizon=horizon, num_states=s_dim, num_actions=a_dim,
-                      init_state=int(init_state), p=model.p_hat)
+    view = _model_mdp(model, horizon, init_state)
     try:
         witnesses = np.asarray(witness_list, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -305,8 +282,7 @@ def _solve_fw_mmd(model, bonus, disc, expert, cfg, horizon, num_actions,
     components = []
     paths = []
     for k in range(1, cfg.k_iters + 1):
-        disc = mmd_update(disc, mean_bar, mean_e, mode=cfg.mmd_update_mode,
-                          eta_w=cfg.mmd_eta)
+        disc = mmd_update(disc, mean_bar, mean_e)
         cost_fn = lambda s: float(disc(np.atleast_1d(np.asarray(s, float))))
         pi_k = best_response_knr(model, cost_fn, bonus, horizon, num_actions,
                                  init_state, cfg.knr_search, rng)
@@ -334,7 +310,7 @@ def game_value_lp(model, bonus, expert, horizon: int,
     variables for the positive part.  Independent of the Frank-Wolfe
     path; used as an oracle for solver soundness.
     """
-    kernel = _kernel_of(model)
+    kernel = model.p_hat
     s_dim, a_dim = kernel.shape[0], kernel.shape[1]
     d_e = _expert_state_distribution(expert, s_dim)
     b_table = _bonus_table(bonus, s_dim, a_dim)

@@ -28,7 +28,7 @@ from ilfo_lab.expert import (sample_expert_states, solve_openloop_knr,
 from ilfo_lab.loop import MobileConfig, regret_summary, run_mobile
 from ilfo_lab.mab import (ALGORITHMS, MabInstance, cumulative_regret_curve,
                           fit_loglog_slope, make_hard_family, run_bandit)
-from ilfo_lab.models import (CalibratedModel, ReplayBuffer, fit_knr_ridge,
+from ilfo_lab.models import (ReplayBuffer, TabularModel, fit_knr_ridge,
                              fit_tabular, knr_beta)
 from ilfo_lab.planner import MinMaxConfig, game_value_lp, solve_minmax
 from ilfo_lab.verify import (check_concentration, check_elliptical_potential,
@@ -314,8 +314,8 @@ def test_c10_minmax_solver_matches_lp():
         p = rng.dirichlet(np.ones(s_dim), size=(s_dim, a_dim))
         d_e = rng.dirichlet(np.ones(s_dim))
         bonus = rng.uniform(0, 0.5, size=(s_dim, a_dim)) if i % 2 else None
-        model = CalibratedModel(kind="tabular", t=1, delta=0.1, p_hat=p,
-                                sigma_table=np.zeros((s_dim, a_dim)))
+        model = TabularModel(t=1, delta=0.1, p_hat=p,
+                             sigma_table=np.zeros((s_dim, a_dim)))
         lp = game_value_lp(model, bonus, d_e, horizon=horizon)
         _, obj = solve_minmax(model, bonus, "box", d_e, MinMaxConfig(),
                               horizon=horizon)

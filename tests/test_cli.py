@@ -237,6 +237,9 @@ class TestMain:
         ({"minmax": {"solver": "mw_finite"}}, "mobile.minmax.solver"),
         ({"minmax": {"mw_learning_rate": 0.5}},
          "mobile.minmax.mw_learning_rate"),
+        ({"minmax": {"mmd_update_mode": "grad"}},
+         "mobile.minmax.mmd_update_mode"),
+        ({"minmax": {"mmd_eta": 0.67}}, "mobile.minmax.mmd_eta"),
     ])
     def test_removed_keys_are_rejected(self, tmp_path, capsys, mobile, key):
         out = tmp_path / "o"
@@ -246,6 +249,36 @@ class TestMain:
         assert main(["mobile-tabular", "--config", str(cfg_path)]) == 2
         assert f"unknown key '{key}'" in capsys.readouterr().err
         assert not (out / "config.json").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("w_max", 0), ("w_max", -1.0), ("lam_ridge", -1), ("lam_ridge", 0),
+        ("buffer_capacity", -1), ("mmd_features", 0),
+        ("mmd_bandwidth", "wide"), ("mmd_bandwidth", 0),
+        ("mmd_bandwidth", -0.5), ("mmd_bandwidth", True),
+        ("knr_eval_rollouts", 1),
+    ])
+    def test_bad_knr_settings_fail_at_parse_time(self, tmp_path, capsys,
+                                                 field, value):
+        out = tmp_path / "o"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "subcommand": "mobile-knr", "out": str(out),
+            "env": {"kind": "knr_example", "horizon": 3},
+            "mobile": {"t_iters": 2, "n_expert": 5, field: value}}))
+        assert main(["mobile-knr", "--config", str(cfg_path)]) == 2
+        assert field in capsys.readouterr().err
+        assert not (out / "config.json").exists()
+
+    def test_good_knr_settings_parse(self):
+        cfg = parse_config(json.dumps({
+            "subcommand": "mobile-knr",
+            "mobile": {"w_max": 0.5, "lam_ridge": 0.01, "buffer_capacity": 0,
+                       "mmd_features": 1, "mmd_bandwidth": 2,
+                       "knr_eval_rollouts": 2}}))
+        assert cfg.mobile.mmd_bandwidth == 2
+        assert parse_config(json.dumps({
+            "subcommand": "mobile-knr",
+            "mobile": {"lam_ridge": None}})).mobile.lam_ridge is None
 
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["mobile-tabular", "--config",

@@ -112,26 +112,8 @@ class TestMmdUpdates:
         rng = np.random.default_rng(7)
         disc = self.fresh_disc(rng)
         mean = rng.normal(size=8)
-        out = mmd_update(disc, mean, mean, mode="exact")
+        out = mmd_update(disc, mean, mean)
         np.testing.assert_allclose(out.w, 0.0)
-
-    def test_grad_with_unit_step_equals_exact(self):
-        rng = np.random.default_rng(8)
-        disc = self.fresh_disc(rng)
-        a, b = rng.normal(size=8), rng.normal(size=8)
-        np.testing.assert_array_equal(
-            mmd_update(disc, a, b, mode="exact").w,
-            mmd_update(disc, a, b, mode="grad", eta_w=1.0).w)
-
-    def test_grad_iteration_converges_to_exact(self):
-        rng = np.random.default_rng(9)
-        disc = self.fresh_disc(rng)
-        a, b = rng.normal(size=8) * 3, rng.normal(size=8) * 3
-        target = mmd_update(disc, a, b, mode="exact").w
-        cur = disc
-        for _ in range(100):
-            cur = mmd_update(cur, a, b, mode="grad", eta_w=0.67)
-        assert np.linalg.norm(cur.w - target) < 1e-8
 
     def test_projection_respects_zeta(self):
         rng = np.random.default_rng(10)
@@ -152,13 +134,13 @@ class TestMmdUpdates:
         rng = np.random.default_rng(11)
         disc = self.fresh_disc(rng)
         a, b = rng.normal(size=8), rng.normal(size=8)
-        best = mmd_update(disc, a, b, mode="exact")
+        best = mmd_update(disc, a, b)
         val = float(best.w @ (a - b))
         gap = float(np.linalg.norm(a - b))
         expected = gap**2 if gap <= 1.0 else gap
         assert val == pytest.approx(expected, rel=1e-12)
         assert val > 0
-        matched = mmd_update(disc, a, a, mode="exact")
+        matched = mmd_update(disc, a, a)
         assert float(matched.w @ (a - a)) == 0.0
 
 

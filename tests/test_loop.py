@@ -312,6 +312,52 @@ class TestRunMobileKnr:
         assert rec.knr_params["feature_dim"] == 4
 
 
+class TestTracedFitCalls:
+    """The loop reaches its fit functions through its module attributes,
+    once per iteration plus two bootstrap fits in ensemble mode."""
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        import ilfo_lab.loop as loop_mod
+
+        calls = []
+        original = getattr(loop_mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(kwargs["t"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(loop_mod, name, wrapper)
+        return calls
+
+    @pytest.mark.parametrize("mode, per_iter",
+                             [("theory", 1), ("off", 1), ("ensemble", 3)])
+    def test_tabular(self, monkeypatch, mode, per_iter):
+        calls = self.counted(monkeypatch, "fit_tabular")
+        mdp = make_chain(num_states=3, num_actions=2, horizon=3)
+        _, data = expert_for(mdp, n=10)
+        cfg = MobileConfig(t_iters=3, n_expert=10, bonus_mode=mode,
+                           minmax=MinMaxConfig(k_iters=2))
+        run_mobile(mdp, data, cfg, np.random.default_rng(0))
+        assert calls == [t for t in (1, 2, 3) for _ in range(per_iter)]
+
+    @pytest.mark.parametrize("mode, per_iter",
+                             [("theory", 1), ("off", 1), ("ensemble", 3)])
+    def test_knr(self, monkeypatch, mode, per_iter):
+        calls = self.counted(monkeypatch, "fit_knr_model")
+        system = make_knr_example(noise_std=0.05, horizon=3)
+        pol = Policy.open_loop([1] * 3)
+        rng = np.random.default_rng(0)
+        data = ExpertDataset(trajectories=[rollout(system, pol, rng).states
+                                           for _ in range(8)])
+        cfg = MobileConfig(t_iters=3, n_expert=8, bonus_mode=mode,
+                           mmd_features=8, knr_eval_rollouts=2,
+                           minmax=MinMaxConfig(k_iters=2))
+        run_mobile(system, data, cfg, np.random.default_rng(1),
+                   expert_value=0.0)
+        assert calls == [t for t in (1, 2, 3) for _ in range(per_iter)]
+
+
 class TestCombinationLock:
     def test_rows_are_distributions(self):
         env = make_combination_lock()

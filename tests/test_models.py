@@ -4,7 +4,7 @@ import pytest
 from ilfo_lab import ConfigurationError, Policy, rollout
 from ilfo_lab.models import (
     BonusFunction,
-    CalibratedModel,
+    KnrModel,
     ReplayBuffer,
     SIGMA_CAP,
     bootstrap_buffers,
@@ -14,6 +14,7 @@ from ilfo_lab.models import (
     fit_tabular,
     knr_beta,
     knr_uncertainty,
+    TabularModel,
     theory_bonus,
 )
 from ilfo_lab.worlds import make_knr_example, make_random_mdp, make_random_policy
@@ -237,16 +238,16 @@ class TestKnrRidge:
 class TestBonuses:
     def test_theory_bonus_zero_width(self):
         p = np.full((2, 1, 2), 0.5)
-        model = CalibratedModel(kind="tabular", t=1, delta=0.1, p_hat=p,
-                                sigma_table=np.zeros((2, 1)))
+        model = TabularModel(t=1, delta=0.1, p_hat=p,
+                             sigma_table=np.zeros((2, 1)))
         b = theory_bonus(model, horizon=3)
         assert b(0, 0) == 0.0
         assert b.upper == 6.0
 
     def test_theory_bonus_caps_width_at_two(self):
         p = np.full((2, 1, 2), 0.5)
-        model = CalibratedModel(kind="tabular", t=1, delta=0.1, p_hat=p,
-                                sigma_table=np.array([[5.0], [0.5]]))
+        model = TabularModel(t=1, delta=0.1, p_hat=p,
+                             sigma_table=np.array([[5.0], [0.5]]))
         b = theory_bonus(model, horizon=3)
         assert b(0, 0) == 6.0   # H * min(5, 2)
         assert b(1, 0) == 1.5   # H * 0.5
@@ -286,18 +287,62 @@ class TestBonuses:
         p = np.full((2, 1, 2), 0.5)
         q = np.zeros((2, 1, 2))
         q[:, :, 0] = 1.0
-        m_a = CalibratedModel(kind="tabular", t=1, delta=0.1, p_hat=p,
-                              sigma_table=np.zeros((2, 1)))
-        m_b = CalibratedModel(kind="tabular", t=1, delta=0.1, p_hat=q,
-                              sigma_table=np.zeros((2, 1)))
+        m_a = TabularModel(t=1, delta=0.1, p_hat=p,
+                           sigma_table=np.zeros((2, 1)))
+        m_b = TabularModel(t=1, delta=0.1, p_hat=q,
+                           sigma_table=np.zeros((2, 1)))
         buf = ReplayBuffer(num_states=2, num_actions=1)
         b = ensemble_bonus(m_a, m_b, buf, lam_bonus=1.0)
         assert b(0, 0) == 0.0
 
     def test_bonus_table_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError):
-            BonusFunction(mode="theory", fn=lambda s, a: 0.0, upper=1.0,
+            BonusFunction(fn=lambda s, a: 0.0, upper=1.0,
                           table=np.array([[1.5]]))
+
+
+class TestModelValidation:
+    @staticmethod
+    def tabular(**kw):
+        args = dict(t=1, delta=0.1, p_hat=np.full((2, 1, 2), 0.5),
+                    sigma_table=np.zeros((2, 1)))
+        args.update(kw)
+        return TabularModel(**args)
+
+    @staticmethod
+    def knr(**kw):
+        args = dict(t=1, delta=0.1, w_hat=np.zeros((2, 3)), cov=np.eye(3),
+                    lam_ridge=0.1, noise_std=0.1, w_max=1.0, beta=1.0,
+                    features=lambda s, a: np.zeros(3))
+        args.update(kw)
+        return KnrModel(**args)
+
+    def test_valid_models_construct(self):
+        assert self.tabular().num_states == 2
+        np.testing.assert_array_equal(self.knr().cov_inv, np.eye(3))
+
+    @pytest.mark.parametrize("kw", [
+        {"p_hat": np.array([[[0.5, 0.6]], [[0.5, 0.5]]])},    # row sum 1.1
+        {"p_hat": np.array([[[1.5, -0.5]], [[0.5, 0.5]]])},   # negative
+        {"p_hat": np.full((2, 1, 3), 1 / 3)},                 # not (S, A, S)
+        {"sigma_table": np.zeros((2, 2))},
+        {"sigma_table": np.array([[-0.1], [0.0]])},
+        {"t": 0}, {"delta": 0.0}, {"delta": 1.0},
+    ])
+    def test_tabular_rejects(self, kw):
+        with pytest.raises(ConfigurationError):
+            self.tabular(**kw)
+
+    @pytest.mark.parametrize("kw", [
+        {"t": 0}, {"delta": -0.1}, {"delta": 1.5},
+        {"cov": np.eye(2)},
+        {"cov": np.diag([1.0, 0.0, 1.0])},
+        {"cov": np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0],
+                          [0.0, 0.0, 1.0]])},
+    ])
+    def test_knr_rejects(self, kw):
+        with pytest.raises(ConfigurationError):
+            self.knr(**kw)
 
 
 class TestMeanPrediction:

@@ -5,19 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ilfo_lab import ConfigurationError, Policy, planner, value_eval_tabular
+from ilfo_lab import (ConfigurationError, Policy, TabularMdp, planner,
+                      value_eval_tabular)
 from ilfo_lab.discriminators import MmdDiscriminator, rff_featurize
 from ilfo_lab.expert import solve_optimal_tabular
 from ilfo_lab.models import (
     BonusFunction,
-    CalibratedModel,
     ReplayBuffer,
+    TabularModel,
     fit_knr_model,
 )
 from ilfo_lab.planner import (
     KnrSearchConfig,
     MinMaxConfig,
-    _ModelView,
     best_response_knr,
     best_response_tabular,
     box_objective,
@@ -30,14 +30,13 @@ from ilfo_lab.worlds import make_chain, make_knr_example, make_random_mdp
 def tabular_model(kernel):
     kernel = np.asarray(kernel, dtype=float)
     s_dim, a_dim = kernel.shape[0], kernel.shape[1]
-    return CalibratedModel(kind="tabular", t=1, delta=0.1, p_hat=kernel,
-                           sigma_table=np.zeros((s_dim, a_dim)))
+    return TabularModel(t=1, delta=0.1, p_hat=kernel,
+                        sigma_table=np.zeros((s_dim, a_dim)))
 
 
 def model_view(model, horizon, init_state=0):
-    return _ModelView(horizon=horizon, num_states=model.num_states,
-                      num_actions=model.num_actions,
-                      init_state=init_state, p=model.p_hat)
+    return TabularMdp(horizon=horizon, transitions=model.p_hat,
+                      cost=np.zeros(model.num_states), init_state=init_state)
 
 
 class TestBestResponseTabular:
@@ -119,8 +118,7 @@ class TestBestResponseKnr:
     def test_dominant_bonus_selects_high_uncertainty_action(self):
         sys_ = make_knr_example(noise_std=0.0)
         model = knr_model_from_system(sys_)
-        bonus = BonusFunction(mode="ensemble",
-                              fn=lambda s, a: 10.0 if a == 1 else 0.0,
+        bonus = BonusFunction(fn=lambda s, a: 10.0 if a == 1 else 0.0,
                               upper=10.0)
         pol = best_response_knr(model, lambda s: float(np.sum(s**2)), bonus,
                                 horizon=2, num_actions=2,
@@ -300,6 +298,29 @@ class TestSolveMinmaxTabular:
         with pytest.raises(ConfigurationError):
             solve_minmax(knr, None, "box", d_e, MinMaxConfig(), horizon=2,
                          num_actions=2, init_state=np.zeros(2))
+
+
+    @pytest.mark.parametrize("init_state", [-1, 3])
+    def test_init_state_out_of_range_raises(self, init_state):
+        rng = np.random.default_rng(15)
+        model, bonus, d_e = self.random_game(rng)
+        vertices = [np.array(v, dtype=float)
+                    for v in itertools.product((0.0, 1.0), repeat=3)]
+        for disc_class in ("box", vertices):
+            with pytest.raises(ConfigurationError, match="init_state"):
+                solve_minmax(model, bonus, disc_class, d_e,
+                             MinMaxConfig(k_iters=2), horizon=2,
+                             init_state=init_state)
+
+    def test_bonus_without_table_raises(self):
+        rng = np.random.default_rng(16)
+        model, _, d_e = self.random_game(rng)
+        callable_only = BonusFunction(fn=lambda s, a: 0.1, upper=1.0)
+        wrong_shape = np.zeros((2, 2))
+        for bonus in (callable_only, lambda s, a: 0.1, wrong_shape):
+            with pytest.raises(ConfigurationError, match="bonus table"):
+                solve_minmax(model, bonus, "box", d_e,
+                             MinMaxConfig(k_iters=2), horizon=2)
 
 
 class TestGameValueLp:
