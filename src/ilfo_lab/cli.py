@@ -9,6 +9,7 @@ digits).
 
 import argparse
 import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -37,12 +38,9 @@ REFERENCE_SEED_BASE = 9000
 BANDIT_SEED_STRIDE = 1000
 
 TABULAR_KINDS = ("chain", "lock", "two_state")
-ENV_KEYS = {
-    "chain": ("num_states", "num_actions", "horizon", "slip"),
-    "lock": ("n_chain", "num_actions", "horizon", "q", "code_seed"),
-    "two_state": ("p_forward", "horizon"),
-    "knr_example": ("noise_std", "horizon"),
-}
+# env.kind -> constructor; the other env keys are its keyword arguments
+ENV_FACTORIES = {"chain": make_chain, "lock": make_combination_lock,
+                 "two_state": make_two_state, "knr_example": make_knr_example}
 
 MOBILE_SUMMARY_COLUMNS = ("seed", "expert_value", "best_regret",
                           "final_regret", "best_iterate",
@@ -125,11 +123,15 @@ def _check_env(env: dict, subcommand: str) -> dict:
     if not isinstance(env, dict):
         raise ConfigurationError("'env' must be an object")
     kind = env.get("kind")
-    if kind not in ENV_KEYS:
+    if not isinstance(kind, str) or kind not in ENV_FACTORIES:
         raise ConfigurationError(
-            f"'env.kind' must be one of {sorted(ENV_KEYS)}, got {kind!r}")
-    _check_keys({k: v for k, v in env.items() if k != "kind"},
-                ENV_KEYS[kind], "env.")
+            f"'env.kind' must be one of {sorted(ENV_FACTORIES)}, got {kind!r}")
+    params = inspect.signature(ENV_FACTORIES[kind]).parameters
+    _check_keys({k: v for k, v in env.items() if k != "kind"}, params, "env.")
+    for name, param in params.items():
+        if param.default is param.empty and name not in env:
+            raise ConfigurationError(
+                f"missing key 'env.{name}' for env.kind {kind!r}")
     if subcommand == "mobile-tabular" and kind not in TABULAR_KINDS:
         raise ConfigurationError(
             f"'env.kind' {kind!r} is not a tabular environment")
@@ -163,7 +165,7 @@ def parse_config(text: str,
 
     seeds = raw.get("seeds", [0])
     if (not isinstance(seeds, list) or not seeds
-            or not all(isinstance(s, int) for s in seeds)):
+            or not all(type(s) is int for s in seeds)):
         raise ConfigurationError("'seeds' must be a nonempty list of ints")
     out = raw.get("out", "runs")
     if not isinstance(out, str) or not out:
@@ -200,12 +202,8 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 
 def _build_env(env: dict):
-    kind = env["kind"]
     args = {k: v for k, v in env.items() if k != "kind"}
-    factory = {"chain": make_chain, "lock": make_combination_lock,
-               "two_state": make_two_state,
-               "knr_example": make_knr_example}[kind]
-    return factory(**args)
+    return ENV_FACTORIES[env["kind"]](**args)
 
 
 def _mobile_seed_task(cfg_text: str, seed: int) -> list:

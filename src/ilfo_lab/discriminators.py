@@ -3,7 +3,8 @@
 Two families:
 
 * the box class {f : S -> [0, 1]} for tabular state spaces, whose best
-  response has the closed form f*(s) = 1{d_pi(s) > d_e(s)},
+  response has the closed form f*(s) = 1{d_pi(s) > d_e(s)} and attains
+  the positive part sum_s max(0, d_pi(s) - d_e(s)),
 * a random-Fourier-feature class {s -> <w, psi(s)> : |w| <= zeta} whose
   best response is a projected mean-feature difference (an MMD witness).
 
@@ -19,29 +20,10 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from .envs import ConfigurationError, _frozen
-from .expert import ExpertDataset
 
 Array = np.ndarray
 
 W_NORM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class BoxDiscriminator:
-    """Per-state witness values in [0, 1] over a finite state space."""
-
-    values: Array
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1:
-            raise ConfigurationError("box discriminator values must be 1-D")
-        if np.any(vals < 0) or np.any(vals > 1):
-            raise ConfigurationError("box discriminator values must lie in [0, 1]")
-        object.__setattr__(self, "values", _frozen(vals))
-
-    def __call__(self, s) -> float:
-        return float(self.values[int(s)])
 
 
 @dataclass(frozen=True)
@@ -120,18 +102,14 @@ def box_witness(d_pi: Array, d_e: Array) -> Array:
     return (d_pi > d_e).astype(float)
 
 
-def tv_best_response(d_pi: Array, d_e: Array) -> tuple[BoxDiscriminator, float]:
-    """Closed-form best response of the box class.
-
-    f* is ``box_witness(d_pi, d_e)``; the attained value is
-    sum_s max(0, d_pi(s) - d_e(s)).
-    """
+def tv_best_response(d_pi: Array, d_e: Array) -> float:
+    """Value of the box class's best response ``box_witness(d_pi, d_e)``:
+    sum_s max(0, d_pi(s) - d_e(s))."""
     p = np.asarray(d_pi, dtype=float)
     q = np.asarray(d_e, dtype=float)
     if p.shape != q.shape or p.ndim != 1:
         raise ConfigurationError("marginals must be 1-D with equal length")
-    value = float(np.maximum(p - q, 0.0).sum())
-    return BoxDiscriminator(values=box_witness(p, q)), value
+    return float(np.maximum(p - q, 0.0).sum())
 
 
 def mmd_update(disc: MmdDiscriminator, mean_pi: Array,
@@ -177,27 +155,3 @@ def rff_featurize(states: Array, m: int, bandwidth,
     fmap = RffFeatureMap(omega=omega, offsets=offsets, bandwidth=bw)
     return fmap, fmap(x)
 
-
-def _mean_value(disc, side) -> float:
-    """Expected witness value under a marginal vector or a state batch."""
-    if isinstance(side, ExpertDataset):
-        side = side.flat_view()
-    arr = np.asarray(side)
-    if isinstance(disc, BoxDiscriminator):
-        if arr.ndim == 1 and arr.dtype.kind == "f" and arr.shape == disc.values.shape:
-            total = float(arr.sum())
-            if abs(total - 1.0) <= 1e-6:
-                return float(arr @ disc.values)
-        # fall through: treat as sampled integer states
-        return float(np.mean([disc(s) for s in arr]))
-    vals = disc(arr)
-    return float(np.mean(np.atleast_1d(vals)))
-
-
-def ipm_eval(disc, d_pi, expert) -> float:
-    """E_{d_pi}[f] minus the empirical expert mean of f, for fixed f.
-
-    Each side may be a state-marginal vector (box class), a batch of
-    sampled states, or an ExpertDataset (its flat decision-step view).
-    """
-    return _mean_value(disc, d_pi) - _mean_value(disc, expert)

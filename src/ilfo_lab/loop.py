@@ -272,7 +272,7 @@ def _tabular_family(env, expert_dataset, cfg, expert_value) -> _Family:
     def evaluate(model, mixture, traj):
         value = value_eval_tabular(env, mixture, env.cost)
         d_pi = occupancy_exact(env, mixture).average.sum(axis=1)
-        return value, tv_best_response(d_pi, d_e)[1]
+        return value, tv_best_response(d_pi, d_e)
 
     return _Family(
         buffer=ReplayBuffer(capacity=cfg.buffer_capacity,

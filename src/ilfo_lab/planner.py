@@ -3,11 +3,11 @@
 The learner-side game is min over occupancy measures of
 sup_f E_d[f] - E_e[f] - <d, b>, with f from a witness class and b an
 exploration bonus.  Best responses are exact: backward DP for tabular
-models, open-loop sequence search for KNR models.  The witness class
-picks the outer loop: the box class runs Frank-Wolfe / fictitious play
-with 1/k averaging, an explicit list of per-state witness vectors runs
-multiplicative weights, and an MMD witness runs Frank-Wolfe under a KNR
-model.  Each returns a uniform mixture of the per-round best responses.
+models, open-loop sequence search for KNR models.  The outer loop is
+Frank-Wolfe / fictitious play with 1/k averaging: against the box class
+(closed-form witness 1{d_pi > d_e}) on tabular models, against an MMD
+witness on KNR models.  Each returns a uniform mixture of the per-round
+best responses.
 A linear program over the occupancy polytope provides an independent
 value oracle for small tabular games.
 """
@@ -28,9 +28,6 @@ from .expert import ExpertDataset
 from .models import BonusFunction, KnrModel, TabularModel, mean_bonus_on_path
 
 Array = np.ndarray
-
-# step size of the multiplicative-weights update over a witness list
-MW_LEARNING_RATE = 0.5
 
 
 @dataclass(frozen=True)
@@ -156,22 +153,19 @@ def _bonus_table(bonus, s_dim: int, a_dim: int) -> Array:
 
 
 def _expert_state_distribution(expert, s_dim: int) -> Array:
-    if isinstance(expert, ExpertDataset):
-        return expert.state_distribution(s_dim)
-    d_e = np.asarray(expert, dtype=float)
-    if d_e.shape != (s_dim,) or np.any(d_e < 0):
+    try:
+        d_e = np.asarray(expert, dtype=float)
+    except (TypeError, ValueError):
+        d_e = None
+    if d_e is None or d_e.shape != (s_dim,) or np.any(d_e < 0):
         raise ConfigurationError("expert distribution must be (S,) and >= 0")
     return d_e
 
 
 def box_objective(d_avg_sa: Array, d_e: Array, bonus_table: Array) -> float:
     """sup over the box class of the IPM, minus the mean bonus."""
-    ipm = tv_best_response(d_avg_sa.sum(axis=1), d_e)[1]
+    ipm = tv_best_response(d_avg_sa.sum(axis=1), d_e)
     return ipm - float((d_avg_sa * bonus_table).sum())
-
-
-def _occupancy_avg(view: TabularMdp, policy) -> Array:
-    return occupancy_exact(view, policy).average
 
 
 def solve_minmax(model: TabularModel | KnrModel, bonus, disc_class, expert,
@@ -182,10 +176,10 @@ def solve_minmax(model: TabularModel | KnrModel, bonus, disc_class, expert,
     """Solve the occupancy-matching game under the learned model.
 
     Returns a uniform mixture of the per-round best responses and the
-    final sup-over-witnesses objective at that mixture.  disc_class picks
-    the solver: "box" runs Frank-Wolfe and an explicit list of per-state
-    witness vectors runs multiplicative weights, both on tabular models;
-    an MmdDiscriminator runs Frank-Wolfe on KNR models.
+    final sup-over-witnesses objective at that mixture.  Both families
+    run Frank-Wolfe: a tabular model against the box class (disc_class
+    "box", expert the (S,) state distribution d_e), a KNR model against
+    an MmdDiscriminator.  Any other disc_class raises ConfigurationError.
     """
     if isinstance(model, KnrModel):
         if not isinstance(disc_class, MmdDiscriminator):
@@ -196,12 +190,8 @@ def solve_minmax(model: TabularModel | KnrModel, bonus, disc_class, expert,
                              horizon, num_actions, init_state, rng)
     if isinstance(disc_class, str) and disc_class == "box":
         return _solve_fw_box(model, bonus, expert, cfg, horizon, init_state)
-    if isinstance(disc_class, (list, tuple, np.ndarray)):
-        return _solve_mw_finite(model, bonus, disc_class, expert, cfg,
-                                horizon, init_state)
     raise ConfigurationError(
-        "tabular solving needs the box class or a list of witness vectors, "
-        f"got {disc_class!r}")
+        f"tabular solving needs disc_class 'box', got {disc_class!r}")
 
 
 def _solve_fw_box(model, bonus, expert, cfg, horizon, init_state):
@@ -210,7 +200,7 @@ def _solve_fw_box(model, bonus, expert, cfg, horizon, init_state):
     d_e = _expert_state_distribution(expert, s_dim)
     b_table = _bonus_table(bonus, s_dim, a_dim)
     uniform = Policy.tabular(np.full((horizon, s_dim, a_dim), 1.0 / a_dim))
-    d_bar = _occupancy_avg(view, uniform)
+    d_bar = occupancy_exact(view, uniform).average
     components = []
     for k in range(1, cfg.k_iters + 1):
         f_k = box_witness(d_bar.sum(axis=1), d_e)
@@ -222,39 +212,6 @@ def _solve_fw_box(model, bonus, expert, cfg, horizon, init_state):
                           weights=np.full(len(components),
                                           1.0 / len(components)))
     return mixture, box_objective(d_bar, d_e, b_table)
-
-
-def _solve_mw_finite(model, bonus, witness_list, expert, cfg, horizon,
-                     init_state):
-    s_dim, a_dim = model.num_states, model.num_actions
-    view = _model_mdp(model, horizon, init_state)
-    try:
-        witnesses = np.asarray(witness_list, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"witness list is not numeric: {exc}") from exc
-    if witnesses.ndim != 2 or witnesses.shape[1] != s_dim:
-        raise ConfigurationError("witness list must be M vectors of length S")
-    d_e = _expert_state_distribution(expert, s_dim)
-    b_table = _bonus_table(bonus, s_dim, a_dim)
-    weights = np.full(witnesses.shape[0], 1.0 / witnesses.shape[0])
-    components = []
-    d_bar = None
-    for k in range(1, cfg.k_iters + 1):
-        f_mix = weights @ witnesses
-        pi_k = best_response_tabular(model, f_mix[:, None] - b_table,
-                                     horizon)
-        occ_k = _occupancy_avg(view, pi_k)
-        components.append(pi_k)
-        d_bar = occ_k if d_bar is None else (1 - 1.0 / k) * d_bar + occ_k / k
-        payoff = witnesses @ (occ_k.sum(axis=1) - d_e)
-        weights = weights * np.exp(MW_LEARNING_RATE * payoff)
-        weights /= weights.sum()
-    mixture = MixedPolicy(components=tuple(components),
-                          weights=np.full(len(components),
-                                          1.0 / len(components)))
-    ipm = float(np.max(witnesses @ (d_bar.sum(axis=1) - d_e)))
-    objective = ipm - float((d_bar * b_table).sum())
-    return mixture, objective
 
 
 def _nominal_decision_states(model, seq, init_state, horizon):

@@ -76,9 +76,10 @@ class TestParseConfig:
             parse_config("[1, 2]")
 
     def test_env_kind_validation(self):
-        with pytest.raises(ConfigurationError, match="env.kind"):
-            parse_config('{"subcommand": "mobile-tabular", '
-                         '"env": {"kind": "maze"}}')
+        for kind in ('"maze"', '["chain"]'):
+            with pytest.raises(ConfigurationError, match="env.kind"):
+                parse_config('{"subcommand": "mobile-tabular", '
+                             f'"env": {{"kind": {kind}}}}}')
         with pytest.raises(ConfigurationError, match="not a tabular"):
             parse_config('{"subcommand": "mobile-tabular", '
                          '"env": {"kind": "knr_example"}}')
@@ -248,6 +249,20 @@ class TestMain:
                                             out=str(out))))
         assert main(["mobile-tabular", "--config", str(cfg_path)]) == 2
         assert f"unknown key '{key}'" in capsys.readouterr().err
+        assert not (out / "config.json").exists()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"env": {"kind": "two_state"}}, "missing key 'env.p_forward'"),
+        ({"seeds": [True]}, "'seeds' must be a nonempty list of ints"),
+    ], ids=["missing_env_key", "bool_seed"])
+    def test_unrunnable_config_fails_at_parse_time(self, tmp_path, capsys,
+                                                   change, message):
+        out = tmp_path / "o"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(TINY_TABULAR, out=str(out),
+                                            **change)))
+        assert main(["mobile-tabular", "--config", str(cfg_path)]) == 2
+        assert message in capsys.readouterr().err
         assert not (out / "config.json").exists()
 
     @pytest.mark.parametrize("field, value", [

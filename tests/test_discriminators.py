@@ -3,10 +3,9 @@ import pytest
 
 from ilfo_lab import ConfigurationError
 from ilfo_lab.discriminators import (
-    BoxDiscriminator,
     MmdDiscriminator,
     RffFeatureMap,
-    ipm_eval,
+    box_witness,
     mmd_update,
     project_ball,
     rff_featurize,
@@ -17,38 +16,38 @@ from ilfo_lab.discriminators import (
 class TestBoxBestResponse:
     def test_equal_marginals_zero(self):
         d = np.array([0.2, 0.5, 0.3])
-        f, val = tv_best_response(d, d)
-        assert val == 0.0
-        np.testing.assert_allclose(f.values, 0.0)
+        assert tv_best_response(d, d) == 0.0
+        np.testing.assert_allclose(box_witness(d, d), 0.0)
 
     def test_disjoint_point_masses(self):
-        f, val = tv_best_response(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        assert val == 1.0
-        assert f(0) == 1.0 and f(1) == 0.0
+        p, q = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        assert tv_best_response(p, q) == 1.0
+        np.testing.assert_array_equal(box_witness(p, q), [1.0, 0.0])
 
     def test_enumerated_positive_part(self):
-        f, val = tv_best_response(np.array([0.5, 0.3, 0.2]),
-                                  np.array([0.2, 0.3, 0.5]))
+        p, q = np.array([0.5, 0.3, 0.2]), np.array([0.2, 0.3, 0.5])
+        val = tv_best_response(p, q)
+        assert type(val) is float
         assert val == pytest.approx(0.3, abs=1e-15)
-        np.testing.assert_allclose(f.values, [1.0, 0.0, 0.0])
+        np.testing.assert_allclose(box_witness(p, q), [1.0, 0.0, 0.0])
 
     def test_tie_gets_zero(self):
-        f, _ = tv_best_response(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
-        np.testing.assert_allclose(f.values, 0.0)
+        d = np.array([0.5, 0.5])
+        np.testing.assert_allclose(box_witness(d, d), 0.0)
 
     def test_dominates_random_witnesses(self):
+        # f* = box_witness(p, q) attains the sup of f @ (p - q) over
+        # f in [0, 1]^S, so no random witness beats its value
         rng = np.random.default_rng(0)
         for _ in range(20):
             p = rng.dirichlet(np.ones(6))
             q = rng.dirichlet(np.ones(6))
-            _, best = tv_best_response(p, q)
+            best = tv_best_response(p, q)
+            assert float(box_witness(p, q) @ (p - q)) == pytest.approx(
+                best, abs=1e-15)
             for _ in range(50):
-                f = BoxDiscriminator(values=rng.uniform(0, 1, size=6))
-                assert float(p @ f.values - q @ f.values) <= best + 1e-12
-
-    def test_values_validated(self):
-        with pytest.raises(ConfigurationError):
-            BoxDiscriminator(values=np.array([0.5, 1.2]))
+                f = rng.uniform(0, 1, size=6)
+                assert float(f @ (p - q)) <= best + 1e-12
 
 
 class TestRffFeatures:
@@ -142,54 +141,3 @@ class TestMmdUpdates:
         assert val > 0
         matched = mmd_update(disc, a, a)
         assert float(matched.w @ (a - a)) == 0.0
-
-
-class TestIpmEval:
-    def test_zero_witness(self):
-        f = BoxDiscriminator(values=np.zeros(3))
-        assert ipm_eval(f, np.array([0.2, 0.3, 0.5]),
-                        np.array([0, 1, 2, 2])) == 0.0
-
-    def test_constant_witness_cancels(self):
-        f = BoxDiscriminator(values=np.full(3, 0.7))
-        val = ipm_eval(f, np.array([0.2, 0.3, 0.5]), np.array([0, 0, 1]))
-        assert val == pytest.approx(0.0, abs=1e-15)
-
-    def test_marginal_vs_samples(self):
-        f = BoxDiscriminator(values=np.array([1.0, 0.0]))
-        # marginal side: mass 0.8 on state 0; sample side: half on state 0
-        val = ipm_eval(f, np.array([0.8, 0.2]), np.array([0, 1, 0, 1]))
-        assert val == pytest.approx(0.8 - 0.5, abs=1e-15)
-
-    def test_matched_empirical_distributions_small(self):
-        rng = np.random.default_rng(12)
-        p = rng.dirichlet(np.ones(4))
-        a = rng.choice(4, size=10**4, p=p)
-        b = rng.choice(4, size=10**4, p=p)
-        f, _ = tv_best_response(np.bincount(a, minlength=4) / 1e4,
-                                np.bincount(b, minlength=4) / 1e4)
-        assert abs(ipm_eval(f, a, b)) <= 0.05
-
-    def test_best_response_dominates_on_eval(self):
-        rng = np.random.default_rng(13)
-        p = rng.dirichlet(np.ones(5))
-        q = rng.dirichlet(np.ones(5))
-        _, best = tv_best_response(p, q)
-        for _ in range(1000):
-            f = BoxDiscriminator(values=rng.uniform(0, 1, size=5))
-            assert ipm_eval(f, p, q) <= best + 1e-12
-
-    def test_argmax_invariant_under_bonus_offset(self):
-        # subtracting a witness-independent bonus term shifts every
-        # objective value equally, so the maximizer cannot move
-        rng = np.random.default_rng(14)
-        p = rng.dirichlet(np.ones(4))
-        q = rng.dirichlet(np.ones(4))
-        bonus_term = float(rng.uniform(0, 3))
-        f_star, best = tv_best_response(p, q)
-        candidates = [BoxDiscriminator(values=rng.uniform(0, 1, size=4))
-                      for _ in range(200)] + [f_star]
-        plain = [ipm_eval(f, p, q) for f in candidates]
-        shifted = [v - bonus_term for v in plain]
-        assert int(np.argmax(plain)) == int(np.argmax(shifted))
-        assert candidates[int(np.argmax(shifted))] is f_star

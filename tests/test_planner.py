@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ilfo_lab import (ConfigurationError, Policy, TabularMdp, planner,
                       value_eval_tabular)
 from ilfo_lab.discriminators import MmdDiscriminator, rff_featurize
-from ilfo_lab.expert import solve_optimal_tabular
+from ilfo_lab.expert import ExpertDataset, solve_optimal_tabular
 from ilfo_lab.models import (
     BonusFunction,
     ReplayBuffer,
@@ -256,33 +256,14 @@ class TestSolveMinmaxTabular:
             assert obj >= lp - 1e-9
             assert obj - lp <= 0.01
 
-    def test_mw_finite_on_box_vertices_approaches_lp(self):
-        # the box sup is attained at a vertex, so the vertex class is
-        # an equivalent finite witness set
-        rng = np.random.default_rng(10)
-        model, bonus, d_e = self.random_game(rng)
-        vertices = [np.array(v, dtype=float)
-                    for v in itertools.product((0.0, 1.0), repeat=3)]
-        lp = game_value_lp(model, bonus, d_e, horizon=2)
-        cfg = MinMaxConfig(k_iters=500)
-        _, obj = solve_minmax(model, bonus, vertices, d_e, cfg, horizon=2)
-        assert obj >= lp - 1e-9
-        assert obj - lp <= 0.05
-
     def test_disc_class_picks_solver(self, monkeypatch):
         rng = np.random.default_rng(11)
         model, bonus, d_e = self.random_game(rng)
         calls = []
-        for name in ("_solve_fw_box", "_solve_mw_finite"):
-            monkeypatch.setattr(planner, name,
-                                lambda *args, name=name: calls.append(name))
-        vertices = [np.array(v, dtype=float)
-                    for v in itertools.product((0.0, 1.0), repeat=3)]
-        for disc_class in ("box", vertices, tuple(vertices),
-                           np.asarray(vertices)):
-            solve_minmax(model, bonus, disc_class, d_e, MinMaxConfig(),
-                         horizon=2)
-        assert calls == ["_solve_fw_box"] + ["_solve_mw_finite"] * 3
+        monkeypatch.setattr(planner, "_solve_fw_box",
+                            lambda *args: calls.append("_solve_fw_box"))
+        solve_minmax(model, bonus, "box", d_e, MinMaxConfig(), horizon=2)
+        assert calls == ["_solve_fw_box"]
 
     def test_unsupported_disc_class_raises(self):
         rng = np.random.default_rng(11)
@@ -290,7 +271,12 @@ class TestSolveMinmaxTabular:
         fmap, _ = rff_featurize(rng.normal(size=(5, 2)), m=4, bandwidth=1.0,
                                 rng=rng)
         mmd = MmdDiscriminator(feature_map=fmap, w=np.zeros(4))
-        for disc_class in (3, None, "boxx", mmd, [["a", "b", "c"]]):
+        # an explicit list of per-state witness vectors is not a solver
+        # input: the box class is the only tabular witness class
+        vertices = [np.array(v, dtype=float)
+                    for v in itertools.product((0.0, 1.0), repeat=3)]
+        for disc_class in (3, None, "boxx", mmd, [["a", "b", "c"]],
+                           vertices, tuple(vertices), np.asarray(vertices)):
             with pytest.raises(ConfigurationError):
                 solve_minmax(model, bonus, disc_class, d_e, MinMaxConfig(),
                              horizon=2)
@@ -304,13 +290,19 @@ class TestSolveMinmaxTabular:
     def test_init_state_out_of_range_raises(self, init_state):
         rng = np.random.default_rng(15)
         model, bonus, d_e = self.random_game(rng)
-        vertices = [np.array(v, dtype=float)
-                    for v in itertools.product((0.0, 1.0), repeat=3)]
-        for disc_class in ("box", vertices):
-            with pytest.raises(ConfigurationError, match="init_state"):
-                solve_minmax(model, bonus, disc_class, d_e,
-                             MinMaxConfig(k_iters=2), horizon=2,
-                             init_state=init_state)
+        with pytest.raises(ConfigurationError, match="init_state"):
+            solve_minmax(model, bonus, "box", d_e, MinMaxConfig(k_iters=2),
+                         horizon=2, init_state=init_state)
+
+    def test_expert_must_be_state_distribution(self):
+        # the tabular solver takes d_e as an (S,) array, not the dataset
+        rng = np.random.default_rng(17)
+        model, bonus, d_e = self.random_game(rng)
+        dataset = ExpertDataset(trajectories=[np.array([0, 1, 2])])
+        for expert in (dataset, d_e[:2], -d_e, "d_e"):
+            with pytest.raises(ConfigurationError, match="expert"):
+                solve_minmax(model, bonus, "box", expert,
+                             MinMaxConfig(k_iters=2), horizon=2)
 
     def test_bonus_without_table_raises(self):
         rng = np.random.default_rng(16)
