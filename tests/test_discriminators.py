@@ -141,3 +141,16 @@ class TestMmdUpdates:
         assert val > 0
         matched = mmd_update(disc, a, a)
         assert float(matched.w @ (a - a)) == 0.0
+
+
+class TestIpmEval:
+    def test_best_response_dominates_on_eval(self):
+        # the IPM of a box witness f between marginals p and q is
+        # f @ (p - q); no witness in [0, 1]^S exceeds the best response
+        rng = np.random.default_rng(13)
+        p = rng.dirichlet(np.ones(5))
+        q = rng.dirichlet(np.ones(5))
+        best = tv_best_response(p, q)
+        for _ in range(1000):
+            f = rng.uniform(0, 1, size=5)
+            assert float(f @ (p - q)) <= best + 1e-12
