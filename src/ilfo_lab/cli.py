@@ -1,10 +1,10 @@
 """Experiment runner: strict JSON configs, deterministic execution, CSV output.
 
 Exit codes: 0 success, 1 verify-suite check failure, 2 config error,
-3 I/O failure. Per-seed work units rebuild their environment from the
-serialized config inside the worker, so results do not depend on the worker
-count; CSVs are byte-stable (LF endings, '.' decimals, 17 significant
-digits).
+3 I/O failure. Parsing builds every object a config names, before anything
+is written. Work units take the frozen ExperimentConfig and rebuild their
+environment from it, so results do not depend on the worker count; CSVs
+are byte-stable (LF endings, '.' decimals, 17 significant digits).
 """
 
 import argparse
@@ -13,23 +13,25 @@ import inspect
 import json
 import os
 import sys
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .envs import ConfigurationError, value_eval_mc
+from .envs import ConfigurationError, rollout, value_eval_mc
 from .expert import (ExpertDataset, sample_expert_states, solve_openloop_knr,
                      solve_optimal_tabular)
 from .loop import MobileConfig, regret_summary, run_mobile, write_csv_rows
-from .mab import (ALGORITHMS, cumulative_regret_curve, fit_loglog_slope,
+from .mab import (BanditConfig, cumulative_regret_curve, fit_loglog_slope,
                   make_hard_family, run_bandit, write_regret_csv)
-from .planner import KnrSearchConfig, MinMaxConfig
+from .planner import MinMaxConfig
 from .verify import run_all_checks
 from .worlds import (make_chain, make_combination_lock, make_knr_example,
                      make_two_state)
 
 SUBCOMMANDS = ("mobile-tabular", "mobile-knr", "mab-lb", "verify-suite")
-TOP_KEYS = ("subcommand", "env", "mobile", "bandit", "seeds", "out")
+MOBILE_SUBCOMMANDS = ("mobile-tabular", "mobile-knr")
 
 # seed bases keep the run rng, the expert sampler, and the reference-value
 # estimator on separate deterministic streams per seed
@@ -56,88 +58,101 @@ class ExperimentConfig:
     """Fully resolved experiment description."""
 
     subcommand: str
-    seeds: tuple
-    out: str
+    seeds: tuple[int, ...] = (0,)
+    out: str = "runs"
     env: dict | None = None
     mobile: MobileConfig | None = None
-    bandit: dict | None = None
+    bandit: BanditConfig | None = None
+
+    def __post_init__(self):
+        if self.subcommand not in SUBCOMMANDS:
+            raise ConfigurationError(
+                f"'subcommand' must be one of {list(SUBCOMMANDS)}")
+        if not isinstance(self.seeds, tuple) or not self.seeds or any(
+                type(s) is not int or s < 0 for s in self.seeds):
+            raise ConfigurationError("'seeds' must be a nonempty list of ints >= 0")
+        if not self.out:
+            raise ConfigurationError("'out' must be a nonempty path string")
+        if self.subcommand not in MOBILE_SUBCOMMANDS and (
+                self.env is not None or self.mobile is not None):
+            raise ConfigurationError(
+                f"'env'/'mobile' do not apply to {self.subcommand}")
+        if self.subcommand != "mab-lb" and self.bandit is not None:
+            raise ConfigurationError(
+                f"'bandit' does not apply to {self.subcommand}")
+        if self.env is not None:
+            _check_env(self.env, self.subcommand)
 
 
-def _check_keys(given: dict, allowed, path: str) -> None:
+# annotation -> (one value, a list of them), for type-error messages
+_TYPE_NAMES = {int: ("an int", "ints"), float: ("a number", "numbers"),
+               str: ("a string", "strings"), type(None): ("null", "nulls")}
+
+
+def _matches(value, ann) -> bool:
+    """Exact JSON type match (a bool is no int); a float also takes an int."""
+    return type(value) in ((int, float) if ann is float else (ann,))
+
+
+def _argument(value, ann, path: str):
+    """The JSON value at path as an argument of annotation ann.
+
+    A union takes the first option the value fits, a dataclass is built
+    from an object, and ``tuple[X, ...]`` takes a nonempty list of X.
+    """
+    options = typing.get_args(ann) if isinstance(ann, types.UnionType) else (ann,)
+    for option in options:
+        if dataclasses.is_dataclass(option):
+            if isinstance(value, dict):
+                return _build(option, value, path + ".")
+        elif typing.get_origin(option) is tuple:
+            if isinstance(value, list) and value and all(
+                    _matches(v, typing.get_args(option)[0]) for v in value):
+                return tuple(value)
+        elif _matches(value, option):
+            return value
+    wanted = " or ".join(
+        f"a nonempty list of {_TYPE_NAMES[typing.get_args(o)[0]][1]}"
+        if typing.get_origin(o) is tuple
+        else _TYPE_NAMES.get(o, ("an object",))[0] for o in options)
+    raise ConfigurationError(f"'{path}' must be {wanted}, got {value!r}")
+
+
+def _build(fn, given: dict, path: str):
+    """fn(**given), each key checked against fn's signature; path is the
+    key prefix in messages ("env."), added to fn's own errors as well."""
+    params = inspect.signature(fn, eval_str=True).parameters
     for key in given:
         if key == "lambda":
             raise ConfigurationError(
                 f"'{path}lambda' is ambiguous: use 'mobile.lam_ridge' for "
                 "the model fit or 'mobile.lam_bonus' for the bonus scale")
-        if key not in allowed:
+        if key not in params:
             raise ConfigurationError(f"unknown key '{path}{key}'")
-
-
-def _build_mobile(d: dict) -> MobileConfig:
-    allowed = tuple(f.name for f in dataclasses.fields(MobileConfig))
-    _check_keys(d, allowed, "mobile.")
-    kwargs = dict(d)
-    if "minmax" in kwargs:
-        mm = kwargs["minmax"]
-        if not isinstance(mm, dict):
-            raise ConfigurationError("'mobile.minmax' must be an object")
-        mm_allowed = tuple(f.name for f in dataclasses.fields(MinMaxConfig))
-        _check_keys(mm, mm_allowed, "mobile.minmax.")
-        mm_kwargs = dict(mm)
-        if "knr_search" in mm_kwargs:
-            ks = mm_kwargs["knr_search"]
-            if not isinstance(ks, dict):
-                raise ConfigurationError(
-                    "'mobile.minmax.knr_search' must be an object")
-            ks_allowed = tuple(f.name
-                               for f in dataclasses.fields(KnrSearchConfig))
-            _check_keys(ks, ks_allowed, "mobile.minmax.knr_search.")
-            mm_kwargs["knr_search"] = KnrSearchConfig(**ks)
-        kwargs["minmax"] = MinMaxConfig(**mm_kwargs)
+    for name, param in params.items():
+        if param.default is param.empty and name not in given:
+            raise ConfigurationError(f"missing key '{path}{name}'")
+    kwargs = {key: _argument(value, params[key].annotation, path + key)
+              for key, value in given.items()}
     try:
-        return MobileConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigurationError(f"invalid value in 'mobile': {exc}") from exc
+        return fn(**kwargs)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}{exc}") from exc
 
 
-def _build_bandit(d: dict) -> dict:
-    _check_keys(d, ("num_arms", "horizon", "algorithms"), "bandit.")
-    out = {"num_arms": 10, "horizon": 20_000,
-           "algorithms": list(ALGORITHMS)}
-    out.update(d)
-    if not isinstance(out["num_arms"], int) or out["num_arms"] < 2:
-        raise ConfigurationError("'bandit.num_arms' must be an int >= 2")
-    if not isinstance(out["horizon"], int) or out["horizon"] < out["num_arms"]:
-        raise ConfigurationError(
-            "'bandit.horizon' must be an int >= bandit.num_arms")
-    algs = out["algorithms"]
-    if not isinstance(algs, list) or not algs:
-        raise ConfigurationError("'bandit.algorithms' must be a nonempty list")
-    for a in algs:
-        if a not in ALGORITHMS:
-            raise ConfigurationError(f"'bandit.algorithms': unknown '{a}'")
-    return out
-
-
-def _check_env(env: dict, subcommand: str) -> dict:
-    if not isinstance(env, dict):
-        raise ConfigurationError("'env' must be an object")
-    kind = env.get("kind")
+def _check_env(env: dict, subcommand: str) -> None:
+    """Build the environment env describes, so its own checks run."""
+    args = dict(env)
+    kind = args.pop("kind", None)
     if not isinstance(kind, str) or kind not in ENV_FACTORIES:
         raise ConfigurationError(
             f"'env.kind' must be one of {sorted(ENV_FACTORIES)}, got {kind!r}")
-    params = inspect.signature(ENV_FACTORIES[kind]).parameters
-    _check_keys({k: v for k, v in env.items() if k != "kind"}, params, "env.")
-    for name, param in params.items():
-        if param.default is param.empty and name not in env:
-            raise ConfigurationError(
-                f"missing key 'env.{name}' for env.kind {kind!r}")
-    if subcommand == "mobile-tabular" and kind not in TABULAR_KINDS:
-        raise ConfigurationError(
-            f"'env.kind' {kind!r} is not a tabular environment")
-    if subcommand == "mobile-knr" and kind != "knr_example":
-        raise ConfigurationError("mobile-knr requires env.kind 'knr_example'")
-    return dict(env)
+    tabular = subcommand == "mobile-tabular"
+    if (kind in TABULAR_KINDS) != tabular:
+        raise ConfigurationError(f"'env.kind' {kind!r} is not a "
+                                 f"{'tabular' if tabular else 'knr_example'} "
+                                 f"environment, as {subcommand} needs")
+    _build(ENV_FACTORIES[kind], args, "env.")
 
 
 def parse_config(text: str,
@@ -149,67 +164,32 @@ def parse_config(text: str,
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError("config must be a JSON object")
-    _check_keys(raw, TOP_KEYS, "")
-
     subcommand = raw.get("subcommand", default_subcommand)
-    if subcommand is None:
-        raise ConfigurationError("missing 'subcommand'")
-    if subcommand not in SUBCOMMANDS:
-        raise ConfigurationError(
-            f"'subcommand' must be one of {list(SUBCOMMANDS)}")
-    if (default_subcommand is not None and "subcommand" in raw
-            and raw["subcommand"] != default_subcommand):
-        raise ConfigurationError(
-            f"config says subcommand {raw['subcommand']!r} but the command "
-            f"line says {default_subcommand!r}")
-
-    seeds = raw.get("seeds", [0])
-    if (not isinstance(seeds, list) or not seeds
-            or not all(type(s) is int for s in seeds)):
-        raise ConfigurationError("'seeds' must be a nonempty list of ints")
-    out = raw.get("out", "runs")
-    if not isinstance(out, str) or not out:
-        raise ConfigurationError("'out' must be a nonempty path string")
-
-    env = mobile = bandit = None
-    if subcommand in ("mobile-tabular", "mobile-knr"):
+    if default_subcommand is not None:
+        if subcommand != default_subcommand:
+            raise ConfigurationError(
+                f"config says subcommand {subcommand!r} but the command "
+                f"line says {default_subcommand!r}")
+        raw["subcommand"] = subcommand
+    if subcommand in MOBILE_SUBCOMMANDS:
         default_kind = "chain" if subcommand == "mobile-tabular" else "knr_example"
-        env = _check_env(raw.get("env", {"kind": default_kind}), subcommand)
-        mobile = _build_mobile(raw.get("mobile", {}))
-    elif "env" in raw or "mobile" in raw:
-        raise ConfigurationError(
-            f"'env'/'mobile' do not apply to {subcommand}")
-    if subcommand == "mab-lb":
-        bandit = _build_bandit(raw.get("bandit", {}))
-    elif "bandit" in raw:
-        raise ConfigurationError(f"'bandit' does not apply to {subcommand}")
-
-    return ExperimentConfig(subcommand=subcommand, seeds=tuple(seeds),
-                            out=out, env=env, mobile=mobile, bandit=bandit)
+        raw.setdefault("env", {"kind": default_kind})
+        raw.setdefault("mobile", {})
+    elif subcommand == "mab-lb":
+        raw.setdefault("bandit", {})
+    return _build(ExperimentConfig, raw, "")
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical JSON; parse(serialize(cfg)) equals cfg."""
-    d = {"subcommand": cfg.subcommand, "seeds": list(cfg.seeds),
-         "out": cfg.out}
-    if cfg.env is not None:
-        d["env"] = cfg.env
-    if cfg.mobile is not None:
-        d["mobile"] = dataclasses.asdict(cfg.mobile)
-    if cfg.bandit is not None:
-        d["bandit"] = cfg.bandit
+    d = {k: v for k, v in dataclasses.asdict(cfg).items() if v is not None}
     return json.dumps(d, indent=2, sort_keys=True) + "\n"
 
 
-def _build_env(env: dict):
-    args = {k: v for k, v in env.items() if k != "kind"}
-    return ENV_FACTORIES[env["kind"]](**args)
-
-
-def _mobile_seed_task(cfg_text: str, seed: int) -> list:
+def _mobile_seed_task(cfg: ExperimentConfig, seed: int) -> list:
     """One seed of a mobile run; returns the summary row."""
-    cfg = parse_config(cfg_text)
-    env = _build_env(cfg.env)
+    args = dict(cfg.env)
+    env = ENV_FACTORIES[args.pop("kind")](**args)
     m = cfg.mobile
     if cfg.subcommand == "mobile-tabular":
         expert = solve_optimal_tabular(env)
@@ -233,13 +213,12 @@ def _mobile_seed_task(cfg_text: str, seed: int) -> list:
             summary["iterations_to_threshold"], record.info_gain_total]
 
 
-def _bandit_pair_task(cfg_text: str, algorithm: str, inst_idx: int) -> list:
+def _bandit_pair_task(cfg: ExperimentConfig, algorithm: str,
+                      inst_idx: int) -> list:
     """All seeds of one (algorithm, instance) pair; writes the curve CSV."""
-    cfg = parse_config(cfg_text)
     b = cfg.bandit
-    family = make_hard_family(b["num_arms"], b["horizon"])
-    inst = family[inst_idx]
-    traces = [run_bandit(inst, algorithm, b["horizon"],
+    inst = make_hard_family(b.num_arms, b.horizon)[inst_idx]
+    traces = [run_bandit(inst, algorithm, b.horizon,
                          np.random.default_rng(BANDIT_SEED_STRIDE * s
                                                + inst_idx))
               for s in cfg.seeds]
@@ -252,8 +231,6 @@ def _bandit_pair_task(cfg_text: str, algorithm: str, inst_idx: int) -> list:
 
 def _verify_knr_record(seed: int):
     """Small deterministic knr run feeding the record-based checks."""
-    from .envs import rollout
-
     system = make_knr_example(noise_std=0.05, horizon=3)
     expert = solve_openloop_knr(system)
     rng = np.random.default_rng(EXPERT_SEED_BASE + seed)
@@ -293,18 +270,15 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> int:
             fh.write("\n")
         return 0 if all(r.passed for r in reports) else 1
 
-    cfg_text = serialize_config(cfg)
-    if cfg.subcommand in ("mobile-tabular", "mobile-knr"):
-        tasks = [(cfg_text, seed) for seed in cfg.seeds]
+    if cfg.subcommand in MOBILE_SUBCOMMANDS:
+        tasks = [(cfg, seed) for seed in cfg.seeds]
         rows = _map_tasks(_mobile_seed_task, tasks, jobs)
         write_csv_rows(os.path.join(cfg.out, "summary.csv"),
                        MOBILE_SUMMARY_COLUMNS, rows, MOBILE_SUMMARY_FORMAT)
         return 0
 
-    b = cfg.bandit
-    family_size = b["num_arms"] + 1
-    tasks = [(cfg_text, alg, idx) for alg in b["algorithms"]
-             for idx in range(family_size)]
+    tasks = [(cfg, alg, idx) for alg in cfg.bandit.algorithms
+             for idx in range(cfg.bandit.num_arms + 1)]
     rows = _map_tasks(_bandit_pair_task, tasks, jobs)
     write_csv_rows(os.path.join(cfg.out, "summary.csv"),
                    MAB_SUMMARY_COLUMNS, rows, MAB_SUMMARY_FORMAT)
@@ -359,8 +333,6 @@ def main(argv=None) -> int:
             except ValueError as exc:
                 raise ConfigurationError(
                     f"--seeds must be comma-separated ints: {exc}") from exc
-            if not seeds:
-                raise ConfigurationError("--seeds must name at least one seed")
             cfg = dataclasses.replace(cfg, seeds=seeds)
         jobs = resolve_jobs(args.jobs)
         return run_experiment(cfg, jobs=jobs)

@@ -59,7 +59,7 @@ class MobileConfig:
     minmax: MinMaxConfig = field(default_factory=MinMaxConfig)
     buffer_capacity: int = 0
     mmd_features: int = 64
-    mmd_bandwidth: object = "auto"
+    mmd_bandwidth: float | str = "auto"
     knr_eval_rollouts: int = 64
 
     def __post_init__(self):
@@ -70,7 +70,7 @@ class MobileConfig:
         if not 0 < self.delta < 1:
             raise ConfigurationError("delta must lie in (0, 1)")
         if self.bonus_mode not in ("theory", "ensemble", "off"):
-            raise ConfigurationError(f"unknown bonus_mode: {self.bonus_mode!r}")
+            raise ConfigurationError(f"bonus_mode {self.bonus_mode!r} is unknown")
         if self.lam_bonus < 0:
             raise ConfigurationError("lam_bonus must be >= 0")
         if self.lam_ridge is not None and not self.lam_ridge > 0:
@@ -82,8 +82,7 @@ class MobileConfig:
         if self.mmd_features < 1:
             raise ConfigurationError("mmd_features must be >= 1")
         bw = self.mmd_bandwidth
-        if bw != "auto" and (isinstance(bw, bool) or not isinstance(
-                bw, (int, float)) or not bw > 0):
+        if bw != "auto" and (isinstance(bw, (str, bool)) or not bw > 0):
             raise ConfigurationError(
                 f"mmd_bandwidth must be 'auto' or a positive number: {bw!r}")
         if self.knr_eval_rollouts < 2:

@@ -22,6 +22,25 @@ REGRET_CSV_ROW_FORMAT = "%d,%.17g,%.17g,%s,%s"
 
 
 @dataclass(frozen=True)
+class BanditConfig:
+    """The mab-lb experiment: these algorithms on one hard family."""
+
+    num_arms: int = 10
+    horizon: int = 20_000
+    algorithms: tuple[str, ...] = ALGORITHMS
+
+    def __post_init__(self):
+        if not 2 <= self.num_arms <= self.horizon:
+            raise ConfigurationError("num_arms must be >= 2 and <= horizon")
+        if not self.algorithms:
+            raise ConfigurationError("algorithms must name at least one")
+        for a in self.algorithms:
+            if a not in ALGORITHMS:
+                raise ConfigurationError(
+                    f"algorithms: unknown {a!r}, expected one of {ALGORITHMS}")
+
+
+@dataclass(frozen=True)
 class MabInstance:
     """Unit-noise Gaussian bandit whose optimal mean is told to the player.
 

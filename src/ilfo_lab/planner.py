@@ -39,7 +39,8 @@ class KnrSearchConfig:
 
     def __post_init__(self):
         if self.exhaustive_limit < 1 or self.n_candidates < 0:
-            raise ConfigurationError("invalid search budget")
+            raise ConfigurationError(
+                "exhaustive_limit must be >= 1 and n_candidates >= 0")
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,12 @@ def make_chain(num_states: int = 6, num_actions: int = 3, horizon: int = 5,
     walking the whole line, so imitation needs actual progress.
     """
     S, A = num_states, num_actions
+    if S < 2:
+        raise ConfigurationError("num_states must be >= 2: a start and an end")
     if A < 2:
-        raise ConfigurationError("chain needs at least stay and right actions")
+        raise ConfigurationError("num_actions must be >= 2: stay and right")
+    if not 0.0 <= slip <= 1.0:
+        raise ConfigurationError("slip must lie in [0, 1]")
     P = np.zeros((S, A, S))
     for s in range(S):
         for a in range(A):
@@ -58,11 +62,13 @@ def make_combination_lock(n_chain: int = 6, num_actions: int = 6,
     """
     A = num_actions
     if A != 6:
-        raise ConfigurationError("lock layout is defined for exactly 6 actions")
+        raise ConfigurationError("num_actions must be 6, the lock's layout")
     if not 0.0 < q <= 1.0:
-        raise ConfigurationError("shortcut advance probability must be in (0, 1]")
+        raise ConfigurationError("q must lie in (0, 1]")
     if n_chain < 2:
-        raise ConfigurationError("lock needs at least a start and a goal state")
+        raise ConfigurationError("n_chain must be >= 2: a start and a goal")
+    if code_seed < 0:
+        raise ConfigurationError("code_seed must be >= 0")
     S = n_chain + 1
     goal, trap = n_chain - 1, n_chain
     code = np.random.default_rng(code_seed).integers(4, A, size=n_chain)
@@ -87,6 +93,8 @@ def make_combination_lock(n_chain: int = 6, num_actions: int = 6,
 
 def make_two_state(p_forward: float, horizon: int = 1) -> TabularMdp:
     """Two states, one action: s0 -> s1 with probability ``p_forward``, s1 absorbing."""
+    if not 0.0 <= p_forward <= 1.0:
+        raise ConfigurationError("p_forward must lie in [0, 1]")
     P = np.zeros((2, 1, 2))
     P[0, 0] = [1.0 - p_forward, p_forward]
     P[1, 0] = [0.0, 1.0]

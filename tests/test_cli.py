@@ -1,12 +1,19 @@
+import inspect
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ilfo_lab.cli as cli_mod
-from ilfo_lab import ConfigurationError
+from ilfo_lab import ConfigurationError, MobileConfig
 from ilfo_lab.cli import (
+    ENV_FACTORIES,
+    TABULAR_KINDS,
     ExperimentConfig,
     main,
     parse_config,
@@ -14,6 +21,8 @@ from ilfo_lab.cli import (
     run_experiment,
     serialize_config,
 )
+from ilfo_lab.mab import ALGORITHMS, BanditConfig
+from ilfo_lab.planner import KnrSearchConfig, MinMaxConfig
 from ilfo_lab.verify import CheckReport
 
 TINY_TABULAR = {
@@ -97,8 +106,8 @@ class TestParseConfig:
 
     def test_bandit_validation(self):
         cfg = parse_config('{"subcommand": "mab-lb"}')
-        assert cfg.bandit["num_arms"] == 10
-        assert cfg.bandit["horizon"] == 20_000
+        assert cfg.bandit.num_arms == 10
+        assert cfg.bandit.horizon == 20_000
         with pytest.raises(ConfigurationError, match="unknown 'ts'"):
             parse_config('{"subcommand": "mab-lb", '
                          '"bandit": {"algorithms": ["ts"]}}')
@@ -311,3 +320,168 @@ class TestMain:
         cfg_path.write_text(json.dumps(dict(TINY_TABULAR,
                                             out=str(tmp_path / "o"))))
         assert main(["mobile-tabular", "--config", str(cfg_path)]) == 2
+
+
+# each config section and the callable its keys are checked against
+SECTIONS = [("mobile-tabular", "mobile", {}, MobileConfig),
+            ("mobile-tabular", "mobile.minmax", {}, MinMaxConfig),
+            ("mobile-tabular", "mobile.minmax.knr_search", {}, KnrSearchConfig),
+            ("mab-lb", "bandit", {}, BanditConfig)] + [
+    ("mobile-tabular" if kind in TABULAR_KINDS else "mobile-knr", "env",
+     {"kind": kind, **({"p_forward": 0.5} if kind == "two_state" else {})},
+     factory) for kind, factory in ENV_FACTORIES.items()]
+
+
+def _nested(path: str, leaf: dict) -> dict:
+    for key in reversed(path.split(".")):
+        leaf = {key: leaf}
+    return leaf
+
+
+def _int_field_cases():
+    for subcommand, section, base, fn in SECTIONS:
+        params = inspect.signature(fn, eval_str=True).parameters
+        for name, param in params.items():
+            if param.annotation is not int:
+                continue
+            for bad in (2.5, True, "6"):
+                change = _nested(section, dict(base, **{name: bad}))
+                yield pytest.param(subcommand, change, f"{section}.{name}",
+                                   id=f"{base.get('kind', section)}."
+                                      f"{name}={bad!r}")
+
+
+def _run_main(tmp_path, subcommand, change, *flags):
+    out = tmp_path / "o"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"out": str(out), **change}))
+    code = main([subcommand, "--config", str(cfg_path), *flags])
+    return code, (out / "config.json").exists()
+
+
+class TestSchema:
+    @pytest.mark.parametrize("subcommand, change, path", _int_field_cases())
+    def test_int_fields_reject_other_types(self, tmp_path, capsys,
+                                           subcommand, change, path):
+        code, wrote = _run_main(tmp_path, subcommand, change)
+        assert code == 2
+        assert f"'{path}' must be an int" in capsys.readouterr().err
+        assert not wrote
+
+    @pytest.mark.parametrize("subcommand, change, message", [
+        ("mobile-tabular", {"env": {"kind": "chain", "horizon": 2.5}},
+         "'env.horizon' must be an int, got 2.5"),
+        ("mobile-tabular", {"env": {"kind": "chain", "num_states": "6"}},
+         "'env.num_states' must be an int, got '6'"),
+        ("mobile-tabular", {"mobile": {"minmax": {"k_iters": 1.5}}},
+         "'mobile.minmax.k_iters' must be an int, got 1.5"),
+        ("mobile-knr",
+         {"mobile": {"minmax": {"knr_search": {"n_candidates": 0.5}}}},
+         "'mobile.minmax.knr_search.n_candidates' must be an int, got 0.5"),
+        ("mobile-tabular", {"mobile": {"t_iters": True}},
+         "'mobile.t_iters' must be an int, got True"),
+        ("mobile-tabular", {"mobile": {"t_iters": 2.5}},
+         "'mobile.t_iters' must be an int, got 2.5"),
+        ("mobile-knr", {"mobile": {"mmd_features": 1.5}},
+         "'mobile.mmd_features' must be an int, got 1.5"),
+        ("mobile-tabular", {"seeds": [-1]},
+         "'seeds' must be a nonempty list of ints >= 0"),
+        ("mobile-tabular", {"env": {"kind": "chain", "num_states": 1}},
+         "env.num_states must be >= 2"),
+        ("mobile-tabular", {"env": {"kind": "lock", "code_seed": -1}},
+         "env.code_seed must be >= 0"),
+        ("mobile-tabular", {"env": {"kind": "two_state", "p_forward": 1.5}},
+         "env.p_forward must lie in [0, 1]"),
+        ("mobile-tabular", {"mobile": {"lam_ridge": "small"}},
+         "'mobile.lam_ridge' must be a number or null, got 'small'"),
+        ("mobile-tabular", {"mobile": {"minmax": 5}},
+         "'mobile.minmax' must be an object, got 5"),
+        ("mab-lb", {"bandit": {"algorithms": "ucb1"}},
+         "'bandit.algorithms' must be a nonempty list of strings"),
+        ("mab-lb", {"bandit": {"num_arms": 5, "horizon": 4}},
+         "bandit.num_arms must be >= 2 and <= horizon"),
+    ], ids=["env_horizon_float", "env_num_states_str", "k_iters_float",
+            "n_candidates_float", "t_iters_bool", "t_iters_float",
+            "mmd_features_float", "negative_seed", "chain_one_state",
+            "lock_negative_code_seed", "two_state_p_forward",
+            "lam_ridge_str", "minmax_not_object", "algorithms_not_list",
+            "horizon_below_num_arms"])
+    def test_bad_values_fail_at_parse_time(self, tmp_path, capsys,
+                                           subcommand, change, message):
+        code, wrote = _run_main(tmp_path, subcommand, change)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not wrote
+
+    def test_negative_seed_flag_fails_before_writing(self, tmp_path, capsys):
+        code, wrote = _run_main(tmp_path, "mobile-tabular", {},
+                                "--seeds=-1")
+        assert code == 2
+        assert "'seeds' must be a nonempty list of ints >= 0" in (
+            capsys.readouterr().err)
+        assert not wrote
+
+    def test_seeds_checked_on_construction(self):
+        for seeds in ((), (-1,), (True,), [0]):
+            with pytest.raises(ConfigurationError, match="'seeds'"):
+                ExperimentConfig(subcommand="verify-suite", seeds=seeds)
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+        assert blocks, "README has no json example"
+        for block in blocks:
+            parse_config(block)
+
+
+_UNIT = st.floats(0.0, 1.0)
+_POSITIVE = st.floats(1e-6, 1e6)
+_TABULAR_ENVS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("chain")}, optional={
+        "num_states": st.integers(2, 8), "num_actions": st.integers(2, 4),
+        "horizon": st.integers(1, 6), "slip": _UNIT}),
+    st.fixed_dictionaries({"kind": st.just("lock")}, optional={
+        "n_chain": st.integers(2, 8), "horizon": st.integers(1, 12),
+        "q": st.floats(0.0, 1.0, exclude_min=True),
+        "code_seed": st.integers(0, 2**32 - 1)}),
+    st.fixed_dictionaries({"kind": st.just("two_state"), "p_forward": _UNIT},
+                          optional={"horizon": st.integers(1, 4)}))
+_KNR_ENVS = st.fixed_dictionaries({"kind": st.just("knr_example")}, optional={
+    "noise_std": st.floats(0.0, 1.0), "horizon": st.integers(1, 6)})
+_MOBILE = st.fixed_dictionaries({}, optional={
+    "t_iters": st.integers(1, 10**6), "n_expert": st.integers(1, 10**6),
+    "delta": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    "bonus_mode": st.sampled_from(["theory", "ensemble", "off"]),
+    "lam_bonus": st.floats(0.0, 1e6), "lam_ridge": st.none() | _POSITIVE,
+    "w_max": _POSITIVE, "buffer_capacity": st.integers(0, 10**6),
+    "mmd_features": st.integers(1, 4096),
+    "mmd_bandwidth": st.just("auto") | _POSITIVE | st.integers(1, 100),
+    "knr_eval_rollouts": st.integers(2, 10**4),
+    "minmax": st.fixed_dictionaries({}, optional={
+        "k_iters": st.integers(1, 10**4),
+        "knr_search": st.fixed_dictionaries({}, optional={
+            "exhaustive_limit": st.integers(1, 10**6),
+            "n_candidates": st.integers(0, 10**6)})})})
+_BANDIT = st.fixed_dictionaries({}, optional={
+    "num_arms": st.integers(2, 50), "horizon": st.integers(50, 10**6),
+    "algorithms": st.lists(st.sampled_from(ALGORITHMS), min_size=1,
+                           max_size=4)})
+_SEEDS = st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5)
+_CONFIGS = st.one_of(
+    st.fixed_dictionaries({"subcommand": st.just("mobile-tabular"),
+                           "env": _TABULAR_ENVS, "mobile": _MOBILE,
+                           "seeds": _SEEDS}),
+    st.fixed_dictionaries({"subcommand": st.just("mobile-knr"),
+                           "env": _KNR_ENVS, "mobile": _MOBILE,
+                           "seeds": _SEEDS}),
+    st.fixed_dictionaries({"subcommand": st.just("mab-lb"),
+                           "bandit": _BANDIT, "seeds": _SEEDS}),
+    st.fixed_dictionaries({"subcommand": st.just("verify-suite")},
+                          optional={"seeds": _SEEDS, "out": st.just("x")}))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_CONFIGS)
+def test_round_trip_on_generated_configs(raw):
+    cfg = parse_config(json.dumps(raw))
+    assert parse_config(serialize_config(cfg)) == cfg

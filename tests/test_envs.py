@@ -16,6 +16,7 @@ from ilfo_lab.envs import (
 )
 from ilfo_lab.worlds import (
     make_chain,
+    make_combination_lock,
     make_knr_example,
     make_random_mdp,
     make_random_policy,
@@ -37,6 +38,20 @@ def test_cost_range_and_init_state_validated():
         TabularMdp(horizon=1, transitions=P, cost=np.array([1.5]), init_state=0)
     with pytest.raises(ConfigurationError):
         TabularMdp(horizon=1, transitions=P, cost=np.array([0.5]), init_state=3)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: make_chain(num_states=1), "num_states"),
+    (lambda: make_chain(slip=1.5), "slip"),
+    (lambda: make_combination_lock(code_seed=-1), "code_seed"),
+    (lambda: make_two_state(-0.5), "p_forward"),
+], ids=["chain_one_state", "chain_slip", "lock_negative_code_seed",
+        "two_state_p_forward"])
+def test_world_constructors_name_the_bad_argument(build, name):
+    # a one-state chain used to divide by zero building its cost, and a
+    # negative code seed used to fail inside numpy's generator
+    with pytest.raises(ConfigurationError, match=f"^{name} must"):
+        build()
 
 
 def test_policy_rows_validated():
