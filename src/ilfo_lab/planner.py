@@ -14,6 +14,7 @@ value oracle for small tabular games.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -23,11 +24,13 @@ from scipy.optimize import linprog
 from .discriminators import (MmdDiscriminator, box_witness, mmd_update,
                              tv_best_response)
 from .envs import (ConfigurationError, MixedPolicy, Policy, TabularMdp,
-                   occupancy_exact, occupancy_stack)
+                   occupancy_exact)
 from .expert import ExpertDataset
 from .models import BonusFunction, KnrModel, TabularModel, mean_bonus_on_path
 
 Array = np.ndarray
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -203,16 +206,25 @@ def _solve_fw_box(model, bonus, expert, cfg, horizon, init_state):
     uniform = Policy.tabular(np.full((horizon, s_dim, a_dim), 1.0 / a_dim))
     d_bar = occupancy_exact(view, uniform).average
     components = []
+    # the best response and its occupancy are pure functions of the 0/1
+    # witness, so a repeated witness reuses both (and the same Policy)
+    responses = {}
     for k in range(1, cfg.k_iters + 1):
         f_k = box_witness(d_bar.sum(axis=1), d_e)
-        pi_k = best_response_tabular(model, f_k[:, None] - b_table, horizon)
-        occ_k = occupancy_stack(view, (pi_k,))[0].mean(axis=0)
+        key = f_k.tobytes()
+        if key not in responses:
+            pi = best_response_tabular(model, f_k[:, None] - b_table, horizon)
+            responses[key] = (pi, occupancy_exact(view, pi).average)
+        pi_k, occ_k = responses[key]
         components.append(pi_k)
         d_bar = (1.0 - 1.0 / k) * d_bar + occ_k / k
     mixture = MixedPolicy(components=tuple(components),
                           weights=np.full(len(components),
                                           1.0 / len(components)))
-    return mixture, box_objective(d_bar, d_e, b_table)
+    objective = box_objective(d_bar, d_e, b_table)
+    logger.debug("box Frank-Wolfe: %d rounds, %d distinct best responses, "
+                 "objective %.17g", cfg.k_iters, len(responses), objective)
+    return mixture, objective
 
 
 def _nominal_decision_states(model, seq, init_state, horizon):

@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -190,16 +191,20 @@ class TestSolveMinmaxTabular:
 
     @staticmethod
     def reference_fw_box(model, bonus, d_e, k_iters, horizon, init_state):
-        """Frank-Wolfe on one-hot (H, S, A) cubes through occupancy_exact."""
+        """Unmemoized Frank-Wolfe on one-hot (H, S, A) cubes through
+        occupancy_exact: every round solves its own DP and forward pass.
+        Returns each round's action table and box witness, and the final
+        objective."""
         from ilfo_lab import occupancy_exact
         view = model_view(model, horizon, init_state)
         s_dim, a_dim = model.num_states, model.num_actions
         b = np.zeros((s_dim, a_dim)) if bonus is None else bonus
         d_bar = occupancy_exact(view, Policy.tabular(
             np.full((horizon, s_dim, a_dim), 1.0 / a_dim))).average
-        tables = []
+        tables, witnesses = [], []
         for k in range(1, k_iters + 1):
             f = (d_bar.sum(axis=1) > d_e).astype(float)
+            witnesses.append(f)
             cost = f[:, None] - b
             actions = np.zeros((horizon, s_dim), dtype=int)
             v = np.zeros(s_dim)
@@ -212,29 +217,64 @@ class TestSolveMinmaxTabular:
             tables.append(actions)
             d_bar = (1.0 - 1.0 / k) * d_bar + occ / k
         ipm = float(np.maximum(d_bar.sum(axis=1) - d_e, 0.0).sum())
-        return tables, ipm - float((d_bar * b).sum())
+        return tables, witnesses, ipm - float((d_bar * b).sum())
 
     @settings(max_examples=80, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), s_dim=st.integers(1, 5),
+    @given(seed=st.integers(0, 2**32 - 1), s_dim=st.integers(1, 6),
            a_dim=st.integers(1, 3), horizon=st.integers(1, 5),
-           k_iters=st.integers(1, 30), with_bonus=st.booleans(),
-           init=st.integers(0, 4))
-    def test_table_fw_matches_one_hot_reference(self, seed, s_dim, a_dim,
-                                                horizon, k_iters, with_bonus,
-                                                init):
+           k_iters=st.integers(1, 200), with_bonus=st.booleans(),
+           init=st.integers(0, 5))
+    def test_memo_matches_unmemoized_fw(self, seed, s_dim, a_dim, horizon,
+                                        k_iters, with_bonus, init):
+        # a repeated witness reuses its best response: same tables and
+        # objective as the unmemoized solver, one Policy object per
+        # distinct witness, and one DP per distinct witness
         rng = np.random.default_rng(seed)
         model, bonus, d_e = self.random_game(rng, s_dim, a_dim, horizon,
                                              with_bonus)
         init %= s_dim
-        mix, obj = solve_minmax(model, bonus, "box", d_e,
-                                MinMaxConfig(k_iters=k_iters),
-                                horizon=horizon, init_state=init)
-        tables, ref_obj = self.reference_fw_box(model, bonus, d_e, k_iters,
-                                                horizon, init)
+        calls = []
+        best_response = planner.best_response_tabular
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return best_response(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(planner, "best_response_tabular", counted)
+            mix, obj = solve_minmax(model, bonus, "box", d_e,
+                                    MinMaxConfig(k_iters=k_iters),
+                                    horizon=horizon, init_state=init)
+        tables, witnesses, ref_obj = self.reference_fw_box(
+            model, bonus, d_e, k_iters, horizon, init)
         assert len(mix.components) == k_iters
         for comp, table in zip(mix.components, tables):
             assert np.array_equal(comp.action_table, table)
         assert obj == ref_obj
+        first = {}
+        for comp, f in zip(mix.components, witnesses):
+            assert first.setdefault(f.tobytes(), comp) is comp
+        assert len({id(c) for c in mix.components}) == len(first)
+        assert len(calls) == len(first)
+
+    def test_solve_logs_distinct_best_responses(self, caplog):
+        mdp = make_chain()
+        model = tabular_model(mdp.kernel(0))
+        rng = np.random.default_rng(19)
+        d_e = rng.dirichlet(np.ones(mdp.num_states))
+        bonus = rng.uniform(0, 0.1, size=(mdp.num_states, mdp.num_actions))
+        cfg = MinMaxConfig(k_iters=200)
+        with caplog.at_level(logging.DEBUG, logger="ilfo_lab"):
+            mix, obj = solve_minmax(model, bonus, "box", d_e, cfg,
+                                    horizon=mdp.horizon)
+        records = [r for r in caplog.records if r.name == "ilfo_lab.planner"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.DEBUG
+        rounds, distinct, logged_obj = records[0].args
+        assert rounds == cfg.k_iters
+        assert distinct == len({id(c) for c in mix.components})
+        assert distinct < cfg.k_iters
+        assert logged_obj == obj
 
     def test_final_objective_not_above_initial(self):
         rng = np.random.default_rng(8)
