@@ -20,7 +20,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .envs import ConfigurationError, rollout, value_eval_mc
-from .expert import (ExpertDataset, sample_expert_states, solve_openloop_knr,
+from .expert import (OPENLOOP_SEARCH_LIMIT, ExpertDataset,
+                     sample_expert_states, solve_openloop_knr,
                      solve_optimal_tabular)
 from .loop import MobileConfig, regret_summary, run_mobile, write_csv_rows
 from .mab import (BanditConfig, cumulative_regret_curve, fit_loglog_slope,
@@ -81,7 +82,9 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"'bandit' does not apply to {self.subcommand}")
         if self.env is not None:
-            _check_env(self.env, self.subcommand)
+            env = _check_env(self.env, self.subcommand)
+            if self.subcommand == "mobile-knr" and self.mobile is not None:
+                _check_knr_search(env, self.mobile.minmax.knr_search)
 
 
 # annotation -> (one value, a list of them), for type-error messages
@@ -140,7 +143,7 @@ def _build(fn, given: dict, path: str):
         raise ConfigurationError(f"{path}{exc}") from exc
 
 
-def _check_env(env: dict, subcommand: str) -> None:
+def _check_env(env: dict, subcommand: str):
     """Build the environment env describes, so its own checks run."""
     args = dict(env)
     kind = args.pop("kind", None)
@@ -152,7 +155,22 @@ def _check_env(env: dict, subcommand: str) -> None:
         raise ConfigurationError(f"'env.kind' {kind!r} is not a "
                                  f"{'tabular' if tabular else 'knr_example'} "
                                  f"environment, as {subcommand} needs")
-    _build(ENV_FACTORIES[kind], args, "env.")
+    return _build(ENV_FACTORIES[kind], args, "env.")
+
+
+def _check_knr_search(system, search) -> None:
+    """Reject an A^H that the expert's or the planner's search cannot run."""
+    A, H = system.num_actions, system.horizon
+    if A ** H > OPENLOOP_SEARCH_LIMIT:
+        raise ConfigurationError(
+            f"'env.horizon' {H}: the expert's open-loop search space "
+            f"{A}^{H} exceeds {OPENLOOP_SEARCH_LIMIT}")
+    if A ** H > search.exhaustive_limit and search.n_candidates == 0:
+        raise ConfigurationError(
+            f"'mobile.minmax.knr_search.exhaustive_limit': A^H = {A ** H} "
+            f"exceeds the exhaustive budget {search.exhaustive_limit} and "
+            "random shooting is disabled "
+            "('mobile.minmax.knr_search.n_candidates' is 0)")
 
 
 def parse_config(text: str,

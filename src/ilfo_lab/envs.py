@@ -2,6 +2,9 @@
 
 Tabular MDPs get exact forward (occupancy) and backward (value) dynamic
 programs; continuous-state linear-Gaussian systems get Monte-Carlo rollouts.
+The two exact best responses live here too, the backward-DP argmin and the
+prefix-sharing open-loop search: the experts run them on the true system,
+the planner on the learned model.
 All sampling goes through an explicit numpy Generator so runs are replayable.
 """
 
@@ -203,17 +206,6 @@ class Policy:
         if self.action_table is None:
             return self.probs
         return _frozen(_one_hot(self.action_table, self.num_actions))
-
-    def probs_at(self, h: int, num_states: int, num_actions: int) -> Array:
-        """(S, A) action distribution at step h, lifting open-loop sequences
-        and action tables."""
-        if self.action_seq is not None:
-            out = np.zeros((num_states, num_actions))
-            out[:, int(self.action_seq[h])] = 1.0
-            return out
-        if self.action_table is not None:
-            return _one_hot(self.action_table[h], num_actions)
-        return self.probs[h]
 
 
 def _one_hot(actions: Array, num_actions: int) -> Array:
@@ -429,40 +421,103 @@ def occupancy_exact(mdp: TabularMdp, policy: AnyPolicy) -> OccupancyMeasure:
 
 
 def _cost_table(cost, S: int, A: int) -> Array:
-    """Normalize a cost spec ((S,), (S,A), or callable) to an (S, A) table."""
-    if callable(cost):
-        table = np.array([[float(cost(s, a)) for a in range(A)] for s in range(S)])
-        return table
+    """Normalize an (S,) or (S, A) cost to an (S, A) table."""
     arr = np.asarray(cost, dtype=float)
     if arr.shape == (S,):
         return np.repeat(arr[:, None], A, axis=1)
     if arr.shape == (S, A):
         return arr
-    raise ConfigurationError("cost must be (S,), (S,A), or callable(s,a)")
+    raise ConfigurationError("cost must be (S,) or (S, A)")
 
 
-def value_eval_tabular(mdp, policy: AnyPolicy, cost) -> float:
-    """Expected total cost of ``policy`` under a tabular kernel, by backward DP.
+def state_values(mdp, policy: AnyPolicy, cost) -> Array:
+    """(K, H+1, S) backward state values of the K components of ``policy``.
 
-    ``mdp`` is anything exposing horizon / num_states / num_actions /
-    init_state / kernel(h). Equals H * <d_avg, cost> from occupancy_exact.
-    A mixture runs one backward pass over the stack of its components.
+    K is 1 for a single policy; step H is zero. ``mdp`` is anything
+    exposing horizon / num_states / num_actions / init_state / kernel(h),
+    and ``cost`` is (S,) or (S, A). One backward pass over the stack.
     """
     mixed = isinstance(policy, MixedPolicy)
     probs = _probs_stack(mdp, policy.components if mixed else (policy,))
     K, H, S, A = probs.shape
     c = _cost_table(cost, S, A)
     probs_steps = probs.swapaxes(0, 1)
+    values = np.zeros((K, H + 1, S))
     v = np.zeros((K, S))
     for h in range(H - 1, -1, -1):
         # a stacked matmul sums in the order of one policy's kernel @ v
         q = c + (mdp.kernel(h)[None] @ v[:, None, :, None])[..., 0]
         v = (probs_steps[h] * q).sum(axis=-1)
-    if not mixed:
-        return float(v[0, mdp.init_state])
+        values[:, h] = v
+    return values
+
+
+def value_eval_tabular(mdp, policy: AnyPolicy, cost) -> float:
+    """Expected total cost of ``policy`` from ``mdp.init_state``.
+
+    The step-0 slice of ``state_values``; equals H * <d_avg, cost> from
+    occupancy_exact. A mixture weights its components' values.
+    """
+    v0 = state_values(mdp, policy, cost)[:, 0, mdp.init_state]
+    if not isinstance(policy, MixedPolicy):
+        return float(v0[0])
     # contiguous, so the weighted sum matches one over a list of floats
-    return float(np.dot(policy.weights,
-                        np.ascontiguousarray(v[:, mdp.init_state])))
+    return float(np.dot(policy.weights, np.ascontiguousarray(v0)))
+
+
+def best_response_tabular(mdp, cost) -> Policy:
+    """Cost-minimizing deterministic nonstationary policy by backward DP.
+
+    ``cost`` is (S,) or (S, A) and may be negative (bonus-lowered
+    objectives); ``mdp`` is read through num_states / num_actions /
+    horizon / kernel(h), so per-step kernels are followed. Ties go to the
+    lowest action index.
+    """
+    S, A, H = mdp.num_states, mdp.num_actions, mdp.horizon
+    c = _cost_table(cost, S, A)
+    actions = np.zeros((H, S), dtype=np.int64)
+    rows = np.arange(S)
+    v = np.zeros(S)
+    for h in range(H - 1, -1, -1):
+        q = c + mdp.kernel(h) @ v
+        actions[h] = q.argmin(axis=1)
+        v = q[rows, actions[h]]
+    return Policy.deterministic(actions, num_actions=A)
+
+
+def openloop_search(step: Callable, cost: Callable, init_state,
+                    num_actions: int, horizon: int, ids: Array,
+                    bonus: Callable | None = None) -> tuple[Array, float]:
+    """Lowest-scoring open-loop action sequence among the indices ``ids``.
+
+    A sequence's index reads its actions as base-A digits, the first
+    action most significant; ``ids`` is sorted. A sequence scores
+    sum_h cost(s_h) - bonus(s_h, a_h) along s_{h+1} = step(s_h, a_h),
+    accumulated as (prefix + cost) - bonus. The nodes at depth h are the
+    distinct prefixes ids // A^(H-1-h), so a common prefix is rolled out
+    once. Ties go to the first minimum, the smallest index. Returns the
+    sequence and its score.
+    """
+    A, H = num_actions, horizon
+    ids = np.asarray(ids, dtype=np.int64)
+    nodes = np.zeros(1, dtype=np.int64)  # the empty prefix
+    states = [np.asarray(init_state, dtype=float)]
+    scores = np.zeros(1)
+    for h in range(H):
+        children = np.unique(ids // A ** (H - 1 - h))
+        parents = np.searchsorted(nodes, children // A)
+        actions = (children % A).tolist()
+        step_cost = np.array([float(cost(s)) for s in states])
+        scores = scores[parents] + step_cost[parents]
+        if bonus is not None:
+            scores -= [float(bonus(states[p], a))
+                       for p, a in zip(parents, actions)]
+        if h < H - 1:
+            states = [step(states[p], a) for p, a in zip(parents, actions)]
+        nodes = children
+    best = int(np.argmin(scores))
+    seq = np.array(np.unravel_index(nodes[best], (A,) * H))
+    return seq, float(scores[best])
 
 
 def value_eval_mc(

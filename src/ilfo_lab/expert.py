@@ -17,6 +17,8 @@ from .envs import (
     KnrSystem,
     Policy,
     TabularMdp,
+    best_response_tabular,
+    openloop_search,
     rollout,
 )
 
@@ -75,53 +77,27 @@ class ExpertDataset:
 
 
 def solve_optimal_tabular(mdp: TabularMdp) -> Policy:
-    """Cost-minimizing deterministic nonstationary policy via backward recursion.
+    """The tabular best response run on the true kernel and cost.
 
     Ties go to the lowest action index.
     """
-    S, A, H = mdp.num_states, mdp.num_actions, mdp.horizon
-    v = np.zeros(S)
-    greedy = np.zeros((H, S), dtype=int)
-    for h in range(H - 1, -1, -1):
-        q = mdp.cost[:, None] + mdp.kernel(h) @ v
-        greedy[h] = np.argmin(q, axis=1)
-        v = q[np.arange(S), greedy[h]]
-    return Policy.deterministic(greedy, num_actions=A)
+    return best_response_tabular(mdp, mdp.cost)
 
 
 def solve_openloop_knr(system: KnrSystem) -> Policy:
     """Best open-loop action sequence under the noise-free nominal dynamics.
 
-    Scores every one of the A^H sequences on the deterministic rollout
-    (noise treated as zero). Ties go to the lexicographically smallest
-    sequence.
+    The open-loop search over all A^H sequences, run on the true mean
+    dynamics and cost with no bonus. Ties go to the lexicographically
+    smallest sequence.
     """
     A, H = system.num_actions, system.horizon
     if A ** H > OPENLOOP_SEARCH_LIMIT:
         raise ConfigurationError(
             f"open-loop search space {A}^{H} exceeds {OPENLOOP_SEARCH_LIMIT}")
-
-    # breadth-first expansion shares prefix rollouts; lexicographic order is
-    # preserved because actions are expanded in increasing index order
-    states = [np.array(system.init_state, dtype=float)]
-    costs = np.array([0.0])
-    for _ in range(H):
-        step_cost = np.array([system.cost_of(s) for s in states])
-        new_states = []
-        new_costs = np.empty(len(states) * A)
-        for i, s in enumerate(states):
-            base = costs[i] + step_cost[i]
-            for a in range(A):
-                new_states.append(system.weights @ system.feature(s, a))
-                new_costs[i * A + a] = base
-        states = new_states
-        costs = new_costs
-    best = int(np.argmin(costs))
-    seq = []
-    for _ in range(H):
-        seq.append(best % A)
-        best //= A
-    return Policy.open_loop(list(reversed(seq)))
+    seq, _ = openloop_search(system.step_mean, system.cost_of,
+                             system.init_state, A, H, np.arange(A ** H))
+    return Policy.open_loop(seq)
 
 
 def sample_expert_states(env, expert: Policy, n_trajectories: int,
@@ -151,24 +127,45 @@ def save_expert_dataset(dataset: ExpertDataset, path: str) -> None:
 
 
 def load_expert_dataset(path: str) -> ExpertDataset:
+    """Read the format of save_expert_dataset.
+
+    A malformed header or trajectory line raises ConfigurationError naming
+    the line: tabular states must be integers >= 0, and every line holds
+    (horizon + 1) * max(state_dim, 1) numbers.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header.startswith("# horizon="):
-            raise ConfigurationError("missing dataset header")
-        fields = dict(part.split("=") for part in header[2:].split())
-        horizon = int(fields["horizon"])
-        dim = int(fields["state_dim"])
+            raise ConfigurationError(f"{path}:1: missing dataset header")
+        try:
+            fields = dict(part.split("=") for part in header[2:].split())
+            horizon = int(fields["horizon"])
+            dim = int(fields["state_dim"])
+        except (KeyError, ValueError) as exc:
+            raise ConfigurationError(
+                f"{path}:1: header needs integer 'horizon' and 'state_dim' "
+                f"fields, got {header!r}") from exc
+        width = (horizon + 1) * max(dim, 1)
         trajs = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            vals = [float(x) for x in line.split(",")]
+            try:
+                vals = np.array([float(x) for x in line.split(",")])
+            except ValueError as exc:
+                raise ConfigurationError(
+                    f"{path}:{lineno}: non-numeric state value") from exc
+            if len(vals) != width:
+                raise ConfigurationError(
+                    f"{path}:{lineno}: expected {width} numbers for horizon "
+                    f"{horizon} and state_dim {dim}, got {len(vals)}")
             if dim > 0:
-                arr = np.array(vals).reshape(horizon + 1, dim)
+                trajs.append(vals.reshape(horizon + 1, dim))
+            elif np.all(np.isfinite(vals) & (vals >= 0)
+                        & (vals == np.floor(vals))):
+                trajs.append(vals.astype(int))
             else:
-                arr = np.array([int(v) for v in vals], dtype=int)
-                if len(arr) != horizon + 1:
-                    raise ConfigurationError("trajectory length mismatch")
-            trajs.append(arr)
+                raise ConfigurationError(
+                    f"{path}:{lineno}: tabular states must be integers >= 0")
     return ExpertDataset(trajectories=tuple(trajs))

@@ -24,7 +24,7 @@ from scipy.optimize import linprog
 from .discriminators import (MmdDiscriminator, box_witness, mmd_update,
                              tv_best_response)
 from .envs import (ConfigurationError, MixedPolicy, Policy, TabularMdp,
-                   occupancy_exact)
+                   best_response_tabular, occupancy_exact, openloop_search)
 from .expert import ExpertDataset
 from .models import BonusFunction, KnrModel, TabularModel, mean_bonus_on_path
 
@@ -65,49 +65,6 @@ def _model_mdp(model: TabularModel, horizon: int, init_state) -> TabularMdp:
                       init_state=int(init_state))
 
 
-def best_response_tabular(model: TabularModel, cost, horizon: int) -> Policy:
-    """Exact optimal deterministic nonstationary policy via backward DP.
-
-    cost may be (S, A) or (S,); ties pick the lowest action index.
-    Costs may be negative (bonus-augmented objectives).
-    """
-    kernel = model.p_hat
-    s_dim, a_dim = kernel.shape[0], kernel.shape[1]
-    c = np.asarray(cost, dtype=float)
-    if c.ndim == 1:
-        c = np.repeat(c[:, None], a_dim, axis=1)
-    if c.shape != (s_dim, a_dim):
-        raise ConfigurationError("cost must be (S, A) or (S,)")
-    actions = np.zeros((horizon, s_dim), dtype=np.int64)
-    rows = np.arange(s_dim)
-    v = np.zeros(s_dim)
-    for h in range(horizon - 1, -1, -1):
-        q = c + kernel @ v
-        actions[h] = q.argmin(axis=1)
-        v = q[rows, actions[h]]
-    return Policy.deterministic(actions, num_actions=a_dim)
-
-
-def _decode_sequence(index: int, horizon: int, num_actions: int) -> Array:
-    seq = np.zeros(horizon, dtype=np.int64)
-    for h in range(horizon - 1, -1, -1):
-        seq[h] = index % num_actions
-        index //= num_actions
-    return seq
-
-
-def _score_sequence(model: KnrModel, seq: Array, cost_fn: Callable,
-                    bonus, init_state) -> float:
-    s = np.asarray(init_state, dtype=float)
-    total = 0.0
-    for a in seq:
-        total += float(cost_fn(s))
-        if bonus is not None:
-            total -= float(bonus(s, int(a)))
-        s = model.mean_prediction(s, int(a))
-    return total
-
-
 def best_response_knr(model: KnrModel, cost_fn: Callable, bonus,
                       horizon: int, num_actions: int, init_state,
                       search_cfg: KnrSearchConfig,
@@ -136,15 +93,9 @@ def best_response_knr(model: KnrModel, cost_fn: Callable, bonus,
         raise ConfigurationError(
             f"A^H = {total} exceeds the exhaustive budget "
             f"{search_cfg.exhaustive_limit} and random shooting is disabled")
-    best_score = np.inf
-    best_seq = None
-    for idx in candidate_ids:
-        seq = _decode_sequence(int(idx), horizon, num_actions)
-        score = _score_sequence(model, seq, cost_fn, bonus, init_state)
-        if score < best_score - 1e-15:
-            best_score = score
-            best_seq = seq
-    return Policy.open_loop(best_seq)
+    seq, _ = openloop_search(model.mean_prediction, cost_fn, init_state,
+                             num_actions, horizon, candidate_ids, bonus)
+    return Policy.open_loop(seq)
 
 
 def _bonus_table(bonus, s_dim: int, a_dim: int) -> Array:
@@ -213,7 +164,7 @@ def _solve_fw_box(model, bonus, expert, cfg, horizon, init_state):
         f_k = box_witness(d_bar.sum(axis=1), d_e)
         key = f_k.tobytes()
         if key not in responses:
-            pi = best_response_tabular(model, f_k[:, None] - b_table, horizon)
+            pi = best_response_tabular(view, f_k[:, None] - b_table)
             responses[key] = (pi, occupancy_exact(view, pi).average)
         pi_k, occ_k = responses[key]
         components.append(pi_k)

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .envs import (Array, ConfigurationError, TabularMdp, occupancy_exact,
-                   value_eval_tabular)
+                   state_values, value_eval_tabular)
 from .expert import solve_optimal_tabular
 from .models import SIGMA_CAP, knr_beta
 from .worlds import make_chain, make_random_mdp, make_random_policy
@@ -94,16 +94,6 @@ def check_gaussian_tv(n_triples: int = 50, seed: int = 0,
                        passed=failures == 0)
 
 
-def _policy_values(kernel: Array, f_hat: Array, policy, horizon: int) -> Array:
-    """Backward state values v[h] under (kernel, f_hat); v[H] = 0."""
-    S, A = kernel.shape[0], kernel.shape[1]
-    v = np.zeros((horizon + 1, S))
-    for h in range(horizon - 1, -1, -1):
-        q = f_hat[:, None] + kernel @ v[h + 1]
-        v[h] = (policy.probs_at(h, S, A) * q).sum(axis=1)
-    return v
-
-
 def simulation_lemma_sides(mdp: TabularMdp, kernel_hat: Array, f: Array,
                            f_hat: Array, policy) -> tuple:
     """(lhs, rhs, l1_bound) of the value-difference decomposition.
@@ -116,9 +106,8 @@ def simulation_lemma_sides(mdp: TabularMdp, kernel_hat: Array, f: Array,
     S, A, H = mdp.num_states, mdp.num_actions, mdp.horizon
     hat_mdp = TabularMdp(horizon=H, transitions=kernel_hat,
                          cost=np.zeros(S), init_state=mdp.init_state)
-    lhs = value_eval_tabular(mdp, policy, f) - value_eval_tabular(
-        hat_mdp, policy, f_hat)
-    v_hat = _policy_values(kernel_hat, f_hat, policy, H)
+    v_hat = state_values(hat_mdp, policy, f_hat)[0]
+    lhs = value_eval_tabular(mdp, policy, f) - float(v_hat[0, mdp.init_state])
     d = occupancy_exact(mdp, policy).per_step
     gap_f = f - f_hat
     row_l1 = np.abs(mdp.transitions - kernel_hat).sum(axis=2)
@@ -180,8 +169,7 @@ def check_optimism(n_instances: int = 100, seed: int = 0,
         b = H * np.minimum(sigma, SIGMA_CAP)
         hat_mdp = TabularMdp(horizon=H, transitions=kernel_hat,
                              cost=np.zeros(S), init_state=mdp.init_state)
-        lhs = value_eval_tabular(hat_mdp, policy,
-                                 lambda s, a: f[s] - b[s, a])
+        lhs = value_eval_tabular(hat_mdp, policy, f[:, None] - b)
         rhs = value_eval_tabular(mdp, policy, f)
         violation = lhs - rhs - tol
         worst = max(worst, violation)

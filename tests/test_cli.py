@@ -293,6 +293,26 @@ class TestMain:
         assert field in capsys.readouterr().err
         assert not (out / "config.json").exists()
 
+    @pytest.mark.parametrize("horizon, path", [
+        (13, "'mobile.minmax.knr_search.exhaustive_limit': A^H = 8192"),
+        (20, "'env.horizon' 20: the expert's open-loop search space 2^20"),
+    ], ids=["over_exhaustive_budget", "over_expert_search_limit"])
+    def test_unrunnable_knr_search_fails_at_parse_time(self, tmp_path,
+                                                       capsys, horizon, path):
+        code, wrote = _run_main(tmp_path, "mobile-knr", {
+            "env": {"kind": "knr_example", "horizon": horizon},
+            "mobile": {"t_iters": 2, "n_expert": 5}})
+        assert code == 2
+        assert path in capsys.readouterr().err
+        assert not wrote
+
+    def test_random_shooting_admits_a_wide_search(self):
+        cfg = parse_config(json.dumps({
+            "subcommand": "mobile-knr",
+            "env": {"kind": "knr_example", "horizon": 13},
+            "mobile": {"minmax": {"knr_search": {"n_candidates": 64}}}}))
+        assert cfg.mobile.minmax.knr_search.n_candidates == 64
+
     def test_good_knr_settings_parse(self):
         cfg = parse_config(json.dumps({
             "subcommand": "mobile-knr",
@@ -480,8 +500,27 @@ _CONFIGS = st.one_of(
                           optional={"seeds": _SEEDS, "out": st.just("x")}))
 
 
+def _search_cannot_run(raw) -> bool:
+    """A mobile-knr config whose A^H overflows the exhaustive budget with
+    random shooting off (the generated horizons stay under the expert's
+    search limit)."""
+    if raw["subcommand"] != "mobile-knr":
+        return False
+    env = {k: v for k, v in raw["env"].items() if k != "kind"}
+    system = ENV_FACTORIES["knr_example"](**env)
+    search = KnrSearchConfig(
+        **raw["mobile"].get("minmax", {}).get("knr_search", {}))
+    return (system.num_actions ** system.horizon > search.exhaustive_limit
+            and search.n_candidates == 0)
+
+
 @settings(max_examples=80, deadline=None)
 @given(_CONFIGS)
 def test_round_trip_on_generated_configs(raw):
+    if _search_cannot_run(raw):
+        with pytest.raises(ConfigurationError,
+                           match="mobile.minmax.knr_search.exhaustive_limit"):
+            parse_config(json.dumps(raw))
+        return
     cfg = parse_config(json.dumps(raw))
     assert parse_config(serialize_config(cfg)) == cfg

@@ -9,8 +9,11 @@ from ilfo_lab.envs import (
     OccupancyMeasure,
     Policy,
     TabularMdp,
+    best_response_tabular,
     occupancy_exact,
+    openloop_search,
     rollout,
+    state_values,
     value_eval_mc,
     value_eval_tabular,
 )
@@ -253,7 +256,6 @@ def test_deterministic_policy_stores_its_action_table():
         for s in range(3):
             expect[h, s, table[h, s]] = 1.0
     np.testing.assert_array_equal(pol.action_probs, expect)
-    np.testing.assert_array_equal(pol.probs_at(1, 3, 3), expect[1])
 
 
 def test_action_table_validated():
@@ -394,3 +396,131 @@ def test_rollout_of_table_matches_one_hot_cube(spec, rng_seed):
             np.testing.assert_array_equal(a.states, b.states)
             np.testing.assert_array_equal(a.actions, b.actions)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def _decode_reference(index, horizon, num_actions):
+    seq = np.zeros(horizon, dtype=np.int64)
+    for h in range(horizon - 1, -1, -1):
+        seq[h] = index % num_actions
+        index //= num_actions
+    return seq
+
+
+def _score_reference(step, cost, bonus, init_state, seq):
+    # one full rollout per sequence, no shared prefixes
+    s = np.asarray(init_state, dtype=float)
+    total = 0.0
+    for a in seq:
+        total += float(cost(s))
+        if bonus is not None:
+            total -= float(bonus(s, int(a)))
+        s = step(s, int(a))
+    return total
+
+
+def _search_reference(step, cost, bonus, init_state, A, H, ids):
+    best_seq, best_score = None, np.inf
+    for idx in ids:
+        seq = _decode_reference(int(idx), H, A)
+        score = _score_reference(step, cost, bonus, init_state, seq)
+        if score < best_score:  # the first minimum wins ties
+            best_seq, best_score = seq, score
+    return best_seq, best_score
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3),
+       A=st.integers(1, 3), H=st.integers(1, 6), with_bonus=st.booleans(),
+       coarse=st.booleans(), sampled=st.booleans())
+def test_openloop_search_matches_per_sequence_scan(seed, dim, A, H,
+                                                   with_bonus, coarse,
+                                                   sampled):
+    # random linear system x' = W_a x + c_a, linear-quadratic cost, bonus
+    # linear in the state per action; coarse rounding forces score ties
+    rng = np.random.default_rng(seed)
+    W = rng.normal(scale=0.7, size=(A, dim, dim))
+    c = rng.normal(size=(A, dim))
+    q, r = rng.normal(size=dim), rng.uniform(0, 1)
+    b_lin, b_off = rng.normal(size=(A, dim)), rng.uniform(0, 1, size=A)
+    digits = 0 if coarse else 12
+    x0 = rng.normal(size=dim)
+    steps = []
+
+    def step(s, a):
+        steps.append(a)
+        return W[a] @ s + c[a]
+
+    def cost(s):
+        return round(float(q @ s + r * (s @ s)), digits)
+
+    def bonus(s, a):
+        return round(float(b_lin[a] @ s + b_off[a]), digits)
+
+    total = A ** H
+    if sampled:
+        n = int(rng.integers(1, total + 1))
+        ids = np.sort(rng.choice(total, size=n, replace=False))
+    else:
+        ids = np.arange(total)
+    b = bonus if with_bonus else None
+    seq, score = openloop_search(step, cost, x0, A, H, ids, b)
+    ref_seq, ref_score = _search_reference(
+        lambda s, a: W[a] @ s + c[a], cost, b, x0, A, H, ids)
+    assert np.array_equal(seq, ref_seq)
+    assert score == ref_score
+    prefixes = {tuple(_decode_reference(int(i), H, A)[:k])
+                for i in ids for k in range(1, H)}
+    assert len(steps) == len(prefixes)
+
+
+def _optimal_dp_reference(mdp, cost_table):
+    # the backward recursion each expert and planner once kept a copy of
+    S, H = mdp.num_states, mdp.horizon
+    v = np.zeros(S)
+    greedy = np.zeros((H, S), dtype=int)
+    for h in range(H - 1, -1, -1):
+        q = cost_table + mdp.kernel(h) @ v
+        greedy[h] = np.argmin(q, axis=1)
+        v = q[np.arange(S), greedy[h]]
+    return greedy
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), S=st.integers(1, 6),
+       A=st.integers(1, 4), H=st.integers(1, 6), deterministic=st.booleans(),
+       state_cost=st.booleans())
+def test_best_response_tabular_matches_reference_dp(seed, S, A, H,
+                                                    deterministic,
+                                                    state_cost):
+    # per-step (H, S, A, S) kernels; 0/1 kernels and costs on a 1/2 grid
+    # make ties common, which go to the lowest action index
+    rng = np.random.default_rng(seed)
+    if deterministic:
+        P = np.eye(S)[rng.integers(0, S, size=(H, S, A))]
+        cost = rng.integers(0, 3, size=S) / 2
+    else:
+        P = rng.dirichlet(np.ones(S), size=(H, S, A))
+        cost = rng.uniform(0, 1, size=S)
+    mdp = TabularMdp(horizon=H, transitions=P, cost=cost, init_state=0)
+    if state_cost:
+        pol = best_response_tabular(mdp, mdp.cost)
+        ref = _optimal_dp_reference(mdp, mdp.cost[:, None])
+    else:
+        table = np.round(rng.uniform(-1, 1, size=(S, A)),
+                         0 if deterministic else 12)
+        pol = best_response_tabular(mdp, table)
+        ref = _optimal_dp_reference(mdp, table)
+    assert np.array_equal(pol.action_table, ref)
+
+
+def test_state_values_slice_is_the_policy_value():
+    rng = np.random.default_rng(7)
+    mdp = make_random_mdp(rng, 4, 3, 5, per_step=True)
+    pols = [make_random_policy(rng, 4, 3, 5) for _ in range(3)]
+    mix = MixedPolicy(components=tuple(pols), weights=np.full(3, 1 / 3))
+    values = state_values(mdp, mix, mdp.cost)
+    assert values.shape == (3, 6, 4)
+    assert np.all(values[:, -1] == 0.0)
+    for k, pol in enumerate(pols):
+        assert values[k, 0, mdp.init_state] == value_eval_tabular(
+            mdp, pol, mdp.cost)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -172,3 +173,22 @@ def test_dataset_roundtrip_vector(tmp_path):
     loaded = load_expert_dataset(str(path))
     for a, b in zip(loaded.trajectories, data.trajectories):
         assert np.allclose(a, b, atol=0, rtol=0)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# horizon=2 state_dim=0\n0,1,2\n0,1.7,2\n",
+     ":3: tabular states must be integers >= 0"),
+    ("# horizon=2 state_dim=0\n0,-1,2\n",
+     ":2: tabular states must be integers >= 0"),
+    ("# horizon=1 state_dim=2\n0.5,0.25,1.0,2.0\n0.5,0.25,1.0\n",
+     ":3: expected 4 numbers for horizon 1 and state_dim 2, got 3"),
+    ("# horizon=2\n0,1,2\n",
+     ":1: header needs integer 'horizon' and 'state_dim' fields"),
+    ("# horizon=2 state_dim=0\n0,x,2\n", ":2: non-numeric state value"),
+], ids=["fractional_state", "negative_state", "short_vector_row",
+        "missing_state_dim", "non_numeric_value"])
+def test_malformed_dataset_names_the_line(tmp_path, text, message):
+    path = tmp_path / "expert.txt"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        load_expert_dataset(str(path))

@@ -44,15 +44,13 @@ class TestBestResponseTabular:
     def test_zero_cost_tie_breaks_to_action_zero(self):
         rng = np.random.default_rng(0)
         mdp = make_random_mdp(rng, num_states=3, num_actions=3, horizon=2)
-        pol = best_response_tabular(tabular_model(mdp.kernel(0)),
-                                    np.zeros((3, 3)), horizon=2)
+        pol = best_response_tabular(mdp, np.zeros((3, 3)))
         assert np.all(np.argmax(pol.action_probs, axis=2) == 0)
 
     def test_matches_optimal_solver_on_true_kernel(self):
         mdp = make_chain()
-        model = tabular_model(mdp.kernel(0))
         cost = np.repeat(mdp.cost[:, None], mdp.num_actions, axis=1)
-        pol = best_response_tabular(model, cost, mdp.horizon)
+        pol = best_response_tabular(mdp, cost)
         ref = solve_optimal_tabular(mdp)
         np.testing.assert_array_equal(pol.action_probs, ref.action_probs)
 
@@ -60,10 +58,9 @@ class TestBestResponseTabular:
         rng = np.random.default_rng(1)
         for _ in range(5):
             mdp = make_random_mdp(rng, num_states=4, num_actions=2, horizon=3)
-            model = tabular_model(mdp.kernel(0))
+            view = model_view(tabular_model(mdp.kernel(0)), 3)
             cost = rng.uniform(-1, 1, size=(4, 2))
-            pol = best_response_tabular(model, cost, 3)
-            view = model_view(model, 3)
+            pol = best_response_tabular(view, cost)
             v_star = value_eval_tabular(view, pol, cost)
             for _ in range(200):
                 probs = rng.dirichlet(np.ones(2), size=(3, 4))
@@ -74,10 +71,9 @@ class TestBestResponseTabular:
         # every deterministic nonstationary policy on (S,A,H) = (4,2,3)
         rng = np.random.default_rng(2)
         mdp = make_random_mdp(rng, num_states=4, num_actions=2, horizon=3)
-        model = tabular_model(mdp.kernel(0))
+        view = model_view(tabular_model(mdp.kernel(0)), 3)
         cost = rng.uniform(-1, 1, size=(4, 2))  # bonus-augmented costs
-        pol = best_response_tabular(model, cost, 3)
-        view = model_view(model, 3)
+        pol = best_response_tabular(view, cost)
         v_star = value_eval_tabular(view, pol, cost)
         best_seen = np.inf
         for flat in itertools.product(range(2), repeat=12):
@@ -89,10 +85,9 @@ class TestBestResponseTabular:
 
     def test_state_only_cost_broadcasts(self):
         mdp = make_chain()
-        model = tabular_model(mdp.kernel(0))
-        a = best_response_tabular(model, mdp.cost, mdp.horizon)
+        a = best_response_tabular(mdp, mdp.cost)
         b = best_response_tabular(
-            model, np.repeat(mdp.cost[:, None], 3, axis=1), mdp.horizon)
+            mdp, np.repeat(mdp.cost[:, None], 3, axis=1))
         np.testing.assert_array_equal(a.action_probs, b.action_probs)
 
 
