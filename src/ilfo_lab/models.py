@@ -12,6 +12,7 @@ downstream bonuses stay bounded.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
@@ -64,12 +65,32 @@ class ReplayBuffer:
 
     def append(self, h: int, s, a: int, s_next) -> None:
         if self.tabular:
-            self._counts_sas[int(s), int(a), int(s_next)] += 1
-        self._items.append((h, s, int(a), s_next))
+            s, a, s_next = self._indices(s, a, s_next)
+            self._counts_sas[s, a, s_next] += 1
+        else:
+            a = int(a)
+        self._items.append((h, s, a, s_next))
         if self.capacity and len(self._items) > self.capacity:
             h0, s0, a0, n0 = self._items.popleft()
             if self.tabular:
-                self._counts_sas[int(s0), int(a0), int(n0)] -= 1
+                self._counts_sas[s0, a0, n0] -= 1
+
+    def _indices(self, s, a, s_next) -> tuple[int, int, int]:
+        """(s, a, s') as Python ints, or ConfigurationError unless each
+        is an integer in range."""
+        try:
+            i, j, k = (operator.index(s), operator.index(a),
+                       operator.index(s_next))
+        except TypeError:
+            raise ConfigurationError(
+                f"tabular transition ({s!r}, {a!r}, {s_next!r}) needs "
+                f"integer indices") from None
+        s_dim, a_dim = self.num_states, self.num_actions
+        if not (0 <= i < s_dim and 0 <= j < a_dim and 0 <= k < s_dim):
+            raise ConfigurationError(
+                f"tabular transition ({i}, {j}, {k}) out of range for "
+                f"S={s_dim}, A={a_dim}")
+        return i, j, k
 
     def extend_trajectory(self, traj: Trajectory) -> None:
         for h in range(traj.horizon):
@@ -89,16 +110,27 @@ class ReplayBuffer:
 
 def bootstrap_buffers(buffer: ReplayBuffer, rng: np.random.Generator,
                       n: int = 2) -> list[ReplayBuffer]:
-    """Resample ``n`` buffers of the same size with replacement."""
+    """Resample ``n`` buffers of the same size with replacement.
+
+    A tabular half takes its counts from one bincount over the flat
+    (s A + a) S + s' codes of the transitions it drew.
+    """
     items = list(buffer)
+    s_dim, a_dim = buffer.num_states, buffer.num_actions
+    codes = None
+    if buffer.tabular:
+        codes = np.array([(s * a_dim + a) * s_dim + s_next
+                          for _, s, a, s_next in items], dtype=np.int64)
     out = []
     for _ in range(n):
-        fresh = ReplayBuffer(capacity=0, num_states=buffer.num_states,
-                             num_actions=buffer.num_actions)
+        fresh = ReplayBuffer(capacity=0, num_states=s_dim, num_actions=a_dim)
         if items:
             idx = rng.integers(0, len(items), size=len(items))
-            for i in idx:
-                fresh.append(*items[i])
+            fresh._items = deque([items[i] for i in idx.tolist()])
+            if codes is not None:
+                fresh._counts_sas = np.bincount(
+                    codes[idx], minlength=s_dim * a_dim * s_dim
+                ).reshape(s_dim, a_dim, s_dim)
         out.append(fresh)
     return out
 
@@ -317,7 +349,8 @@ def ensemble_bonus(model_a: TabularModel | KnrModel,
 
     delta(s, a) is the L2 gap between the two models' mean predictions
     and delta_max its maximum over the buffer.  An all-zero disagreement
-    over the buffer gives the zero bonus.
+    over the buffer gives the zero bonus.  Two tabular models take one gap
+    per (s, a), and the maximum over the pairs the buffer counts.
     """
     if lam_bonus < 0:
         raise ConfigurationError("lam_bonus must be >= 0")
@@ -326,20 +359,24 @@ def ensemble_bonus(model_a: TabularModel | KnrModel,
         return float(np.linalg.norm(
             model_a.mean_prediction(s, a) - model_b.mean_prediction(s, a)))
 
+    if isinstance(model_a, TabularModel) and isinstance(model_b, TabularModel):
+        # one gap per (s, a); the buffer holds exactly the pairs it counts
+        gaps = np.array([[gap(s, a) for a in range(model_a.num_actions)]
+                         for s in range(model_a.num_states)])
+        held = buffer.counts_sas.sum(axis=2) > 0
+        delta_max = float(gaps[held].max(initial=0.0))
+        if delta_max == 0.0:
+            table = np.zeros_like(gaps)
+        else:
+            table = lam_bonus * np.minimum(1.0, gaps / delta_max)
+        return BonusFunction(fn=lambda s, a: float(table[int(s), int(a)]),
+                             upper=lam_bonus, table=table)
+
     delta_max = 0.0
     for _, s, a, _ in buffer:
         delta_max = max(delta_max, gap(s, a))
-
     if delta_max == 0.0:
         fn = lambda s, a: 0.0
     else:
         fn = lambda s, a: lam_bonus * min(1.0, gap(s, a) / delta_max)
-
-    table = None
-    if isinstance(model_a, TabularModel) and isinstance(model_b, TabularModel):
-        tab = np.zeros((model_a.num_states, model_a.num_actions))
-        for s in range(model_a.num_states):
-            for a in range(model_a.num_actions):
-                tab[s, a] = fn(s, a)
-        table = tab
-    return BonusFunction(fn=fn, upper=lam_bonus, table=table)
+    return BonusFunction(fn=fn, upper=lam_bonus)

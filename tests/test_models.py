@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ilfo_lab import ConfigurationError, Policy, rollout
 from ilfo_lab.models import (
@@ -64,6 +66,24 @@ class TestReplayBuffer:
         buf.append(0, np.zeros(2), 1, np.ones(2))
         with pytest.raises(ConfigurationError):
             buf.count(0, 0)
+
+    @pytest.mark.parametrize("s, a, s_next", [
+        (-1, 0, 1),     # would be counted as state S-1
+        (0, 0, 1.7),    # would be truncated to state 1
+        (0, 0, 3),      # s' = S, past the last state
+        (0, 2, 1),      # a = A, past the last action
+    ], ids=["negative_state", "fractional_next_state",
+            "next_state_equal_to_S", "action_equal_to_A"])
+    def test_tabular_append_rejects_bad_index(self, s, a, s_next):
+        # a full FIFO buffer, so an eviction before the check would show
+        buf = ReplayBuffer(capacity=2, num_states=3, num_actions=2)
+        buf.append(0, 1, 1, 2)
+        buf.append(1, 2, 0, 0)
+        before = buf.counts_sas
+        with pytest.raises(ConfigurationError):
+            buf.append(2, s, a, s_next)
+        assert list(buf) == [(0, 1, 1, 2), (1, 2, 0, 0)]
+        np.testing.assert_array_equal(buf.counts_sas, before)
 
     def test_bootstrap_preserves_size_and_dims(self):
         rng = np.random.default_rng(0)
@@ -295,6 +315,26 @@ class TestBonuses:
         b = ensemble_bonus(m_a, m_b, buf, lam_bonus=1.0)
         assert b(0, 0) == 0.0
 
+    def test_ensemble_ignores_evicted_pair(self):
+        # state 0 has the largest gap, but FIFO eviction drops its pair
+        p_a = np.array([[[1.0, 0.0, 0.0]], [[0.5, 0.5, 0.0]],
+                        [[0.25, 0.75, 0.0]]])
+        p_b = np.zeros((3, 1, 3))
+        p_b[:, :, 1] = 1.0
+        m_a, m_b = (TabularModel(t=1, delta=0.1, p_hat=p,
+                                 sigma_table=np.zeros((3, 1)))
+                    for p in (p_a, p_b))
+        buf = ReplayBuffer(capacity=2, num_states=3, num_actions=1)
+        for h, s in enumerate((0, 1, 2)):
+            buf.append(h, s, 0, 1)
+        assert buf.count(0, 0) == 0
+        lam = 0.8
+        b = ensemble_bonus(m_a, m_b, buf, lam_bonus=lam)
+        retained = [s for _, s, _, _ in buf]
+        assert [s for s in retained if b(s, 0) == lam] == [1]
+        assert b(2, 0) == pytest.approx(lam / 2, abs=1e-12)
+        assert b(0, 0) == lam   # the evicted pair's ratio is capped at 1
+
     def test_bonus_table_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError):
             BonusFunction(fn=lambda s, a: 0.0, upper=1.0,
@@ -365,3 +405,135 @@ class TestMeanPrediction:
         s = np.array([0.1, 0.2])
         np.testing.assert_allclose(model.mean_prediction(s, 0),
                                    sys_.step_mean(s, 0), atol=1e-6)
+
+
+def reference_bootstrap_buffers(buffer, rng, n=2):
+    """Resampling by one ``append`` per drawn transition, as it was before
+    the halves were built from counts."""
+    items = list(buffer)
+    out = []
+    for _ in range(n):
+        fresh = ReplayBuffer(capacity=0, num_states=buffer.num_states,
+                             num_actions=buffer.num_actions)
+        if items:
+            idx = rng.integers(0, len(items), size=len(items))
+            for i in idx:
+                fresh.append(*items[i])
+        out.append(fresh)
+    return out
+
+
+def reference_ensemble_bonus(model_a, model_b, buffer, lam_bonus):
+    """delta_max over every transition in the buffer and the table filled
+    one fn call per (s, a), as it was before the per-(s, a) gaps."""
+    def gap(s, a):
+        return float(np.linalg.norm(
+            model_a.mean_prediction(s, a) - model_b.mean_prediction(s, a)))
+
+    delta_max = 0.0
+    for _, s, a, _ in buffer:
+        delta_max = max(delta_max, gap(s, a))
+    if delta_max == 0.0:
+        fn = lambda s, a: 0.0
+    else:
+        fn = lambda s, a: lam_bonus * min(1.0, gap(s, a) / delta_max)
+    table = None
+    if isinstance(model_a, TabularModel) and isinstance(model_b, TabularModel):
+        table = np.zeros((model_a.num_states, model_a.num_actions))
+        for s in range(model_a.num_states):
+            for a in range(model_a.num_actions):
+                table[s, a] = fn(s, a)
+    return BonusFunction(fn=fn, upper=lam_bonus, table=table)
+
+
+@st.composite
+def tabular_buffers(draw):
+    """A tabular buffer, unbounded or FIFO-bounded, possibly empty."""
+    s_dim = draw(st.integers(1, 5))
+    a_dim = draw(st.integers(1, 3))
+    capacity = draw(st.sampled_from([0, 0, 1, 4, 13]))
+    triples = draw(st.lists(st.tuples(st.integers(0, s_dim - 1),
+                                      st.integers(0, a_dim - 1),
+                                      st.integers(0, s_dim - 1)),
+                            max_size=40))
+    buf = ReplayBuffer(capacity=capacity, num_states=s_dim,
+                       num_actions=a_dim)
+    for h, (s, a, s_next) in enumerate(triples):
+        buf.append(h % 3, s, a, s_next)
+    return buf
+
+
+def random_tabular_model(rng, s_dim, a_dim):
+    """Dirichlet rows, some of them uniform, so that gaps tie and some
+    unvisited pair usually has the largest gap."""
+    p = rng.dirichlet(np.ones(s_dim), size=(s_dim, a_dim))
+    p[rng.random((s_dim, a_dim)) < 0.3] = 1.0 / s_dim
+    return TabularModel(t=1, delta=0.1, p_hat=p,
+                        sigma_table=np.zeros((s_dim, a_dim)))
+
+
+class TestEnsembleCountsDifferential:
+    """The count-based bootstrap and ensemble bonus against the per-append
+    and per-item references above."""
+
+    @staticmethod
+    def halves_and_generators(buf, seed):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        halves = bootstrap_buffers(buf, rng)
+        ref = reference_bootstrap_buffers(buf, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert len(halves) == len(ref) == 2
+        return halves, ref
+
+    @settings(max_examples=200, deadline=None)
+    @given(buf=tabular_buffers(), seed=st.integers(0, 2**32 - 1),
+           lam=st.floats(0.0, 3.0), random_models=st.booleans())
+    def test_tabular(self, buf, seed, lam, random_models):
+        halves, ref = self.halves_and_generators(buf, seed)
+        for new, old in zip(halves, ref):
+            assert np.array_equal(new.counts_sas, old.counts_sas)
+            assert list(new) == list(old)
+            assert len(new) == len(buf)
+        s_dim, a_dim = buf.num_states, buf.num_actions
+        if random_models:
+            model_rng = np.random.default_rng(seed)
+            m_a, m_b = (random_tabular_model(model_rng, s_dim, a_dim)
+                        for _ in range(2))
+        else:
+            m_a, m_b = (fit_tabular(h, t=1, delta=0.1) for h in halves)
+        got = ensemble_bonus(m_a, m_b, buf, lam_bonus=lam)
+        want = reference_ensemble_bonus(m_a, m_b, buf, lam_bonus=lam)
+        assert np.array_equal(got.table, want.table)
+        assert got.upper == want.upper
+        for s in range(s_dim):
+            for a in range(a_dim):
+                assert got.fn(s, a) == want.fn(s, a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_items=st.integers(0, 30), capacity=st.sampled_from([0, 9]),
+           seed=st.integers(0, 2**32 - 1), lam=st.floats(0.0, 3.0))
+    def test_knr(self, n_items, capacity, seed, lam):
+        sys_ = make_knr_example(noise_std=0.05)
+        data_rng = np.random.default_rng(seed)
+        buf = ReplayBuffer(capacity=capacity)
+        for i in range(n_items):
+            s = data_rng.normal(size=2) * 0.4
+            a = int(data_rng.integers(sys_.num_actions))
+            buf.append(i % 4, s, a, sys_.step_mean(s, a)
+                       + sys_.noise_std * data_rng.normal(size=2))
+        halves, ref = self.halves_and_generators(buf, seed)
+        for new, old in zip(halves, ref):
+            assert not new.tabular and len(new) == len(old) == len(buf)
+            for (h0, s0, a0, n0), (h1, s1, a1, n1) in zip(new, old):
+                assert h0 == h1 and a0 == a1
+                assert np.array_equal(s0, s1) and np.array_equal(n0, n1)
+        m_a, m_b = (fit_knr_model(h, sys_.features, sys_.feature_dim,
+                                  sys_.state_dim, 0.3, sys_.noise_std, 2.0,
+                                  t=1, delta=0.1) for h in halves)
+        got = ensemble_bonus(m_a, m_b, buf, lam_bonus=lam)
+        want = reference_ensemble_bonus(m_a, m_b, buf, lam_bonus=lam)
+        assert got.table is None and want.table is None
+        probes = [(s, a) for _, s, a, _ in buf] + [(np.zeros(2), 0),
+                                                   (np.ones(2), 1)]
+        for s, a in probes:
+            assert got.fn(s, a) == want.fn(s, a)

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import logging
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from ilfo_lab import (ConfigurationError, Policy, TabularMdp, planner,
                       value_eval_tabular)
 from ilfo_lab.discriminators import MmdDiscriminator, rff_featurize
+from ilfo_lab.envs import openloop_search
 from ilfo_lab.expert import ExpertDataset, solve_optimal_tabular
 from ilfo_lab.models import (
     BonusFunction,
@@ -47,13 +49,6 @@ class TestBestResponseTabular:
         pol = best_response_tabular(mdp, np.zeros((3, 3)))
         assert np.all(np.argmax(pol.action_probs, axis=2) == 0)
 
-    def test_matches_optimal_solver_on_true_kernel(self):
-        mdp = make_chain()
-        cost = np.repeat(mdp.cost[:, None], mdp.num_actions, axis=1)
-        pol = best_response_tabular(mdp, cost)
-        ref = solve_optimal_tabular(mdp)
-        np.testing.assert_array_equal(pol.action_probs, ref.action_probs)
-
     def test_dominates_random_policies(self):
         rng = np.random.default_rng(1)
         for _ in range(5):
@@ -84,11 +79,18 @@ class TestBestResponseTabular:
         assert v_star == pytest.approx(best_seen, abs=1e-10)
 
     def test_state_only_cost_broadcasts(self):
-        mdp = make_chain()
-        a = best_response_tabular(mdp, mdp.cost)
-        b = best_response_tabular(
-            mdp, np.repeat(mdp.cost[:, None], 3, axis=1))
-        np.testing.assert_array_equal(a.action_probs, b.action_probs)
+        # an (S,) cost and its (S, A) repeat give the same policy, and so
+        # does the expert's solver, which passes the true (S,) cost
+        rng = np.random.default_rng(5)
+        for mdp in (make_chain(),
+                    make_random_mdp(rng, num_states=5, num_actions=3,
+                                    horizon=4)):
+            a = best_response_tabular(mdp, mdp.cost)
+            b = best_response_tabular(
+                mdp, np.repeat(mdp.cost[:, None], mdp.num_actions, axis=1))
+            np.testing.assert_array_equal(a.action_probs, b.action_probs)
+            np.testing.assert_array_equal(
+                solve_optimal_tabular(mdp).action_probs, a.action_probs)
 
 
 def knr_model_from_system(sys_, n_samples=80, seed=3, lam=1e-8):
@@ -135,6 +137,45 @@ class TestBestResponseKnr:
                                                          n_candidates=16),
                               rng=np.random.default_rng(4))
         np.testing.assert_array_equal(a.action_seq, b.action_seq)
+
+    @staticmethod
+    def shooting_reference(model, cost, bonus, horizon, ids_of):
+        """best_response_knr's random-shooting result, rebuilt from the ids
+        that ``ids_of`` draws from a clone of the planner's Generator."""
+        rng = np.random.default_rng(11)
+        clone = copy.deepcopy(rng)
+        search = KnrSearchConfig(exhaustive_limit=100, n_candidates=64)
+        pol = best_response_knr(model, cost, bonus, horizon=horizon,
+                                num_actions=2, init_state=np.zeros(2),
+                                search_cfg=search, rng=rng)
+        ids = ids_of(clone, 2 ** horizon, 64)
+        seq, _ = openloop_search(model.mean_prediction, cost, np.zeros(2), 2,
+                                 horizon, ids, bonus)
+        assert rng.bit_generator.state == clone.bit_generator.state
+        return pol.action_seq, seq, ids
+
+    def test_random_shooting_draws_without_replacement(self):
+        # A^H = 1024 <= 10**6: ids come from rng.choice, without repeats
+        model = knr_model_from_system(make_knr_example(noise_std=0.0))
+        cost = lambda s: float(s[0] - s[1])
+        bonus = BonusFunction(fn=lambda s, a: 0.05 * a * float(s[1] ** 2),
+                              upper=1.0)
+        got, want, ids = self.shooting_reference(
+            model, cost, bonus, 10,
+            lambda r, total, n: np.sort(r.choice(total, size=n,
+                                                 replace=False)))
+        assert len(np.unique(ids)) == 64
+        np.testing.assert_array_equal(got, want)
+
+    def test_random_shooting_above_a_million_draws_integers(self):
+        # A^H = 2^21 > 10**6: ids come from rng.integers, deduplicated
+        model = knr_model_from_system(make_knr_example(noise_std=0.0))
+        cost = lambda s: float(s[0] - s[1])
+        got, want, ids = self.shooting_reference(
+            model, cost, None, 21,
+            lambda r, total, n: np.unique(r.integers(0, total, size=n)))
+        assert ids.max() >= 10**6
+        np.testing.assert_array_equal(got, want)
 
     def test_budget_overflow_without_fallback(self):
         sys_ = make_knr_example(noise_std=0.0)
