@@ -78,9 +78,20 @@ class TestBestResponseTabular:
             best_seen = min(best_seen, v)
         assert v_star == pytest.approx(best_seen, abs=1e-10)
 
+    def test_matches_optimal_solver_on_true_kernel(self):
+        # the expert's solver, which passes the true (S,) cost, agrees with
+        # a best response to the (S, A) repeat of that cost
+        rng = np.random.default_rng(5)
+        for mdp in (make_chain(),
+                    make_random_mdp(rng, num_states=5, num_actions=3,
+                                    horizon=4)):
+            cost = np.repeat(mdp.cost[:, None], mdp.num_actions, axis=1)
+            pol = best_response_tabular(mdp, cost)
+            ref = solve_optimal_tabular(mdp)
+            np.testing.assert_array_equal(pol.action_probs, ref.action_probs)
+
     def test_state_only_cost_broadcasts(self):
-        # an (S,) cost and its (S, A) repeat give the same policy, and so
-        # does the expert's solver, which passes the true (S,) cost
+        # an (S,) cost and its (S, A) repeat give the same policy
         rng = np.random.default_rng(5)
         for mdp in (make_chain(),
                     make_random_mdp(rng, num_states=5, num_actions=3,
@@ -89,8 +100,6 @@ class TestBestResponseTabular:
             b = best_response_tabular(
                 mdp, np.repeat(mdp.cost[:, None], mdp.num_actions, axis=1))
             np.testing.assert_array_equal(a.action_probs, b.action_probs)
-            np.testing.assert_array_equal(
-                solve_optimal_tabular(mdp).action_probs, a.action_probs)
 
 
 def knr_model_from_system(sys_, n_samples=80, seed=3, lam=1e-8):
