@@ -8,8 +8,7 @@ Two families:
 * a random-Fourier-feature class {s -> <w, psi(s)> : |w| <= zeta} whose
   best response is a projected mean-feature difference (an MMD witness).
 
-Pair discriminators over (s, s') are supported by featurizing the
-concatenated vector; everything below is state-only by default.
+Both classes are state-only.
 """
 
 from __future__ import annotations

@@ -1,9 +1,7 @@
 """Expert construction and state-only demonstration datasets.
 
 Datasets deliberately carry no action information: the learner sees states and
-nothing else. The single-sample view draws one state per trajectory uniformly
-over the H decision steps, which makes its draws i.i.d. from the expert's
-average state occupancy; the flat view exposes all decision-step states.
+nothing else, through the flat view of all decision-step states.
 """
 
 from __future__ import annotations
@@ -57,12 +55,6 @@ class ExpertDataset:
     def horizon(self) -> int:
         return len(self.trajectories[0]) - 1
 
-    def single_sample_view(self, rng: np.random.Generator) -> Array:
-        """One uniformly-timed decision-step state per trajectory (i.i.d. draws)."""
-        H = self.horizon
-        picks = rng.integers(0, H, size=self.num_trajectories)
-        return np.stack([traj[h] for traj, h in zip(self.trajectories, picks)])
-
     def flat_view(self) -> Array:
         """All decision-step states (s_0..s_{H-1} of every trajectory), stacked."""
         H = self.horizon
@@ -108,64 +100,4 @@ def sample_expert_states(env, expert: Policy, n_trajectories: int,
     trajs = []
     for _ in range(n_trajectories):
         trajs.append(rollout(env, expert, rng).states)
-    return ExpertDataset(trajectories=tuple(trajs))
-
-
-def save_expert_dataset(dataset: ExpertDataset, path: str) -> None:
-    """Line-oriented text format: one trajectory per line, numbers comma-joined."""
-    first = np.asarray(dataset.trajectories[0])
-    vector = first.ndim == 2
-    dim = first.shape[1] if vector else 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# horizon={dataset.horizon} state_dim={dim}\n")
-        for traj in dataset.trajectories:
-            flat = np.asarray(traj).reshape(-1)
-            if vector:
-                fh.write(",".join(format(x, ".17g") for x in flat) + "\n")
-            else:
-                fh.write(",".join(str(int(x)) for x in flat) + "\n")
-
-
-def load_expert_dataset(path: str) -> ExpertDataset:
-    """Read the format of save_expert_dataset.
-
-    A malformed header or trajectory line raises ConfigurationError naming
-    the line: tabular states must be integers >= 0, and every line holds
-    (horizon + 1) * max(state_dim, 1) numbers.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# horizon="):
-            raise ConfigurationError(f"{path}:1: missing dataset header")
-        try:
-            fields = dict(part.split("=") for part in header[2:].split())
-            horizon = int(fields["horizon"])
-            dim = int(fields["state_dim"])
-        except (KeyError, ValueError) as exc:
-            raise ConfigurationError(
-                f"{path}:1: header needs integer 'horizon' and 'state_dim' "
-                f"fields, got {header!r}") from exc
-        width = (horizon + 1) * max(dim, 1)
-        trajs = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                vals = np.array([float(x) for x in line.split(",")])
-            except ValueError as exc:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: non-numeric state value") from exc
-            if len(vals) != width:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: expected {width} numbers for horizon "
-                    f"{horizon} and state_dim {dim}, got {len(vals)}")
-            if dim > 0:
-                trajs.append(vals.reshape(horizon + 1, dim))
-            elif np.all(np.isfinite(vals) & (vals >= 0)
-                        & (vals == np.floor(vals))):
-                trajs.append(vals.astype(int))
-            else:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: tabular states must be integers >= 0")
     return ExpertDataset(trajectories=tuple(trajs))

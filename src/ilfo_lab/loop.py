@@ -325,23 +325,17 @@ def _knr_family(env, expert_dataset, cfg, rng, expert_value) -> _Family:
                         "state_dim": env.state_dim}))
 
 
-def regret_summary(record: RunRecord, threshold: float | None = None,
-                   f_class_size: int | None = None) -> dict:
+def regret_summary(record: RunRecord, threshold: float | None = None) -> dict:
     """Headline numbers of a run, including the theoretical envelope.
 
     The envelope 6 H^2.5 sqrt(I_T / T) + 2 H sqrt(ln(2 T^2 |F|/delta)/N)
-    is reported for comparison, never asserted.  For the box class |F|
-    is replaced by the heuristic effective size 2^min(S, 16) unless
-    f_class_size gives a finite class size.
+    is reported for comparison, never asserted.  |F| is the heuristic
+    effective size 2^min(S, 16) of the box class, or 2^16 for a KNR run.
     """
     horizon = record.horizon
     if threshold is None:
         threshold = 0.1 * horizon
-    if f_class_size is None:
-        if record.num_states is not None:
-            f_class_size = 2 ** min(record.num_states, 16)
-        else:
-            f_class_size = 2 ** 16
+    f_class_size = 2 ** min(record.num_states or 16, 16)
     regret = np.asarray(record.regret)
     t_count = record.num_iterations
     hit = np.nonzero(regret <= threshold)[0]

@@ -17,6 +17,8 @@ from .loop import write_csv_rows
 
 ALGORITHMS = ("ucb1", "eps_greedy", "known_mean_elim")
 
+ELIM_DELTA = 0.05  # known_mean_elim's failure budget
+
 REGRET_CSV_COLUMNS = ("t", "mean_regret", "stderr", "algorithm", "instance_id")
 REGRET_CSV_ROW_FORMAT = "%d,%.17g,%.17g,%s,%s"
 
@@ -125,16 +127,15 @@ def _default_eps(num_arms: int, t: int) -> float:
 
 
 def run_bandit(instance: MabInstance, algorithm: str, horizon: int,
-               rng: np.random.Generator, delta: float = 0.05,
-               eps_schedule=None) -> BanditTrace:
+               rng: np.random.Generator) -> BanditTrace:
     """Play ``horizon`` steps and return the trace.
 
     All algorithms pull each arm once first, break ties toward the lowest
-    index, and see unit-variance Gaussian rewards. known_mean_elim drops an
-    arm when its anytime Hoeffding interval excludes the revealed mean,
-    cycles through survivors in index order, and commits once one is left
-    (the last survivor is never dropped). ``delta`` is its failure budget;
-    ``eps_schedule`` overrides eps_greedy's min(1, A^(1/3) t^(-1/3)).
+    index, and see unit-variance Gaussian rewards. eps_greedy explores with
+    probability min(1, A^(1/3) t^(-1/3)). known_mean_elim drops an arm when
+    its anytime Hoeffding interval, at failure budget ``ELIM_DELTA``,
+    excludes the revealed mean, cycles through survivors in index order,
+    and commits once one is left (the last survivor is never dropped).
     """
     if algorithm not in ALGORITHMS:
         raise ConfigurationError(f"unknown bandit algorithm '{algorithm}'")
@@ -142,14 +143,12 @@ def run_bandit(instance: MabInstance, algorithm: str, horizon: int,
     T = int(horizon)
     if T < A:
         raise ConfigurationError("horizon must cover one pull per arm")
-    if not 0.0 < delta < 1.0:
-        raise ConfigurationError("delta must be in (0, 1)")
     mu = [float(m) for m in instance.means]
     noise = rng.standard_normal(T)
     if algorithm == "eps_greedy":
         explore_coin = rng.random(T)
         explore_arm = rng.integers(0, A, size=T)
-        eps = eps_schedule if eps_schedule is not None else _default_eps
+        eps = _default_eps
     arms = np.empty(T, dtype=np.int64)
     sums = [0.0] * A
     counts = [0] * A
@@ -197,8 +196,8 @@ def run_bandit(instance: MabInstance, algorithm: str, horizon: int,
             if len(survivors) > 1:
                 # anytime sub-Gaussian radius (unit variance), union over
                 # arms and steps: sum_t delta/(A t^2) <= 1.65 delta / A
-                radius = math.sqrt(
-                    2.0 * math.log(2.0 * A * (t + 1) ** 2 / delta) / counts[a])
+                radius = math.sqrt(2.0 * math.log(
+                    2.0 * A * (t + 1) ** 2 / ELIM_DELTA) / counts[a])
                 if abs(sums[a] / counts[a] - mu_star) > radius:
                     survivors.pop(ptr)
                     dropped = True
@@ -256,19 +255,17 @@ def cumulative_regret_curve(traces) -> tuple:
     return t_grid, mean, stderr
 
 
-def fit_loglog_slope(t_grid: Array, regret: Array,
-                     fit_start: int | None = None) -> float:
+def fit_loglog_slope(t_grid: Array, regret: Array) -> float:
     """Least-squares slope of log regret against log t.
 
-    Uses steps with t >= fit_start (default: the last nine tenths of the
-    horizon) and positive regret; the early transient is schedule noise.
+    Uses steps with t >= max(2, T // 10), T the last grid point, and
+    positive regret; the early transient is schedule noise.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     regret = np.asarray(regret, dtype=float)
     if t_grid.shape != regret.shape or t_grid.ndim != 1:
         raise ConfigurationError("t grid and regret must be equal vectors")
-    if fit_start is None:
-        fit_start = max(2, int(t_grid[-1]) // 10)
+    fit_start = max(2, int(t_grid[-1]) // 10)
     keep = (t_grid >= fit_start) & (regret > 0)
     if keep.sum() < 2:
         raise ConfigurationError("not enough positive-regret points to fit")

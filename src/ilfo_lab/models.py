@@ -68,7 +68,13 @@ class ReplayBuffer:
             s, a, s_next = self._indices(s, a, s_next)
             self._counts_sas[s, a, s_next] += 1
         else:
-            a = int(a)
+            try:
+                a = operator.index(a)
+            except TypeError:
+                raise ConfigurationError(
+                    f"KNR action {a!r} needs an integer index") from None
+            if a < 0:
+                raise ConfigurationError(f"KNR action {a} is negative")
         self._items.append((h, s, a, s_next))
         if self.capacity and len(self._items) > self.capacity:
             h0, s0, a0, n0 = self._items.popleft()
@@ -96,11 +102,6 @@ class ReplayBuffer:
         for h in range(traj.horizon):
             self.append(h, traj.states[h], traj.actions[h], traj.states[h + 1])
 
-    def count(self, s: int, a: int) -> int:
-        if not self.tabular:
-            raise ConfigurationError("counts require a tabular buffer")
-        return int(self._counts_sas[s, a].sum())
-
     @property
     def counts_sas(self) -> Array:
         if not self.tabular:
@@ -108,9 +109,9 @@ class ReplayBuffer:
         return self._counts_sas.copy()
 
 
-def bootstrap_buffers(buffer: ReplayBuffer, rng: np.random.Generator,
-                      n: int = 2) -> list[ReplayBuffer]:
-    """Resample ``n`` buffers of the same size with replacement.
+def bootstrap_buffers(buffer: ReplayBuffer,
+                      rng: np.random.Generator) -> list[ReplayBuffer]:
+    """Resample two buffers of the same size with replacement.
 
     A tabular half takes its counts from one bincount over the flat
     (s A + a) S + s' codes of the transitions it drew.
@@ -122,7 +123,7 @@ def bootstrap_buffers(buffer: ReplayBuffer, rng: np.random.Generator,
         codes = np.array([(s * a_dim + a) * s_dim + s_next
                           for _, s, a, s_next in items], dtype=np.int64)
     out = []
-    for _ in range(n):
+    for _ in range(2):
         fresh = ReplayBuffer(capacity=0, num_states=s_dim, num_actions=a_dim)
         if items:
             idx = rng.integers(0, len(items), size=len(items))
@@ -302,11 +303,12 @@ def knr_uncertainty(model: KnrModel, s, a) -> float:
 
 @dataclass(frozen=True)
 class BonusFunction:
-    """Per-(s, a) exploration bonus with a known upper bound."""
+    """Per-(s, a) exploration bonus with a known upper bound: a tabular
+    bonus is its (S, A) ``table``, a KNR bonus is its ``fn``."""
 
-    fn: Callable = field(repr=False)
     upper: float
     table: Array | None = None
+    fn: Callable | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.table is not None:
@@ -334,12 +336,11 @@ def theory_bonus(model: TabularModel | KnrModel,
     """b(s, a) = H * min{sigma(s, a), 2}, so b is bounded by 2H."""
     if horizon < 1:
         raise ConfigurationError("horizon must be >= 1")
-    table = None
     if isinstance(model, TabularModel):
         table = horizon * np.minimum(model.sigma_table, SIGMA_CAP)
-    return BonusFunction(
-        fn=lambda s, a: horizon * min(model.sigma(s, a), SIGMA_CAP),
-        upper=SIGMA_CAP * horizon, table=table)
+        return BonusFunction(upper=SIGMA_CAP * horizon, table=table)
+    fn = lambda s, a: horizon * min(model.sigma(s, a), SIGMA_CAP)
+    return BonusFunction(upper=SIGMA_CAP * horizon, fn=fn)
 
 
 def ensemble_bonus(model_a: TabularModel | KnrModel,
@@ -369,8 +370,7 @@ def ensemble_bonus(model_a: TabularModel | KnrModel,
             table = np.zeros_like(gaps)
         else:
             table = lam_bonus * np.minimum(1.0, gaps / delta_max)
-        return BonusFunction(fn=lambda s, a: float(table[int(s), int(a)]),
-                             upper=lam_bonus, table=table)
+        return BonusFunction(upper=lam_bonus, table=table)
 
     delta_max = 0.0
     for _, s, a, _ in buffer:
@@ -379,4 +379,4 @@ def ensemble_bonus(model_a: TabularModel | KnrModel,
         fn = lambda s, a: 0.0
     else:
         fn = lambda s, a: lam_bonus * min(1.0, gap(s, a) / delta_max)
-    return BonusFunction(fn=fn, upper=lam_bonus)
+    return BonusFunction(upper=lam_bonus, fn=fn)

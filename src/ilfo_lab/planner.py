@@ -73,8 +73,9 @@ def best_response_knr(model: KnrModel, cost_fn: Callable, bonus,
 
     Minimizes sum_h [cost(s_h) - b(s_h, a_h)] where s rolls forward with
     the model mean and noise off.  Exhaustive when A^H fits the budget,
-    otherwise random shooting over n_candidates distinct sequences; ties
-    pick the lexicographically smallest sequence.
+    otherwise random shooting over n_candidates distinct sequence ids,
+    drawn by one ``rng.choice`` without replacement; ties pick the
+    lexicographically smallest sequence.
     """
     total = num_actions ** horizon
     if total <= search_cfg.exhaustive_limit:
@@ -83,12 +84,7 @@ def best_response_knr(model: KnrModel, cost_fn: Callable, bonus,
         if rng is None:
             raise ConfigurationError("random shooting needs an rng")
         n = min(search_cfg.n_candidates, total)
-        if total <= 10**6:
-            candidate_ids = np.sort(rng.choice(total, size=n, replace=False))
-        else:
-            # collisions are vanishingly rare at this scale; dedupe anyway
-            draws = rng.integers(0, total, size=n)
-            candidate_ids = np.unique(draws)
+        candidate_ids = np.sort(rng.choice(total, size=n, replace=False))
     else:
         raise ConfigurationError(
             f"A^H = {total} exceeds the exhaustive budget "

@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import re
 
 import numpy as np
 import pytest
@@ -8,9 +7,7 @@ import pytest
 from ilfo_lab.envs import ConfigurationError, Policy, TabularMdp, occupancy_exact, value_eval_tabular
 from ilfo_lab.expert import (
     ExpertDataset,
-    load_expert_dataset,
     sample_expert_states,
-    save_expert_dataset,
     solve_openloop_knr,
     solve_optimal_tabular,
 )
@@ -130,19 +127,6 @@ def test_empirical_frequencies_match_occupancy():
         assert np.max(np.abs(freq - marg[h])) < 0.02
 
 
-def test_single_sample_view_draws_decision_steps_only():
-    mdp = make_chain(slip=0.0)
-    pol = solve_optimal_tabular(mdp)
-    data = sample_expert_states(mdp, pol, 2_000, np.random.default_rng(9))
-    picks = data.single_sample_view(np.random.default_rng(10))
-    # the deterministic chain visits state h at step h; the final state H is
-    # never sampled because only decision steps enter the view
-    assert picks.max() <= mdp.horizon - 1
-    # uniform over the H decision steps: each state h has mass ~ 1/H
-    freq = np.bincount(picks, minlength=mdp.num_states) / len(picks)
-    assert np.max(np.abs(freq[: mdp.horizon] - 1 / mdp.horizon)) < 0.04
-
-
 def test_flat_view_counts():
     mdp = make_chain()
     pol = solve_optimal_tabular(mdp)
@@ -152,43 +136,3 @@ def test_flat_view_counts():
     assert abs(dist.sum() - 1.0) < 1e-12
 
 
-def test_dataset_roundtrip_tabular(tmp_path):
-    mdp = make_chain()
-    pol = solve_optimal_tabular(mdp)
-    data = sample_expert_states(mdp, pol, 4, np.random.default_rng(0))
-    path = tmp_path / "expert.txt"
-    save_expert_dataset(data, str(path))
-    loaded = load_expert_dataset(str(path))
-    assert loaded.num_trajectories == data.num_trajectories
-    for a, b in zip(loaded.trajectories, data.trajectories):
-        assert np.array_equal(a, b)
-
-
-def test_dataset_roundtrip_vector(tmp_path):
-    sys_ = make_knr_example()
-    pol = solve_openloop_knr(sys_)
-    data = sample_expert_states(sys_, pol, 3, np.random.default_rng(1))
-    path = tmp_path / "expert_vec.txt"
-    save_expert_dataset(data, str(path))
-    loaded = load_expert_dataset(str(path))
-    for a, b in zip(loaded.trajectories, data.trajectories):
-        assert np.allclose(a, b, atol=0, rtol=0)
-
-
-@pytest.mark.parametrize("text, message", [
-    ("# horizon=2 state_dim=0\n0,1,2\n0,1.7,2\n",
-     ":3: tabular states must be integers >= 0"),
-    ("# horizon=2 state_dim=0\n0,-1,2\n",
-     ":2: tabular states must be integers >= 0"),
-    ("# horizon=1 state_dim=2\n0.5,0.25,1.0,2.0\n0.5,0.25,1.0\n",
-     ":3: expected 4 numbers for horizon 1 and state_dim 2, got 3"),
-    ("# horizon=2\n0,1,2\n",
-     ":1: header needs integer 'horizon' and 'state_dim' fields"),
-    ("# horizon=2 state_dim=0\n0,x,2\n", ":2: non-numeric state value"),
-], ids=["fractional_state", "negative_state", "short_vector_row",
-        "missing_state_dim", "non_numeric_value"])
-def test_malformed_dataset_names_the_line(tmp_path, text, message):
-    path = tmp_path / "expert.txt"
-    path.write_text(text)
-    with pytest.raises(ConfigurationError, match=re.escape(message)):
-        load_expert_dataset(str(path))

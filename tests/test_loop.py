@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -168,9 +170,15 @@ class TestRegretSummary:
         assert term == pytest.approx(ENVELOPE_H5_I40_T100, rel=1e-15)
 
     def test_stat_term_formula(self):
+        # |F| is the heuristic 2^min(S, 16): 2^4 for S = 4, 2^16 for KNR
         rec = self._record_from_values([1.0])
-        s = regret_summary(rec, f_class_size=50)
-        expect = 2.0 * 5 * np.sqrt(np.log(2 * 1 * 50 / 0.1) / 50)
+        s = regret_summary(rec)
+        expect = 2.0 * 5 * np.sqrt(np.log(2 * 1 * 2**4 / 0.1) / 50)
+        assert s["envelope_stat_term"] == pytest.approx(expect, rel=1e-12)
+        knr = dataclasses.replace(rec, kind="knr", num_states=None,
+                                  num_actions=None)
+        s = regret_summary(knr)
+        expect = 2.0 * 5 * np.sqrt(np.log(2 * 1 * 2**16 / 0.1) / 50)
         assert s["envelope_stat_term"] == pytest.approx(expect, rel=1e-12)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ilfo_lab import ConfigurationError, Policy, rollout
+from ilfo_lab import ConfigurationError, Policy, mab, rollout
 from ilfo_lab.mab import (
     REGRET_CSV_COLUMNS,
     BanditTrace,
@@ -107,14 +107,14 @@ class TestRunBandit:
                   for s in range(20)]
         assert np.median(finals) <= 50.0
 
-    def test_eps_greedy_always_explore_spreads_pulls(self):
-        tr = run_bandit(BIG_GAP, "eps_greedy", 2000, np.random.default_rng(2),
-                        eps_schedule=lambda A, t: 1.0)
+    def test_eps_greedy_always_explore_spreads_pulls(self, monkeypatch):
+        monkeypatch.setattr(mab, "_default_eps", lambda A, t: 1.0)
+        tr = run_bandit(BIG_GAP, "eps_greedy", 2000, np.random.default_rng(2))
         assert np.all(tr.pull_counts > 2000 / 2 / 4)
 
-    def test_eps_greedy_never_explore_exploits(self):
-        tr = run_bandit(BIG_GAP, "eps_greedy", 200, np.random.default_rng(2),
-                        eps_schedule=lambda A, t: 0.0)
+    def test_eps_greedy_never_explore_exploits(self, monkeypatch):
+        monkeypatch.setattr(mab, "_default_eps", lambda A, t: 0.0)
+        tr = run_bandit(BIG_GAP, "eps_greedy", 200, np.random.default_rng(2))
         # one forced init pull of the bad arm, pure exploitation after
         assert tr.pull_counts[0] == 199
 
@@ -198,6 +198,17 @@ class TestCurvesAndSlopes:
         t = np.arange(1, 2001)
         slope = fit_loglog_slope(t, 3.0 * t ** 0.7)
         assert slope == pytest.approx(0.7, abs=1e-9)
+
+    def test_slope_window_starts_at_a_tenth_of_the_horizon(self):
+        # 3 t^0.7 from T // 10 on; the steeper curve before it would pull
+        # the fit off 0.7 if the window started any earlier
+        t = np.arange(1, 2001)
+        regret = np.where(t >= 200, 3.0 * t ** 0.7, t ** 2.0)
+        assert fit_loglog_slope(t, regret) == pytest.approx(0.7, abs=1e-9)
+        # and t = T // 10 itself is fitted: moving that one point moves
+        # the slope, which a later start would not see
+        regret[t == 200] *= 2.0
+        assert abs(fit_loglog_slope(t, regret) - 0.7) > 1e-6
 
     def test_slope_needs_positive_points(self):
         with pytest.raises(ConfigurationError):

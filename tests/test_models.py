@@ -41,7 +41,7 @@ class TestReplayBuffer:
         buf.append(0, 1, 0, 2)
         buf.append(1, 1, 0, 2)
         buf.append(0, 1, 0, 0)
-        assert buf.count(1, 0) == 3
+        assert buf.counts_sas[1, 0].sum() == 3
         assert buf.counts_sas[1, 0, 2] == 2
         assert buf.counts_sas[1, 0, 0] == 1
         assert len(buf) == 3
@@ -52,8 +52,7 @@ class TestReplayBuffer:
         buf.append(0, 1, 0, 1)
         buf.append(0, 1, 0, 0)  # evicts the first triple
         assert len(buf) == 2
-        assert buf.count(0, 0) == 0
-        assert buf.count(1, 0) == 2
+        np.testing.assert_array_equal(buf.counts_sas[:, 0].sum(axis=1), [0, 2])
 
     def test_capacity_zero_is_unbounded(self):
         buf = ReplayBuffer(num_states=2, num_actions=1)
@@ -65,7 +64,17 @@ class TestReplayBuffer:
         buf = ReplayBuffer()
         buf.append(0, np.zeros(2), 1, np.ones(2))
         with pytest.raises(ConfigurationError):
-            buf.count(0, 0)
+            buf.counts_sas
+
+    @pytest.mark.parametrize("a", [1.7, -1, "1"],
+                             ids=["fractional", "negative", "string"])
+    def test_knr_append_rejects_bad_action(self, a):
+        # 1.7 would light one-hot slot 1, -1 the last slot
+        buf = ReplayBuffer(capacity=1)
+        buf.append(0, np.zeros(2), 1, np.ones(2))
+        with pytest.raises(ConfigurationError):
+            buf.append(1, np.zeros(2), a, np.ones(2))
+        assert len(buf) == 1 and list(buf)[0][2] == 1
 
     @pytest.mark.parametrize("s, a, s_next", [
         (-1, 0, 1),     # would be counted as state S-1
@@ -327,7 +336,7 @@ class TestBonuses:
         buf = ReplayBuffer(capacity=2, num_states=3, num_actions=1)
         for h, s in enumerate((0, 1, 2)):
             buf.append(h, s, 0, 1)
-        assert buf.count(0, 0) == 0
+        assert buf.counts_sas[0, 0].sum() == 0
         lam = 0.8
         b = ensemble_bonus(m_a, m_b, buf, lam_bonus=lam)
         retained = [s for _, s, _, _ in buf]
@@ -337,8 +346,7 @@ class TestBonuses:
 
     def test_bonus_table_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError):
-            BonusFunction(fn=lambda s, a: 0.0, upper=1.0,
-                          table=np.array([[1.5]]))
+            BonusFunction(upper=1.0, table=np.array([[1.5]]))
 
 
 class TestModelValidation:
@@ -407,12 +415,12 @@ class TestMeanPrediction:
                                    sys_.step_mean(s, 0), atol=1e-6)
 
 
-def reference_bootstrap_buffers(buffer, rng, n=2):
+def reference_bootstrap_buffers(buffer, rng):
     """Resampling by one ``append`` per drawn transition, as it was before
     the halves were built from counts."""
     items = list(buffer)
     out = []
-    for _ in range(n):
+    for _ in range(2):
         fresh = ReplayBuffer(capacity=0, num_states=buffer.num_states,
                              num_actions=buffer.num_actions)
         if items:
@@ -437,13 +445,13 @@ def reference_ensemble_bonus(model_a, model_b, buffer, lam_bonus):
         fn = lambda s, a: 0.0
     else:
         fn = lambda s, a: lam_bonus * min(1.0, gap(s, a) / delta_max)
-    table = None
     if isinstance(model_a, TabularModel) and isinstance(model_b, TabularModel):
         table = np.zeros((model_a.num_states, model_a.num_actions))
         for s in range(model_a.num_states):
             for a in range(model_a.num_actions):
                 table[s, a] = fn(s, a)
-    return BonusFunction(fn=fn, upper=lam_bonus, table=table)
+        return BonusFunction(upper=lam_bonus, table=table)
+    return BonusFunction(upper=lam_bonus, fn=fn)
 
 
 @st.composite
@@ -507,7 +515,7 @@ class TestEnsembleCountsDifferential:
         assert got.upper == want.upper
         for s in range(s_dim):
             for a in range(a_dim):
-                assert got.fn(s, a) == want.fn(s, a)
+                assert got(s, a) == want(s, a)
 
     @settings(max_examples=40, deadline=None)
     @given(n_items=st.integers(0, 30), capacity=st.sampled_from([0, 9]),

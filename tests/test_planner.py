@@ -164,7 +164,7 @@ class TestBestResponseKnr:
         return pol.action_seq, seq, ids
 
     def test_random_shooting_draws_without_replacement(self):
-        # A^H = 1024 <= 10**6: ids come from rng.choice, without repeats
+        # A^H = 1024: ids come from rng.choice, without repeats
         model = knr_model_from_system(make_knr_example(noise_std=0.0))
         cost = lambda s: float(s[0] - s[1])
         bonus = BonusFunction(fn=lambda s, a: 0.05 * a * float(s[1] ** 2),
@@ -176,13 +176,15 @@ class TestBestResponseKnr:
         assert len(np.unique(ids)) == 64
         np.testing.assert_array_equal(got, want)
 
-    def test_random_shooting_above_a_million_draws_integers(self):
-        # A^H = 2^21 > 10**6: ids come from rng.integers, deduplicated
+    def test_random_shooting_above_a_million_draws_without_replacement(self):
+        # A^H = 2^21 > 10**6: the same rng.choice draw, without repeats
         model = knr_model_from_system(make_knr_example(noise_std=0.0))
         cost = lambda s: float(s[0] - s[1])
         got, want, ids = self.shooting_reference(
             model, cost, None, 21,
-            lambda r, total, n: np.unique(r.integers(0, total, size=n)))
+            lambda r, total, n: np.sort(r.choice(total, size=n,
+                                                 replace=False)))
+        assert len(np.unique(ids)) == 64
         assert ids.max() >= 10**6
         np.testing.assert_array_equal(got, want)
 
