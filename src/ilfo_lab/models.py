@@ -31,9 +31,14 @@ SIGMA_CAP = 2.0
 class ReplayBuffer:
     """FIFO store of (h, s, a, s') transitions, pooled across h.
 
-    ``capacity=0`` means unbounded.  When ``num_states``/``num_actions``
-    are given the buffer also maintains exact visit counts so tabular
-    fits are O(S A S) instead of O(len(buffer)).
+    ``capacity=0`` means unbounded.  The buffer keeps the sufficient
+    statistics of its family's fit.  A tabular buffer (``num_states`` and
+    ``num_actions`` given) keeps exact visit counts, so tabular fits are
+    O(S A S) instead of O(len(buffer)).  A KNR buffer keeps each
+    transition's feature vector phi, computed once when the transition is
+    first folded, and the ridge sums ``lam I + sum phi phi^T`` and
+    ``sum s' phi^T`` (see ``ridge_sums``); the feature map must be a pure
+    function of (s, a).
     """
 
     def __init__(self, capacity: int = 0, num_states: int | None = None,
@@ -52,6 +57,13 @@ class ReplayBuffer:
                 (num_states, num_actions, num_states), dtype=np.int64)
         else:
             self._counts_sas = None
+            # phi of each item (None until computed) under _phi_map; the
+            # sums cover the first _folded items under _sums_key
+            self._phis: deque = deque()
+            self._phi_map = None
+            self._sums_key = None
+            self._cov = self._moment = None
+            self._folded = 0
 
     @property
     def tabular(self) -> bool:
@@ -67,19 +79,25 @@ class ReplayBuffer:
         if self.tabular:
             s, a, s_next = self._indices(s, a, s_next)
             self._counts_sas[s, a, s_next] += 1
-        else:
-            try:
-                a = operator.index(a)
-            except TypeError:
-                raise ConfigurationError(
-                    f"KNR action {a!r} needs an integer index") from None
-            if a < 0:
-                raise ConfigurationError(f"KNR action {a} is negative")
-        self._items.append((h, s, a, s_next))
-        if self.capacity and len(self._items) > self.capacity:
-            h0, s0, a0, n0 = self._items.popleft()
-            if self.tabular:
+            self._items.append((h, s, a, s_next))
+            if self.capacity and len(self._items) > self.capacity:
+                _, s0, a0, n0 = self._items.popleft()
                 self._counts_sas[s0, a0, n0] -= 1
+            return
+        try:
+            a = operator.index(a)
+        except TypeError:
+            raise ConfigurationError(
+                f"KNR action {a!r} needs an integer index") from None
+        if a < 0:
+            raise ConfigurationError(f"KNR action {a} is negative")
+        self._items.append((h, s, a, s_next))
+        self._phis.append(None)
+        if self.capacity and len(self._items) > self.capacity:
+            self._items.popleft()
+            self._phis.popleft()
+            # subtracting would move digits: the next fit refolds
+            self._sums_key = None
 
     def _indices(self, s, a, s_next) -> tuple[int, int, int]:
         """(s, a, s') as Python ints, or ConfigurationError unless each
@@ -108,30 +126,81 @@ class ReplayBuffer:
             raise ConfigurationError("counts require a tabular buffer")
         return self._counts_sas.copy()
 
+    def _use_feature_map(self, features: Callable) -> None:
+        """Drop the cached features and sums unless they came from this map."""
+        if self.tabular:
+            raise ConfigurationError("features require a KNR buffer")
+        if features != self._phi_map:
+            self._phi_map = features
+            self._phis = deque([None] * len(self._items))
+            self._sums_key = None
+
+    def _phi(self, i: int, features: Callable) -> Array:
+        phi = self._phis[i]
+        if phi is None:
+            _, s, a, _ = self._items[i]
+            phi = self._phis[i] = np.asarray(features(s, a), dtype=float)
+        return phi
+
+    def feature_vectors(self, features: Callable) -> list[Array]:
+        """phi(s, a) of each transition in FIFO order, each computed once."""
+        self._use_feature_map(features)
+        return [self._phi(i, features) for i in range(len(self._items))]
+
+    def ridge_sums(self, features: Callable, feature_dim: int,
+                   state_dim: int, lam_ridge: float) -> tuple[Array, Array]:
+        """(cov, moment) = (lam I + sum phi phi^T, sum s' phi^T), the
+        buffer's own arrays, not to be written to.
+
+        Only the transitions appended since the last call are folded in,
+        in FIFO order, so every sum takes the float steps of a fold over
+        the whole buffer.  After an eviction, or with another feature map,
+        shape or lam, the sums are refolded from the cached features.
+        """
+        self._use_feature_map(features)
+        key = (feature_dim, state_dim, lam_ridge)
+        if key != self._sums_key:
+            self._sums_key = key
+            self._cov = lam_ridge * np.eye(feature_dim)
+            self._moment = np.zeros((state_dim, feature_dim))
+            self._folded = 0
+        for i in range(self._folded, len(self._items)):
+            phi = self._phi(i, features)
+            self._cov += np.outer(phi, phi)
+            self._moment += np.outer(np.atleast_1d(self._items[i][3]), phi)
+        self._folded = len(self._items)
+        return self._cov, self._moment
+
 
 def bootstrap_buffers(buffer: ReplayBuffer,
                       rng: np.random.Generator) -> list[ReplayBuffer]:
     """Resample two buffers of the same size with replacement.
 
     A tabular half takes its counts from one bincount over the flat
-    (s A + a) S + s' codes of the transitions it drew.
+    (s A + a) S + s' codes of the transitions it drew.  A KNR half carries
+    the cached feature vectors of the transitions it drew.
     """
     items = list(buffer)
     s_dim, a_dim = buffer.num_states, buffer.num_actions
-    codes = None
+    codes = phis = None
     if buffer.tabular:
         codes = np.array([(s * a_dim + a) * s_dim + s_next
                           for _, s, a, s_next in items], dtype=np.int64)
+    else:
+        phis = list(buffer._phis)
     out = []
     for _ in range(2):
         fresh = ReplayBuffer(capacity=0, num_states=s_dim, num_actions=a_dim)
         if items:
-            idx = rng.integers(0, len(items), size=len(items))
-            fresh._items = deque([items[i] for i in idx.tolist()])
+            idx = rng.integers(0, len(items), size=len(items)).tolist()
+            fresh._items = deque([items[i] for i in idx])
             if codes is not None:
                 fresh._counts_sas = np.bincount(
                     codes[idx], minlength=s_dim * a_dim * s_dim
                 ).reshape(s_dim, a_dim, s_dim)
+            else:
+                fresh._phi_map = buffer._phi_map
+                fresh._phis = deque([phis[i] for i in idx])
         out.append(fresh)
     return out
 
@@ -249,18 +318,15 @@ def fit_knr_ridge(buffer: ReplayBuffer, features: Callable,
     """Ridge regression of next states on features.
 
     Returns (w_hat, cov) with w_hat = (sum s' phi^T)(cov)^{-1} and
-    cov = sum phi phi^T + lam I.  An empty buffer yields w_hat = 0.
+    cov = sum phi phi^T + lam I, both the buffer's running sums.  An
+    empty buffer yields w_hat = 0.
     """
     if lam_ridge <= 0:
         raise ConfigurationError("lam_ridge must be positive")
-    cov = lam_ridge * np.eye(feature_dim)
-    moment = np.zeros((state_dim, feature_dim))
-    for _, s, a, s_next in buffer:
-        phi = np.asarray(features(s, a), dtype=float)
-        cov += np.outer(phi, phi)
-        moment += np.outer(np.atleast_1d(s_next), phi)
+    cov, moment = buffer.ridge_sums(features, feature_dim, state_dim,
+                                    lam_ridge)
     w_hat = np.linalg.solve(cov, moment.T).T
-    return w_hat, cov
+    return w_hat, cov.copy()
 
 
 def knr_beta(t: int, delta: float, lam_ridge: float, noise_std: float,
@@ -351,7 +417,9 @@ def ensemble_bonus(model_a: TabularModel | KnrModel,
     delta(s, a) is the L2 gap between the two models' mean predictions
     and delta_max its maximum over the buffer.  An all-zero disagreement
     over the buffer gives the zero bonus.  Two tabular models take one gap
-    per (s, a), and the maximum over the pairs the buffer counts.
+    per (s, a), and the maximum over the pairs the buffer counts.  Two KNR
+    models share one feature map, and take the maximum over the buffer's
+    cached feature vectors.
     """
     if lam_bonus < 0:
         raise ConfigurationError("lam_bonus must be >= 0")
@@ -372,9 +440,13 @@ def ensemble_bonus(model_a: TabularModel | KnrModel,
             table = lam_bonus * np.minimum(1.0, gaps / delta_max)
         return BonusFunction(upper=lam_bonus, table=table)
 
+    if model_a.features != model_b.features:
+        raise ConfigurationError("the two KNR models need one feature map")
+    # mean_prediction's per-row product on the buffer's cached features
     delta_max = 0.0
-    for _, s, a, _ in buffer:
-        delta_max = max(delta_max, gap(s, a))
+    for phi in buffer.feature_vectors(model_a.features):
+        delta_max = max(delta_max, float(np.linalg.norm(
+            model_a.w_hat @ phi - model_b.w_hat @ phi)))
     if delta_max == 0.0:
         fn = lambda s, a: 0.0
     else:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ilfo_lab import ConfigurationError, Policy, TabularMdp, rollout, value_eval_tabular
+from ilfo_lab import loop, models
 from ilfo_lab.envs import value_eval_mc
 from ilfo_lab.expert import ExpertDataset, sample_expert_states, solve_optimal_tabular
 from ilfo_lab.loop import (
@@ -20,6 +21,7 @@ from ilfo_lab.loop import (
 from ilfo_lab.mab import REGRET_CSV_COLUMNS, write_regret_csv
 from ilfo_lab.planner import MinMaxConfig
 from ilfo_lab.worlds import make_chain, make_combination_lock, make_knr_example
+from test_models import reference_ensemble_bonus, reference_fit_knr_ridge
 
 # frozen from notes/oracles/model_oracle.py
 ENVELOPE_H5_I40_T100 = 212.13203435596424
@@ -364,6 +366,95 @@ class TestTracedFitCalls:
         run_mobile(system, data, cfg, np.random.default_rng(1),
                    expert_value=0.0)
         assert calls == [t for t in (1, 2, 3) for _ in range(per_iter)]
+
+
+class TestKnrRidgeSums:
+    """A KNR run on the buffer's running ridge sums against the full refit
+    and the per-item ensemble gap kept in test_models."""
+
+    H, T = 3, 10
+
+    def knr_run(self, mode, capacity, system=None):
+        system = system or make_knr_example(noise_std=0.05, horizon=self.H)
+        pol = Policy.open_loop([1] * self.H)
+        rng = np.random.default_rng(0)
+        data = ExpertDataset(trajectories=[rollout(system, pol, rng).states
+                                           for _ in range(8)])
+        cfg = MobileConfig(t_iters=self.T, n_expert=8, bonus_mode=mode,
+                           buffer_capacity=capacity, mmd_features=8,
+                           knr_eval_rollouts=2,
+                           minmax=MinMaxConfig(k_iters=2))
+        return run_mobile(system, data, cfg, np.random.default_rng(1),
+                          expert_value=0.0)[1]
+
+    @pytest.mark.parametrize("mode, capacity", [
+        ("theory", 0), ("ensemble", 0), ("theory", 5), ("ensemble", 7)])
+    def test_record_matches_full_refit(self, monkeypatch, mode, capacity):
+        fast = self.knr_run(mode, capacity)
+        monkeypatch.setattr(models, "fit_knr_ridge", reference_fit_knr_ridge)
+        monkeypatch.setattr(loop, "ensemble_bonus", reference_ensemble_bonus)
+        slow = self.knr_run(mode, capacity)
+        for name in ("value", "ipm", "mean_bonus", "info_gain_cum",
+                     "objective"):
+            assert np.array_equal(getattr(fast, name), getattr(slow, name))
+        for name in ("cov_snapshots", "executed_features"):
+            got, want = getattr(fast, name), getattr(slow, name)
+            assert len(got) == len(want) == self.T
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def counted_run(self, monkeypatch, mode, capacity):
+        """Features calls inside the fit, and per fit the folds since the
+        previous fit and the buffer's length."""
+        base = make_knr_example(noise_std=0.05, horizon=self.H)
+        calls, in_fit, folds, lengths = [0], [False], [0], []
+
+        def features(s, a):
+            calls[0] += in_fit[0]
+            return base.features(s, a)
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def outer(self, x, y):
+                folds[-1] += 0.5    # a fold is two outer products
+                return np.outer(x, y)
+
+        real = models.fit_knr_ridge
+
+        def fit(buffer, *args):
+            in_fit[0] = True
+            try:
+                return real(buffer, *args)
+            finally:
+                in_fit[0] = False
+                lengths.append(len(buffer))
+                folds.append(0)
+
+        monkeypatch.setattr(models, "np", CountingNumpy())
+        monkeypatch.setattr(models, "fit_knr_ridge", fit)
+        self.knr_run(mode, capacity,
+                     dataclasses.replace(base, features=features))
+        return calls[0], folds[:-1], lengths
+
+    @pytest.mark.parametrize("mode, capacity", [
+        ("theory", 0), ("ensemble", 0), ("theory", 5)])
+    def test_fit_features_each_transition_once(self, monkeypatch, mode,
+                                               capacity):
+        # the last episode lands after the last fit; a full refit on every
+        # fit would take H T (T - 1) / 2 calls
+        calls, _, _ = self.counted_run(monkeypatch, mode, capacity)
+        assert calls == (self.T - 1) * self.H
+
+    @pytest.mark.parametrize("capacity", [0, 5])
+    def test_at_most_one_refold_per_fit(self, monkeypatch, capacity):
+        _, folds, lengths = self.counted_run(monkeypatch, "theory", capacity)
+        assert len(folds) == len(lengths) == self.T
+        assert all(f <= n for f, n in zip(folds, lengths))
+        if capacity == 0:
+            assert folds == [0] + [self.H] * (self.T - 1)
+        else:
+            assert folds[2:] == [capacity] * (self.T - 2)
 
 
 class TestCombinationLock:

@@ -344,6 +344,17 @@ class TestBonuses:
         assert b(2, 0) == pytest.approx(lam / 2, abs=1e-12)
         assert b(0, 0) == lam   # the evicted pair's ratio is capped at 1
 
+    def test_ensemble_rejects_knr_models_on_two_feature_maps(self):
+        sys_ = make_knr_example()
+        buf = ReplayBuffer()
+        buf.append(0, np.zeros(2), 1, np.ones(2))
+        m_a, m_b = (fit_knr_model(buf, fmap, 4, 2, 0.3, 0.05, 2.0, t=1,
+                                  delta=0.1)
+                    for fmap in (sys_.features,
+                                 lambda s, a: sys_.features(s, a)))
+        with pytest.raises(ConfigurationError, match="one feature map"):
+            ensemble_bonus(m_a, m_b, buf, lam_bonus=1.0)
+
     def test_bonus_table_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError):
             BonusFunction(upper=1.0, table=np.array([[1.5]]))
@@ -545,3 +556,92 @@ class TestEnsembleCountsDifferential:
                                                    (np.ones(2), 1)]
         for s, a in probes:
             assert got.fn(s, a) == want.fn(s, a)
+
+
+def reference_fit_knr_ridge(buffer, features, feature_dim, state_dim,
+                            lam_ridge):
+    """The full refit: every transition's features and outer products, in
+    FIFO order, on every call."""
+    cov = lam_ridge * np.eye(feature_dim)
+    moment = np.zeros((state_dim, feature_dim))
+    for _, s, a, s_next in buffer:
+        phi = np.asarray(features(s, a), dtype=float)
+        cov += np.outer(phi, phi)
+        moment += np.outer(np.atleast_1d(s_next), phi)
+    w_hat = np.linalg.solve(cov, moment.T).T
+    return w_hat, cov
+
+
+class CountingMap:
+    """A feature map that counts its calls."""
+
+    def __init__(self, features):
+        self.features, self.calls = features, 0
+
+    def __call__(self, s, a):
+        self.calls += 1
+        return self.features(s, a)
+
+
+ridge_ops = st.lists(st.one_of(
+    st.tuples(st.just("append"), st.integers(1, 6)),
+    st.tuples(st.just("fit"), st.sampled_from([0.3, 0.3, 1e-3, 2.0]),
+              st.sampled_from([0, 0, 1])),
+    st.tuples(st.just("boot"), st.integers(0, 2**32 - 1))), max_size=25)
+
+
+class TestKnrRidgeSumsDifferential:
+    """The buffer's running ridge sums against the full refit above."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=ridge_ops, capacity=st.sampled_from([0, 0, 3, 7]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_full_refit(self, ops, capacity, seed):
+        sys_ = make_knr_example(noise_std=0.05)
+        maps = [CountingMap(sys_.features),
+                CountingMap(lambda s, a: 0.5 * sys_.features(s, a))]
+        data_rng = np.random.default_rng(seed)
+        buf = ReplayBuffer(capacity=capacity)
+        fitted = (maps[0], 0.3)   # (map, lam) of the buffer's last fit
+        cached = None       # the map of the buffer's cached features
+        appended = 0        # transitions appended since they were cached
+
+        def check_fit(b, fmap, lam):
+            before = fmap.calls
+            got = fit_knr_ridge(b, fmap, 4, 2, lam)
+            want = reference_fit_knr_ridge(b, fmap.features, 4, 2, lam)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            return fmap.calls - before
+
+        for op in ops:
+            if op[0] == "append":
+                for _ in range(op[1]):
+                    s = data_rng.normal(size=2) * 0.5
+                    a = int(data_rng.integers(sys_.num_actions))
+                    buf.append(appended % 4, s, a, sys_.step_mean(s, a)
+                               + sys_.noise_std * data_rng.normal(size=2))
+                    appended += 1
+            elif op[0] == "fit":
+                fmap = maps[op[2]]
+                calls = check_fit(buf, fmap, op[1])
+                # each transition's features once per map, refolds included
+                if cached is fmap:
+                    assert calls == min(appended, len(buf))
+                else:
+                    assert calls == len(buf)
+                fitted, cached, appended = (fmap, op[1]), fmap, 0
+            else:
+                fmap, lam = fitted
+                halves = bootstrap_buffers(buf, np.random.default_rng(op[1]))
+                calls = sum(check_fit(h, fmap, lam) for h in halves)
+                if cached is fmap and appended == 0:
+                    assert calls == 0   # the halves carry the features
+                if len(buf):
+                    cached, appended = fmap, 0
+                    m_a, m_b = (fit_knr_model(h, fmap, 4, 2, lam, 0.05, 2.0,
+                                              t=1, delta=0.1) for h in halves)
+                    got = ensemble_bonus(m_a, m_b, buf, lam_bonus=1.0)
+                    want = reference_ensemble_bonus(m_a, m_b, buf, 1.0)
+                    for _, s, a, _ in buf:
+                        assert got(s, a) == want(s, a)
