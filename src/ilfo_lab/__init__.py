@@ -26,6 +26,7 @@ from .mab import (
     make_hard_family,
     reduction_mdp,
     run_bandit,
+    run_bandits,
 )
 from .verify import CheckReport, run_all_checks
 from .worlds import (
@@ -64,6 +65,7 @@ __all__ = [
     "rollout",
     "run_all_checks",
     "run_bandit",
+    "run_bandits",
     "run_mobile",
     "value_eval_mc",
     "value_eval_tabular",

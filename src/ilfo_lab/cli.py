@@ -25,7 +25,8 @@ from .expert import (OPENLOOP_SEARCH_LIMIT, ExpertDataset,
                      solve_optimal_tabular)
 from .loop import MobileConfig, regret_summary, run_mobile, write_csv_rows
 from .mab import (BanditConfig, cumulative_regret_curve, fit_loglog_slope,
-                  make_hard_family, run_bandit, write_regret_csv)
+                  make_hard_family, run_bandits, write_regret_csv)
+from .mab import run_bandit  # unused here; perfbench traces cli.run_bandit
 from .planner import MinMaxConfig
 from .verify import run_all_checks
 from .worlds import (make_chain, make_combination_lock, make_knr_example,
@@ -231,20 +232,26 @@ def _mobile_seed_task(cfg: ExperimentConfig, seed: int) -> list:
             summary["iterations_to_threshold"], record.info_gain_total]
 
 
-def _bandit_pair_task(cfg: ExperimentConfig, algorithm: str,
-                      inst_idx: int) -> list:
-    """All seeds of one (algorithm, instance) pair; writes the curve CSV."""
+def _bandit_algorithm_task(cfg: ExperimentConfig, algorithm: str) -> list:
+    """Every (instance, seed) run of one algorithm as one batch; writes each
+    instance's curve CSV and returns its summary rows, in instance order."""
     b = cfg.bandit
-    inst = make_hard_family(b.num_arms, b.horizon)[inst_idx]
-    traces = [run_bandit(inst, algorithm, b.horizon,
-                         np.random.default_rng(BANDIT_SEED_STRIDE * s
-                                               + inst_idx))
-              for s in cfg.seeds]
-    t_grid, mean, stderr = cumulative_regret_curve(traces)
-    path = os.path.join(cfg.out, f"mab-{algorithm}-{inst.name}.csv")
-    write_regret_csv(path, algorithm, inst.name, t_grid, mean, stderr)
-    slope = fit_loglog_slope(t_grid, mean)
-    return [algorithm, inst.name, float(mean[-1]), slope]
+    family = make_hard_family(b.num_arms, b.horizon)
+    pairs = [(idx, s) for idx in range(len(family)) for s in cfg.seeds]
+    traces = run_bandits(
+        [family[idx] for idx, _ in pairs], algorithm, b.horizon,
+        [np.random.default_rng(BANDIT_SEED_STRIDE * s + idx)
+         for idx, s in pairs])
+    n_seeds = len(cfg.seeds)
+    rows = []
+    for idx, inst in enumerate(family):
+        t_grid, mean, stderr = cumulative_regret_curve(
+            traces[idx * n_seeds:(idx + 1) * n_seeds])
+        path = os.path.join(cfg.out, f"mab-{algorithm}-{inst.name}.csv")
+        write_regret_csv(path, algorithm, inst.name, t_grid, mean, stderr)
+        slope = fit_loglog_slope(t_grid, mean)
+        rows.append([algorithm, inst.name, float(mean[-1]), slope])
+    return rows
 
 
 def _verify_knr_record(seed: int):
@@ -295,9 +302,9 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> int:
                        MOBILE_SUMMARY_COLUMNS, rows, MOBILE_SUMMARY_FORMAT)
         return 0
 
-    tasks = [(cfg, alg, idx) for alg in cfg.bandit.algorithms
-             for idx in range(cfg.bandit.num_arms + 1)]
-    rows = _map_tasks(_bandit_pair_task, tasks, jobs)
+    tasks = [(cfg, alg) for alg in cfg.bandit.algorithms]
+    rows = [row for alg_rows in _map_tasks(_bandit_algorithm_task, tasks, jobs)
+            for row in alg_rows]
     write_csv_rows(os.path.join(cfg.out, "summary.csv"),
                    MAB_SUMMARY_COLUMNS, rows, MAB_SUMMARY_FORMAT)
     return 0

@@ -8,6 +8,8 @@ against the revealed mean, so the zero instance charges every pull.
 """
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,9 +128,15 @@ def _default_eps(num_arms: int, t: int) -> float:
     return min(1.0, num_arms ** (1.0 / 3.0) * t ** (-1.0 / 3.0))
 
 
-def run_bandit(instance: MabInstance, algorithm: str, horizon: int,
-               rng: np.random.Generator) -> BanditTrace:
-    """Play ``horizon`` steps and return the trace.
+def run_bandits(instances: Sequence[MabInstance], algorithm: str,
+                horizon: int,
+                rngs: Sequence[np.random.Generator]) -> list[BanditTrace]:
+    """Play ``horizon`` steps of ``algorithm`` on every instance together.
+
+    Run r plays ``instances[r]`` with ``rngs[r]``; the instances share one
+    arm count. Each run draws its noise, then (eps_greedy) its explore
+    coins, then its explore arms from its own Generator, so a run's trace
+    does not depend on the rest of the batch.
 
     All algorithms pull each arm once first, break ties toward the lowest
     index, and see unit-variance Gaussian rewards. eps_greedy explores with
@@ -139,76 +147,150 @@ def run_bandit(instance: MabInstance, algorithm: str, horizon: int,
     """
     if algorithm not in ALGORITHMS:
         raise ConfigurationError(f"unknown bandit algorithm '{algorithm}'")
-    A = instance.num_arms
-    T = int(horizon)
+    instances, rngs = list(instances), list(rngs)
+    if not instances:
+        raise ConfigurationError("a bandit batch needs at least one run")
+    if len(rngs) != len(instances):
+        raise ConfigurationError(
+            f"{len(rngs)} generators for {len(instances)} instances")
+    A = instances[0].num_arms
+    if any(inst.num_arms != A for inst in instances):
+        raise ConfigurationError("instances of one batch share an arm count")
+    if isinstance(horizon, bool):
+        raise ConfigurationError("horizon must be an int, got a bool")
+    try:
+        T = operator.index(horizon)
+    except TypeError:
+        raise ConfigurationError(
+            f"horizon must be an int, got {horizon!r}") from None
     if T < A:
         raise ConfigurationError("horizon must cover one pull per arm")
-    mu = [float(m) for m in instance.means]
-    noise = rng.standard_normal(T)
+
+    R = len(instances)
+    mu = np.stack([inst.means for inst in instances])
+    noise = np.empty((R, T))
+    explore = explore_arm = None
     if algorithm == "eps_greedy":
-        explore_coin = rng.random(T)
-        explore_arm = rng.integers(0, A, size=T)
-        eps = _default_eps
-    arms = np.empty(T, dtype=np.int64)
-    sums = [0.0] * A
-    counts = [0] * A
-    for t in range(A):
-        arms[t] = t
-        sums[t] = mu[t] + noise[t]
-        counts[t] = 1
+        eps = np.zeros(T)
+        eps[A:] = [_default_eps(A, t + 1) for t in range(A, T)]
+        explore = np.empty((R, T), dtype=bool)
+        explore_arm = np.empty((R, T), dtype=np.int64)
+    for r, rng in enumerate(rngs):
+        noise[r] = rng.standard_normal(T)
+        if algorithm == "eps_greedy":
+            explore[r] = rng.random(T) < eps
+            explore_arm[r] = rng.integers(0, A, size=T)
 
-    if algorithm == "ucb1":
-        for t in range(A, T):
-            two_log_t = 2.0 * math.log(t + 1)
-            best, best_val = 0, -math.inf
-            for i in range(A):
-                v = sums[i] / counts[i] + math.sqrt(two_log_t / counts[i])
-                if v > best_val:
-                    best_val, best = v, i
-            sums[best] += mu[best] + noise[t]
-            counts[best] += 1
-            arms[t] = best
-    elif algorithm == "eps_greedy":
-        for t in range(A, T):
-            if explore_coin[t] < eps(A, t + 1):
-                a = int(explore_arm[t])
-            else:
-                a, best_val = 0, -math.inf
-                for i in range(A):
-                    v = sums[i] / counts[i]
-                    if v > best_val:
-                        best_val, a = v, i
-            sums[a] += mu[a] + noise[t]
-            counts[a] += 1
-            arms[t] = a
+    if algorithm == "known_mean_elim":
+        # anytime sub-Gaussian radius (unit variance), union over arms and
+        # steps: sum_t delta/(A t^2) <= 1.65 delta / A
+        log_table = np.array([math.log(2.0 * A * (t + 1) ** 2 / ELIM_DELTA)
+                              for t in range(T)])
+        arms = np.stack([_elim_arms(mu[r], float(inst.mu_star), noise[r],
+                                    log_table)
+                         for r, inst in enumerate(instances)])
     else:
-        mu_star = float(instance.mu_star)
-        survivors = list(range(A))
-        ptr = 0
-        for t in range(A, T):
-            if ptr >= len(survivors):
-                ptr = 0
-            a = survivors[ptr]
-            sums[a] += mu[a] + noise[t]
-            counts[a] += 1
-            arms[t] = a
-            dropped = False
-            if len(survivors) > 1:
-                # anytime sub-Gaussian radius (unit variance), union over
-                # arms and steps: sum_t delta/(A t^2) <= 1.65 delta / A
-                radius = math.sqrt(2.0 * math.log(
-                    2.0 * A * (t + 1) ** 2 / ELIM_DELTA) / counts[a])
-                if abs(sums[a] / counts[a] - mu_star) > radius:
-                    survivors.pop(ptr)
-                    dropped = True
-            if not dropped:
-                ptr += 1
+        arms = _lockstep_arms(mu, noise, explore, explore_arm)
 
-    mu_arr = np.asarray(mu)
-    regret = np.cumsum(instance.mu_star - mu_arr[arms])
-    rewards = mu_arr[arms] + noise
-    return BanditTrace(arms=arms, rewards=rewards, pseudo_regret=regret,
-                       num_arms=A)
+    traces = []
+    for r, inst in enumerate(instances):
+        mu_pulled = mu[r][arms[r]]
+        traces.append(BanditTrace(
+            arms=arms[r], rewards=mu_pulled + noise[r],
+            pseudo_regret=np.cumsum(inst.mu_star - mu_pulled), num_arms=A))
+    return traces
+
+
+def run_bandit(instance: MabInstance, algorithm: str, horizon: int,
+               rng: np.random.Generator) -> BanditTrace:
+    """One run of ``run_bandits``; batch several runs where there are."""
+    return run_bandits([instance], algorithm, horizon, [rng])[0]
+
+
+def _lockstep_arms(mu: Array, noise: Array, explore, explore_arm) -> Array:
+    """ucb1 (``explore`` None) or eps_greedy arms, one row per run.
+
+    One step advances all R rows of the (R, A) sums, counts and means;
+    the step's log and epsilon are Python scalars shared by the rows, and
+    each row adds its rewards in the order the scalar loop would.
+    """
+    R, A = mu.shape
+    T = noise.shape[1]
+    arms = np.empty((R, T), dtype=np.int64)
+    arms[:, :A] = np.arange(A)
+    sums = (mu + noise[:, :A]).ravel()
+    counts = np.ones(R * A)
+    means = sums.copy()
+    mu_flat = mu.ravel()
+    row_start = np.arange(R) * A
+    index = np.empty(R * A)
+    index_rows, mean_rows = index.reshape(R, A), means.reshape(R, A)
+    for t in range(A, T):
+        if explore is None:
+            np.divide(2.0 * math.log(t + 1), counts, out=index)
+            np.sqrt(index, out=index)
+            np.add(index_rows, mean_rows, out=index_rows)
+            best = index_rows.argmax(axis=1)
+        else:
+            best = mean_rows.argmax(axis=1)
+            np.copyto(best, explore_arm[:, t], where=explore[:, t])
+        flat = row_start + best
+        s = sums[flat] + (mu_flat[flat] + noise[:, t])
+        c = counts[flat] + 1.0
+        sums[flat] = s
+        counts[flat] = c
+        means[flat] = s / c
+        arms[:, t] = best
+    return arms
+
+
+def _elim_arms(mu: Array, mu_star: float, noise: Array,
+               log_table: Array) -> Array:
+    """known_mean_elim's arms for one run, one segment per elimination.
+
+    Between two drops the schedule is a fixed round robin over the
+    survivors, so a segment's running sums are each arm's ``cumsum`` over
+    its own pulls (the scalar loop's addition order), and the segment
+    ends at the first step whose interval excludes ``mu_star``.
+    """
+    A = mu.size
+    T = noise.size
+    arms = np.empty(T, dtype=np.int64)
+    arms[:A] = np.arange(A)
+    sums = mu + noise[:A]
+    counts = np.ones(A, dtype=np.int64)
+    survivors = list(range(A))
+    ptr, t0 = 0, A
+    while t0 < T:
+        m = len(survivors)
+        if ptr >= m:
+            ptr = 0
+        if m == 1:
+            arms[t0:] = survivors[0]
+            break
+        order = survivors[ptr:] + survivors[:ptr]
+        n = T - t0
+        run_sum = np.empty(n)
+        run_count = np.empty(n)
+        for k, a in enumerate(order):
+            pulls = mu[a] + noise[t0 + k::m]
+            run_sum[k::m] = np.cumsum(np.concatenate(([sums[a]], pulls)))[1:]
+            run_count[k::m] = np.arange(counts[a] + 1,
+                                        counts[a] + 1 + pulls.size)
+        radius = np.sqrt(2.0 * log_table[t0:] / run_count)
+        out = np.abs(run_sum / run_count - mu_star) > radius
+        arms[t0:] = np.tile(order, -(-n // m))[:n]
+        if not out.any():
+            break
+        j = int(out.argmax())
+        for k, a in enumerate(order[:j + 1]):
+            last = k + (j - k) // m * m
+            sums[a] = run_sum[last]
+            counts[a] = int(run_count[last])
+        ptr = (ptr + j) % m
+        survivors.pop(ptr)
+        t0 += j + 1
+    return arms
 
 
 def reduction_mdp(instance: MabInstance) -> KnrSystem:

@@ -27,7 +27,7 @@ from ilfo_lab.expert import (sample_expert_states, solve_openloop_knr,
                              solve_optimal_tabular)
 from ilfo_lab.loop import MobileConfig, regret_summary, run_mobile
 from ilfo_lab.mab import (ALGORITHMS, MabInstance, cumulative_regret_curve,
-                          fit_loglog_slope, make_hard_family, run_bandit)
+                          fit_loglog_slope, make_hard_family, run_bandits)
 from ilfo_lab.models import (ReplayBuffer, TabularModel, fit_knr_ridge,
                              fit_tabular, knr_beta)
 from ilfo_lab.planner import MinMaxConfig, game_value_lp, solve_minmax
@@ -83,14 +83,14 @@ def bandit_batch():
     t0 = time.monotonic()
     finals = {}
     for alg in ALGORITHMS:
-        per_inst = []
-        for idx, inst in enumerate(family):
-            traces = [run_bandit(inst, alg, horizon,
-                                 np.random.default_rng(1000 * s + idx))
-                      for s in range(n_seeds)]
-            _, mean, _ = cumulative_regret_curve(traces)
-            per_inst.append(mean[-1])
-        finals[alg] = per_inst
+        traces = run_bandits(
+            [inst for inst in family for _ in range(n_seeds)], alg, horizon,
+            [np.random.default_rng(1000 * s + idx)
+             for idx in range(len(family)) for s in range(n_seeds)])
+        finals[alg] = [
+            cumulative_regret_curve(
+                traces[idx * n_seeds:(idx + 1) * n_seeds])[1][-1]
+            for idx in range(len(family))]
     return {"num_arms": num_arms, "horizon": horizon, "finals": finals,
             "elapsed": time.monotonic() - t0}
 
@@ -113,9 +113,9 @@ def resolvable_bandit():
     t0 = time.monotonic()
     curves = {}
     for alg in ("eps_greedy", "ucb1"):
-        traces = [run_bandit(inst, alg, horizon,
-                             np.random.default_rng(1000 * s + num_arms))
-                  for s in range(n_seeds)]
+        traces = run_bandits([inst] * n_seeds, alg, horizon,
+                             [np.random.default_rng(1000 * s + num_arms)
+                              for s in range(n_seeds)])
         t_grid, mean, _ = cumulative_regret_curve(traces)
         curves[alg] = (t_grid, mean)
     return {"curves": curves, "elapsed": time.monotonic() - t0}

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import os
@@ -149,6 +150,14 @@ def _tiny_cfg(out_dir, extra=None):
     return parse_config(json.dumps(d))
 
 
+def _tiny_mab_cfg(out_dir):
+    return parse_config(json.dumps({
+        "subcommand": "mab-lb",
+        "bandit": {"num_arms": 3, "horizon": 200,
+                   "algorithms": ["ucb1", "eps_greedy", "known_mean_elim"]},
+        "seeds": [0, 1], "out": str(out_dir)}))
+
+
 class TestRunExperiment:
     def test_mobile_tabular_outputs(self, tmp_path):
         cfg = _tiny_cfg(tmp_path / "a")
@@ -202,6 +211,51 @@ class TestRunExperiment:
         summary = (tmp_path / "summary.csv").read_text().strip().split("\n")
         assert summary[0] == "algorithm,instance_id,final_mean_regret,loglog_slope"
         assert len(summary) == 5
+
+    def test_mab_csv_bytes_are_pinned(self, tmp_path):
+        # digests of the CSVs written by the per-run scalar bandit loop,
+        # which the batch engine must reproduce byte for byte
+        expected = {
+            "mab-eps_greedy-instance-0.csv":
+                "d41da55d078eb84f00c659d820ee3066d3d5717fc6508cc958b82f2e1c16191a",
+            "mab-eps_greedy-instance-1.csv":
+                "3103d0d926ebc1901902725a128ccc90e7674e41b14471f86a981d8a0eed353d",
+            "mab-eps_greedy-instance-2.csv":
+                "44af10c39e016bea00b52705334254d2962e680fa62250eaf95ef2c6191fba4f",
+            "mab-eps_greedy-instance-3.csv":
+                "c2b7776d097d378ff3d7a51101ed1ff125740fdf1298568046a96d9bfb8a7c85",
+            "mab-known_mean_elim-instance-0.csv":
+                "9c92e0c92b05184d2d1ebc8ea7dc4c4932d18b216e5ebeccdbd5e2efc242a2f3",
+            "mab-known_mean_elim-instance-1.csv":
+                "92d4d228c50c926c6fcd33cff5c2c0958d12b527fc62f5c53d6ef8a0f1c64baf",
+            "mab-known_mean_elim-instance-2.csv":
+                "186f523bb935726d4e887828a17daf059f133a7f9a40d4ec4ecc3b72ea1c09aa",
+            "mab-known_mean_elim-instance-3.csv":
+                "34179bec2f85adc1701691d25d4aba3d39640c0a2ec929ed8b3aaf41a3ec8cd9",
+            "mab-ucb1-instance-0.csv":
+                "aed84c01db63b160df3aa1c8d17fa43e7c841406baca18be95ce6c74c48f2c64",
+            "mab-ucb1-instance-1.csv":
+                "76081a132e937e760d4cc80d68249cae74868fe13770bf489dc5d8cf72b8fe49",
+            "mab-ucb1-instance-2.csv":
+                "a51774edcb373df9418393359ce86f1c6a4ed02535db876aaaa0a90db5ece2c8",
+            "mab-ucb1-instance-3.csv":
+                "da02cac6fdeabdbd7e5a825940cc269148a93bdd7e15c96f660ee2c25c0f86c8",
+            "summary.csv":
+                "75107018ae07babfeae8caec2068385e032126f608dac8c151889099802c8b22",
+        }
+        assert run_experiment(_tiny_mab_cfg(tmp_path)) == 0
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in tmp_path.glob("*.csv")}
+        assert written == expected
+
+    def test_mab_parallel_matches_serial(self, tmp_path):
+        run_experiment(_tiny_mab_cfg(tmp_path / "a"), jobs=1)
+        run_experiment(_tiny_mab_cfg(tmp_path / "b"), jobs=2)
+        names = sorted(p.name for p in (tmp_path / "a").glob("*.csv"))
+        assert len(names) == 13
+        for name in names:
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes()), name
 
     def test_verify_suite_passes(self, tmp_path):
         cfg = parse_config(json.dumps({"subcommand": "verify-suite",

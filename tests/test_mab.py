@@ -1,8 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ilfo_lab import ConfigurationError, Policy, mab, rollout
 from ilfo_lab.mab import (
+    ALGORITHMS,
+    ELIM_DELTA,
     REGRET_CSV_COLUMNS,
     BanditTrace,
     MabInstance,
@@ -11,11 +17,131 @@ from ilfo_lab.mab import (
     make_hard_family,
     reduction_mdp,
     run_bandit,
+    run_bandits,
     write_regret_csv,
 )
 
 BIG_GAP = MabInstance(means=[10.0, 0.0], mu_star=10.0)
 SEPARABLE = MabInstance(means=[2.0, 0.0, 0.0], mu_star=2.0)
+
+
+def reference_run(instance, algorithm, horizon, rng):
+    """One run stepped a pull at a time with Python scalars: the engine
+    must reproduce its arms, rewards and pseudo-regret bit for bit."""
+    A = instance.num_arms
+    T = horizon
+    mu = [float(m) for m in instance.means]
+    noise = rng.standard_normal(T)
+    if algorithm == "eps_greedy":
+        explore_coin = rng.random(T)
+        explore_arm = rng.integers(0, A, size=T)
+    arms = np.empty(T, dtype=np.int64)
+    sums = [0.0] * A
+    counts = [0] * A
+    for t in range(A):
+        arms[t] = t
+        sums[t] = mu[t] + noise[t]
+        counts[t] = 1
+
+    if algorithm == "ucb1":
+        for t in range(A, T):
+            two_log_t = 2.0 * math.log(t + 1)
+            best, best_val = 0, -math.inf
+            for i in range(A):
+                v = sums[i] / counts[i] + math.sqrt(two_log_t / counts[i])
+                if v > best_val:
+                    best_val, best = v, i
+            sums[best] += mu[best] + noise[t]
+            counts[best] += 1
+            arms[t] = best
+    elif algorithm == "eps_greedy":
+        for t in range(A, T):
+            if explore_coin[t] < mab._default_eps(A, t + 1):
+                a = int(explore_arm[t])
+            else:
+                a, best_val = 0, -math.inf
+                for i in range(A):
+                    v = sums[i] / counts[i]
+                    if v > best_val:
+                        best_val, a = v, i
+            sums[a] += mu[a] + noise[t]
+            counts[a] += 1
+            arms[t] = a
+    else:
+        mu_star = float(instance.mu_star)
+        survivors = list(range(A))
+        ptr = 0
+        for t in range(A, T):
+            if ptr >= len(survivors):
+                ptr = 0
+            a = survivors[ptr]
+            sums[a] += mu[a] + noise[t]
+            counts[a] += 1
+            arms[t] = a
+            dropped = False
+            if len(survivors) > 1:
+                radius = math.sqrt(2.0 * math.log(
+                    2.0 * A * (t + 1) ** 2 / ELIM_DELTA) / counts[a])
+                if abs(sums[a] / counts[a] - mu_star) > radius:
+                    survivors.pop(ptr)
+                    dropped = True
+            if not dropped:
+                ptr += 1
+
+    mu_arr = np.asarray(mu)
+    regret = np.cumsum(instance.mu_star - mu_arr[arms])
+    rewards = mu_arr[arms] + noise
+    return arms, rewards, regret
+
+
+def assert_matches_reference(instances, algorithm, horizon, seeds):
+    traces = run_bandits(instances, algorithm, horizon,
+                         [np.random.default_rng(s) for s in seeds])
+    assert len(traces) == len(instances)
+    for inst, seed, tr in zip(instances, seeds, traces):
+        arms, rewards, regret = reference_run(inst, algorithm, horizon,
+                                              np.random.default_rng(seed))
+        assert np.array_equal(tr.arms, arms), (algorithm, seed)
+        assert np.array_equal(tr.rewards, rewards), (algorithm, seed)
+        assert np.array_equal(tr.pseudo_regret, regret), (algorithm, seed)
+    return traces
+
+
+# arm means from a few levels whose gaps range from unresolvable to far
+# beyond the elimination radius, so known_mean_elim drops arms and commits
+ARM_MEAN = st.sampled_from([0.0, 0.05, 0.5, 3.0, 10.0]) | st.floats(-5.0, 5.0)
+
+
+class TestEngineMatchesScalarReference:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_batches(self, data):
+        A = data.draw(st.integers(2, 8), label="num_arms")
+        T = data.draw(st.integers(A, 400), label="horizon")
+        R = data.draw(st.integers(1, 6), label="runs")
+        instances = []
+        for _ in range(R):
+            means = data.draw(st.lists(ARM_MEAN, min_size=A, max_size=A))
+            slack = data.draw(st.sampled_from([0.0, 0.0, 1.0]))
+            instances.append(MabInstance(means=means,
+                                         mu_star=max(means) + slack))
+        seeds = data.draw(st.lists(st.integers(0, 2 ** 32 - 1),
+                                   min_size=R, max_size=R))
+        for alg in ALGORITHMS:
+            assert_matches_reference(instances, alg, T, seeds)
+
+    @pytest.mark.parametrize("alg", ALGORITHMS)
+    def test_hard_family_pairs(self, alg):
+        family = make_hard_family(10, 2000)
+        assert_matches_reference(family, alg, 2000,
+                                 [1000 * 3 + idx for idx in range(11)])
+
+    def test_elimination_drops_and_commits(self):
+        inst = MabInstance(means=[0.0, 3.0, 0.5, -1.0], mu_star=3.0)
+        traces = assert_matches_reference([inst] * 40, "known_mean_elim",
+                                          300, list(range(40)))
+        committed = sum(np.all(tr.arms[-100:] == 1) for tr in traces)
+        assert committed >= 30
 
 
 class TestHardFamily:
@@ -68,6 +194,31 @@ class TestRunBandit:
         with pytest.raises(ConfigurationError):
             run_bandit(SEPARABLE, "ucb1", 2, np.random.default_rng(0))
 
+    def test_batch_rejects_mixed_arm_counts(self):
+        with pytest.raises(ConfigurationError, match="arm count"):
+            run_bandits([BIG_GAP, SEPARABLE], "ucb1", 100,
+                        [np.random.default_rng(0), np.random.default_rng(1)])
+
+    def test_batch_rejects_generator_count_mismatch(self):
+        with pytest.raises(ConfigurationError, match="generators"):
+            run_bandits([BIG_GAP, BIG_GAP], "ucb1", 100,
+                        [np.random.default_rng(0)])
+
+    def test_batch_rejects_empty_batch(self):
+        with pytest.raises(ConfigurationError, match="at least one run"):
+            run_bandits([], "ucb1", 100, [])
+
+    @pytest.mark.parametrize("horizon", [100.5, 100.0, True, "100", None])
+    def test_batch_rejects_non_integer_horizon(self, horizon):
+        with pytest.raises(ConfigurationError, match="horizon"):
+            run_bandits([BIG_GAP], "ucb1", horizon,
+                        [np.random.default_rng(0)])
+
+    def test_batch_takes_numpy_integer_horizon(self):
+        a = run_bandit(BIG_GAP, "ucb1", np.int64(50), np.random.default_rng(4))
+        b = run_bandit(BIG_GAP, "ucb1", 50, np.random.default_rng(4))
+        assert np.array_equal(a.arms, b.arms)
+
     @pytest.mark.parametrize("alg", ["ucb1", "eps_greedy", "known_mean_elim"])
     def test_init_phase_and_monotone_regret(self, alg):
         inst = make_hard_family(4, 64)[2]
@@ -102,9 +253,9 @@ class TestRunBandit:
         assert np.array_equal(a.rewards, b.rewards)
 
     def test_ucb_locks_onto_big_gap(self):
-        finals = [run_bandit(BIG_GAP, "ucb1", 10_000,
-                             np.random.default_rng(s)).pseudo_regret[-1]
-                  for s in range(20)]
+        traces = run_bandits([BIG_GAP] * 20, "ucb1", 10_000,
+                             [np.random.default_rng(s) for s in range(20)])
+        finals = [tr.pseudo_regret[-1] for tr in traces]
         assert np.median(finals) <= 50.0
 
     def test_eps_greedy_always_explore_spreads_pulls(self, monkeypatch):
@@ -126,12 +277,10 @@ class TestRunBandit:
 
     def test_elim_rarely_drops_the_true_best_arm(self):
         inst = MabInstance(means=[0.5, 0.0, 0.0], mu_star=0.5)
-        lost = 0
-        for s in range(2000):
-            tr = run_bandit(inst, "known_mean_elim", 200,
-                            np.random.default_rng(s))
-            if tr.pull_counts[0] < np.max(tr.pull_counts):
-                lost += 1
+        traces = run_bandits([inst] * 2000, "known_mean_elim", 200,
+                             [np.random.default_rng(s) for s in range(2000)])
+        lost = sum(tr.pull_counts[0] < np.max(tr.pull_counts)
+                   for tr in traces)
         assert lost / 2000 <= 0.05
 
 
