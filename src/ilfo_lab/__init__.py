@@ -20,7 +20,7 @@ from .envs import (
 )
 from .loop import MobileConfig, RunRecord, regret_summary, run_mobile
 from .mab import (
-    BanditTrace,
+    BanditBatch,
     MabInstance,
     cumulative_regret_curve,
     make_hard_family,
@@ -39,7 +39,7 @@ from .worlds import (
 )
 
 __all__ = [
-    "BanditTrace",
+    "BanditBatch",
     "CheckReport",
     "ConfigurationError",
     "KnrSystem",

@@ -19,10 +19,9 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .envs import ConfigurationError, rollout, value_eval_mc
-from .expert import (OPENLOOP_SEARCH_LIMIT, ExpertDataset,
-                     sample_expert_states, solve_openloop_knr,
-                     solve_optimal_tabular)
+from .envs import ConfigurationError, value_eval_mc
+from .expert import (OPENLOOP_SEARCH_LIMIT, sample_expert_states,
+                     solve_openloop_knr, solve_optimal_tabular)
 from .loop import MobileConfig, regret_summary, run_mobile, write_csv_rows
 from .mab import (BanditConfig, cumulative_regret_curve, fit_loglog_slope,
                   make_hard_family, run_bandits, write_regret_csv)
@@ -238,7 +237,7 @@ def _bandit_algorithm_task(cfg: ExperimentConfig, algorithm: str) -> list:
     b = cfg.bandit
     family = make_hard_family(b.num_arms, b.horizon)
     pairs = [(idx, s) for idx in range(len(family)) for s in cfg.seeds]
-    traces = run_bandits(
+    batch = run_bandits(
         [family[idx] for idx, _ in pairs], algorithm, b.horizon,
         [np.random.default_rng(BANDIT_SEED_STRIDE * s + idx)
          for idx, s in pairs])
@@ -246,7 +245,7 @@ def _bandit_algorithm_task(cfg: ExperimentConfig, algorithm: str) -> list:
     rows = []
     for idx, inst in enumerate(family):
         t_grid, mean, stderr = cumulative_regret_curve(
-            traces[idx * n_seeds:(idx + 1) * n_seeds])
+            batch.pseudo_regret[idx * n_seeds:(idx + 1) * n_seeds])
         path = os.path.join(cfg.out, f"mab-{algorithm}-{inst.name}.csv")
         write_regret_csv(path, algorithm, inst.name, t_grid, mean, stderr)
         slope = fit_loglog_slope(t_grid, mean)
@@ -258,9 +257,8 @@ def _verify_knr_record(seed: int):
     """Small deterministic knr run feeding the record-based checks."""
     system = make_knr_example(noise_std=0.05, horizon=3)
     expert = solve_openloop_knr(system)
-    rng = np.random.default_rng(EXPERT_SEED_BASE + seed)
-    data = ExpertDataset(trajectories=[rollout(system, expert, rng).states
-                                       for _ in range(10)])
+    data = sample_expert_states(system, expert, 10,
+                                np.random.default_rng(EXPERT_SEED_BASE + seed))
     ref, _ = value_eval_mc(system, expert, system.cost_of, n_rollouts=16,
                            rng=np.random.default_rng(REFERENCE_SEED_BASE
                                                      + seed))
@@ -311,15 +309,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> int:
 
 
 def resolve_jobs(flag_value: int | None) -> int:
-    env_value = os.environ.get("ILFO_LAB_JOBS")
-    if env_value is not None:
-        try:
-            jobs = int(env_value)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"ILFO_LAB_JOBS must be an int, got {env_value!r}") from exc
-    else:
-        jobs = flag_value if flag_value is not None else 1
+    jobs = 1 if flag_value is None else flag_value
     if jobs < 1:
         raise ConfigurationError("jobs must be >= 1")
     return jobs
@@ -337,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seeds",
                        help="comma-separated seed list (overrides config)")
         p.add_argument("--jobs", type=int, default=None,
-                       help="parallel workers (ILFO_LAB_JOBS overrides)")
+                       help="parallel workers (default 1)")
     return parser
 
 

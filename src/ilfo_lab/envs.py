@@ -20,6 +20,8 @@ Array = np.ndarray
 ROW_TOL = 1e-12
 DIST_TOL = 1e-10
 
+_OPEN_LOOP_ON_TABULAR = "an open-loop policy runs only on a KnrSystem"
+
 
 def _frozen(arr: Array) -> Array:
     out = np.array(arr, copy=True)
@@ -35,8 +37,8 @@ class ConfigurationError(ValueError):
 class TabularMdp:
     """Episodic finite-horizon MDP with state costs in [0, 1].
 
-    ``transitions`` is either one (S, A, S) kernel shared by every timestep or
-    a per-step (H, S, A, S) stack. Rows must be probability vectors.
+    ``transitions`` is one (S, A, S) kernel shared by every timestep; its
+    rows must be probability vectors.
     """
 
     horizon: int
@@ -49,12 +51,10 @@ class TabularMdp:
         object.__setattr__(self, "cost", _frozen(np.asarray(self.cost, dtype=float)))
         if self.horizon < 1:
             raise ConfigurationError("horizon must be >= 1")
-        if self.transitions.ndim not in (3, 4):
-            raise ConfigurationError("transitions must be (S,A,S) or (H,S,A,S)")
-        if self.transitions.ndim == 4 and self.transitions.shape[0] != self.horizon:
-            raise ConfigurationError("per-step kernel stack must have length horizon")
-        S = self.transitions.shape[-1]
-        if self.transitions.shape[-3] != S:
+        if self.transitions.ndim != 3:
+            raise ConfigurationError("transitions must be (S, A, S)")
+        S = self.transitions.shape[0]
+        if self.transitions.shape[2] != S:
             raise ConfigurationError("kernel source and target state counts differ")
         rows = self.transitions.reshape(-1, S)
         if np.any(rows < 0):
@@ -70,17 +70,11 @@ class TabularMdp:
 
     @property
     def num_states(self) -> int:
-        return self.transitions.shape[-1]
+        return self.transitions.shape[0]
 
     @property
     def num_actions(self) -> int:
-        return self.transitions.shape[-2]
-
-    def kernel(self, h: int) -> Array:
-        """(S, A, S) transition kernel in force at step h."""
-        if self.transitions.ndim == 4:
-            return self.transitions[h]
-        return self.transitions
+        return self.transitions.shape[1]
 
 
 @dataclass(frozen=True)
@@ -135,7 +129,8 @@ class Policy:
 
     A deterministic tabular policy is an (H, S) ``action_table`` of action
     indices in [0, num_actions); a stochastic one is an (H, S, A)
-    ``probs`` distribution; an open-loop policy is a flat ``action_seq``.
+    ``probs`` distribution; an open-loop policy is a flat ``action_seq``,
+    which runs only on a ``KnrSystem``.
     ``action_probs`` reads as the (H, S, A) distribution of either tabular
     form: for an action table it is the exact one-hot cube, built on demand.
     """
@@ -308,35 +303,34 @@ def rollout(env, policy: AnyPolicy, rng: np.random.Generator) -> Trajectory:
         raise ConfigurationError("policy horizon does not match environment")
 
     if isinstance(env, TabularMdp):
+        if policy.is_open_loop:
+            raise ConfigurationError(_OPEN_LOOP_ON_TABULAR)
         states = np.empty(env.horizon + 1, dtype=int)
         actions = np.empty(env.horizon, dtype=int)
         s = env.init_state
         states[0] = s
         for h in range(env.horizon):
-            if policy.is_open_loop:
-                a = int(policy.action_seq[h])
-            elif policy.action_table is not None:
+            if policy.action_table is not None:
                 # the uniform draw an inverse-cdf sample of the one-hot row
                 # would consume, so every rng stream matches a probs policy
                 rng.random()
                 a = int(policy.action_table[h, s])
             else:
                 a = _sample_row(policy.probs[h, s], rng)
-            s = _sample_row(env.kernel(h)[s, a], rng)
+            s = _sample_row(env.transitions[s, a], rng)
             actions[h] = a
             states[h + 1] = s
         return Trajectory(states=states, actions=actions)
 
     if isinstance(env, KnrSystem):
+        if not policy.is_open_loop:
+            raise ConfigurationError("tabular policies are not defined on vector states")
         states = np.empty((env.horizon + 1, env.state_dim))
         actions = np.empty(env.horizon, dtype=int)
         s = np.array(env.init_state, dtype=float)
         states[0] = s
         for h in range(env.horizon):
-            if policy.is_open_loop:
-                a = int(policy.action_seq[h])
-            else:
-                raise ConfigurationError("tabular policies are not defined on vector states")
+            a = int(policy.action_seq[h])
             mean = env.step_mean(s, a)
             if env.noise_std > 0:
                 s = mean + env.noise_std * rng.standard_normal(env.state_dim)
@@ -350,25 +344,23 @@ def rollout(env, policy: AnyPolicy, rng: np.random.Generator) -> Trajectory:
 
 
 def _probs_stack(mdp, policies: Sequence[Policy]) -> Array:
-    """(K, H, S, A) action distributions of K policies on ``mdp``.
+    """(K, H, S, A) action distributions of K tabular policies on ``mdp``.
 
-    Action tables and open-loop sequences become exact one-hot cubes in one
-    indexing call over the whole stack; stochastic policies are copied in.
+    Action tables become exact one-hot cubes in one indexing call over the
+    whole stack; stochastic policies are copied in.
     """
     H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
     det, tables, soft = [], [], []
     for k, pol in enumerate(policies):
         if pol.horizon != H:
             raise ConfigurationError("policy horizon does not match environment")
-        if pol.action_seq is not None:
-            if pol.action_seq.min() < 0 or pol.action_seq.max() >= A:
-                raise ConfigurationError("action index out of range")
-            tables.append(np.broadcast_to(pol.action_seq[:, None], (H, S)))
-        elif pol.action_table is not None:
+        if pol.action_table is not None:
             if pol.num_actions != A or pol.action_table.shape != (H, S):
                 raise ConfigurationError(
                     "action table does not match environment")
             tables.append(pol.action_table)
+        elif pol.probs is None:
+            raise ConfigurationError(_OPEN_LOOP_ON_TABULAR)
         elif pol.probs.shape != (H, S, A):
             raise ConfigurationError(
                 "action probabilities do not match environment")
@@ -403,8 +395,8 @@ def occupancy_stack(mdp, policies: Sequence[Policy]) -> Array:
     p[:, mdp.init_state] = 1.0
     for h in range(H):
         np.multiply(p[:, :, None], probs_steps[h], out=d_steps[h])
-        # next-state distribution: sum_{s,a} d_h(s,a) P_h(s'|s,a)
-        p = np.einsum("ksa,sat->kt", d_steps[h], mdp.kernel(h))
+        # next-state distribution: sum_{s,a} d_h(s,a) P(s'|s,a)
+        p = np.einsum("ksa,sat->kt", d_steps[h], mdp.transitions)
     return d
 
 
@@ -433,20 +425,20 @@ def _cost_table(cost, S: int, A: int) -> Array:
 def state_values(mdp, policy: AnyPolicy, cost) -> Array:
     """(K, H+1, S) backward state values of the K components of ``policy``.
 
-    K is 1 for a single policy; step H is zero. ``mdp`` is anything
-    exposing horizon / num_states / num_actions / init_state / kernel(h),
-    and ``cost`` is (S,) or (S, A). One backward pass over the stack.
+    K is 1 for a single policy; step H is zero. ``cost`` is (S,) or
+    (S, A). One backward pass over the stack.
     """
     mixed = isinstance(policy, MixedPolicy)
     probs = _probs_stack(mdp, policy.components if mixed else (policy,))
     K, H, S, A = probs.shape
     c = _cost_table(cost, S, A)
     probs_steps = probs.swapaxes(0, 1)
+    kernel = mdp.transitions[None]
     values = np.zeros((K, H + 1, S))
     v = np.zeros((K, S))
     for h in range(H - 1, -1, -1):
         # a stacked matmul sums in the order of one policy's kernel @ v
-        q = c + (mdp.kernel(h)[None] @ v[:, None, :, None])[..., 0]
+        q = c + (kernel @ v[:, None, :, None])[..., 0]
         v = (probs_steps[h] * q).sum(axis=-1)
         values[:, h] = v
     return values
@@ -469,9 +461,7 @@ def best_response_tabular(mdp, cost) -> Policy:
     """Cost-minimizing deterministic nonstationary policy by backward DP.
 
     ``cost`` is (S,) or (S, A) and may be negative (bonus-lowered
-    objectives); ``mdp`` is read through num_states / num_actions /
-    horizon / kernel(h), so per-step kernels are followed. Ties go to the
-    lowest action index.
+    objectives). Ties go to the lowest action index.
     """
     S, A, H = mdp.num_states, mdp.num_actions, mdp.horizon
     c = _cost_table(cost, S, A)
@@ -479,7 +469,7 @@ def best_response_tabular(mdp, cost) -> Policy:
     rows = np.arange(S)
     v = np.zeros(S)
     for h in range(H - 1, -1, -1):
-        q = c + mdp.kernel(h) @ v
+        q = c + mdp.transitions @ v
         actions[h] = q.argmin(axis=1)
         v = q[rows, actions[h]]
     return Policy.deterministic(actions, num_actions=A)

@@ -316,7 +316,7 @@ def _knr_family(env, expert_dataset, cfg, rng, expert_value) -> _Family:
         buffer=ReplayBuffer(capacity=cfg.buffer_capacity), fit=fit,
         witness=MmdDiscriminator(feature_map=fmap,
                                  w=np.zeros(cfg.mmd_features)),
-        expert=expert_dataset, evaluate=evaluate, expert_value=expert_value,
+        expert=mean_e, evaluate=evaluate, expert_value=expert_value,
         record_fields=dict(
             kind="knr", cov_snapshots=cov_snapshots,
             executed_features=executed_features,

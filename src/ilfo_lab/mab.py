@@ -74,34 +74,13 @@ class MabInstance:
 
 
 @dataclass(frozen=True)
-class BanditTrace:
-    """One run: chosen arms, realized rewards, cumulative pseudo-regret."""
+class BanditBatch:
+    """R runs of one algorithm as (R, T) arrays, row r for run r: chosen
+    arms, realized rewards and cumulative pseudo-regret."""
 
     arms: Array
     rewards: Array
     pseudo_regret: Array
-    num_arms: int
-
-    def __post_init__(self):
-        arms = _frozen(np.asarray(self.arms, dtype=np.int64))
-        rewards = _frozen(np.asarray(self.rewards, dtype=float))
-        regret = _frozen(np.asarray(self.pseudo_regret, dtype=float))
-        object.__setattr__(self, "arms", arms)
-        object.__setattr__(self, "rewards", rewards)
-        object.__setattr__(self, "pseudo_regret", regret)
-        n = arms.size
-        if n < 1 or rewards.size != n or regret.size != n:
-            raise ConfigurationError("trace columns must share one length >= 1")
-        if regret[0] < -1e-9 or np.any(np.diff(regret) < -1e-9):
-            raise ConfigurationError("pseudo-regret must be nondecreasing")
-
-    @property
-    def num_steps(self) -> int:
-        return int(self.arms.size)
-
-    @property
-    def pull_counts(self) -> Array:
-        return np.bincount(self.arms, minlength=self.num_arms)
 
 
 def make_hard_family(num_arms: int, horizon: int) -> list:
@@ -130,13 +109,13 @@ def _default_eps(num_arms: int, t: int) -> float:
 
 def run_bandits(instances: Sequence[MabInstance], algorithm: str,
                 horizon: int,
-                rngs: Sequence[np.random.Generator]) -> list[BanditTrace]:
+                rngs: Sequence[np.random.Generator]) -> BanditBatch:
     """Play ``horizon`` steps of ``algorithm`` on every instance together.
 
     Run r plays ``instances[r]`` with ``rngs[r]``; the instances share one
     arm count. Each run draws its noise, then (eps_greedy) its explore
-    coins, then its explore arms from its own Generator, so a run's trace
-    does not depend on the rest of the batch.
+    coins, then its explore arms from its own Generator, so row r of the
+    returned batch does not depend on the other runs.
 
     All algorithms pull each arm once first, break ties toward the lowest
     index, and see unit-variance Gaussian rewards. eps_greedy explores with
@@ -192,19 +171,17 @@ def run_bandits(instances: Sequence[MabInstance], algorithm: str,
     else:
         arms = _lockstep_arms(mu, noise, explore, explore_arm)
 
-    traces = []
-    for r, inst in enumerate(instances):
-        mu_pulled = mu[r][arms[r]]
-        traces.append(BanditTrace(
-            arms=arms[r], rewards=mu_pulled + noise[r],
-            pseudo_regret=np.cumsum(inst.mu_star - mu_pulled), num_arms=A))
-    return traces
+    mu_pulled = np.take_along_axis(mu, arms, axis=1)
+    mu_star = np.array([inst.mu_star for inst in instances], dtype=float)
+    return BanditBatch(
+        arms=arms, rewards=mu_pulled + noise,
+        pseudo_regret=np.cumsum(mu_star[:, None] - mu_pulled, axis=1))
 
 
 def run_bandit(instance: MabInstance, algorithm: str, horizon: int,
-               rng: np.random.Generator) -> BanditTrace:
-    """One run of ``run_bandits``; batch several runs where there are."""
-    return run_bandits([instance], algorithm, horizon, [rng])[0]
+               rng: np.random.Generator) -> BanditBatch:
+    """A batch of one run; batch several runs where there are."""
+    return run_bandits([instance], algorithm, horizon, [rng])
 
 
 def _lockstep_arms(mu: Array, noise: Array, explore, explore_arm) -> Array:
@@ -319,22 +296,19 @@ def reduction_mdp(instance: MabInstance) -> KnrSystem:
                      num_actions=A, init_state=np.zeros(1), cost=cost)
 
 
-def cumulative_regret_curve(traces) -> tuple:
-    """Aligned (t grid, mean, stderr) over traces of equal length."""
-    traces = list(traces)
-    if not traces:
-        raise ConfigurationError("need at least one trace")
-    lengths = {tr.num_steps for tr in traces}
-    if len(lengths) != 1:
-        raise ConfigurationError("traces have ragged lengths")
-    stacked = np.stack([tr.pseudo_regret for tr in traces])
-    mean = stacked.mean(axis=0)
-    if len(traces) == 1:
+def cumulative_regret_curve(regret: Array) -> tuple:
+    """(t grid, mean, stderr) over the rows of an (n, T) regret block,
+    such as n rows of a batch's ``pseudo_regret``."""
+    regret = np.asarray(regret, dtype=float)
+    if regret.ndim != 2 or regret.shape[0] < 1:
+        raise ConfigurationError("need an (n, T) block of regret rows, n >= 1")
+    n, T = regret.shape
+    mean = regret.mean(axis=0)
+    if n == 1:
         stderr = np.zeros_like(mean)
     else:
-        stderr = stacked.std(axis=0, ddof=1) / math.sqrt(len(traces))
-    t_grid = np.arange(1, stacked.shape[1] + 1)
-    return t_grid, mean, stderr
+        stderr = regret.std(axis=0, ddof=1) / math.sqrt(n)
+    return np.arange(1, T + 1), mean, stderr
 
 
 def fit_loglog_slope(t_grid: Array, regret: Array) -> float:

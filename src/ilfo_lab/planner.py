@@ -25,7 +25,6 @@ from .discriminators import (MmdDiscriminator, box_witness, mmd_update,
                              tv_best_response)
 from .envs import (ConfigurationError, MixedPolicy, Policy, TabularMdp,
                    best_response_tabular, occupancy_exact, openloop_search)
-from .expert import ExpertDataset
 from .models import BonusFunction, KnrModel, TabularModel, mean_bonus_on_path
 
 Array = np.ndarray
@@ -130,7 +129,9 @@ def solve_minmax(model: TabularModel | KnrModel, bonus, disc_class, expert,
     final sup-over-witnesses objective at that mixture.  Both families
     run Frank-Wolfe: a tabular model against the box class (disc_class
     "box", expert the (S,) state distribution d_e), a KNR model against
-    an MmdDiscriminator.  Any other disc_class raises ConfigurationError.
+    an MmdDiscriminator (expert the (m,) mean embedding of the expert
+    states under its feature map).  Any other disc_class raises
+    ConfigurationError.
     """
     if isinstance(model, KnrModel):
         if not isinstance(disc_class, MmdDiscriminator):
@@ -184,14 +185,13 @@ def _nominal_decision_states(model, seq, init_state, horizon):
     return np.asarray(states)
 
 
-def _solve_fw_mmd(model, bonus, disc, expert, cfg, horizon, num_actions,
+def _solve_fw_mmd(model, bonus, disc, mean_e, cfg, horizon, num_actions,
                   init_state, rng):
     fmap = disc.feature_map
-    if isinstance(expert, ExpertDataset):
-        expert_states = expert.flat_view()
-    else:
-        expert_states = np.asarray(expert, dtype=float)
-    mean_e = fmap(expert_states).mean(axis=0)
+    mean_e = np.asarray(mean_e)
+    if mean_e.shape != (fmap.num_features,):
+        raise ConfigurationError(
+            "the KNR expert must be its (m,) mean feature embedding")
     init_seq = np.zeros(horizon, dtype=np.int64)
     init_states = _nominal_decision_states(model, init_seq, init_state,
                                            horizon)

@@ -186,22 +186,19 @@ def concentration_bound(n_functions: int, n_samples: int, delta: float,
                            / n_samples)
 
 
-def check_concentration(env=None, expert=None, n_functions: int = 50,
-                        n_samples: int = 100, delta: float = 0.1,
-                        trials: int = 1000, t: int = 1,
+def check_concentration(n_functions: int = 50, n_samples: int = 100,
+                        delta: float = 0.1, trials: int = 1000,
                         seed: int = 0, functions: Array | None = None
                         ) -> CheckReport:
-    """Coverage of the finite-class deviation bound 2 sqrt(ln(2 t^2 |F| / delta) / N).
+    """Coverage of the finite-class deviation bound 2 sqrt(ln(2 |F| / delta) / N).
 
-    Samples are i.i.d. draws from the expert's exact average state
-    occupancy, so the only error source is finite N. The fraction of
-    trials whose sup-deviation exceeds the bound must stay at or below
-    delta.
+    Samples are i.i.d. draws from the exact average state occupancy of
+    the optimal expert on a 6-state chain, so the only error source is
+    finite N; the bound is taken at t = 1. The fraction of trials whose
+    sup-deviation exceeds the bound must stay at or below delta.
     """
-    if env is None:
-        env = make_chain(num_states=6, num_actions=3, horizon=5, slip=0.1)
-    if expert is None:
-        expert = solve_optimal_tabular(env)
+    env = make_chain(num_states=6, num_actions=3, horizon=5, slip=0.1)
+    expert = solve_optimal_tabular(env)
     rng = np.random.default_rng(seed)
     d_state = occupancy_exact(env, expert).average.sum(axis=1)
     S = env.num_states
@@ -211,7 +208,7 @@ def check_concentration(env=None, expert=None, n_functions: int = 50,
         funcs = np.asarray(functions, dtype=float)
         n_functions = funcs.shape[0]
     true_means = funcs @ d_state
-    bound = concentration_bound(n_functions, n_samples, delta, t)
+    bound = concentration_bound(n_functions, n_samples, delta)
     failures = 0
     worst = -math.inf
     for _ in range(trials):

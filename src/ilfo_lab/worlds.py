@@ -102,11 +102,10 @@ def make_two_state(p_forward: float, horizon: int = 1) -> TabularMdp:
 
 
 def make_random_mdp(rng: np.random.Generator, num_states: int, num_actions: int,
-                    horizon: int, per_step: bool = False) -> TabularMdp:
+                    horizon: int) -> TabularMdp:
     """Dirichlet transition rows and uniform state costs; init state 0."""
     S, A, H = num_states, num_actions, horizon
-    shape = (H, S, A) if per_step else (S, A)
-    P = rng.dirichlet(np.ones(S), size=shape)
+    P = rng.dirichlet(np.ones(S), size=(S, A))
     cost = rng.random(S)
     return TabularMdp(horizon=H, transitions=P, cost=cost, init_state=0)
 

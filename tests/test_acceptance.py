@@ -83,13 +83,13 @@ def bandit_batch():
     t0 = time.monotonic()
     finals = {}
     for alg in ALGORITHMS:
-        traces = run_bandits(
+        batch = run_bandits(
             [inst for inst in family for _ in range(n_seeds)], alg, horizon,
             [np.random.default_rng(1000 * s + idx)
              for idx in range(len(family)) for s in range(n_seeds)])
         finals[alg] = [
             cumulative_regret_curve(
-                traces[idx * n_seeds:(idx + 1) * n_seeds])[1][-1]
+                batch.pseudo_regret[idx * n_seeds:(idx + 1) * n_seeds])[1][-1]
             for idx in range(len(family))]
     return {"num_arms": num_arms, "horizon": horizon, "finals": finals,
             "elapsed": time.monotonic() - t0}
@@ -113,10 +113,10 @@ def resolvable_bandit():
     t0 = time.monotonic()
     curves = {}
     for alg in ("eps_greedy", "ucb1"):
-        traces = run_bandits([inst] * n_seeds, alg, horizon,
-                             [np.random.default_rng(1000 * s + num_arms)
-                              for s in range(n_seeds)])
-        t_grid, mean, _ = cumulative_regret_curve(traces)
+        batch = run_bandits([inst] * n_seeds, alg, horizon,
+                            [np.random.default_rng(1000 * s + num_arms)
+                             for s in range(n_seeds)])
+        t_grid, mean, _ = cumulative_regret_curve(batch.pseudo_regret)
         curves[alg] = (t_grid, mean)
     return {"curves": curves, "elapsed": time.monotonic() - t0}
 

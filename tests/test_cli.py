@@ -125,21 +125,16 @@ class TestParseConfig:
 
 class TestResolveJobs:
     def test_flag_and_default(self, monkeypatch):
-        monkeypatch.delenv("ILFO_LAB_JOBS", raising=False)
+        # --jobs is the one way to set the worker count: the retired
+        # environment override is ignored
+        monkeypatch.setenv("ILFO_LAB_JOBS", "3")
         assert resolve_jobs(None) == 1
         assert resolve_jobs(4) == 4
 
-    def test_env_var_overrides_flag(self, monkeypatch):
-        monkeypatch.setenv("ILFO_LAB_JOBS", "3")
-        assert resolve_jobs(8) == 3
-
-    def test_invalid_values(self, monkeypatch):
-        monkeypatch.setenv("ILFO_LAB_JOBS", "many")
-        with pytest.raises(ConfigurationError):
-            resolve_jobs(None)
-        monkeypatch.delenv("ILFO_LAB_JOBS")
-        with pytest.raises(ConfigurationError):
-            resolve_jobs(0)
+    def test_invalid_values(self):
+        for jobs in (0, -2):
+            with pytest.raises(ConfigurationError, match="jobs"):
+                resolve_jobs(jobs)
 
 
 def _tiny_cfg(out_dir, extra=None):
@@ -244,6 +239,56 @@ class TestRunExperiment:
                 "75107018ae07babfeae8caec2068385e032126f608dac8c151889099802c8b22",
         }
         assert run_experiment(_tiny_mab_cfg(tmp_path)) == 0
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in tmp_path.glob("*.csv")}
+        assert written == expected
+
+    # short mobile runs: chain with the theory bonus, lock with the
+    # ensemble bonus over a buffer that evicts, and a KNR run; a digit
+    # that moves in any of their CSVs fails the test
+    MOBILE_PINS = {
+        "chain": ({"subcommand": "mobile-tabular", "env": {"kind": "chain"},
+                   "mobile": {"t_iters": 8, "n_expert": 20},
+                   "seeds": [0, 1]}, {
+            "mobile-tabular-seed0.csv":
+                "8357d4158647e366ccb40daf8969bfcba5147dbe6f3fe7a7bb10eddd3dac1e6a",
+            "mobile-tabular-seed1.csv":
+                "ef0bb72fc7fb4c02150f06d03a40d34f09faf4cbea75dafa0d8d12a46803bcd4",
+            "summary.csv":
+                "0bc5d141ca5a113297f2124fe2c9bf793499feb037532a8da8fd43b30c3e58f4",
+        }),
+        "lock_ensemble": ({"subcommand": "mobile-tabular",
+                           "env": {"kind": "lock"},
+                           "mobile": {"t_iters": 10, "n_expert": 20,
+                                      "bonus_mode": "ensemble",
+                                      "buffer_capacity": 7,
+                                      "minmax": {"k_iters": 2}},
+                           "seeds": [0, 1]}, {
+            "mobile-tabular-seed0.csv":
+                "9d509acf99bb865b9ff660ca69507468c72bc53d990323b9c75de32c52dd5e52",
+            "mobile-tabular-seed1.csv":
+                "f3bbd50ad4afb8a8b8f2b032596813f5b3f4dc893a9605f006d80d1d7000ee87",
+            "summary.csv":
+                "d648b8b86a955cd2b398d86b865b5a56036dfbc335499065202606ace8f272ab",
+        }),
+        "knr": ({"subcommand": "mobile-knr",
+                 "env": {"kind": "knr_example", "horizon": 3},
+                 "mobile": {"t_iters": 4, "n_expert": 8, "mmd_features": 8,
+                            "knr_eval_rollouts": 4,
+                            "minmax": {"k_iters": 2}},
+                 "seeds": [0]}, {
+            "mobile-knr-seed0.csv":
+                "25709079dd6b182e84c59a1f24286af006ca8bb0943c516d4940ef676055d10a",
+            "summary.csv":
+                "956fe0e0c634a062a3dd973cd3c725234d64606306a893016e4f7098a8e32a98",
+        }),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MOBILE_PINS))
+    def test_mobile_csv_bytes_are_pinned(self, tmp_path, name):
+        raw, expected = self.MOBILE_PINS[name]
+        cfg = parse_config(json.dumps(dict(raw, out=str(tmp_path))))
+        assert run_experiment(cfg) == 0
         written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in tmp_path.glob("*.csv")}
         assert written == expected
@@ -388,12 +433,12 @@ class TestMain:
         assert main(["mobile-tabular", "--config", str(cfg_path),
                      "--seeds", "1,zap"]) == 2
 
-    def test_env_var_jobs_validation(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ILFO_LAB_JOBS", "zero point five")
+    def test_zero_jobs_is_a_config_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(dict(TINY_TABULAR,
                                             out=str(tmp_path / "o"))))
-        assert main(["mobile-tabular", "--config", str(cfg_path)]) == 2
+        assert main(["mobile-tabular", "--config", str(cfg_path),
+                     "--jobs", "0"]) == 2
 
 
 # each config section and the callable its keys are checked against

@@ -95,7 +95,7 @@ def test_rollout_noise_free_knr_follows_nominal_map():
 
 def test_rollout_matches_stored_kernel_frequency():
     mdp = make_two_state(0.3, horizon=1)
-    pol = Policy.open_loop([0])
+    pol = Policy.deterministic(np.zeros((1, 2), dtype=int), num_actions=1)
     rng = np.random.default_rng(7)
     hits = sum(rollout(mdp, pol, rng).states[1] == 1 for _ in range(100_000))
     assert abs(hits / 100_000 - 0.3) < 0.01
@@ -103,8 +103,25 @@ def test_rollout_matches_stored_kernel_frequency():
 
 def test_rollout_horizon_mismatch_rejected():
     mdp = make_two_state(0.5, horizon=2)
-    with pytest.raises(ConfigurationError):
-        rollout(mdp, Policy.open_loop([0]), np.random.default_rng(0))
+    pol = Policy.deterministic(np.zeros((1, 2), dtype=int), num_actions=1)
+    with pytest.raises(ConfigurationError, match="horizon"):
+        rollout(mdp, pol, np.random.default_rng(0))
+
+
+def test_rollout_runs_open_loop_policies_only_on_knr_systems():
+    # occupancy and value evaluation reject them too, see
+    # test_mixture_components_must_match_environment
+    mdp = make_two_state(0.5, horizon=2)
+    pol = Policy.open_loop([0, 0])
+    for policy in (pol, MixedPolicy(components=(pol,), weights=np.ones(1))):
+        with pytest.raises(ConfigurationError, match="KnrSystem"):
+            rollout(mdp, policy, np.random.default_rng(0))
+
+
+def test_transitions_are_one_stationary_kernel():
+    P = np.full((2, 2, 1, 2), 0.5)  # a per-step (H, S, A, S) stack
+    with pytest.raises(ConfigurationError, match=r"\(S, A, S\)"):
+        TabularMdp(horizon=2, transitions=P, cost=np.zeros(2), init_state=0)
 
 
 def test_occupancy_one_step_is_initial_action_distribution():
@@ -134,7 +151,7 @@ def test_occupancy_normalization_property():
         S = int(rng.integers(2, 7))
         A = int(rng.integers(1, 4))
         H = int(rng.integers(1, 6))
-        mdp = make_random_mdp(rng, S, A, H, per_step=bool(rng.integers(2)))
+        mdp = make_random_mdp(rng, S, A, H)
         pol = make_random_policy(rng, S, A, H)
         occ = occupancy_exact(mdp, pol)
         sums = occ.per_step.reshape(H, -1).sum(axis=1)
@@ -281,7 +298,7 @@ def reference_occupancy(mdp, probs):
     p[mdp.init_state] = 1.0
     for h in range(H):
         d[h] = p[:, None] * probs[h]
-        p = np.einsum("sa,sat->t", d[h], mdp.kernel(h))
+        p = np.einsum("sa,sat->t", d[h], mdp.transitions)
     return d
 
 
@@ -290,7 +307,7 @@ def reference_value(mdp, probs, cost):
     c = np.repeat(np.asarray(cost)[:, None], mdp.num_actions, axis=1)
     v = np.zeros(mdp.num_states)
     for h in range(mdp.horizon - 1, -1, -1):
-        q = c + mdp.kernel(h) @ v
+        q = c + mdp.transitions @ v
         v = (probs[h] * q).sum(axis=1)
     return float(v[mdp.init_state])
 
@@ -299,7 +316,7 @@ def mixture_specs(forms):
     return st.fixed_dictionaries({
         "seed": st.integers(0, 2**32 - 1),
         "S": st.integers(1, 6), "A": st.integers(1, 4), "H": st.integers(1, 6),
-        "K": st.integers(1, 220), "per_step": st.booleans(),
+        "K": st.integers(1, 220),
         "init": st.integers(0, 5), "form": st.sampled_from(forms),
     })
 
@@ -309,30 +326,24 @@ def build_mixture(spec):
     action distribution built directly.
 
     Form "table" holds only action tables; form "mixed" draws each
-    component as an action table, a stochastic cube or an open-loop
-    sequence.
+    component as an action table or a stochastic cube.
     """
     rng = np.random.default_rng(spec["seed"])
     S, A, H, K = spec["S"], spec["A"], spec["H"], spec["K"]
-    shape = (H, S, A) if spec["per_step"] else (S, A)
-    mdp = TabularMdp(horizon=H, transitions=rng.dirichlet(np.ones(S), size=shape),
+    mdp = TabularMdp(horizon=H, transitions=rng.dirichlet(np.ones(S), size=(S, A)),
                      cost=rng.random(S), init_state=spec["init"] % S)
     eye = np.eye(A)
-    kinds = rng.integers(0, 3 if spec["form"] == "mixed" else 1, size=K)
+    kinds = rng.integers(0, 2 if spec["form"] == "mixed" else 1, size=K)
     components, cubes = [], []
     for kind in kinds:
         if kind == 0:
             table = rng.integers(0, A, size=(H, S))
             components.append(Policy.deterministic(table, A))
             cubes.append(eye[table])
-        elif kind == 1:
+        else:
             probs = rng.dirichlet(np.ones(A), size=(H, S))
             components.append(Policy.tabular(probs))
             cubes.append(probs)
-        else:
-            seq = rng.integers(0, A, size=H)
-            components.append(Policy.open_loop(seq))
-            cubes.append(np.repeat(eye[seq][:, None, :], S, axis=1))
     weights = rng.dirichlet(np.ones(K))
     mix = MixedPolicy(components=tuple(components), weights=weights)
     return mdp, np.stack(cubes), weights, mix
@@ -369,8 +380,8 @@ def test_mixture_components_must_match_environment():
         # an action the 2-action environment does not have
         Policy.deterministic(np.full((2, 2), 2), num_actions=3),
         Policy.tabular(np.full((2, 2, 3), 1.0 / 3.0)),
-        Policy.open_loop([0, 2]),
-        Policy.open_loop([0, -1]),
+        # open-loop sequences run only on a KnrSystem
+        Policy.open_loop([0, 1]),
     ]
     for pol in wrong:
         for policy in (pol, MixedPolicy(components=(ok, pol),
@@ -479,7 +490,7 @@ def _optimal_dp_reference(mdp, cost_table):
     v = np.zeros(S)
     greedy = np.zeros((H, S), dtype=int)
     for h in range(H - 1, -1, -1):
-        q = cost_table + mdp.kernel(h) @ v
+        q = cost_table + mdp.transitions @ v
         greedy[h] = np.argmin(q, axis=1)
         v = q[np.arange(S), greedy[h]]
     return greedy
@@ -492,14 +503,14 @@ def _optimal_dp_reference(mdp, cost_table):
 def test_best_response_tabular_matches_reference_dp(seed, S, A, H,
                                                     deterministic,
                                                     state_cost):
-    # per-step (H, S, A, S) kernels; 0/1 kernels and costs on a 1/2 grid
-    # make ties common, which go to the lowest action index
+    # 0/1 kernels and costs on a 1/2 grid make ties common, which go to
+    # the lowest action index
     rng = np.random.default_rng(seed)
     if deterministic:
-        P = np.eye(S)[rng.integers(0, S, size=(H, S, A))]
+        P = np.eye(S)[rng.integers(0, S, size=(S, A))]
         cost = rng.integers(0, 3, size=S) / 2
     else:
-        P = rng.dirichlet(np.ones(S), size=(H, S, A))
+        P = rng.dirichlet(np.ones(S), size=(S, A))
         cost = rng.uniform(0, 1, size=S)
     mdp = TabularMdp(horizon=H, transitions=P, cost=cost, init_state=0)
     if state_cost:
@@ -515,7 +526,7 @@ def test_best_response_tabular_matches_reference_dp(seed, S, A, H,
 
 def test_state_values_slice_is_the_policy_value():
     rng = np.random.default_rng(7)
-    mdp = make_random_mdp(rng, 4, 3, 5, per_step=True)
+    mdp = make_random_mdp(rng, 4, 3, 5)
     pols = [make_random_policy(rng, 4, 3, 5) for _ in range(3)]
     mix = MixedPolicy(components=tuple(pols), weights=np.full(3, 1 / 3))
     values = state_values(mdp, mix, mdp.cost)

@@ -10,7 +10,7 @@ from ilfo_lab.mab import (
     ALGORITHMS,
     ELIM_DELTA,
     REGRET_CSV_COLUMNS,
-    BanditTrace,
+    BanditBatch,
     MabInstance,
     cumulative_regret_curve,
     fit_loglog_slope,
@@ -94,17 +94,24 @@ def reference_run(instance, algorithm, horizon, rng):
     return arms, rewards, regret
 
 
+def pull_counts(arms, num_arms):
+    return np.bincount(arms, minlength=num_arms)
+
+
 def assert_matches_reference(instances, algorithm, horizon, seeds):
-    traces = run_bandits(instances, algorithm, horizon,
-                         [np.random.default_rng(s) for s in seeds])
-    assert len(traces) == len(instances)
-    for inst, seed, tr in zip(instances, seeds, traces):
+    batch = run_bandits(instances, algorithm, horizon,
+                        [np.random.default_rng(s) for s in seeds])
+    assert isinstance(batch, BanditBatch)
+    for column in (batch.arms, batch.rewards, batch.pseudo_regret):
+        assert column.shape == (len(instances), horizon)
+    for r, (inst, seed) in enumerate(zip(instances, seeds)):
         arms, rewards, regret = reference_run(inst, algorithm, horizon,
                                               np.random.default_rng(seed))
-        assert np.array_equal(tr.arms, arms), (algorithm, seed)
-        assert np.array_equal(tr.rewards, rewards), (algorithm, seed)
-        assert np.array_equal(tr.pseudo_regret, regret), (algorithm, seed)
-    return traces
+        assert np.array_equal(batch.arms[r], arms), (algorithm, seed)
+        assert np.array_equal(batch.rewards[r], rewards), (algorithm, seed)
+        assert np.array_equal(batch.pseudo_regret[r], regret), (algorithm,
+                                                                 seed)
+    return batch
 
 
 # arm means from a few levels whose gaps range from unresolvable to far
@@ -138,9 +145,9 @@ class TestEngineMatchesScalarReference:
 
     def test_elimination_drops_and_commits(self):
         inst = MabInstance(means=[0.0, 3.0, 0.5, -1.0], mu_star=3.0)
-        traces = assert_matches_reference([inst] * 40, "known_mean_elim",
-                                          300, list(range(40)))
-        committed = sum(np.all(tr.arms[-100:] == 1) for tr in traces)
+        batch = assert_matches_reference([inst] * 40, "known_mean_elim",
+                                         300, list(range(40)))
+        committed = np.all(batch.arms[:, -100:] == 1, axis=1).sum()
         assert committed >= 30
 
 
@@ -178,11 +185,6 @@ class TestInstanceAndTrace:
     def test_means_are_frozen(self):
         with pytest.raises(ValueError):
             BIG_GAP.means[0] = 0.0
-
-    def test_trace_rejects_decreasing_regret(self):
-        with pytest.raises(ConfigurationError):
-            BanditTrace(arms=[0, 1], rewards=[0.0, 0.0],
-                        pseudo_regret=[1.0, 0.5], num_arms=2)
 
 
 class TestRunBandit:
@@ -222,23 +224,24 @@ class TestRunBandit:
     @pytest.mark.parametrize("alg", ["ucb1", "eps_greedy", "known_mean_elim"])
     def test_init_phase_and_monotone_regret(self, alg):
         inst = make_hard_family(4, 64)[2]
-        tr = run_bandit(inst, alg, 64, np.random.default_rng(3))
-        assert tr.num_steps == 64
-        assert np.array_equal(tr.arms[:4], np.arange(4))
-        assert tr.pseudo_regret[0] >= -1e-12
-        assert np.all(np.diff(tr.pseudo_regret) >= -1e-12)
-        assert tr.pull_counts.sum() == 64
+        batch = run_bandit(inst, alg, 64, np.random.default_rng(3))
+        assert batch.arms.shape == (1, 64)
+        arms, regret = batch.arms[0], batch.pseudo_regret[0]
+        assert np.array_equal(arms[:4], np.arange(4))
+        assert 0 <= arms.min() and arms.max() < 4
+        assert regret[0] >= -1e-12
+        assert np.all(np.diff(regret) >= -1e-12)
 
     @pytest.mark.parametrize("alg", ["ucb1", "eps_greedy", "known_mean_elim"])
     def test_zero_instance_charges_mu_star_every_pull(self, alg):
         # instance 0 pays nothing on any arm but reveals mu_star = Delta,
         # so its regret curve is Delta * t whatever the policy does
         inst = make_hard_family(4, 200)[0]
-        tr = run_bandit(inst, alg, 200, np.random.default_rng(0))
+        regret = run_bandit(inst, alg, 200,
+                            np.random.default_rng(0)).pseudo_regret[0]
         t = np.arange(1, 201)
-        assert np.array_equal(tr.pseudo_regret,
-                              np.cumsum(np.full(200, inst.mu_star)))
-        np.testing.assert_allclose(tr.pseudo_regret, inst.mu_star * t,
+        assert np.array_equal(regret, np.cumsum(np.full(200, inst.mu_star)))
+        np.testing.assert_allclose(regret, inst.mu_star * t,
                                    rtol=1e-12, atol=0.0)
 
     def test_flat_instance_has_zero_regret(self):
@@ -253,34 +256,33 @@ class TestRunBandit:
         assert np.array_equal(a.rewards, b.rewards)
 
     def test_ucb_locks_onto_big_gap(self):
-        traces = run_bandits([BIG_GAP] * 20, "ucb1", 10_000,
-                             [np.random.default_rng(s) for s in range(20)])
-        finals = [tr.pseudo_regret[-1] for tr in traces]
-        assert np.median(finals) <= 50.0
+        batch = run_bandits([BIG_GAP] * 20, "ucb1", 10_000,
+                            [np.random.default_rng(s) for s in range(20)])
+        assert np.median(batch.pseudo_regret[:, -1]) <= 50.0
 
     def test_eps_greedy_always_explore_spreads_pulls(self, monkeypatch):
         monkeypatch.setattr(mab, "_default_eps", lambda A, t: 1.0)
         tr = run_bandit(BIG_GAP, "eps_greedy", 2000, np.random.default_rng(2))
-        assert np.all(tr.pull_counts > 2000 / 2 / 4)
+        assert np.all(pull_counts(tr.arms[0], 2) > 2000 / 2 / 4)
 
     def test_eps_greedy_never_explore_exploits(self, monkeypatch):
         monkeypatch.setattr(mab, "_default_eps", lambda A, t: 0.0)
         tr = run_bandit(BIG_GAP, "eps_greedy", 200, np.random.default_rng(2))
         # one forced init pull of the bad arm, pure exploitation after
-        assert tr.pull_counts[0] == 199
+        assert pull_counts(tr.arms[0], 2)[0] == 199
 
     def test_elim_commits_to_best_arm(self):
         tr = run_bandit(SEPARABLE, "known_mean_elim", 500,
                         np.random.default_rng(0))
-        assert np.all(tr.arms[-50:] == 0)
-        assert tr.pull_counts[0] > 400
+        assert np.all(tr.arms[0, -50:] == 0)
+        assert pull_counts(tr.arms[0], 3)[0] > 400
 
     def test_elim_rarely_drops_the_true_best_arm(self):
         inst = MabInstance(means=[0.5, 0.0, 0.0], mu_star=0.5)
-        traces = run_bandits([inst] * 2000, "known_mean_elim", 200,
-                             [np.random.default_rng(s) for s in range(2000)])
-        lost = sum(tr.pull_counts[0] < np.max(tr.pull_counts)
-                   for tr in traces)
+        batch = run_bandits([inst] * 2000, "known_mean_elim", 200,
+                            [np.random.default_rng(s) for s in range(2000)])
+        counts = np.stack([pull_counts(arms, 3) for arms in batch.arms])
+        lost = np.sum(counts[:, 0] < counts.max(axis=1))
         assert lost / 2000 <= 0.05
 
 
@@ -326,22 +328,25 @@ class TestReductionMdp:
 
 class TestCurvesAndSlopes:
     def test_single_trace_curve(self):
-        tr = run_bandit(BIG_GAP, "ucb1", 50, np.random.default_rng(0))
-        t, mean, stderr = cumulative_regret_curve([tr])
-        assert np.array_equal(mean, tr.pseudo_regret)
+        regret = run_bandit(BIG_GAP, "ucb1", 50,
+                            np.random.default_rng(0)).pseudo_regret
+        t, mean, stderr = cumulative_regret_curve(regret)
+        assert np.array_equal(mean, regret[0])
         assert np.all(stderr == 0.0)
         assert t[0] == 1 and t[-1] == 50
 
     def test_identical_traces_have_zero_stderr(self):
-        tr = run_bandit(BIG_GAP, "ucb1", 50, np.random.default_rng(0))
-        _, _, stderr = cumulative_regret_curve([tr, tr])
+        regret = run_bandit(BIG_GAP, "ucb1", 50,
+                            np.random.default_rng(0)).pseudo_regret
+        _, _, stderr = cumulative_regret_curve(np.repeat(regret, 2, axis=0))
         assert np.all(stderr == 0.0)
 
-    def test_ragged_traces_rejected(self):
-        a = run_bandit(BIG_GAP, "ucb1", 50, np.random.default_rng(0))
-        b = run_bandit(BIG_GAP, "ucb1", 60, np.random.default_rng(0))
-        with pytest.raises(ConfigurationError):
-            cumulative_regret_curve([a, b])
+    def test_curve_needs_a_block_of_rows(self):
+        regret = run_bandit(BIG_GAP, "ucb1", 50,
+                            np.random.default_rng(0)).pseudo_regret
+        for bad in (regret[0], regret[:0], regret[None]):
+            with pytest.raises(ConfigurationError, match="block"):
+                cumulative_regret_curve(bad)
 
     def test_slope_recovers_exact_power_law(self):
         t = np.arange(1, 2001)
@@ -365,7 +370,7 @@ class TestCurvesAndSlopes:
 
     def test_regret_csv_layout(self, tmp_path):
         tr = run_bandit(BIG_GAP, "ucb1", 20, np.random.default_rng(0))
-        t, mean, stderr = cumulative_regret_curve([tr])
+        t, mean, stderr = cumulative_regret_curve(tr.pseudo_regret)
         path = tmp_path / "curve.csv"
         write_regret_csv(path, "ucb1", "instance-0", t, mean, stderr)
         text = path.read_bytes().decode()

@@ -165,7 +165,7 @@ class TestFitTabular:
             model = fit_tabular(buf, t=t, delta=delta)
             s = int(rng.integers(4))
             a = int(rng.integers(2))
-            l1 = float(np.abs(model.p_hat[s, a] - mdp.kernel(0)[s, a]).sum())
+            l1 = float(np.abs(model.p_hat[s, a] - mdp.transitions[s, a]).sum())
             if l1 <= model.sigma(s, a):
                 hits += 1
         assert hits / trials >= 1 - delta

@@ -53,7 +53,7 @@ class TestBestResponseTabular:
         rng = np.random.default_rng(1)
         for _ in range(5):
             mdp = make_random_mdp(rng, num_states=4, num_actions=2, horizon=3)
-            view = model_view(tabular_model(mdp.kernel(0)), 3)
+            view = model_view(tabular_model(mdp.transitions), 3)
             cost = rng.uniform(-1, 1, size=(4, 2))
             pol = best_response_tabular(view, cost)
             v_star = value_eval_tabular(view, pol, cost)
@@ -66,7 +66,7 @@ class TestBestResponseTabular:
         # every deterministic nonstationary policy on (S,A,H) = (4,2,3)
         rng = np.random.default_rng(2)
         mdp = make_random_mdp(rng, num_states=4, num_actions=2, horizon=3)
-        view = model_view(tabular_model(mdp.kernel(0)), 3)
+        view = model_view(tabular_model(mdp.transitions), 3)
         cost = rng.uniform(-1, 1, size=(4, 2))  # bonus-augmented costs
         pol = best_response_tabular(view, cost)
         v_star = value_eval_tabular(view, pol, cost)
@@ -306,7 +306,7 @@ class TestSolveMinmaxTabular:
 
     def test_solve_logs_distinct_best_responses(self, caplog):
         mdp = make_chain()
-        model = tabular_model(mdp.kernel(0))
+        model = tabular_model(mdp.transitions)
         rng = np.random.default_rng(19)
         d_e = rng.dirichlet(np.ones(mdp.num_states))
         bonus = rng.uniform(0, 0.1, size=(mdp.num_states, mdp.num_actions))
@@ -440,16 +440,30 @@ class TestSolveMinmaxKnr:
         model = knr_model_from_system(sys_)
         rng = np.random.default_rng(13)
         expert_states = rng.normal(size=(50, 2)) * 0.3
-        fmap, _ = rff_featurize(expert_states, m=32, bandwidth="auto",
-                                rng=rng)
+        fmap, feats = rff_featurize(expert_states, m=32, bandwidth="auto",
+                                    rng=rng)
         disc = MmdDiscriminator(feature_map=fmap, w=np.zeros(32))
         cfg = MinMaxConfig(k_iters=10)
-        mix, obj = solve_minmax(model, None, disc, expert_states, cfg,
+        mix, obj = solve_minmax(model, None, disc, feats.mean(axis=0), cfg,
                                 horizon=3, num_actions=2,
                                 init_state=np.zeros(2), rng=rng)
         assert len(mix.components) == 10
         assert all(c.is_open_loop for c in mix.components)
         assert obj >= 0.0
+
+    def test_expert_must_be_the_mean_embedding(self):
+        model = knr_model_from_system(make_knr_example(noise_std=0.0))
+        rng = np.random.default_rng(13)
+        expert_states = rng.normal(size=(50, 2)) * 0.3
+        fmap, feats = rff_featurize(expert_states, m=32, bandwidth="auto",
+                                    rng=rng)
+        disc = MmdDiscriminator(feature_map=fmap, w=np.zeros(32))
+        dataset = ExpertDataset(trajectories=[expert_states])
+        for expert in (dataset, expert_states, feats, feats.mean(axis=0)[:8]):
+            with pytest.raises(ConfigurationError, match="mean feature"):
+                solve_minmax(model, None, disc, expert,
+                             MinMaxConfig(k_iters=2), horizon=3,
+                             num_actions=2, init_state=np.zeros(2), rng=rng)
 
     def test_matching_own_nominal_path_gives_small_objective(self):
         sys_ = make_knr_example(noise_std=0.0)
@@ -462,10 +476,11 @@ class TestSolveMinmaxKnr:
             states.append(s.copy())
             s = model.mean_prediction(s, a)
         expert_states = np.asarray(states)
-        fmap, _ = rff_featurize(expert_states, m=64, bandwidth=1.0, rng=rng)
+        fmap, feats = rff_featurize(expert_states, m=64, bandwidth=1.0,
+                                    rng=rng)
         disc = MmdDiscriminator(feature_map=fmap, w=np.zeros(64))
         cfg = MinMaxConfig(k_iters=40)
-        _, obj = solve_minmax(model, None, disc, expert_states, cfg,
+        _, obj = solve_minmax(model, None, disc, feats.mean(axis=0), cfg,
                               horizon=3, num_actions=2,
                               init_state=np.zeros(2), rng=rng)
         assert obj <= 0.05
