@@ -10,7 +10,7 @@ All sampling goes through an explicit numpy Generator so runs are replayable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -210,10 +210,18 @@ def _one_hot(actions: Array, num_actions: int) -> Array:
 
 @dataclass(frozen=True)
 class MixedPolicy:
-    """Explicit finite mixture of policies; components are never collapsed."""
+    """Explicit finite mixture of policies.
+
+    Components are never collapsed for sampling or weights: a component
+    listed twice is drawn and weighted twice. Exact evaluation dedupes by
+    identity: ``distinct`` holds each component object once, in order of
+    first occurrence, and ``distinct[inverse[i]] is components[i]``.
+    """
 
     components: tuple
     weights: Array
+    distinct: tuple = field(init=False, repr=False, compare=False)
+    inverse: Array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         comps = tuple(self.components)
@@ -224,8 +232,15 @@ class MixedPolicy:
             raise ConfigurationError("one weight per component required")
         if np.any(w < 0) or abs(w.sum() - 1.0) > ROW_TOL:
             raise ConfigurationError("weights must be nonnegative and sum to 1")
+        slots = {}
+        inverse = np.array([slots.setdefault(id(c), len(slots))
+                            for c in comps])
+        inverse.setflags(write=False)
+        distinct = {id(c): c for c in comps}
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "weights", _frozen(w))
+        object.__setattr__(self, "distinct", tuple(distinct.values()))
+        object.__setattr__(self, "inverse", inverse)
 
     @property
     def horizon(self) -> int:
@@ -403,10 +418,12 @@ def occupancy_stack(mdp, policies: Sequence[Policy]) -> Array:
 def occupancy_exact(mdp: TabularMdp, policy: AnyPolicy) -> OccupancyMeasure:
     """Forward dynamic program for d_h(s, a); mixtures combine exactly.
 
-    A mixture runs one forward pass over the stack of its components.
+    A mixture runs one forward pass over its distinct components and
+    expands the result back to one row per component before the weighted
+    sum over all K rows.
     """
     if isinstance(policy, MixedPolicy):
-        parts = occupancy_stack(mdp, policy.components)
+        parts = occupancy_stack(mdp, policy.distinct)[policy.inverse]
         return OccupancyMeasure(per_step=np.tensordot(policy.weights, parts,
                                                       axes=1))
     return OccupancyMeasure(per_step=occupancy_stack(mdp, (policy,))[0])
@@ -426,22 +443,23 @@ def state_values(mdp, policy: AnyPolicy, cost) -> Array:
     """(K, H+1, S) backward state values of the K components of ``policy``.
 
     K is 1 for a single policy; step H is zero. ``cost`` is (S,) or
-    (S, A). One backward pass over the stack.
+    (S, A). One backward pass over the distinct components, expanded
+    back to one row per component.
     """
     mixed = isinstance(policy, MixedPolicy)
-    probs = _probs_stack(mdp, policy.components if mixed else (policy,))
-    K, H, S, A = probs.shape
+    probs = _probs_stack(mdp, policy.distinct if mixed else (policy,))
+    n, H, S, A = probs.shape
     c = _cost_table(cost, S, A)
     probs_steps = probs.swapaxes(0, 1)
     kernel = mdp.transitions[None]
-    values = np.zeros((K, H + 1, S))
-    v = np.zeros((K, S))
+    values = np.zeros((n, H + 1, S))
+    v = np.zeros((n, S))
     for h in range(H - 1, -1, -1):
         # a stacked matmul sums in the order of one policy's kernel @ v
         q = c + (kernel @ v[:, None, :, None])[..., 0]
         v = (probs_steps[h] * q).sum(axis=-1)
         values[:, h] = v
-    return values
+    return values[policy.inverse] if mixed else values
 
 
 def value_eval_tabular(mdp, policy: AnyPolicy, cost) -> float:

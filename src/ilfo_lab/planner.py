@@ -154,18 +154,25 @@ def _solve_fw_box(model, bonus, expert, cfg, horizon, init_state):
     uniform = Policy.tabular(np.full((horizon, s_dim, a_dim), 1.0 / a_dim))
     d_bar = occupancy_exact(view, uniform).average
     components = []
-    # the best response and its occupancy are pure functions of the 0/1
-    # witness, so a repeated witness reuses both (and the same Policy)
+    # the best response and its occupancy are pure functions of the box
+    # witness 1{d_bar(s) > d_e(s)}, so a repeated witness mask reuses both
+    # (and the same Policy); the float witness is built only on a miss
     responses = {}
+    step = np.empty_like(d_bar)
     for k in range(1, cfg.k_iters + 1):
-        f_k = box_witness(d_bar.sum(axis=1), d_e)
-        key = f_k.tobytes()
-        if key not in responses:
+        d_state = np.add.reduce(d_bar, axis=1)
+        key = (d_state > d_e).tobytes()
+        response = responses.get(key)
+        if response is None:
+            f_k = box_witness(d_state, d_e)
             pi = best_response_tabular(view, f_k[:, None] - b_table)
-            responses[key] = (pi, occupancy_exact(view, pi).average)
-        pi_k, occ_k = responses[key]
+            response = responses[key] = (pi, occupancy_exact(view, pi).average)
+        pi_k, occ_k = response
         components.append(pi_k)
-        d_bar = (1.0 - 1.0 / k) * d_bar + occ_k / k
+        # d_bar <- (1 - 1/k) d_bar + occ_k / k, in place
+        np.multiply(d_bar, 1.0 - 1.0 / k, out=d_bar)
+        np.divide(occ_k, k, out=step)
+        np.add(d_bar, step, out=d_bar)
     mixture = MixedPolicy(components=tuple(components),
                           weights=np.full(len(components),
                                           1.0 / len(components)))

@@ -12,8 +12,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .envs import (Array, ConfigurationError, TabularMdp, occupancy_exact,
-                   state_values, value_eval_tabular)
+from .envs import (Array, ConfigurationError, MixedPolicy, TabularMdp,
+                   occupancy_exact, state_values, value_eval_tabular)
 from .expert import solve_optimal_tabular
 from .models import SIGMA_CAP, knr_beta
 from .worlds import make_chain, make_random_mdp, make_random_policy
@@ -102,7 +102,12 @@ def simulation_lemma_sides(mdp: TabularMdp, kernel_hat: Array, f: Array,
     rhs expands it along the true occupancy with the model's own values:
     sum_h E_{d_h}[f - f_hat + (P - P_hat) v_hat_{h+1}]. The bound replaces
     the inner terms by |f - f_hat| and the row L1 error times max |v_hat|.
+    ``policy`` is one tabular policy: the decomposition reads its own
+    v_hat, which a mixture does not have.
     """
+    if isinstance(policy, MixedPolicy):
+        raise ConfigurationError(
+            "the simulation lemma takes one policy, not a mixture")
     S, A, H = mdp.num_states, mdp.num_actions, mdp.horizon
     hat_mdp = TabularMdp(horizon=H, transitions=kernel_hat,
                          cost=np.zeros(S), init_state=mdp.init_state)
@@ -180,10 +185,9 @@ def check_optimism(n_instances: int = 100, seed: int = 0,
                        passed=failures == 0)
 
 
-def concentration_bound(n_functions: int, n_samples: int, delta: float,
-                        t: int = 1) -> float:
-    return 2.0 * math.sqrt(math.log(2.0 * t**2 * n_functions / delta)
-                           / n_samples)
+def concentration_bound(n_functions: int, n_samples: int,
+                        delta: float) -> float:
+    return 2.0 * math.sqrt(math.log(2.0 * n_functions / delta) / n_samples)
 
 
 def check_concentration(n_functions: int = 50, n_samples: int = 100,
@@ -194,7 +198,8 @@ def check_concentration(n_functions: int = 50, n_samples: int = 100,
 
     Samples are i.i.d. draws from the exact average state occupancy of
     the optimal expert on a 6-state chain, so the only error source is
-    finite N; the bound is taken at t = 1. The fraction of trials whose
+    finite N; the bound is the per-round one at round t = 1, where its
+    union-bound factor 2 t^2 is 2. The fraction of trials whose
     sup-deviation exceeds the bound must stay at or below delta.
     """
     env = make_chain(num_states=6, num_actions=3, horizon=5, slip=0.1)

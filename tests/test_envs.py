@@ -370,6 +370,65 @@ def test_batched_value_equals_per_component_reference(spec):
         assert value_eval_tabular(mdp, pol, mdp.cost) == val
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), S=st.integers(1, 6),
+       A=st.integers(1, 4), H=st.integers(1, 6), init=st.integers(0, 5),
+       pool_size=st.integers(1, 6),
+       pattern=st.lists(st.integers(0, 5), min_size=1, max_size=40))
+def test_distinct_evaluation_equals_one_row_per_component(
+        seed, S, A, H, init, pool_size, pattern):
+    # rows that share one Policy object are evaluated once and expanded
+    # back to K rows: bit-identical to the same mixture built from fresh,
+    # equal objects, where every row is its own distinct component
+    rng = np.random.default_rng(seed)
+    mdp = TabularMdp(horizon=H,
+                     transitions=rng.dirichlet(np.ones(S), size=(S, A)),
+                     cost=rng.random(S), init_state=init % S)
+    pool = []
+    for _ in range(pool_size):
+        if rng.random() < 0.5:
+            pool.append(Policy.deterministic(
+                rng.integers(0, A, size=(H, S)), A))
+        else:
+            pool.append(Policy.tabular(
+                rng.dirichlet(np.ones(A), size=(H, S))))
+    rows = [j % pool_size for j in pattern]
+    weights = rng.dirichlet(np.ones(len(rows)))
+    mix = MixedPolicy(components=tuple(pool[j] for j in rows),
+                      weights=weights)
+    order = list(dict.fromkeys(rows))
+    assert len(mix.distinct) == len(order)
+    assert all(c is pool[j] for c, j in zip(mix.distinct, order))
+    assert mix.inverse.tolist() == [order.index(j) for j in rows]
+    for i, comp in enumerate(mix.components):
+        assert mix.distinct[mix.inverse[i]] is comp
+
+    def fresh(pol):
+        if pol.action_table is not None:
+            return Policy.deterministic(pol.action_table.copy(), A)
+        return Policy.tabular(pol.probs.copy())
+
+    ref = MixedPolicy(components=tuple(fresh(c) for c in mix.components),
+                      weights=weights)
+    assert len(ref.distinct) == len(rows)
+    occ = occupancy_exact(mdp, mix).per_step
+    assert np.array_equal(occ, occupancy_exact(mdp, ref).per_step)
+    # and to the weighted sum of each row's single-policy occupancy
+    singles = np.stack([occupancy_exact(mdp, c).per_step
+                        for c in mix.components])
+    assert np.array_equal(occ, np.tensordot(weights, singles, axes=1))
+    signed = rng.uniform(-1.0, 1.0, size=(S, A))
+    for cost in (mdp.cost, signed):
+        values = state_values(mdp, mix, cost)
+        assert values.shape == (len(rows), H + 1, S)
+        assert np.array_equal(values, state_values(mdp, ref, cost))
+        # each expanded row is its own component's single-policy values
+        for row, comp in zip(values, mix.components):
+            assert np.array_equal(row, state_values(mdp, comp, cost)[0])
+        assert value_eval_tabular(mdp, mix, cost) == value_eval_tabular(
+            mdp, ref, cost)
+
+
 def test_mixture_components_must_match_environment():
     mdp = make_random_mdp(np.random.default_rng(0), 2, 2, 2)
     ok = Policy.deterministic(np.zeros((2, 2), dtype=int), num_actions=2)

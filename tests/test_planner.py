@@ -320,6 +320,7 @@ class TestSolveMinmaxTabular:
         rounds, distinct, logged_obj = records[0].args
         assert rounds == cfg.k_iters
         assert distinct == len({id(c) for c in mix.components})
+        assert len(mix.distinct) == distinct
         assert distinct < cfg.k_iters
         assert logged_obj == obj
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ilfo_lab.verify as verify_mod
-from ilfo_lab import ConfigurationError
+from ilfo_lab import ConfigurationError, MixedPolicy
 from ilfo_lab.loop import RunRecord
 from ilfo_lab.verify import (
     CheckReport,
@@ -95,6 +95,18 @@ class TestSimulationLemma:
         assert rhs == pytest.approx(0.0, abs=1e-12)
         assert bound >= 0.0
 
+    def test_mixture_is_rejected(self):
+        # v_hat must be the policy's own values, which a mixture lacks
+        mdp = make_chain(num_states=4, num_actions=2, horizon=3)
+        f = np.linspace(0.0, 1.0, 4)
+        rng = np.random.default_rng(0)
+        pols = [make_random_policy(rng, 4, 2, 3) for _ in range(2)]
+        for comps in ((pols[0],), tuple(pols)):
+            mix = MixedPolicy(components=comps,
+                              weights=np.full(len(comps), 1 / len(comps)))
+            with pytest.raises(ConfigurationError, match="mixture"):
+                simulation_lemma_sides(mdp, mdp.transitions, f, f, mix)
+
     def test_check_passes_at_tolerance(self):
         rep = check_simulation_lemma()
         assert rep.passed and rep.trials == 200
@@ -124,6 +136,13 @@ class TestConcentration:
         assert rep.failures == 0
         assert rep.worst_violation == pytest.approx(
             -concentration_bound(1, 100, 0.1), abs=1e-12)
+
+    def test_bound_is_the_round_one_union_bound(self):
+        # the paper's per-round bound 2 sqrt(ln(2 t^2 |F| / delta) / N)
+        # at t = 1, digit for digit
+        t = 1
+        assert concentration_bound(50, 100, 0.1) == 2.0 * math.sqrt(
+            math.log(2.0 * t**2 * 50 / 0.1) / 100)
 
     def test_bound_halves_when_samples_quadruple(self):
         a = concentration_bound(50, 100, 0.1)
