@@ -6,7 +6,8 @@ Two families:
   response has the closed form f*(s) = 1{d_pi(s) > d_e(s)} and attains
   the positive part sum_s max(0, d_pi(s) - d_e(s)),
 * a random-Fourier-feature class {s -> <w, psi(s)> : |w| <= zeta} whose
-  best response is a projected mean-feature difference (an MMD witness).
+  witness is the mean-feature difference projected onto the zeta-ball (an
+  MMD witness).
 
 Both classes are state-only.
 """
@@ -113,7 +114,14 @@ def tv_best_response(d_pi: Array, d_e: Array) -> float:
 
 def mmd_update(disc: MmdDiscriminator, mean_pi: Array,
                mean_e: Array) -> MmdDiscriminator:
-    """Best-response witness w <- proj(mean_pi - mean_e)."""
+    """Witness update w <- proj(mean_pi - mean_e), the projection onto the
+    zeta-ball.
+
+    The maximiser of <w, mean_pi - mean_e> over |w| <= zeta is
+    zeta (mean_pi - mean_e) / |mean_pi - mean_e|; the projection equals it
+    only when |mean_pi - mean_e| >= zeta, and inside the ball it is the
+    difference itself (ROADMAP item 4).
+    """
     diff = np.asarray(mean_pi, dtype=float) - np.asarray(mean_e, dtype=float)
     return MmdDiscriminator(feature_map=disc.feature_map,
                             w=project_ball(diff, disc.zeta), zeta=disc.zeta)

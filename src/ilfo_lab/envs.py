@@ -493,39 +493,128 @@ def best_response_tabular(mdp, cost) -> Policy:
     return Policy.deterministic(actions, num_actions=A)
 
 
-def openloop_search(step: Callable, cost: Callable, init_state,
-                    num_actions: int, horizon: int, ids: Array,
-                    bonus: Callable | None = None) -> tuple[Array, float]:
-    """Lowest-scoring open-loop action sequence among the indices ``ids``.
+class OpenLoopTree:
+    """The nominal tree of open-loop action prefixes from one start state.
+
+    Node (h, p) is the length-h prefix whose actions, read as base-A
+    digits with the first action most significant, make the integer p;
+    its children are (h + 1, A p + a). A node's state is ``step`` applied
+    along its prefix from ``init_state``, its features are
+    ``featurize(state)`` (the state itself when ``featurize`` is None), and
+    the edge into (h + 1, c) carries ``bonus(state(h, c // A), c % A)``.
+    Each is computed on first use and cached on (depth, prefix id), so a
+    tree searched again, under another cost or over other ids, never
+    steps, featurizes or calls the bonus twice for the same node or edge.
+    The layers of the last id set searched are kept too, so searching the
+    same ids again only evaluates the cost.
+    """
+
+    def __init__(self, step: Callable, init_state, num_actions: int,
+                 horizon: int, bonus: Callable | None = None,
+                 featurize: Callable | None = None):
+        self.step, self.bonus, self.featurize = step, bonus, featurize
+        self.num_actions, self.horizon = num_actions, horizon
+        self._states = [{0: np.asarray(init_state, dtype=float)}]
+        self._states += [{} for _ in range(horizon - 1)]
+        self._features = [{} for _ in range(horizon)]
+        self._bonuses = [{} for _ in range(horizon)]
+        self._layers_key, self._layers = None, None
+
+    def state(self, h: int, p: int) -> Array:
+        states = self._states[h]
+        s = states.get(p)
+        if s is None:
+            A = self.num_actions
+            s = states[p] = self.step(self.state(h - 1, p // A), p % A)
+        return s
+
+    def features(self, h: int, p: int):
+        features = self._features[h]
+        f = features.get(p)
+        if f is None:
+            f = self.state(h, p)
+            if self.featurize is not None:
+                f = self.featurize(f)
+            features[p] = f
+        return f
+
+    def edge_bonus(self, h: int, c: int) -> float:
+        """The bonus on the edge from depth h into the prefix c."""
+        bonuses = self._bonuses[h]
+        b = bonuses.get(c)
+        if b is None:
+            A = self.num_actions
+            b = bonuses[c] = float(self.bonus(self.state(h, c // A), c % A))
+        return b
+
+    def layers(self, ids: Array) -> tuple[list, Array]:
+        """The search layers over the sorted sequence ids ``ids``.
+
+        At depth h the nodes are the distinct prefixes ids // A^(H-h) and
+        their children the distinct prefixes one action longer. A layer
+        is the nodes' features, each child's parent index and the
+        children's edge bonuses (None without a bonus); the second value
+        is the leaves, the distinct ids.
+        """
+        key = ids.tobytes()
+        if key != self._layers_key:
+            A, H = self.num_actions, self.horizon
+            layers = []
+            nodes = np.zeros(1, dtype=np.int64)  # the empty prefix
+            for h in range(H):
+                children = np.unique(ids // A ** (H - 1 - h))
+                parents = np.searchsorted(nodes, children // A)
+                features = [self.features(h, p) for p in nodes.tolist()]
+                bonuses = None if self.bonus is None else np.array(
+                    [self.edge_bonus(h, c) for c in children.tolist()])
+                layers.append((features, parents, bonuses))
+                nodes = children
+            self._layers_key, self._layers = key, (layers, nodes)
+        return self._layers
+
+    def prefixes(self, seq) -> list[int]:
+        """Prefix ids p_1..p_H of an action sequence, p_{h+1} = A p_h + a_h."""
+        ids, p = [], 0
+        for a in seq:
+            p = self.num_actions * p + int(a)
+            ids.append(p)
+        return ids
+
+    def path_states(self, seq) -> Array:
+        """(H, d) states s_0..s_{H-1} along ``seq``."""
+        nodes = [0] + self.prefixes(seq)[:-1]
+        return np.asarray([np.atleast_1d(self.state(h, p))
+                           for h, p in enumerate(nodes)])
+
+    def path_bonuses(self, seq) -> list[float]:
+        """The H edge bonuses b(s_h, a_h) along ``seq``."""
+        return [self.edge_bonus(h, c)
+                for h, c in enumerate(self.prefixes(seq))]
+
+
+def openloop_search(tree: OpenLoopTree, cost: Callable,
+                    ids: Array) -> tuple[Array, float]:
+    """Lowest-scoring open-loop action sequence of ``tree`` among ``ids``.
 
     A sequence's index reads its actions as base-A digits, the first
     action most significant; ``ids`` is sorted. A sequence scores
-    sum_h cost(s_h) - bonus(s_h, a_h) along s_{h+1} = step(s_h, a_h),
-    accumulated as (prefix + cost) - bonus. The nodes at depth h are the
-    distinct prefixes ids // A^(H-1-h), so a common prefix is rolled out
-    once. Ties go to the first minimum, the smallest index. Returns the
-    sequence and its score.
+    sum_h cost(f_h) - bonus(s_h, a_h), where f_h are the tree's features
+    of s_h (s_h itself unless the tree featurizes), accumulated as
+    (prefix + cost) - bonus. The layers come from the tree's caches, so
+    a common prefix is rolled out once per tree, not once per search;
+    only ``cost`` is evaluated afresh. Ties go to the first minimum, the
+    smallest index. Returns the sequence and its score.
     """
-    A, H = num_actions, horizon
-    ids = np.asarray(ids, dtype=np.int64)
-    nodes = np.zeros(1, dtype=np.int64)  # the empty prefix
-    states = [np.asarray(init_state, dtype=float)]
+    layers, leaves = tree.layers(np.asarray(ids, dtype=np.int64))
     scores = np.zeros(1)
-    for h in range(H):
-        children = np.unique(ids // A ** (H - 1 - h))
-        parents = np.searchsorted(nodes, children // A)
-        actions = (children % A).tolist()
-        step_cost = np.array([float(cost(s)) for s in states])
+    for features, parents, bonuses in layers:
+        step_cost = np.array([float(cost(f)) for f in features])
         scores = scores[parents] + step_cost[parents]
-        if bonus is not None:
-            scores -= [float(bonus(states[p], a))
-                       for p, a in zip(parents, actions)]
-        if h < H - 1:
-            states = [step(states[p], a) for p, a in zip(parents, actions)]
-        nodes = children
+        if bonuses is not None:
+            scores -= bonuses
     best = int(np.argmin(scores))
-    seq = np.array(np.unravel_index(nodes[best], (A,) * H))
-    return seq, float(scores[best])
+    seq = np.unravel_index(leaves[best], (tree.num_actions,) * tree.horizon)
+    return np.array(seq), float(scores[best])
 
 
 def value_eval_mc(

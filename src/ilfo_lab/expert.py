@@ -13,6 +13,7 @@ import numpy as np
 from .envs import (
     ConfigurationError,
     KnrSystem,
+    OpenLoopTree,
     Policy,
     TabularMdp,
     best_response_tabular,
@@ -79,16 +80,16 @@ def solve_optimal_tabular(mdp: TabularMdp) -> Policy:
 def solve_openloop_knr(system: KnrSystem) -> Policy:
     """Best open-loop action sequence under the noise-free nominal dynamics.
 
-    The open-loop search over all A^H sequences, run on the true mean
-    dynamics and cost with no bonus. Ties go to the lexicographically
-    smallest sequence.
+    The open-loop search over all A^H sequences of a fresh tree, run on
+    the true mean dynamics and cost with no bonus. Ties go to the
+    lexicographically smallest sequence.
     """
     A, H = system.num_actions, system.horizon
     if A ** H > OPENLOOP_SEARCH_LIMIT:
         raise ConfigurationError(
             f"open-loop search space {A}^{H} exceeds {OPENLOOP_SEARCH_LIMIT}")
-    seq, _ = openloop_search(system.step_mean, system.cost_of,
-                             system.init_state, A, H, np.arange(A ** H))
+    tree = OpenLoopTree(system.step_mean, system.init_state, A, H)
+    seq, _ = openloop_search(tree, system.cost_of, np.arange(A ** H))
     return Policy.open_loop(seq)
 
 

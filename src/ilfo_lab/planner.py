@@ -23,9 +23,10 @@ from scipy.optimize import linprog
 
 from .discriminators import (MmdDiscriminator, box_witness, mmd_update,
                              tv_best_response)
-from .envs import (ConfigurationError, MixedPolicy, Policy, TabularMdp,
-                   best_response_tabular, occupancy_exact, openloop_search)
-from .models import BonusFunction, KnrModel, TabularModel, mean_bonus_on_path
+from .envs import (ConfigurationError, MixedPolicy, OpenLoopTree, Policy,
+                   TabularMdp, best_response_tabular, occupancy_exact,
+                   openloop_search)
+from .models import BonusFunction, KnrModel, TabularModel
 
 Array = np.ndarray
 
@@ -67,15 +68,22 @@ def _model_mdp(model: TabularModel, horizon: int, init_state) -> TabularMdp:
 def best_response_knr(model: KnrModel, cost_fn: Callable, bonus,
                       horizon: int, num_actions: int, init_state,
                       search_cfg: KnrSearchConfig,
-                      rng: np.random.Generator | None = None) -> Policy:
+                      rng: np.random.Generator | None = None, *,
+                      tree: OpenLoopTree | None = None) -> Policy:
     """Best open-loop action sequence under the learned nominal dynamics.
 
     Minimizes sum_h [cost(s_h) - b(s_h, a_h)] where s rolls forward with
     the model mean and noise off.  Exhaustive when A^H fits the budget,
     otherwise random shooting over n_candidates distinct sequence ids,
     drawn by one ``rng.choice`` without replacement; ties pick the
-    lexicographically smallest sequence.
+    lexicographically smallest sequence.  ``tree`` is the search tree of
+    this model, bonus and start state that the caller keeps across
+    searches; ``cost_fn`` scores its node features (the states, on the
+    fresh tree built when ``tree`` is None).
     """
+    if tree is None:
+        tree = OpenLoopTree(model.mean_prediction, init_state, num_actions,
+                            horizon, bonus)
     total = num_actions ** horizon
     if total <= search_cfg.exhaustive_limit:
         candidate_ids = np.arange(total)
@@ -88,8 +96,7 @@ def best_response_knr(model: KnrModel, cost_fn: Callable, bonus,
         raise ConfigurationError(
             f"A^H = {total} exceeds the exhaustive budget "
             f"{search_cfg.exhaustive_limit} and random shooting is disabled")
-    seq, _ = openloop_search(model.mean_prediction, cost_fn, init_state,
-                             num_actions, horizon, candidate_ids, bonus)
+    seq, _ = openloop_search(tree, cost_fn, candidate_ids)
     return Policy.open_loop(seq)
 
 
@@ -182,46 +189,57 @@ def _solve_fw_box(model, bonus, expert, cfg, horizon, init_state):
     return mixture, objective
 
 
-def _nominal_decision_states(model, seq, init_state, horizon):
-    """States s_0..s_{H-1} reached by the model mean under an action seq."""
-    states = []
-    s = np.asarray(init_state, dtype=float)
-    for h in range(horizon):
-        states.append(np.atleast_1d(s).copy())
-        s = model.mean_prediction(s, int(seq[h]))
-    return np.asarray(states)
-
-
 def _solve_fw_mmd(model, bonus, disc, mean_e, cfg, horizon, num_actions,
                   init_state, rng):
+    """Frank-Wolfe against the MMD witness over one nominal search tree.
+
+    The model, bonus, start state and feature map are fixed within a
+    solve; only the witness weights w change between rounds.  So one
+    ``OpenLoopTree`` holds every node's state and witness features
+    ``fmap(s)`` and every edge's bonus, each computed once, and a round
+    rescores the nodes with ``float(feats @ w)``, the product
+    ``MmdDiscriminator.__call__`` computes.  A path's mean embedding
+    featurizes its (H, d) states as one batch, which rounds differently
+    from one-state calls, so it is computed once per distinct path.
+    """
     fmap = disc.feature_map
     mean_e = np.asarray(mean_e)
     if mean_e.shape != (fmap.num_features,):
         raise ConfigurationError(
             "the KNR expert must be its (m,) mean feature embedding")
-    init_seq = np.zeros(horizon, dtype=np.int64)
-    init_states = _nominal_decision_states(model, init_seq, init_state,
-                                           horizon)
-    mean_bar = fmap(init_states).mean(axis=0)
+    # one state as a (1, d) batch: RffFeatureMap reads a (1,) input as
+    # one scalar state per row
+    tree = OpenLoopTree(model.mean_prediction, init_state, num_actions,
+                        horizon, bonus,
+                        featurize=lambda x: fmap(x.reshape(1, -1))[0])
+    embeddings = {}
+
+    def embedding(seq):
+        key = seq.tobytes()
+        m = embeddings.get(key)
+        if m is None:
+            m = embeddings[key] = fmap(tree.path_states(seq)).mean(axis=0)
+        return m
+
+    mean_bar = embedding(np.zeros(horizon, dtype=np.int64))
     components = []
-    paths = []
+    path_bonuses = []
     for k in range(1, cfg.k_iters + 1):
         disc = mmd_update(disc, mean_bar, mean_e)
-        cost_fn = lambda s: float(disc(np.atleast_1d(np.asarray(s, float))))
-        pi_k = best_response_knr(model, cost_fn, bonus, horizon, num_actions,
-                                 init_state, cfg.knr_search, rng)
+        w = disc.w
+        pi_k = best_response_knr(model, lambda f: float(f @ w), bonus,
+                                 horizon, num_actions, init_state,
+                                 cfg.knr_search, rng, tree=tree)
         seq = pi_k.action_seq
-        states_k = _nominal_decision_states(model, seq, init_state, horizon)
-        m_k = fmap(states_k).mean(axis=0)
         components.append(pi_k)
-        paths.append((states_k, seq))
-        mean_bar = (1 - 1.0 / k) * mean_bar + m_k / k
+        path_bonuses.append(0.0 if bonus is None else
+                            float(np.mean(tree.path_bonuses(seq))))
+        mean_bar = (1 - 1.0 / k) * mean_bar + embedding(seq) / k
     mixture = MixedPolicy(components=tuple(components),
                           weights=np.full(len(components),
                                           1.0 / len(components)))
     sup_ipm = disc.zeta * float(np.linalg.norm(mean_bar - mean_e))
-    mean_b = float(np.mean([mean_bonus_on_path(bonus, st, sq)
-                            for st, sq in paths]))
+    mean_b = float(np.mean(path_bonuses))
     return mixture, sup_ipm - mean_b
 
 

@@ -7,6 +7,7 @@ from ilfo_lab.envs import (
     ConfigurationError,
     MixedPolicy,
     OccupancyMeasure,
+    OpenLoopTree,
     Policy,
     TabularMdp,
     best_response_tabular,
@@ -533,7 +534,7 @@ def test_openloop_search_matches_per_sequence_scan(seed, dim, A, H,
     else:
         ids = np.arange(total)
     b = bonus if with_bonus else None
-    seq, score = openloop_search(step, cost, x0, A, H, ids, b)
+    seq, score = openloop_search(OpenLoopTree(step, x0, A, H, b), cost, ids)
     ref_seq, ref_score = _search_reference(
         lambda s, a: W[a] @ s + c[a], cost, b, x0, A, H, ids)
     assert np.array_equal(seq, ref_seq)

@@ -5,7 +5,7 @@ import pytest
 
 from ilfo_lab import ConfigurationError, Policy, TabularMdp, rollout, value_eval_tabular
 from ilfo_lab import loop, models
-from ilfo_lab.envs import value_eval_mc
+from ilfo_lab.envs import KnrSystem, value_eval_mc
 from ilfo_lab.expert import ExpertDataset, sample_expert_states, solve_optimal_tabular
 from ilfo_lab.loop import (
     CSV_COLUMNS,
@@ -320,6 +320,32 @@ class TestRunMobileKnr:
         assert rec.executed_features[0].shape == (3, 4)
         assert np.all(np.diff(rec.info_gain_cum) >= -1e-12)
         assert rec.knr_params["feature_dim"] == 4
+
+    def test_one_dimensional_state_runs(self):
+        # RffFeatureMap reads a (1,) input as one scalar state per row, so
+        # the solve featurizes each node as a (1, d) batch; before, the
+        # first Frank-Wolfe round failed converting a (1, m) cost to float
+        def features(s, a):
+            phi = np.zeros(3)
+            phi[0] = np.clip(np.asarray(s, dtype=float)[0], -1.0, 1.0)
+            phi[1 + a] = 1.0
+            return phi / np.sqrt(2.0)
+
+        system = KnrSystem(state_dim=1, feature_dim=3, features=features,
+                           weights=np.array([[0.8, 0.3, -0.3]]),
+                           noise_std=0.05, horizon=3, num_actions=2,
+                           init_state=np.zeros(1),
+                           cost=lambda s: float((s[0] - 0.5) ** 2))
+        data = self._expert_data(system, np.random.default_rng(0), n=8)
+        cfg = MobileConfig(t_iters=5, n_expert=8, mmd_features=8,
+                           knr_eval_rollouts=2,
+                           minmax=MinMaxConfig(k_iters=2))
+        mixture, rec = run_mobile(system, data, cfg,
+                                  np.random.default_rng(1), expert_value=0.0)
+        assert len(rec.objective) == 5
+        assert np.all(np.isfinite(rec.objective))
+        assert np.all(np.isfinite(rec.value))
+        assert all(c.action_seq.shape == (3,) for c in mixture.components)
 
 
 class TestTracedFitCalls:

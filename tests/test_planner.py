@@ -9,14 +9,18 @@ from hypothesis import strategies as st
 
 from ilfo_lab import (ConfigurationError, Policy, TabularMdp, planner,
                       value_eval_tabular)
-from ilfo_lab.discriminators import MmdDiscriminator, rff_featurize
-from ilfo_lab.envs import openloop_search
+from ilfo_lab.discriminators import (MmdDiscriminator, RffFeatureMap,
+                                     mmd_update, rff_featurize)
+from ilfo_lab.envs import KnrSystem, OpenLoopTree, openloop_search
 from ilfo_lab.expert import ExpertDataset, solve_optimal_tabular
 from ilfo_lab.models import (
     BonusFunction,
+    KnrModel,
     ReplayBuffer,
     TabularModel,
     fit_knr_model,
+    mean_bonus_on_path,
+    theory_bonus,
 )
 from ilfo_lab.planner import (
     KnrSearchConfig,
@@ -106,11 +110,31 @@ def knr_model_from_system(sys_, n_samples=80, seed=3, lam=1e-8):
     rng = np.random.default_rng(seed)
     buf = ReplayBuffer()
     for _ in range(n_samples):
-        s = rng.normal(size=2) * 0.4
+        s = rng.normal(size=sys_.state_dim) * 0.4
         a = int(rng.integers(sys_.num_actions))
         buf.append(0, s, a, sys_.step_mean(s, a))
-    return fit_knr_model(buf, sys_.features, 4, 2, lam_ridge=lam,
-                         noise_std=0.05, w_max=2.0, t=1, delta=0.1)
+    return fit_knr_model(buf, sys_.features, sys_.feature_dim,
+                         sys_.state_dim, lam_ridge=lam, noise_std=0.05,
+                         w_max=2.0, t=1, delta=0.1)
+
+
+def random_knr_system(rng, state_dim, num_actions, horizon):
+    """features(s, a) = [clip(s); one_hot(a)] / sqrt(2) under random
+    weights, like make_knr_example with any state and action count."""
+    d = state_dim + num_actions
+
+    def features(s, a):
+        x = np.atleast_1d(np.asarray(s, dtype=float))
+        phi = np.zeros(d)
+        phi[:state_dim] = x / max(1.0, float(np.linalg.norm(x)))
+        phi[state_dim + a] = 1.0
+        return phi / np.sqrt(2.0)
+
+    return KnrSystem(state_dim=state_dim, feature_dim=d, features=features,
+                     weights=rng.normal(scale=0.8, size=(state_dim, d)),
+                     noise_std=0.0, horizon=horizon, num_actions=num_actions,
+                     init_state=rng.normal(scale=0.3, size=state_dim),
+                     cost=lambda s: 0.0)
 
 
 class TestBestResponseKnr:
@@ -158,8 +182,9 @@ class TestBestResponseKnr:
                                 num_actions=2, init_state=np.zeros(2),
                                 search_cfg=search, rng=rng)
         ids = ids_of(clone, 2 ** horizon, 64)
-        seq, _ = openloop_search(model.mean_prediction, cost, np.zeros(2), 2,
-                                 horizon, ids, bonus)
+        tree = OpenLoopTree(model.mean_prediction, np.zeros(2), 2, horizon,
+                            bonus)
+        seq, _ = openloop_search(tree, cost, ids)
         assert rng.bit_generator.state == clone.bit_generator.state
         return pol.action_seq, seq, ids
 
@@ -485,3 +510,148 @@ class TestSolveMinmaxKnr:
                               horizon=3, num_actions=2,
                               init_state=np.zeros(2), rng=rng)
         assert obj <= 0.05
+
+
+class TestKnrSearchTree:
+    """One search tree per KNR solve, against the per-round rebuild."""
+
+    @staticmethod
+    def reference_fw_mmd(model, bonus, disc, mean_e, k_iters, horizon,
+                         num_actions, init_state, search_cfg, rng):
+        """Frank-Wolfe against the MMD witness with nothing kept between
+        rounds: every round searches a fresh tree, scoring each state
+        through the discriminator's feature map, then rolls its path's
+        states forward and calls the bonus along it again. Returns the
+        per-round action sequences and the objective."""
+        fmap = disc.feature_map
+
+        def path_states(seq):
+            states, s = [], np.asarray(init_state, dtype=float)
+            for h in range(horizon):
+                states.append(np.atleast_1d(s).copy())
+                s = model.mean_prediction(s, int(seq[h]))
+            return np.asarray(states)
+
+        mean_bar = fmap(path_states(np.zeros(horizon, dtype=int))).mean(
+            axis=0)
+        seqs, paths = [], []
+        for k in range(1, k_iters + 1):
+            disc = mmd_update(disc, mean_bar, mean_e)
+            # MmdDiscriminator.__call__ on one state, as a (1, d) batch
+            cost = lambda s: float(fmap(np.reshape(s, (1, -1)))[0] @ disc.w)
+            seq = best_response_knr(model, cost, bonus, horizon, num_actions,
+                                    init_state, search_cfg, rng).action_seq
+            states = path_states(seq)
+            seqs.append(seq)
+            paths.append((states, seq))
+            mean_bar = (1 - 1.0 / k) * mean_bar + fmap(states).mean(
+                axis=0) / k
+        ipm = disc.zeta * float(np.linalg.norm(mean_bar - mean_e))
+        mean_b = float(np.mean([mean_bonus_on_path(bonus, st, sq)
+                                for st, sq in paths]))
+        return seqs, ipm - mean_b
+
+    @staticmethod
+    def witness(rng, system, m):
+        ref = rng.normal(scale=0.5, size=(12, system.state_dim))
+        fmap, feats = rff_featurize(ref, m=m, bandwidth="auto", rng=rng)
+        expert = rng.normal(scale=0.5, size=(6, system.state_dim))
+        disc = MmdDiscriminator(feature_map=fmap, w=np.zeros(m),
+                                zeta=float(rng.uniform(0.1, 2.0)))
+        return disc, fmap(expert).mean(axis=0)
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), state_dim=st.integers(1, 3),
+           A=st.integers(1, 3), H=st.integers(1, 5),
+           k_iters=st.integers(1, 6),
+           bonus_kind=st.sampled_from(["none", "theory", "drawn"]),
+           coarse=st.booleans(), shooting=st.booleans())
+    def test_matches_per_round_rebuild(self, seed, state_dim, A, H, k_iters,
+                                       bonus_kind, coarse, shooting):
+        rng = np.random.default_rng(seed)
+        system = random_knr_system(rng, state_dim, A, H)
+        model = knr_model_from_system(system,
+                                      seed=int(rng.integers(2**32)))
+        disc, mean_e = self.witness(rng, system, int(rng.integers(1, 17)))
+        if bonus_kind == "theory":
+            bonus = theory_bonus(model, H)
+        elif bonus_kind == "drawn":
+            # coarse rounding forces ties between sequences
+            slope = rng.normal(size=(A, state_dim))
+            offset = rng.uniform(0, 1, size=A)
+            digits = 0 if coarse else 12
+            bonus = lambda s, a: round(float(slope[a] @ np.atleast_1d(s)
+                                             + offset[a]), digits)
+        else:
+            bonus = None
+        if shooting:
+            search = KnrSearchConfig(exhaustive_limit=1, n_candidates=int(
+                rng.integers(1, A ** H + 3)))
+        else:
+            search = KnrSearchConfig()
+        draw_seed = int(rng.integers(2**32))
+        got_rng = np.random.default_rng(draw_seed)
+        want_rng = np.random.default_rng(draw_seed)
+        mix, obj = solve_minmax(model, bonus, disc, mean_e,
+                                MinMaxConfig(k_iters=k_iters, knr_search=search),
+                                horizon=H, num_actions=A,
+                                init_state=system.init_state, rng=got_rng)
+        seqs, ref_obj = self.reference_fw_mmd(
+            model, bonus, disc, mean_e, k_iters, H, A, system.init_state,
+            search, want_rng)
+        assert len(mix.components) == k_iters
+        for comp, seq in zip(mix.components, seqs):
+            assert np.array_equal(comp.action_seq, seq)
+        assert obj == ref_obj
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @staticmethod
+    def counted_solve(k_iters, A=2, H=4):
+        """Model steps, bonus calls, one-state featurizations and path
+        featurizations of one exhaustive solve, and its sequences."""
+        rng = np.random.default_rng(23)
+        system = random_knr_system(rng, 2, A, H)
+        model = knr_model_from_system(system)
+        disc, mean_e = TestKnrSearchTree.witness(rng, system, 8)
+        theory = theory_bonus(model, H)
+        counts = dict.fromkeys(("step", "bonus", "node", "path"), 0)
+
+        def bonus(s, a):
+            counts["bonus"] += 1
+            return theory(s, a)
+
+        step, featurize = KnrModel.mean_prediction, RffFeatureMap.__call__
+
+        def counted_step(self, s, a):
+            counts["step"] += 1
+            return step(self, s, a)
+
+        def counted_featurize(self, states):
+            counts["node" if len(states) == 1 else "path"] += 1
+            return featurize(self, states)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(KnrModel, "mean_prediction", counted_step)
+            mp.setattr(RffFeatureMap, "__call__", counted_featurize)
+            mix, _ = solve_minmax(model, bonus, disc, mean_e,
+                                  MinMaxConfig(k_iters=k_iters), horizon=H,
+                                  num_actions=A, init_state=system.init_state,
+                                  rng=rng)
+        return counts, [c.action_seq for c in mix.components]
+
+    def test_each_node_and_edge_computed_once_per_solve(self):
+        A, H = 2, 4
+        one, _ = self.counted_solve(1, A, H)
+        ten, seqs = self.counted_solve(10, A, H)
+        # exhaustive: every node below the root is stepped to once, every
+        # node featurized once and every edge's bonus taken once
+        assert ten["step"] == sum(A ** h for h in range(1, H))
+        assert ten["node"] == sum(A ** h for h in range(H))
+        assert ten["bonus"] == sum(A ** h for h in range(1, H + 1))
+        for name in ("step", "node", "bonus"):
+            assert one[name] == ten[name]
+        # a path's mean embedding is one (H, d) batch per distinct path,
+        # the all-zeros start path included
+        paths = {np.asarray(s).tobytes() for s in seqs}
+        paths.add(np.zeros(H, dtype=np.asarray(seqs[0]).dtype).tobytes())
+        assert ten["path"] == len(paths)
