@@ -15,6 +15,7 @@ from .envs import (
     Trajectory,
     occupancy_exact,
     rollout,
+    rollouts,
     value_eval_mc,
     value_eval_tabular,
 )
@@ -63,6 +64,7 @@ __all__ = [
     "reduction_mdp",
     "regret_summary",
     "rollout",
+    "rollouts",
     "run_all_checks",
     "run_bandit",
     "run_bandits",

@@ -11,6 +11,7 @@ All sampling goes through an explicit numpy Generator so runs are replayable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -76,24 +77,36 @@ class TabularMdp:
     def num_actions(self) -> int:
         return self.transitions.shape[1]
 
+    @cached_property
+    def cdf(self) -> Array:
+        """The kernel's inverse-CDF table (see ``_cdf_table``), built on
+        the first sample; the planner's model MDPs never sample."""
+        return _frozen(_cdf_table(self.transitions))
+
 
 @dataclass(frozen=True)
 class KnrSystem:
     """Continuous-state system s' = weights @ features(s, a) + noise_std * N(0, I).
 
-    ``features`` must return unit-ball vectors (checked on every rollout step);
-    ``cost`` maps a state vector to [0, 1] (outputs are clamped).
+    ``features`` and ``cost`` act on the last axis: ``features(S, a)``
+    maps (..., state_dim) states and (...) integer actions to
+    (..., feature_dim) vectors, and ``cost(S)`` maps (..., state_dim)
+    states to (...) costs. A single (state_dim,) state with an int action
+    is the unbatched case. Both are probed on a two-row batch of
+    ``init_state`` at construction. Feature vectors must lie in the unit
+    ball (checked on every row of every rollout step); costs are clamped
+    to [0, 1] by ``cost_of``.
     """
 
     state_dim: int
     feature_dim: int
-    features: Callable[[Array, int], Array]
+    features: Callable[[Array, Array], Array]
     weights: Array
     noise_std: float
     horizon: int
     num_actions: int
     init_state: Array
-    cost: Callable[[Array], float]
+    cost: Callable[[Array], Array]
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _frozen(np.asarray(self.weights, dtype=float)))
@@ -106,21 +119,40 @@ class KnrSystem:
             raise ConfigurationError("init_state must be a state_dim vector")
         if self.horizon < 1 or self.num_actions < 1:
             raise ConfigurationError("horizon and num_actions must be >= 1")
+        batch = np.stack([self.init_state] * 2)
+        probes = (("features", lambda: self.features(batch, np.zeros(2, dtype=int)),
+                   (2, self.feature_dim)),
+                  ("cost", lambda: self.cost(batch), (2,)))
+        for name, probe, want in probes:
+            try:
+                got = np.shape(probe())
+            except (TypeError, ValueError, IndexError) as exc:
+                raise ConfigurationError(
+                    f"{name} must act on the last axis of a (2, state_dim) "
+                    f"batch: {exc}") from exc
+            if got != want:
+                raise ConfigurationError(
+                    f"{name} returned shape {got} on a (2, state_dim) batch, "
+                    f"expected {want}")
 
-    def feature(self, state: Array, action: int) -> Array:
+    def feature(self, state: Array, action) -> Array:
+        """``features`` with its shape and every row's norm checked."""
         phi = np.asarray(self.features(state, action), dtype=float)
-        if phi.shape != (self.feature_dim,):
+        if phi.shape != np.shape(state)[:-1] + (self.feature_dim,):
             raise ConfigurationError("feature map returned wrong dimension")
-        nrm = float(np.linalg.norm(phi))
+        nrm = np.sqrt(np.vecdot(phi, phi)).max()
         if nrm > 1.0 + 1e-9:
             raise ConfigurationError(f"feature norm {nrm:.6f} exceeds 1")
         return phi
 
-    def step_mean(self, state: Array, action: int) -> Array:
-        return self.weights @ self.feature(state, action)
+    def step_mean(self, state: Array, action) -> Array:
+        # matvec rounds each row exactly as the one-state weights @ phi
+        return np.matvec(self.weights, self.feature(state, action))
 
-    def cost_of(self, state: Array) -> float:
-        return float(np.clip(self.cost(state), 0.0, 1.0))
+    def cost_of(self, state: Array):
+        """``cost`` clamped to [0, 1]: a float for one state, else an array."""
+        c = np.clip(self.cost(state), 0.0, 1.0)
+        return float(c) if c.ndim == 0 else c
 
 
 @dataclass(frozen=True)
@@ -246,10 +278,6 @@ class MixedPolicy:
     def horizon(self) -> int:
         return self.components[0].horizon
 
-    def sample_component(self, rng: np.random.Generator) -> Policy:
-        idx = int(rng.choice(len(self.components), p=self.weights))
-        return self.components[idx]
-
 
 AnyPolicy = Union[Policy, MixedPolicy]
 
@@ -301,61 +329,136 @@ class Trajectory:
         return len(self.actions)
 
 
-def _sample_row(row: Array, rng: np.random.Generator) -> int:
-    # inverse-cdf draw, noticeably faster than rng.choice for small rows
-    return int(np.searchsorted(np.cumsum(row), rng.random(), side="right"))
+def _cdf_table(probs: Array) -> Array:
+    """Inverse-CDF rows of the distributions on the last axis of ``probs``.
+
+    The cumulative sums, except that each row's last entry with positive
+    probability, and every entry after it, reads +inf: a uniform at or
+    above the row's total, which a row summing to 1 - 1e-12 leaves room
+    for, then draws that last entry rather than an index past the row.
+    Below the total, ``_draw`` returns the cumsum's draw.
+    """
+    cdf = np.cumsum(probs, axis=-1)
+    k = probs.shape[-1]
+    last = k - 1 - np.argmax(probs[..., ::-1] > 0, axis=-1)
+    cdf[np.arange(k) >= last[..., None]] = np.inf
+    return cdf
+
+
+def _draw(cdf: Array, u: Array) -> Array:
+    """Index drawn by each uniform of ``u`` from its CDF row.
+
+    The first entry above u: on a nondecreasing row whose last entry
+    exceeds every uniform, the count of entries <= u, which is
+    ``searchsorted(side="right")``.
+    """
+    return (cdf > u[..., None]).argmax(axis=-1)
+
+
+def _components(mixture: MixedPolicy, u: Array) -> Array:
+    """Each episode's index into ``mixture.distinct``, from its uniform,
+    drawn as ``Generator.choice(K, p=weights)`` draws it from the same
+    uniform."""
+    cdf = mixture.weights.cumsum()
+    cdf /= cdf[-1]
+    return mixture.inverse[cdf.searchsorted(u, side="right")]
+
+
+def rollouts(env, policy: AnyPolicy, n: int,
+             rng: np.random.Generator) -> tuple[Array, Array]:
+    """Sample ``n`` episodes of ``policy`` in ``env`` at once.
+
+    Returns (n, H+1) states and (n, H) actions; on a ``KnrSystem`` the
+    states are (n, H+1, state_dim). A mixture draws one component per
+    episode. The draws are exactly those of n one-episode samples in a
+    row, and leave ``rng`` in the same state; an episode takes its
+    component's uniform first, then per step a uniform for the action
+    (an action table consumes it too) and one for the next state on a
+    ``TabularMdp``, or its (H, state_dim) noise on a noisy ``KnrSystem``.
+    """
+    if n < 1:
+        raise ConfigurationError("need at least one episode")
+    comps = policy.distinct if isinstance(policy, MixedPolicy) else (policy,)
+    if isinstance(env, TabularMdp):
+        return _tabular_rollouts(env, policy, comps, n, rng)
+    if isinstance(env, KnrSystem):
+        return _knr_rollouts(env, policy, comps, n, rng)
+    raise ConfigurationError(f"unsupported environment type {type(env).__name__}")
+
+
+def _tabular_rollouts(mdp, policy, comps, n, rng):
+    H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
+    for pol in comps:
+        _check_tabular(pol, H, S, A)
+    mixed = isinstance(policy, MixedPolicy)
+    u = rng.random((n, 2 * H + mixed))
+    which = _components(policy, u[:, 0]) if mixed else np.zeros(n, dtype=int)
+    # (n, H) views: the uniforms of each step's action and next state
+    u_action, u_next = u[:, mixed::2], u[:, mixed + 1::2]
+    states = np.empty((n, H + 1), dtype=int)
+    states[:, 0] = mdp.init_state
+    if all(pol.action_table is not None for pol in comps):
+        # an action table fixes each step's next-state row: look it up once
+        tables = np.array([pol.action_table for pol in comps])
+        next_cdf = mdp.cdf[np.arange(S), tables]
+        for h in range(H):
+            states[:, h + 1] = _draw(next_cdf[which, h, states[:, h]],
+                                     u_next[:, h])
+        return states, tables[which[:, None], np.arange(H), states[:, :H]]
+    action_cdf = _cdf_table(_probs_stack(mdp, comps))
+    actions = np.empty((n, H), dtype=int)
+    for h in range(H):
+        s = states[:, h]
+        a = actions[:, h] = _draw(action_cdf[which, h, s], u_action[:, h])
+        states[:, h + 1] = _draw(mdp.cdf[s, a], u_next[:, h])
+    return states, actions
+
+
+def _knr_rollouts(env, policy, comps, n, rng):
+    if any(pol.horizon != env.horizon for pol in comps):
+        raise ConfigurationError("policy horizon does not match environment")
+    if not all(pol.is_open_loop for pol in comps):
+        raise ConfigurationError("tabular policies are not defined on vector states")
+    seqs = np.array([pol.action_seq for pol in comps])
+    if seqs.min() < 0 or seqs.max() >= env.num_actions:
+        raise ConfigurationError("action index out of range")
+    H, d = env.horizon, env.state_dim
+    mixed, noisy = isinstance(policy, MixedPolicy), env.noise_std > 0
+    u, noise = np.empty(n), np.empty((n, H, d))
+    for i in range(n):   # one episode's stream: its component, then its noise
+        if mixed:
+            u[i] = rng.random()
+        if noisy:
+            noise[i] = rng.standard_normal((H, d))
+    which = _components(policy, u) if mixed else np.zeros(n, dtype=int)
+    actions = seqs[which]
+    states = np.empty((n, H + 1, d))
+    states[:, 0] = env.init_state
+    for h in range(H):
+        mean = env.step_mean(states[:, h], actions[:, h])
+        # a noise-free state is the mean itself, as one episode took it
+        states[:, h + 1] = mean + env.noise_std * noise[:, h] if noisy else mean
+    return states, actions
 
 
 def rollout(env, policy: AnyPolicy, rng: np.random.Generator) -> Trajectory:
-    """Sample one trajectory of ``policy`` in ``env``.
+    """Sample one trajectory of ``policy`` in ``env``: ``rollouts`` with n=1."""
+    states, actions = rollouts(env, policy, 1, rng)
+    return Trajectory(states=states[0], actions=actions[0])
 
-    Mixtures draw a single component for the whole episode. Deterministic for
-    a fixed Generator state.
-    """
-    if isinstance(policy, MixedPolicy):
-        policy = policy.sample_component(rng)
-    if policy.horizon != env.horizon:
+
+def _check_tabular(pol: Policy, H: int, S: int, A: int) -> None:
+    """Reject a policy that is not a tabular policy on (H, S, A)."""
+    if pol.horizon != H:
         raise ConfigurationError("policy horizon does not match environment")
-
-    if isinstance(env, TabularMdp):
-        if policy.is_open_loop:
-            raise ConfigurationError(_OPEN_LOOP_ON_TABULAR)
-        states = np.empty(env.horizon + 1, dtype=int)
-        actions = np.empty(env.horizon, dtype=int)
-        s = env.init_state
-        states[0] = s
-        for h in range(env.horizon):
-            if policy.action_table is not None:
-                # the uniform draw an inverse-cdf sample of the one-hot row
-                # would consume, so every rng stream matches a probs policy
-                rng.random()
-                a = int(policy.action_table[h, s])
-            else:
-                a = _sample_row(policy.probs[h, s], rng)
-            s = _sample_row(env.transitions[s, a], rng)
-            actions[h] = a
-            states[h + 1] = s
-        return Trajectory(states=states, actions=actions)
-
-    if isinstance(env, KnrSystem):
-        if not policy.is_open_loop:
-            raise ConfigurationError("tabular policies are not defined on vector states")
-        states = np.empty((env.horizon + 1, env.state_dim))
-        actions = np.empty(env.horizon, dtype=int)
-        s = np.array(env.init_state, dtype=float)
-        states[0] = s
-        for h in range(env.horizon):
-            a = int(policy.action_seq[h])
-            mean = env.step_mean(s, a)
-            if env.noise_std > 0:
-                s = mean + env.noise_std * rng.standard_normal(env.state_dim)
-            else:
-                s = mean
-            actions[h] = a
-            states[h + 1] = s
-        return Trajectory(states=states, actions=actions)
-
-    raise ConfigurationError(f"unsupported environment type {type(env).__name__}")
+    if pol.action_table is not None:
+        if pol.num_actions != A or pol.action_table.shape != (H, S):
+            raise ConfigurationError("action table does not match environment")
+    elif pol.probs is None:
+        raise ConfigurationError(_OPEN_LOOP_ON_TABULAR)
+    elif pol.probs.shape != (H, S, A):
+        raise ConfigurationError(
+            "action probabilities do not match environment")
 
 
 def _probs_stack(mdp, policies: Sequence[Policy]) -> Array:
@@ -367,22 +470,12 @@ def _probs_stack(mdp, policies: Sequence[Policy]) -> Array:
     H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
     det, tables, soft = [], [], []
     for k, pol in enumerate(policies):
-        if pol.horizon != H:
-            raise ConfigurationError("policy horizon does not match environment")
+        _check_tabular(pol, H, S, A)
         if pol.action_table is not None:
-            if pol.num_actions != A or pol.action_table.shape != (H, S):
-                raise ConfigurationError(
-                    "action table does not match environment")
+            det.append(k)
             tables.append(pol.action_table)
-        elif pol.probs is None:
-            raise ConfigurationError(_OPEN_LOOP_ON_TABULAR)
-        elif pol.probs.shape != (H, S, A):
-            raise ConfigurationError(
-                "action probabilities do not match environment")
         else:
             soft.append((k, pol.probs))
-            continue
-        det.append(k)
     # np.array stacks the equal-shape tables faster than np.stack
     cubes = _one_hot(np.array(tables), A) if tables else None
     if not soft:
@@ -620,17 +713,28 @@ def openloop_search(tree: OpenLoopTree, cost: Callable,
 def value_eval_mc(
     env: KnrSystem,
     policy: AnyPolicy,
-    cost_fn: Callable[[Array], float],
+    cost_fn: Callable[[Array], Array],
     n_rollouts: int,
     rng: np.random.Generator,
 ) -> tuple[float, float]:
-    """Monte-Carlo value over the H decision-step states, with a 95% half-width."""
+    """Monte-Carlo value over the H decision-step states, with a 95% half-width.
+
+    ``cost_fn`` maps the (n_rollouts, H, ...) decision states to
+    (n_rollouts, H) costs in one call; a scalar return is every state's cost.
+    """
     if n_rollouts < 2:
         raise ConfigurationError("n_rollouts must be >= 2")
-    totals = np.empty(n_rollouts)
-    for i in range(n_rollouts):
-        traj = rollout(env, policy, rng)
-        totals[i] = sum(float(cost_fn(traj.states[h])) for h in range(env.horizon))
+    H = env.horizon
+    states, _ = rollouts(env, policy, n_rollouts, rng)
+    costs = np.asarray(cost_fn(states[:, :H]), dtype=float)
+    if costs.shape not in ((), (n_rollouts, H)):
+        raise ConfigurationError(
+            f"cost_fn returned shape {costs.shape} for "
+            f"{(n_rollouts, H)} states")
+    costs = np.broadcast_to(costs, (n_rollouts, H))
+    totals = np.zeros(n_rollouts)
+    for h in range(H):   # left to right, as Python's sum of one episode's costs
+        totals += costs[:, h]
     mean = float(totals.mean())
     half_width = float(1.96 * totals.std(ddof=1) / np.sqrt(n_rollouts))
     return mean, half_width

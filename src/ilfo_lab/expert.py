@@ -18,7 +18,7 @@ from .envs import (
     TabularMdp,
     best_response_tabular,
     openloop_search,
-    rollout,
+    rollouts,
 )
 
 Array = np.ndarray
@@ -98,7 +98,5 @@ def sample_expert_states(env, expert: Policy, n_trajectories: int,
     """Roll the expert ``n_trajectories`` times and keep only the states."""
     if n_trajectories < 1:
         raise ConfigurationError("need at least one trajectory")
-    trajs = []
-    for _ in range(n_trajectories):
-        trajs.append(rollout(env, expert, rng).states)
-    return ExpertDataset(trajectories=tuple(trajs))
+    states, _ = rollouts(env, expert, n_trajectories, rng)
+    return ExpertDataset(trajectories=tuple(states))

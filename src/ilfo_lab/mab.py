@@ -283,13 +283,12 @@ def reduction_mdp(instance: MabInstance) -> KnrSystem:
     mu_star = float(instance.mu_star)
     weights = instance.means.reshape(1, A).copy()
 
-    def features(state: Array, action: int) -> Array:
-        phi = np.zeros(A)
-        phi[action] = 1.0
-        return phi
+    def features(state: Array, action) -> Array:
+        return (np.asarray(action)[..., None] == np.arange(A)).astype(float)
 
-    def cost(state: Array) -> float:
-        return min(1.0, abs(float(state[0]) - mu_star))
+    def cost(state: Array) -> Array:
+        return np.minimum(1.0, np.abs(np.asarray(state, dtype=float)[..., 0]
+                                      - mu_star))
 
     return KnrSystem(state_dim=1, feature_dim=A, features=features,
                      weights=weights, noise_std=1.0, horizon=2,

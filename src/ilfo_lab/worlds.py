@@ -119,8 +119,9 @@ def make_random_policy(rng: np.random.Generator, num_states: int, num_actions: i
 
 
 def _norm_clip(s: Array) -> Array:
-    nrm = np.linalg.norm(s)
-    return s / max(1.0, nrm)
+    """Each state on the last axis scaled into the unit ball."""
+    nrm = np.sqrt(np.vecdot(s, s))[..., None]
+    return s / np.maximum(1.0, nrm)
 
 
 def make_knr_example(noise_std: float = 0.05, horizon: int = 4) -> KnrSystem:
@@ -128,18 +129,18 @@ def make_knr_example(noise_std: float = 0.05, horizon: int = 4) -> KnrSystem:
 
     features(s, a) = [clip(s); one_hot(a)] / sqrt(2), which keeps the feature
     norm at most 1. The cost pulls toward the nominal fixed point of action 1.
+    Both act on the last axis of a batch of states.
     """
     d_s, A = 2, 2
-    d = d_s + A
     w_state = 0.8 * np.eye(d_s)
     w_action = np.array([[0.35, -0.25],
                          [-0.35, 0.4]])
     W = np.hstack([w_state, w_action])  # (2, 4)
 
-    def features(s: Array, a: int) -> Array:
-        phi = np.zeros(d)
-        phi[:d_s] = _norm_clip(np.asarray(s, dtype=float))
-        phi[d_s + a] = 1.0
+    def features(s: Array, a) -> Array:
+        one_hot = np.asarray(a)[..., None] == np.arange(A)
+        phi = np.concatenate([_norm_clip(np.asarray(s, dtype=float)),
+                              one_hot], axis=-1)
         return phi / np.sqrt(2.0)
 
     # nominal fixed point of always playing action 1 (inside the unit ball,
@@ -148,12 +149,13 @@ def make_knr_example(noise_std: float = 0.05, horizon: int = 4) -> KnrSystem:
     b_eff = w_action[:, 1] / np.sqrt(2.0)
     goal = np.linalg.solve(np.eye(d_s) - A_eff, b_eff)
 
-    def cost(s: Array) -> float:
-        return float(min(1.0, np.sum((np.asarray(s, dtype=float) - goal) ** 2)))
+    def cost(s: Array) -> Array:
+        return np.minimum(1.0, np.sum((np.asarray(s, dtype=float) - goal) ** 2,
+                                      axis=-1))
 
     return KnrSystem(
         state_dim=d_s,
-        feature_dim=d,
+        feature_dim=d_s + A,
         features=features,
         weights=W,
         noise_std=noise_std,

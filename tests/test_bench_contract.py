@@ -62,3 +62,18 @@ def test_every_tag_reads_parameters_of_its_target(workloads):
                 f"tag of {name} reads '{key}', not a parameter of {attr}"
             checked += 1
     assert checked >= 5
+
+
+def test_direct_calls_bind_to_their_targets(workloads):
+    # the calls workloads.py makes outside its trace points, with the
+    # same positional and keyword arguments
+    env, policy, rng = object(), object(), object()
+    calls = [
+        (workloads.value_eval_mc, (env, policy, len),
+         dict(n_rollouts=256, rng=rng)),
+        (workloads.sample_expert_states, (env, policy, 500, rng), {}),
+        (workloads.run_mobile, (env, object(), object(), rng),
+         dict(expert_value=None)),
+    ]
+    for fn, args, kwargs in calls:
+        inspect.signature(fn).bind(*args, **kwargs)

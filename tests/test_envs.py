@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from ilfo_lab.envs import (
     occupancy_exact,
     openloop_search,
     rollout,
+    rollouts,
     state_values,
     value_eval_mc,
     value_eval_tabular,
@@ -26,6 +29,7 @@ from ilfo_lab.worlds import (
     make_random_policy,
     make_two_state,
 )
+from test_planner import random_knr_system
 
 
 def test_transition_rows_must_sum_to_one():
@@ -98,7 +102,8 @@ def test_rollout_matches_stored_kernel_frequency():
     mdp = make_two_state(0.3, horizon=1)
     pol = Policy.deterministic(np.zeros((1, 2), dtype=int), num_actions=1)
     rng = np.random.default_rng(7)
-    hits = sum(rollout(mdp, pol, rng).states[1] == 1 for _ in range(100_000))
+    states, _ = rollouts(mdp, pol, 100_000, rng)
+    hits = np.count_nonzero(states[:, 1] == 1)
     assert abs(hits / 100_000 - 0.3) < 0.01
 
 
@@ -218,11 +223,9 @@ def test_rollout_frequencies_converge_to_occupancy():
     pol = make_random_policy(rng, mdp.num_states, mdp.num_actions, mdp.horizon)
     occ = occupancy_exact(mdp, pol)
     n = 100_000
-    counts = np.zeros((mdp.horizon, mdp.num_states))
-    for _ in range(n):
-        traj = rollout(mdp, pol, rng)
-        for h in range(mdp.horizon):
-            counts[h, traj.states[h]] += 1
+    states, _ = rollouts(mdp, pol, n, rng)
+    counts = np.stack([np.bincount(states[:, h], minlength=mdp.num_states)
+                       for h in range(mdp.horizon)])
     freq = counts / n
     marg = occ.per_step.sum(axis=2)
     # chi-square style: every cell within 5 sigma of its binomial deviation
@@ -256,6 +259,92 @@ def test_knr_feature_norm_enforced():
     big = 10.0 * np.ones(2)
     phi = sys_.feature(big, 0)  # clip keeps the norm legal even far out
     assert np.linalg.norm(phi) <= 1.0 + 1e-9
+
+
+def reference_knr_example(s, a):
+    """make_knr_example's features and cost of one state, computed as the
+    one-state code computed them before they acted on batches."""
+    x = np.asarray(s, dtype=float)
+    phi = np.zeros(4)
+    phi[:2] = x / max(1.0, np.linalg.norm(x))
+    phi[2 + a] = 1.0
+    A_eff = 0.8 * np.eye(2) / np.sqrt(2.0)
+    goal = np.linalg.solve(np.eye(2) - A_eff,
+                           np.array([-0.25, 0.4]) / np.sqrt(2.0))
+    return phi / np.sqrt(2.0), float(min(1.0, np.sum((x - goal) ** 2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.lists(st.integers(1, 5), min_size=0, max_size=3),
+       scale=st.sampled_from([0.2, 1.0, 4.0]))
+def test_knr_example_acts_on_the_last_axis(seed, shape, scale):
+    # at scale 4 most states lie outside the unit ball, where the clip acts
+    env = make_knr_example()
+    rng = np.random.default_rng(seed)
+    S = rng.normal(scale=scale, size=tuple(shape) + (2,))
+    a = rng.integers(0, 2, size=tuple(shape))
+    refs = [reference_knr_example(s, int(x))
+            for s, x in zip(S.reshape(-1, 2), a.reshape(-1))]
+    want_phi = np.array([r[0] for r in refs]).reshape(S.shape[:-1] + (4,))
+    want_cost = np.array([r[1] for r in refs]).reshape(S.shape[:-1])
+    assert_same_bits(env.features(S, a), want_phi)
+    assert_same_bits(np.asarray(env.cost(S)), want_cost)
+    assert_same_bits(np.asarray(env.cost_of(S), dtype=float), want_cost)
+    want_mean = np.array([env.weights @ phi for phi in want_phi.reshape(-1, 4)])
+    assert_same_bits(env.step_mean(S, a), want_mean.reshape(S.shape))
+    for s, x, (phi, cost) in zip(S.reshape(-1, 2), a.reshape(-1).tolist(), refs):
+        assert_same_bits(env.features(s, x), phi)
+        assert env.cost_of(s) == cost and type(env.cost_of(s)) is float
+
+
+def test_feature_norm_violation_in_any_row_is_rejected():
+    base = make_knr_example(noise_std=0.0, horizon=3)
+
+    def unclipped(s, a):
+        one_hot = np.asarray(a)[..., None] == np.arange(2)
+        return np.concatenate([s, one_hot], axis=-1) / np.sqrt(2.0)
+
+    env = dataclasses.replace(base, features=unclipped)
+    S, a = np.zeros((5, 2)), np.zeros(5, dtype=int)
+    env.feature(S, a)
+    S[3] = [3.0, 0.0]
+    with pytest.raises(ConfigurationError, match="feature norm 2.236068 "):
+        env.feature(S, a)
+    # tripled weights carry the second state out of the ball
+    far = dataclasses.replace(env, weights=3.0 * base.weights)
+    with pytest.raises(ConfigurationError, match="feature norm"):
+        rollouts(far, Policy.open_loop([0, 0, 0]), 4, np.random.default_rng(0))
+
+
+def unbatched_features(s, a):
+    phi = np.zeros(4)
+    phi[:2] = np.asarray(s, dtype=float)
+    phi[2 + a] = 1.0
+    return phi / 2.0
+
+
+@pytest.mark.parametrize("field, fn", [
+    ("features", unbatched_features),
+    ("features", lambda s, a: np.zeros(4)),
+    ("cost", lambda s: 0.0),
+    ("cost", lambda s: float(s[0])),
+], ids=["features_per_state", "features_ignore_batch", "cost_scalar",
+        "cost_per_state"])
+def test_knr_system_rejects_maps_that_do_not_act_on_the_last_axis(field, fn):
+    # rejected at construction, before any run reaches a batched call
+    with pytest.raises(ConfigurationError, match=f"^{field} "):
+        dataclasses.replace(make_knr_example(), **{field: fn})
+
+
+def test_value_eval_mc_broadcasts_a_scalar_cost_and_rejects_other_shapes():
+    env = make_knr_example(noise_std=0.0)
+    pol = Policy.open_loop([1, 0, 1, 1])
+    assert value_eval_mc(env, pol, lambda s: 0.5, 3,
+                         np.random.default_rng(0)) == (2.0, 0.0)
+    with pytest.raises(ConfigurationError, match="cost_fn returned shape"):
+        value_eval_mc(env, pol, lambda s: s[..., 0, 0], 3,
+                      np.random.default_rng(0))
 
 
 def test_occupancy_measure_validation():
@@ -467,6 +556,205 @@ def test_rollout_of_table_matches_one_hot_cube(spec, rng_seed):
             np.testing.assert_array_equal(a.states, b.states)
             np.testing.assert_array_equal(a.actions, b.actions)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+# -- the n-episode rollout engine against the one-episode loop it replaced --
+
+def _sample_row_reference(row, rng):
+    return int(np.searchsorted(np.cumsum(row), rng.random(), side="right"))
+
+
+def reference_rollout(env, policy, rng):
+    """One episode, one state at a time: the scalar loop kept as the
+    engine's reference. Returns (states, actions)."""
+    if isinstance(policy, MixedPolicy):
+        idx = int(rng.choice(len(policy.components), p=policy.weights))
+        policy = policy.components[idx]
+    H = env.horizon
+    actions = np.empty(H, dtype=int)
+    if isinstance(env, TabularMdp):
+        states = np.empty(H + 1, dtype=int)
+        s = states[0] = env.init_state
+        for h in range(H):
+            if policy.action_table is not None:
+                rng.random()   # the uniform an action table consumes
+                a = int(policy.action_table[h, s])
+            else:
+                a = _sample_row_reference(policy.probs[h, s], rng)
+            s = _sample_row_reference(env.transitions[s, a], rng)
+            actions[h], states[h + 1] = a, s
+        return states, actions
+    states = np.empty((H + 1, env.state_dim))
+    s = states[0] = np.array(env.init_state, dtype=float)
+    for h in range(H):
+        a = int(policy.action_seq[h])
+        mean = env.weights @ env.feature(s, a)
+        if env.noise_std > 0:
+            s = mean + env.noise_std * rng.standard_normal(env.state_dim)
+        else:
+            s = mean
+        actions[h], states[h + 1] = a, s
+    return states, actions
+
+
+def reference_value_eval_mc(env, policy, cost_fn, n_rollouts, rng):
+    """Monte-Carlo value from n reference episodes, each summed state by state."""
+    totals = np.empty(n_rollouts)
+    for i in range(n_rollouts):
+        states, _ = reference_rollout(env, policy, rng)
+        totals[i] = sum(float(cost_fn(states[h])) for h in range(env.horizon))
+    return (float(totals.mean()),
+            float(1.96 * totals.std(ddof=1) / np.sqrt(n_rollouts)))
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def check_engine_against_reference(env, policy, n, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    states, actions = rollouts(env, policy, n, rng)
+    ref = [reference_rollout(env, policy, ref_rng) for _ in range(n)]
+    assert_same_bits(states, np.stack([r[0] for r in ref]))
+    assert_same_bits(actions, np.stack([r[1] for r in ref]))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def pick_components(pool, pattern, rng):
+    """The pool's single first policy, or a mixture whose rows repeat
+    pool entries by ``pattern``."""
+    if len(pattern) == 1 and rng.random() < 0.3:
+        return pool[pattern[0] % len(pool)]
+    rows = [j % len(pool) for j in pattern]
+    return MixedPolicy(components=tuple(pool[j] for j in rows),
+                       weights=rng.dirichlet(np.ones(len(rows))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), S=st.integers(1, 6),
+       A=st.integers(1, 4), H=st.integers(1, 6), init=st.integers(0, 5),
+       form=st.sampled_from(["table", "probs", "mixed"]),
+       pool_size=st.integers(1, 5),
+       pattern=st.lists(st.integers(0, 4), min_size=1, max_size=12),
+       n=st.integers(1, 40))
+def test_tabular_engine_matches_scalar_loop(seed, S, A, H, init, form,
+                                            pool_size, pattern, n):
+    rng = np.random.default_rng(seed)
+    # sparse kernel rows put zeros after the last positive entry
+    P = rng.dirichlet(np.ones(S), size=(S, A)) * (rng.random((S, A, S)) < 0.7)
+    P[..., -1] += P.sum(axis=-1) == 0
+    P /= P.sum(axis=-1, keepdims=True)
+    mdp = TabularMdp(horizon=H, transitions=P, cost=rng.random(S),
+                     init_state=init % S)
+    pool = []
+    for _ in range(pool_size):
+        table = form == "table" or (form == "mixed" and rng.random() < 0.5)
+        pool.append(Policy.deterministic(rng.integers(0, A, size=(H, S)), A)
+                    if table else
+                    Policy.tabular(rng.dirichlet(np.ones(A), size=(H, S))))
+    policy = pick_components(pool, pattern, rng)
+    check_engine_against_reference(mdp, policy, n, seed)
+
+
+def knr_case(seed, dim, A, H, noise_std, pool_size, pattern):
+    rng = np.random.default_rng(seed)
+    env = dataclasses.replace(random_knr_system(rng, dim, A, H),
+                              noise_std=noise_std)
+    pool = [Policy.open_loop(rng.integers(0, A, size=H))
+            for _ in range(pool_size)]
+    return env, pick_components(pool, pattern, rng)
+
+
+knr_cases = dict(
+    seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4),
+    A=st.integers(1, 3), H=st.integers(1, 6),
+    noise_std=st.sampled_from([0.0, 0.05, 0.7]), pool_size=st.integers(1, 5),
+    pattern=st.lists(st.integers(0, 4), min_size=1, max_size=12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 40), **knr_cases)
+def test_knr_engine_matches_scalar_loop(seed, dim, A, H, noise_std,
+                                        pool_size, pattern, n):
+    env, policy = knr_case(seed, dim, A, H, noise_std, pool_size, pattern)
+    check_engine_against_reference(env, policy, n, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 40), **dict(knr_cases, H=st.integers(1, 12)))
+def test_value_eval_mc_matches_scalar_loop(seed, dim, A, H, noise_std,
+                                           pool_size, pattern, n):
+    # from 8 terms up numpy reduces pairwise: the totals must still be
+    # summed left to right
+    env, policy = knr_case(seed, dim, A, H, noise_std, pool_size, pattern)
+    goal = np.linspace(-0.5, 0.5, dim)
+    env = dataclasses.replace(
+        env, cost=lambda s: np.sum((np.asarray(s) - goal) ** 2, axis=-1))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = value_eval_mc(env, policy, env.cost_of, n, rng)
+    want = reference_value_eval_mc(env, policy, env.cost_of, n, ref_rng)
+    assert got == want
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class ForcedUniform:
+    """A stand-in Generator whose every uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return np.full(size, self.u)
+
+
+@pytest.mark.parametrize("S", [2, 3])
+def test_forced_uniforms_at_ties_and_past_a_short_row(S):
+    # rows may sum to 1 - 1e-12; a uniform at or above such a row's total
+    # once drew the index past the row: a state that does not exist (S=2)
+    # or one of probability zero (S=3)
+    short = [0.5, 0.5 - 5e-13]
+    P = np.zeros((S, 2, S))
+    P[:, :, :2] = short
+    mdp = TabularMdp(horizon=2, transitions=P, cost=np.zeros(S), init_state=0)
+    stochastic = Policy.tabular(np.tile(short, (2, S, 1)))
+    ones = Policy.deterministic(np.ones((2, S), dtype=int), 2)
+    zeros = Policy.deterministic(np.zeros((2, S), dtype=int), 2)
+    # Generator.choice normalizes the weights' cumsum, so a uniform near 1
+    # draws the last component even when the weights sum to 1 - 5e-13
+    mixture = MixedPolicy(components=(zeros, zeros, ones),
+                          weights=np.array([0.25, 0.25, 0.5 - 5e-13]))
+    for pol, low_actions, tie_actions in (
+            (stochastic, [0, 0], [1, 1]), (ones, [1, 1], [1, 1]),
+            (mixture, [0, 0], [0, 0])):
+        states, actions = rollouts(mdp, pol, 2, ForcedUniform(0.9999999999999))
+        assert states.tolist() == [[0, 1, 1]] * 2
+        assert actions.tolist() == [[1, 1]] * 2
+        states, actions = rollouts(mdp, pol, 1, ForcedUniform(0.25))
+        assert states.tolist() == [[0, 0, 0]]
+        assert actions.tolist() == [low_actions]
+        # a uniform equal to a CDF entry draws the next entry, as
+        # searchsorted(side="right") and Generator.choice do
+        states, actions = rollouts(mdp, pol, 1, ForcedUniform(0.5))
+        assert states.tolist() == [[0, 1, 1]]
+        assert actions.tolist() == [tie_actions]
+    tie = MixedPolicy(components=(ones, zeros), weights=np.full(2, 0.5))
+    _, actions = rollouts(mdp, tie, 1, ForcedUniform(0.5))
+    assert actions.tolist() == [[0, 0]]
+
+
+def test_rollouts_validates_its_inputs():
+    mdp = make_two_state(0.5, horizon=2)
+    pol = Policy.deterministic(np.zeros((2, 2), dtype=int), num_actions=1)
+    with pytest.raises(ConfigurationError, match="episode"):
+        rollouts(mdp, pol, 0, np.random.default_rng(0))
+    knr = make_knr_example(horizon=2)
+    with pytest.raises(ConfigurationError, match="horizon"):
+        rollouts(knr, Policy.open_loop([0, 1, 0]), 3, np.random.default_rng(0))
+    with pytest.raises(ConfigurationError, match="action index"):
+        rollouts(knr, Policy.open_loop([0, 2]), 3, np.random.default_rng(0))
+    with pytest.raises(ConfigurationError, match="vector states"):
+        rollouts(knr, pol, 3, np.random.default_rng(0))
 
 
 def _decode_reference(index, horizon, num_actions):

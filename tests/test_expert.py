@@ -52,8 +52,9 @@ def test_optimal_policy_beats_random_policies():
 
 def test_openloop_single_action_system():
     sys_ = make_knr_example(noise_std=0.0)
-    one_action = dataclasses.replace(sys_, num_actions=1,
-                                     features=lambda s, a: sys_.features(s, 0))
+    one_action = dataclasses.replace(
+        sys_, num_actions=1,
+        features=lambda s, a: sys_.features(s, np.zeros_like(a)))
     pol = solve_openloop_knr(one_action)
     assert pol.action_seq.tolist() == [0, 0, 0, 0]
 

@@ -326,16 +326,15 @@ class TestRunMobileKnr:
         # the solve featurizes each node as a (1, d) batch; before, the
         # first Frank-Wolfe round failed converting a (1, m) cost to float
         def features(s, a):
-            phi = np.zeros(3)
-            phi[0] = np.clip(np.asarray(s, dtype=float)[0], -1.0, 1.0)
-            phi[1 + a] = 1.0
-            return phi / np.sqrt(2.0)
+            x = np.clip(np.asarray(s, dtype=float), -1.0, 1.0)
+            one_hot = np.asarray(a)[..., None] == np.arange(2)
+            return np.concatenate([x, one_hot], axis=-1) / np.sqrt(2.0)
 
         system = KnrSystem(state_dim=1, feature_dim=3, features=features,
                            weights=np.array([[0.8, 0.3, -0.3]]),
                            noise_std=0.05, horizon=3, num_actions=2,
                            init_state=np.zeros(1),
-                           cost=lambda s: float((s[0] - 0.5) ** 2))
+                           cost=lambda s: (s[..., 0] - 0.5) ** 2)
         data = self._expert_data(system, np.random.default_rng(0), n=8)
         cfg = MobileConfig(t_iters=5, n_expert=8, mmd_features=8,
                            knr_eval_rollouts=2,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ilfo_lab import ConfigurationError, Policy, mab, rollout
+from ilfo_lab import ConfigurationError, Policy, mab, rollouts
 from ilfo_lab.mab import (
     ALGORITHMS,
     ELIM_DELTA,
@@ -306,6 +306,22 @@ class TestReductionMdp:
             assert np.array_equal(phi, expect)
             assert np.array_equal(phi, system.feature(np.array([5.7]), a))
 
+    def test_features_and_cost_act_on_the_last_axis(self):
+        inst = make_hard_family(4, 64)[1]
+        system = reduction_mdp(inst)
+        rng = np.random.default_rng(0)
+        S = rng.normal(scale=2.0, size=(3, 5, 1))
+        a = rng.integers(0, 4, size=(3, 5))
+        phi, cost = system.features(S, a), system.cost(S)
+        assert phi.shape == (3, 5, 4) and cost.shape == (3, 5)
+        for idx in np.ndindex(3, 5):
+            expect = np.zeros(4)
+            expect[a[idx]] = 1.0
+            assert np.array_equal(phi[idx], expect)
+            assert np.array_equal(phi[idx], system.features(S[idx], int(a[idx])))
+            one = min(1.0, abs(float(S[idx][0]) - float(inst.mu_star)))
+            assert cost[idx] == one == system.cost(S[idx])
+
     def test_cost_reveals_only_the_optimal_mean(self):
         # every instance of one family induces the same cost function
         fam = make_hard_family(5, 200)
@@ -320,9 +336,8 @@ class TestReductionMdp:
         fam = make_hard_family(4, 64)
         system = reduction_mdp(fam[1])
         pol = Policy.open_loop([0, 0])  # arm 0 is instance 1's good arm
-        rng = np.random.default_rng(5)
-        mean = np.mean([rollout(system, pol, rng).states[1][0]
-                        for _ in range(20_000)])
+        states, _ = rollouts(system, pol, 20_000, np.random.default_rng(5))
+        mean = np.mean(states[:, 1, 0])
         assert abs(mean - fam[1].mu_star) <= 0.02
 
 

@@ -372,7 +372,7 @@ class TestModelValidation:
     def knr(**kw):
         args = dict(t=1, delta=0.1, w_hat=np.zeros((2, 3)), cov=np.eye(3),
                     lam_ridge=0.1, noise_std=0.1, w_max=1.0, beta=1.0,
-                    features=lambda s, a: np.zeros(3))
+                    features=lambda s, a: np.zeros(np.shape(a) + (3,)))
         args.update(kw)
         return KnrModel(**args)
 

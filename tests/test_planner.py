@@ -124,17 +124,17 @@ def random_knr_system(rng, state_dim, num_actions, horizon):
     d = state_dim + num_actions
 
     def features(s, a):
-        x = np.atleast_1d(np.asarray(s, dtype=float))
-        phi = np.zeros(d)
-        phi[:state_dim] = x / max(1.0, float(np.linalg.norm(x)))
-        phi[state_dim + a] = 1.0
-        return phi / np.sqrt(2.0)
+        x = np.asarray(s, dtype=float)
+        nrm = np.sqrt(np.vecdot(x, x))[..., None]
+        one_hot = np.asarray(a)[..., None] == np.arange(num_actions)
+        return np.concatenate([x / np.maximum(1.0, nrm), one_hot],
+                              axis=-1) / np.sqrt(2.0)
 
     return KnrSystem(state_dim=state_dim, feature_dim=d, features=features,
                      weights=rng.normal(scale=0.8, size=(state_dim, d)),
                      noise_std=0.0, horizon=horizon, num_actions=num_actions,
                      init_state=rng.normal(scale=0.3, size=state_dim),
-                     cost=lambda s: 0.0)
+                     cost=lambda s: np.zeros(np.shape(s)[:-1]))
 
 
 class TestBestResponseKnr:
