@@ -395,21 +395,17 @@ def _tabular_rollouts(mdp, policy, comps, n, rng):
     which = _components(policy, u[:, 0]) if mixed else np.zeros(n, dtype=int)
     # (n, H) views: the uniforms of each step's action and next state
     u_action, u_next = u[:, mixed::2], u[:, mixed + 1::2]
+    # action tables are looked up; any stochastic component draws every action
+    tables = (np.array([pol.action_table for pol in comps])
+              if all(pol.action_table is not None for pol in comps) else None)
+    action_cdf = None if tables is not None else _cdf_table(_probs_stack(mdp, comps))
     states = np.empty((n, H + 1), dtype=int)
     states[:, 0] = mdp.init_state
-    if all(pol.action_table is not None for pol in comps):
-        # an action table fixes each step's next-state row: look it up once
-        tables = np.array([pol.action_table for pol in comps])
-        next_cdf = mdp.cdf[np.arange(S), tables]
-        for h in range(H):
-            states[:, h + 1] = _draw(next_cdf[which, h, states[:, h]],
-                                     u_next[:, h])
-        return states, tables[which[:, None], np.arange(H), states[:, :H]]
-    action_cdf = _cdf_table(_probs_stack(mdp, comps))
     actions = np.empty((n, H), dtype=int)
     for h in range(H):
         s = states[:, h]
-        a = actions[:, h] = _draw(action_cdf[which, h, s], u_action[:, h])
+        a = actions[:, h] = (tables[which, h, s] if tables is not None
+                             else _draw(action_cdf[which, h, s], u_action[:, h]))
         states[:, h + 1] = _draw(mdp.cdf[s, a], u_next[:, h])
     return states, actions
 
