@@ -244,7 +244,8 @@ class TestRunExperiment:
         assert written == expected
 
     # short mobile runs: chain with the theory bonus, lock with the
-    # ensemble bonus over a buffer that evicts, and a KNR run; a digit
+    # ensemble bonus over a buffer that evicts, and KNR runs: exhaustive,
+    # ensemble over a buffer that evicts, and random shooting; a digit
     # that moves in any of their CSVs fails the test
     MOBILE_PINS = {
         "chain": ({"subcommand": "mobile-tabular", "env": {"kind": "chain"},
@@ -281,6 +282,34 @@ class TestRunExperiment:
                 "25709079dd6b182e84c59a1f24286af006ca8bb0943c516d4940ef676055d10a",
             "summary.csv":
                 "956fe0e0c634a062a3dd973cd3c725234d64606306a893016e4f7098a8e32a98",
+        }),
+        "knr_ensemble": ({"subcommand": "mobile-knr",
+                          "env": {"kind": "knr_example", "horizon": 3},
+                          "mobile": {"t_iters": 5, "n_expert": 8,
+                                     "mmd_features": 8,
+                                     "knr_eval_rollouts": 4,
+                                     "bonus_mode": "ensemble",
+                                     "buffer_capacity": 7,
+                                     "minmax": {"k_iters": 3}},
+                          "seeds": [0]}, {
+            "mobile-knr-seed0.csv":
+                "e0f5d37d66989cd6f8ea4ff941f30adc41eeeead0e8fef8f0e423281e12460c0",
+            "summary.csv":
+                "dc88fec2da8365393d2c1452b3b77f146c48330e051f782836ebfdc11f6a819f",
+        }),
+        "knr_shooting": ({"subcommand": "mobile-knr",
+                          "env": {"kind": "knr_example", "horizon": 5},
+                          "mobile": {"t_iters": 4, "n_expert": 8,
+                                     "mmd_features": 8,
+                                     "knr_eval_rollouts": 4,
+                                     "minmax": {"k_iters": 3, "knr_search": {
+                                         "exhaustive_limit": 8,
+                                         "n_candidates": 12}}},
+                          "seeds": [0]}, {
+            "mobile-knr-seed0.csv":
+                "5451312e443d917f37d2e94309d8eccbfca79f2216794f2818b1958adc37bf3d",
+            "summary.csv":
+                "3721d9bca33f98eb76d6fc3d2d9a84171af6d6059ca10c9bb0799223a5876a14",
         }),
     }
 
