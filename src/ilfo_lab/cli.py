@@ -83,6 +83,9 @@ class ExperimentConfig:
                 f"'bandit' does not apply to {self.subcommand}")
         if self.env is not None:
             env = _check_env(self.env, self.subcommand)
+            if self.subcommand == "mobile-knr" and env.noise_std == 0:
+                raise ConfigurationError(
+                    "'env.noise_std' must be > 0: the KNR width divides by it")
             if self.subcommand == "mobile-knr" and self.mobile is not None:
                 _check_knr_search(env, self.mobile.minmax.knr_search)
 

@@ -588,14 +588,14 @@ class OpenLoopTree:
     Node (h, p) is the length-h prefix whose actions, read as base-A
     digits with the first action most significant, make the integer p;
     its children are (h + 1, A p + a). A node's state is ``step`` applied
-    along its prefix from ``init_state``, its features are
-    ``featurize(state)`` (the state itself when ``featurize`` is None), and
-    the edge into (h + 1, c) carries ``bonus(state(h, c // A), c % A)``.
-    Each is computed on first use and cached on (depth, prefix id), so a
-    tree searched again, under another cost or over other ids, never
-    steps, featurizes or calls the bonus twice for the same node or edge.
-    The layers of the last id set searched are kept too, so searching the
-    same ids again only evaluates the cost.
+    along its prefix from ``init_state``, its features are ``featurize``
+    of its state (the state itself when ``featurize`` is None), and the
+    edge into (h + 1, c) carries ``bonus`` of the state of (h, c // A) and
+    the action c % A. ``step``, ``featurize`` and ``bonus`` act on the
+    last axis, and each must round a row as it would that row alone. A
+    depth is built with one call of each over its distinct prefixes, and
+    nothing is cached per node: the tree keeps the layers of the last id
+    set searched, so searching the same ids again only evaluates the cost.
     """
 
     def __init__(self, step: Callable, init_state, num_actions: int,
@@ -603,82 +603,56 @@ class OpenLoopTree:
                  featurize: Callable | None = None):
         self.step, self.bonus, self.featurize = step, bonus, featurize
         self.num_actions, self.horizon = num_actions, horizon
-        self._states = [{0: np.asarray(init_state, dtype=float)}]
-        self._states += [{} for _ in range(horizon - 1)]
-        self._features = [{} for _ in range(horizon)]
-        self._bonuses = [{} for _ in range(horizon)]
+        self.init_state = np.asarray(init_state, dtype=float)
         self._layers_key, self._layers = None, None
-
-    def state(self, h: int, p: int) -> Array:
-        states = self._states[h]
-        s = states.get(p)
-        if s is None:
-            A = self.num_actions
-            s = states[p] = self.step(self.state(h - 1, p // A), p % A)
-        return s
-
-    def features(self, h: int, p: int):
-        features = self._features[h]
-        f = features.get(p)
-        if f is None:
-            f = self.state(h, p)
-            if self.featurize is not None:
-                f = self.featurize(f)
-            features[p] = f
-        return f
-
-    def edge_bonus(self, h: int, c: int) -> float:
-        """The bonus on the edge from depth h into the prefix c."""
-        bonuses = self._bonuses[h]
-        b = bonuses.get(c)
-        if b is None:
-            A = self.num_actions
-            b = bonuses[c] = float(self.bonus(self.state(h, c // A), c % A))
-        return b
 
     def layers(self, ids: Array) -> tuple[list, Array]:
         """The search layers over the sorted sequence ids ``ids``.
 
         At depth h the nodes are the distinct prefixes ids // A^(H-h) and
         their children the distinct prefixes one action longer. A layer
-        is the nodes' features, each child's parent index and the
-        children's edge bonuses (None without a bonus); the second value
-        is the leaves, the distinct ids.
+        is the nodes' (n, d) states and their features, each child's
+        parent index and the children's edge bonuses (None without a
+        bonus); the second value is the leaves, the distinct ids.
         """
         key = ids.tobytes()
         if key != self._layers_key:
             A, H = self.num_actions, self.horizon
             layers = []
             nodes = np.zeros(1, dtype=np.int64)  # the empty prefix
+            states = self.init_state.reshape(1, -1)
             for h in range(H):
                 children = np.unique(ids // A ** (H - 1 - h))
                 parents = np.searchsorted(nodes, children // A)
-                features = [self.features(h, p) for p in nodes.tolist()]
-                bonuses = None if self.bonus is None else np.array(
-                    [self.edge_bonus(h, c) for c in children.tolist()])
-                layers.append((features, parents, bonuses))
+                # each edge's source state and action
+                edges = states[parents], children % A
+                features = (states if self.featurize is None
+                            else self.featurize(states))
+                bonuses = None if self.bonus is None else np.asarray(
+                    self.bonus(*edges), dtype=float)
+                layers.append((states, features, parents, bonuses))
+                if h + 1 < H:
+                    states = self.step(*edges)
                 nodes = children
             self._layers_key, self._layers = key, (layers, nodes)
         return self._layers
 
-    def prefixes(self, seq) -> list[int]:
-        """Prefix ids p_1..p_H of an action sequence, p_{h+1} = A p_h + a_h."""
-        ids, p = [], 0
-        for a in seq:
-            p = self.num_actions * p + int(a)
-            ids.append(p)
-        return ids
-
-    def path_states(self, seq) -> Array:
-        """(H, d) states s_0..s_{H-1} along ``seq``."""
-        nodes = [0] + self.prefixes(seq)[:-1]
-        return np.asarray([np.atleast_1d(self.state(h, p))
-                           for h, p in enumerate(nodes)])
-
-    def path_bonuses(self, seq) -> list[float]:
-        """The H edge bonuses b(s_h, a_h) along ``seq``."""
-        return [self.edge_bonus(h, c)
-                for h, c in enumerate(self.prefixes(seq))]
+    def path(self, seq) -> tuple[Array, Array | None]:
+        """(H, d) states s_0..s_{H-1} and the H edge bonuses b(s_h, a_h)
+        (None without a bonus) along ``seq``, one of the leaves of the
+        last ids searched."""
+        layers, leaves = self._layers
+        A, H = self.num_actions, self.horizon
+        i = int(np.searchsorted(leaves, np.ravel_multi_index(seq, (A,) * H)))
+        states = np.empty((H, self.init_state.size))
+        bonuses = None if self.bonus is None else np.empty(H)
+        for h in range(H - 1, -1, -1):
+            layer_states, _, parents, layer_bonuses = layers[h]
+            if bonuses is not None:
+                bonuses[h] = layer_bonuses[i]
+            i = parents[i]
+            states[h] = layer_states[i]
+        return states, bonuses
 
 
 def openloop_search(tree: OpenLoopTree, cost: Callable,
@@ -689,16 +663,16 @@ def openloop_search(tree: OpenLoopTree, cost: Callable,
     action most significant; ``ids`` is sorted. A sequence scores
     sum_h cost(f_h) - bonus(s_h, a_h), where f_h are the tree's features
     of s_h (s_h itself unless the tree featurizes), accumulated as
-    (prefix + cost) - bonus. The layers come from the tree's caches, so
-    a common prefix is rolled out once per tree, not once per search;
-    only ``cost`` is evaluated afresh. Ties go to the first minimum, the
-    smallest index. Returns the sequence and its score.
+    (prefix + cost) - bonus. ``cost`` maps a depth's (n, ...) features to
+    (n,) costs in one call, each row rounded as if alone. The layers come
+    from the tree, so a search over the ids it searched last only
+    evaluates ``cost``. Ties go to the first minimum, the smallest index.
+    Returns the sequence and its score.
     """
     layers, leaves = tree.layers(np.asarray(ids, dtype=np.int64))
     scores = np.zeros(1)
-    for features, parents, bonuses in layers:
-        step_cost = np.array([float(cost(f)) for f in features])
-        scores = scores[parents] + step_cost[parents]
+    for _, features, parents, bonuses in layers:
+        scores = scores[parents] + cost(features)[parents]
         if bonuses is not None:
             scores -= bonuses
     best = int(np.argmin(scores))

@@ -163,12 +163,12 @@ def write_csv_rows(path, columns, rows, row_format: str) -> None:
 
 
 def info_gain_increment(model, trajectory) -> float:
-    """sum_h min{sigma(s_h, a_h)^2, 1} along an executed trajectory."""
-    total = 0.0
-    for h in range(trajectory.horizon):
-        sig = model.sigma(trajectory.states[h], int(trajectory.actions[h]))
-        total += min(sig * sig, 1.0)
-    return total
+    """sum_h min{sigma(s_h, a_h)^2, 1} along an executed trajectory, from
+    one ``sigma`` call, summed left to right (``np.add.reduce`` is pairwise
+    from 8 terms up)."""
+    sig = model.sigma(trajectory.states[:trajectory.horizon],
+                      trajectory.actions)
+    return float(np.cumsum(np.minimum(sig * sig, 1.0))[-1])
 
 
 def info_gain_accumulate(tally: list, model, trajectory) -> list:
@@ -288,6 +288,9 @@ def _knr_family(env, expert_dataset, cfg, rng, expert_value) -> _Family:
     if expert_value is None:
         raise ConfigurationError(
             "knr runs need an explicit expert_value reference")
+    if not env.noise_std > 0:
+        raise ConfigurationError(
+            "knr runs need noise_std > 0: the confidence width divides by it")
     lam_ridge = (env.noise_std**2 / cfg.w_max**2 if cfg.lam_ridge is None
                  else cfg.lam_ridge)
     fmap, expert_feats = rff_featurize(expert_dataset.flat_view(),
@@ -305,8 +308,7 @@ def _knr_family(env, expert_dataset, cfg, rng, expert_value) -> _Family:
     def evaluate(model, mixture, traj):
         cov_snapshots.append(np.asarray(model.cov))
         executed_features.append(np.asarray(
-            [env.features(traj.states[h], int(traj.actions[h]))
-             for h in range(env.horizon)]))
+            env.features(traj.states[:env.horizon], traj.actions)))
         value, _ = value_eval_mc(env, mixture, env.cost_of,
                                  n_rollouts=cfg.knr_eval_rollouts, rng=rng)
         traj_feats = fmap(np.asarray(traj.states[:env.horizon], dtype=float))

@@ -242,18 +242,22 @@ class TabularModel:
     def num_actions(self) -> int:
         return self.p_hat.shape[1]
 
-    def sigma(self, s, a) -> float:
-        """Confidence width, capped at SIGMA_CAP."""
-        return float(min(self.sigma_table[int(s), int(a)], SIGMA_CAP))
+    def sigma(self, s, a):
+        """Confidence widths of (...) pairs, capped at SIGMA_CAP."""
+        return np.minimum(self.sigma_table[s, a], SIGMA_CAP)
 
     def mean_prediction(self, s, a) -> Array:
-        """The next-state distribution row."""
-        return self.p_hat[int(s), int(a)].copy()
+        """The next-state distribution rows of (...) pairs."""
+        return self.p_hat[s, a].copy()
 
 
 @dataclass(frozen=True)
 class KnrModel:
-    """Ridge estimate of a KNR system plus its elliptical confidence set."""
+    """Ridge estimate of a KNR system plus its elliptical confidence set.
+
+    ``mean_prediction`` and ``sigma`` act on the last axis, as ``features``
+    does: (..., d) states and (...) actions give (..., d) means and (...)
+    widths, each row rounded as if alone."""
 
     t: int
     delta: float
@@ -281,14 +285,14 @@ class KnrModel:
         object.__setattr__(self, "cov", _frozen(c))
         object.__setattr__(self, "cov_inv", _frozen(np.linalg.inv(c)))
 
-    def sigma(self, s, a) -> float:
+    def sigma(self, s, a):
         """Confidence width, capped at SIGMA_CAP."""
-        return float(min(knr_uncertainty(self, s, a), SIGMA_CAP))
+        return np.minimum(knr_uncertainty(self, s, a), SIGMA_CAP)
 
     def mean_prediction(self, s, a) -> Array:
-        """The next-state mean vector."""
+        """The next-state means; matvec rounds each row as w_hat @ phi."""
         phi = np.asarray(self.features(s, a), dtype=float)
-        return self.w_hat @ phi
+        return np.matvec(self.w_hat, phi)
 
 
 def fit_tabular(buffer: ReplayBuffer, t: int, delta: float) -> TabularModel:
@@ -358,19 +362,23 @@ def fit_knr_model(buffer: ReplayBuffer, features: Callable,
                     beta=beta, features=features)
 
 
-def knr_uncertainty(model: KnrModel, s, a) -> float:
-    """Raw width (beta / sigma) * |phi|_{cov^{-1}}, not capped."""
+def knr_uncertainty(model: KnrModel, s, a):
+    """Raw width (beta / sigma) * |phi|_{cov^{-1}} of (...) pairs, not
+    capped; vecmat then vecdot rounds a row as ``phi @ cov_inv @ phi``."""
     phi = np.asarray(model.features(s, a), dtype=float)
-    quad = float(phi @ model.cov_inv @ phi)
+    quad = np.vecdot(np.vecmat(phi, model.cov_inv), phi)
     # clip tiny negative round-off from the explicit inverse
-    quad = max(quad, 0.0)
-    return model.beta / model.noise_std * np.sqrt(quad)
+    return model.beta / model.noise_std * np.sqrt(np.maximum(quad, 0.0))
 
 
 @dataclass(frozen=True)
 class BonusFunction:
     """Per-(s, a) exploration bonus with a known upper bound: a tabular
-    bonus is its (S, A) ``table``, a KNR bonus is its ``fn``."""
+    bonus is its (S, A) ``table``, a KNR bonus is its ``fn``.
+
+    A call maps (...) states, (..., d) on KNR, and (...) actions to (...)
+    bonuses; a KNR ``fn`` must round each row as it would that row alone.
+    """
 
     upper: float
     table: Array | None = None
@@ -383,18 +391,17 @@ class BonusFunction:
                 raise ConfigurationError("bonus table out of [0, upper]")
             object.__setattr__(self, "table", _frozen(tab))
 
-    def __call__(self, s, a) -> float:
+    def __call__(self, s, a):
         if self.table is not None:
-            return float(self.table[int(s), int(a)])
-        return float(self.fn(s, a))
+            return self.table[s, a]
+        return self.fn(s, a)
 
 
 def mean_bonus_on_path(bonus, states, actions) -> float:
     """Mean of b(s_h, a_h) over a path's decision steps; 0 without a bonus."""
     if bonus is None:
         return 0.0
-    return float(np.mean([float(bonus(states[h], int(actions[h])))
-                          for h in range(len(actions))]))
+    return float(np.mean(bonus(states[:len(actions)], actions)))
 
 
 def theory_bonus(model: TabularModel | KnrModel,
@@ -405,7 +412,7 @@ def theory_bonus(model: TabularModel | KnrModel,
     if isinstance(model, TabularModel):
         table = horizon * np.minimum(model.sigma_table, SIGMA_CAP)
         return BonusFunction(upper=SIGMA_CAP * horizon, table=table)
-    fn = lambda s, a: horizon * min(model.sigma(s, a), SIGMA_CAP)
+    fn = lambda s, a: horizon * np.minimum(model.sigma(s, a), SIGMA_CAP)
     return BonusFunction(upper=SIGMA_CAP * horizon, fn=fn)
 
 
@@ -424,14 +431,12 @@ def ensemble_bonus(model_a: TabularModel | KnrModel,
     if lam_bonus < 0:
         raise ConfigurationError("lam_bonus must be >= 0")
 
-    def gap(s, a) -> float:
-        return float(np.linalg.norm(
-            model_a.mean_prediction(s, a) - model_b.mean_prediction(s, a)))
+    def norms(diff):   # row by row as np.linalg.norm
+        return np.sqrt(np.vecdot(diff, diff))
 
     if isinstance(model_a, TabularModel) and isinstance(model_b, TabularModel):
         # one gap per (s, a); the buffer holds exactly the pairs it counts
-        gaps = np.array([[gap(s, a) for a in range(model_a.num_actions)]
-                         for s in range(model_a.num_states)])
+        gaps = norms(model_a.p_hat - model_b.p_hat)
         held = buffer.counts_sas.sum(axis=2) > 0
         delta_max = float(gaps[held].max(initial=0.0))
         if delta_max == 0.0:
@@ -442,13 +447,18 @@ def ensemble_bonus(model_a: TabularModel | KnrModel,
 
     if model_a.features != model_b.features:
         raise ConfigurationError("the two KNR models need one feature map")
-    # mean_prediction's per-row product on the buffer's cached features
-    delta_max = 0.0
-    for phi in buffer.feature_vectors(model_a.features):
-        delta_max = max(delta_max, float(np.linalg.norm(
-            model_a.w_hat @ phi - model_b.w_hat @ phi)))
+
+    w_a, w_b = model_a.w_hat, model_b.w_hat
+
+    def gap(phi):   # the mean predictions' gap, on features taken once
+        return norms(np.matvec(w_a, phi) - np.matvec(w_b, phi))
+
+    cached = np.reshape(buffer.feature_vectors(model_a.features),
+                        (-1, w_a.shape[1]))
+    delta_max = float(gap(cached).max(initial=0.0))
     if delta_max == 0.0:
-        fn = lambda s, a: 0.0
+        fn = lambda s, a: np.zeros(np.shape(a))[()]
     else:
-        fn = lambda s, a: lam_bonus * min(1.0, gap(s, a) / delta_max)
+        fn = lambda s, a: lam_bonus * np.minimum(1.0, gap(np.asarray(
+            model_a.features(s, a), dtype=float)) / delta_max)
     return BonusFunction(upper=lam_bonus, fn=fn)

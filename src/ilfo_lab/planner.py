@@ -78,8 +78,10 @@ def best_response_knr(model: KnrModel, cost_fn: Callable, bonus,
     drawn by one ``rng.choice`` without replacement; ties pick the
     lexicographically smallest sequence.  ``tree`` is the search tree of
     this model, bonus and start state that the caller keeps across
-    searches; ``cost_fn`` scores its node features (the states, on the
-    fresh tree built when ``tree`` is None).
+    searches.  ``cost_fn`` maps a depth's (n, ...) node features (the
+    states, on the fresh tree built when ``tree`` is None) to (n,) costs,
+    and ``bonus`` maps (n, d) states and (n,) actions to (n,) bonuses,
+    each rounding a row as it would that row alone.
     """
     if tree is None:
         tree = OpenLoopTree(model.mean_prediction, init_state, num_actions,
@@ -195,10 +197,11 @@ def _solve_fw_mmd(model, bonus, disc, mean_e, cfg, horizon, num_actions,
 
     The model, bonus, start state and feature map are fixed within a
     solve; only the witness weights w change between rounds.  So one
-    ``OpenLoopTree`` holds every node's state and witness features
-    ``fmap(s)`` and every edge's bonus, each computed once, and a round
-    rescores the nodes with ``float(feats @ w)``, the product
-    ``MmdDiscriminator.__call__`` computes.  A path's mean embedding
+    ``OpenLoopTree`` holds each depth's states, witness features
+    ``fmap(s)`` and edge bonuses, and a round rescores a depth with
+    ``np.vecdot(F, w)``, which rounds each row as the ``feats @ w`` of
+    ``MmdDiscriminator.__call__``.  The path states and bonuses of each
+    round's sequence are read off the tree.  A path's mean embedding
     featurizes its (H, d) states as one batch, which rounds differently
     from one-state calls, so it is computed once per distinct path.
     """
@@ -207,18 +210,22 @@ def _solve_fw_mmd(model, bonus, disc, mean_e, cfg, horizon, num_actions,
     if mean_e.shape != (fmap.num_features,):
         raise ConfigurationError(
             "the KNR expert must be its (m,) mean feature embedding")
-    # one state as a (1, d) batch: RffFeatureMap reads a (1,) input as
-    # one scalar state per row
+    # each node as its own (1, d) batch, stacked, so a row rounds as one
+    # state alone; RffFeatureMap reads a (1,) input as scalar states
     tree = OpenLoopTree(model.mean_prediction, init_state, num_actions,
                         horizon, bonus,
-                        featurize=lambda x: fmap(x.reshape(1, -1))[0])
+                        featurize=lambda x: fmap(x[:, None])[:, 0])
+    # the start path: in the layers every exhaustive round reuses, or alone
+    total = num_actions ** horizon
+    tree.layers(np.arange(total) if total <= cfg.knr_search.exhaustive_limit
+                else np.zeros(1, dtype=np.int64))
     embeddings = {}
 
     def embedding(seq):
         key = seq.tobytes()
         m = embeddings.get(key)
         if m is None:
-            m = embeddings[key] = fmap(tree.path_states(seq)).mean(axis=0)
+            m = embeddings[key] = fmap(tree.path(seq)[0]).mean(axis=0)
         return m
 
     mean_bar = embedding(np.zeros(horizon, dtype=np.int64))
@@ -227,13 +234,13 @@ def _solve_fw_mmd(model, bonus, disc, mean_e, cfg, horizon, num_actions,
     for k in range(1, cfg.k_iters + 1):
         disc = mmd_update(disc, mean_bar, mean_e)
         w = disc.w
-        pi_k = best_response_knr(model, lambda f: float(f @ w), bonus,
+        pi_k = best_response_knr(model, lambda f: np.vecdot(f, w), bonus,
                                  horizon, num_actions, init_state,
                                  cfg.knr_search, rng, tree=tree)
         seq = pi_k.action_seq
         components.append(pi_k)
         path_bonuses.append(0.0 if bonus is None else
-                            float(np.mean(tree.path_bonuses(seq))))
+                            float(np.mean(tree.path(seq)[1])))
         mean_bar = (1 - 1.0 / k) * mean_bar + embedding(seq) / k
     mixture = MixedPolicy(components=tuple(components),
                           weights=np.full(len(components),

@@ -239,6 +239,12 @@ def _require_knr_record(record) -> dict:
     return params
 
 
+def _final_cov(record) -> Array:
+    """The last snapshot plus the last iteration's executed features."""
+    feats = record.executed_features[-1]
+    return record.cov_snapshots[-1] + feats.T @ feats
+
+
 def elliptical_potential_sides(record) -> tuple:
     """(potential, det bound, closed-form bound) from a knr run record.
 
@@ -253,9 +259,7 @@ def elliptical_potential_sides(record) -> tuple:
     for cov, feats in zip(record.cov_snapshots, record.executed_features):
         x = np.linalg.solve(cov, feats.T)
         potential += min(float(np.sum(feats.T * x)), 1.0)
-    final_cov = record.cov_snapshots[-1] + (
-        record.executed_features[-1].T @ record.executed_features[-1])
-    _, logdet = np.linalg.slogdet(final_cov)
+    _, logdet = np.linalg.slogdet(_final_cov(record))
     det_bound = 2.0 * (logdet - d * math.log(lam))
     ratio = params["w_max"] ** 2 / params["noise_std"] ** 2
     closed_bound = 2.0 * d * math.log(
@@ -282,11 +286,9 @@ def info_gain_bound(record) -> float:
                 * math.log(1.0 + T * H))
     params = _require_knr_record(record)
     d = params["feature_dim"]
-    final_cov = record.cov_snapshots[-1] + (
-        record.executed_features[-1].T @ record.executed_features[-1])
     beta = knr_beta(t=T, delta=record.delta, lam_ridge=params["lam_ridge"],
                     noise_std=params["noise_std"], w_max=params["w_max"],
-                    state_dim=params["state_dim"], cov=final_cov)
+                    state_dim=params["state_dim"], cov=_final_cov(record))
     ratio = params["w_max"] ** 2 / params["noise_std"] ** 2
     return (beta**2 / params["noise_std"] ** 2 * 2.0 * H * d
             * math.log(1.0 + T * H * ratio))

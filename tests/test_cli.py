@@ -367,6 +367,20 @@ class TestMain:
         assert main(["mobile-tabular", "--config", str(cfg_path)]) == 2
         assert "wat" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mobile", [{}, {"lam_ridge": 0.01}])
+    def test_noise_free_knr_exits_two_and_writes_nothing(self, tmp_path,
+                                                         capsys, mobile):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "subcommand": "mobile-knr",
+            "env": {"kind": "knr_example", "noise_std": 0},
+            "mobile": dict(mobile, t_iters=2)}))
+        out = tmp_path / "o"
+        assert main(["mobile-knr", "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+        assert "'env.noise_std'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("mobile, key", [
         ({"seed": 0}, "mobile.seed"),
         ({"f_class_size": 64}, "mobile.f_class_size"),
@@ -645,6 +659,11 @@ def _search_cannot_run(raw) -> bool:
 @settings(max_examples=80, deadline=None)
 @given(_CONFIGS)
 def test_round_trip_on_generated_configs(raw):
+    if raw["subcommand"] == "mobile-knr" and raw["env"].get("noise_std",
+                                                             1.0) == 0:
+        with pytest.raises(ConfigurationError, match="'env.noise_std'"):
+            parse_config(json.dumps(raw))
+        return
     if _search_cannot_run(raw):
         with pytest.raises(ConfigurationError,
                            match="mobile.minmax.knr_search.exhaustive_limit"):

@@ -805,15 +805,21 @@ def test_openloop_search_matches_per_sequence_scan(seed, dim, A, H,
     x0 = rng.normal(size=dim)
     steps = []
 
+    def rounded(x):   # Python's round on each row, as on that row alone
+        return np.vectorize(lambda v: round(float(v), digits),
+                            otypes=[float])(x)
+
+    # the tree's callables act on the last axis; the reference calls the
+    # same cost and bonus on one state at a time
     def step(s, a):
-        steps.append(a)
-        return W[a] @ s + c[a]
+        steps.append(len(a))
+        return np.matvec(W[a], s) + c[a]
 
     def cost(s):
-        return round(float(q @ s + r * (s @ s)), digits)
+        return rounded(np.vecdot(s, q) + r * np.vecdot(s, s))
 
     def bonus(s, a):
-        return round(float(b_lin[a] @ s + b_off[a]), digits)
+        return rounded(np.vecdot(b_lin[a], s) + b_off[a])
 
     total = A ** H
     if sampled:
@@ -827,9 +833,11 @@ def test_openloop_search_matches_per_sequence_scan(seed, dim, A, H,
         lambda s, a: W[a] @ s + c[a], cost, b, x0, A, H, ids)
     assert np.array_equal(seq, ref_seq)
     assert score == ref_score
+    # one step call per depth below the root, one row per distinct prefix
     prefixes = {tuple(_decode_reference(int(i), H, A)[:k])
                 for i in ids for k in range(1, H)}
-    assert len(steps) == len(prefixes)
+    assert len(steps) == H - 1
+    assert sum(steps) == len(prefixes)
 
 
 def _optimal_dp_reference(mdp, cost_table):

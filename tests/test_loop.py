@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ilfo_lab import ConfigurationError, Policy, TabularMdp, rollout, value_eval_tabular
 from ilfo_lab import loop, models
@@ -34,16 +36,15 @@ def expert_for(mdp, n=40, seed=11):
 
 
 class _FakeModel:
-    """Duck-typed stand-in exposing only sigma(s, a)."""
+    """Duck-typed stand-in exposing only sigma(s, a), on the last axis:
+    the widths of a trajectory's H steps in one call."""
 
     def __init__(self, sigmas):
-        self.sigmas = list(sigmas)
-        self.calls = 0
+        self.sigmas = np.asarray(sigmas, dtype=float)
 
     def sigma(self, s, a):
-        val = self.sigmas[self.calls]
-        self.calls += 1
-        return val
+        assert np.shape(a) == self.sigmas.shape == np.shape(s)
+        return self.sigmas
 
 
 class _FakeTraj:
@@ -133,6 +134,17 @@ class TestInfoGain:
         model = _FakeModel([0.5, 2.0, np.sqrt(0.5)])
         inc = info_gain_increment(model, _FakeTraj(3))
         assert inc == pytest.approx(1.75, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(widths=st.lists(st.floats(0.0, 1.2), min_size=1, max_size=24))
+    def test_sums_left_to_right(self, widths):
+        # a running total, as one step at a time adds it (np.add.reduce
+        # is pairwise from 8 terms up and rounds differently)
+        total = 0.0
+        for sig in widths:
+            total += min(sig * sig, 1.0)
+        inc = info_gain_increment(_FakeModel(widths), _FakeTraj(len(widths)))
+        assert inc == total
 
     def test_accumulate_appends_cumulative(self):
         tally = []
@@ -288,6 +300,23 @@ class TestRunMobileKnr:
                            minmax=MinMaxConfig(k_iters=3))
         with pytest.raises(ConfigurationError):
             run_mobile(system, data, cfg, rng)
+
+    def test_noise_free_system_rejected_before_the_first_iteration(
+            self, monkeypatch):
+        # the KNR width divides by noise_std, so no iteration could finish
+        system = make_knr_example(noise_std=0.0, horizon=3)
+        rng = np.random.default_rng(0)
+        data = self._expert_data(system, rng)
+        cfg = MobileConfig(t_iters=1, n_expert=12, mmd_features=16,
+                           knr_eval_rollouts=4, lam_ridge=0.01,
+                           minmax=MinMaxConfig(k_iters=3))
+
+        def fit(*args, **kwargs):
+            raise AssertionError("the loop started an iteration")
+
+        monkeypatch.setattr(loop, "fit_knr_model", fit)
+        with pytest.raises(ConfigurationError, match="noise_std"):
+            run_mobile(system, data, cfg, rng, expert_value=1.0)
 
     def test_rejects_expert_horizon_mismatch(self):
         system = make_knr_example(noise_std=0.05, horizon=3)

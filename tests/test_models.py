@@ -442,9 +442,24 @@ def reference_bootstrap_buffers(buffer, rng):
     return out
 
 
+def one_row_at_a_time(fn):
+    """A callable of one (s, a) on the last-axis contract: (..., d)
+    states and (...) actions, one call of ``fn`` per row."""
+    def batched(s, a):
+        a = np.asarray(a)
+        if a.ndim == 0:
+            return fn(s, int(a))
+        s = np.asarray(s)
+        rows = s.reshape((a.size,) + s.shape[a.ndim:])
+        return np.array([fn(x, int(y)) for x, y in zip(rows, a.ravel())]
+                        ).reshape(a.shape)
+    return batched
+
+
 def reference_ensemble_bonus(model_a, model_b, buffer, lam_bonus):
     """delta_max over every transition in the buffer and the table filled
-    one fn call per (s, a), as it was before the per-(s, a) gaps."""
+    one fn call per (s, a), as it was before the per-(s, a) gaps; a KNR
+    bonus calls fn once per row."""
     def gap(s, a):
         return float(np.linalg.norm(
             model_a.mean_prediction(s, a) - model_b.mean_prediction(s, a)))
@@ -462,7 +477,7 @@ def reference_ensemble_bonus(model_a, model_b, buffer, lam_bonus):
             for a in range(model_a.num_actions):
                 table[s, a] = fn(s, a)
         return BonusFunction(upper=lam_bonus, table=table)
-    return BonusFunction(upper=lam_bonus, fn=fn)
+    return BonusFunction(upper=lam_bonus, fn=one_row_at_a_time(fn))
 
 
 @st.composite

@@ -18,8 +18,10 @@ from ilfo_lab.models import (
     KnrModel,
     ReplayBuffer,
     TabularModel,
+    bootstrap_buffers,
+    ensemble_bonus,
     fit_knr_model,
-    mean_bonus_on_path,
+    knr_uncertainty,
     theory_bonus,
 )
 from ilfo_lab.planner import (
@@ -141,17 +143,18 @@ class TestBestResponseKnr:
     def test_single_action_unique_sequence(self):
         sys_ = make_knr_example(noise_std=0.0)
         model = knr_model_from_system(sys_)
-        pol = best_response_knr(model, lambda s: 0.0, None, horizon=3,
-                                num_actions=1, init_state=np.zeros(2),
+        pol = best_response_knr(model, lambda s: np.zeros(len(s)), None,
+                                horizon=3, num_actions=1,
+                                init_state=np.zeros(2),
                                 search_cfg=KnrSearchConfig())
         np.testing.assert_array_equal(pol.action_seq, [0, 0, 0])
 
     def test_dominant_bonus_selects_high_uncertainty_action(self):
         sys_ = make_knr_example(noise_std=0.0)
         model = knr_model_from_system(sys_)
-        bonus = BonusFunction(fn=lambda s, a: 10.0 if a == 1 else 0.0,
+        bonus = BonusFunction(fn=lambda s, a: 10.0 * (np.asarray(a) == 1),
                               upper=10.0)
-        pol = best_response_knr(model, lambda s: float(np.sum(s**2)), bonus,
+        pol = best_response_knr(model, lambda s: np.sum(s**2, axis=-1), bonus,
                                 horizon=2, num_actions=2,
                                 init_state=np.zeros(2),
                                 search_cfg=KnrSearchConfig())
@@ -160,7 +163,7 @@ class TestBestResponseKnr:
     def test_exhaustive_agrees_with_full_random_shooting(self):
         sys_ = make_knr_example(noise_std=0.0)
         model = knr_model_from_system(sys_)
-        cost = lambda s: float(s[0] - s[1])
+        cost = lambda s: s[..., 0] - s[..., 1]
         a = best_response_knr(model, cost, None, horizon=4, num_actions=2,
                               init_state=np.zeros(2),
                               search_cfg=KnrSearchConfig())
@@ -191,8 +194,8 @@ class TestBestResponseKnr:
     def test_random_shooting_draws_without_replacement(self):
         # A^H = 1024: ids come from rng.choice, without repeats
         model = knr_model_from_system(make_knr_example(noise_std=0.0))
-        cost = lambda s: float(s[0] - s[1])
-        bonus = BonusFunction(fn=lambda s, a: 0.05 * a * float(s[1] ** 2),
+        cost = lambda s: s[..., 0] - s[..., 1]
+        bonus = BonusFunction(fn=lambda s, a: 0.05 * a * s[..., 1] ** 2,
                               upper=1.0)
         got, want, ids = self.shooting_reference(
             model, cost, bonus, 10,
@@ -204,7 +207,7 @@ class TestBestResponseKnr:
     def test_random_shooting_above_a_million_draws_without_replacement(self):
         # A^H = 2^21 > 10**6: the same rng.choice draw, without repeats
         model = knr_model_from_system(make_knr_example(noise_std=0.0))
-        cost = lambda s: float(s[0] - s[1])
+        cost = lambda s: s[..., 0] - s[..., 1]
         got, want, ids = self.shooting_reference(
             model, cost, None, 21,
             lambda r, total, n: np.sort(r.choice(total, size=n,
@@ -519,10 +522,11 @@ class TestKnrSearchTree:
     def reference_fw_mmd(model, bonus, disc, mean_e, k_iters, horizon,
                          num_actions, init_state, search_cfg, rng):
         """Frank-Wolfe against the MMD witness with nothing kept between
-        rounds: every round searches a fresh tree, scoring each state
-        through the discriminator's feature map, then rolls its path's
-        states forward and calls the bonus along it again. Returns the
-        per-round action sequences and the objective."""
+        rounds: every round searches a fresh tree, scoring each state on
+        its own through the discriminator's feature map, then rolls its
+        path's states forward one at a time and calls the bonus along it
+        once per step. Returns the per-round action sequences and the
+        objective."""
         fmap = disc.feature_map
 
         def path_states(seq):
@@ -538,7 +542,8 @@ class TestKnrSearchTree:
         for k in range(1, k_iters + 1):
             disc = mmd_update(disc, mean_bar, mean_e)
             # MmdDiscriminator.__call__ on one state, as a (1, d) batch
-            cost = lambda s: float(fmap(np.reshape(s, (1, -1)))[0] @ disc.w)
+            cost = lambda states: np.array(
+                [float(fmap(s.reshape(1, -1))[0] @ disc.w) for s in states])
             seq = best_response_knr(model, cost, bonus, horizon, num_actions,
                                     init_state, search_cfg, rng).action_seq
             states = path_states(seq)
@@ -547,8 +552,10 @@ class TestKnrSearchTree:
             mean_bar = (1 - 1.0 / k) * mean_bar + fmap(states).mean(
                 axis=0) / k
         ipm = disc.zeta * float(np.linalg.norm(mean_bar - mean_e))
-        mean_b = float(np.mean([mean_bonus_on_path(bonus, st, sq)
-                                for st, sq in paths]))
+        mean_b = float(np.mean([
+            0.0 if bonus is None else float(np.mean(
+                [float(bonus(st[h], int(sq[h]))) for h in range(horizon)]))
+            for st, sq in paths]))
         return seqs, ipm - mean_b
 
     @staticmethod
@@ -576,12 +583,14 @@ class TestKnrSearchTree:
         if bonus_kind == "theory":
             bonus = theory_bonus(model, H)
         elif bonus_kind == "drawn":
-            # coarse rounding forces ties between sequences
+            # coarse rounding forces ties between sequences; Python's round
+            # on each row, as on that row alone
             slope = rng.normal(size=(A, state_dim))
             offset = rng.uniform(0, 1, size=A)
             digits = 0 if coarse else 12
-            bonus = lambda s, a: round(float(slope[a] @ np.atleast_1d(s)
-                                             + offset[a]), digits)
+            rounded = np.vectorize(lambda v: round(float(v), digits),
+                                   otypes=[float])
+            bonus = lambda s, a: rounded(np.vecdot(slope[a], s) + offset[a])
         else:
             bonus = None
         if shooting:
@@ -607,27 +616,34 @@ class TestKnrSearchTree:
 
     @staticmethod
     def counted_solve(k_iters, A=2, H=4):
-        """Model steps, bonus calls, one-state featurizations and path
-        featurizations of one exhaustive solve, and its sequences."""
+        """Calls and rows of the model steps, bonuses, node featurizations
+        and path featurizations of one exhaustive solve, and its
+        sequences."""
         rng = np.random.default_rng(23)
         system = random_knr_system(rng, 2, A, H)
         model = knr_model_from_system(system)
         disc, mean_e = TestKnrSearchTree.witness(rng, system, 8)
         theory = theory_bonus(model, H)
-        counts = dict.fromkeys(("step", "bonus", "node", "path"), 0)
+        calls = dict.fromkeys(("step", "bonus", "node", "path"), 0)
+        rows = dict(calls)
+
+        def count(name, batch):
+            calls[name] += 1
+            rows[name] += len(batch)
 
         def bonus(s, a):
-            counts["bonus"] += 1
+            count("bonus", a)
             return theory(s, a)
 
         step, featurize = KnrModel.mean_prediction, RffFeatureMap.__call__
 
         def counted_step(self, s, a):
-            counts["step"] += 1
+            count("step", a)
             return step(self, s, a)
 
         def counted_featurize(self, states):
-            counts["node" if len(states) == 1 else "path"] += 1
+            # a tree node comes as its own (1, d) batch, a path as (H, d)
+            count("node" if np.ndim(states) == 3 else "path", states)
             return featurize(self, states)
 
         with pytest.MonkeyPatch.context() as mp:
@@ -637,21 +653,110 @@ class TestKnrSearchTree:
                                   MinMaxConfig(k_iters=k_iters), horizon=H,
                                   num_actions=A, init_state=system.init_state,
                                   rng=rng)
-        return counts, [c.action_seq for c in mix.components]
+        return calls, rows, [c.action_seq for c in mix.components]
 
     def test_each_node_and_edge_computed_once_per_solve(self):
         A, H = 2, 4
-        one, _ = self.counted_solve(1, A, H)
-        ten, seqs = self.counted_solve(10, A, H)
-        # exhaustive: every node below the root is stepped to once, every
-        # node featurized once and every edge's bonus taken once
-        assert ten["step"] == sum(A ** h for h in range(1, H))
-        assert ten["node"] == sum(A ** h for h in range(H))
-        assert ten["bonus"] == sum(A ** h for h in range(1, H + 1))
+        one_calls, one_rows, _ = self.counted_solve(1, A, H)
+        calls, rows, seqs = self.counted_solve(10, A, H)
+        # exhaustive: one call per depth, over that depth's distinct
+        # prefixes, builds the tree for every round and the start path:
+        # a step into each depth below the root, each depth's node
+        # features and the bonuses on the edges out of it
+        assert calls["step"] == H - 1
+        assert calls["node"] == H
+        assert calls["bonus"] == H
+        assert rows["step"] == sum(A ** h for h in range(1, H))
+        assert rows["node"] == sum(A ** h for h in range(H))
+        assert rows["bonus"] == sum(A ** h for h in range(1, H + 1))
         for name in ("step", "node", "bonus"):
-            assert one[name] == ten[name]
+            assert one_calls[name] == calls[name]
+            assert one_rows[name] == rows[name]
         # a path's mean embedding is one (H, d) batch per distinct path,
         # the all-zeros start path included
         paths = {np.asarray(s).tobytes() for s in seqs}
         paths.add(np.zeros(H, dtype=np.asarray(seqs[0]).dtype).tobytes())
-        assert ten["path"] == len(paths)
+        assert calls["path"] == len(paths)
+        assert rows["path"] == H * len(paths)
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+class TestKnrBatchContract:
+    """Every KNR callable maps (..., d) states and (...) actions to (...)
+    results, and row i of a batched call is the one-state call bit for
+    bit: the model step and width, both bonuses, the search tree's
+    featurizer and the witness score."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), state_dim=st.integers(1, 4),
+           A=st.integers(1, 3), lead=st.lists(st.integers(1, 6), min_size=1,
+                                              max_size=2),
+           n_fit=st.integers(0, 60), m=st.integers(1, 24))
+    def test_rows_equal_one_state_calls(self, seed, state_dim, A, lead,
+                                        n_fit, m):
+        rng = np.random.default_rng(seed)
+        H = 3
+        system = random_knr_system(rng, state_dim, A, H)
+        buf = ReplayBuffer()
+        for _ in range(n_fit):
+            s = rng.normal(size=state_dim) * 0.6
+            a = int(rng.integers(A))
+            buf.append(0, s, a, system.step_mean(s, a)
+                       + 0.05 * rng.normal(size=state_dim))
+        lam = float(rng.choice([1e-8, 1e-3, 0.3]))
+        t = int(rng.integers(1, 50))
+
+        def fit(b):
+            return fit_knr_model(b, system.features, system.feature_dim,
+                                 state_dim, lam, 0.05, 2.0, t=t, delta=0.1)
+
+        model = fit(buf)
+        half_a, half_b = bootstrap_buffers(buf, rng)
+        theory = theory_bonus(model, H)
+        ensemble = ensemble_bonus(fit(half_a), fit(half_b), buf,
+                                  lam_bonus=float(rng.uniform(0, 2)))
+        S = rng.normal(size=tuple(lead) + (state_dim,))
+        acts = rng.integers(A, size=tuple(lead))
+        # the raw width too: sigma and the theory bonus cap it at 2
+        width = lambda s, a: knr_uncertainty(model, s, a)
+        for fn in (model.mean_prediction, width, model.sigma, theory.fn,
+                   theory, ensemble.fn, ensemble):
+            got = fn(S, acts)
+            assert np.shape(got)[:len(lead)] == tuple(lead)
+            for i in np.ndindex(*lead):
+                assert same_bits(got[i], fn(S[i], int(acts[i])))
+
+        # the solve's tree featurizer and each round's witness score,
+        # checked inside the solve's searches
+        disc, mean_e = TestKnrSearchTree.witness(rng, system, m)
+        fmap = disc.feature_map
+        X = rng.normal(size=(int(np.prod(lead)), state_dim))
+        discs, checked = [], []
+        real_search, real_update = planner.best_response_knr, mmd_update
+
+        def update(*args):
+            discs.append(real_update(*args))
+            return discs[-1]
+
+        def search(model, cost_fn, *args, tree, **kw):
+            F = tree.featurize(X)
+            got = cost_fn(F)
+            for i, x in enumerate(X):
+                f = fmap(x.reshape(1, -1))[0]
+                assert same_bits(F[i], f)
+                assert same_bits(got[i], np.float64(float(f @ discs[-1].w)))
+            checked.append(len(X))
+            return real_search(model, cost_fn, *args, tree=tree, **kw)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(planner, "best_response_knr", search)
+            mp.setattr(planner, "mmd_update", update)
+            solve_minmax(model, theory, disc, mean_e, MinMaxConfig(k_iters=3),
+                         horizon=H, num_actions=A,
+                         init_state=system.init_state, rng=rng)
+        assert checked == [len(X)] * 3
