@@ -22,7 +22,8 @@ import numpy as np
 from .envs import ConfigurationError, value_eval_mc
 from .expert import (OPENLOOP_SEARCH_LIMIT, sample_expert_states,
                      solve_openloop_knr, solve_optimal_tabular)
-from .loop import MobileConfig, regret_summary, run_mobile, write_csv_rows
+from .loop import (MobileConfig, knr_ridge, regret_summary, run_mobile,
+                   write_csv_rows)
 from .mab import (BanditConfig, cumulative_regret_curve, fit_loglog_slope,
                   make_hard_family, run_bandits, write_regret_csv)
 from .mab import run_bandit  # unused here; perfbench traces cli.run_bandit
@@ -87,6 +88,7 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     "'env.noise_std' must be > 0: the KNR width divides by it")
             if self.subcommand == "mobile-knr" and self.mobile is not None:
+                knr_ridge(env.noise_std, self.mobile)
                 _check_knr_search(env, self.mobile.minmax.knr_search)
 
 

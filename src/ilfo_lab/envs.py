@@ -484,6 +484,39 @@ def _probs_stack(mdp, policies: Sequence[Policy]) -> Array:
     return out
 
 
+def _stack_index(items: Sequence[AnyPolicy]) -> tuple[tuple, list]:
+    """The distinct components of a sequence of policies and mixtures, and
+    each item's rows into them.
+
+    Components are deduped by identity across the whole sequence, in order
+    of first occurrence, so a one-mixture sequence stacks exactly its
+    ``distinct``. A mixture's rows are one per component (its ``inverse``
+    mapped into the stack); a policy's row is one int.
+    """
+    slots = {}
+    rows = []
+    for pol in items:
+        if isinstance(pol, MixedPolicy):
+            at = np.array([slots.setdefault(id(c), (len(slots), c))[0]
+                           for c in pol.distinct])
+            rows.append(at[pol.inverse])
+        elif isinstance(pol, Policy):
+            rows.append(slots.setdefault(id(pol), (len(slots), pol))[0])
+        else:
+            raise ConfigurationError(
+                f"expected a Policy or MixedPolicy, got {type(pol).__name__}")
+    if not rows:
+        raise ConfigurationError("need at least one policy to evaluate")
+    return tuple(comp for _, comp in slots.values()), rows
+
+
+def _as_items(policy: AnyPolicy | Sequence[AnyPolicy]) -> tuple[list, bool]:
+    """(items, single): a policy or mixture is the one-item sequence."""
+    if isinstance(policy, (Policy, MixedPolicy)):
+        return [policy], True
+    return list(policy), False
+
+
 def occupancy_stack(mdp, policies: Sequence[Policy]) -> Array:
     """(K, H, S, A) per-step occupancies of K policies.
 
@@ -504,18 +537,25 @@ def occupancy_stack(mdp, policies: Sequence[Policy]) -> Array:
     return d
 
 
-def occupancy_exact(mdp: TabularMdp, policy: AnyPolicy) -> OccupancyMeasure:
+def occupancy_exact(mdp: TabularMdp,
+                    policy: AnyPolicy | Sequence[AnyPolicy]
+                    ) -> OccupancyMeasure | list[OccupancyMeasure]:
     """Forward dynamic program for d_h(s, a); mixtures combine exactly.
 
-    A mixture runs one forward pass over its distinct components and
-    expands the result back to one row per component before the weighted
-    sum over all K rows.
+    ``policy`` is a policy, a mixture, or a sequence of them; a sequence
+    returns one ``OccupancyMeasure`` per item, and a single policy or
+    mixture is its one-item case. The distinct components of the whole
+    sequence run one forward pass; a mixture then expands its rows back to
+    one per component before the weighted sum over all K rows, so every
+    item equals its own one-item call bit for bit.
     """
-    if isinstance(policy, MixedPolicy):
-        parts = occupancy_stack(mdp, policy.distinct)[policy.inverse]
-        return OccupancyMeasure(per_step=np.tensordot(policy.weights, parts,
-                                                      axes=1))
-    return OccupancyMeasure(per_step=occupancy_stack(mdp, (policy,))[0])
+    items, single = _as_items(policy)
+    comps, rows = _stack_index(items)
+    d = occupancy_stack(mdp, comps)
+    out = [OccupancyMeasure(per_step=np.tensordot(pol.weights, d[r], axes=1)
+                            if isinstance(pol, MixedPolicy) else d[r])
+           for pol, r in zip(items, rows)]
+    return out[0] if single else out
 
 
 def _cost_table(cost, S: int, A: int) -> Array:
@@ -528,15 +568,13 @@ def _cost_table(cost, S: int, A: int) -> Array:
     raise ConfigurationError("cost must be (S,) or (S, A)")
 
 
-def state_values(mdp, policy: AnyPolicy, cost) -> Array:
-    """(K, H+1, S) backward state values of the K components of ``policy``.
+def _values_stack(mdp, policies: Sequence[Policy], cost) -> Array:
+    """(K, H+1, S) backward state values of K policies; step H is zero.
 
-    K is 1 for a single policy; step H is zero. ``cost`` is (S,) or
-    (S, A). One backward pass over the distinct components, expanded
-    back to one row per component.
+    One backward pass batched over K; each slice equals the one-policy
+    dynamic program bit for bit.
     """
-    mixed = isinstance(policy, MixedPolicy)
-    probs = _probs_stack(mdp, policy.distinct if mixed else (policy,))
+    probs = _probs_stack(mdp, policies)
     n, H, S, A = probs.shape
     c = _cost_table(cost, S, A)
     probs_steps = probs.swapaxes(0, 1)
@@ -548,20 +586,39 @@ def state_values(mdp, policy: AnyPolicy, cost) -> Array:
         q = c + (kernel @ v[:, None, :, None])[..., 0]
         v = (probs_steps[h] * q).sum(axis=-1)
         values[:, h] = v
-    return values[policy.inverse] if mixed else values
+    return values
 
 
-def value_eval_tabular(mdp, policy: AnyPolicy, cost) -> float:
-    """Expected total cost of ``policy`` from ``mdp.init_state``.
+def state_values(mdp, policy: AnyPolicy, cost) -> Array:
+    """(K, H+1, S) backward state values of the K components of ``policy``.
 
-    The step-0 slice of ``state_values``; equals H * <d_avg, cost> from
-    occupancy_exact. A mixture weights its components' values.
+    K is 1 for a single policy; step H is zero. ``cost`` is (S,) or
+    (S, A). One backward pass over the distinct components, expanded
+    back to one row per component.
     """
-    v0 = state_values(mdp, policy, cost)[:, 0, mdp.init_state]
-    if not isinstance(policy, MixedPolicy):
-        return float(v0[0])
-    # contiguous, so the weighted sum matches one over a list of floats
-    return float(np.dot(policy.weights, np.ascontiguousarray(v0)))
+    comps, (r,) = _stack_index([policy])
+    values = _values_stack(mdp, comps, cost)
+    return values[r] if isinstance(policy, MixedPolicy) else values
+
+
+def value_eval_tabular(mdp, policy: AnyPolicy | Sequence[AnyPolicy],
+                       cost) -> float | Array:
+    """Expected total cost from ``mdp.init_state``.
+
+    ``policy`` is a policy, a mixture, or a sequence of them; a sequence
+    returns an (n,) array, one value per item, and a single policy or
+    mixture returns a float as its one-item case. The distinct components
+    of the whole sequence run one backward pass; a mixture weights its
+    components' step-0 values. Each value equals H * <d_avg, cost> from
+    ``occupancy_exact``, and its own one-item call bit for bit.
+    """
+    items, single = _as_items(policy)
+    comps, rows = _stack_index(items)
+    v0 = _values_stack(mdp, comps, cost)[:, 0, mdp.init_state]
+    # v0[r] is contiguous, so a weighted sum matches one over a list of floats
+    out = [float(np.dot(pol.weights, v0[r])) if isinstance(pol, MixedPolicy)
+           else float(v0[r]) for pol, r in zip(items, rows)]
+    return out[0] if single else np.array(out)
 
 
 def best_response_tabular(mdp, cost) -> Policy:

@@ -10,6 +10,9 @@ maximally uncertain model.
 
 from __future__ import annotations
 
+import logging
+import math
+import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -39,6 +42,12 @@ from .models import (
 from .planner import MinMaxConfig, solve_minmax
 
 Array = np.ndarray
+
+logger = logging.getLogger(__name__)
+
+# tabular iterations whose exact value and occupancy are evaluated together;
+# bounded, so the stack stays small
+TABULAR_EVAL_BLOCK = 32
 
 CSV_COLUMNS = ("t", "value", "expert_value", "regret", "ipm", "mean_bonus",
                "info_gain_cum", "objective")
@@ -73,8 +82,9 @@ class MobileConfig:
             raise ConfigurationError(f"bonus_mode {self.bonus_mode!r} is unknown")
         if self.lam_bonus < 0:
             raise ConfigurationError("lam_bonus must be >= 0")
-        if self.lam_ridge is not None and not self.lam_ridge > 0:
-            raise ConfigurationError("lam_ridge must be null or > 0")
+        if self.lam_ridge is not None and not 0 < self.lam_ridge < math.inf:
+            raise ConfigurationError(
+                "lam_ridge must be null or a finite number > 0")
         if not self.w_max > 0:
             raise ConfigurationError("w_max must be > 0")
         if self.buffer_capacity < 0:
@@ -87,6 +97,35 @@ class MobileConfig:
                 f"mmd_bandwidth must be 'auto' or a positive number: {bw!r}")
         if self.knr_eval_rollouts < 2:
             raise ConfigurationError("knr_eval_rollouts must be >= 2")
+
+
+def knr_ridge(noise_std: float, cfg: MobileConfig) -> float:
+    """The KNR ridge parameter: ``cfg.lam_ridge``, or, when that is None,
+    noise_std**2 / w_max**2.
+
+    Raises ConfigurationError, naming the config keys at fault, unless
+    w_max**2, which the confidence radius takes as well, is finite and the
+    ridge parameter is a finite number > 0.
+    """
+    try:
+        w_max_finite = math.isfinite(float(cfg.w_max) ** 2)
+    except OverflowError:
+        w_max_finite = False
+    if not w_max_finite:
+        raise ConfigurationError(
+            f"'mobile.w_max' {cfg.w_max!r} is too large: w_max**2 overflows")
+    if cfg.lam_ridge is not None:
+        return cfg.lam_ridge
+    try:
+        lam_ridge = noise_std**2 / cfg.w_max**2
+    except (ZeroDivisionError, OverflowError):
+        lam_ridge = math.nan
+    if not 0 < lam_ridge < math.inf:
+        raise ConfigurationError(
+            f"'mobile.lam_ridge' is null, and its default 'env.noise_std'**2 "
+            f"/ 'mobile.w_max'**2 = {noise_std!r}**2 / {cfg.w_max!r}**2 is "
+            "not a finite number > 0: set 'mobile.lam_ridge'")
+    return lam_ridge
 
 
 @dataclass
@@ -192,6 +231,14 @@ def run_mobile(env, expert_dataset: ExpertDataset, cfg: MobileConfig,
     omitted the tabular path uses the exact optimal value (the expert in
     every shipped experiment is the optimal policy), and a KNR run needs
     it given.
+
+    The value and IPM columns are evaluated in blocks of iterations, when
+    a block fills and at the last iteration. Nothing the loop reads depends
+    on them, so the block length changes no digit. A tabular block is
+    ``TABULAR_EVAL_BLOCK`` iterations: its mixtures take one exact value
+    pass and one occupancy pass over their distinct components. A KNR block
+    is one iteration, since ``value_eval_mc`` draws from ``rng`` before the
+    next rollout. Each block logs one DEBUG record.
     """
     if not isinstance(env, (TabularMdp, KnrSystem)):
         raise ConfigurationError(f"unsupported environment type: {type(env)!r}")
@@ -208,7 +255,7 @@ def run_mobile(env, expert_dataset: ExpertDataset, cfg: MobileConfig,
     else:
         family = _knr_family(env, expert_dataset, cfg, rng, expert_value)
     buffer = family.buffer
-    rows, info_tally = [], []
+    rows, info_tally, evaluated, pending = [], [], [], []
     for t in range(1, cfg.t_iters + 1):
         model = family.fit(buffer, t)
         if cfg.bonus_mode == "theory":
@@ -226,12 +273,15 @@ def run_mobile(env, expert_dataset: ExpertDataset, cfg: MobileConfig,
             num_actions=env.num_actions, rng=rng)
         traj = rollout(env, mixture, rng)
         info_gain_accumulate(info_tally, model, traj)
-        value, ipm = family.evaluate(model, mixture, traj)
-        rows.append((value, ipm,
-                     mean_bonus_on_path(bonus, traj.states, traj.actions),
+        pending.append((model, mixture, traj))
+        if len(pending) == family.block or t == cfg.t_iters:
+            evaluated += _evaluate_block(family, pending, t)
+            pending = []
+        rows.append((mean_bonus_on_path(bonus, traj.states, traj.actions),
                      objective))
         buffer.extend_trajectory(traj)
-    value, ipm, mean_bonus, objective = map(np.asarray, zip(*rows))
+    value, ipm = map(np.asarray, zip(*evaluated))
+    mean_bonus, objective = map(np.asarray, zip(*rows))
     record = RunRecord(
         t=np.arange(1, cfg.t_iters + 1), value=value,
         expert_value=float(family.expert_value),
@@ -242,15 +292,30 @@ def run_mobile(env, expert_dataset: ExpertDataset, cfg: MobileConfig,
     return mixture, record
 
 
+def _evaluate_block(family, pending: list, t: int) -> list:
+    """``family.evaluate(pending)``, the block of iterations that ends at t,
+    logged as one DEBUG record."""
+    start = time.perf_counter()
+    results = family.evaluate(pending)
+    if logger.isEnabledFor(logging.DEBUG):
+        distinct = {id(c) for _, mixture, _ in pending
+                    for c in mixture.distinct}
+        logger.debug("evaluated iterations %d-%d: %d distinct components "
+                     "in %.6f s", t - len(pending) + 1, t, len(distinct),
+                     time.perf_counter() - start)
+    return results
+
+
 @dataclass(frozen=True)
 class _Family:
     """The parts of the loop that depend on the model family.
 
     ``fit(buffer, t)`` fits the family's model, ``witness`` and ``expert``
     are the solver's witness class and expert argument, and
-    ``evaluate(model, mixture, trajectory)`` returns the iteration's value
-    and IPM.  The closures look the package functions up at call time, so
-    wrapping a module attribute of this module reaches every call.
+    ``evaluate(block)`` takes a block of at most ``block`` iterations'
+    (model, mixture, trajectory) and returns each one's value and IPM.
+    The closures look the package functions up at call time, so wrapping
+    a module attribute of this module reaches every call.
     """
 
     buffer: ReplayBuffer
@@ -258,6 +323,7 @@ class _Family:
     witness: object
     expert: object
     evaluate: Callable
+    block: int
     expert_value: float
     record_fields: dict
 
@@ -268,10 +334,12 @@ def _tabular_family(env, expert_dataset, cfg, expert_value) -> _Family:
                                           env.cost)
     d_e = expert_dataset.state_distribution(env.num_states)
 
-    def evaluate(model, mixture, traj):
-        value = value_eval_tabular(env, mixture, env.cost)
-        d_pi = occupancy_exact(env, mixture).average.sum(axis=1)
-        return value, tv_best_response(d_pi, d_e)
+    def evaluate(block):
+        mixtures = [mixture for _, mixture, _ in block]
+        values = value_eval_tabular(env, mixtures, env.cost)
+        occupancies = occupancy_exact(env, mixtures)
+        return [(value, tv_best_response(occ.average.sum(axis=1), d_e))
+                for value, occ in zip(values, occupancies)]
 
     return _Family(
         buffer=ReplayBuffer(capacity=cfg.buffer_capacity,
@@ -279,7 +347,7 @@ def _tabular_family(env, expert_dataset, cfg, expert_value) -> _Family:
                             num_actions=env.num_actions),
         fit=lambda buffer, t: fit_tabular(buffer, t=t, delta=cfg.delta),
         witness="box", expert=d_e, evaluate=evaluate,
-        expert_value=expert_value,
+        block=TABULAR_EVAL_BLOCK, expert_value=expert_value,
         record_fields=dict(kind="tabular", num_states=env.num_states,
                            num_actions=env.num_actions))
 
@@ -291,8 +359,7 @@ def _knr_family(env, expert_dataset, cfg, rng, expert_value) -> _Family:
     if not env.noise_std > 0:
         raise ConfigurationError(
             "knr runs need noise_std > 0: the confidence width divides by it")
-    lam_ridge = (env.noise_std**2 / cfg.w_max**2 if cfg.lam_ridge is None
-                 else cfg.lam_ridge)
+    lam_ridge = knr_ridge(env.noise_std, cfg)
     fmap, expert_feats = rff_featurize(expert_dataset.flat_view(),
                                        m=cfg.mmd_features,
                                        bandwidth=cfg.mmd_bandwidth, rng=rng)
@@ -305,20 +372,23 @@ def _knr_family(env, expert_dataset, cfg, rng, expert_value) -> _Family:
                              env.state_dim, lam_ridge, env.noise_std,
                              cfg.w_max, t=t, delta=cfg.delta)
 
-    def evaluate(model, mixture, traj):
+    def evaluate(block):
+        (model, mixture, traj), = block
         cov_snapshots.append(np.asarray(model.cov))
         executed_features.append(np.asarray(
             env.features(traj.states[:env.horizon], traj.actions)))
         value, _ = value_eval_mc(env, mixture, env.cost_of,
                                  n_rollouts=cfg.knr_eval_rollouts, rng=rng)
         traj_feats = fmap(np.asarray(traj.states[:env.horizon], dtype=float))
-        return value, float(np.linalg.norm(traj_feats.mean(axis=0) - mean_e))
+        return [(value, float(np.linalg.norm(traj_feats.mean(axis=0)
+                                             - mean_e)))]
 
     return _Family(
         buffer=ReplayBuffer(capacity=cfg.buffer_capacity), fit=fit,
         witness=MmdDiscriminator(feature_map=fmap,
                                  w=np.zeros(cfg.mmd_features)),
-        expert=mean_e, evaluate=evaluate, expert_value=expert_value,
+        expert=mean_e, evaluate=evaluate, block=1,
+        expert_value=expert_value,
         record_fields=dict(
             kind="knr", cov_snapshots=cov_snapshots,
             executed_features=executed_features,

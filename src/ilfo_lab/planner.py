@@ -14,6 +14,7 @@ value oracle for small tabular games.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 from typing import Callable
@@ -155,12 +156,20 @@ def solve_minmax(model: TabularModel | KnrModel, bonus, disc_class, expert,
         f"tabular solving needs disc_class 'box', got {disc_class!r}")
 
 
+@functools.lru_cache(maxsize=32)
+def _uniform_policy(horizon: int, num_states: int, num_actions: int) -> Policy:
+    """The uniform (H, S, A) policy that starts every box solve; a Policy is
+    frozen, so one object per shape serves every solve."""
+    return Policy.tabular(np.full((horizon, num_states, num_actions),
+                                  1.0 / num_actions))
+
+
 def _solve_fw_box(model, bonus, expert, cfg, horizon, init_state):
     s_dim, a_dim = model.num_states, model.num_actions
     view = _model_mdp(model, horizon, init_state)
     d_e = _expert_state_distribution(expert, s_dim)
     b_table = _bonus_table(bonus, s_dim, a_dim)
-    uniform = Policy.tabular(np.full((horizon, s_dim, a_dim), 1.0 / a_dim))
+    uniform = _uniform_policy(horizon, s_dim, a_dim)
     d_bar = occupancy_exact(view, uniform).average
     components = []
     # the best response and its occupancy are pure functions of the box

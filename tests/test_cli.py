@@ -381,6 +381,30 @@ class TestMain:
         assert "'env.noise_std'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("env, mobile, message", [
+        (', "noise_std": 1e-170', "", "'mobile.lam_ridge' is null, and its "
+         "default 'env.noise_std'**2 / 'mobile.w_max'**2 = 1e-170**2 / "
+         "2.0**2 is not a finite number > 0"),
+        ("", ', "w_max": 1e-170', "'mobile.lam_ridge' is null, and its "
+         "default 'env.noise_std'**2 / 'mobile.w_max'**2 = 0.05**2 / "
+         "1e-170**2 is not a finite number > 0"),
+        ("", ', "w_max": 1e300', "'mobile.w_max' 1e+300 is too large"),
+        ("", ', "lam_ridge": 1e309',
+         "mobile.lam_ridge must be null or a finite number > 0"),
+    ], ids=["noise_underflow", "w_max_tiny", "w_max_huge", "lam_ridge_inf"])
+    def test_bad_ridge_parameter_exits_two_and_writes_nothing(
+            self, tmp_path, capsys, env, mobile, message):
+        # the JSON text is written as is: 1e309 parses to inf
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            '{"subcommand": "mobile-knr", "env": {"kind": "knr_example"'
+            + env + '}, "mobile": {"t_iters": 2' + mobile + "}}")
+        out = tmp_path / "o"
+        assert main(["mobile-knr", "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("mobile, key", [
         ({"seed": 0}, "mobile.seed"),
         ({"f_class_size": 64}, "mobile.f_class_size"),
@@ -662,6 +686,14 @@ def test_round_trip_on_generated_configs(raw):
     if raw["subcommand"] == "mobile-knr" and raw["env"].get("noise_std",
                                                              1.0) == 0:
         with pytest.raises(ConfigurationError, match="'env.noise_std'"):
+            parse_config(json.dumps(raw))
+        return
+    mobile = raw.get("mobile", {})
+    if (raw["subcommand"] == "mobile-knr" and mobile.get("lam_ridge") is None
+            and raw["env"].get("noise_std", 0.05)**2
+            / mobile.get("w_max", 2.0)**2 == 0):
+        with pytest.raises(ConfigurationError,
+                           match="'mobile.lam_ridge' is null"):
             parse_config(json.dumps(raw))
         return
     if _search_cannot_run(raw):

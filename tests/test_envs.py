@@ -519,6 +519,54 @@ def test_distinct_evaluation_equals_one_row_per_component(
             mdp, ref, cost)
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), S=st.integers(1, 8),
+       A=st.integers(1, 6), H=st.integers(1, 13),
+       pool_size=st.integers(1, 6),
+       items=st.lists(st.lists(st.integers(0, 5), min_size=0, max_size=12),
+                      min_size=1, max_size=8),
+       signed=st.booleans())
+def test_sequence_forms_equal_per_item_calls(seed, S, A, H, pool_size, items,
+                                             signed):
+    # an empty pattern is the pool policy itself; any other is a mixture of
+    # pool policies, which repeat within and across the items
+    rng = np.random.default_rng(seed)
+    mdp = make_random_mdp(rng, S, A, H)
+    pool = [Policy.deterministic(rng.integers(0, A, size=(H, S)), A)
+            if rng.random() < 0.5
+            else Policy.tabular(rng.dirichlet(np.ones(A), size=(H, S)))
+            for _ in range(pool_size)]
+    seq = []
+    for i, pattern in enumerate(items):
+        if not pattern:
+            seq.append(pool[i % pool_size])
+        else:
+            seq.append(MixedPolicy(
+                components=tuple(pool[j % pool_size] for j in pattern),
+                weights=rng.dirichlet(np.ones(len(pattern)))))
+    cost = rng.uniform(-1.0, 1.0, size=(S, A)) if signed else mdp.cost
+    values = value_eval_tabular(mdp, seq, cost)
+    assert isinstance(values, np.ndarray) and values.shape == (len(seq),)
+    occupancies = occupancy_exact(mdp, tuple(seq))
+    assert isinstance(occupancies, list) and len(occupancies) == len(seq)
+    for item, value, occ in zip(seq, values, occupancies):
+        one = value_eval_tabular(mdp, item, cost)
+        assert type(one) is float
+        assert value.tobytes() == np.float64(one).tobytes()
+        assert np.array_equal(occ.per_step,
+                              occupancy_exact(mdp, item).per_step)
+
+
+def test_sequence_forms_reject_empty_and_foreign_items():
+    mdp = make_random_mdp(np.random.default_rng(0), 2, 2, 2)
+    ok = Policy.deterministic(np.zeros((2, 2), dtype=int), num_actions=2)
+    for seq in ([], [ok, np.zeros((2, 2))]):
+        with pytest.raises(ConfigurationError):
+            occupancy_exact(mdp, seq)
+        with pytest.raises(ConfigurationError):
+            value_eval_tabular(mdp, seq, mdp.cost)
+
+
 def test_mixture_components_must_match_environment():
     mdp = make_random_mdp(np.random.default_rng(0), 2, 2, 2)
     ok = Policy.deterministic(np.zeros((2, 2), dtype=int), num_actions=2)

@@ -1,11 +1,13 @@
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ilfo_lab import ConfigurationError, Policy, TabularMdp, rollout, value_eval_tabular
+from ilfo_lab import (ConfigurationError, Policy, TabularMdp, occupancy_exact,
+                      rollout, value_eval_tabular)
 from ilfo_lab import loop, models
 from ilfo_lab.envs import KnrSystem, value_eval_mc
 from ilfo_lab.expert import ExpertDataset, sample_expert_states, solve_optimal_tabular
@@ -21,7 +23,8 @@ from ilfo_lab.loop import (
     write_csv_rows,
 )
 from ilfo_lab.mab import REGRET_CSV_COLUMNS, write_regret_csv
-from ilfo_lab.planner import MinMaxConfig
+from ilfo_lab.discriminators import tv_best_response
+from ilfo_lab.planner import MinMaxConfig, solve_minmax
 from ilfo_lab.worlds import make_chain, make_combination_lock, make_knr_example
 from test_models import reference_ensemble_bonus, reference_fit_knr_ridge
 
@@ -285,6 +288,72 @@ class TestRunMobileTabular:
         assert traj.horizon == mdp.horizon
 
 
+B = loop.TABULAR_EVAL_BLOCK
+
+
+class TestBlockEvaluation:
+    """The value and IPM columns, evaluated a block of iterations at a time,
+    equal a per-iteration evaluation of each iteration's mixture."""
+
+    @staticmethod
+    def run(monkeypatch, t_iters, mode, capacity, block=B):
+        env = make_combination_lock()
+        _, data = expert_for(env, n=30)
+        cfg = MobileConfig(t_iters=t_iters, n_expert=30, bonus_mode=mode,
+                           buffer_capacity=capacity,
+                           minmax=MinMaxConfig(k_iters=2))
+        mixtures = []
+
+        def capture(*args, **kwargs):
+            mixture, objective = solve_minmax(*args, **kwargs)
+            mixtures.append(mixture)
+            return mixture, objective
+
+        with monkeypatch.context() as m:
+            m.setattr(loop, "solve_minmax", capture)
+            m.setattr(loop, "TABULAR_EVAL_BLOCK", block)
+            _, rec = run_mobile(env, data, cfg, np.random.default_rng(4))
+        return env, data, mixtures, rec
+
+    @pytest.mark.parametrize("t_iters", [1, B - 1, B, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize("mode, capacity", [
+        ("theory", 0), ("ensemble", 0), ("off", 0), ("theory", 40),
+        ("ensemble", 40)])
+    def test_record_equals_per_iteration_reference(self, monkeypatch,
+                                                   t_iters, mode, capacity):
+        env, data, mixtures, rec = self.run(monkeypatch, t_iters, mode,
+                                            capacity)
+        assert len(mixtures) == t_iters
+        d_e = data.state_distribution(env.num_states)
+        values = [value_eval_tabular(env, mix, env.cost) for mix in mixtures]
+        ipms = [tv_best_response(
+            occupancy_exact(env, mix).average.sum(axis=1), d_e)
+            for mix in mixtures]
+        assert rec.value.tobytes() == np.array(values).tobytes()
+        assert rec.ipm.tobytes() == np.array(ipms).tobytes()
+        # every column equals a run that evaluates each iteration alone
+        _, _, _, ref = self.run(monkeypatch, t_iters, mode, capacity,
+                                block=1)
+        for name in ("t", "value", "regret", "ipm", "mean_bonus",
+                     "info_gain_cum", "objective"):
+            assert getattr(rec, name).tobytes() == getattr(ref, name).tobytes()
+
+    def test_one_debug_record_per_block(self, monkeypatch, caplog):
+        t_iters = 2 * B + 3
+        with caplog.at_level(logging.DEBUG, logger="ilfo_lab"):
+            _, _, mixtures, _ = self.run(monkeypatch, t_iters, "theory", 0)
+        records = [r for r in caplog.records
+                   if r.name == "ilfo_lab.loop"
+                   and r.getMessage().startswith("evaluated iterations")]
+        spans = [tuple(r.args[:2]) for r in records]
+        assert spans == [(1, B), (B + 1, 2 * B), (2 * B + 1, t_iters)]
+        for r, (first, last) in zip(records, spans):
+            distinct = {id(c) for mix in mixtures[first - 1:last]
+                        for c in mix.distinct}
+            assert r.args[2] == len(distinct)
+            assert r.args[3] >= 0.0
+
+
 class TestRunMobileKnr:
     def _expert_data(self, system, rng, n=12):
         pol = Policy.open_loop([1] * system.horizon)
@@ -317,6 +386,40 @@ class TestRunMobileKnr:
         monkeypatch.setattr(loop, "fit_knr_model", fit)
         with pytest.raises(ConfigurationError, match="noise_std"):
             run_mobile(system, data, cfg, rng, expert_value=1.0)
+
+    @pytest.mark.parametrize("noise_std, settings, path", [
+        (1e-170, {}, "'mobile.lam_ridge' is null"),
+        (0.05, {"w_max": 1e-170}, "'mobile.lam_ridge' is null"),
+        (0.05, {"w_max": 1e300}, "'mobile.w_max'"),
+        (0.05, {"w_max": 1e300, "lam_ridge": 0.01}, "'mobile.w_max'"),
+    ], ids=["noise_underflow", "w_max_tiny", "w_max_huge",
+            "w_max_huge_explicit_ridge"])
+    def test_bad_ridge_parameter_rejected_before_the_first_iteration(
+            self, monkeypatch, noise_std, settings, path):
+        system = make_knr_example(noise_std=noise_std, horizon=3)
+        rng = np.random.default_rng(0)
+        data = self._expert_data(system, rng)
+        cfg = MobileConfig(t_iters=1, n_expert=12, mmd_features=16,
+                           knr_eval_rollouts=4,
+                           minmax=MinMaxConfig(k_iters=3), **settings)
+
+        def fit(*args, **kwargs):
+            raise AssertionError("the loop started an iteration")
+
+        monkeypatch.setattr(loop, "fit_knr_model", fit)
+        with pytest.raises(ConfigurationError, match=path):
+            run_mobile(system, data, cfg, rng, expert_value=1.0)
+
+    @pytest.mark.parametrize("lam_ridge", [np.inf, np.nan, 0.0, -1.0])
+    def test_ridge_parameter_must_be_finite_and_positive(self, lam_ridge):
+        with pytest.raises(ConfigurationError, match="lam_ridge"):
+            MobileConfig(lam_ridge=lam_ridge)
+
+    def test_derived_ridge_parameter_keeps_its_formula(self):
+        for noise_std, w_max in ((0.05, 2.0), (0.3, 0.7), (1, 3)):
+            cfg = MobileConfig(w_max=w_max)
+            assert loop.knr_ridge(noise_std, cfg) == noise_std**2 / w_max**2
+        assert loop.knr_ridge(1e-170, MobileConfig(lam_ridge=0.5)) == 0.5
 
     def test_rejects_expert_horizon_mismatch(self):
         system = make_knr_example(noise_std=0.05, horizon=3)
