@@ -10,6 +10,8 @@ All sampling goes through an explicit numpy Generator so runs are replayable.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence, Union
@@ -66,8 +68,15 @@ class TabularMdp:
             raise ConfigurationError("cost must be one value per state")
         if np.any(self.cost < 0) or np.any(self.cost > 1):
             raise ConfigurationError("costs must lie in [0, 1]")
-        if not (0 <= self.init_state < S):
+        try:
+            init_state = operator.index(self.init_state)
+        except TypeError:
+            raise ConfigurationError(
+                f"init_state {self.init_state!r} needs an integer index"
+            ) from None
+        if not 0 <= init_state < S:
             raise ConfigurationError("init_state out of range")
+        object.__setattr__(self, "init_state", init_state)
 
     @property
     def num_states(self) -> int:
@@ -113,8 +122,8 @@ class KnrSystem:
         object.__setattr__(self, "init_state", _frozen(np.asarray(self.init_state, dtype=float)))
         if self.weights.shape != (self.state_dim, self.feature_dim):
             raise ConfigurationError("weights must be (state_dim, feature_dim)")
-        if self.noise_std < 0:
-            raise ConfigurationError("noise_std must be >= 0")
+        if not 0 <= self.noise_std < math.inf:
+            raise ConfigurationError("noise_std must be a finite number >= 0")
         if self.init_state.shape != (self.state_dim,):
             raise ConfigurationError("init_state must be a state_dim vector")
         if self.horizon < 1 or self.num_actions < 1:

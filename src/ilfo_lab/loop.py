@@ -31,7 +31,8 @@ from .envs import (
 )
 from .expert import ExpertDataset, solve_optimal_tabular
 from .models import (
-    ReplayBuffer,
+    KnrBuffer,
+    TabularBuffer,
     bootstrap_buffers,
     ensemble_bonus,
     fit_knr_model,
@@ -80,8 +81,8 @@ class MobileConfig:
             raise ConfigurationError("delta must lie in (0, 1)")
         if self.bonus_mode not in ("theory", "ensemble", "off"):
             raise ConfigurationError(f"bonus_mode {self.bonus_mode!r} is unknown")
-        if self.lam_bonus < 0:
-            raise ConfigurationError("lam_bonus must be >= 0")
+        if not 0 <= self.lam_bonus < math.inf:
+            raise ConfigurationError("lam_bonus must be a finite number >= 0")
         if self.lam_ridge is not None and not 0 < self.lam_ridge < math.inf:
             raise ConfigurationError(
                 "lam_ridge must be null or a finite number > 0")
@@ -92,9 +93,10 @@ class MobileConfig:
         if self.mmd_features < 1:
             raise ConfigurationError("mmd_features must be >= 1")
         bw = self.mmd_bandwidth
-        if bw != "auto" and (isinstance(bw, (str, bool)) or not bw > 0):
+        if bw != "auto" and (isinstance(bw, (str, bool))
+                             or not 0 < bw < math.inf):
             raise ConfigurationError(
-                f"mmd_bandwidth must be 'auto' or a positive number: {bw!r}")
+                f"mmd_bandwidth must be 'auto' or a finite number > 0: {bw!r}")
         if self.knr_eval_rollouts < 2:
             raise ConfigurationError("knr_eval_rollouts must be >= 2")
 
@@ -318,7 +320,7 @@ class _Family:
     a module attribute of this module reaches every call.
     """
 
-    buffer: ReplayBuffer
+    buffer: TabularBuffer | KnrBuffer
     fit: Callable
     witness: object
     expert: object
@@ -342,9 +344,8 @@ def _tabular_family(env, expert_dataset, cfg, expert_value) -> _Family:
                 for value, occ in zip(values, occupancies)]
 
     return _Family(
-        buffer=ReplayBuffer(capacity=cfg.buffer_capacity,
-                            num_states=env.num_states,
-                            num_actions=env.num_actions),
+        buffer=TabularBuffer(env.num_states, env.num_actions,
+                             cfg.buffer_capacity),
         fit=lambda buffer, t: fit_tabular(buffer, t=t, delta=cfg.delta),
         witness="box", expert=d_e, evaluate=evaluate,
         block=TABULAR_EVAL_BLOCK, expert_value=expert_value,
@@ -368,9 +369,8 @@ def _knr_family(env, expert_dataset, cfg, rng, expert_value) -> _Family:
     cov_snapshots, executed_features = [], []
 
     def fit(buffer, t):
-        return fit_knr_model(buffer, env.features, env.feature_dim,
-                             env.state_dim, lam_ridge, env.noise_std,
-                             cfg.w_max, t=t, delta=cfg.delta)
+        return fit_knr_model(buffer, env.noise_std, cfg.w_max, t=t,
+                             delta=cfg.delta)
 
     def evaluate(block):
         (model, mixture, traj), = block
@@ -384,7 +384,8 @@ def _knr_family(env, expert_dataset, cfg, rng, expert_value) -> _Family:
                                              - mean_e)))]
 
     return _Family(
-        buffer=ReplayBuffer(capacity=cfg.buffer_capacity), fit=fit,
+        buffer=KnrBuffer(env.features, env.feature_dim, env.state_dim,
+                         lam_ridge, cfg.buffer_capacity), fit=fit,
         witness=MmdDiscriminator(feature_map=fmap,
                                  w=np.zeros(cfg.mmd_features)),
         expert=mean_e, evaluate=evaluate, block=1,

@@ -1,10 +1,12 @@
 """Calibrated dynamics models learned from replayed transitions.
 
-Two model families, one type each:
+Two model families, one replay buffer and one model type each:
 
-* ``TabularModel``, a count model with per-(s, a) confidence widths,
-* ``KnrModel``, a kernelized nonlinear regulator (KNR) ridge model with
-  elliptical confidence widths.
+* ``TabularBuffer`` and ``TabularModel``, visit counts and a count model
+  with per-(s, a) confidence widths,
+* ``KnrBuffer`` and ``KnrModel``, feature rows with their ridge sums and a
+  kernelized nonlinear regulator (KNR) ridge model with elliptical
+  confidence widths.
 
 Both report widths through ``sigma``, which caps at ``SIGMA_CAP`` so
 downstream bonuses stay bounded.
@@ -12,6 +14,8 @@ downstream bonuses stay bounded.
 
 from __future__ import annotations
 
+import itertools
+import math
 import operator
 from collections import deque
 from dataclasses import dataclass, field
@@ -28,80 +32,53 @@ Array = np.ndarray
 SIGMA_CAP = 2.0
 
 
-class ReplayBuffer:
-    """FIFO store of (h, s, a, s') transitions, pooled across h.
+class _Fifo:
+    """FIFO of transitions; ``capacity=0`` means unbounded."""
 
-    ``capacity=0`` means unbounded.  The buffer keeps the sufficient
-    statistics of its family's fit.  A tabular buffer (``num_states`` and
-    ``num_actions`` given) keeps exact visit counts, so tabular fits are
-    O(S A S) instead of O(len(buffer)).  A KNR buffer keeps each
-    transition's feature vector phi, computed once when the transition is
-    first folded, and the ridge sums ``lam I + sum phi phi^T`` and
-    ``sum s' phi^T`` (see ``ridge_sums``); the feature map must be a pure
-    function of (s, a).
-    """
-
-    def __init__(self, capacity: int = 0, num_states: int | None = None,
-                 num_actions: int | None = None):
+    def __init__(self, capacity: int):
         if capacity < 0:
             raise ConfigurationError("capacity must be >= 0")
-        if (num_states is None) != (num_actions is None):
-            raise ConfigurationError(
-                "num_states and num_actions must be given together")
         self.capacity = int(capacity)
-        self.num_states = num_states
-        self.num_actions = num_actions
         self._items: deque = deque()
-        if num_states is not None:
-            self._counts_sas = np.zeros(
-                (num_states, num_actions, num_states), dtype=np.int64)
-        else:
-            self._counts_sas = None
-            # phi of each item (None until computed) under _phi_map; the
-            # sums cover the first _folded items under _sums_key
-            self._phis: deque = deque()
-            self._phi_map = None
-            self._sums_key = None
-            self._cov = self._moment = None
-            self._folded = 0
-
-    @property
-    def tabular(self) -> bool:
-        return self._counts_sas is not None
 
     def __len__(self) -> int:
         return len(self._items)
 
-    def __iter__(self):
-        return iter(self._items)
+    def extend_trajectory(self, traj: Trajectory) -> None:
+        for h in range(traj.horizon):
+            self.append(traj.states[h], traj.actions[h], traj.states[h + 1])
 
-    def append(self, h: int, s, a: int, s_next) -> None:
-        if self.tabular:
-            s, a, s_next = self._indices(s, a, s_next)
-            self._counts_sas[s, a, s_next] += 1
-            self._items.append((h, s, a, s_next))
-            if self.capacity and len(self._items) > self.capacity:
-                _, s0, a0, n0 = self._items.popleft()
-                self._counts_sas[s0, a0, n0] -= 1
-            return
-        try:
-            a = operator.index(a)
-        except TypeError:
-            raise ConfigurationError(
-                f"KNR action {a!r} needs an integer index") from None
-        if a < 0:
-            raise ConfigurationError(f"KNR action {a} is negative")
-        self._items.append((h, s, a, s_next))
-        self._phis.append(None)
+    def _push(self, item):
+        """Append item; return the evicted oldest item, or None."""
+        self._items.append(item)
         if self.capacity and len(self._items) > self.capacity:
-            self._items.popleft()
-            self._phis.popleft()
-            # subtracting would move digits: the next fit refolds
-            self._sums_key = None
+            return self._items.popleft()
+        return None
 
-    def _indices(self, s, a, s_next) -> tuple[int, int, int]:
-        """(s, a, s') as Python ints, or ConfigurationError unless each
-        is an integer in range."""
+
+class TabularBuffer(_Fifo):
+    """FIFO of tabular (s, a, s') transitions, pooled across h.
+
+    Each transition is kept as its flat code (s A + a) S + s', next to the
+    visit counts, so tabular fits are O(S A S) instead of O(len(buffer)).
+    Iterating yields the (s, a, s') triples in FIFO order.
+    """
+
+    def __init__(self, num_states: int, num_actions: int, capacity: int = 0):
+        super().__init__(capacity)
+        self.num_states, self.num_actions = num_states, num_actions
+        self._counts = np.zeros(num_states * num_actions * num_states,
+                                dtype=np.int64)
+
+    def __iter__(self):
+        s_dim, a_dim = self.num_states, self.num_actions
+        for code in self._items:
+            sa, s_next = divmod(code, s_dim)
+            yield (*divmod(sa, a_dim), s_next)
+
+    def append(self, s, a, s_next) -> None:
+        """Count (s, a, s'), or raise ConfigurationError unless each is an
+        integer in range."""
         try:
             i, j, k = (operator.index(s), operator.index(a),
                        operator.index(s_next))
@@ -114,95 +91,105 @@ class ReplayBuffer:
             raise ConfigurationError(
                 f"tabular transition ({i}, {j}, {k}) out of range for "
                 f"S={s_dim}, A={a_dim}")
-        return i, j, k
-
-    def extend_trajectory(self, traj: Trajectory) -> None:
-        for h in range(traj.horizon):
-            self.append(h, traj.states[h], traj.actions[h], traj.states[h + 1])
+        code = (i * a_dim + j) * s_dim + k
+        self._counts[code] += 1
+        evicted = self._push(code)
+        if evicted is not None:
+            self._counts[evicted] -= 1
 
     @property
     def counts_sas(self) -> Array:
-        if not self.tabular:
-            raise ConfigurationError("counts require a tabular buffer")
-        return self._counts_sas.copy()
+        """Visit counts N(s, a, s') of the transitions held, a copy."""
+        s_dim, a_dim = self.num_states, self.num_actions
+        return self._counts.reshape(s_dim, a_dim, s_dim).copy()
 
-    def _use_feature_map(self, features: Callable) -> None:
-        """Drop the cached features and sums unless they came from this map."""
-        if self.tabular:
-            raise ConfigurationError("features require a KNR buffer")
-        if features != self._phi_map:
-            self._phi_map = features
-            self._phis = deque([None] * len(self._items))
-            self._sums_key = None
+    def take(self, idx: Array) -> TabularBuffer:
+        """The transitions at positions idx, in that order, as an unbounded
+        buffer; its counts are one bincount of their codes."""
+        codes = np.fromiter(self._items, dtype=np.int64,
+                            count=len(self._items))[idx]
+        out = TabularBuffer(self.num_states, self.num_actions)
+        out._items = deque(codes.tolist())
+        out._counts = np.bincount(codes, minlength=out._counts.size)
+        return out
 
-    def _phi(self, i: int, features: Callable) -> Array:
-        phi = self._phis[i]
-        if phi is None:
-            _, s, a, _ = self._items[i]
-            phi = self._phis[i] = np.asarray(features(s, a), dtype=float)
-        return phi
 
-    def feature_vectors(self, features: Callable) -> list[Array]:
-        """phi(s, a) of each transition in FIFO order, each computed once."""
-        self._use_feature_map(features)
-        return [self._phi(i, features) for i in range(len(self._items))]
+class KnrBuffer(_Fifo):
+    """FIFO of KNR (phi, s') rows, pooled across h, with the ridge sums.
 
-    def ridge_sums(self, features: Callable, feature_dim: int,
-                   state_dim: int, lam_ridge: float) -> tuple[Array, Array]:
+    phi = features(s, a) is taken once, when a transition is appended; the
+    feature map must be a pure function of (s, a).  The buffer keeps the
+    ridge sums ``lam I + sum phi phi^T`` and ``sum s' phi^T`` (see
+    ``ridge_sums``) of its rows.
+    """
+
+    def __init__(self, features: Callable, feature_dim: int, state_dim: int,
+                 lam_ridge: float, capacity: int = 0):
+        super().__init__(capacity)
+        if not 0 < lam_ridge < math.inf:
+            raise ConfigurationError(
+                "lam_ridge must be a finite number > 0")
+        self.features = features
+        self.feature_dim, self.state_dim = feature_dim, state_dim
+        self.lam_ridge = lam_ridge
+        # the sums cover the first _folded rows; 0 means start afresh
+        self._folded = 0
+        self._cov = self._moment = None
+
+    def append(self, s, a, s_next) -> None:
+        """Featurize (s, a) and keep (phi, s'), or raise ConfigurationError
+        unless a is an integer >= 0."""
+        try:
+            a = operator.index(a)
+        except TypeError:
+            raise ConfigurationError(
+                f"KNR action {a!r} needs an integer index") from None
+        if a < 0:
+            raise ConfigurationError(f"KNR action {a} is negative")
+        phi = np.asarray(self.features(s, a), dtype=float)
+        if self._push((phi, s_next)) is not None:
+            # subtracting would move digits: the next fit refolds
+            self._folded = 0
+
+    def feature_rows(self) -> Array:
+        """The (len, feature_dim) phi rows, in FIFO order."""
+        return np.reshape([phi for phi, _ in self._items],
+                          (-1, self.feature_dim))
+
+    def ridge_sums(self) -> tuple[Array, Array]:
         """(cov, moment) = (lam I + sum phi phi^T, sum s' phi^T), the
         buffer's own arrays, not to be written to.
 
-        Only the transitions appended since the last call are folded in,
-        in FIFO order, so every sum takes the float steps of a fold over
-        the whole buffer.  After an eviction, or with another feature map,
-        shape or lam, the sums are refolded from the cached features.
+        Only the rows appended since the last call are folded in, in FIFO
+        order, so every sum takes the float steps of a fold over the whole
+        buffer.  After an eviction the sums are refolded from every row.
         """
-        self._use_feature_map(features)
-        key = (feature_dim, state_dim, lam_ridge)
-        if key != self._sums_key:
-            self._sums_key = key
-            self._cov = lam_ridge * np.eye(feature_dim)
-            self._moment = np.zeros((state_dim, feature_dim))
-            self._folded = 0
-        for i in range(self._folded, len(self._items)):
-            phi = self._phi(i, features)
+        if self._folded == 0:
+            self._cov = self.lam_ridge * np.eye(self.feature_dim)
+            self._moment = np.zeros((self.state_dim, self.feature_dim))
+        for phi, s_next in itertools.islice(self._items, self._folded, None):
             self._cov += np.outer(phi, phi)
-            self._moment += np.outer(np.atleast_1d(self._items[i][3]), phi)
+            self._moment += np.outer(s_next, phi)
         self._folded = len(self._items)
         return self._cov, self._moment
 
+    def take(self, idx: Array) -> KnrBuffer:
+        """The rows at positions idx, in that order, as an unbounded buffer
+        on the same feature map; it makes no ``features`` call."""
+        rows = list(self._items)
+        out = KnrBuffer(self.features, self.feature_dim, self.state_dim,
+                        self.lam_ridge)
+        out._items = deque(rows[i] for i in idx.tolist())
+        return out
 
-def bootstrap_buffers(buffer: ReplayBuffer,
-                      rng: np.random.Generator) -> list[ReplayBuffer]:
-    """Resample two buffers of the same size with replacement.
 
-    A tabular half takes its counts from one bincount over the flat
-    (s A + a) S + s' codes of the transitions it drew.  A KNR half carries
-    the cached feature vectors of the transitions it drew.
-    """
-    items = list(buffer)
-    s_dim, a_dim = buffer.num_states, buffer.num_actions
-    codes = phis = None
-    if buffer.tabular:
-        codes = np.array([(s * a_dim + a) * s_dim + s_next
-                          for _, s, a, s_next in items], dtype=np.int64)
-    else:
-        phis = list(buffer._phis)
-    out = []
-    for _ in range(2):
-        fresh = ReplayBuffer(capacity=0, num_states=s_dim, num_actions=a_dim)
-        if items:
-            idx = rng.integers(0, len(items), size=len(items)).tolist()
-            fresh._items = deque([items[i] for i in idx])
-            if codes is not None:
-                fresh._counts_sas = np.bincount(
-                    codes[idx], minlength=s_dim * a_dim * s_dim
-                ).reshape(s_dim, a_dim, s_dim)
-            else:
-                fresh._phi_map = buffer._phi_map
-                fresh._phis = deque([phis[i] for i in idx])
-        out.append(fresh)
-    return out
+def bootstrap_buffers(buffer: TabularBuffer | KnrBuffer,
+                      rng: np.random.Generator) -> list:
+    """Two resamples of the buffer, each of its size, drawn with
+    replacement: one ``rng.integers`` draw per non-empty half."""
+    n = len(buffer)
+    return [buffer.take(rng.integers(0, n, size=n) if n else np.arange(0))
+            for _ in range(2)]
 
 
 def _check_index(t: int, delta: float) -> None:
@@ -295,13 +282,11 @@ class KnrModel:
         return np.matvec(self.w_hat, phi)
 
 
-def fit_tabular(buffer: ReplayBuffer, t: int, delta: float) -> TabularModel:
+def fit_tabular(buffer: TabularBuffer, t: int, delta: float) -> TabularModel:
     """Count-based model with width min{sqrt(S ln(t^2 S A / delta) / N), 2}.
 
     Unvisited (s, a) pairs fall back to the uniform row and the full cap.
     """
-    if not buffer.tabular:
-        raise ConfigurationError("fit_tabular needs a tabular buffer")
     _check_index(t, delta)
     counts = buffer.counts_sas
     s_dim, a_dim = counts.shape[0], counts.shape[1]
@@ -316,19 +301,14 @@ def fit_tabular(buffer: ReplayBuffer, t: int, delta: float) -> TabularModel:
     return TabularModel(t=t, delta=delta, p_hat=p_hat, sigma_table=sigma)
 
 
-def fit_knr_ridge(buffer: ReplayBuffer, features: Callable,
-                  feature_dim: int, state_dim: int,
-                  lam_ridge: float) -> tuple[Array, Array]:
+def fit_knr_ridge(buffer: KnrBuffer) -> tuple[Array, Array]:
     """Ridge regression of next states on features.
 
     Returns (w_hat, cov) with w_hat = (sum s' phi^T)(cov)^{-1} and
     cov = sum phi phi^T + lam I, both the buffer's running sums.  An
     empty buffer yields w_hat = 0.
     """
-    if lam_ridge <= 0:
-        raise ConfigurationError("lam_ridge must be positive")
-    cov, moment = buffer.ridge_sums(features, feature_dim, state_dim,
-                                    lam_ridge)
+    cov, moment = buffer.ridge_sums()
     w_hat = np.linalg.solve(cov, moment.T).T
     return w_hat, cov.copy()
 
@@ -350,16 +330,15 @@ def knr_beta(t: int, delta: float, lam_ridge: float, noise_std: float,
     return float(np.sqrt(val))
 
 
-def fit_knr_model(buffer: ReplayBuffer, features: Callable,
-                  feature_dim: int, state_dim: int, lam_ridge: float,
-                  noise_std: float, w_max: float, t: int,
-                  delta: float) -> KnrModel:
-    w_hat, cov = fit_knr_ridge(buffer, features, feature_dim, state_dim,
-                               lam_ridge)
-    beta = knr_beta(t, delta, lam_ridge, noise_std, w_max, state_dim, cov)
-    return KnrModel(t=t, delta=delta, w_hat=w_hat, cov=cov,
-                    lam_ridge=lam_ridge, noise_std=noise_std, w_max=w_max,
-                    beta=beta, features=features)
+def fit_knr_model(buffer: KnrBuffer, noise_std: float, w_max: float,
+                  t: int, delta: float) -> KnrModel:
+    """The ridge model of the buffer, on its feature map and lam."""
+    w_hat, cov = fit_knr_ridge(buffer)
+    lam = buffer.lam_ridge
+    beta = knr_beta(t, delta, lam, noise_std, w_max, buffer.state_dim, cov)
+    return KnrModel(t=t, delta=delta, w_hat=w_hat, cov=cov, lam_ridge=lam,
+                    noise_std=noise_std, w_max=w_max, beta=beta,
+                    features=buffer.features)
 
 
 def knr_uncertainty(model: KnrModel, s, a):
@@ -418,18 +397,19 @@ def theory_bonus(model: TabularModel | KnrModel,
 
 def ensemble_bonus(model_a: TabularModel | KnrModel,
                    model_b: TabularModel | KnrModel,
-                   buffer: ReplayBuffer, lam_bonus: float) -> BonusFunction:
+                   buffer: TabularBuffer | KnrBuffer,
+                   lam_bonus: float) -> BonusFunction:
     """Disagreement bonus b = lam * min{1, delta(s,a) / delta_max}.
 
     delta(s, a) is the L2 gap between the two models' mean predictions
     and delta_max its maximum over the buffer.  An all-zero disagreement
     over the buffer gives the zero bonus.  Two tabular models take one gap
     per (s, a), and the maximum over the pairs the buffer counts.  Two KNR
-    models share one feature map, and take the maximum over the buffer's
-    cached feature vectors.
+    models share the buffer's feature map, and take the maximum over its
+    feature rows.
     """
-    if lam_bonus < 0:
-        raise ConfigurationError("lam_bonus must be >= 0")
+    if not 0 <= lam_bonus < math.inf:
+        raise ConfigurationError("lam_bonus must be a finite number >= 0")
 
     def norms(diff):   # row by row as np.linalg.norm
         return np.sqrt(np.vecdot(diff, diff))
@@ -445,17 +425,16 @@ def ensemble_bonus(model_a: TabularModel | KnrModel,
             table = lam_bonus * np.minimum(1.0, gaps / delta_max)
         return BonusFunction(upper=lam_bonus, table=table)
 
-    if model_a.features != model_b.features:
-        raise ConfigurationError("the two KNR models need one feature map")
+    if not model_a.features == model_b.features == buffer.features:
+        raise ConfigurationError(
+            "the two KNR models and the buffer need one feature map")
 
     w_a, w_b = model_a.w_hat, model_b.w_hat
 
     def gap(phi):   # the mean predictions' gap, on features taken once
         return norms(np.matvec(w_a, phi) - np.matvec(w_b, phi))
 
-    cached = np.reshape(buffer.feature_vectors(model_a.features),
-                        (-1, w_a.shape[1]))
-    delta_max = float(gap(cached).max(initial=0.0))
+    delta_max = float(gap(buffer.feature_rows()).max(initial=0.0))
     if delta_max == 0.0:
         fn = lambda s, a: np.zeros(np.shape(a))[()]
     else:

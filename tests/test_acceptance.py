@@ -28,8 +28,8 @@ from ilfo_lab.expert import (sample_expert_states, solve_openloop_knr,
 from ilfo_lab.loop import MobileConfig, regret_summary, run_mobile
 from ilfo_lab.mab import (ALGORITHMS, MabInstance, cumulative_regret_curve,
                           fit_loglog_slope, make_hard_family, run_bandits)
-from ilfo_lab.models import (ReplayBuffer, TabularModel, fit_knr_ridge,
-                             fit_tabular, knr_beta)
+from ilfo_lab.models import (KnrBuffer, TabularBuffer, TabularModel,
+                             fit_knr_ridge, fit_tabular, knr_beta)
 from ilfo_lab.planner import MinMaxConfig, game_value_lp, solve_minmax
 from ilfo_lab.verify import (check_concentration, check_elliptical_potential,
                              check_gaussian_tv, check_optimism,
@@ -165,12 +165,12 @@ def test_c04_calibration_coverage():
         s_dim = int(rng.integers(2, 7))
         a_dim = int(rng.integers(2, 5))
         mdp = make_random_mdp(rng, s_dim, a_dim, horizon=5)
-        buf = ReplayBuffer(num_states=s_dim, num_actions=a_dim)
+        buf = TabularBuffer(s_dim, a_dim)
         for _ in range(int(rng.integers(20, 201))):
             s = int(rng.integers(0, s_dim))
             a = int(rng.integers(0, a_dim))
             s_next = int(rng.choice(s_dim, p=mdp.transitions[s, a]))
-            buf.append(0, s, a, s_next)
+            buf.append(s, a, s_next)
         model = fit_tabular(buf, t=1, delta=0.1)
         s = int(rng.integers(0, s_dim))
         a = int(rng.integers(0, a_dim))
@@ -259,14 +259,14 @@ def test_c08_knr_machinery():
     lam = sigma**2 / w_max**2
     quiet = make_knr_example(noise_std=sigma)
     rng = np.random.default_rng(7)
-    buf = ReplayBuffer()
+    buf = KnrBuffer(quiet.features, 4, 2, lam)
     for _ in range(2000):
         s = rng.uniform(-1, 1, size=2)
         a = int(rng.integers(0, 2))
         s_next = (quiet.weights @ quiet.features(s, a)
                   + sigma * rng.standard_normal(2))
-        buf.append(0, s, a, s_next)
-    w_hat, cov = fit_knr_ridge(buf, quiet.features, 4, 2, lam)
+        buf.append(s, a, s_next)
+    w_hat, cov = fit_knr_ridge(buf)
     frob = float(np.linalg.norm(w_hat - quiet.weights))
     assert frob <= 0.05, frob
     beta = knr_beta(2000, 0.05, lam, sigma, w_max, 2, cov)

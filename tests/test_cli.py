@@ -405,6 +405,35 @@ class TestMain:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("subcommand, env, mobile, message", [
+        ("mobile-tabular", "", '"bonus_mode": "ensemble", "lam_bonus": NaN',
+         "mobile.lam_bonus must be a finite number >= 0"),
+        ("mobile-knr", "", '"bonus_mode": "ensemble", "lam_bonus": Infinity',
+         "mobile.lam_bonus must be a finite number >= 0"),
+        ("mobile-knr", ', "noise_std": Infinity', '"lam_ridge": 0.01',
+         "env.noise_std must be a finite number >= 0"),
+        ("mobile-knr", ', "noise_std": NaN', '"lam_ridge": 0.01',
+         "env.noise_std must be a finite number >= 0"),
+        ("mobile-knr", "", '"mmd_bandwidth": Infinity',
+         "mobile.mmd_bandwidth must be 'auto' or a finite number > 0: inf"),
+        ("mobile-knr", "", '"mmd_bandwidth": NaN',
+         "mobile.mmd_bandwidth must be 'auto' or a finite number > 0: nan"),
+    ], ids=["lam_bonus_nan", "lam_bonus_inf", "noise_std_inf",
+            "noise_std_nan", "mmd_bandwidth_inf", "mmd_bandwidth_nan"])
+    def test_non_finite_number_exits_two_and_writes_nothing(
+            self, tmp_path, capsys, subcommand, env, mobile, message):
+        # Python's json reads NaN and Infinity; the text is written as is
+        kind = "knr_example" if subcommand == "mobile-knr" else "chain"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            '{"subcommand": "' + subcommand + '", "env": {"kind": "' + kind
+            + '"' + env + '}, "mobile": {"t_iters": 2, ' + mobile + "}}")
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("mobile, key", [
         ({"seed": 0}, "mobile.seed"),
         ({"f_class_size": 64}, "mobile.f_class_size"),

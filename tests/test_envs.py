@@ -48,6 +48,20 @@ def test_cost_range_and_init_state_validated():
         TabularMdp(horizon=1, transitions=P, cost=np.array([0.5]), init_state=3)
 
 
+@pytest.mark.parametrize("init_state", [1.5, 1.0, "1", None, np.array([1])],
+                         ids=["fractional", "float", "string", "none",
+                              "array"])
+def test_init_state_must_be_an_integer_index(init_state):
+    # 1.5 would start a rollout in state 1 and fail occupancy_exact
+    P = np.full((3, 1, 3), 1 / 3)
+    with pytest.raises(ConfigurationError, match="integer index"):
+        TabularMdp(horizon=2, transitions=P, cost=np.zeros(3),
+                   init_state=init_state)
+    mdp = TabularMdp(horizon=2, transitions=P, cost=np.zeros(3),
+                     init_state=np.int64(1))
+    assert type(mdp.init_state) is int and mdp.init_state == 1
+
+
 @pytest.mark.parametrize("build, name", [
     (lambda: make_chain(num_states=1), "num_states"),
     (lambda: make_chain(slip=1.5), "slip"),

@@ -26,7 +26,8 @@ from ilfo_lab.mab import REGRET_CSV_COLUMNS, write_regret_csv
 from ilfo_lab.discriminators import tv_best_response
 from ilfo_lab.planner import MinMaxConfig, solve_minmax
 from ilfo_lab.worlds import make_chain, make_combination_lock, make_knr_example
-from test_models import reference_ensemble_bonus, reference_fit_knr_ridge
+from test_models import (ReferenceKnrBuffer, reference_ensemble_bonus,
+                         reference_fit_knr_ridge)
 
 # frozen from notes/oracles/model_oracle.py
 ENVELOPE_H5_I40_T100 = 212.13203435596424
@@ -526,8 +527,9 @@ class TestTracedFitCalls:
 
 
 class TestKnrRidgeSums:
-    """A KNR run on the buffer's running ridge sums against the full refit
-    and the per-item ensemble gap kept in test_models."""
+    """A KNR run on the buffer's feature rows and running ridge sums
+    against the slow path kept in test_models: raw transitions, the full
+    refit, per-append halves and the per-item ensemble gap."""
 
     H, T = 3, 10
 
@@ -548,6 +550,7 @@ class TestKnrRidgeSums:
         ("theory", 0), ("ensemble", 0), ("theory", 5), ("ensemble", 7)])
     def test_record_matches_full_refit(self, monkeypatch, mode, capacity):
         fast = self.knr_run(mode, capacity)
+        monkeypatch.setattr(loop, "KnrBuffer", ReferenceKnrBuffer)
         monkeypatch.setattr(models, "fit_knr_ridge", reference_fit_knr_ridge)
         monkeypatch.setattr(loop, "ensemble_bonus", reference_ensemble_bonus)
         slow = self.knr_run(mode, capacity)
@@ -560,13 +563,15 @@ class TestKnrRidgeSums:
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def counted_run(self, monkeypatch, mode, capacity):
-        """Features calls inside the fit, and per fit the folds since the
-        previous fit and the buffer's length."""
+        """Features calls inside fits and inside the buffer's episode
+        appends, and per fit the folds since the previous fit and the
+        buffer's length."""
         base = make_knr_example(noise_std=0.05, horizon=self.H)
-        calls, in_fit, folds, lengths = [0], [False], [0], []
+        calls, phase, folds, lengths = {"fit": 0, "append": 0}, [None], [0], []
 
         def features(s, a):
-            calls[0] += in_fit[0]
+            if phase[0] in calls:
+                calls[phase[0]] += 1
             return base.features(s, a)
 
         class CountingNumpy:
@@ -577,31 +582,37 @@ class TestKnrRidgeSums:
                 folds[-1] += 0.5    # a fold is two outer products
                 return np.outer(x, y)
 
-        real = models.fit_knr_ridge
-
-        def fit(buffer, *args):
-            in_fit[0] = True
-            try:
-                return real(buffer, *args)
-            finally:
-                in_fit[0] = False
-                lengths.append(len(buffer))
-                folds.append(0)
+        def within(name, fn):
+            def wrapped(buffer, *args):
+                phase[0] = name
+                try:
+                    return fn(buffer, *args)
+                finally:
+                    phase[0] = None
+                    if name == "fit":
+                        lengths.append(len(buffer))
+                        folds.append(0)
+            return wrapped
 
         monkeypatch.setattr(models, "np", CountingNumpy())
-        monkeypatch.setattr(models, "fit_knr_ridge", fit)
+        monkeypatch.setattr(models, "fit_knr_ridge",
+                            within("fit", models.fit_knr_ridge))
+        monkeypatch.setattr(models.KnrBuffer, "extend_trajectory",
+                            within("append",
+                                   models.KnrBuffer.extend_trajectory))
         self.knr_run(mode, capacity,
                      dataclasses.replace(base, features=features))
-        return calls[0], folds[:-1], lengths
+        return calls, folds[:-1], lengths
 
     @pytest.mark.parametrize("mode, capacity", [
         ("theory", 0), ("ensemble", 0), ("theory", 5)])
     def test_fit_features_each_transition_once(self, monkeypatch, mode,
                                                capacity):
-        # the last episode lands after the last fit; a full refit on every
-        # fit would take H T (T - 1) / 2 calls
+        # each executed transition is featurized once, when its episode is
+        # appended (the last one after the last fit), and never in a fit;
+        # a full refit on every fit would take H T (T - 1) / 2 calls
         calls, _, _ = self.counted_run(monkeypatch, mode, capacity)
-        assert calls == (self.T - 1) * self.H
+        assert calls == {"fit": 0, "append": self.T * self.H}
 
     @pytest.mark.parametrize("capacity", [0, 5])
     def test_at_most_one_refold_per_fit(self, monkeypatch, capacity):

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 from ilfo_lab import ConfigurationError, Policy, rollout
 from ilfo_lab.models import (
     BonusFunction,
+    KnrBuffer,
     KnrModel,
-    ReplayBuffer,
     SIGMA_CAP,
+    TabularBuffer,
     bootstrap_buffers,
     ensemble_bonus,
     fit_knr_model,
@@ -28,7 +29,7 @@ UNC_EMPTY = 32.9025367747822
 
 
 def filled_buffer(rng, mdp, n_episodes=20):
-    buf = ReplayBuffer(num_states=mdp.num_states, num_actions=mdp.num_actions)
+    buf = TabularBuffer(mdp.num_states, mdp.num_actions)
     pol = make_random_policy(rng, mdp.num_states, mdp.num_actions, mdp.horizon)
     for _ in range(n_episodes):
         buf.extend_trajectory(rollout(mdp, pol, rng))
@@ -37,44 +38,48 @@ def filled_buffer(rng, mdp, n_episodes=20):
 
 class TestReplayBuffer:
     def test_counts_track_appends(self):
-        buf = ReplayBuffer(num_states=3, num_actions=2)
-        buf.append(0, 1, 0, 2)
-        buf.append(1, 1, 0, 2)
-        buf.append(0, 1, 0, 0)
+        buf = TabularBuffer(3, 2)
+        buf.append(1, 0, 2)
+        buf.append(1, 0, 2)
+        buf.append(1, 0, 0)
         assert buf.counts_sas[1, 0].sum() == 3
         assert buf.counts_sas[1, 0, 2] == 2
         assert buf.counts_sas[1, 0, 0] == 1
         assert len(buf) == 3
 
     def test_fifo_eviction_updates_counts(self):
-        buf = ReplayBuffer(capacity=2, num_states=2, num_actions=1)
-        buf.append(0, 0, 0, 1)
-        buf.append(0, 1, 0, 1)
-        buf.append(0, 1, 0, 0)  # evicts the first triple
+        buf = TabularBuffer(2, 1, capacity=2)
+        buf.append(0, 0, 1)
+        buf.append(1, 0, 1)
+        buf.append(1, 0, 0)  # evicts the first triple
         assert len(buf) == 2
         np.testing.assert_array_equal(buf.counts_sas[:, 0].sum(axis=1), [0, 2])
 
     def test_capacity_zero_is_unbounded(self):
-        buf = ReplayBuffer(num_states=2, num_actions=1)
+        buf = TabularBuffer(2, 1)
         for _ in range(1000):
-            buf.append(0, 0, 0, 1)
+            buf.append(0, 0, 1)
         assert len(buf) == 1000
 
     def test_non_tabular_buffer_rejects_counts(self):
-        buf = ReplayBuffer()
-        buf.append(0, np.zeros(2), 1, np.ones(2))
-        with pytest.raises(ConfigurationError):
+        # a KNR buffer keeps feature rows and has no counts to read
+        buf = KnrBuffer(make_knr_example().features, 4, 2, 0.3)
+        buf.append(np.zeros(2), 1, np.ones(2))
+        with pytest.raises(AttributeError):
             buf.counts_sas
 
     @pytest.mark.parametrize("a", [1.7, -1, "1"],
                              ids=["fractional", "negative", "string"])
     def test_knr_append_rejects_bad_action(self, a):
         # 1.7 would light one-hot slot 1, -1 the last slot
-        buf = ReplayBuffer(capacity=1)
-        buf.append(0, np.zeros(2), 1, np.ones(2))
+        sys_ = make_knr_example()
+        buf = KnrBuffer(sys_.features, 4, 2, 0.3, capacity=1)
+        buf.append(np.zeros(2), 1, np.ones(2))
         with pytest.raises(ConfigurationError):
-            buf.append(1, np.zeros(2), a, np.ones(2))
-        assert len(buf) == 1 and list(buf)[0][2] == 1
+            buf.append(np.zeros(2), a, np.ones(2))
+        assert len(buf) == 1
+        np.testing.assert_array_equal(buf.feature_rows(),
+                                      [sys_.features(np.zeros(2), 1)])
 
     @pytest.mark.parametrize("s, a, s_next", [
         (-1, 0, 1),     # would be counted as state S-1
@@ -85,42 +90,43 @@ class TestReplayBuffer:
             "next_state_equal_to_S", "action_equal_to_A"])
     def test_tabular_append_rejects_bad_index(self, s, a, s_next):
         # a full FIFO buffer, so an eviction before the check would show
-        buf = ReplayBuffer(capacity=2, num_states=3, num_actions=2)
-        buf.append(0, 1, 1, 2)
-        buf.append(1, 2, 0, 0)
+        buf = TabularBuffer(3, 2, capacity=2)
+        buf.append(1, 1, 2)
+        buf.append(2, 0, 0)
         before = buf.counts_sas
         with pytest.raises(ConfigurationError):
-            buf.append(2, s, a, s_next)
-        assert list(buf) == [(0, 1, 1, 2), (1, 2, 0, 0)]
+            buf.append(s, a, s_next)
+        assert list(buf) == [(1, 1, 2), (2, 0, 0)]
         np.testing.assert_array_equal(buf.counts_sas, before)
 
     def test_bootstrap_preserves_size_and_dims(self):
         rng = np.random.default_rng(0)
-        buf = ReplayBuffer(num_states=3, num_actions=2)
+        buf = TabularBuffer(3, 2)
         for i in range(30):
-            buf.append(0, i % 3, i % 2, (i + 1) % 3)
+            buf.append(i % 3, i % 2, (i + 1) % 3)
         pair = bootstrap_buffers(buf, rng)
         assert len(pair) == 2
         for b in pair:
             assert len(b) == 30
-            assert b.tabular
+            assert isinstance(b, TabularBuffer)
+            assert (b.num_states, b.num_actions) == (3, 2)
         # resamples should differ from each other almost surely
         assert list(pair[0]) != list(pair[1])
 
 
 class TestFitTabular:
     def test_unvisited_rows_are_uniform_with_max_width(self):
-        buf = ReplayBuffer(num_states=4, num_actions=2)
-        buf.append(0, 0, 0, 1)
+        buf = TabularBuffer(4, 2)
+        buf.append(0, 0, 1)
         model = fit_tabular(buf, t=1, delta=0.1)
         np.testing.assert_allclose(model.p_hat[2, 1], 0.25)
         assert model.sigma(2, 1) == SIGMA_CAP
         np.testing.assert_allclose(model.p_hat[0, 0], [0, 1, 0, 0])
 
     def test_width_formula_frozen_value(self):
-        buf = ReplayBuffer(num_states=2, num_actions=1)
+        buf = TabularBuffer(2, 1)
         for i in range(50):
-            buf.append(0, 0, 0, i % 2)
+            buf.append(0, 0, i % 2)
         model = fit_tabular(buf, t=3, delta=0.1)
         assert model.sigma(0, 0) == pytest.approx(SIGMA_S2_N50, abs=1e-12)
 
@@ -141,14 +147,14 @@ class TestFitTabular:
     def test_width_shrinks_with_more_data(self):
         widths = []
         for n in (10, 40, 160):
-            buf = ReplayBuffer(num_states=2, num_actions=1)
+            buf = TabularBuffer(2, 1)
             for i in range(n):
-                buf.append(0, 0, 0, i % 2)
+                buf.append(0, 0, i % 2)
             widths.append(fit_tabular(buf, t=5, delta=0.1).sigma(0, 0))
         assert widths[0] > widths[1] > widths[2]
 
     def test_t_zero_rejected(self):
-        buf = ReplayBuffer(num_states=2, num_actions=1)
+        buf = TabularBuffer(2, 1)
         with pytest.raises(ConfigurationError):
             fit_tabular(buf, t=0, delta=0.1)
 
@@ -174,46 +180,45 @@ class TestFitTabular:
 class TestKnrRidge:
     def test_empty_buffer_gives_zero_weights(self):
         sys_ = make_knr_example()
-        buf = ReplayBuffer()
-        w, cov = fit_knr_ridge(buf, sys_.features, feature_dim=4,
-                               state_dim=2, lam_ridge=0.5)
+        buf = KnrBuffer(sys_.features, feature_dim=4, state_dim=2,
+                        lam_ridge=0.5)
+        w, cov = fit_knr_ridge(buf)
         np.testing.assert_allclose(w, 0.0)
         np.testing.assert_allclose(cov, 0.5 * np.eye(4))
 
     def test_noise_free_interpolation(self):
         sys_ = make_knr_example(noise_std=0.0)
         rng = np.random.default_rng(5)
-        buf = ReplayBuffer()
+        buf = KnrBuffer(sys_.features, feature_dim=4, state_dim=2,
+                        lam_ridge=1e-12)
         s = np.zeros(2)
-        for h in range(200):
+        for _ in range(200):
             a = int(rng.integers(sys_.num_actions))
             s_next = sys_.step_mean(s, a)
-            buf.append(h % sys_.horizon, s, a, s_next)
+            buf.append(s, a, s_next)
             s = s_next if rng.random() > 0.3 else rng.normal(size=2) * 0.5
-        w, _ = fit_knr_ridge(buf, sys_.features, feature_dim=4,
-                             state_dim=2, lam_ridge=1e-12)
+        w, _ = fit_knr_ridge(buf)
         np.testing.assert_allclose(w, sys_.weights, atol=1e-6)
 
     def test_rank_one_update_identity(self):
         sys_ = make_knr_example()
         rng = np.random.default_rng(7)
-        buf = ReplayBuffer()
+        buf = KnrBuffer(sys_.features, 4, 2, 0.3)
         states = [rng.normal(size=2) * 0.4 for _ in range(6)]
         for i, s in enumerate(states[:-1]):
-            buf.append(0, s, i % 2, states[i + 1])
-        _, cov_before = fit_knr_ridge(buf, sys_.features, 4, 2, 0.3)
+            buf.append(s, i % 2, states[i + 1])
+        _, cov_before = fit_knr_ridge(buf)
         phi = sys_.features(states[-1], 1)
-        buf.append(0, states[-1], 1, np.zeros(2))
-        _, cov_after = fit_knr_ridge(buf, sys_.features, 4, 2, 0.3)
+        buf.append(states[-1], 1, np.zeros(2))
+        _, cov_after = fit_knr_ridge(buf)
         np.testing.assert_allclose(cov_after, cov_before + np.outer(phi, phi),
                                    atol=1e-12)
 
     def test_empty_model_uncertainty_closed_form(self):
         sys_ = make_knr_example(noise_std=0.1)
-        buf = ReplayBuffer()
-        model = fit_knr_model(buf, sys_.features, feature_dim=4, state_dim=2,
-                              lam_ridge=0.3, noise_std=0.1, w_max=2.0,
-                              t=1, delta=0.05)
+        buf = KnrBuffer(sys_.features, feature_dim=4, state_dim=2,
+                        lam_ridge=0.3)
+        model = fit_knr_model(buf, noise_std=0.1, w_max=2.0, t=1, delta=0.05)
         assert model.beta == pytest.approx(BETA_EMPTY, abs=1e-12)
         # feature with unit norm: phi = features(0, a) has |phi| = 1/sqrt(2)
         phi = sys_.features(np.zeros(2), 0)
@@ -224,25 +229,23 @@ class TestKnrRidge:
     def test_unit_feature_uncertainty_frozen_value(self):
         # direct check on a handmade unit feature map
         feats = lambda s, a: np.array([1.0, 0.0])
-        buf = ReplayBuffer()
-        model = fit_knr_model(buf, feats, feature_dim=2, state_dim=2,
-                              lam_ridge=0.3, noise_std=0.1, w_max=2.0,
-                              t=1, delta=0.05)
+        buf = KnrBuffer(feats, feature_dim=2, state_dim=2, lam_ridge=0.3)
+        model = fit_knr_model(buf, noise_std=0.1, w_max=2.0, t=1, delta=0.05)
         assert knr_uncertainty(model, None, 0) == pytest.approx(
             UNC_EMPTY, rel=1e-10)
 
     def test_uncertainty_monotone_in_data(self):
         sys_ = make_knr_example(noise_std=0.05)
         rng = np.random.default_rng(13)
-        buf = ReplayBuffer()
+        buf = KnrBuffer(sys_.features, 4, 2, 0.3)
         probe = (np.array([0.2, -0.1]), 1)
         prev = None
         for round_ in range(1, 6):
             for _ in range(10):
                 s = rng.normal(size=2) * 0.5
                 a = int(rng.integers(2))
-                buf.append(0, s, a, sys_.step_mean(s, a))
-            w, cov = fit_knr_ridge(buf, sys_.features, 4, 2, 0.3)
+                buf.append(s, a, sys_.step_mean(s, a))
+            w, cov = fit_knr_ridge(buf)
             phi = sys_.features(*probe)
             quad = float(phi @ np.linalg.solve(cov, phi))
             if prev is not None:
@@ -307,7 +310,7 @@ class TestBonuses:
         m_b = fit_tabular(pair[1], t=1, delta=0.1)
         lam = 0.7
         b = ensemble_bonus(m_a, m_b, buf, lam_bonus=lam)
-        buffer_vals = [b(s, a) for _, s, a, _ in buf]
+        buffer_vals = [b(s, a) for s, a, _ in buf]
         assert max(buffer_vals) == pytest.approx(lam, abs=1e-12)
         all_vals = [b(s, a) for s in range(4) for a in range(2)]
         assert all(0 <= v <= lam + 1e-12 for v in all_vals)
@@ -320,7 +323,7 @@ class TestBonuses:
                            sigma_table=np.zeros((2, 1)))
         m_b = TabularModel(t=1, delta=0.1, p_hat=q,
                            sigma_table=np.zeros((2, 1)))
-        buf = ReplayBuffer(num_states=2, num_actions=1)
+        buf = TabularBuffer(2, 1)
         b = ensemble_bonus(m_a, m_b, buf, lam_bonus=1.0)
         assert b(0, 0) == 0.0
 
@@ -333,27 +336,29 @@ class TestBonuses:
         m_a, m_b = (TabularModel(t=1, delta=0.1, p_hat=p,
                                  sigma_table=np.zeros((3, 1)))
                     for p in (p_a, p_b))
-        buf = ReplayBuffer(capacity=2, num_states=3, num_actions=1)
-        for h, s in enumerate((0, 1, 2)):
-            buf.append(h, s, 0, 1)
+        buf = TabularBuffer(3, 1, capacity=2)
+        for s in (0, 1, 2):
+            buf.append(s, 0, 1)
         assert buf.counts_sas[0, 0].sum() == 0
         lam = 0.8
         b = ensemble_bonus(m_a, m_b, buf, lam_bonus=lam)
-        retained = [s for _, s, _, _ in buf]
+        retained = [s for s, _, _ in buf]
         assert [s for s in retained if b(s, 0) == lam] == [1]
         assert b(2, 0) == pytest.approx(lam / 2, abs=1e-12)
         assert b(0, 0) == lam   # the evicted pair's ratio is capped at 1
 
     def test_ensemble_rejects_knr_models_on_two_feature_maps(self):
         sys_ = make_knr_example()
-        buf = ReplayBuffer()
-        buf.append(0, np.zeros(2), 1, np.ones(2))
-        m_a, m_b = (fit_knr_model(buf, fmap, 4, 2, 0.3, 0.05, 2.0, t=1,
-                                  delta=0.1)
-                    for fmap in (sys_.features,
-                                 lambda s, a: sys_.features(s, a)))
-        with pytest.raises(ConfigurationError, match="one feature map"):
-            ensemble_bonus(m_a, m_b, buf, lam_bonus=1.0)
+        bufs = [KnrBuffer(fmap, 4, 2, 0.3)
+                for fmap in (sys_.features, lambda s, a: sys_.features(s, a))]
+        for buf in bufs:
+            buf.append(np.zeros(2), 1, np.ones(2))
+        m_a, m_b = (fit_knr_model(b, 0.05, 2.0, t=1, delta=0.1)
+                    for b in bufs)
+        # two models on two maps, or one map that is not the buffer's
+        for models_, buf in (((m_a, m_b), bufs[0]), ((m_b, m_b), bufs[0])):
+            with pytest.raises(ConfigurationError, match="one feature map"):
+                ensemble_bonus(*models_, buf, lam_bonus=1.0)
 
     def test_bonus_table_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -406,40 +411,77 @@ class TestModelValidation:
 
 class TestMeanPrediction:
     def test_tabular_mean_is_row(self):
-        buf = ReplayBuffer(num_states=3, num_actions=2)
-        buf.append(0, 0, 1, 2)
+        buf = TabularBuffer(3, 2)
+        buf.append(0, 1, 2)
         model = fit_tabular(buf, t=1, delta=0.1)
         np.testing.assert_allclose(model.mean_prediction(0, 1), [0, 0, 1])
 
     def test_knr_mean_is_linear_map(self):
         sys_ = make_knr_example(noise_std=0.0)
-        buf = ReplayBuffer()
+        buf = KnrBuffer(sys_.features, 4, 2, lam_ridge=1e-10)
         rng = np.random.default_rng(37)
         for _ in range(60):
             s = rng.normal(size=2) * 0.4
             a = int(rng.integers(2))
-            buf.append(0, s, a, sys_.step_mean(s, a))
-        model = fit_knr_model(buf, sys_.features, 4, 2, lam_ridge=1e-10,
-                              noise_std=0.05, w_max=2.0, t=1, delta=0.1)
+            buf.append(s, a, sys_.step_mean(s, a))
+        model = fit_knr_model(buf, noise_std=0.05, w_max=2.0, t=1, delta=0.1)
         s = np.array([0.1, 0.2])
         np.testing.assert_allclose(model.mean_prediction(s, 0),
                                    sys_.step_mean(s, 0), atol=1e-6)
 
 
-def reference_bootstrap_buffers(buffer, rng):
-    """Resampling by one ``append`` per drawn transition, as it was before
-    the halves were built from counts."""
+def reference_bootstrap_buffers(buffer, rng, empty):
+    """Resampling by one ``append`` per drawn transition into a fresh
+    ``empty()`` buffer, as it was before a tabular half was one bincount
+    and a KNR half carried the rows it drew."""
     items = list(buffer)
     out = []
     for _ in range(2):
-        fresh = ReplayBuffer(capacity=0, num_states=buffer.num_states,
-                             num_actions=buffer.num_actions)
+        fresh = empty()
         if items:
             idx = rng.integers(0, len(items), size=len(items))
             for i in idx:
                 fresh.append(*items[i])
         out.append(fresh)
     return out
+
+
+class ReferenceKnrBuffer:
+    """The slow path of ``KnrBuffer``: the raw (s, a, s') transitions in a
+    FIFO, featurized whenever they are read, and a half built by one
+    ``append`` per transition drawn."""
+
+    def __init__(self, features, feature_dim, state_dim, lam_ridge,
+                 capacity=0):
+        self.features, self.lam_ridge = features, lam_ridge
+        self.feature_dim, self.state_dim = feature_dim, state_dim
+        self.capacity, self.transitions = capacity, []
+
+    def __len__(self):
+        return len(self.transitions)
+
+    def __iter__(self):
+        return iter(self.transitions)
+
+    def append(self, s, a, s_next):
+        self.transitions.append((s, a, s_next))
+        if self.capacity and len(self.transitions) > self.capacity:
+            del self.transitions[0]
+
+    def extend_trajectory(self, traj):
+        for h in range(traj.horizon):
+            self.append(traj.states[h], traj.actions[h], traj.states[h + 1])
+
+    def feature_rows(self):
+        return np.reshape([self.features(s, a) for s, a, _ in self],
+                          (-1, self.feature_dim))
+
+    def take(self, idx):
+        fresh = ReferenceKnrBuffer(self.features, self.feature_dim,
+                                   self.state_dim, self.lam_ridge)
+        for i in idx:
+            fresh.append(*self.transitions[i])
+        return fresh
 
 
 def one_row_at_a_time(fn):
@@ -457,7 +499,8 @@ def one_row_at_a_time(fn):
 
 
 def reference_ensemble_bonus(model_a, model_b, buffer, lam_bonus):
-    """delta_max over every transition in the buffer and the table filled
+    """delta_max over every (s, a, s') transition the buffer iterates (a
+    ``TabularBuffer`` or a ``ReferenceKnrBuffer``) and the table filled
     one fn call per (s, a), as it was before the per-(s, a) gaps; a KNR
     bonus calls fn once per row."""
     def gap(s, a):
@@ -465,7 +508,7 @@ def reference_ensemble_bonus(model_a, model_b, buffer, lam_bonus):
             model_a.mean_prediction(s, a) - model_b.mean_prediction(s, a)))
 
     delta_max = 0.0
-    for _, s, a, _ in buffer:
+    for s, a, _ in buffer:
         delta_max = max(delta_max, gap(s, a))
     if delta_max == 0.0:
         fn = lambda s, a: 0.0
@@ -490,10 +533,9 @@ def tabular_buffers(draw):
                                       st.integers(0, a_dim - 1),
                                       st.integers(0, s_dim - 1)),
                             max_size=40))
-    buf = ReplayBuffer(capacity=capacity, num_states=s_dim,
-                       num_actions=a_dim)
-    for h, (s, a, s_next) in enumerate(triples):
-        buf.append(h % 3, s, a, s_next)
+    buf = TabularBuffer(s_dim, a_dim, capacity)
+    for s, a, s_next in triples:
+        buf.append(s, a, s_next)
     return buf
 
 
@@ -506,29 +548,33 @@ def random_tabular_model(rng, s_dim, a_dim):
                         sigma_table=np.zeros((s_dim, a_dim)))
 
 
+def bootstrap_against_reference(buf, ref, seed, empty):
+    """``bootstrap_buffers(buf)`` and the per-append resampling of ``ref``,
+    a buffer of the same transitions, on two Generators of one seed, which
+    must end in the same state."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    halves = bootstrap_buffers(buf, rng)
+    want = reference_bootstrap_buffers(ref, ref_rng, empty)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert len(halves) == len(want) == 2
+    return halves, want
+
+
 class TestEnsembleCountsDifferential:
     """The count-based bootstrap and ensemble bonus against the per-append
     and per-item references above."""
-
-    @staticmethod
-    def halves_and_generators(buf, seed):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        halves = bootstrap_buffers(buf, rng)
-        ref = reference_bootstrap_buffers(buf, ref_rng)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert len(halves) == len(ref) == 2
-        return halves, ref
 
     @settings(max_examples=200, deadline=None)
     @given(buf=tabular_buffers(), seed=st.integers(0, 2**32 - 1),
            lam=st.floats(0.0, 3.0), random_models=st.booleans())
     def test_tabular(self, buf, seed, lam, random_models):
-        halves, ref = self.halves_and_generators(buf, seed)
+        s_dim, a_dim = buf.num_states, buf.num_actions
+        halves, ref = bootstrap_against_reference(
+            buf, buf, seed, lambda: TabularBuffer(s_dim, a_dim))
         for new, old in zip(halves, ref):
             assert np.array_equal(new.counts_sas, old.counts_sas)
             assert list(new) == list(old)
             assert len(new) == len(buf)
-        s_dim, a_dim = buf.num_states, buf.num_actions
         if random_models:
             model_rng = np.random.default_rng(seed)
             m_a, m_b = (random_tabular_model(model_rng, s_dim, a_dim)
@@ -549,38 +595,42 @@ class TestEnsembleCountsDifferential:
     def test_knr(self, n_items, capacity, seed, lam):
         sys_ = make_knr_example(noise_std=0.05)
         data_rng = np.random.default_rng(seed)
-        buf = ReplayBuffer(capacity=capacity)
-        for i in range(n_items):
+        args = (sys_.features, sys_.feature_dim, sys_.state_dim, 0.3)
+        buf = KnrBuffer(*args, capacity)
+        twin = ReferenceKnrBuffer(*args, capacity)
+        for _ in range(n_items):
             s = data_rng.normal(size=2) * 0.4
             a = int(data_rng.integers(sys_.num_actions))
-            buf.append(i % 4, s, a, sys_.step_mean(s, a)
-                       + sys_.noise_std * data_rng.normal(size=2))
-        halves, ref = self.halves_and_generators(buf, seed)
+            s_next = (sys_.step_mean(s, a)
+                      + sys_.noise_std * data_rng.normal(size=2))
+            buf.append(s, a, s_next)
+            twin.append(s, a, s_next)
+        halves, ref = bootstrap_against_reference(
+            buf, twin, seed, lambda: ReferenceKnrBuffer(*args))
         for new, old in zip(halves, ref):
-            assert not new.tabular and len(new) == len(old) == len(buf)
-            for (h0, s0, a0, n0), (h1, s1, a1, n1) in zip(new, old):
-                assert h0 == h1 and a0 == a1
-                assert np.array_equal(s0, s1) and np.array_equal(n0, n1)
-        m_a, m_b = (fit_knr_model(h, sys_.features, sys_.feature_dim,
-                                  sys_.state_dim, 0.3, sys_.noise_std, 2.0,
-                                  t=1, delta=0.1) for h in halves)
+            assert isinstance(new, KnrBuffer)
+            assert len(new) == len(old) == len(buf)
+            assert np.array_equal(new.feature_rows(), old.feature_rows())
+            for x, y in zip(fit_knr_ridge(new), reference_fit_knr_ridge(old)):
+                assert np.array_equal(x, y)
+        m_a, m_b = (fit_knr_model(h, sys_.noise_std, 2.0, t=1, delta=0.1)
+                    for h in halves)
         got = ensemble_bonus(m_a, m_b, buf, lam_bonus=lam)
-        want = reference_ensemble_bonus(m_a, m_b, buf, lam_bonus=lam)
+        want = reference_ensemble_bonus(m_a, m_b, twin, lam_bonus=lam)
         assert got.table is None and want.table is None
-        probes = [(s, a) for _, s, a, _ in buf] + [(np.zeros(2), 0),
-                                                   (np.ones(2), 1)]
+        probes = [(s, a) for s, a, _ in twin] + [(np.zeros(2), 0),
+                                                 (np.ones(2), 1)]
         for s, a in probes:
             assert got.fn(s, a) == want.fn(s, a)
 
 
-def reference_fit_knr_ridge(buffer, features, feature_dim, state_dim,
-                            lam_ridge):
-    """The full refit: every transition's features and outer products, in
-    FIFO order, on every call."""
-    cov = lam_ridge * np.eye(feature_dim)
-    moment = np.zeros((state_dim, feature_dim))
-    for _, s, a, s_next in buffer:
-        phi = np.asarray(features(s, a), dtype=float)
+def reference_fit_knr_ridge(buffer):
+    """The full refit of a ``ReferenceKnrBuffer``: every transition's
+    features and outer products, in FIFO order, on every call."""
+    cov = buffer.lam_ridge * np.eye(buffer.feature_dim)
+    moment = np.zeros((buffer.state_dim, buffer.feature_dim))
+    for s, a, s_next in buffer:
+        phi = np.asarray(buffer.features(s, a), dtype=float)
         cov += np.outer(phi, phi)
         moment += np.outer(np.atleast_1d(s_next), phi)
     w_hat = np.linalg.solve(cov, moment.T).T
@@ -598,65 +648,112 @@ class CountingMap:
         return self.features(s, a)
 
 
-ridge_ops = st.lists(st.one_of(
+buffer_ops = st.lists(st.one_of(
     st.tuples(st.just("append"), st.integers(1, 6)),
-    st.tuples(st.just("fit"), st.sampled_from([0.3, 0.3, 1e-3, 2.0]),
-              st.sampled_from([0, 0, 1])),
+    st.just(("fit",)),
     st.tuples(st.just("boot"), st.integers(0, 2**32 - 1))), max_size=25)
 
 
 class TestKnrRidgeSumsDifferential:
-    """The buffer's running ridge sums against the full refit above."""
+    """The buffer's feature rows and running ridge sums against the full
+    refit above, over sequences of appends (which evict once the buffer is
+    full), fits and bootstraps; the feature map is called once per
+    appended transition and never by a fit, a refold or a half."""
 
     @settings(max_examples=150, deadline=None)
-    @given(ops=ridge_ops, capacity=st.sampled_from([0, 0, 3, 7]),
+    @given(ops=buffer_ops, capacity=st.sampled_from([0, 0, 3, 7]),
+           lam=st.sampled_from([0.3, 0.3, 1e-3, 2.0]),
            seed=st.integers(0, 2**32 - 1))
-    def test_matches_full_refit(self, ops, capacity, seed):
+    def test_matches_full_refit(self, ops, capacity, lam, seed):
         sys_ = make_knr_example(noise_std=0.05)
-        maps = [CountingMap(sys_.features),
-                CountingMap(lambda s, a: 0.5 * sys_.features(s, a))]
+        fmap = CountingMap(sys_.features)
         data_rng = np.random.default_rng(seed)
-        buf = ReplayBuffer(capacity=capacity)
-        fitted = (maps[0], 0.3)   # (map, lam) of the buffer's last fit
-        cached = None       # the map of the buffer's cached features
-        appended = 0        # transitions appended since they were cached
+        buf = KnrBuffer(fmap, 4, 2, lam, capacity)
+        twin = ReferenceKnrBuffer(sys_.features, 4, 2, lam, capacity)
 
-        def check_fit(b, fmap, lam):
-            before = fmap.calls
-            got = fit_knr_ridge(b, fmap, 4, 2, lam)
-            want = reference_fit_knr_ridge(b, fmap.features, 4, 2, lam)
-            assert np.array_equal(got[0], want[0])
-            assert np.array_equal(got[1], want[1])
-            return fmap.calls - before
+        def check_fit(b, ref):
+            for x, y in zip(fit_knr_ridge(b), reference_fit_knr_ridge(ref)):
+                assert np.array_equal(x, y)
+            assert np.array_equal(b.feature_rows(), ref.feature_rows())
 
         for op in ops:
+            calls = fmap.calls
             if op[0] == "append":
                 for _ in range(op[1]):
                     s = data_rng.normal(size=2) * 0.5
                     a = int(data_rng.integers(sys_.num_actions))
-                    buf.append(appended % 4, s, a, sys_.step_mean(s, a)
-                               + sys_.noise_std * data_rng.normal(size=2))
-                    appended += 1
+                    s_next = (sys_.step_mean(s, a)
+                              + sys_.noise_std * data_rng.normal(size=2))
+                    buf.append(s, a, s_next)
+                    twin.append(s, a, s_next)
+                assert fmap.calls - calls == op[1]
+                assert len(buf) == len(twin)
             elif op[0] == "fit":
-                fmap = maps[op[2]]
-                calls = check_fit(buf, fmap, op[1])
-                # each transition's features once per map, refolds included
-                if cached is fmap:
-                    assert calls == min(appended, len(buf))
-                else:
-                    assert calls == len(buf)
-                fitted, cached, appended = (fmap, op[1]), fmap, 0
+                check_fit(buf, twin)
+                assert fmap.calls == calls
             else:
-                fmap, lam = fitted
-                halves = bootstrap_buffers(buf, np.random.default_rng(op[1]))
-                calls = sum(check_fit(h, fmap, lam) for h in halves)
-                if cached is fmap and appended == 0:
-                    assert calls == 0   # the halves carry the features
+                halves, ref = bootstrap_against_reference(
+                    buf, twin, op[1],
+                    lambda: ReferenceKnrBuffer(sys_.features, 4, 2, lam))
+                for h, r in zip(halves, ref):
+                    check_fit(h, r)
                 if len(buf):
-                    cached, appended = fmap, 0
-                    m_a, m_b = (fit_knr_model(h, fmap, 4, 2, lam, 0.05, 2.0,
-                                              t=1, delta=0.1) for h in halves)
+                    m_a, m_b = (fit_knr_model(h, 0.05, 2.0, t=1, delta=0.1)
+                                for h in halves)
                     got = ensemble_bonus(m_a, m_b, buf, lam_bonus=1.0)
-                    want = reference_ensemble_bonus(m_a, m_b, buf, 1.0)
-                    for _, s, a, _ in buf:
+                    assert fmap.calls == calls
+                    want = reference_ensemble_bonus(m_a, m_b, twin, 1.0)
+                    for s, a, _ in twin:
                         assert got(s, a) == want(s, a)
+                else:
+                    assert fmap.calls == calls
+
+
+tabular_ops = st.lists(st.one_of(
+    st.tuples(st.just("append"),
+              st.lists(st.tuples(*[st.integers(0, 99)] * 3), min_size=1,
+                       max_size=6)),
+    st.just(("fit",)),
+    st.tuples(st.just("boot"), st.integers(0, 2**32 - 1))), max_size=25)
+
+
+class TestTabularBufferDifferential:
+    """The buffer's codes and counts against the list of transitions it
+    holds, and its halves against the per-append reference, over
+    sequences of appends (which evict once the buffer is full), fits and
+    bootstraps."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=tabular_ops, s_dim=st.integers(1, 5), a_dim=st.integers(1, 3),
+           capacity=st.sampled_from([0, 0, 1, 4, 13]))
+    def test_matches_transition_list(self, ops, s_dim, a_dim, capacity):
+        buf = TabularBuffer(s_dim, a_dim, capacity)
+        held = []
+        for op in ops:
+            if op[0] == "append":
+                for s, a, s_next in op[1]:
+                    triple = (s % s_dim, a % a_dim, s_next % s_dim)
+                    buf.append(*triple)
+                    held.append(triple)
+                    if capacity and len(held) > capacity:
+                        del held[0]
+                assert list(buf) == held
+            elif op[0] == "fit":
+                counts = np.zeros((s_dim, a_dim, s_dim), dtype=np.int64)
+                for triple in held:
+                    counts[triple] += 1
+                assert np.array_equal(buf.counts_sas, counts)
+                rebuilt = TabularBuffer(s_dim, a_dim)
+                for triple in held:
+                    rebuilt.append(*triple)
+                got, want = (fit_tabular(b, t=3, delta=0.1)
+                             for b in (buf, rebuilt))
+                assert np.array_equal(got.p_hat, want.p_hat)
+                assert np.array_equal(got.sigma_table, want.sigma_table)
+            else:
+                halves, ref = bootstrap_against_reference(
+                    buf, buf, op[1], lambda: TabularBuffer(s_dim, a_dim))
+                for new, old in zip(halves, ref):
+                    assert list(new) == list(old)
+                    assert np.array_equal(new.counts_sas, old.counts_sas)
+                assert list(buf) == held

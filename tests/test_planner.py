@@ -15,8 +15,8 @@ from ilfo_lab.envs import KnrSystem, OpenLoopTree, openloop_search
 from ilfo_lab.expert import ExpertDataset, solve_optimal_tabular
 from ilfo_lab.models import (
     BonusFunction,
+    KnrBuffer,
     KnrModel,
-    ReplayBuffer,
     TabularModel,
     bootstrap_buffers,
     ensemble_bonus,
@@ -110,14 +110,13 @@ class TestBestResponseTabular:
 
 def knr_model_from_system(sys_, n_samples=80, seed=3, lam=1e-8):
     rng = np.random.default_rng(seed)
-    buf = ReplayBuffer()
+    buf = KnrBuffer(sys_.features, sys_.feature_dim, sys_.state_dim,
+                    lam_ridge=lam)
     for _ in range(n_samples):
         s = rng.normal(size=sys_.state_dim) * 0.4
         a = int(rng.integers(sys_.num_actions))
-        buf.append(0, s, a, sys_.step_mean(s, a))
-    return fit_knr_model(buf, sys_.features, sys_.feature_dim,
-                         sys_.state_dim, lam_ridge=lam, noise_std=0.05,
-                         w_max=2.0, t=1, delta=0.1)
+        buf.append(s, a, sys_.step_mean(s, a))
+    return fit_knr_model(buf, noise_std=0.05, w_max=2.0, t=1, delta=0.1)
 
 
 def random_knr_system(rng, state_dim, num_actions, horizon):
@@ -702,18 +701,20 @@ class TestKnrBatchContract:
         rng = np.random.default_rng(seed)
         H = 3
         system = random_knr_system(rng, state_dim, A, H)
-        buf = ReplayBuffer()
+        fit_data = []
         for _ in range(n_fit):
             s = rng.normal(size=state_dim) * 0.6
             a = int(rng.integers(A))
-            buf.append(0, s, a, system.step_mean(s, a)
-                       + 0.05 * rng.normal(size=state_dim))
+            fit_data.append((s, a, system.step_mean(s, a)
+                             + 0.05 * rng.normal(size=state_dim)))
         lam = float(rng.choice([1e-8, 1e-3, 0.3]))
+        buf = KnrBuffer(system.features, system.feature_dim, state_dim, lam)
+        for transition in fit_data:
+            buf.append(*transition)
         t = int(rng.integers(1, 50))
 
         def fit(b):
-            return fit_knr_model(b, system.features, system.feature_dim,
-                                 state_dim, lam, 0.05, 2.0, t=t, delta=0.1)
+            return fit_knr_model(b, 0.05, 2.0, t=t, delta=0.1)
 
         model = fit(buf)
         half_a, half_b = bootstrap_buffers(buf, rng)
