@@ -15,7 +15,6 @@ import os
 import sys
 import types
 import typing
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -278,7 +277,9 @@ def _verify_knr_record(seed: int):
 def _map_tasks(fn, tasks, jobs: int):
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(*t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(fn, *zip(*tasks)))
 
 

@@ -17,13 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .envs import ConfigurationError, _frozen
 
 Array = np.ndarray
 
 W_NORM_TOL = 1e-9
+PAIR_BLOCK = 1 << 16    # distances computed per block of rows
 
 
 @dataclass(frozen=True)
@@ -127,6 +127,41 @@ def mmd_update(disc: MmdDiscriminator, mean_pi: Array,
                             w=project_ball(diff, disc.zeta), zeta=disc.zeta)
 
 
+def pairwise_distances(x: Array) -> Array:
+    """Euclidean distances between the rows of ``x`` over the pairs
+    i < j, in the order and to the bit of scipy's ``pdist``.
+
+    Each distance adds the squared coordinate differences left to right
+    from zero, then takes the square root.  Rows go in blocks of at most
+    PAIR_BLOCK pairs: a block is a rectangle of its rows against every
+    later row, whose upper triangle is kept.  Beyond the n(n-1)/2
+    output, memory is one block's two float64 buffers, its mask and the
+    gathered upper triangle.
+    """
+    n = x.shape[0]
+    xt = np.ascontiguousarray(x.T)
+    out = np.empty(n * (n - 1) // 2)
+    rows = max(1, PAIR_BLOCK // max(n - 1, 1))
+    acc_buf = np.empty(min(rows, n - 1) * (n - 1))
+    diff_buf = np.empty_like(acc_buf)
+    pos = 0
+    for i0 in range(0, n - 1, rows):
+        r, w = min(rows, n - 1 - i0), n - 1 - i0
+        acc = acc_buf[:r * w].reshape(r, w)
+        diff = diff_buf[:r * w].reshape(r, w)
+        acc.fill(0.0)
+        for col in xt:
+            np.subtract(col[i0:i0 + r, None], col[None, i0 + 1:], out=diff)
+            np.multiply(diff, diff, out=diff)
+            acc += diff
+        np.sqrt(acc, out=acc)
+        upper = np.arange(w)[None, :] >= np.arange(r)[:, None]
+        count = r * w - r * (r - 1) // 2
+        out[pos:pos + count] = acc[upper]
+        pos += count
+    return out
+
+
 def rff_featurize(states: Array, m: int, bandwidth,
                   rng: np.random.Generator) -> tuple[RffFeatureMap, Array]:
     """Draw a frozen feature map and featurize the reference batch.
@@ -145,7 +180,7 @@ def rff_featurize(states: Array, m: int, bandwidth,
         if x.shape[0] < 2:
             raise ConfigurationError(
                 "auto bandwidth needs >= 2 reference points")
-        dists = pdist(x)
+        dists = pairwise_distances(x)
         bw = float(np.quantile(dists, 0.1))
         if bw <= 0:
             positive = dists[dists > 0]

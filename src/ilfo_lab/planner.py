@@ -9,7 +9,8 @@ Frank-Wolfe / fictitious play with 1/k averaging: against the box class
 witness on KNR models.  Each returns a uniform mixture of the per-round
 best responses.
 A linear program over the occupancy polytope provides an independent
-value oracle for small tabular games.
+value oracle for small tabular games; scipy is loaded only when that
+oracle is called.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .discriminators import (MmdDiscriminator, box_witness, mmd_update,
                              tv_best_response)
@@ -268,6 +268,8 @@ def game_value_lp(model, bonus, expert, horizon: int,
     variables for the positive part.  Independent of the Frank-Wolfe
     path; used as an oracle for solver soundness.
     """
+    from scipy.optimize import linprog
+
     kernel = model.p_hat
     s_dim, a_dim = kernel.shape[0], kernel.shape[1]
     d_e = _expert_state_distribution(expert, s_dim)

@@ -182,6 +182,37 @@ class TestRunExperiment:
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes())
 
+    @pytest.mark.parametrize("jobs, workers", [(8, 3), (3, 3), (2, 2)])
+    def test_pool_is_capped_at_the_task_count(self, monkeypatch, tmp_path,
+                                              jobs, workers):
+        # a recorder in place of the process pool runs the tasks inline,
+        # so no worker process starts
+        import concurrent.futures
+        seen = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
+        run_experiment(_tiny_mab_cfg(tmp_path / "a"), jobs=jobs)
+        assert seen == [workers]
+        run_experiment(_tiny_mab_cfg(tmp_path / "b"), jobs=1)
+        assert seen == [workers]
+        for path in sorted((tmp_path / "a").glob("*.csv")):
+            assert (path.read_bytes()
+                    == (tmp_path / "b" / path.name).read_bytes()), path.name
+
     def test_mobile_knr_outputs(self, tmp_path):
         cfg = parse_config(json.dumps({
             "subcommand": "mobile-knr",

@@ -1,12 +1,21 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
+import ilfo_lab.discriminators as disc_mod
 from ilfo_lab import ConfigurationError
 from ilfo_lab.discriminators import (
+    PAIR_BLOCK,
     MmdDiscriminator,
     RffFeatureMap,
     box_witness,
     mmd_update,
+    pairwise_distances,
     project_ball,
     rff_featurize,
     tv_best_response,
@@ -82,10 +91,24 @@ class TestRffFeatures:
     def test_auto_bandwidth_is_low_quantile(self):
         rng = np.random.default_rng(4)
         pts = rng.normal(size=(40, 2))
-        from scipy.spatial.distance import pdist
         expected = float(np.quantile(pdist(pts), 0.1))
         fmap, _ = rff_featurize(pts, m=8, bandwidth="auto", rng=rng)
-        assert fmap.bandwidth == pytest.approx(expected, rel=1e-12)
+        assert fmap.bandwidth == expected
+
+    def test_auto_bandwidth_zero_quantile_falls_back_to_min_positive(self):
+        # 10 of the 15 pairs coincide, so the 0.1 quantile is 0 and the
+        # bandwidth is the smallest positive distance, |(3, 4)| = 5
+        pts = np.array([[0.0, 0.0]] * 5 + [[3.0, 4.0]])
+        assert np.quantile(pdist(pts), 0.1) == 0.0
+        fmap, _ = rff_featurize(pts, m=8, bandwidth="auto",
+                                rng=np.random.default_rng(0))
+        assert fmap.bandwidth == 5.0
+
+    def test_auto_bandwidth_rejects_a_batch_without_spread(self):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "auto bandwidth: reference batch has no spread")):
+            rff_featurize(np.ones((4, 3)), m=8, bandwidth="auto",
+                          rng=np.random.default_rng(0))
 
     def test_auto_bandwidth_needs_two_points(self):
         rng = np.random.default_rng(5)
@@ -98,6 +121,47 @@ class TestRffFeatures:
                                     bandwidth=1.0, rng=rng)
         assert feats.shape == (3, 8)
         assert fmap(np.array([0.0, 1.0])).shape == (2, 8)
+
+
+class TestPairwiseDistances:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 40), d=st.integers(1, 8),
+           log_scale=st.floats(-3.0, 3.0), dups=st.integers(0, 3),
+           block=st.sampled_from([1, 2, 7, PAIR_BLOCK]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=2, d=1, log_scale=0.0, dups=0, block=PAIR_BLOCK, seed=0)
+    @example(n=2, d=1, log_scale=-3.0, dups=1, block=1, seed=1)
+    @example(n=9, d=3, log_scale=3.0, dups=3, block=PAIR_BLOCK, seed=2)
+    def test_matches_scipy_pdist_bit_for_bit(self, n, d, log_scale, dups,
+                                             block, seed):
+        # smaller blocks split the rows the same way a large batch does
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, d)) * 10.0**log_scale
+        for _ in range(dups):
+            x[rng.integers(n)] = x[rng.integers(n)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(disc_mod, "PAIR_BLOCK", block)
+            got = pairwise_distances(x)
+        assert np.array_equal(got, pdist(x))
+
+    def test_memory_is_the_output_plus_one_block(self):
+        n, d = 2000, 4
+        x = np.random.default_rng(13).normal(size=(n, d))
+        tracemalloc.start()
+        try:
+            dists = pairwise_distances(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A block holds at most PAIR_BLOCK pairs.  Its working set is two
+        # float64 buffers, the gathered upper triangle (at most one more
+        # float64 block) and a bool mask (an eighth of one); the
+        # transposed copy of x is n*d float64, another eighth here.
+        # Four float64 blocks cover that; a form that indexes all pairs
+        # at once would add two int64 arrays the size of the output.
+        assert n * d <= PAIR_BLOCK // 8
+        assert peak <= n * (n - 1) // 2 * 8 + 4 * 8 * PAIR_BLOCK
+        assert np.array_equal(dists, pdist(x))
 
 
 class TestMmdUpdates:
