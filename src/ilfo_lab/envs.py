@@ -21,7 +21,6 @@ import numpy as np
 Array = np.ndarray
 
 ROW_TOL = 1e-12
-DIST_TOL = 1e-10
 
 _OPEN_LOOP_ON_TABULAR = "an open-loop policy runs only on a KnrSystem"
 
@@ -36,12 +35,36 @@ class ConfigurationError(ValueError):
     """Raised when inputs violate a documented precondition."""
 
 
+def _as_int(name: str, value, kind: str = "integer") -> int:
+    """``value`` through ``operator.index``: an int, never a rounded float."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} {value!r} needs an {kind}") from None
+
+
+def _checked_kernel(transitions) -> Array:
+    """A frozen float (S, A, S) kernel whose rows are probability vectors,
+    each summing to 1 within ``ROW_TOL``; a NaN row fails that sum."""
+    p = np.asarray(transitions, dtype=float)
+    if p.ndim != 3:
+        raise ConfigurationError("transitions must be (S, A, S)")
+    if p.shape[2] != p.shape[0]:
+        raise ConfigurationError("kernel source and target state counts differ")
+    if np.any(p < 0):
+        raise ConfigurationError("negative transition probability")
+    if not (np.abs(p.sum(axis=2) - 1.0) <= ROW_TOL).all():
+        raise ConfigurationError("transition rows must sum to 1")
+    return _frozen(p)
+
+
 @dataclass(frozen=True)
 class TabularMdp:
     """Episodic finite-horizon MDP with state costs in [0, 1].
 
     ``transitions`` is one (S, A, S) kernel shared by every timestep; its
-    rows must be probability vectors.
+    rows must be probability vectors, and ``horizon`` and ``init_state``
+    integers.
     """
 
     horizon: int
@@ -50,30 +73,17 @@ class TabularMdp:
     init_state: int
 
     def __post_init__(self):
-        object.__setattr__(self, "transitions", _frozen(np.asarray(self.transitions, dtype=float)))
-        object.__setattr__(self, "cost", _frozen(np.asarray(self.cost, dtype=float)))
+        object.__setattr__(self, "horizon", _as_int("horizon", self.horizon))
         if self.horizon < 1:
             raise ConfigurationError("horizon must be >= 1")
-        if self.transitions.ndim != 3:
-            raise ConfigurationError("transitions must be (S, A, S)")
+        object.__setattr__(self, "transitions", _checked_kernel(self.transitions))
+        object.__setattr__(self, "cost", _frozen(np.asarray(self.cost, dtype=float)))
         S = self.transitions.shape[0]
-        if self.transitions.shape[2] != S:
-            raise ConfigurationError("kernel source and target state counts differ")
-        rows = self.transitions.reshape(-1, S)
-        if np.any(rows < 0):
-            raise ConfigurationError("negative transition probability")
-        if np.max(np.abs(rows.sum(axis=1) - 1.0)) > ROW_TOL:
-            raise ConfigurationError("transition rows must sum to 1")
         if self.cost.shape != (S,):
             raise ConfigurationError("cost must be one value per state")
         if np.any(self.cost < 0) or np.any(self.cost > 1):
             raise ConfigurationError("costs must lie in [0, 1]")
-        try:
-            init_state = operator.index(self.init_state)
-        except TypeError:
-            raise ConfigurationError(
-                f"init_state {self.init_state!r} needs an integer index"
-            ) from None
+        init_state = _as_int("init_state", self.init_state, "integer index")
         if not 0 <= init_state < S:
             raise ConfigurationError("init_state out of range")
         object.__setattr__(self, "init_state", init_state)
@@ -126,6 +136,8 @@ class KnrSystem:
             raise ConfigurationError("noise_std must be a finite number >= 0")
         if self.init_state.shape != (self.state_dim,):
             raise ConfigurationError("init_state must be a state_dim vector")
+        for name in ("horizon", "num_actions"):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if self.horizon < 1 or self.num_actions < 1:
             raise ConfigurationError("horizon and num_actions must be >= 1")
         batch = np.stack([self.init_state] * 2)
@@ -293,20 +305,13 @@ AnyPolicy = Union[Policy, MixedPolicy]
 
 @dataclass(frozen=True)
 class OccupancyMeasure:
-    """Per-timestep state-action distributions d_h plus their average."""
+    """Per-timestep state-action distributions d_h plus their average: a
+    frozen record of what ``occupancy_exact`` computed, checked by nothing."""
 
     per_step: Array  # (H, S, A)
 
     def __post_init__(self):
-        d = np.asarray(self.per_step, dtype=float)
-        if d.ndim != 3:
-            raise ConfigurationError("per_step must be (H, S, A)")
-        if np.any(d < -DIST_TOL):
-            raise ConfigurationError("negative occupancy mass")
-        sums = d.reshape(d.shape[0], -1).sum(axis=1)
-        if np.max(np.abs(sums - 1.0)) > DIST_TOL:
-            raise ConfigurationError("each d_h must sum to 1")
-        object.__setattr__(self, "per_step", _frozen(d))
+        object.__setattr__(self, "per_step", _frozen(self.per_step))
 
     @property
     def horizon(self) -> int:

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .envs import ConfigurationError, Trajectory, _frozen
+from .envs import ConfigurationError, Trajectory, _checked_kernel, _frozen
 
 Array = np.ndarray
 
@@ -201,24 +201,20 @@ def _check_index(t: int, delta: float) -> None:
 
 @dataclass(frozen=True)
 class TabularModel:
-    """Count-based kernel estimate plus its per-(s, a) confidence width."""
+    """Count-based kernel estimate plus its per-(s, a) confidence width.
 
-    t: int
-    delta: float
+    ``p_hat`` is checked as a ``TabularMdp`` checks its kernel, with the
+    same messages."""
+
     p_hat: Array
     sigma_table: Array
 
     def __post_init__(self):
-        _check_index(self.t, self.delta)
-        p = np.asarray(self.p_hat, dtype=float)
-        if p.ndim != 3 or p.shape[0] != p.shape[2]:
-            raise ConfigurationError("p_hat must have shape (S, A, S)")
-        if np.any(np.abs(p.sum(axis=2) - 1.0) > 1e-12) or np.any(p < 0):
-            raise ConfigurationError("p_hat rows must be distributions")
+        p = _checked_kernel(self.p_hat)
         sig = np.asarray(self.sigma_table, dtype=float)
         if sig.shape != p.shape[:2] or np.any(sig < 0):
             raise ConfigurationError("sigma_table shape or sign mismatch")
-        object.__setattr__(self, "p_hat", _frozen(p))
+        object.__setattr__(self, "p_hat", p)
         object.__setattr__(self, "sigma_table", _frozen(sig))
 
     @property
@@ -244,21 +240,18 @@ class KnrModel:
 
     ``mean_prediction`` and ``sigma`` act on the last axis, as ``features``
     does: (..., d) states and (...) actions give (..., d) means and (...)
-    widths, each row rounded as if alone."""
+    widths, each row rounded as if alone.  The fit's round index,
+    confidence level, ridge parameter and weight bound enter only
+    through ``beta``."""
 
-    t: int
-    delta: float
     w_hat: Array
     cov: Array
-    lam_ridge: float
     noise_std: float
-    w_max: float
     beta: float
     features: Callable = field(repr=False)
     cov_inv: Array = field(init=False, repr=False)
 
     def __post_init__(self):
-        _check_index(self.t, self.delta)
         w = np.asarray(self.w_hat, dtype=float)
         c = np.asarray(self.cov, dtype=float)
         if c.shape != (w.shape[1], w.shape[1]):
@@ -298,7 +291,7 @@ def fit_tabular(buffer: TabularBuffer, t: int, delta: float) -> TabularModel:
     sigma = np.full((s_dim, a_dim), SIGMA_CAP)
     sigma[visited] = np.minimum(
         np.sqrt(s_dim * log_term / n_sa[visited]), SIGMA_CAP)
-    return TabularModel(t=t, delta=delta, p_hat=p_hat, sigma_table=sigma)
+    return TabularModel(p_hat=p_hat, sigma_table=sigma)
 
 
 def fit_knr_ridge(buffer: KnrBuffer) -> tuple[Array, Array]:
@@ -333,11 +326,11 @@ def knr_beta(t: int, delta: float, lam_ridge: float, noise_std: float,
 def fit_knr_model(buffer: KnrBuffer, noise_std: float, w_max: float,
                   t: int, delta: float) -> KnrModel:
     """The ridge model of the buffer, on its feature map and lam."""
+    _check_index(t, delta)
     w_hat, cov = fit_knr_ridge(buffer)
-    lam = buffer.lam_ridge
-    beta = knr_beta(t, delta, lam, noise_std, w_max, buffer.state_dim, cov)
-    return KnrModel(t=t, delta=delta, w_hat=w_hat, cov=cov, lam_ridge=lam,
-                    noise_std=noise_std, w_max=w_max, beta=beta,
+    beta = knr_beta(t, delta, buffer.lam_ridge, noise_std, w_max,
+                    buffer.state_dim, cov)
+    return KnrModel(w_hat=w_hat, cov=cov, noise_std=noise_std, beta=beta,
                     features=buffer.features)
 
 

@@ -59,13 +59,6 @@ class MinMaxConfig:
             raise ConfigurationError("k_iters must be >= 1")
 
 
-def _model_mdp(model: TabularModel, horizon: int, init_state) -> TabularMdp:
-    """The learned kernel as a cost-free MDP; rejects an out-of-range start."""
-    return TabularMdp(horizon=horizon, transitions=model.p_hat,
-                      cost=np.zeros(model.num_states),
-                      init_state=int(init_state))
-
-
 def best_response_knr(model: KnrModel, cost_fn: Callable, bonus,
                       horizon: int, num_actions: int, init_state,
                       search_cfg: KnrSearchConfig,
@@ -103,23 +96,28 @@ def best_response_knr(model: KnrModel, cost_fn: Callable, bonus,
     return Policy.open_loop(seq)
 
 
-def _bonus_table(bonus, s_dim: int, a_dim: int) -> Array:
-    if bonus is None:
-        return np.zeros((s_dim, a_dim))
-    table = bonus.table if isinstance(bonus, BonusFunction) else bonus
-    if not isinstance(table, np.ndarray) or table.shape != (s_dim, a_dim):
-        raise ConfigurationError("a tabular solve needs an (S, A) bonus table")
-    return np.asarray(table, dtype=float)
-
-
-def _expert_state_distribution(expert, s_dim: int) -> Array:
+def _tabular_game(model: TabularModel, bonus, expert, horizon: int,
+                  init_state) -> tuple[TabularMdp, Array, Array]:
+    """The checked inputs of a tabular game, shared by the Frank-Wolfe
+    solver and the LP oracle: the learned kernel as a cost-free MDP (which
+    rejects a bad horizon or start state), the expert's (S,) state
+    distribution d_e, and the (S, A) bonus table (zero without a bonus)."""
+    view = TabularMdp(horizon=horizon, transitions=model.p_hat,
+                      cost=np.zeros(model.num_states), init_state=init_state)
+    s_dim, a_dim = view.num_states, view.num_actions
     try:
         d_e = np.asarray(expert, dtype=float)
     except (TypeError, ValueError):
         d_e = None
-    if d_e is None or d_e.shape != (s_dim,) or np.any(d_e < 0):
+    # written so that a NaN mass fails too
+    if d_e is None or d_e.shape != (s_dim,) or not (d_e >= 0).all():
         raise ConfigurationError("expert distribution must be (S,) and >= 0")
-    return d_e
+    if bonus is None:
+        return view, d_e, np.zeros((s_dim, a_dim))
+    table = bonus.table if isinstance(bonus, BonusFunction) else bonus
+    if not isinstance(table, np.ndarray) or table.shape != (s_dim, a_dim):
+        raise ConfigurationError("a tabular solve needs an (S, A) bonus table")
+    return view, d_e, np.asarray(table, dtype=float)
 
 
 def box_objective(d_avg_sa: Array, d_e: Array, bonus_table: Array) -> float:
@@ -141,7 +139,8 @@ def solve_minmax(model: TabularModel | KnrModel, bonus, disc_class, expert,
     "box", expert the (S,) state distribution d_e), a KNR model against
     an MmdDiscriminator (expert the (m,) mean embedding of the expert
     states under its feature map).  Any other disc_class raises
-    ConfigurationError.
+    ConfigurationError, and so do a tabular horizon or init_state that a
+    ``TabularMdp`` on the learned kernel would reject.
     """
     if isinstance(model, KnrModel):
         if not isinstance(disc_class, MmdDiscriminator):
@@ -165,11 +164,9 @@ def _uniform_policy(horizon: int, num_states: int, num_actions: int) -> Policy:
 
 
 def _solve_fw_box(model, bonus, expert, cfg, horizon, init_state):
-    s_dim, a_dim = model.num_states, model.num_actions
-    view = _model_mdp(model, horizon, init_state)
-    d_e = _expert_state_distribution(expert, s_dim)
-    b_table = _bonus_table(bonus, s_dim, a_dim)
-    uniform = _uniform_policy(horizon, s_dim, a_dim)
+    view, d_e, b_table = _tabular_game(model, bonus, expert, horizon,
+                                       init_state)
+    uniform = _uniform_policy(view.horizon, view.num_states, view.num_actions)
     d_bar = occupancy_exact(view, uniform).average
     components = []
     # the best response and its occupancy are pure functions of the box
@@ -266,14 +263,15 @@ def game_value_lp(model, bonus, expert, horizon: int,
     Minimizes sum_s max(0, d_avg(s) - d_e(s)) - <d_avg, b> over all
     per-step occupancies consistent with the model kernel, using slack
     variables for the positive part.  Independent of the Frank-Wolfe
-    path; used as an oracle for solver soundness.
+    path; used as an oracle for solver soundness.  Its inputs are checked
+    as the tabular ``solve_minmax`` checks them.
     """
+    view, d_e, b_table = _tabular_game(model, bonus, expert, horizon,
+                                       init_state)
     from scipy.optimize import linprog
 
-    kernel = model.p_hat
-    s_dim, a_dim = kernel.shape[0], kernel.shape[1]
-    d_e = _expert_state_distribution(expert, s_dim)
-    b_table = _bonus_table(bonus, s_dim, a_dim)
+    kernel, horizon = view.transitions, view.horizon
+    s_dim, a_dim = view.num_states, view.num_actions
     n_d = horizon * s_dim * a_dim
     n = n_d + s_dim
 
@@ -292,7 +290,7 @@ def game_value_lp(model, bonus, expert, horizon: int,
     for s in range(s_dim):
         for a in range(a_dim):
             a_eq[s, d_idx(0, s, a)] = 1.0
-    b_eq[int(init_state)] = 1.0
+    b_eq[view.init_state] = 1.0
     for h in range(1, horizon):
         for s_next in range(s_dim):
             row = h * s_dim + s_next

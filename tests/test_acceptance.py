@@ -314,7 +314,7 @@ def test_c10_minmax_solver_matches_lp():
         p = rng.dirichlet(np.ones(s_dim), size=(s_dim, a_dim))
         d_e = rng.dirichlet(np.ones(s_dim))
         bonus = rng.uniform(0, 0.5, size=(s_dim, a_dim)) if i % 2 else None
-        model = TabularModel(t=1, delta=0.1, p_hat=p,
+        model = TabularModel(p_hat=p,
                              sigma_table=np.zeros((s_dim, a_dim)))
         lp = game_value_lp(model, bonus, d_e, horizon=horizon)
         _, obj = solve_minmax(model, bonus, "box", d_e, MinMaxConfig(),

@@ -1,0 +1,190 @@
+"""Bad input is rejected where it enters the package, with one message.
+
+Each row calls a public constructor or function with one bad argument and
+names the whole ConfigurationError message it must raise.  The package
+checks a value once, at its entry, and trusts what it built from checked
+values; these rows pin that every entry still rejects what it did.
+"""
+
+import dataclasses
+import re
+
+import numpy as np
+import pytest
+
+from ilfo_lab.envs import ConfigurationError, MixedPolicy, Policy, TabularMdp
+from ilfo_lab.models import (BonusFunction, KnrBuffer, TabularBuffer,
+                             TabularModel, fit_knr_model, fit_tabular)
+from ilfo_lab.planner import MinMaxConfig, game_value_lp, solve_minmax
+from ilfo_lab.worlds import make_knr_example
+
+ROW_SUM = np.array([[[0.5, 0.6]], [[0.5, 0.5]]])
+NEGATIVE = np.array([[[1.5, -0.5]], [[0.5, 0.5]]])
+NAN_ROW = np.array([[[np.nan, 0.5]], [[0.5, 0.5]]])
+BAD_KERNELS = [
+    (np.full((2, 2), 0.5), "transitions must be (S, A, S)"),
+    (np.full((2, 1, 3), 1 / 3),
+     "kernel source and target state counts differ"),
+    (NEGATIVE, "negative transition probability"),
+    (ROW_SUM, "transition rows must sum to 1"),
+    (NAN_ROW, "transition rows must sum to 1"),
+]
+KERNEL_IDS = ["not_3d", "states_differ", "negative", "row_sum", "nan_row"]
+
+
+def mdp(**kw):
+    args = dict(horizon=2, transitions=np.full((2, 1, 2), 0.5),
+                cost=np.zeros(2), init_state=0)
+    args.update(kw)
+    return TabularMdp(**args)
+
+
+def knr_system(**kw):
+    return dataclasses.replace(make_knr_example(), **kw)
+
+
+def tabular_model(**kw):
+    args = dict(p_hat=np.full((2, 1, 2), 0.5), sigma_table=np.zeros((2, 1)))
+    args.update(kw)
+    return TabularModel(**args)
+
+
+def knr_buffer():
+    system = make_knr_example()
+    buf = KnrBuffer(system.features, system.feature_dim, system.state_dim,
+                    0.3)
+    buf.append(np.zeros(2), 1, np.ones(2))
+    return buf
+
+
+GAME = (tabular_model(p_hat=np.full((2, 2, 2), 0.5),
+                      sigma_table=np.zeros((2, 2))),
+        np.zeros((2, 2)), np.array([0.5, 0.5]))
+
+
+def solve(bonus=GAME[1], expert=GAME[2], disc="box", horizon=2,
+          init_state=0):
+    return solve_minmax(GAME[0], bonus, disc, expert, MinMaxConfig(k_iters=2),
+                        horizon=horizon, init_state=init_state)
+
+
+def lp(bonus=GAME[1], expert=GAME[2], horizon=2, init_state=0):
+    return game_value_lp(GAME[0], bonus, expert, horizon=horizon,
+                         init_state=init_state)
+
+
+GAME_CASES = [
+    (dict(init_state=-1), "init_state out of range"),
+    (dict(init_state=2), "init_state out of range"),
+    (dict(init_state=1.5), "init_state 1.5 needs an integer index"),
+    (dict(horizon=0), "horizon must be >= 1"),
+    (dict(horizon=2.5), "horizon 2.5 needs an integer"),
+    (dict(expert=np.array([1.0])), "expert distribution must be (S,) and >= 0"),
+    (dict(expert=np.array([1.5, -0.5])),
+     "expert distribution must be (S,) and >= 0"),
+    (dict(expert=np.array([np.nan, 1.0])),
+     "expert distribution must be (S,) and >= 0"),
+    (dict(bonus=np.zeros((2, 1))), "a tabular solve needs an (S, A) bonus table"),
+    (dict(bonus=BonusFunction(upper=1.0, fn=lambda s, a: 0.0)),
+     "a tabular solve needs an (S, A) bonus table"),
+]
+GAME_IDS = ["init_negative", "init_past_end", "init_fractional",
+            "horizon_zero", "horizon_fractional", "expert_shape",
+            "expert_negative", "expert_nan", "bonus_shape", "bonus_no_table"]
+
+CASES = [
+    ("TabularMdp/horizon_zero", lambda: mdp(horizon=0),
+     "horizon must be >= 1"),
+    ("TabularMdp/horizon_fractional", lambda: mdp(horizon=2.5),
+     "horizon 2.5 needs an integer"),
+    *((f"TabularMdp/{i}", lambda k=k: mdp(transitions=k), msg)
+      for i, (k, msg) in zip(KERNEL_IDS, BAD_KERNELS)),
+    ("TabularMdp/cost_shape", lambda: mdp(cost=np.zeros(3)),
+     "cost must be one value per state"),
+    ("TabularMdp/cost_range", lambda: mdp(cost=np.array([0.0, 1.5])),
+     "costs must lie in [0, 1]"),
+    ("TabularMdp/init_fractional", lambda: mdp(init_state=1.5),
+     "init_state 1.5 needs an integer index"),
+    ("TabularMdp/init_past_end", lambda: mdp(init_state=2),
+     "init_state out of range"),
+    ("KnrSystem/horizon_fractional", lambda: knr_system(horizon=2.5),
+     "horizon 2.5 needs an integer"),
+    ("KnrSystem/num_actions_fractional", lambda: knr_system(num_actions=2.5),
+     "num_actions 2.5 needs an integer"),
+    ("KnrSystem/horizon_zero", lambda: knr_system(horizon=0),
+     "horizon and num_actions must be >= 1"),
+    ("KnrSystem/noise_negative", lambda: knr_system(noise_std=-0.1),
+     "noise_std must be a finite number >= 0"),
+    *((f"TabularModel/{i}", lambda k=k: tabular_model(p_hat=k), msg)
+      for i, (k, msg) in zip(KERNEL_IDS, BAD_KERNELS)),
+    ("TabularModel/sigma_shape",
+     lambda: tabular_model(sigma_table=np.zeros((2, 2))),
+     "sigma_table shape or sign mismatch"),
+    ("TabularModel/sigma_negative",
+     lambda: tabular_model(sigma_table=np.array([[-0.1], [0.0]])),
+     "sigma_table shape or sign mismatch"),
+    ("Policy/no_form", lambda: Policy(),
+     "exactly one of action_table / probs / action_seq required"),
+    ("Policy/table_floats",
+     lambda: Policy.deterministic(np.array([[0.0, 1.0]]), num_actions=3),
+     "action_table must be (H, S) integers"),
+    ("Policy/table_no_num_actions",
+     lambda: Policy(action_table=np.zeros((1, 2), dtype=int)),
+     "an action table needs num_actions >= 1"),
+    ("Policy/table_out_of_range",
+     lambda: Policy.deterministic(np.array([[0, 3]]), num_actions=3),
+     "action index out of range"),
+    ("Policy/probs_not_3d", lambda: Policy.tabular(np.full((2, 2), 0.5)),
+     "probs must be (H, S, A)"),
+    ("Policy/probs_negative",
+     lambda: Policy.tabular(np.array([[[1.5, -0.5]]])),
+     "negative action probability"),
+    ("Policy/probs_row_sum", lambda: Policy.tabular(np.ones((1, 2, 2))),
+     "per-(h,s) action distribution must sum to 1"),
+    ("Policy/seq_not_flat", lambda: Policy.open_loop([[0, 1]]),
+     "action_seq must be a flat action list"),
+    ("MixedPolicy/empty",
+     lambda: MixedPolicy(components=(), weights=np.array([])),
+     "mixture needs at least one component"),
+    ("MixedPolicy/weight_count",
+     lambda: MixedPolicy(components=(Policy.open_loop([0]),),
+                         weights=np.array([0.5, 0.5])),
+     "one weight per component required"),
+    ("MixedPolicy/weight_sum",
+     lambda: MixedPolicy(components=(Policy.open_loop([0]),),
+                         weights=np.array([0.9])),
+     "weights must be nonnegative and sum to 1"),
+    ("BonusFunction/table_range",
+     lambda: BonusFunction(upper=1.0, table=np.array([[1.5]])),
+     "bonus table out of [0, upper]"),
+    ("fit_tabular/t_zero", lambda: fit_tabular(TabularBuffer(2, 1), 0, 0.1),
+     "model index t must be >= 1"),
+    ("fit_tabular/delta_zero",
+     lambda: fit_tabular(TabularBuffer(2, 1), 1, 0.0),
+     "delta must lie in (0, 1)"),
+    ("fit_tabular/delta_one",
+     lambda: fit_tabular(TabularBuffer(2, 1), 1, 1.0),
+     "delta must lie in (0, 1)"),
+    ("fit_knr_model/t_zero",
+     lambda: fit_knr_model(knr_buffer(), 0.05, 2.0, t=0, delta=0.1),
+     "model index t must be >= 1"),
+    ("fit_knr_model/delta_zero",
+     lambda: fit_knr_model(knr_buffer(), 0.05, 2.0, t=1, delta=0.0),
+     "delta must lie in (0, 1)"),
+    ("fit_knr_model/delta_one",
+     lambda: fit_knr_model(knr_buffer(), 0.05, 2.0, t=1, delta=1.0),
+     "delta must lie in (0, 1)"),
+    ("solve_minmax/disc_class", lambda: solve(disc="boxx"),
+     "tabular solving needs disc_class 'box', got 'boxx'"),
+    *((f"solve_minmax/{i}", lambda kw=kw: solve(**kw), msg)
+      for i, (kw, msg) in zip(GAME_IDS, GAME_CASES)),
+    *((f"game_value_lp/{i}", lambda kw=kw: lp(**kw), msg)
+      for i, (kw, msg) in zip(GAME_IDS, GAME_CASES)),
+]
+
+
+@pytest.mark.parametrize("call, message", [c[1:] for c in CASES],
+                         ids=[c[0] for c in CASES])
+def test_bad_input_is_rejected_at_its_entry(call, message):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        call()

@@ -46,6 +46,10 @@ def test_cost_range_and_init_state_validated():
         TabularMdp(horizon=1, transitions=P, cost=np.array([1.5]), init_state=0)
     with pytest.raises(ConfigurationError):
         TabularMdp(horizon=1, transitions=P, cost=np.array([0.5]), init_state=3)
+    # 2.5 would construct, then fail every DP with a TypeError
+    with pytest.raises(ConfigurationError, match="horizon 2.5 "):
+        TabularMdp(horizon=2.5, transitions=P, cost=np.array([0.5]),
+                   init_state=0)
 
 
 @pytest.mark.parametrize("init_state", [1.5, 1.0, "1", None, np.array([1])],
@@ -361,12 +365,6 @@ def test_value_eval_mc_broadcasts_a_scalar_cost_and_rejects_other_shapes():
                       np.random.default_rng(0))
 
 
-def test_occupancy_measure_validation():
-    bad = np.full((1, 2, 2), 0.3)
-    with pytest.raises(ConfigurationError):
-        OccupancyMeasure(per_step=bad)
-
-
 def test_deterministic_policy_stores_its_action_table():
     table = np.array([[0, 2, 1], [1, 1, 0]])
     pol = Policy.deterministic(table, num_actions=3)
@@ -462,6 +460,27 @@ def test_batched_occupancy_equals_per_component_reference(spec):
     assert np.array_equal(occupancy_exact(mdp, mix).per_step, expect)
     for pol, part in zip(mix.components[:3], parts):
         assert np.array_equal(occupancy_exact(mdp, pol).per_step, part)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixture_specs(["table", "mixed"]), st.sampled_from([0.05, 1.0]))
+def test_occupancy_items_are_distributions(spec, alpha):
+    # an OccupancyMeasure checks nothing: the forward pass over a checked
+    # kernel and checked policies yields, for every item, nonnegative mass
+    # and per-step sums within 1e-10 of 1; alpha 0.05 gives near-sparse rows
+    mdp, _, _, mix = build_mixture(spec)
+    S, A, H = mdp.num_states, mdp.num_actions, mdp.horizon
+    kernel = np.random.default_rng(spec["seed"]).dirichlet(
+        np.full(S, alpha), size=(S, A))
+    items = [mix, *mix.components[:3]]
+    for env in (mdp, dataclasses.replace(mdp, transitions=kernel)):
+        for occ in occupancy_exact(env, items):
+            assert isinstance(occ, OccupancyMeasure)
+            assert not occ.per_step.flags.writeable
+            assert occ.per_step.shape == (H, S, A)
+            assert occ.per_step.min() >= -1e-10
+            sums = occ.per_step.reshape(H, -1).sum(axis=1)
+            assert np.max(np.abs(sums - 1.0)) <= 1e-10
 
 
 @settings(max_examples=150, deadline=None)

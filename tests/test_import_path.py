@@ -28,7 +28,7 @@ from ilfo_lab.models import TabularModel
 from ilfo_lab.planner import game_value_lp
 
 # H=1 pins the occupancy at state 0: value 1 - max_a b(0, a) = 0.4
-model = TabularModel(t=1, delta=0.1, p_hat=np.full((2, 2, 2), 0.5),
+model = TabularModel(p_hat=np.full((2, 2, 2), 0.5),
                      sigma_table=np.zeros((2, 2)))
 value = game_value_lp(model, np.array([[0.2, 0.6], [0.0, 0.0]]),
                       np.array([0.0, 1.0]), horizon=1, init_state=0)

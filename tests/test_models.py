@@ -270,7 +270,7 @@ class TestKnrRidge:
 class TestBonuses:
     def test_theory_bonus_zero_width(self):
         p = np.full((2, 1, 2), 0.5)
-        model = TabularModel(t=1, delta=0.1, p_hat=p,
+        model = TabularModel(p_hat=p,
                              sigma_table=np.zeros((2, 1)))
         b = theory_bonus(model, horizon=3)
         assert b(0, 0) == 0.0
@@ -278,7 +278,7 @@ class TestBonuses:
 
     def test_theory_bonus_caps_width_at_two(self):
         p = np.full((2, 1, 2), 0.5)
-        model = TabularModel(t=1, delta=0.1, p_hat=p,
+        model = TabularModel(p_hat=p,
                              sigma_table=np.array([[5.0], [0.5]]))
         b = theory_bonus(model, horizon=3)
         assert b(0, 0) == 6.0   # H * min(5, 2)
@@ -319,9 +319,9 @@ class TestBonuses:
         p = np.full((2, 1, 2), 0.5)
         q = np.zeros((2, 1, 2))
         q[:, :, 0] = 1.0
-        m_a = TabularModel(t=1, delta=0.1, p_hat=p,
+        m_a = TabularModel(p_hat=p,
                            sigma_table=np.zeros((2, 1)))
-        m_b = TabularModel(t=1, delta=0.1, p_hat=q,
+        m_b = TabularModel(p_hat=q,
                            sigma_table=np.zeros((2, 1)))
         buf = TabularBuffer(2, 1)
         b = ensemble_bonus(m_a, m_b, buf, lam_bonus=1.0)
@@ -333,7 +333,7 @@ class TestBonuses:
                         [[0.25, 0.75, 0.0]]])
         p_b = np.zeros((3, 1, 3))
         p_b[:, :, 1] = 1.0
-        m_a, m_b = (TabularModel(t=1, delta=0.1, p_hat=p,
+        m_a, m_b = (TabularModel(p_hat=p,
                                  sigma_table=np.zeros((3, 1)))
                     for p in (p_a, p_b))
         buf = TabularBuffer(3, 1, capacity=2)
@@ -368,15 +368,15 @@ class TestBonuses:
 class TestModelValidation:
     @staticmethod
     def tabular(**kw):
-        args = dict(t=1, delta=0.1, p_hat=np.full((2, 1, 2), 0.5),
+        args = dict(p_hat=np.full((2, 1, 2), 0.5),
                     sigma_table=np.zeros((2, 1)))
         args.update(kw)
         return TabularModel(**args)
 
     @staticmethod
     def knr(**kw):
-        args = dict(t=1, delta=0.1, w_hat=np.zeros((2, 3)), cov=np.eye(3),
-                    lam_ridge=0.1, noise_std=0.1, w_max=1.0, beta=1.0,
+        args = dict(w_hat=np.zeros((2, 3)), cov=np.eye(3),
+                    noise_std=0.1, beta=1.0,
                     features=lambda s, a: np.zeros(np.shape(a) + (3,)))
         args.update(kw)
         return KnrModel(**args)
@@ -391,14 +391,12 @@ class TestModelValidation:
         {"p_hat": np.full((2, 1, 3), 1 / 3)},                 # not (S, A, S)
         {"sigma_table": np.zeros((2, 2))},
         {"sigma_table": np.array([[-0.1], [0.0]])},
-        {"t": 0}, {"delta": 0.0}, {"delta": 1.0},
     ])
     def test_tabular_rejects(self, kw):
         with pytest.raises(ConfigurationError):
             self.tabular(**kw)
 
     @pytest.mark.parametrize("kw", [
-        {"t": 0}, {"delta": -0.1}, {"delta": 1.5},
         {"cov": np.eye(2)},
         {"cov": np.diag([1.0, 0.0, 1.0])},
         {"cov": np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0],
@@ -544,7 +542,7 @@ def random_tabular_model(rng, s_dim, a_dim):
     unvisited pair usually has the largest gap."""
     p = rng.dirichlet(np.ones(s_dim), size=(s_dim, a_dim))
     p[rng.random((s_dim, a_dim)) < 0.3] = 1.0 / s_dim
-    return TabularModel(t=1, delta=0.1, p_hat=p,
+    return TabularModel(p_hat=p,
                         sigma_table=np.zeros((s_dim, a_dim)))
 
 

@@ -39,7 +39,7 @@ from ilfo_lab.worlds import make_chain, make_knr_example, make_random_mdp
 def tabular_model(kernel):
     kernel = np.asarray(kernel, dtype=float)
     s_dim, a_dim = kernel.shape[0], kernel.shape[1]
-    return TabularModel(t=1, delta=0.1, p_hat=kernel,
+    return TabularModel(p_hat=kernel,
                         sigma_table=np.zeros((s_dim, a_dim)))
 
 
@@ -401,13 +401,18 @@ class TestSolveMinmaxTabular:
                          num_actions=2, init_state=np.zeros(2))
 
 
-    @pytest.mark.parametrize("init_state", [-1, 3])
+    @pytest.mark.parametrize("init_state", [-1, 3, 1.5])
     def test_init_state_out_of_range_raises(self, init_state):
+        # both solvers share one check, so neither rounds 1.5 to state 1
+        # nor indexes -1 or 3 into a different program
         rng = np.random.default_rng(15)
         model, bonus, d_e = self.random_game(rng)
         with pytest.raises(ConfigurationError, match="init_state"):
             solve_minmax(model, bonus, "box", d_e, MinMaxConfig(k_iters=2),
                          horizon=2, init_state=init_state)
+        with pytest.raises(ConfigurationError, match="init_state"):
+            game_value_lp(model, bonus, d_e, horizon=2,
+                          init_state=init_state)
 
     def test_expert_must_be_state_distribution(self):
         # the tabular solver takes d_e as an (S,) array, not the dataset
