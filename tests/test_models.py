@@ -397,14 +397,21 @@ class TestModelValidation:
             self.tabular(**kw)
 
     @pytest.mark.parametrize("kw", [
+        {"t": 0}, {"delta": -0.1}, {"delta": 1.5},
         {"cov": np.eye(2)},
         {"cov": np.diag([1.0, 0.0, 1.0])},
         {"cov": np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0],
                           [0.0, 0.0, 1.0]])},
     ])
     def test_knr_rejects(self, kw):
+        # t and delta enter through fit_knr_model, cov through the record
         with pytest.raises(ConfigurationError):
-            self.knr(**kw)
+            if "cov" in kw:
+                self.knr(**kw)
+            else:
+                buf = KnrBuffer(lambda s, a: np.zeros(np.shape(a) + (3,)),
+                                3, 2, 1.0)
+                fit_knr_model(buf, 0.1, 2.0, **{"t": 1, "delta": 0.1, **kw})
 
 
 class TestMeanPrediction:
