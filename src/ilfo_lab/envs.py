@@ -202,19 +202,23 @@ class Policy:
             table = np.asarray(self.action_table)
             if table.ndim != 2 or table.dtype.kind not in "iu":
                 raise ConfigurationError("action_table must be (H, S) integers")
-            if self.num_actions is None or self.num_actions < 1:
+            num_actions = self.num_actions
+            if num_actions is not None:
+                num_actions = _as_int("num_actions", num_actions)
+            if num_actions is None or num_actions < 1:
                 raise ConfigurationError("an action table needs num_actions >= 1")
-            if table.size and (table.min() < 0
-                               or table.max() >= self.num_actions):
+            if table.size and (table.min() < 0 or table.max() >= num_actions):
                 raise ConfigurationError("action index out of range")
             object.__setattr__(self, "action_table", _frozen(table))
+            object.__setattr__(self, "num_actions", num_actions)
         elif self.probs is not None:
             probs = np.asarray(self.probs, dtype=float)
             if probs.ndim != 3:
                 raise ConfigurationError("probs must be (H, S, A)")
             if np.any(probs < 0):
                 raise ConfigurationError("negative action probability")
-            if np.max(np.abs(probs.sum(axis=2) - 1.0)) > ROW_TOL:
+            # written so that a NaN row fails too, as in _checked_kernel
+            if not (np.abs(probs.sum(axis=2) - 1.0) <= ROW_TOL).all():
                 raise ConfigurationError("per-(h,s) action distribution must sum to 1")
             object.__setattr__(self, "probs", _frozen(probs))
         else:
@@ -283,7 +287,7 @@ class MixedPolicy:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (len(comps),):
             raise ConfigurationError("one weight per component required")
-        if np.any(w < 0) or abs(w.sum() - 1.0) > ROW_TOL:
+        if not ((w >= 0).all() and abs(w.sum() - 1.0) <= ROW_TOL):
             raise ConfigurationError("weights must be nonnegative and sum to 1")
         slots = {}
         inverse = np.array([slots.setdefault(id(c), len(slots))

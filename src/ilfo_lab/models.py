@@ -2,11 +2,13 @@
 
 Two model families, one replay buffer and one model type each:
 
-* ``TabularBuffer`` and ``TabularModel``, visit counts and a count model
-  with per-(s, a) confidence widths,
-* ``KnrBuffer`` and ``KnrModel``, feature rows with their ridge sums and a
-  kernelized nonlinear regulator (KNR) ridge model with elliptical
-  confidence widths.
+* ``TabularBuffer`` and ``TabularModel``, transition codes and a count
+  model with per-(s, a) confidence widths,
+* ``KnrBuffer`` and ``KnrModel``, feature rows and a kernelized nonlinear
+  regulator (KNR) ridge model with elliptical confidence widths.
+
+A buffer keeps its transitions as rows of arrays, and a fit computes
+every statistic it reads from the rows.
 
 Both report widths through ``sigma``, which caps at ``SIGMA_CAP`` so
 downstream bonuses stay bounded.
@@ -14,16 +16,15 @@ downstream bonuses stay bounded.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .envs import ConfigurationError, Trajectory, _checked_kernel, _frozen
+from .envs import (ConfigurationError, Trajectory, _as_int, _checked_kernel,
+                   _frozen)
 
 Array = np.ndarray
 
@@ -32,109 +33,104 @@ Array = np.ndarray
 SIGMA_CAP = 2.0
 
 
-class _Fifo:
-    """FIFO of transitions; ``capacity=0`` means unbounded."""
-
-    def __init__(self, capacity: int):
-        if capacity < 0:
-            raise ConfigurationError("capacity must be >= 0")
-        self.capacity = int(capacity)
-        self._items: deque = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def extend_trajectory(self, traj: Trajectory) -> None:
-        for h in range(traj.horizon):
-            self.append(traj.states[h], traj.actions[h], traj.states[h + 1])
-
-    def _push(self, item):
-        """Append item; return the evicted oldest item, or None."""
-        self._items.append(item)
-        if self.capacity and len(self._items) > self.capacity:
-            return self._items.popleft()
-        return None
+def _checked_capacity(capacity) -> int:
+    capacity = _as_int("capacity", capacity)
+    if capacity < 0:
+        raise ConfigurationError("capacity must be >= 0")
+    return capacity
 
 
-class TabularBuffer(_Fifo):
-    """FIFO of tabular (s, a, s') transitions, pooled across h.
+def _joined(rows: Array, new: Array, capacity: int) -> Array:
+    """rows then new, cut to the newest ``capacity`` rows; 0 keeps all, as
+    [-0:] does."""
+    return np.concatenate([rows, new])[-capacity:]
 
-    Each transition is kept as its flat code (s A + a) S + s', next to the
-    visit counts, so tabular fits are O(S A S) instead of O(len(buffer)).
-    Iterating yields the (s, a, s') triples in FIFO order.
+
+def _fold(start: Array, terms: Array) -> Array:
+    """start + terms[0] + terms[1] + ..., added strictly in order; np.sum
+    may add pairwise."""
+    return np.cumsum(np.concatenate([start[None], terms]), axis=0)[-1].copy()
+
+
+class TabularBuffer:
+    """Tabular (s, a, s') transitions, pooled across h, oldest first.
+
+    Each transition is kept as its flat code (s A + a) S + s' in one
+    array; ``capacity`` keeps the newest that many (all when 0).
+    Iterating yields the (s, a, s') triples.
     """
 
     def __init__(self, num_states: int, num_actions: int, capacity: int = 0):
-        super().__init__(capacity)
+        self.capacity = _checked_capacity(capacity)
         self.num_states, self.num_actions = num_states, num_actions
-        self._counts = np.zeros(num_states * num_actions * num_states,
-                                dtype=np.int64)
+        self._codes = np.zeros(0, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self._codes)
 
     def __iter__(self):
         s_dim, a_dim = self.num_states, self.num_actions
-        for code in self._items:
+        for code in self._codes.tolist():
             sa, s_next = divmod(code, s_dim)
             yield (*divmod(sa, a_dim), s_next)
 
     def append(self, s, a, s_next) -> None:
-        """Count (s, a, s'), or raise ConfigurationError unless each is an
-        integer in range."""
-        try:
-            i, j, k = (operator.index(s), operator.index(a),
-                       operator.index(s_next))
-        except TypeError:
-            raise ConfigurationError(
-                f"tabular transition ({s!r}, {a!r}, {s_next!r}) needs "
-                f"integer indices") from None
+        """Keep (s, a, s'), or raise ConfigurationError unless each is an
+        integer index in range."""
+        self._extend([s], [a], [s_next])
+
+    def extend_trajectory(self, traj: Trajectory) -> None:
+        """Keep the episode's H transitions, or none, raising
+        ConfigurationError, unless each is integer indices in range."""
+        self._extend(traj.states[:-1], traj.actions, traj.states[1:])
+
+    def _extend(self, s, a, s_next) -> None:
         s_dim, a_dim = self.num_states, self.num_actions
-        if not (0 <= i < s_dim and 0 <= j < a_dim and 0 <= k < s_dim):
+        try:
+            codes = np.ravel_multi_index((s, a, s_next), (s_dim, a_dim, s_dim))
+        except (TypeError, ValueError):
             raise ConfigurationError(
-                f"tabular transition ({i}, {j}, {k}) out of range for "
-                f"S={s_dim}, A={a_dim}")
-        code = (i * a_dim + j) * s_dim + k
-        self._counts[code] += 1
-        evicted = self._push(code)
-        if evicted is not None:
-            self._counts[evicted] -= 1
+                f"tabular transitions ({s}, {a}, {s_next}) need integer "
+                f"indices in range for S={s_dim}, A={a_dim}") from None
+        self._codes = _joined(self._codes, codes, self.capacity)
 
     @property
     def counts_sas(self) -> Array:
-        """Visit counts N(s, a, s') of the transitions held, a copy."""
+        """Visit counts N(s, a, s'): one bincount of the codes."""
         s_dim, a_dim = self.num_states, self.num_actions
-        return self._counts.reshape(s_dim, a_dim, s_dim).copy()
+        return np.bincount(self._codes, minlength=s_dim * a_dim * s_dim
+                           ).reshape(s_dim, a_dim, s_dim)
 
     def take(self, idx: Array) -> TabularBuffer:
         """The transitions at positions idx, in that order, as an unbounded
-        buffer; its counts are one bincount of their codes."""
-        codes = np.fromiter(self._items, dtype=np.int64,
-                            count=len(self._items))[idx]
+        buffer."""
         out = TabularBuffer(self.num_states, self.num_actions)
-        out._items = deque(codes.tolist())
-        out._counts = np.bincount(codes, minlength=out._counts.size)
+        out._codes = self._codes[idx]
         return out
 
 
-class KnrBuffer(_Fifo):
-    """FIFO of KNR (phi, s') rows, pooled across h, with the ridge sums.
+class KnrBuffer:
+    """KNR (phi, s') rows, pooled across h, oldest first.
 
-    phi = features(s, a) is taken once, when a transition is appended; the
-    feature map must be a pure function of (s, a).  The buffer keeps the
-    ridge sums ``lam I + sum phi phi^T`` and ``sum s' phi^T`` (see
-    ``ridge_sums``) of its rows.
+    phi = features(s, a) is taken once, at append; the feature map must be
+    a pure function of (s, a) on the last-axis contract, so an episode
+    takes one call.  ``capacity`` keeps the newest rows (all when 0).
     """
 
     def __init__(self, features: Callable, feature_dim: int, state_dim: int,
                  lam_ridge: float, capacity: int = 0):
-        super().__init__(capacity)
+        self.capacity = _checked_capacity(capacity)
         if not 0 < lam_ridge < math.inf:
             raise ConfigurationError(
                 "lam_ridge must be a finite number > 0")
         self.features = features
         self.feature_dim, self.state_dim = feature_dim, state_dim
         self.lam_ridge = lam_ridge
-        # the sums cover the first _folded rows; 0 means start afresh
-        self._folded = 0
-        self._cov = self._moment = None
+        self._phi = np.zeros((0, feature_dim))
+        self._next = np.zeros((0, state_dim))
+
+    def __len__(self) -> int:
+        return len(self._phi)
 
     def append(self, s, a, s_next) -> None:
         """Featurize (s, a) and keep (phi, s'), or raise ConfigurationError
@@ -144,42 +140,42 @@ class KnrBuffer(_Fifo):
         except TypeError:
             raise ConfigurationError(
                 f"KNR action {a!r} needs an integer index") from None
-        if a < 0:
-            raise ConfigurationError(f"KNR action {a} is negative")
-        phi = np.asarray(self.features(s, a), dtype=float)
-        if self._push((phi, s_next)) is not None:
-            # subtracting would move digits: the next fit refolds
-            self._folded = 0
+        self._extend(s, a, s_next)
+
+    def extend_trajectory(self, traj: Trajectory) -> None:
+        """Keep the episode's H rows, or none if an action is negative,
+        raising ConfigurationError."""
+        self._extend(traj.states[:-1], traj.actions, traj.states[1:])
+
+    def _extend(self, s, a, s_next) -> None:
+        lowest = np.min(a, initial=0)
+        if lowest < 0:
+            raise ConfigurationError(f"KNR action {lowest} is negative")
+        phi = np.reshape(self.features(s, a), (-1, self.feature_dim))
+        s_next = np.reshape(s_next, (-1, self.state_dim))
+        self._phi = _joined(self._phi, phi, self.capacity)
+        self._next = _joined(self._next, s_next, self.capacity)
 
     def feature_rows(self) -> Array:
-        """The (len, feature_dim) phi rows, in FIFO order."""
-        return np.reshape([phi for phi, _ in self._items],
-                          (-1, self.feature_dim))
+        """The (len, feature_dim) phi rows, oldest first, a copy."""
+        return self._phi.copy()
 
     def ridge_sums(self) -> tuple[Array, Array]:
-        """(cov, moment) = (lam I + sum phi phi^T, sum s' phi^T), the
-        buffer's own arrays, not to be written to.
-
-        Only the rows appended since the last call are folded in, in FIFO
-        order, so every sum takes the float steps of a fold over the whole
-        buffer.  After an eviction the sums are refolded from every row.
-        """
-        if self._folded == 0:
-            self._cov = self.lam_ridge * np.eye(self.feature_dim)
-            self._moment = np.zeros((self.state_dim, self.feature_dim))
-        for phi, s_next in itertools.islice(self._items, self._folded, None):
-            self._cov += np.outer(phi, phi)
-            self._moment += np.outer(s_next, phi)
-        self._folded = len(self._items)
-        return self._cov, self._moment
+        """(cov, moment) = (lam I + sum phi phi^T, sum s' phi^T), each a
+        fold over the rows, oldest first, from lam I and from zero."""
+        phi = self._phi
+        cov = _fold(self.lam_ridge * np.eye(self.feature_dim),
+                    phi[:, :, None] * phi[:, None, :])
+        moment = _fold(np.zeros((self.state_dim, self.feature_dim)),
+                       self._next[:, :, None] * phi[:, None, :])
+        return cov, moment
 
     def take(self, idx: Array) -> KnrBuffer:
         """The rows at positions idx, in that order, as an unbounded buffer
         on the same feature map; it makes no ``features`` call."""
-        rows = list(self._items)
         out = KnrBuffer(self.features, self.feature_dim, self.state_dim,
                         self.lam_ridge)
-        out._items = deque(rows[i] for i in idx.tolist())
+        out._phi, out._next = self._phi[idx], self._next[idx]
         return out
 
 
@@ -298,12 +294,12 @@ def fit_knr_ridge(buffer: KnrBuffer) -> tuple[Array, Array]:
     """Ridge regression of next states on features.
 
     Returns (w_hat, cov) with w_hat = (sum s' phi^T)(cov)^{-1} and
-    cov = sum phi phi^T + lam I, both the buffer's running sums.  An
-    empty buffer yields w_hat = 0.
+    cov = sum phi phi^T + lam I, from the buffer's ridge sums.  An empty
+    buffer yields w_hat = 0.
     """
     cov, moment = buffer.ridge_sums()
     w_hat = np.linalg.solve(cov, moment.T).T
-    return w_hat, cov.copy()
+    return w_hat, cov
 
 
 def knr_beta(t: int, delta: float, lam_ridge: float, noise_std: float,
@@ -359,7 +355,7 @@ class BonusFunction:
     def __post_init__(self):
         if self.table is not None:
             tab = np.asarray(self.table, dtype=float)
-            if np.any(tab < 0) or np.any(tab > self.upper + 1e-12):
+            if not ((tab >= 0) & (tab <= self.upper + 1e-12)).all():
                 raise ConfigurationError("bonus table out of [0, upper]")
             object.__setattr__(self, "table", _frozen(tab))
 

@@ -101,7 +101,8 @@ def _tabular_game(model: TabularModel, bonus, expert, horizon: int,
     """The checked inputs of a tabular game, shared by the Frank-Wolfe
     solver and the LP oracle: the learned kernel as a cost-free MDP (which
     rejects a bad horizon or start state), the expert's (S,) state
-    distribution d_e, and the (S, A) bonus table (zero without a bonus)."""
+    distribution d_e, and the finite (S, A) bonus table (zero without a
+    bonus)."""
     view = TabularMdp(horizon=horizon, transitions=model.p_hat,
                       cost=np.zeros(model.num_states), init_state=init_state)
     s_dim, a_dim = view.num_states, view.num_actions
@@ -117,7 +118,10 @@ def _tabular_game(model: TabularModel, bonus, expert, horizon: int,
     table = bonus.table if isinstance(bonus, BonusFunction) else bonus
     if not isinstance(table, np.ndarray) or table.shape != (s_dim, a_dim):
         raise ConfigurationError("a tabular solve needs an (S, A) bonus table")
-    return view, d_e, np.asarray(table, dtype=float)
+    table = np.asarray(table, dtype=float)
+    if not np.isfinite(table).all():
+        raise ConfigurationError("a tabular solve needs a finite bonus table")
+    return view, d_e, table
 
 
 def box_objective(d_avg_sa: Array, d_e: Array, bonus_table: Array) -> float:

@@ -87,10 +87,15 @@ GAME_CASES = [
     (dict(bonus=np.zeros((2, 1))), "a tabular solve needs an (S, A) bonus table"),
     (dict(bonus=BonusFunction(upper=1.0, fn=lambda s, a: 0.0)),
      "a tabular solve needs an (S, A) bonus table"),
+    (dict(bonus=np.array([[0.0, np.nan], [0.0, 0.0]])),
+     "a tabular solve needs a finite bonus table"),
+    (dict(bonus=np.array([[0.0, np.inf], [0.0, 0.0]])),
+     "a tabular solve needs a finite bonus table"),
 ]
 GAME_IDS = ["init_negative", "init_past_end", "init_fractional",
             "horizon_zero", "horizon_fractional", "expert_shape",
-            "expert_negative", "expert_nan", "bonus_shape", "bonus_no_table"]
+            "expert_negative", "expert_nan", "bonus_shape", "bonus_no_table",
+            "bonus_nan", "bonus_inf"]
 
 CASES = [
     ("TabularMdp/horizon_zero", lambda: mdp(horizon=0),
@@ -131,6 +136,9 @@ CASES = [
     ("Policy/table_no_num_actions",
      lambda: Policy(action_table=np.zeros((1, 2), dtype=int)),
      "an action table needs num_actions >= 1"),
+    ("Policy/num_actions_fractional",
+     lambda: Policy.deterministic(np.zeros((2, 2), int), 2.5),
+     "num_actions 2.5 needs an integer"),
     ("Policy/table_out_of_range",
      lambda: Policy.deterministic(np.array([[0, 3]]), num_actions=3),
      "action index out of range"),
@@ -140,6 +148,9 @@ CASES = [
      lambda: Policy.tabular(np.array([[[1.5, -0.5]]])),
      "negative action probability"),
     ("Policy/probs_row_sum", lambda: Policy.tabular(np.ones((1, 2, 2))),
+     "per-(h,s) action distribution must sum to 1"),
+    ("Policy/probs_nan",
+     lambda: Policy.tabular(np.array([[[np.nan, 0.5]]])),
      "per-(h,s) action distribution must sum to 1"),
     ("Policy/seq_not_flat", lambda: Policy.open_loop([[0, 1]]),
      "action_seq must be a flat action list"),
@@ -154,9 +165,24 @@ CASES = [
      lambda: MixedPolicy(components=(Policy.open_loop([0]),),
                          weights=np.array([0.9])),
      "weights must be nonnegative and sum to 1"),
+    ("MixedPolicy/weight_nan",
+     lambda: MixedPolicy(components=(Policy.open_loop([0]),) * 2,
+                         weights=np.array([np.nan, np.nan])),
+     "weights must be nonnegative and sum to 1"),
     ("BonusFunction/table_range",
      lambda: BonusFunction(upper=1.0, table=np.array([[1.5]])),
      "bonus table out of [0, upper]"),
+    ("BonusFunction/table_nan",
+     lambda: BonusFunction(upper=1.0, table=np.array([[np.nan]])),
+     "bonus table out of [0, upper]"),
+    ("TabularBuffer/capacity_fractional",
+     lambda: TabularBuffer(2, 1, capacity=2.5),
+     "capacity 2.5 needs an integer"),
+    ("TabularBuffer/capacity_negative",
+     lambda: TabularBuffer(2, 1, capacity=-1), "capacity must be >= 0"),
+    ("KnrBuffer/capacity_fractional",
+     lambda: KnrBuffer(make_knr_example().features, 4, 2, 0.3, capacity=2.5),
+     "capacity 2.5 needs an integer"),
     ("fit_tabular/t_zero", lambda: fit_tabular(TabularBuffer(2, 1), 0, 0.1),
      "model index t must be >= 1"),
     ("fit_tabular/delta_zero",

@@ -527,9 +527,9 @@ class TestTracedFitCalls:
 
 
 class TestKnrRidgeSums:
-    """A KNR run on the buffer's feature rows and running ridge sums
-    against the slow path kept in test_models: raw transitions, the full
-    refit, per-append halves and the per-item ensemble gap."""
+    """A KNR run on the buffer's feature rows and ridge sums against the
+    slow path kept in test_models: raw transitions, the full refit,
+    per-append halves and the per-item ensemble gap."""
 
     H, T = 3, 10
 
@@ -563,24 +563,17 @@ class TestKnrRidgeSums:
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def counted_run(self, monkeypatch, mode, capacity):
-        """Features calls inside fits and inside the buffer's episode
-        appends, and per fit the folds since the previous fit and the
-        buffer's length."""
+        """Features calls, and the rows they featurize, inside fits and
+        inside the buffer's episode appends."""
         base = make_knr_example(noise_std=0.05, horizon=self.H)
-        calls, phase, folds, lengths = {"fit": 0, "append": 0}, [None], [0], []
+        calls, rows = dict(fit=0, append=0), dict(fit=0, append=0)
+        phase = [None]
 
         def features(s, a):
             if phase[0] in calls:
                 calls[phase[0]] += 1
+                rows[phase[0]] += np.size(a)
             return base.features(s, a)
-
-        class CountingNumpy:
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            def outer(self, x, y):
-                folds[-1] += 0.5    # a fold is two outer products
-                return np.outer(x, y)
 
         def within(name, fn):
             def wrapped(buffer, *args):
@@ -589,12 +582,8 @@ class TestKnrRidgeSums:
                     return fn(buffer, *args)
                 finally:
                     phase[0] = None
-                    if name == "fit":
-                        lengths.append(len(buffer))
-                        folds.append(0)
             return wrapped
 
-        monkeypatch.setattr(models, "np", CountingNumpy())
         monkeypatch.setattr(models, "fit_knr_ridge",
                             within("fit", models.fit_knr_ridge))
         monkeypatch.setattr(models.KnrBuffer, "extend_trajectory",
@@ -602,27 +591,18 @@ class TestKnrRidgeSums:
                                    models.KnrBuffer.extend_trajectory))
         self.knr_run(mode, capacity,
                      dataclasses.replace(base, features=features))
-        return calls, folds[:-1], lengths
+        return calls, rows
 
     @pytest.mark.parametrize("mode, capacity", [
         ("theory", 0), ("ensemble", 0), ("theory", 5)])
     def test_fit_features_each_transition_once(self, monkeypatch, mode,
                                                capacity):
-        # each executed transition is featurized once, when its episode is
-        # appended (the last one after the last fit), and never in a fit;
-        # a full refit on every fit would take H T (T - 1) / 2 calls
-        calls, _, _ = self.counted_run(monkeypatch, mode, capacity)
-        assert calls == {"fit": 0, "append": self.T * self.H}
-
-    @pytest.mark.parametrize("capacity", [0, 5])
-    def test_at_most_one_refold_per_fit(self, monkeypatch, capacity):
-        _, folds, lengths = self.counted_run(monkeypatch, "theory", capacity)
-        assert len(folds) == len(lengths) == self.T
-        assert all(f <= n for f, n in zip(folds, lengths))
-        if capacity == 0:
-            assert folds == [0] + [self.H] * (self.T - 1)
-        else:
-            assert folds[2:] == [capacity] * (self.T - 2)
+        # each executed transition is featurized once, in one call per
+        # appended episode (the last one after the last fit), and never in
+        # a fit; a full refit on every fit would take H T (T - 1) / 2 rows
+        calls, rows = self.counted_run(monkeypatch, mode, capacity)
+        assert calls == {"fit": 0, "append": self.T}
+        assert rows == {"fit": 0, "append": self.T * self.H}
 
 
 class TestCombinationLock:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ilfo_lab import ConfigurationError, Policy, rollout
+from ilfo_lab import ConfigurationError, Policy, Trajectory, rollout
 from ilfo_lab.models import (
     BonusFunction,
     KnrBuffer,
@@ -98,6 +98,27 @@ class TestReplayBuffer:
             buf.append(s, a, s_next)
         assert list(buf) == [(1, 1, 2), (2, 0, 0)]
         np.testing.assert_array_equal(buf.counts_sas, before)
+
+    @pytest.mark.parametrize("states", [[0, 1, 3], [0.0, 1.0, 2.0]],
+                             ids=["next_state_equal_to_S", "float_states"])
+    def test_tabular_episode_is_kept_whole_or_not_at_all(self, states):
+        buf = TabularBuffer(3, 2, capacity=2)
+        buf.append(1, 1, 2)
+        with pytest.raises(ConfigurationError):
+            buf.extend_trajectory(Trajectory(states=np.array(states),
+                                             actions=[0, 1]))
+        assert list(buf) == [(1, 1, 2)]
+        buf.extend_trajectory(Trajectory(states=np.array([0, 1, 2]),
+                                         actions=[0, 1]))
+        assert list(buf) == [(0, 0, 1), (1, 1, 2)]
+
+    def test_knr_episode_with_a_negative_action_is_not_kept(self):
+        sys_ = make_knr_example()
+        buf = KnrBuffer(sys_.features, 4, 2, 0.3)
+        with pytest.raises(ConfigurationError):
+            buf.extend_trajectory(Trajectory(states=np.zeros((3, 2)),
+                                             actions=[1, -1]))
+        assert len(buf) == 0
 
     def test_bootstrap_preserves_size_and_dims(self):
         rng = np.random.default_rng(0)
@@ -565,6 +586,27 @@ def bootstrap_against_reference(buf, ref, seed, empty):
     return halves, want
 
 
+# (feature_dim, state_dim): with a dimension of 1 the ridge sums' stack
+# is contiguous along the rows, where np.sum would add pairwise
+knr_dims = st.tuples(st.sampled_from([1, 1, 3, 4]), st.sampled_from([1, 1, 2]))
+KNR_ACTIONS = 3
+
+
+def random_feature_map(rng, feature_dim, state_dim):
+    """A feature map on the last-axis contract, (..., state_dim) states and
+    (...) actions in [0, KNR_ACTIONS) to (..., feature_dim) rows: the cos
+    of a random linear map of s plus one offset per action."""
+    w = rng.normal(size=(feature_dim, state_dim))
+    b = rng.normal(size=(KNR_ACTIONS, feature_dim))
+    return lambda s, a: np.cos(np.matvec(w, np.asarray(s, dtype=float))
+                               + b[a])
+
+
+def random_transition(rng, state_dim):
+    return (rng.normal(size=state_dim), int(rng.integers(KNR_ACTIONS)),
+            rng.normal(size=state_dim))
+
+
 class TestEnsembleCountsDifferential:
     """The count-based bootstrap and ensemble bonus against the per-append
     and per-item references above."""
@@ -596,18 +638,17 @@ class TestEnsembleCountsDifferential:
 
     @settings(max_examples=40, deadline=None)
     @given(n_items=st.integers(0, 30), capacity=st.sampled_from([0, 9]),
-           seed=st.integers(0, 2**32 - 1), lam=st.floats(0.0, 3.0))
-    def test_knr(self, n_items, capacity, seed, lam):
-        sys_ = make_knr_example(noise_std=0.05)
+           dims=knr_dims, seed=st.integers(0, 2**32 - 1),
+           lam=st.floats(0.0, 3.0))
+    def test_knr(self, n_items, capacity, dims, seed, lam):
+        feature_dim, state_dim = dims
         data_rng = np.random.default_rng(seed)
-        args = (sys_.features, sys_.feature_dim, sys_.state_dim, 0.3)
+        args = (random_feature_map(data_rng, *dims), feature_dim, state_dim,
+                0.3)
         buf = KnrBuffer(*args, capacity)
         twin = ReferenceKnrBuffer(*args, capacity)
         for _ in range(n_items):
-            s = data_rng.normal(size=2) * 0.4
-            a = int(data_rng.integers(sys_.num_actions))
-            s_next = (sys_.step_mean(s, a)
-                      + sys_.noise_std * data_rng.normal(size=2))
+            s, a, s_next = random_transition(data_rng, state_dim)
             buf.append(s, a, s_next)
             twin.append(s, a, s_next)
         halves, ref = bootstrap_against_reference(
@@ -618,13 +659,13 @@ class TestEnsembleCountsDifferential:
             assert np.array_equal(new.feature_rows(), old.feature_rows())
             for x, y in zip(fit_knr_ridge(new), reference_fit_knr_ridge(old)):
                 assert np.array_equal(x, y)
-        m_a, m_b = (fit_knr_model(h, sys_.noise_std, 2.0, t=1, delta=0.1)
+        m_a, m_b = (fit_knr_model(h, 0.05, 2.0, t=1, delta=0.1)
                     for h in halves)
         got = ensemble_bonus(m_a, m_b, buf, lam_bonus=lam)
         want = reference_ensemble_bonus(m_a, m_b, twin, lam_bonus=lam)
         assert got.table is None and want.table is None
-        probes = [(s, a) for s, a, _ in twin] + [(np.zeros(2), 0),
-                                                 (np.ones(2), 1)]
+        probes = [(s, a) for s, a, _ in twin] + [(np.zeros(state_dim), 0),
+                                                 (np.ones(state_dim), 1)]
         for s, a in probes:
             assert got.fn(s, a) == want.fn(s, a)
 
@@ -654,27 +695,30 @@ class CountingMap:
 
 
 buffer_ops = st.lists(st.one_of(
-    st.tuples(st.just("append"), st.integers(1, 6)),
+    st.tuples(st.sampled_from(["append", "episode"]), st.integers(1, 6)),
     st.just(("fit",)),
     st.tuples(st.just("boot"), st.integers(0, 2**32 - 1))), max_size=25)
 
 
 class TestKnrRidgeSumsDifferential:
-    """The buffer's feature rows and running ridge sums against the full
-    refit above, over sequences of appends (which evict once the buffer is
-    full), fits and bootstraps; the feature map is called once per
-    appended transition and never by a fit, a refold or a half."""
+    """The buffer's feature rows and ridge sums against the full refit
+    above, over sequences of appends, one transition or one episode at a
+    time (which evict once the buffer is full), fits and bootstraps; the
+    feature map is called once per appended transition or episode and
+    never by a fit or a half."""
 
     @settings(max_examples=150, deadline=None)
     @given(ops=buffer_ops, capacity=st.sampled_from([0, 0, 3, 7]),
-           lam=st.sampled_from([0.3, 0.3, 1e-3, 2.0]),
+           lam=st.sampled_from([0.3, 0.3, 1e-3, 2.0]), dims=knr_dims,
            seed=st.integers(0, 2**32 - 1))
-    def test_matches_full_refit(self, ops, capacity, lam, seed):
-        sys_ = make_knr_example(noise_std=0.05)
-        fmap = CountingMap(sys_.features)
+    def test_matches_full_refit(self, ops, capacity, lam, dims, seed):
+        feature_dim, state_dim = dims
         data_rng = np.random.default_rng(seed)
-        buf = KnrBuffer(fmap, 4, 2, lam, capacity)
-        twin = ReferenceKnrBuffer(sys_.features, 4, 2, lam, capacity)
+        features = random_feature_map(data_rng, *dims)
+        fmap = CountingMap(features)
+        buf = KnrBuffer(fmap, feature_dim, state_dim, lam, capacity)
+        args = (features, feature_dim, state_dim, lam)
+        twin = ReferenceKnrBuffer(*args, capacity)
 
         def check_fit(b, ref):
             for x, y in zip(fit_knr_ridge(b), reference_fit_knr_ridge(ref)):
@@ -685,21 +729,23 @@ class TestKnrRidgeSumsDifferential:
             calls = fmap.calls
             if op[0] == "append":
                 for _ in range(op[1]):
-                    s = data_rng.normal(size=2) * 0.5
-                    a = int(data_rng.integers(sys_.num_actions))
-                    s_next = (sys_.step_mean(s, a)
-                              + sys_.noise_std * data_rng.normal(size=2))
-                    buf.append(s, a, s_next)
-                    twin.append(s, a, s_next)
+                    transition = random_transition(data_rng, state_dim)
+                    buf.append(*transition)
+                    twin.append(*transition)
                 assert fmap.calls - calls == op[1]
-                assert len(buf) == len(twin)
+            elif op[0] == "episode":
+                traj = Trajectory(
+                    states=data_rng.normal(size=(op[1] + 1, state_dim)),
+                    actions=data_rng.integers(KNR_ACTIONS, size=op[1]))
+                buf.extend_trajectory(traj)
+                twin.extend_trajectory(traj)
+                assert fmap.calls - calls == 1
             elif op[0] == "fit":
                 check_fit(buf, twin)
                 assert fmap.calls == calls
             else:
                 halves, ref = bootstrap_against_reference(
-                    buf, twin, op[1],
-                    lambda: ReferenceKnrBuffer(sys_.features, 4, 2, lam))
+                    buf, twin, op[1], lambda: ReferenceKnrBuffer(*args))
                 for h, r in zip(halves, ref):
                     check_fit(h, r)
                 if len(buf):
@@ -712,11 +758,15 @@ class TestKnrRidgeSumsDifferential:
                         assert got(s, a) == want(s, a)
                 else:
                     assert fmap.calls == calls
+            assert len(buf) == len(twin)
 
 
 tabular_ops = st.lists(st.one_of(
     st.tuples(st.just("append"),
               st.lists(st.tuples(*[st.integers(0, 99)] * 3), min_size=1,
+                       max_size=6)),
+    st.tuples(st.just("episode"), st.integers(0, 99),
+              st.lists(st.tuples(*[st.integers(0, 99)] * 2), min_size=1,
                        max_size=6)),
     st.just(("fit",)),
     st.tuples(st.just("boot"), st.integers(0, 2**32 - 1))), max_size=25)
@@ -725,8 +775,8 @@ tabular_ops = st.lists(st.one_of(
 class TestTabularBufferDifferential:
     """The buffer's codes and counts against the list of transitions it
     holds, and its halves against the per-append reference, over
-    sequences of appends (which evict once the buffer is full), fits and
-    bootstraps."""
+    sequences of appends, one transition or one episode at a time (which
+    evict once the buffer is full), fits and bootstraps."""
 
     @settings(max_examples=150, deadline=None)
     @given(ops=tabular_ops, s_dim=st.integers(1, 5), a_dim=st.integers(1, 3),
@@ -742,6 +792,15 @@ class TestTabularBufferDifferential:
                     held.append(triple)
                     if capacity and len(held) > capacity:
                         del held[0]
+                assert list(buf) == held
+            elif op[0] == "episode":
+                states = [op[1] % s_dim] + [s % s_dim for _, s in op[2]]
+                actions = [a % a_dim for a, _ in op[2]]
+                buf.extend_trajectory(Trajectory(states=np.array(states),
+                                                 actions=actions))
+                held += zip(states[:-1], actions, states[1:])
+                if capacity:
+                    del held[:-capacity]
                 assert list(buf) == held
             elif op[0] == "fit":
                 counts = np.zeros((s_dim, a_dim, s_dim), dtype=np.int64)
