@@ -43,6 +43,18 @@ def _as_int(name: str, value, kind: str = "integer") -> int:
         raise ConfigurationError(f"{name} {value!r} needs an {kind}") from None
 
 
+def _checked_start(horizon, init_state, num_states: int) -> tuple[int, int]:
+    """An integer ``horizon`` >= 1 and an integer ``init_state`` in
+    [0, num_states), with the messages of ``TabularMdp``."""
+    horizon = _as_int("horizon", horizon)
+    if horizon < 1:
+        raise ConfigurationError("horizon must be >= 1")
+    init_state = _as_int("init_state", init_state, "integer index")
+    if not 0 <= init_state < num_states:
+        raise ConfigurationError("init_state out of range")
+    return horizon, init_state
+
+
 def _checked_kernel(transitions) -> Array:
     """A frozen float (S, A, S) kernel whose rows are probability vectors,
     each summing to 1 within ``ROW_TOL``; a NaN row fails that sum."""
@@ -73,9 +85,6 @@ class TabularMdp:
     init_state: int
 
     def __post_init__(self):
-        object.__setattr__(self, "horizon", _as_int("horizon", self.horizon))
-        if self.horizon < 1:
-            raise ConfigurationError("horizon must be >= 1")
         object.__setattr__(self, "transitions", _checked_kernel(self.transitions))
         object.__setattr__(self, "cost", _frozen(np.asarray(self.cost, dtype=float)))
         S = self.transitions.shape[0]
@@ -83,9 +92,8 @@ class TabularMdp:
             raise ConfigurationError("cost must be one value per state")
         if np.any(self.cost < 0) or np.any(self.cost > 1):
             raise ConfigurationError("costs must lie in [0, 1]")
-        init_state = _as_int("init_state", self.init_state, "integer index")
-        if not 0 <= init_state < S:
-            raise ConfigurationError("init_state out of range")
+        horizon, init_state = _checked_start(self.horizon, self.init_state, S)
+        object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "init_state", init_state)
 
     @property
@@ -643,18 +651,46 @@ def best_response_tabular(mdp, cost) -> Policy:
     """Cost-minimizing deterministic nonstationary policy by backward DP.
 
     ``cost`` is (S,) or (S, A) and may be negative (bonus-lowered
-    objectives). Ties go to the lowest action index.
+    objectives). Ties go to the lowest action index. The pass fills the
+    (H, S, A) Q stack and carries each step's row minima; one argmin over
+    the stack then takes the whole action table, as a per-step argmin
+    and a gather of its Q values would.
     """
     S, A, H = mdp.num_states, mdp.num_actions, mdp.horizon
     c = _cost_table(cost, S, A)
-    actions = np.zeros((H, S), dtype=np.int64)
-    rows = np.arange(S)
+    q = np.empty((H, S, A))
     v = np.zeros(S)
     for h in range(H - 1, -1, -1):
-        q = c + mdp.transitions @ v
-        actions[h] = q.argmin(axis=1)
-        v = q[rows, actions[h]]
-    return Policy.deterministic(actions, num_actions=A)
+        q_h = q[h]
+        np.add(c, mdp.transitions @ v, out=q_h)
+        v = np.minimum.reduce(q_h, axis=1)
+    return Policy.deterministic(q.argmin(axis=2), num_actions=A)
+
+
+def table_occupancy(mdp, actions: Array) -> Array:
+    """(S, A) average occupancy of one (H, S) action table on ``mdp``.
+
+    The forward pass of ``occupancy_exact`` without the one-hot cube:
+    step h moves the state distribution p_h through the S kernel rows
+    P(.|s, pi_h(s)), gathered for that step alone, so the pass holds one
+    (S, S) block at a time. The average is one ``bincount`` of p_h over
+    the visited (s, pi_h(s)) cells, divided by H. The cube's zeros add
+    exactly and both sums run in order, so the result equals
+    ``occupancy_exact(mdp, Policy.deterministic(actions, A)).average``
+    bit for bit. ``actions`` is not checked; it is a policy's
+    ``action_table`` on ``mdp``.
+    """
+    H, S = actions.shape
+    A = mdp.transitions.shape[1]
+    rows = mdp.transitions.reshape(S * A, S)
+    cells = actions + np.arange(S) * A   # the kernel row of each (s, pi_h(s))
+    mass = np.zeros((H, S))
+    mass[0, mdp.init_state] = 1.0
+    for h in range(H - 1):
+        np.einsum("s,st->t", mass[h], rows.take(cells[h], axis=0),
+                  out=mass[h + 1])
+    return np.bincount(cells.ravel(), weights=mass.ravel(),
+                       minlength=S * A).reshape(S, A) / H
 
 
 class OpenLoopTree:

@@ -18,15 +18,15 @@ from __future__ import annotations
 import functools
 import logging
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .discriminators import (MmdDiscriminator, box_witness, mmd_update,
                              tv_best_response)
 from .envs import (ConfigurationError, MixedPolicy, OpenLoopTree, Policy,
-                   TabularMdp, best_response_tabular, occupancy_exact,
-                   openloop_search)
+                   _checked_start, best_response_tabular, occupancy_exact,
+                   openloop_search, table_occupancy)
 from .models import BonusFunction, KnrModel, TabularModel
 
 Array = np.ndarray
@@ -96,32 +96,55 @@ def best_response_knr(model: KnrModel, cost_fn: Callable, bonus,
     return Policy.open_loop(seq)
 
 
+class _TabularGame(NamedTuple):
+    """The checked inputs of a tabular game: the learned kernel with the
+    horizon and start state, which the exact DPs read as an MDP's, the
+    expert's (S,) state distribution d_e and the (S, A) bonus table."""
+
+    horizon: int
+    transitions: Array
+    init_state: int
+    d_e: Array
+    bonus: Array
+
+    @property
+    def num_states(self) -> int:
+        return self.transitions.shape[0]
+
+    @property
+    def num_actions(self) -> int:
+        return self.transitions.shape[1]
+
+
 def _tabular_game(model: TabularModel, bonus, expert, horizon: int,
-                  init_state) -> tuple[TabularMdp, Array, Array]:
-    """The checked inputs of a tabular game, shared by the Frank-Wolfe
-    solver and the LP oracle: the learned kernel as a cost-free MDP (which
-    rejects a bad horizon or start state), the expert's (S,) state
-    distribution d_e, and the finite (S, A) bonus table (zero without a
-    bonus)."""
-    view = TabularMdp(horizon=horizon, transitions=model.p_hat,
-                      cost=np.zeros(model.num_states), init_state=init_state)
-    s_dim, a_dim = view.num_states, view.num_actions
+                  init_state) -> _TabularGame:
+    """The inputs of a tabular game, checked in the one place that the
+    Frank-Wolfe solver and the LP oracle share. A bad horizon or start
+    state fails with the message ``TabularMdp`` gives; the kernel is the
+    model's ``p_hat``, which ``TabularModel`` has checked. d_e must be a
+    finite, nonnegative (S,) mass and the bonus a finite (S, A) table
+    (zero without a bonus)."""
+    s_dim, a_dim = model.num_states, model.num_actions
+    horizon, init_state = _checked_start(horizon, init_state, s_dim)
     try:
         d_e = np.asarray(expert, dtype=float)
     except (TypeError, ValueError):
         d_e = None
-    # written so that a NaN mass fails too
-    if d_e is None or d_e.shape != (s_dim,) or not (d_e >= 0).all():
-        raise ConfigurationError("expert distribution must be (S,) and >= 0")
+    # written on the passing condition, so that a NaN mass fails too
+    if (d_e is None or d_e.shape != (s_dim,)
+            or not ((d_e >= 0) & (d_e < np.inf)).all()):
+        raise ConfigurationError(
+            "expert distribution must be (S,), finite and >= 0")
     if bonus is None:
-        return view, d_e, np.zeros((s_dim, a_dim))
+        return _TabularGame(horizon, model.p_hat, init_state, d_e,
+                            np.zeros((s_dim, a_dim)))
     table = bonus.table if isinstance(bonus, BonusFunction) else bonus
     if not isinstance(table, np.ndarray) or table.shape != (s_dim, a_dim):
         raise ConfigurationError("a tabular solve needs an (S, A) bonus table")
     table = np.asarray(table, dtype=float)
     if not np.isfinite(table).all():
         raise ConfigurationError("a tabular solve needs a finite bonus table")
-    return view, d_e, table
+    return _TabularGame(horizon, model.p_hat, init_state, d_e, table)
 
 
 def box_objective(d_avg_sa: Array, d_e: Array, bonus_table: Array) -> float:
@@ -143,8 +166,8 @@ def solve_minmax(model: TabularModel | KnrModel, bonus, disc_class, expert,
     "box", expert the (S,) state distribution d_e), a KNR model against
     an MmdDiscriminator (expert the (m,) mean embedding of the expert
     states under its feature map).  Any other disc_class raises
-    ConfigurationError, and so do a tabular horizon or init_state that a
-    ``TabularMdp`` on the learned kernel would reject.
+    ConfigurationError, and so do a tabular horizon or init_state that
+    ``TabularMdp`` would reject.
     """
     if isinstance(model, KnrModel):
         if not isinstance(disc_class, MmdDiscriminator):
@@ -168,14 +191,15 @@ def _uniform_policy(horizon: int, num_states: int, num_actions: int) -> Policy:
 
 
 def _solve_fw_box(model, bonus, expert, cfg, horizon, init_state):
-    view, d_e, b_table = _tabular_game(model, bonus, expert, horizon,
-                                       init_state)
-    uniform = _uniform_policy(view.horizon, view.num_states, view.num_actions)
-    d_bar = occupancy_exact(view, uniform).average
+    game = _tabular_game(model, bonus, expert, horizon, init_state)
+    d_e, b_table = game.d_e, game.bonus
+    uniform = _uniform_policy(game.horizon, game.num_states, game.num_actions)
+    d_bar = occupancy_exact(game, uniform).average
     components = []
     # the best response and its occupancy are pure functions of the box
     # witness 1{d_bar(s) > d_e(s)}, so a repeated witness mask reuses both
-    # (and the same Policy); the float witness is built only on a miss
+    # (and the same Policy); the float witness is built only on a miss, and
+    # a response's occupancy comes from its action table
     responses = {}
     step = np.empty_like(d_bar)
     for k in range(1, cfg.k_iters + 1):
@@ -184,8 +208,9 @@ def _solve_fw_box(model, bonus, expert, cfg, horizon, init_state):
         response = responses.get(key)
         if response is None:
             f_k = box_witness(d_state, d_e)
-            pi = best_response_tabular(view, f_k[:, None] - b_table)
-            response = responses[key] = (pi, occupancy_exact(view, pi).average)
+            pi = best_response_tabular(game, f_k[:, None] - b_table)
+            occ = table_occupancy(game, pi.action_table)
+            response = responses[key] = (pi, occ)
         pi_k, occ_k = response
         components.append(pi_k)
         # d_bar <- (1 - 1/k) d_bar + occ_k / k, in place
@@ -270,12 +295,11 @@ def game_value_lp(model, bonus, expert, horizon: int,
     path; used as an oracle for solver soundness.  Its inputs are checked
     as the tabular ``solve_minmax`` checks them.
     """
-    view, d_e, b_table = _tabular_game(model, bonus, expert, horizon,
-                                       init_state)
+    game = _tabular_game(model, bonus, expert, horizon, init_state)
     from scipy.optimize import linprog
 
-    kernel, horizon = view.transitions, view.horizon
-    s_dim, a_dim = view.num_states, view.num_actions
+    kernel, horizon, b_table = game.transitions, game.horizon, game.bonus
+    s_dim, a_dim = game.num_states, game.num_actions
     n_d = horizon * s_dim * a_dim
     n = n_d + s_dim
 
@@ -294,7 +318,7 @@ def game_value_lp(model, bonus, expert, horizon: int,
     for s in range(s_dim):
         for a in range(a_dim):
             a_eq[s, d_idx(0, s, a)] = 1.0
-    b_eq[view.init_state] = 1.0
+    b_eq[game.init_state] = 1.0
     for h in range(1, horizon):
         for s_next in range(s_dim):
             row = h * s_dim + s_next
@@ -305,7 +329,7 @@ def game_value_lp(model, bonus, expert, horizon: int,
                     a_eq[row, d_idx(h - 1, s, a)] -= kernel[s, a, s_next]
 
     a_ub = np.zeros((s_dim, n))
-    b_ub = d_e.copy()
+    b_ub = game.d_e.copy()
     for s in range(s_dim):
         for h in range(horizon):
             for a in range(a_dim):

@@ -73,17 +73,17 @@ def lp(bonus=GAME[1], expert=GAME[2], horizon=2, init_state=0):
                          init_state=init_state)
 
 
+EXPERT_MESSAGE = "expert distribution must be (S,), finite and >= 0"
 GAME_CASES = [
     (dict(init_state=-1), "init_state out of range"),
     (dict(init_state=2), "init_state out of range"),
     (dict(init_state=1.5), "init_state 1.5 needs an integer index"),
     (dict(horizon=0), "horizon must be >= 1"),
     (dict(horizon=2.5), "horizon 2.5 needs an integer"),
-    (dict(expert=np.array([1.0])), "expert distribution must be (S,) and >= 0"),
-    (dict(expert=np.array([1.5, -0.5])),
-     "expert distribution must be (S,) and >= 0"),
-    (dict(expert=np.array([np.nan, 1.0])),
-     "expert distribution must be (S,) and >= 0"),
+    (dict(expert=np.array([1.0])), EXPERT_MESSAGE),
+    (dict(expert=np.array([1.5, -0.5])), EXPERT_MESSAGE),
+    (dict(expert=np.array([np.nan, 1.0])), EXPERT_MESSAGE),
+    (dict(expert=np.array([np.inf, 0.0])), EXPERT_MESSAGE),
     (dict(bonus=np.zeros((2, 1))), "a tabular solve needs an (S, A) bonus table"),
     (dict(bonus=BonusFunction(upper=1.0, fn=lambda s, a: 0.0)),
      "a tabular solve needs an (S, A) bonus table"),
@@ -94,8 +94,8 @@ GAME_CASES = [
 ]
 GAME_IDS = ["init_negative", "init_past_end", "init_fractional",
             "horizon_zero", "horizon_fractional", "expert_shape",
-            "expert_negative", "expert_nan", "bonus_shape", "bonus_no_table",
-            "bonus_nan", "bonus_inf"]
+            "expert_negative", "expert_nan", "expert_inf", "bonus_shape",
+            "bonus_no_table", "bonus_nan", "bonus_inf"]
 
 CASES = [
     ("TabularMdp/horizon_zero", lambda: mdp(horizon=0),

@@ -1,8 +1,9 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ilfo_lab.envs import (
@@ -18,6 +19,7 @@ from ilfo_lab.envs import (
     rollout,
     rollouts,
     state_values,
+    table_occupancy,
     value_eval_mc,
     value_eval_tabular,
 )
@@ -936,12 +938,17 @@ def _optimal_dp_reference(mdp, cost_table):
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), S=st.integers(1, 6),
        A=st.integers(1, 4), H=st.integers(1, 6), deterministic=st.booleans(),
-       state_cost=st.booleans())
+       state_cost=st.booleans(), copies=st.integers(0, 3))
+@example(seed=0, S=1, A=1, H=1, deterministic=True, state_cost=False,
+         copies=0)
+@example(seed=1, S=5, A=3, H=4, deterministic=False, state_cost=False,
+         copies=3)
 def test_best_response_tabular_matches_reference_dp(seed, S, A, H,
                                                     deterministic,
-                                                    state_cost):
-    # 0/1 kernels and costs on a 1/2 grid make ties common, which go to
-    # the lowest action index
+                                                    state_cost, copies):
+    # 0/1 kernels and costs on a 1/2 grid make ties common, and an action
+    # whose kernel rows and costs are copied from another's ties with it
+    # in every Q row; ties go to the lowest action index
     rng = np.random.default_rng(seed)
     if deterministic:
         P = np.eye(S)[rng.integers(0, S, size=(S, A))]
@@ -949,16 +956,16 @@ def test_best_response_tabular_matches_reference_dp(seed, S, A, H,
     else:
         P = rng.dirichlet(np.ones(S), size=(S, A))
         cost = rng.uniform(0, 1, size=S)
+    table = (cost[:, None] + np.zeros(A) if state_cost else
+             np.round(rng.uniform(-1, 1, size=(S, A)),
+                      0 if deterministic else 12))
+    for _ in range(copies if A > 1 else 0):
+        i, j = rng.choice(A, size=2, replace=False)
+        P[:, j], table[:, j] = P[:, i], table[:, i]
     mdp = TabularMdp(horizon=H, transitions=P, cost=cost, init_state=0)
-    if state_cost:
-        pol = best_response_tabular(mdp, mdp.cost)
-        ref = _optimal_dp_reference(mdp, mdp.cost[:, None])
-    else:
-        table = np.round(rng.uniform(-1, 1, size=(S, A)),
-                         0 if deterministic else 12)
-        pol = best_response_tabular(mdp, table)
-        ref = _optimal_dp_reference(mdp, table)
-    assert np.array_equal(pol.action_table, ref)
+    pol = best_response_tabular(mdp, mdp.cost if state_cost else table)
+    assert np.array_equal(pol.action_table,
+                          _optimal_dp_reference(mdp, table))
 
 
 def test_state_values_slice_is_the_policy_value():
@@ -972,3 +979,53 @@ def test_state_values_slice_is_the_policy_value():
     for k, pol in enumerate(pols):
         assert values[k, 0, mdp.init_state] == value_eval_tabular(
             mdp, pol, mdp.cost)
+
+
+def _sparse_mdp(rng, S, A, H):
+    """Dirichlet rows with most entries zeroed: each row keeps at least one
+    positive entry and is renormalized."""
+    P = rng.dirichlet(np.ones(S), size=(S, A))
+    P *= rng.random((S, A, S)) < 0.3
+    P[np.arange(S)[:, None], np.arange(A), rng.integers(0, S, (S, A))] += 0.5
+    P /= P.sum(axis=2, keepdims=True)
+    return TabularMdp(horizon=H, transitions=P, cost=np.zeros(S), init_state=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), S=st.integers(1, 30),
+       A=st.integers(1, 5), H=st.integers(1, 15))
+@example(seed=0, S=1, A=1, H=1)
+@example(seed=1, S=1, A=3, H=4)
+@example(seed=2, S=4, A=1, H=3)
+@example(seed=3, S=5, A=2, H=1)
+def test_table_occupancy_equals_one_hot_occupancy_bytes(seed, S, A, H):
+    # every start state, on a sparse kernel: the forward pass over the
+    # action table gives the bytes of the one-hot cube's occupancy_exact
+    rng = np.random.default_rng(seed)
+    mdp = _sparse_mdp(rng, S, A, H)
+    table = rng.integers(0, A, size=(H, S))
+    for init in range(S):
+        start = dataclasses.replace(mdp, init_state=init)
+        got = table_occupancy(start, table)
+        want = occupancy_exact(
+            start, Policy.deterministic(table, num_actions=A)).average
+        assert got.shape == (S, A)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_table_occupancy_holds_one_kernel_block_at_a_time():
+    # an (H, S, S) gather of every step's kernel rows would take 64 MB here
+    S, A, H = 400, 4, 50
+    rng = np.random.default_rng(31)
+    mdp = _sparse_mdp(rng, S, A, H)
+    table = rng.integers(0, A, size=(H, S))
+    tracemalloc.start()
+    try:
+        occ = table_occupancy(mdp, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one (S, S) float64 block, plus the (H, S) masses and kernel-row
+    # indices and the (S, A) bincount, fits in two blocks
+    assert peak <= 2 * S * S * 8
+    assert abs(occ.sum() - 1.0) <= 1e-12

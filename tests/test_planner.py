@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ilfo_lab import (ConfigurationError, Policy, TabularMdp, planner,
-                      value_eval_tabular)
+from ilfo_lab import (ConfigurationError, Policy, TabularMdp, envs,
+                      planner, value_eval_tabular)
 from ilfo_lab.discriminators import (MmdDiscriminator, RffFeatureMap,
                                      mmd_update, rff_featurize)
 from ilfo_lab.envs import KnrSystem, OpenLoopTree, openloop_search
@@ -400,6 +400,21 @@ class TestSolveMinmaxTabular:
             solve_minmax(knr, None, "box", d_e, MinMaxConfig(), horizon=2,
                          num_actions=2, init_state=np.zeros(2))
 
+
+    def test_solvers_read_the_model_kernel_without_a_second_check(self):
+        # TabularModel checked p_hat when it was built; a solve builds no
+        # TabularMdp view, whose construction would check it again
+        rng = np.random.default_rng(12)
+        model, bonus, d_e = self.random_game(rng)
+
+        def rechecked(transitions):
+            raise AssertionError("the model kernel was checked again")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(envs, "_checked_kernel", rechecked)
+            solve_minmax(model, bonus, "box", d_e, MinMaxConfig(k_iters=20),
+                         horizon=2)
+            game_value_lp(model, bonus, d_e, horizon=2)
 
     @pytest.mark.parametrize("init_state", [-1, 3, 1.5])
     def test_init_state_out_of_range_raises(self, init_state):
