@@ -179,28 +179,54 @@ class RunRecord:
     def info_gain_total(self) -> float:
         return float(self.info_gain_cum[-1])
 
-    def rows(self):
-        for i in range(self.num_iterations):
-            yield (int(self.t[i]), float(self.value[i]), self.expert_value,
-                   float(self.regret[i]), float(self.ipm[i]),
-                   float(self.mean_bonus[i]), float(self.info_gain_cum[i]),
-                   float(self.objective[i]))
-
     def write_csv(self, path) -> None:
-        write_csv_rows(path, CSV_COLUMNS, self.rows(), CSV_ROW_FORMAT)
+        n = self.num_iterations
+        write_csv_columns(
+            path, CSV_COLUMNS,
+            (self.t, self.value, [self.expert_value] * n, self.regret,
+             self.ipm, self.mean_bonus, self.info_gain_cum, self.objective),
+            CSV_ROW_FORMAT)
+
+
+def write_csv_columns(path, columns, values, row_format: str) -> None:
+    """Stable CSV: LF endings, '.' decimals, 17 significant digits.
+
+    ``values`` holds one sequence per name in ``columns``, all of one
+    length; a numpy column is read through ``tolist()``. ``row_format``
+    formats one whole row with ``%``: ``%d`` for an integer column,
+    ``%.17g`` for a float column and ``%s`` for a string column,
+    comma-separated, e.g. ``"%d,%.17g,%s"``. The whole file is formatted
+    before it is opened, so a cell that fails to format writes nothing.
+    """
+    k = len(columns)
+    if len(values) != k:
+        raise ConfigurationError(
+            f"{len(values)} value columns for the {k} names {columns}")
+    values = [v.tolist() if isinstance(v, np.ndarray) else v for v in values]
+    n = max((len(v) for v in values), default=0)
+    for name, v in zip(columns, values):
+        if len(v) != n:
+            raise ConfigurationError(
+                f"column {name!r} has {len(v)} rows where another has {n}")
+    cells = [None] * (n * k)
+    for j, v in enumerate(values):
+        cells[j::k] = v
+    text = ",".join(columns) + "\n" + ((row_format + "\n") * n) % tuple(cells)
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def write_csv_rows(path, columns, rows, row_format: str) -> None:
-    """Stable CSV: LF endings, '.' decimals, 17 significant digits.
-
-    ``row_format`` formats one whole row with ``%``: ``%d`` for an integer
-    column, ``%.17g`` for a float column and ``%s`` for a string column,
-    comma-separated, e.g. ``"%d,%.17g,%s"``.
-    """
-    template = row_format + "\n"
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        fh.writelines(template % tuple(row) for row in rows)
+    """``write_csv_columns`` on an iterable of rows, each holding one cell
+    per column."""
+    k = len(columns)
+    rows = list(rows)
+    for i, row in enumerate(rows):
+        if len(row) != k:
+            raise ConfigurationError(
+                f"row {i} has {len(row)} cells for the {k} columns {columns}")
+    values = list(zip(*rows)) or [()] * k
+    write_csv_columns(path, columns, values, row_format)
 
 
 def info_gain_increment(model, trajectory) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import Array, ConfigurationError, KnrSystem, _frozen
-from .loop import write_csv_rows
+from .loop import write_csv_columns
 
 ALGORITHMS = ("ucb1", "eps_greedy", "known_mean_elim")
 
@@ -34,6 +34,10 @@ class BanditConfig:
     algorithms: tuple[str, ...] = ALGORITHMS
 
     def __post_init__(self):
+        if self.horizon < 3:
+            raise ConfigurationError(
+                f"horizon must be >= 3, got {self.horizon}: the regret "
+                "slope is fitted from t = 2 on and needs two points")
         if not 2 <= self.num_arms <= self.horizon:
             raise ConfigurationError("num_arms must be >= 2 and <= horizon")
         if not self.algorithms:
@@ -320,6 +324,8 @@ def fit_loglog_slope(t_grid: Array, regret: Array) -> float:
     regret = np.asarray(regret, dtype=float)
     if t_grid.shape != regret.shape or t_grid.ndim != 1:
         raise ConfigurationError("t grid and regret must be equal vectors")
+    if t_grid.size == 0:
+        raise ConfigurationError("t grid and regret must not be empty")
     fit_start = max(2, int(t_grid[-1]) // 10)
     keep = (t_grid >= fit_start) & (regret > 0)
     if keep.sum() < 2:
@@ -333,8 +339,6 @@ def fit_loglog_slope(t_grid: Array, regret: Array) -> float:
 def write_regret_csv(path, algorithm: str, instance_id: str, t_grid: Array,
                      mean: Array, stderr: Array) -> None:
     n = len(t_grid)
-    rows = zip(np.asarray(t_grid).astype(int).tolist(),
-               np.asarray(mean, dtype=float).tolist(),
-               np.asarray(stderr, dtype=float).tolist(),
-               [algorithm] * n, [instance_id] * n)
-    write_csv_rows(path, REGRET_CSV_COLUMNS, rows, REGRET_CSV_ROW_FORMAT)
+    write_csv_columns(path, REGRET_CSV_COLUMNS,
+                      (t_grid, mean, stderr, [algorithm] * n,
+                       [instance_id] * n), REGRET_CSV_ROW_FORMAT)

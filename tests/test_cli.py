@@ -238,6 +238,25 @@ class TestRunExperiment:
         assert summary[0] == "algorithm,instance_id,final_mean_regret,loglog_slope"
         assert len(summary) == 5
 
+    @pytest.mark.parametrize("num_arms, horizon", [(2, 2), (2, 3), (3, 3)])
+    def test_shortest_mab_horizon(self, tmp_path, num_arms, horizon):
+        # a horizon of 3 leaves two positive-regret steps for the slope
+        # fit; a horizon of 2 is rejected before anything is written
+        code, _ = _run_main(tmp_path, "mab-lb", {"bandit": {
+            "num_arms": num_arms, "horizon": horizon}})
+        out = tmp_path / "o"
+        if horizon < 3:
+            assert code == 2
+            assert not out.exists()
+            return
+        assert code == 0
+        for alg in ALGORITHMS:
+            for i in range(num_arms + 1):
+                lines = (out / f"mab-{alg}-instance-{i}.csv").read_text()
+                assert len(lines.splitlines()) == horizon + 1
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert len(summary) == 1 + len(ALGORITHMS) * (num_arms + 1)
+
     def test_mab_csv_bytes_are_pinned(self, tmp_path):
         # digests of the CSVs written by the per-run scalar bandit loop,
         # which the batch engine must reproduce byte for byte
@@ -646,12 +665,14 @@ class TestSchema:
          "'bandit.algorithms' must be a nonempty list of strings"),
         ("mab-lb", {"bandit": {"num_arms": 5, "horizon": 4}},
          "bandit.num_arms must be >= 2 and <= horizon"),
+        ("mab-lb", {"bandit": {"num_arms": 2, "horizon": 2}},
+         "bandit.horizon must be >= 3, got 2"),
     ], ids=["env_horizon_float", "env_num_states_str", "k_iters_float",
             "n_candidates_float", "t_iters_bool", "t_iters_float",
             "mmd_features_float", "negative_seed", "chain_one_state",
             "lock_negative_code_seed", "two_state_p_forward",
             "lam_ridge_str", "minmax_not_object", "algorithms_not_list",
-            "horizon_below_num_arms"])
+            "horizon_below_num_arms", "bandit_horizon_two"])
     def test_bad_values_fail_at_parse_time(self, tmp_path, capsys,
                                            subcommand, change, message):
         code, wrote = _run_main(tmp_path, subcommand, change)

@@ -20,6 +20,7 @@ from ilfo_lab.loop import (
     info_gain_increment,
     regret_summary,
     run_mobile,
+    write_csv_columns,
     write_csv_rows,
 )
 from ilfo_lab.mab import REGRET_CSV_COLUMNS, write_regret_csv
@@ -664,6 +665,31 @@ def cell_by_cell_csv(path, columns, rows):
             fh.write(",".join(cell(x) for x in row) + "\n")
 
 
+# per cell kind: (the cells of a list column, mixing Python and numpy
+# scalars, [(dtype, element strategy) of each numpy column])
+_FLOAT_CELLS = st.one_of(
+    st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -5e-324,
+                                  2.2250738585072014e-308, float("nan"),
+                                  float("inf"), float("-inf")]))
+_CSV_CELLS = {
+    "%d": (st.one_of(st.integers(), st.booleans(),
+                     st.integers(-2**63, 2**63 - 1).map(np.int64),
+                     st.integers(-2**31, 2**31 - 1).map(np.int32),
+                     st.booleans().map(np.bool_)),
+           [(np.int64, st.integers(-2**63, 2**63 - 1)),
+            (np.int32, st.integers(-2**31, 2**31 - 1)),
+            (bool, st.booleans())]),
+    "%.17g": (st.one_of(_FLOAT_CELLS, _FLOAT_CELLS.map(np.float64)),
+              [(np.float64, _FLOAT_CELLS)]),
+    "%s": (st.one_of(st.text(st.characters(blacklist_categories=("Cs",)),
+                             max_size=8),
+                     st.sampled_from(["a,b", "%", "%d", "100%,", ""])),
+           []),
+}
+# what the cell formatter is handed for each kind
+_CSV_REFERENCE = {"%d": int, "%.17g": float, "%s": str}
+
+
 class TestCsvRowTemplates:
     ROWS = [
         (0, 0.0, -0.0, "chain"),
@@ -682,6 +708,14 @@ class TestCsvRowTemplates:
         assert ((tmp_path / "new.csv").read_bytes()
                 == (tmp_path / "old.csv").read_bytes())
 
+    def test_rows_may_be_a_generator(self, tmp_path):
+        cols, fmt = ("i", "f", "g", "s"), "%d,%.17g,%.17g,%s"
+        write_csv_rows(tmp_path / "list.csv", cols, self.ROWS, fmt)
+        write_csv_rows(tmp_path / "gen.csv", cols,
+                       (row for row in self.ROWS), fmt)
+        assert ((tmp_path / "gen.csv").read_bytes()
+                == (tmp_path / "list.csv").read_bytes())
+
     def test_run_record_csv_matches_cell_formatter(self, tmp_path):
         env = make_chain(num_states=4, num_actions=2, horizon=3)
         _, data = expert_for(env, n=20)
@@ -689,7 +723,12 @@ class TestCsvRowTemplates:
             t_iters=4, n_expert=20, minmax=MinMaxConfig(k_iters=3)),
             np.random.default_rng(0))
         rec.write_csv(tmp_path / "new.csv")
-        cell_by_cell_csv(tmp_path / "old.csv", CSV_COLUMNS, rec.rows())
+        rows = [(int(t), float(v), float(rec.expert_value), float(r),
+                 float(i), float(b), float(g), float(o))
+                for t, v, r, i, b, g, o in zip(
+                    rec.t, rec.value, rec.regret, rec.ipm, rec.mean_bonus,
+                    rec.info_gain_cum, rec.objective)]
+        cell_by_cell_csv(tmp_path / "old.csv", CSV_COLUMNS, rows)
         assert ((tmp_path / "new.csv").read_bytes()
                 == (tmp_path / "old.csv").read_bytes())
 
@@ -707,3 +746,60 @@ class TestCsvRowTemplates:
         cell_by_cell_csv(tmp_path / "old.csv", REGRET_CSV_COLUMNS, rows)
         assert ((tmp_path / "new.csv").read_bytes()
                 == (tmp_path / "old.csv").read_bytes())
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_writers_match_cell_formatter(self, tmp_path_factory, data):
+        kinds = data.draw(st.lists(st.sampled_from(sorted(_CSV_CELLS)),
+                                   min_size=1, max_size=5))
+        n = data.draw(st.integers(0, 12))
+        values, ref_cols = [], []
+        for kind in kinds:
+            cells, arrays = _CSV_CELLS[kind]
+            col = data.draw(st.one_of(
+                st.lists(cells, min_size=n, max_size=n),
+                *(st.lists(elem, min_size=n, max_size=n).map(
+                    lambda c, dt=dtype: np.array(c, dtype=dt))
+                  for dtype, elem in arrays)))
+            values.append(col)
+            ref_cols.append([_CSV_REFERENCE[kind](x) for x in col])
+        cols = tuple(f"c{j}" for j in range(len(kinds)))
+        row_format = ",".join(kinds)
+        tmp = tmp_path_factory.mktemp("csv")
+        cell_by_cell_csv(tmp / "ref.csv", cols, list(zip(*ref_cols)))
+        write_csv_columns(tmp / "columns.csv", cols, values, row_format)
+        write_csv_rows(tmp / "rows.csv", cols, list(zip(*values)),
+                       row_format)
+        expected = (tmp / "ref.csv").read_bytes()
+        assert (tmp / "columns.csv").read_bytes() == expected
+        assert (tmp / "rows.csv").read_bytes() == expected
+
+    def test_unequal_columns_are_rejected(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        with pytest.raises(ConfigurationError, match="'mean_regret'"):
+            write_regret_csv(path, "a", "b", [1, 2, 3], [0.5], [0.1, 0.2, 0.3])
+        with pytest.raises(ConfigurationError, match="'t'"):
+            write_csv_columns(path, ("t", "x"), ([1], [0.5, 0.25]), "%d,%.17g")
+        with pytest.raises(ConfigurationError, match="2 value columns"):
+            write_csv_columns(path, ("t",), ([1], [2]), "%d")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("rows", [
+        [(1, 0.5), (2, 0.25, 3), (4, 0.125)],
+        [(1, 0.5, 2), (0.25,)],
+        [(1,)],
+    ], ids=["long_row", "cells_shift_rows", "short_row"])
+    def test_row_of_wrong_width_is_rejected(self, tmp_path, rows):
+        path = tmp_path / "rows.csv"
+        with pytest.raises(ConfigurationError, match="cells for the 2 columns"):
+            write_csv_rows(path, ("t", "x"), rows, "%d,%.17g")
+        assert not path.exists()
+
+    def test_unformattable_cell_leaves_no_file(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        rows = [(1, 0.5), (2, 0.25), (3, "not a number")]
+        with pytest.raises(TypeError):
+            write_csv_rows(path, ("t", "x"), rows, "%d,%.17g")
+        with pytest.raises(ValueError):
+            write_csv_columns(path, ("t",), ([1, 2, float("nan")],), "%d")
+        assert not path.exists()

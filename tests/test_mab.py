@@ -383,6 +383,10 @@ class TestCurvesAndSlopes:
         with pytest.raises(ConfigurationError):
             fit_loglog_slope(np.arange(1, 11), np.zeros(10))
 
+    def test_slope_rejects_empty_grid(self):
+        with pytest.raises(ConfigurationError, match="must not be empty"):
+            fit_loglog_slope(np.arange(1, 1), np.zeros(0))
+
     def test_regret_csv_layout(self, tmp_path):
         tr = run_bandit(BIG_GAP, "ucb1", 20, np.random.default_rng(0))
         t, mean, stderr = cumulative_regret_curve(tr.pseudo_regret)
