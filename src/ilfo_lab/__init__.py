@@ -9,7 +9,6 @@ from .envs import (
     ConfigurationError,
     KnrSystem,
     MixedPolicy,
-    OccupancyMeasure,
     Policy,
     TabularMdp,
     Trajectory,
@@ -47,7 +46,6 @@ __all__ = [
     "MabInstance",
     "MixedPolicy",
     "MobileConfig",
-    "OccupancyMeasure",
     "Policy",
     "RunRecord",
     "TabularMdp",

@@ -14,6 +14,7 @@ Both classes are state-only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,8 @@ class RffFeatureMap:
         off = np.asarray(self.offsets, dtype=float)
         if om.ndim != 2 or off.shape != (om.shape[0],):
             raise ConfigurationError("omega must be (m, d) with matching offsets")
-        if self.bandwidth <= 0:
-            raise ConfigurationError("bandwidth must be positive")
+        if not 0 < self.bandwidth < math.inf:
+            raise ConfigurationError("bandwidth must be a finite number > 0")
         object.__setattr__(self, "omega", _frozen(om))
         object.__setattr__(self, "offsets", _frozen(off))
 
@@ -78,7 +79,7 @@ class MmdDiscriminator:
         w = np.asarray(self.w, dtype=float)
         if w.shape != (self.feature_map.num_features,):
             raise ConfigurationError("w must match the feature dimension")
-        if self.zeta <= 0:
+        if not self.zeta > 0:
             raise ConfigurationError("zeta must be positive")
         if np.linalg.norm(w) > self.zeta + W_NORM_TOL:
             raise ConfigurationError("w violates the norm constraint")
@@ -167,7 +168,8 @@ def rff_featurize(states: Array, m: int, bandwidth,
     """Draw a frozen feature map and featurize the reference batch.
 
     bandwidth="auto" uses the 0.1 quantile of pairwise distances over
-    the batch, which then needs at least two points.
+    the batch, which then needs at least two points; a numeric bandwidth
+    must be a finite number > 0.
     """
     if m < 1:
         raise ConfigurationError("m must be >= 1")
@@ -190,8 +192,8 @@ def rff_featurize(states: Array, m: int, bandwidth,
             bw = float(positive.min())
     else:
         bw = float(bandwidth)
-        if bw <= 0:
-            raise ConfigurationError("bandwidth must be positive")
+        if not 0 < bw < math.inf:
+            raise ConfigurationError("bandwidth must be a finite number > 0")
     omega = rng.normal(0.0, 1.0 / bw, size=(m, x.shape[1]))
     offsets = rng.uniform(0.0, 2 * np.pi, size=m)
     fmap = RffFeatureMap(omega=omega, offsets=offsets, bandwidth=bw)

@@ -43,6 +43,12 @@ def _as_int(name: str, value, kind: str = "integer") -> int:
         raise ConfigurationError(f"{name} {value!r} needs an {kind}") from None
 
 
+def _int_fields(obj, *names: str) -> None:
+    """Pass each named field of a frozen dataclass through ``_as_int``."""
+    for name in names:
+        object.__setattr__(obj, name, _as_int(name, getattr(obj, name)))
+
+
 def _checked_start(horizon, init_state, num_states: int) -> tuple[int, int]:
     """An integer ``horizon`` >= 1 and an integer ``init_state`` in
     [0, num_states), with the messages of ``TabularMdp``."""
@@ -90,7 +96,7 @@ class TabularMdp:
         S = self.transitions.shape[0]
         if self.cost.shape != (S,):
             raise ConfigurationError("cost must be one value per state")
-        if np.any(self.cost < 0) or np.any(self.cost > 1):
+        if not ((self.cost >= 0) & (self.cost <= 1)).all():
             raise ConfigurationError("costs must lie in [0, 1]")
         horizon, init_state = _checked_start(self.horizon, self.init_state, S)
         object.__setattr__(self, "horizon", horizon)
@@ -120,9 +126,10 @@ class KnrSystem:
     (..., feature_dim) vectors, and ``cost(S)`` maps (..., state_dim)
     states to (...) costs. A single (state_dim,) state with an int action
     is the unbatched case. Both are probed on a two-row batch of
-    ``init_state`` at construction. Feature vectors must lie in the unit
-    ball (checked on every row of every rollout step); costs are clamped
-    to [0, 1] by ``cost_of``.
+    ``init_state`` at construction. ``weights`` and ``init_state`` must
+    be finite. Feature vectors must lie in the unit ball (checked on every
+    row of every rollout step); costs are clamped to [0, 1] by
+    ``cost_of``.
     """
 
     state_dim: int
@@ -140,12 +147,15 @@ class KnrSystem:
         object.__setattr__(self, "init_state", _frozen(np.asarray(self.init_state, dtype=float)))
         if self.weights.shape != (self.state_dim, self.feature_dim):
             raise ConfigurationError("weights must be (state_dim, feature_dim)")
+        if not np.isfinite(self.weights).all():
+            raise ConfigurationError("weights must be finite")
         if not 0 <= self.noise_std < math.inf:
             raise ConfigurationError("noise_std must be a finite number >= 0")
         if self.init_state.shape != (self.state_dim,):
             raise ConfigurationError("init_state must be a state_dim vector")
-        for name in ("horizon", "num_actions"):
-            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+        if not np.isfinite(self.init_state).all():
+            raise ConfigurationError("init_state must be finite")
+        _int_fields(self, "horizon", "num_actions")
         if self.horizon < 1 or self.num_actions < 1:
             raise ConfigurationError("horizon and num_actions must be >= 1")
         batch = np.stack([self.init_state] * 2)
@@ -316,26 +326,6 @@ AnyPolicy = Union[Policy, MixedPolicy]
 
 
 @dataclass(frozen=True)
-class OccupancyMeasure:
-    """Per-timestep state-action distributions d_h plus their average: a
-    frozen record of what ``occupancy_exact`` computed, checked by nothing."""
-
-    per_step: Array  # (H, S, A)
-
-    def __post_init__(self):
-        object.__setattr__(self, "per_step", _frozen(self.per_step))
-
-    @property
-    def horizon(self) -> int:
-        return self.per_step.shape[0]
-
-    @property
-    def average(self) -> Array:
-        """(S, A) average over the H decision steps."""
-        return self.per_step.mean(axis=0)
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """States s_0..s_H and actions a_0..a_{H-1}."""
 
@@ -422,8 +412,7 @@ def _tabular_rollouts(mdp, policy, comps, n, rng):
     # (n, H) views: the uniforms of each step's action and next state
     u_action, u_next = u[:, mixed::2], u[:, mixed + 1::2]
     # action tables are looked up; any stochastic component draws every action
-    tables = (np.array([pol.action_table for pol in comps])
-              if all(pol.action_table is not None for pol in comps) else None)
+    tables = _action_tables(comps)
     action_cdf = None if tables is not None else _cdf_table(_probs_stack(mdp, comps))
     states = np.empty((n, H + 1), dtype=int)
     states[:, 0] = mdp.init_state
@@ -483,31 +472,27 @@ def _check_tabular(pol: Policy, H: int, S: int, A: int) -> None:
             "action probabilities do not match environment")
 
 
+def _action_tables(policies: Sequence[Policy]) -> Array | None:
+    """(K, H, S) action tables of K policies, or None if any is stochastic."""
+    if all(pol.action_table is not None for pol in policies):
+        # np.array stacks the equal-shape tables faster than np.stack
+        return np.array([pol.action_table for pol in policies])
+    return None
+
+
 def _probs_stack(mdp, policies: Sequence[Policy]) -> Array:
     """(K, H, S, A) action distributions of K tabular policies on ``mdp``.
 
-    Action tables become exact one-hot cubes in one indexing call over the
-    whole stack; stochastic policies are copied in.
+    A stack of action tables becomes exact one-hot cubes in one indexing
+    call; if any policy is stochastic, each gives its own ``action_probs``.
     """
     H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
-    det, tables, soft = [], [], []
-    for k, pol in enumerate(policies):
+    for pol in policies:
         _check_tabular(pol, H, S, A)
-        if pol.action_table is not None:
-            det.append(k)
-            tables.append(pol.action_table)
-        else:
-            soft.append((k, pol.probs))
-    # np.array stacks the equal-shape tables faster than np.stack
-    cubes = _one_hot(np.array(tables), A) if tables else None
-    if not soft:
-        return cubes
-    out = np.empty((len(policies), H, S, A))
-    if det:
-        out[det] = cubes
-    for k, probs in soft:
-        out[k] = probs
-    return out
+    tables = _action_tables(policies)
+    if tables is not None:
+        return _one_hot(tables, A)
+    return np.array([pol.action_probs for pol in policies])
 
 
 def _stack_index(items: Sequence[AnyPolicy]) -> tuple[tuple, list]:
@@ -564,13 +549,12 @@ def occupancy_stack(mdp, policies: Sequence[Policy]) -> Array:
 
 
 def occupancy_exact(mdp: TabularMdp,
-                    policy: AnyPolicy | Sequence[AnyPolicy]
-                    ) -> OccupancyMeasure | list[OccupancyMeasure]:
+                    policy: AnyPolicy | Sequence[AnyPolicy]) -> Array:
     """Forward dynamic program for d_h(s, a); mixtures combine exactly.
 
-    ``policy`` is a policy, a mixture, or a sequence of them; a sequence
-    returns one ``OccupancyMeasure`` per item, and a single policy or
-    mixture is its one-item case. The distinct components of the whole
+    ``policy`` is a policy or a mixture, which returns its (H, S, A)
+    per-step occupancy, or a sequence of them, which returns the
+    (n, H, S, A) stack of its items'. The distinct components of the whole
     sequence run one forward pass; a mixture then expands its rows back to
     one per component before the weighted sum over all K rows, so every
     item equals its own one-item call bit for bit.
@@ -578,10 +562,10 @@ def occupancy_exact(mdp: TabularMdp,
     items, single = _as_items(policy)
     comps, rows = _stack_index(items)
     d = occupancy_stack(mdp, comps)
-    out = [OccupancyMeasure(per_step=np.tensordot(pol.weights, d[r], axes=1)
-                            if isinstance(pol, MixedPolicy) else d[r])
+    out = [np.tensordot(pol.weights, d[r], axes=1)
+           if isinstance(pol, MixedPolicy) else d[r]
            for pol, r in zip(items, rows)]
-    return out[0] if single else out
+    return out[0] if single else np.array(out)
 
 
 def _cost_table(cost, S: int, A: int) -> Array:
@@ -615,16 +599,15 @@ def _values_stack(mdp, policies: Sequence[Policy], cost) -> Array:
     return values
 
 
-def state_values(mdp, policy: AnyPolicy, cost) -> Array:
-    """(K, H+1, S) backward state values of the K components of ``policy``.
-
-    K is 1 for a single policy; step H is zero. ``cost`` is (S,) or
-    (S, A). One backward pass over the distinct components, expanded
-    back to one row per component.
-    """
-    comps, (r,) = _stack_index([policy])
-    values = _values_stack(mdp, comps, cost)
-    return values[r] if isinstance(policy, MixedPolicy) else values
+def state_values(mdp, policy: Policy, cost) -> Array:
+    """(H+1, S) backward state values of one tabular policy; step H is
+    zero. ``cost`` is (S,) or (S, A). A mixture has no values of its own
+    and is rejected."""
+    if not isinstance(policy, Policy):
+        raise ConfigurationError(
+            "state values take one Policy, not a mixture: got "
+            f"{type(policy).__name__}")
+    return _values_stack(mdp, [policy], cost)[0]
 
 
 def value_eval_tabular(mdp, policy: AnyPolicy | Sequence[AnyPolicy],
@@ -676,7 +659,7 @@ def table_occupancy(mdp, actions: Array) -> Array:
     (S, S) block at a time. The average is one ``bincount`` of p_h over
     the visited (s, pi_h(s)) cells, divided by H. The cube's zeros add
     exactly and both sums run in order, so the result equals
-    ``occupancy_exact(mdp, Policy.deterministic(actions, A)).average``
+    ``occupancy_exact(mdp, Policy.deterministic(actions, A)).mean(axis=0)``
     bit for bit. ``actions`` is not checked; it is a policy's
     ``action_table`` on ``mdp``.
     """

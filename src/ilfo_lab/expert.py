@@ -16,6 +16,7 @@ from .envs import (
     OpenLoopTree,
     Policy,
     TabularMdp,
+    _frozen,
     best_response_tabular,
     openloop_search,
     rollouts,
@@ -28,25 +29,23 @@ OPENLOOP_SEARCH_LIMIT = 1_000_000
 
 @dataclass(frozen=True)
 class ExpertDataset:
-    """N state-only trajectories of equal length H+1."""
+    """N state-only trajectories of equal length H+1, kept as one frozen
+    array: (N, H+1) for tabular states, (N, H+1, d) for vector states."""
 
-    trajectories: tuple
+    trajectories: Array
 
     def __post_init__(self):
-        trajs = tuple(np.asarray(t) for t in self.trajectories)
-        if not trajs:
+        trajs = self.trajectories
+        if len(trajs) == 0:
             raise ConfigurationError("dataset needs at least one trajectory")
-        lengths = {len(t) for t in trajs}
-        if len(lengths) != 1:
+        # an array is one shape; a list of rows is checked before stacking
+        if not isinstance(trajs, np.ndarray) and len(
+                {np.shape(t) for t in trajs}) != 1:
             raise ConfigurationError("trajectories must share one horizon")
-        if next(iter(lengths)) < 2:
+        trajs = _frozen(np.asarray(trajs))
+        if trajs.ndim < 2 or trajs.shape[1] < 2:
             raise ConfigurationError("trajectories must contain at least s_0 and s_1")
-        frozen = []
-        for t in trajs:
-            c = np.array(t, copy=True)
-            c.setflags(write=False)
-            frozen.append(c)
-        object.__setattr__(self, "trajectories", tuple(frozen))
+        object.__setattr__(self, "trajectories", trajs)
 
     @property
     def num_trajectories(self) -> int:
@@ -54,12 +53,12 @@ class ExpertDataset:
 
     @property
     def horizon(self) -> int:
-        return len(self.trajectories[0]) - 1
+        return self.trajectories.shape[1] - 1
 
     def flat_view(self) -> Array:
         """All decision-step states (s_0..s_{H-1} of every trajectory), stacked."""
-        H = self.horizon
-        return np.concatenate([np.asarray(t[:H]) for t in self.trajectories])
+        trajs = self.trajectories
+        return trajs[:, :-1].reshape(-1, *trajs.shape[2:])
 
     def state_distribution(self, num_states: int) -> Array:
         """Empirical state distribution of the flat view (tabular states only)."""
@@ -99,4 +98,4 @@ def sample_expert_states(env, expert: Policy, n_trajectories: int,
     if n_trajectories < 1:
         raise ConfigurationError("need at least one trajectory")
     states, _ = rollouts(env, expert, n_trajectories, rng)
-    return ExpertDataset(trajectories=tuple(states))
+    return ExpertDataset(trajectories=states)

@@ -24,6 +24,7 @@ from .envs import (
     KnrSystem,
     MixedPolicy,
     TabularMdp,
+    _int_fields,
     occupancy_exact,
     rollout,
     value_eval_mc,
@@ -73,6 +74,8 @@ class MobileConfig:
     knr_eval_rollouts: int = 64
 
     def __post_init__(self):
+        _int_fields(self, "t_iters", "n_expert", "buffer_capacity",
+                    "mmd_features", "knr_eval_rollouts")
         if self.t_iters < 1:
             raise ConfigurationError("t_iters must be >= 1")
         if self.n_expert < 1:
@@ -365,9 +368,9 @@ def _tabular_family(env, expert_dataset, cfg, expert_value) -> _Family:
     def evaluate(block):
         mixtures = [mixture for _, mixture, _ in block]
         values = value_eval_tabular(env, mixtures, env.cost)
-        occupancies = occupancy_exact(env, mixtures)
-        return [(value, tv_best_response(occ.average.sum(axis=1), d_e))
-                for value, occ in zip(values, occupancies)]
+        marginals = occupancy_exact(env, mixtures).mean(axis=1).sum(axis=2)
+        return [(value, tv_best_response(d_pi, d_e))
+                for value, d_pi in zip(values, marginals)]
 
     return _Family(
         buffer=TabularBuffer(env.num_states, env.num_actions,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import Array, ConfigurationError, KnrSystem, _frozen
+from .envs import Array, ConfigurationError, KnrSystem, _frozen, _int_fields
 from .loop import write_csv_columns
 
 ALGORITHMS = ("ucb1", "eps_greedy", "known_mean_elim")
@@ -34,6 +34,7 @@ class BanditConfig:
     algorithms: tuple[str, ...] = ALGORITHMS
 
     def __post_init__(self):
+        _int_fields(self, "num_arms", "horizon")
         if self.horizon < 3:
             raise ConfigurationError(
                 f"horizon must be >= 3, got {self.horizon}: the regret "
@@ -52,9 +53,9 @@ class BanditConfig:
 class MabInstance:
     """Unit-noise Gaussian bandit whose optimal mean is told to the player.
 
-    mu_star must be at least the best true mean; the zero instance of the
-    hard family keeps the family-wide value even though its own best arm
-    pays nothing.
+    mu_star must be finite and at least the best true mean; the zero
+    instance of the hard family keeps the family-wide value even though its
+    own best arm pays nothing.
     """
 
     means: Array
@@ -67,7 +68,9 @@ class MabInstance:
             raise ConfigurationError("an instance needs at least two arms")
         if not np.all(np.isfinite(means)):
             raise ConfigurationError("arm means must be finite")
-        if self.mu_star < float(means.max()) - 1e-12:
+        if not math.isfinite(self.mu_star):
+            raise ConfigurationError("revealed optimal mean must be finite")
+        if not self.mu_star >= float(means.max()) - 1e-12:
             raise ConfigurationError(
                 "revealed optimal mean sits below the best arm's true mean")
         object.__setattr__(self, "means", _frozen(means))

@@ -208,7 +208,7 @@ class TabularModel:
     def __post_init__(self):
         p = _checked_kernel(self.p_hat)
         sig = np.asarray(self.sigma_table, dtype=float)
-        if sig.shape != p.shape[:2] or np.any(sig < 0):
+        if sig.shape != p.shape[:2] or not (sig >= 0).all():
             raise ConfigurationError("sigma_table shape or sign mismatch")
         object.__setattr__(self, "p_hat", p)
         object.__setattr__(self, "sigma_table", _frozen(sig))

@@ -25,8 +25,8 @@ import numpy as np
 from .discriminators import (MmdDiscriminator, box_witness, mmd_update,
                              tv_best_response)
 from .envs import (ConfigurationError, MixedPolicy, OpenLoopTree, Policy,
-                   _checked_start, best_response_tabular, occupancy_exact,
-                   openloop_search, table_occupancy)
+                   _checked_start, _int_fields, best_response_tabular,
+                   occupancy_exact, openloop_search, table_occupancy)
 from .models import BonusFunction, KnrModel, TabularModel
 
 Array = np.ndarray
@@ -42,6 +42,7 @@ class KnrSearchConfig:
     n_candidates: int = 0   # 0 disables the random-shooting fallback
 
     def __post_init__(self):
+        _int_fields(self, "exhaustive_limit", "n_candidates")
         if self.exhaustive_limit < 1 or self.n_candidates < 0:
             raise ConfigurationError(
                 "exhaustive_limit must be >= 1 and n_candidates >= 0")
@@ -55,6 +56,7 @@ class MinMaxConfig:
     knr_search: KnrSearchConfig = field(default_factory=KnrSearchConfig)
 
     def __post_init__(self):
+        _int_fields(self, "k_iters")
         if self.k_iters < 1:
             raise ConfigurationError("k_iters must be >= 1")
 
@@ -194,7 +196,7 @@ def _solve_fw_box(model, bonus, expert, cfg, horizon, init_state):
     game = _tabular_game(model, bonus, expert, horizon, init_state)
     d_e, b_table = game.d_e, game.bonus
     uniform = _uniform_policy(game.horizon, game.num_states, game.num_actions)
-    d_bar = occupancy_exact(game, uniform).average
+    d_bar = occupancy_exact(game, uniform).mean(axis=0)
     components = []
     # the best response and its occupancy are pure functions of the box
     # witness 1{d_bar(s) > d_e(s)}, so a repeated witness mask reuses both

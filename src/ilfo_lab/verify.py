@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .envs import (Array, ConfigurationError, MixedPolicy, TabularMdp,
+from .envs import (Array, ConfigurationError, TabularMdp,
                    occupancy_exact, state_values, value_eval_tabular)
 from .expert import solve_optimal_tabular
 from .models import SIGMA_CAP, knr_beta
@@ -103,17 +103,14 @@ def simulation_lemma_sides(mdp: TabularMdp, kernel_hat: Array, f: Array,
     sum_h E_{d_h}[f - f_hat + (P - P_hat) v_hat_{h+1}]. The bound replaces
     the inner terms by |f - f_hat| and the row L1 error times max |v_hat|.
     ``policy`` is one tabular policy: the decomposition reads its own
-    v_hat, which a mixture does not have.
+    v_hat, which a mixture does not have, so ``state_values`` rejects one.
     """
-    if isinstance(policy, MixedPolicy):
-        raise ConfigurationError(
-            "the simulation lemma takes one policy, not a mixture")
     S, A, H = mdp.num_states, mdp.num_actions, mdp.horizon
     hat_mdp = TabularMdp(horizon=H, transitions=kernel_hat,
                          cost=np.zeros(S), init_state=mdp.init_state)
-    v_hat = state_values(hat_mdp, policy, f_hat)[0]
+    v_hat = state_values(hat_mdp, policy, f_hat)
     lhs = value_eval_tabular(mdp, policy, f) - float(v_hat[0, mdp.init_state])
-    d = occupancy_exact(mdp, policy).per_step
+    d = occupancy_exact(mdp, policy)
     gap_f = f - f_hat
     row_l1 = np.abs(mdp.transitions - kernel_hat).sum(axis=2)
     rhs = 0.0
@@ -205,7 +202,7 @@ def check_concentration(n_functions: int = 50, n_samples: int = 100,
     env = make_chain(num_states=6, num_actions=3, horizon=5, slip=0.1)
     expert = solve_optimal_tabular(env)
     rng = np.random.default_rng(seed)
-    d_state = occupancy_exact(env, expert).average.sum(axis=1)
+    d_state = occupancy_exact(env, expert).mean(axis=0).sum(axis=1)
     S = env.num_states
     if functions is None:
         funcs = rng.uniform(0.0, 1.0, (n_functions, S))

@@ -1,10 +1,11 @@
-"""The benchmark's trace points must match the package.
+"""The benchmark's trace points and output checks must match the package.
 
 ``perfbench/workloads.py`` wraps package functions by module attribute
-and tags some spans with call arguments bound by name.  A renamed
-function or parameter would make the tracer fail, or a layer read zero,
-only when the benchmark runs; these tests catch it in the suite.  The
-benchmark files are imported, never changed.
+and tags some spans with call arguments bound by name, and
+``perfbench/checks.py`` reads the records and mixtures a run returns.  A
+renamed function, parameter or field would make the tracer or a check
+fail, or a layer read zero, only when the benchmark runs; these tests
+catch it in the suite.  The benchmark files are imported, never changed.
 """
 
 import importlib
@@ -13,20 +14,37 @@ import os
 import sys
 import types
 
+import numpy as np
 import pytest
+
+from ilfo_lab.envs import value_eval_mc
+from ilfo_lab.expert import (sample_expert_states, solve_openloop_knr,
+                             solve_optimal_tabular)
+from ilfo_lab.loop import MobileConfig, run_mobile
+from ilfo_lab.planner import MinMaxConfig
+from ilfo_lab.worlds import make_chain, make_knr_example
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
 
 
-@pytest.fixture(scope="module")
-def workloads():
-    # workloads.py imports its sibling modules by bare name
+def _perfbench_module(name):
+    # the benchmark's modules import their siblings by bare name
     sys.path.insert(0, PERFBENCH)
     try:
-        yield importlib.import_module("workloads")
+        yield importlib.import_module(name)
     finally:
         sys.path.remove(PERFBENCH)
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    yield from _perfbench_module("workloads")
+
+
+@pytest.fixture(scope="module")
+def checks():
+    yield from _perfbench_module("checks")
 
 
 def _keys_read(fn) -> set:
@@ -77,3 +95,35 @@ def test_direct_calls_bind_to_their_targets(workloads):
     ]
     for fn, args, kwargs in calls:
         inspect.signature(fn).bind(*args, **kwargs)
+
+
+def test_short_chain_run_passes_the_benchmark_checks(checks):
+    # check_tabular_run reads the mixture's components and weights and
+    # each component's action_probs
+    env = make_chain()
+    expert = solve_optimal_tabular(env)
+    data = sample_expert_states(env, expert, 50, np.random.default_rng(2000))
+    cfg = MobileConfig(t_iters=6, n_expert=50,
+                       minmax=MinMaxConfig(k_iters=20))
+    mixture, record = run_mobile(env, data, cfg, np.random.default_rng(0))
+    checks.check_tabular_run(env, cfg.bonus_mode, cfg.lam_bonus, record,
+                             mixture, np.random.default_rng(1), 400)
+
+
+def test_short_knr_run_passes_the_benchmark_checks(checks):
+    env = make_knr_example()
+    expert = solve_openloop_knr(env)
+    data = sample_expert_states(env, expert, 20, np.random.default_rng(2000))
+    ref, _ = value_eval_mc(env, expert, env.cost_of, n_rollouts=64,
+                           rng=np.random.default_rng(9000))
+    cfg = MobileConfig(t_iters=8, n_expert=20, mmd_features=16,
+                       knr_eval_rollouts=8, minmax=MinMaxConfig(k_iters=3))
+    _, record = run_mobile(env, data, cfg, np.random.default_rng(0),
+                           expert_value=ref)
+    lam_ridge = env.noise_std ** 2 / cfg.w_max ** 2
+    checks.check_knr_expert(env, expert)
+    checks.check_knr_covariances(record, lam_ridge)
+    checks.check_knr_potential(record, lam_ridge)
+    checks.check_info_gain(record, env.horizon)
+    checks.check_mean_bonus(record, cfg.bonus_mode, env.horizon,
+                            cfg.lam_bonus)

@@ -12,10 +12,16 @@ import re
 import numpy as np
 import pytest
 
-from ilfo_lab.envs import ConfigurationError, MixedPolicy, Policy, TabularMdp
+from ilfo_lab.discriminators import (MmdDiscriminator, RffFeatureMap,
+                                     rff_featurize)
+from ilfo_lab.envs import (ConfigurationError, MixedPolicy, Policy,
+                           TabularMdp, state_values)
+from ilfo_lab.loop import MobileConfig
+from ilfo_lab.mab import BanditConfig, MabInstance
 from ilfo_lab.models import (BonusFunction, KnrBuffer, TabularBuffer,
                              TabularModel, fit_knr_model, fit_tabular)
-from ilfo_lab.planner import MinMaxConfig, game_value_lp, solve_minmax
+from ilfo_lab.planner import (KnrSearchConfig, MinMaxConfig, game_value_lp,
+                              solve_minmax)
 from ilfo_lab.worlds import make_knr_example
 
 ROW_SUM = np.array([[[0.5, 0.6]], [[0.5, 0.5]]])
@@ -41,6 +47,12 @@ def mdp(**kw):
 
 def knr_system(**kw):
     return dataclasses.replace(make_knr_example(), **kw)
+
+
+def feature_map(**kw):
+    args = dict(omega=np.zeros((2, 1)), offsets=np.zeros(2), bandwidth=1.0)
+    args.update(kw)
+    return RffFeatureMap(**args)
 
 
 def tabular_model(**kw):
@@ -72,6 +84,16 @@ def lp(bonus=GAME[1], expert=GAME[2], horizon=2, init_state=0):
     return game_value_lp(GAME[0], bonus, expert, horizon=horizon,
                          init_state=init_state)
 
+
+STEADY = Policy.deterministic(np.zeros((2, 2), dtype=int), num_actions=1)
+BANDWIDTH_MESSAGE = "bandwidth must be a finite number > 0"
+INT_CONFIG_FIELDS = [
+    (MobileConfig, "t_iters"), (MobileConfig, "n_expert"),
+    (MobileConfig, "buffer_capacity"), (MobileConfig, "mmd_features"),
+    (MobileConfig, "knr_eval_rollouts"), (MinMaxConfig, "k_iters"),
+    (KnrSearchConfig, "exhaustive_limit"), (KnrSearchConfig, "n_candidates"),
+    (BanditConfig, "num_arms"), (BanditConfig, "horizon"),
+]
 
 EXPERT_MESSAGE = "expert distribution must be (S,), finite and >= 0"
 GAME_CASES = [
@@ -108,6 +130,8 @@ CASES = [
      "cost must be one value per state"),
     ("TabularMdp/cost_range", lambda: mdp(cost=np.array([0.0, 1.5])),
      "costs must lie in [0, 1]"),
+    ("TabularMdp/cost_nan", lambda: mdp(cost=np.array([0.0, np.nan])),
+     "costs must lie in [0, 1]"),
     ("TabularMdp/init_fractional", lambda: mdp(init_state=1.5),
      "init_state 1.5 needs an integer index"),
     ("TabularMdp/init_past_end", lambda: mdp(init_state=2),
@@ -120,6 +144,11 @@ CASES = [
      "horizon and num_actions must be >= 1"),
     ("KnrSystem/noise_negative", lambda: knr_system(noise_std=-0.1),
      "noise_std must be a finite number >= 0"),
+    ("KnrSystem/weights_nan",
+     lambda: knr_system(weights=np.full((2, 4), np.nan)),
+     "weights must be finite"),
+    ("KnrSystem/init_nan", lambda: knr_system(init_state=[0.0, np.nan]),
+     "init_state must be finite"),
     *((f"TabularModel/{i}", lambda k=k: tabular_model(p_hat=k), msg)
       for i, (k, msg) in zip(KERNEL_IDS, BAD_KERNELS)),
     ("TabularModel/sigma_shape",
@@ -127,6 +156,9 @@ CASES = [
      "sigma_table shape or sign mismatch"),
     ("TabularModel/sigma_negative",
      lambda: tabular_model(sigma_table=np.array([[-0.1], [0.0]])),
+     "sigma_table shape or sign mismatch"),
+    ("TabularModel/sigma_nan",
+     lambda: tabular_model(sigma_table=np.array([[np.nan], [0.0]])),
      "sigma_table shape or sign mismatch"),
     ("Policy/no_form", lambda: Policy(),
      "exactly one of action_table / probs / action_seq required"),
@@ -175,6 +207,32 @@ CASES = [
     ("BonusFunction/table_nan",
      lambda: BonusFunction(upper=1.0, table=np.array([[np.nan]])),
      "bonus table out of [0, upper]"),
+    ("MabInstance/mu_star_nan",
+     lambda: MabInstance(means=[0.0, 0.5], mu_star=np.nan),
+     "revealed optimal mean must be finite"),
+    ("MabInstance/mu_star_inf",
+     lambda: MabInstance(means=[0.0, 0.5], mu_star=np.inf),
+     "revealed optimal mean must be finite"),
+    ("RffFeatureMap/bandwidth_nan", lambda: feature_map(bandwidth=np.nan),
+     BANDWIDTH_MESSAGE),
+    ("RffFeatureMap/bandwidth_inf", lambda: feature_map(bandwidth=np.inf),
+     BANDWIDTH_MESSAGE),
+    ("rff_featurize/bandwidth_nan",
+     lambda: rff_featurize(np.zeros((3, 1)), m=2, bandwidth=np.nan,
+                           rng=np.random.default_rng(0)),
+     BANDWIDTH_MESSAGE),
+    ("MmdDiscriminator/zeta_nan",
+     lambda: MmdDiscriminator(feature_map=feature_map(), w=np.zeros(2),
+                              zeta=np.nan),
+     "zeta must be positive"),
+    ("state_values/mixture",
+     lambda: state_values(mdp(), MixedPolicy(components=(STEADY,),
+                                             weights=np.ones(1)), np.zeros(2)),
+     "state values take one Policy, not a mixture: got MixedPolicy"),
+    *((f"{cls.__name__}/{name}_fractional",
+       lambda cls=cls, name=name: cls(**{name: 20.5}),
+       f"{name} 20.5 needs an integer")
+      for cls, name in INT_CONFIG_FIELDS),
     ("TabularBuffer/capacity_fractional",
      lambda: TabularBuffer(2, 1, capacity=2.5),
      "capacity 2.5 needs an integer"),

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from ilfo_lab.envs import (
     ConfigurationError,
     MixedPolicy,
-    OccupancyMeasure,
     OpenLoopTree,
     Policy,
     TabularMdp,
@@ -158,7 +157,7 @@ def test_occupancy_one_step_is_initial_action_distribution():
     occ = occupancy_exact(mdp, pol)
     expect = np.zeros((3, 2))
     expect[0] = probs[0, 0]
-    assert np.allclose(occ.per_step[0], expect, atol=1e-12)
+    assert np.allclose(occ[0], expect, atol=1e-12)
 
 
 def test_occupancy_uniform_two_state_hand_recursion():
@@ -167,8 +166,8 @@ def test_occupancy_uniform_two_state_hand_recursion():
     mdp = TabularMdp(horizon=2, transitions=P, cost=np.zeros(2), init_state=0)
     pol = Policy.tabular(np.full((2, 2, 2), 0.5))
     occ = occupancy_exact(mdp, pol)
-    assert np.allclose(occ.per_step[0], [[0.5, 0.5], [0.0, 0.0]], atol=1e-12)
-    assert np.allclose(occ.per_step[1], 0.25, atol=1e-12)
+    assert np.allclose(occ[0], [[0.5, 0.5], [0.0, 0.0]], atol=1e-12)
+    assert np.allclose(occ[1], 0.25, atol=1e-12)
 
 
 def test_occupancy_normalization_property():
@@ -180,9 +179,9 @@ def test_occupancy_normalization_property():
         mdp = make_random_mdp(rng, S, A, H)
         pol = make_random_policy(rng, S, A, H)
         occ = occupancy_exact(mdp, pol)
-        sums = occ.per_step.reshape(H, -1).sum(axis=1)
+        sums = occ.reshape(H, -1).sum(axis=1)
         assert np.max(np.abs(sums - 1.0)) < 1e-10
-        assert abs(occ.average.sum() - 1.0) < 1e-10
+        assert abs(occ.mean(axis=0).sum() - 1.0) < 1e-10
 
 
 def test_occupancy_mixture_linearity_exact():
@@ -191,8 +190,8 @@ def test_occupancy_mixture_linearity_exact():
     p1 = make_random_policy(rng, 4, 3, 4)
     p2 = make_random_policy(rng, 4, 3, 4)
     mix = MixedPolicy(components=(p1, p2), weights=np.array([0.3, 0.7]))
-    direct = occupancy_exact(mdp, mix).per_step
-    blended = 0.3 * occupancy_exact(mdp, p1).per_step + 0.7 * occupancy_exact(mdp, p2).per_step
+    direct = occupancy_exact(mdp, mix)
+    blended = 0.3 * occupancy_exact(mdp, p1) + 0.7 * occupancy_exact(mdp, p2)
     assert np.max(np.abs(direct - blended)) < 1e-12
 
 
@@ -212,9 +211,9 @@ def test_value_matches_occupancy_inner_product():
         cost = rng.random((4, 2))
         dp = value_eval_tabular(mdp, pol, cost)
         occ = occupancy_exact(mdp, pol)
-        via_occ = float(np.sum(occ.per_step * cost[None, :, :]))
+        via_occ = float(np.sum(occ * cost[None, :, :]))
         assert abs(dp - via_occ) < 1e-10
-        assert abs(dp - mdp.horizon * np.sum(occ.average * cost)) < 1e-10
+        assert abs(dp - mdp.horizon * np.sum(occ.mean(axis=0) * cost)) < 1e-10
 
 
 def test_value_in_range_for_unit_costs():
@@ -247,7 +246,7 @@ def test_rollout_frequencies_converge_to_occupancy():
     counts = np.stack([np.bincount(states[:, h], minlength=mdp.num_states)
                        for h in range(mdp.horizon)])
     freq = counts / n
-    marg = occ.per_step.sum(axis=2)
+    marg = occ.sum(axis=2)
     # chi-square style: every cell within 5 sigma of its binomial deviation
     sigma = np.sqrt(np.maximum(marg * (1 - marg), 1e-12) / n)
     assert np.all(np.abs(freq - marg) < 5 * sigma + 1e-4)
@@ -459,29 +458,29 @@ def test_batched_occupancy_equals_per_component_reference(spec):
     mdp, cubes, weights, mix = build_mixture(spec)
     parts = np.stack([reference_occupancy(mdp, cube) for cube in cubes])
     expect = np.tensordot(weights, parts, axes=1)
-    assert np.array_equal(occupancy_exact(mdp, mix).per_step, expect)
+    assert np.array_equal(occupancy_exact(mdp, mix), expect)
     for pol, part in zip(mix.components[:3], parts):
-        assert np.array_equal(occupancy_exact(mdp, pol).per_step, part)
+        assert np.array_equal(occupancy_exact(mdp, pol), part)
 
 
 @settings(max_examples=150, deadline=None)
 @given(mixture_specs(["table", "mixed"]), st.sampled_from([0.05, 1.0]))
 def test_occupancy_items_are_distributions(spec, alpha):
-    # an OccupancyMeasure checks nothing: the forward pass over a checked
-    # kernel and checked policies yields, for every item, nonnegative mass
-    # and per-step sums within 1e-10 of 1; alpha 0.05 gives near-sparse rows
+    # an occupancy is a plain array that nothing checks: the forward pass
+    # over a checked kernel and checked policies yields, for every item,
+    # nonnegative mass and per-step sums within 1e-10 of 1; alpha 0.05
+    # gives near-sparse rows
     mdp, _, _, mix = build_mixture(spec)
     S, A, H = mdp.num_states, mdp.num_actions, mdp.horizon
     kernel = np.random.default_rng(spec["seed"]).dirichlet(
         np.full(S, alpha), size=(S, A))
     items = [mix, *mix.components[:3]]
     for env in (mdp, dataclasses.replace(mdp, transitions=kernel)):
-        for occ in occupancy_exact(env, items):
-            assert isinstance(occ, OccupancyMeasure)
-            assert not occ.per_step.flags.writeable
-            assert occ.per_step.shape == (H, S, A)
-            assert occ.per_step.min() >= -1e-10
-            sums = occ.per_step.reshape(H, -1).sum(axis=1)
+        stack = occupancy_exact(env, items)
+        assert stack.shape == (len(items), H, S, A)
+        for occ in stack:
+            assert occ.min() >= -1e-10
+            sums = occ.reshape(H, -1).sum(axis=1)
             assert np.max(np.abs(sums - 1.0)) <= 1e-10
 
 
@@ -536,20 +535,14 @@ def test_distinct_evaluation_equals_one_row_per_component(
     ref = MixedPolicy(components=tuple(fresh(c) for c in mix.components),
                       weights=weights)
     assert len(ref.distinct) == len(rows)
-    occ = occupancy_exact(mdp, mix).per_step
-    assert np.array_equal(occ, occupancy_exact(mdp, ref).per_step)
+    occ = occupancy_exact(mdp, mix)
+    assert np.array_equal(occ, occupancy_exact(mdp, ref))
     # and to the weighted sum of each row's single-policy occupancy
-    singles = np.stack([occupancy_exact(mdp, c).per_step
+    singles = np.stack([occupancy_exact(mdp, c)
                         for c in mix.components])
     assert np.array_equal(occ, np.tensordot(weights, singles, axes=1))
     signed = rng.uniform(-1.0, 1.0, size=(S, A))
     for cost in (mdp.cost, signed):
-        values = state_values(mdp, mix, cost)
-        assert values.shape == (len(rows), H + 1, S)
-        assert np.array_equal(values, state_values(mdp, ref, cost))
-        # each expanded row is its own component's single-policy values
-        for row, comp in zip(values, mix.components):
-            assert np.array_equal(row, state_values(mdp, comp, cost)[0])
         assert value_eval_tabular(mdp, mix, cost) == value_eval_tabular(
             mdp, ref, cost)
 
@@ -583,13 +576,14 @@ def test_sequence_forms_equal_per_item_calls(seed, S, A, H, pool_size, items,
     values = value_eval_tabular(mdp, seq, cost)
     assert isinstance(values, np.ndarray) and values.shape == (len(seq),)
     occupancies = occupancy_exact(mdp, tuple(seq))
-    assert isinstance(occupancies, list) and len(occupancies) == len(seq)
+    assert isinstance(occupancies, np.ndarray)
+    assert occupancies.shape == (len(seq), H, S, A)
     for item, value, occ in zip(seq, values, occupancies):
         one = value_eval_tabular(mdp, item, cost)
         assert type(one) is float
         assert value.tobytes() == np.float64(one).tobytes()
-        assert np.array_equal(occ.per_step,
-                              occupancy_exact(mdp, item).per_step)
+        assert np.array_equal(occ,
+                              occupancy_exact(mdp, item))
 
 
 def test_sequence_forms_reject_empty_and_foreign_items():
@@ -606,7 +600,7 @@ def test_mixture_components_must_match_environment():
     mdp = make_random_mdp(np.random.default_rng(0), 2, 2, 2)
     ok = Policy.deterministic(np.zeros((2, 2), dtype=int), num_actions=2)
     assert occupancy_exact(mdp, MixedPolicy(components=(ok,),
-                                            weights=np.ones(1))).horizon == 2
+                                            weights=np.ones(1))).shape[0] == 2
     wrong = [
         Policy.deterministic(np.zeros((3, 2), dtype=int), num_actions=2),
         # an action the 2-action environment does not have
@@ -971,14 +965,18 @@ def test_best_response_tabular_matches_reference_dp(seed, S, A, H,
 def test_state_values_slice_is_the_policy_value():
     rng = np.random.default_rng(7)
     mdp = make_random_mdp(rng, 4, 3, 5)
-    pols = [make_random_policy(rng, 4, 3, 5) for _ in range(3)]
-    mix = MixedPolicy(components=tuple(pols), weights=np.full(3, 1 / 3))
-    values = state_values(mdp, mix, mdp.cost)
-    assert values.shape == (3, 6, 4)
-    assert np.all(values[:, -1] == 0.0)
-    for k, pol in enumerate(pols):
-        assert values[k, 0, mdp.init_state] == value_eval_tabular(
+    pols = [make_random_policy(rng, 4, 3, 5),
+            Policy.deterministic(rng.integers(0, 3, size=(5, 4)), 3)]
+    for pol in pols:
+        values = state_values(mdp, pol, mdp.cost)
+        assert values.shape == (6, 4)
+        assert np.all(values[-1] == 0.0)
+        assert values[0, mdp.init_state] == value_eval_tabular(
             mdp, pol, mdp.cost)
+    # a mixture has no state values of its own
+    mix = MixedPolicy(components=tuple(pols), weights=np.full(2, 0.5))
+    with pytest.raises(ConfigurationError, match="not a mixture"):
+        state_values(mdp, mix, mdp.cost)
 
 
 def _sparse_mdp(rng, S, A, H):
@@ -1008,7 +1006,7 @@ def test_table_occupancy_equals_one_hot_occupancy_bytes(seed, S, A, H):
         start = dataclasses.replace(mdp, init_state=init)
         got = table_occupancy(start, table)
         want = occupancy_exact(
-            start, Policy.deterministic(table, num_actions=A)).average
+            start, Policy.deterministic(table, num_actions=A)).mean(axis=0)
         assert got.shape == (S, A)
         assert got.tobytes() == want.tobytes()
 

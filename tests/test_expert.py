@@ -4,7 +4,8 @@ import itertools
 import numpy as np
 import pytest
 
-from ilfo_lab.envs import ConfigurationError, Policy, TabularMdp, occupancy_exact, value_eval_tabular
+from ilfo_lab.envs import (ConfigurationError, Policy, TabularMdp,
+                           occupancy_exact, rollouts, value_eval_tabular)
 from ilfo_lab.expert import (
     ExpertDataset,
     sample_expert_states,
@@ -122,10 +123,44 @@ def test_empirical_frequencies_match_occupancy():
     pol = solve_optimal_tabular(mdp)
     data = sample_expert_states(mdp, pol, 10_000, np.random.default_rng(5))
     occ = occupancy_exact(mdp, pol)
-    marg = occ.per_step.sum(axis=2)
+    marg = occ.sum(axis=2)
     for h in range(mdp.horizon):
         freq = np.bincount([t[h] for t in data.trajectories], minlength=mdp.num_states) / 10_000
         assert np.max(np.abs(freq - marg[h])) < 0.02
+
+
+@pytest.mark.parametrize("knr", [False, True])
+def test_dataset_keeps_the_rollout_array(knr):
+    # one frozen (N, H+1[, d]) array holding the rollout's values in order;
+    # the flat view is every trajectory's s_0..s_{H-1}, trajectory-major
+    if knr:
+        env = make_knr_example()
+        expert = solve_openloop_knr(env)
+    else:
+        env = make_chain(slip=0.2)
+        expert = solve_optimal_tabular(env)
+    states, _ = rollouts(env, expert, 6, np.random.default_rng(4))
+    data = sample_expert_states(env, expert, 6, np.random.default_rng(4))
+    assert isinstance(data.trajectories, np.ndarray)
+    assert not data.trajectories.flags.writeable
+    assert data.trajectories.tobytes() == states.tobytes()
+    assert data.trajectories.shape == states.shape
+    H = env.horizon
+    assert data.horizon == H and data.num_trajectories == 6
+    flat = data.flat_view()
+    assert flat.tobytes() == np.concatenate([t[:H] for t in states]).tobytes()
+    assert flat.shape == (6 * H,) + states.shape[2:]
+    # a list of equal rows stacks to the same array
+    listed = ExpertDataset(trajectories=list(states))
+    assert listed.trajectories.tobytes() == states.tobytes()
+
+
+def test_ragged_trajectories_are_rejected():
+    for trajs in ([np.arange(3), np.arange(4)],
+                  [np.zeros((3, 2)), np.zeros((4, 2))]):
+        with pytest.raises(ConfigurationError,
+                           match="^trajectories must share one horizon$"):
+            ExpertDataset(trajectories=trajs)
 
 
 def test_flat_view_counts():

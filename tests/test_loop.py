@@ -329,7 +329,7 @@ class TestBlockEvaluation:
         d_e = data.state_distribution(env.num_states)
         values = [value_eval_tabular(env, mix, env.cost) for mix in mixtures]
         ipms = [tv_best_response(
-            occupancy_exact(env, mix).average.sum(axis=1), d_e)
+            occupancy_exact(env, mix).mean(axis=0).sum(axis=1), d_e)
             for mix in mixtures]
         assert rec.value.tobytes() == np.array(values).tobytes()
         assert rec.ipm.tobytes() == np.array(ipms).tobytes()

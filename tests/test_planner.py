@@ -258,7 +258,7 @@ class TestSolveMinmaxTabular:
         from ilfo_lab import occupancy_exact
         target = Policy.deterministic(
             rng.integers(0, 2, size=(3, 4)), num_actions=2)
-        d_e = occupancy_exact(view, target).average.sum(axis=1)
+        d_e = occupancy_exact(view, target).mean(axis=0).sum(axis=1)
         cfg = MinMaxConfig(k_iters=200)
         _, obj = solve_minmax(model, None, "box", d_e, cfg, horizon=3)
         assert obj <= 1e-2
@@ -274,7 +274,7 @@ class TestSolveMinmaxTabular:
         s_dim, a_dim = model.num_states, model.num_actions
         b = np.zeros((s_dim, a_dim)) if bonus is None else bonus
         d_bar = occupancy_exact(view, Policy.tabular(
-            np.full((horizon, s_dim, a_dim), 1.0 / a_dim))).average
+            np.full((horizon, s_dim, a_dim), 1.0 / a_dim))).mean(axis=0)
         tables, witnesses = [], []
         for k in range(1, k_iters + 1):
             f = (d_bar.sum(axis=1) > d_e).astype(float)
@@ -287,7 +287,7 @@ class TestSolveMinmaxTabular:
                 actions[h] = np.argmin(q, axis=1)
                 v = q[np.arange(s_dim), actions[h]]
             cube = np.eye(a_dim)[actions]
-            occ = occupancy_exact(view, Policy.tabular(cube)).average
+            occ = occupancy_exact(view, Policy.tabular(cube)).mean(axis=0)
             tables.append(actions)
             d_bar = (1.0 - 1.0 / k) * d_bar + occ / k
         ipm = float(np.maximum(d_bar.sum(axis=1) - d_e, 0.0).sum())
@@ -469,7 +469,7 @@ class TestGameValueLp:
         from ilfo_lab import occupancy_exact
         target = Policy.deterministic(
             rng.integers(0, 2, size=(2, 3)), num_actions=2)
-        d_e = occupancy_exact(view, target).average.sum(axis=1)
+        d_e = occupancy_exact(view, target).mean(axis=0).sum(axis=1)
         val = game_value_lp(model, None, d_e, horizon=2)
         assert val == pytest.approx(0.0, abs=1e-9)
 
