@@ -5,9 +5,10 @@ Two families:
 * the box class {f : S -> [0, 1]} for tabular state spaces, whose best
   response has the closed form f*(s) = 1{d_pi(s) > d_e(s)} and attains
   the positive part sum_s max(0, d_pi(s) - d_e(s)),
-* a random-Fourier-feature class {s -> <w, psi(s)> : |w| <= zeta} whose
-  witness is the mean-feature difference projected onto the zeta-ball (an
-  MMD witness).
+* a random-Fourier-feature class {s -> <w, psi(s)> : |w| <= 1}, named by
+  its feature map psi (an ``RffFeatureMap``) and an (m,) weight vector w
+  in the unit ball; ``mmd_update`` gives the weights, the mean-feature
+  difference projected onto that ball (an MMD witness).
 
 Both classes are state-only.
 """
@@ -23,7 +24,6 @@ from .envs import ConfigurationError, _frozen
 
 Array = np.ndarray
 
-W_NORM_TOL = 1e-9
 PAIR_BLOCK = 1 << 16    # distances computed per block of rows
 
 
@@ -50,51 +50,19 @@ class RffFeatureMap:
         return self.omega.shape[0]
 
     def __call__(self, states) -> Array:
-        """Featurize one state (d,) -> (m,) or a batch (n, d) -> (n, m).
+        """Featurize states on the last axis: (..., d) -> (..., m).
 
-        A 1-D input is a single state when the map takes d > 1 inputs,
-        otherwise a batch of scalar states.
+        A single (d,) state goes through as a (1, d) batch.
         """
         x = np.asarray(states, dtype=float)
         d = self.omega.shape[1]
-        single = x.ndim == 0 or (x.ndim == 1 and d > 1)
-        if x.ndim == 0:
-            x = x.reshape(1, 1)
-        elif x.ndim == 1:
-            x = x.reshape(1, -1) if d > 1 else x.reshape(-1, 1)
+        if x.ndim == 0 or x.shape[-1] != d:
+            raise ConfigurationError(
+                f"states must be (..., {d}), got shape {x.shape}")
         m = self.num_features
-        feats = np.sqrt(2.0 / m) * np.cos(x @ self.omega.T + self.offsets)
-        return feats[0] if single else feats
-
-
-@dataclass(frozen=True)
-class MmdDiscriminator:
-    """Linear witness f(s) = <w, psi(s)> with |w|_2 <= zeta."""
-
-    feature_map: RffFeatureMap
-    w: Array
-    zeta: float = 1.0
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
-        if w.shape != (self.feature_map.num_features,):
-            raise ConfigurationError("w must match the feature dimension")
-        if not self.zeta > 0:
-            raise ConfigurationError("zeta must be positive")
-        if np.linalg.norm(w) > self.zeta + W_NORM_TOL:
-            raise ConfigurationError("w violates the norm constraint")
-        object.__setattr__(self, "w", _frozen(w))
-
-    def __call__(self, states):
-        feats = self.feature_map(states)
-        return feats @ self.w
-
-
-def project_ball(w: Array, zeta: float) -> Array:
-    nrm = float(np.linalg.norm(w))
-    if nrm <= zeta:
-        return np.asarray(w, dtype=float).copy()
-    return np.asarray(w, dtype=float) * (zeta / nrm)
+        feats = np.sqrt(2.0 / m) * np.cos(np.atleast_2d(x) @ self.omega.T
+                                          + self.offsets)
+        return feats[0] if x.ndim == 1 else feats
 
 
 def box_witness(d_pi: Array, d_e: Array) -> Array:
@@ -113,19 +81,18 @@ def tv_best_response(d_pi: Array, d_e: Array) -> float:
     return float(np.maximum(p - q, 0.0).sum())
 
 
-def mmd_update(disc: MmdDiscriminator, mean_pi: Array,
-               mean_e: Array) -> MmdDiscriminator:
-    """Witness update w <- proj(mean_pi - mean_e), the projection onto the
-    zeta-ball.
+def mmd_update(mean_pi: Array, mean_e: Array) -> Array:
+    """Witness weights w = proj(mean_pi - mean_e), the projection onto the
+    unit ball.
 
-    The maximiser of <w, mean_pi - mean_e> over |w| <= zeta is
-    zeta (mean_pi - mean_e) / |mean_pi - mean_e|; the projection equals it
-    only when |mean_pi - mean_e| >= zeta, and inside the ball it is the
+    The maximiser of <w, mean_pi - mean_e> over |w| <= 1 is
+    (mean_pi - mean_e) / |mean_pi - mean_e|; the projection equals it
+    only when |mean_pi - mean_e| >= 1, and inside the ball it is the
     difference itself (ROADMAP item 4).
     """
     diff = np.asarray(mean_pi, dtype=float) - np.asarray(mean_e, dtype=float)
-    return MmdDiscriminator(feature_map=disc.feature_map,
-                            w=project_ball(diff, disc.zeta), zeta=disc.zeta)
+    nrm = float(np.linalg.norm(diff))
+    return diff if nrm <= 1.0 else diff * (1.0 / nrm)
 
 
 def pairwise_distances(x: Array) -> Array:

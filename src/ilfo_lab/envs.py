@@ -10,6 +10,7 @@ All sampling goes through an explicit numpy Generator so runs are replayable.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 from dataclasses import dataclass, field
@@ -36,11 +37,21 @@ class ConfigurationError(ValueError):
 
 
 def _as_int(name: str, value, kind: str = "integer") -> int:
-    """``value`` through ``operator.index``: an int, never a rounded float."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigurationError(f"{name} {value!r} needs an {kind}") from None
+    """``value`` through ``operator.index``: an int, never a rounded float
+    or a bool."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise ConfigurationError(f"{name} {value!r} needs an {kind}")
+
+
+def _int_actions(name: str, actions) -> Array:
+    """``actions`` as an int array; a non-integer dtype, which casting
+    would round or parse, is refused unless the list is empty."""
+    arr = np.asarray(actions)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ConfigurationError(f"{name} must be integers, got {arr.dtype}")
+    return np.asarray(arr, dtype=int)
 
 
 def _int_fields(obj, *names: str) -> None:
@@ -240,7 +251,7 @@ class Policy:
                 raise ConfigurationError("per-(h,s) action distribution must sum to 1")
             object.__setattr__(self, "probs", _frozen(probs))
         else:
-            seq = np.asarray(self.action_seq, dtype=int)
+            seq = _int_actions("action_seq", self.action_seq)
             if seq.ndim != 1:
                 raise ConfigurationError("action_seq must be a flat action list")
             object.__setattr__(self, "action_seq", _frozen(seq))
@@ -256,7 +267,7 @@ class Policy:
 
     @classmethod
     def open_loop(cls, seq: Sequence[int]) -> "Policy":
-        return cls(action_seq=np.asarray(seq, dtype=int))
+        return cls(action_seq=seq)
 
     @property
     def is_open_loop(self) -> bool:
@@ -317,10 +328,6 @@ class MixedPolicy:
         object.__setattr__(self, "distinct", tuple(distinct.values()))
         object.__setattr__(self, "inverse", inverse)
 
-    @property
-    def horizon(self) -> int:
-        return self.components[0].horizon
-
 
 AnyPolicy = Union[Policy, MixedPolicy]
 
@@ -334,7 +341,7 @@ class Trajectory:
 
     def __post_init__(self):
         states = np.asarray(self.states)
-        actions = np.asarray(self.actions, dtype=int)
+        actions = _int_actions("actions", self.actions)
         if len(states) != len(actions) + 1:
             raise ConfigurationError("need H+1 states for H actions")
         object.__setattr__(self, "states", _frozen(states))

@@ -45,6 +45,8 @@ class ExpertDataset:
         trajs = _frozen(np.asarray(trajs))
         if trajs.ndim < 2 or trajs.shape[1] < 2:
             raise ConfigurationError("trajectories must contain at least s_0 and s_1")
+        if trajs.dtype.kind in "fc" and not np.isfinite(trajs).all():
+            raise ConfigurationError("expert dataset states must be finite")
         object.__setattr__(self, "trajectories", trajs)
 
     @property

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .discriminators import MmdDiscriminator, rff_featurize, tv_best_response
+from .discriminators import rff_featurize, tv_best_response
 from .envs import (
     ConfigurationError,
     KnrSystem,
@@ -415,8 +415,7 @@ def _knr_family(env, expert_dataset, cfg, rng, expert_value) -> _Family:
     return _Family(
         buffer=KnrBuffer(env.features, env.feature_dim, env.state_dim,
                          lam_ridge, cfg.buffer_capacity), fit=fit,
-        witness=MmdDiscriminator(feature_map=fmap,
-                                 w=np.zeros(cfg.mmd_features)),
+        witness=fmap,
         expert=mean_e, evaluate=evaluate, block=1,
         expert_value=expert_value,
         record_fields=dict(

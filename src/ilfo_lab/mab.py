@@ -8,13 +8,13 @@ against the revealed mean, so the zero instance charges every pull.
 """
 
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import Array, ConfigurationError, KnrSystem, _frozen, _int_fields
+from .envs import (Array, ConfigurationError, KnrSystem, _as_int, _frozen,
+                   _int_fields)
 from .loop import write_csv_columns
 
 ALGORITHMS = ("ucb1", "eps_greedy", "known_mean_elim")
@@ -142,13 +142,7 @@ def run_bandits(instances: Sequence[MabInstance], algorithm: str,
     A = instances[0].num_arms
     if any(inst.num_arms != A for inst in instances):
         raise ConfigurationError("instances of one batch share an arm count")
-    if isinstance(horizon, bool):
-        raise ConfigurationError("horizon must be an int, got a bool")
-    try:
-        T = operator.index(horizon)
-    except TypeError:
-        raise ConfigurationError(
-            f"horizon must be an int, got {horizon!r}") from None
+    T = _as_int("horizon", horizon)
     if T < A:
         raise ConfigurationError("horizon must cover one pull per arm")
 

@@ -225,10 +225,6 @@ class TabularModel:
         """Confidence widths of (...) pairs, capped at SIGMA_CAP."""
         return np.minimum(self.sigma_table[s, a], SIGMA_CAP)
 
-    def mean_prediction(self, s, a) -> Array:
-        """The next-state distribution rows of (...) pairs."""
-        return self.p_hat[s, a].copy()
-
 
 @dataclass(frozen=True)
 class KnrModel:

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .discriminators import (MmdDiscriminator, box_witness, mmd_update,
+from .discriminators import (RffFeatureMap, box_witness, mmd_update,
                              tv_best_response)
 from .envs import (ConfigurationError, MixedPolicy, OpenLoopTree, Policy,
                    _checked_start, _int_fields, best_response_tabular,
@@ -166,14 +166,15 @@ def solve_minmax(model: TabularModel | KnrModel, bonus, disc_class, expert,
     final sup-over-witnesses objective at that mixture.  Both families
     run Frank-Wolfe: a tabular model against the box class (disc_class
     "box", expert the (S,) state distribution d_e), a KNR model against
-    an MmdDiscriminator (expert the (m,) mean embedding of the expert
-    states under its feature map).  Any other disc_class raises
+    the unit-ball witnesses on an RffFeatureMap's features (disc_class
+    the feature map, expert the (m,) mean embedding of the expert states
+    under it).  Any other disc_class raises
     ConfigurationError, and so do a tabular horizon or init_state that
     ``TabularMdp`` would reject.
     """
     if isinstance(model, KnrModel):
-        if not isinstance(disc_class, MmdDiscriminator):
-            raise ConfigurationError("knr solving needs an MmdDiscriminator")
+        if not isinstance(disc_class, RffFeatureMap):
+            raise ConfigurationError("knr solving needs an RffFeatureMap")
         if num_actions is None:
             raise ConfigurationError("knr solving needs num_actions")
         return _solve_fw_mmd(model, bonus, disc_class, expert, cfg,
@@ -228,7 +229,7 @@ def _solve_fw_box(model, bonus, expert, cfg, horizon, init_state):
     return mixture, objective
 
 
-def _solve_fw_mmd(model, bonus, disc, mean_e, cfg, horizon, num_actions,
+def _solve_fw_mmd(model, bonus, fmap, mean_e, cfg, horizon, num_actions,
                   init_state, rng):
     """Frank-Wolfe against the MMD witness over one nominal search tree.
 
@@ -236,19 +237,18 @@ def _solve_fw_mmd(model, bonus, disc, mean_e, cfg, horizon, num_actions,
     solve; only the witness weights w change between rounds.  So one
     ``OpenLoopTree`` holds each depth's states, witness features
     ``fmap(s)`` and edge bonuses, and a round rescores a depth with
-    ``np.vecdot(F, w)``, which rounds each row as the ``feats @ w`` of
-    ``MmdDiscriminator.__call__``.  The path states and bonuses of each
+    ``np.vecdot(F, w)``, which rounds each row as the one-state score
+    ``fmap(s) @ w`` does.  The path states and bonuses of each
     round's sequence are read off the tree.  A path's mean embedding
     featurizes its (H, d) states as one batch, which rounds differently
     from one-state calls, so it is computed once per distinct path.
     """
-    fmap = disc.feature_map
     mean_e = np.asarray(mean_e)
     if mean_e.shape != (fmap.num_features,):
         raise ConfigurationError(
             "the KNR expert must be its (m,) mean feature embedding")
     # each node as its own (1, d) batch, stacked, so a row rounds as one
-    # state alone; RffFeatureMap reads a (1,) input as scalar states
+    # state alone
     tree = OpenLoopTree(model.mean_prediction, init_state, num_actions,
                         horizon, bonus,
                         featurize=lambda x: fmap(x[:, None])[:, 0])
@@ -269,8 +269,7 @@ def _solve_fw_mmd(model, bonus, disc, mean_e, cfg, horizon, num_actions,
     components = []
     path_bonuses = []
     for k in range(1, cfg.k_iters + 1):
-        disc = mmd_update(disc, mean_bar, mean_e)
-        w = disc.w
+        w = mmd_update(mean_bar, mean_e)
         pi_k = best_response_knr(model, lambda f: np.vecdot(f, w), bonus,
                                  horizon, num_actions, init_state,
                                  cfg.knr_search, rng, tree=tree)
@@ -282,9 +281,8 @@ def _solve_fw_mmd(model, bonus, disc, mean_e, cfg, horizon, num_actions,
     mixture = MixedPolicy(components=tuple(components),
                           weights=np.full(len(components),
                                           1.0 / len(components)))
-    sup_ipm = disc.zeta * float(np.linalg.norm(mean_bar - mean_e))
     mean_b = float(np.mean(path_bonuses))
-    return mixture, sup_ipm - mean_b
+    return mixture, float(np.linalg.norm(mean_bar - mean_e)) - mean_b
 
 
 def game_value_lp(model, bonus, expert, horizon: int,

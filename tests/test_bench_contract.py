@@ -10,6 +10,7 @@ catch it in the suite.  The benchmark files are imported, never changed.
 
 import importlib
 import inspect
+import json
 import os
 import sys
 import types
@@ -17,12 +18,13 @@ import types
 import numpy as np
 import pytest
 
+from ilfo_lab import cli
 from ilfo_lab.envs import value_eval_mc
 from ilfo_lab.expert import (sample_expert_states, solve_openloop_knr,
                              solve_optimal_tabular)
 from ilfo_lab.loop import MobileConfig, run_mobile
 from ilfo_lab.planner import MinMaxConfig
-from ilfo_lab.worlds import make_chain, make_knr_example
+from ilfo_lab.worlds import make_chain, make_combination_lock, make_knr_example
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
@@ -47,6 +49,11 @@ def checks():
     yield from _perfbench_module("checks")
 
 
+@pytest.fixture(scope="module")
+def tracer():
+    yield from _perfbench_module("tracer")
+
+
 def _keys_read(fn) -> set:
     """Names a tag reads from its bound-arguments mapping: the string
     constants of its code, nested code objects included."""
@@ -67,6 +74,41 @@ def test_every_trace_point_resolves(workloads):
     for module, attr, name, _ in points:
         assert callable(getattr(module, attr, None)), \
             f"{module.__name__}.{attr} ({name}) does not resolve"
+
+
+def test_every_trace_point_is_reached(workloads, tracer, tmp_path):
+    # short chain, lock ensemble and KNR ensemble runs and a small mab-lb
+    # CLI call pass through every traced call site; the CLI plays its
+    # bandits through run_bandits, so mab.run_bandit alone reads zero
+    config = tmp_path / "mab.json"
+    config.write_text(json.dumps({"subcommand": "mab-lb", "bandit": {
+        "num_arms": 3, "horizon": 60}}))
+    traced = tracer.Tracer()
+    with traced.installed(workloads.trace_points()):
+        for build, mode in ((make_chain, "theory"),
+                            (make_combination_lock, "ensemble")):
+            env = build()
+            data = sample_expert_states(env, solve_optimal_tabular(env), 20,
+                                        np.random.default_rng(2000))
+            run_mobile(env, data, MobileConfig(
+                t_iters=3, n_expert=20, bonus_mode=mode,
+                minmax=MinMaxConfig(k_iters=3)), np.random.default_rng(0))
+        env = make_knr_example()
+        data = sample_expert_states(env, solve_openloop_knr(env), 10,
+                                    np.random.default_rng(2000))
+        run_mobile(env, data, MobileConfig(
+            t_iters=4, n_expert=10, bonus_mode="ensemble", mmd_features=8,
+            knr_eval_rollouts=4, minmax=MinMaxConfig(k_iters=3)),
+            np.random.default_rng(0), expert_value=0.0)
+        assert cli.main(["mab-lb", "--config", str(config), "--out",
+                         str(tmp_path / "out"), "--seeds", "0",
+                         "--jobs", "1"]) == 0
+    counts = {name: 0 for _, _, name, _ in workloads.trace_points()}
+    for span in traced.take():
+        counts[span[0]] += 1
+    assert counts.pop("mab.run_bandit") == 0
+    assert counts["discriminators.mmd_update"] == 4 * 3
+    assert not [name for name, n in counts.items() if n == 0]
 
 
 def test_every_tag_reads_parameters_of_its_target(workloads):

@@ -12,12 +12,12 @@ import re
 import numpy as np
 import pytest
 
-from ilfo_lab.discriminators import (MmdDiscriminator, RffFeatureMap,
-                                     rff_featurize)
+from ilfo_lab.discriminators import RffFeatureMap, rff_featurize
 from ilfo_lab.envs import (ConfigurationError, MixedPolicy, Policy,
-                           TabularMdp, state_values)
+                           TabularMdp, Trajectory, state_values)
+from ilfo_lab.expert import ExpertDataset
 from ilfo_lab.loop import MobileConfig
-from ilfo_lab.mab import BanditConfig, MabInstance
+from ilfo_lab.mab import BanditConfig, MabInstance, run_bandits
 from ilfo_lab.models import (BonusFunction, KnrBuffer, TabularBuffer,
                              TabularModel, fit_knr_model, fit_tabular)
 from ilfo_lab.planner import (KnrSearchConfig, MinMaxConfig, game_value_lp,
@@ -186,6 +186,22 @@ CASES = [
      "per-(h,s) action distribution must sum to 1"),
     ("Policy/seq_not_flat", lambda: Policy.open_loop([[0, 1]]),
      "action_seq must be a flat action list"),
+    ("Policy/seq_fractional", lambda: Policy.open_loop([0, 1.7]),
+     "action_seq must be integers, got float64"),
+    ("Policy/seq_string", lambda: Policy(action_seq=["1"]),
+     "action_seq must be integers, got <U1"),
+    ("Trajectory/actions_fractional",
+     lambda: Trajectory(states=[0, 1], actions=[1.7]),
+     "actions must be integers, got float64"),
+    ("Trajectory/actions_string",
+     lambda: Trajectory(states=[0, 1], actions=["1"]),
+     "actions must be integers, got <U1"),
+    ("ExpertDataset/states_nan",
+     lambda: ExpertDataset(trajectories=[[[0.0, 1.0], [np.nan, 0.0]]]),
+     "expert dataset states must be finite"),
+    ("ExpertDataset/states_inf",
+     lambda: ExpertDataset(trajectories=np.array([[0.0, np.inf]])),
+     "expert dataset states must be finite"),
     ("MixedPolicy/empty",
      lambda: MixedPolicy(components=(), weights=np.array([])),
      "mixture needs at least one component"),
@@ -221,10 +237,11 @@ CASES = [
      lambda: rff_featurize(np.zeros((3, 1)), m=2, bandwidth=np.nan,
                            rng=np.random.default_rng(0)),
      BANDWIDTH_MESSAGE),
-    ("MmdDiscriminator/zeta_nan",
-     lambda: MmdDiscriminator(feature_map=feature_map(), w=np.zeros(2),
-                              zeta=np.nan),
-     "zeta must be positive"),
+    ("RffFeatureMap/states_last_axis",
+     lambda: feature_map()(np.zeros((2, 3))),
+     "states must be (..., 1), got shape (2, 3)"),
+    ("RffFeatureMap/states_scalar", lambda: feature_map()(0.5),
+     "states must be (..., 1), got shape ()"),
     ("state_values/mixture",
      lambda: state_values(mdp(), MixedPolicy(components=(STEADY,),
                                              weights=np.ones(1)), np.zeros(2)),
@@ -233,6 +250,12 @@ CASES = [
        lambda cls=cls, name=name: cls(**{name: 20.5}),
        f"{name} 20.5 needs an integer")
       for cls, name in INT_CONFIG_FIELDS),
+    ("MinMaxConfig/k_iters_bool", lambda: MinMaxConfig(k_iters=True),
+     "k_iters True needs an integer"),
+    ("run_bandits/horizon_bool",
+     lambda: run_bandits([MabInstance(means=[0.0, 0.5], mu_star=0.5)],
+                         "ucb1", True, [np.random.default_rng(0)]),
+     "horizon True needs an integer"),
     ("TabularBuffer/capacity_fractional",
      lambda: TabularBuffer(2, 1, capacity=2.5),
      "capacity 2.5 needs an integer"),
@@ -260,6 +283,12 @@ CASES = [
      "delta must lie in (0, 1)"),
     ("solve_minmax/disc_class", lambda: solve(disc="boxx"),
      "tabular solving needs disc_class 'box', got 'boxx'"),
+    ("solve_minmax/knr_disc_class",
+     lambda: solve_minmax(fit_knr_model(knr_buffer(), 0.05, 2.0, t=1,
+                                        delta=0.1),
+                          None, "box", np.zeros(2), MinMaxConfig(k_iters=2),
+                          horizon=2, init_state=np.zeros(2), num_actions=2),
+     "knr solving needs an RffFeatureMap"),
     *((f"solve_minmax/{i}", lambda kw=kw: solve(**kw), msg)
       for i, (kw, msg) in zip(GAME_IDS, GAME_CASES)),
     *((f"game_value_lp/{i}", lambda kw=kw: lp(**kw), msg)

@@ -11,12 +11,10 @@ import ilfo_lab.discriminators as disc_mod
 from ilfo_lab import ConfigurationError
 from ilfo_lab.discriminators import (
     PAIR_BLOCK,
-    MmdDiscriminator,
     RffFeatureMap,
     box_witness,
     mmd_update,
     pairwise_distances,
-    project_ball,
     rff_featurize,
     tv_best_response,
 )
@@ -116,11 +114,15 @@ class TestRffFeatures:
             rff_featurize(np.zeros((1, 2)), m=8, bandwidth="auto", rng=rng)
 
     def test_scalar_state_batches(self):
+        # rff_featurize reads an (n,) batch as n scalar states; the map
+        # itself takes them as (n, 1) rows, and one (1,) state as (m,)
         rng = np.random.default_rng(6)
         fmap, feats = rff_featurize(np.array([0.0, 1.0, 2.0]), m=8,
                                     bandwidth=1.0, rng=rng)
         assert feats.shape == (3, 8)
-        assert fmap(np.array([0.0, 1.0])).shape == (2, 8)
+        x = np.array([[0.0], [1.0], [2.0]])
+        assert np.array_equal(fmap(x), feats)
+        assert np.array_equal(fmap(x[1]), fmap(x[1:2])[0])
 
 
 class TestPairwiseDistances:
@@ -165,46 +167,33 @@ class TestPairwiseDistances:
 
 
 class TestMmdUpdates:
-    @staticmethod
-    def fresh_disc(rng, m=8, zeta=1.0):
-        fmap, _ = rff_featurize(rng.normal(size=(4, 2)), m=m,
-                                bandwidth=1.0, rng=rng)
-        return MmdDiscriminator(feature_map=fmap, w=np.zeros(m), zeta=zeta)
-
     def test_exact_update_zero_on_matched_means(self):
         rng = np.random.default_rng(7)
-        disc = self.fresh_disc(rng)
         mean = rng.normal(size=8)
-        out = mmd_update(disc, mean, mean)
-        np.testing.assert_allclose(out.w, 0.0)
-
-    def test_projection_respects_zeta(self):
-        rng = np.random.default_rng(10)
-        disc = self.fresh_disc(rng, zeta=0.5)
-        out = mmd_update(disc, rng.normal(size=8) * 10, np.zeros(8))
-        assert np.linalg.norm(out.w) <= 0.5 + 1e-9
+        np.testing.assert_allclose(mmd_update(mean, mean), 0.0)
 
     def test_project_ball_identity_inside(self):
+        # inside the unit ball the weights are the difference itself;
+        # outside, the difference scaled onto the sphere
         w = np.array([0.3, 0.4])
-        np.testing.assert_array_equal(project_ball(w, 1.0), w)
-        shrunk = project_ball(np.array([3.0, 4.0]), 1.0)
+        np.testing.assert_array_equal(mmd_update(w, np.zeros(2)), w)
+        shrunk = mmd_update(np.array([3.0, 4.0]), np.zeros(2))
         assert np.linalg.norm(shrunk) == pytest.approx(1.0, abs=1e-12)
+        far = np.random.default_rng(10).normal(size=8) * 10
+        assert np.linalg.norm(mmd_update(far, np.zeros(8))) <= 1.0 + 1e-12
 
     def test_sup_ipm_nonnegative_zero_iff_means_match(self):
         # symmetric class: the projected-difference witness attains
-        # |diff|^2 inside the ball and zeta * |diff| on the boundary,
-        # both nonnegative and zero exactly when the means coincide
+        # |diff|^2 inside the ball and |diff| on the boundary, both
+        # nonnegative and zero exactly when the means coincide
         rng = np.random.default_rng(11)
-        disc = self.fresh_disc(rng)
         a, b = rng.normal(size=8), rng.normal(size=8)
-        best = mmd_update(disc, a, b)
-        val = float(best.w @ (a - b))
+        val = float(mmd_update(a, b) @ (a - b))
         gap = float(np.linalg.norm(a - b))
         expected = gap**2 if gap <= 1.0 else gap
         assert val == pytest.approx(expected, rel=1e-12)
         assert val > 0
-        matched = mmd_update(disc, a, a)
-        assert float(matched.w @ (a - a)) == 0.0
+        assert float(mmd_update(a, a) @ (a - a)) == 0.0
 
 
 class TestIpmEval:

@@ -12,6 +12,7 @@ from ilfo_lab.envs import (
     OpenLoopTree,
     Policy,
     TabularMdp,
+    Trajectory,
     best_response_tabular,
     occupancy_exact,
     openloop_search,
@@ -22,6 +23,7 @@ from ilfo_lab.envs import (
     value_eval_mc,
     value_eval_tabular,
 )
+from ilfo_lab.models import TabularBuffer
 from ilfo_lab.worlds import (
     make_chain,
     make_combination_lock,
@@ -389,6 +391,19 @@ def test_action_table_validated():
         Policy.deterministic(np.array([[0.0, 1.0]]), num_actions=3)
     with pytest.raises(ConfigurationError):
         Policy(action_table=np.zeros((1, 2), dtype=int))
+
+
+def test_integer_actions_are_kept_and_an_empty_list_is_allowed():
+    # any integer dtype is stored as int, and an empty list has no dtype
+    # to check; tests/test_boundary.py rejects float and string actions
+    seq = Policy.open_loop(np.array([1, 0, 2], dtype=np.uint8)).action_seq
+    assert seq.dtype == np.dtype(int) and seq.tolist() == [1, 0, 2]
+    assert Policy.open_loop([]).horizon == 0
+    traj = Trajectory(states=[3], actions=[])
+    assert traj.horizon == 0 and traj.actions.dtype == np.dtype(int)
+    buf = TabularBuffer(2, 2)
+    buf.extend_trajectory(Trajectory(states=[0, 1], actions=np.int32([1])))
+    assert list(buf) == [(0, 1, 1)]
 
 
 # -- the batched mixture engine against per-component references kept here --

