@@ -637,50 +637,71 @@ def value_eval_tabular(mdp, policy: AnyPolicy | Sequence[AnyPolicy],
     return out[0] if single else np.array(out)
 
 
-def best_response_tabular(mdp, cost) -> Policy:
-    """Cost-minimizing deterministic nonstationary policy by backward DP.
+def best_response_tables(mdp, costs: Array) -> Array:
+    """(K, H, S) cost-minimizing action tables of K (S, A) cost tables,
+    from one backward DP over the stack.
 
-    ``cost`` is (S,) or (S, A) and may be negative (bonus-lowered
-    objectives). Ties go to the lowest action index. The pass fills the
-    (H, S, A) Q stack and carries each step's row minima; one argmin over
-    the stack then takes the whole action table, as a per-step argmin
-    and a gather of its Q values would.
+    Costs may be negative (bonus-lowered objectives). Ties go to the
+    lowest action index. The pass fills the (H, K, S, A) Q stack and
+    carries each step's row minima; one argmin over the stack then takes
+    every action table, as a per-step argmin and a gather of its Q values
+    would. A stacked matmul sums in the order of one cost's kernel @ v, so
+    each slice equals its own one-cost pass bit for bit.
     """
     S, A, H = mdp.num_states, mdp.num_actions, mdp.horizon
-    c = _cost_table(cost, S, A)
-    q = np.empty((H, S, A))
-    v = np.zeros(S)
+    costs = np.asarray(costs, dtype=float)
+    if costs.shape[1:] != (S, A):
+        raise ConfigurationError("costs must be (K, S, A)")
+    kernel = mdp.transitions[None]
+    q = np.empty((H, *costs.shape))
+    v = np.zeros(costs.shape[:2])
     for h in range(H - 1, -1, -1):
         q_h = q[h]
-        np.add(c, mdp.transitions @ v, out=q_h)
-        v = np.minimum.reduce(q_h, axis=1)
-    return Policy.deterministic(q.argmin(axis=2), num_actions=A)
+        np.add(costs, (kernel @ v[:, None, :, None])[..., 0], out=q_h)
+        v = np.minimum.reduce(q_h, axis=2)
+    return q.argmin(axis=3).swapaxes(0, 1)
+
+
+def best_response_tabular(mdp, cost) -> Policy:
+    """Cost-minimizing deterministic nonstationary policy by backward DP:
+    the one-cost case of ``best_response_tables``. ``cost`` is (S,) or
+    (S, A)."""
+    c = _cost_table(cost, mdp.num_states, mdp.num_actions)
+    return Policy.deterministic(best_response_tables(mdp, c[None])[0],
+                                num_actions=mdp.num_actions)
 
 
 def table_occupancy(mdp, actions: Array) -> Array:
-    """(S, A) average occupancy of one (H, S) action table on ``mdp``.
+    """(S, A) average occupancy of one (H, S) action table on ``mdp``, or
+    the (K, S, A) occupancies of a (K, H, S) stack of them.
 
     The forward pass of ``occupancy_exact`` without the one-hot cube:
-    step h moves the state distribution p_h through the S kernel rows
-    P(.|s, pi_h(s)), gathered for that step alone, so the pass holds one
-    (S, S) block at a time. The average is one ``bincount`` of p_h over
-    the visited (s, pi_h(s)) cells, divided by H. The cube's zeros add
-    exactly and both sums run in order, so the result equals
-    ``occupancy_exact(mdp, Policy.deterministic(actions, A)).mean(axis=0)``
+    step h moves each table's state distribution p_h through the S kernel
+    rows P(.|s, pi_h(s)), gathered for that step alone, so the pass holds
+    one (K, S, S) block at a time. The averages are one ``bincount`` of
+    the p_h over the visited (s, pi_h(s)) cells, offset by S A per table,
+    divided by H. The cube's zeros add exactly and both sums run in order,
+    so each table's result equals
+    ``occupancy_exact(mdp, Policy.deterministic(table, A)).mean(axis=0)``
     bit for bit. ``actions`` is not checked; it is a policy's
-    ``action_table`` on ``mdp``.
+    ``action_table`` on ``mdp``, or a stack of them.
     """
-    H, S = actions.shape
+    if actions.ndim == 2:
+        return table_occupancy(mdp, actions[None])[0]
+    K, H, S = actions.shape
     A = mdp.transitions.shape[1]
     rows = mdp.transitions.reshape(S * A, S)
-    cells = actions + np.arange(S) * A   # the kernel row of each (s, pi_h(s))
-    mass = np.zeros((H, S))
-    mass[0, mdp.init_state] = 1.0
+    # step-major: the kernel row of each (s, pi_h(s)) of each table
+    cells = (actions + np.arange(S) * A).swapaxes(0, 1)
+    mass = np.zeros((H, K, S))
+    mass[0, :, mdp.init_state] = 1.0
     for h in range(H - 1):
-        np.einsum("s,st->t", mass[h], rows.take(cells[h], axis=0),
+        np.einsum("ks,kst->kt", mass[h], rows.take(cells[h], axis=0),
                   out=mass[h + 1])
+    # each table's cells offset into its own S A bins
+    cells = cells + np.arange(K)[:, None] * (S * A)
     return np.bincount(cells.ravel(), weights=mass.ravel(),
-                       minlength=S * A).reshape(S, A) / H
+                       minlength=K * S * A).reshape(K, S, A) / H
 
 
 class OpenLoopTree:

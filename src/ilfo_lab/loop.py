@@ -286,6 +286,8 @@ def run_mobile(env, expert_dataset: ExpertDataset, cfg: MobileConfig,
     else:
         family = _knr_family(env, expert_dataset, cfg, rng, expert_value)
     buffer = family.buffer
+    # the box masks of the last tabular solve, which warm-start the next
+    warm = [] if isinstance(env, TabularMdp) else None
     rows, info_tally, evaluated, pending = [], [], [], []
     for t in range(1, cfg.t_iters + 1):
         model = family.fit(buffer, t)
@@ -301,7 +303,7 @@ def run_mobile(env, expert_dataset: ExpertDataset, cfg: MobileConfig,
         mixture, objective = solve_minmax(
             model, bonus, family.witness, family.expert, cfg.minmax,
             horizon=env.horizon, init_state=env.init_state,
-            num_actions=env.num_actions, rng=rng)
+            num_actions=env.num_actions, rng=rng, warm=warm)
         traj = rollout(env, mixture, rng)
         info_gain_accumulate(info_tally, model, traj)
         pending.append((model, mixture, traj))

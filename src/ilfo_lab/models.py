@@ -17,7 +17,6 @@ downstream bonuses stay bounded.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -76,8 +75,9 @@ class TabularBuffer:
 
     def append(self, s, a, s_next) -> None:
         """Keep (s, a, s'), or raise ConfigurationError unless each is an
-        integer index in range."""
-        self._extend([s], [a], [s_next])
+        integer index in range; a bool is not an action."""
+        self._extend([s], [_as_int("tabular action", a, "integer index")],
+                     [s_next])
 
     def extend_trajectory(self, traj: Trajectory) -> None:
         """Keep the episode's H transitions, or none, raising
@@ -134,13 +134,8 @@ class KnrBuffer:
 
     def append(self, s, a, s_next) -> None:
         """Featurize (s, a) and keep (phi, s'), or raise ConfigurationError
-        unless a is an integer >= 0."""
-        try:
-            a = operator.index(a)
-        except TypeError:
-            raise ConfigurationError(
-                f"KNR action {a!r} needs an integer index") from None
-        self._extend(s, a, s_next)
+        unless a is an integer >= 0; a bool is not an action."""
+        self._extend(s, _as_int("KNR action", a, "integer index"), s_next)
 
     def extend_trajectory(self, traj: Trajectory) -> None:
         """Keep the episode's H rows, or none if an action is negative,

@@ -7,7 +7,8 @@ models, open-loop sequence search for KNR models.  The outer loop is
 Frank-Wolfe / fictitious play with 1/k averaging: against the box class
 (closed-form witness 1{d_pi > d_e}) on tabular models, against an MMD
 witness on KNR models.  Each returns a uniform mixture of the per-round
-best responses.
+best responses.  A tabular solve can start from the box-witness masks an
+earlier solve used, whose best responses it solves in one stacked pass.
 A linear program over the occupancy polytope provides an independent
 value oracle for small tabular games; scipy is loaded only when that
 oracle is called.
@@ -25,8 +26,9 @@ import numpy as np
 from .discriminators import (RffFeatureMap, box_witness, mmd_update,
                              tv_best_response)
 from .envs import (ConfigurationError, MixedPolicy, OpenLoopTree, Policy,
-                   _checked_start, _int_fields, best_response_tabular,
-                   occupancy_exact, openloop_search, table_occupancy)
+                   _checked_start, _int_fields, best_response_tables,
+                   best_response_tabular, occupancy_exact, openloop_search,
+                   table_occupancy)
 from .models import BonusFunction, KnrModel, TabularModel
 
 Array = np.ndarray
@@ -158,8 +160,8 @@ def box_objective(d_avg_sa: Array, d_e: Array, bonus_table: Array) -> float:
 def solve_minmax(model: TabularModel | KnrModel, bonus, disc_class, expert,
                  cfg: MinMaxConfig, *, horizon: int, init_state=0,
                  num_actions: int | None = None,
-                 rng: np.random.Generator | None = None
-                 ) -> tuple[MixedPolicy, float]:
+                 rng: np.random.Generator | None = None,
+                 warm: list | None = None) -> tuple[MixedPolicy, float]:
     """Solve the occupancy-matching game under the learned model.
 
     Returns a uniform mixture of the per-round best responses and the
@@ -171,8 +173,18 @@ def solve_minmax(model: TabularModel | KnrModel, bonus, disc_class, expert,
     under it).  Any other disc_class raises
     ConfigurationError, and so do a tabular horizon or init_state that
     ``TabularMdp`` would reject.
+
+    ``warm`` is a tabular solve's list of box-witness masks, each the
+    ``tobytes()`` of an (S,) boolean mask, most usefully the ones an
+    earlier solve of the same run used. Their best responses are solved
+    together in one stacked pass before the first round; the solve then
+    overwrites the list with the masks its own rounds used, in order of
+    first use. A response is a pure function of the game and its mask,
+    so nothing returned depends on ``warm``.
     """
     if isinstance(model, KnrModel):
+        if warm is not None:
+            raise ConfigurationError("warm masks start only a tabular solve")
         if not isinstance(disc_class, RffFeatureMap):
             raise ConfigurationError("knr solving needs an RffFeatureMap")
         if num_actions is None:
@@ -180,7 +192,8 @@ def solve_minmax(model: TabularModel | KnrModel, bonus, disc_class, expert,
         return _solve_fw_mmd(model, bonus, disc_class, expert, cfg,
                              horizon, num_actions, init_state, rng)
     if isinstance(disc_class, str) and disc_class == "box":
-        return _solve_fw_box(model, bonus, expert, cfg, horizon, init_state)
+        return _solve_fw_box(model, bonus, expert, cfg, horizon, init_state,
+                             warm)
     raise ConfigurationError(
         f"tabular solving needs disc_class 'box', got {disc_class!r}")
 
@@ -193,33 +206,63 @@ def _uniform_policy(horizon: int, num_states: int, num_actions: int) -> Policy:
                                   1.0 / num_actions))
 
 
-def _solve_fw_box(model, bonus, expert, cfg, horizon, init_state):
+def _warm_witnesses(warm, num_states: int) -> Array:
+    """(K, S) float box witnesses of a warm list of K masks, each the
+    ``tobytes()`` of a boolean (S,) mask."""
+    if not isinstance(warm, list):
+        raise ConfigurationError(
+            f"warm must be a list of masks, got {type(warm).__name__}")
+    if not all(isinstance(m, bytes) and len(m) == num_states
+               and not m.translate(None, b"\0\1") for m in warm):
+        raise ConfigurationError(
+            f"a warm mask must be S = {num_states} bytes of 0 or 1")
+    return np.frombuffer(b"".join(warm), dtype=bool).reshape(
+        -1, num_states).astype(float)
+
+
+def _solve_fw_box(model, bonus, expert, cfg, horizon, init_state, warm):
     game = _tabular_game(model, bonus, expert, horizon, init_state)
     d_e, b_table = game.d_e, game.bonus
     uniform = _uniform_policy(game.horizon, game.num_states, game.num_actions)
     d_bar = occupancy_exact(game, uniform).mean(axis=0)
-    components = []
     # the best response and its occupancy are pure functions of the box
-    # witness 1{d_bar(s) > d_e(s)}, so a repeated witness mask reuses both
-    # (and the same Policy); the float witness is built only on a miss, and
-    # a response's occupancy comes from its action table
+    # witness 1{d_bar(s) > d_e(s)}, so the masks of the warm list are
+    # solved together in one stacked pass, a repeated mask reuses its
+    # response (and the same Policy), and a new one is solved alone
+    solved = {}
+    if warm is not None:
+        f = _warm_witnesses(warm, game.num_states)
+        if len(f):
+            tables = best_response_tables(game, f[:, :, None] - b_table)
+            solved = dict(zip(warm, zip(tables,
+                                        table_occupancy(game, tables))))
+    # round k adds occ / k with k from ks, worked out once per response
+    ks = np.arange(1, cfg.k_iters + 1, dtype=float)[:, None, None]
     responses = {}
-    step = np.empty_like(d_bar)
+    components = []
+    d_state = np.empty(game.num_states)
+    mask = np.empty(game.num_states, dtype=bool)
     for k in range(1, cfg.k_iters + 1):
-        d_state = np.add.reduce(d_bar, axis=1)
-        key = (d_state > d_e).tobytes()
+        np.add.reduce(d_bar, 1, None, d_state)
+        np.greater(d_state, d_e, out=mask)
+        key = mask.tobytes()
         response = responses.get(key)
         if response is None:
-            f_k = box_witness(d_state, d_e)
-            pi = best_response_tabular(game, f_k[:, None] - b_table)
-            occ = table_occupancy(game, pi.action_table)
-            response = responses[key] = (pi, occ)
-        pi_k, occ_k = response
+            if key in solved:
+                table, occ = solved[key]
+                pi = Policy.deterministic(table, game.num_actions)
+            else:
+                f_k = box_witness(d_state, d_e)
+                pi = best_response_tabular(game, f_k[:, None] - b_table)
+                occ = table_occupancy(game, pi.action_table)
+            response = responses[key] = (pi, occ / ks)
+        pi_k, steps = response
         components.append(pi_k)
         # d_bar <- (1 - 1/k) d_bar + occ_k / k, in place
         np.multiply(d_bar, 1.0 - 1.0 / k, out=d_bar)
-        np.divide(occ_k, k, out=step)
-        np.add(d_bar, step, out=d_bar)
+        np.add(d_bar, steps[k - 1], out=d_bar)
+    if warm is not None:
+        warm[:] = list(responses)
     mixture = MixedPolicy(components=tuple(components),
                           weights=np.full(len(components),
                                           1.0 / len(components)))

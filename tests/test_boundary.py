@@ -75,9 +75,9 @@ GAME = (tabular_model(p_hat=np.full((2, 2, 2), 0.5),
 
 
 def solve(bonus=GAME[1], expert=GAME[2], disc="box", horizon=2,
-          init_state=0):
+          init_state=0, warm=None):
     return solve_minmax(GAME[0], bonus, disc, expert, MinMaxConfig(k_iters=2),
-                        horizon=horizon, init_state=init_state)
+                        horizon=horizon, init_state=init_state, warm=warm)
 
 
 def lp(bonus=GAME[1], expert=GAME[2], horizon=2, init_state=0):
@@ -261,6 +261,14 @@ CASES = [
      "capacity 2.5 needs an integer"),
     ("TabularBuffer/capacity_negative",
      lambda: TabularBuffer(2, 1, capacity=-1), "capacity must be >= 0"),
+    *((f"TabularBuffer/append_action_{i}",
+       lambda a=a: TabularBuffer(2, 2).append(0, a, 1),
+       f"tabular action {a!r} needs an integer index")
+      for i, a in (("bool", True), ("np_bool", np.True_))),
+    *((f"KnrBuffer/append_action_{i}",
+       lambda a=a: knr_buffer().append(np.zeros(2), a, np.ones(2)),
+       f"KNR action {a!r} needs an integer index")
+      for i, a in (("bool", True), ("np_bool", np.True_))),
     ("KnrBuffer/capacity_fractional",
      lambda: KnrBuffer(make_knr_example().features, 4, 2, 0.3, capacity=2.5),
      "capacity 2.5 needs an integer"),
@@ -289,6 +297,19 @@ CASES = [
                           None, "box", np.zeros(2), MinMaxConfig(k_iters=2),
                           horizon=2, init_state=np.zeros(2), num_actions=2),
      "knr solving needs an RffFeatureMap"),
+    *((f"solve_minmax/warm_{i}", lambda warm=warm: solve(warm=warm),
+       "a warm mask must be S = 2 bytes of 0 or 1")
+      for i, warm in (("short", [b"\x01"]), ("long", [b"\x00\x01\x00"]),
+                      ("not_01", [b"\x00\x02"]), ("str", ["01"]))),
+    ("solve_minmax/warm_tuple", lambda: solve(warm=(b"\x00\x01",)),
+     "warm must be a list of masks, got tuple"),
+    ("solve_minmax/knr_warm",
+     lambda: solve_minmax(fit_knr_model(knr_buffer(), 0.05, 2.0, t=1,
+                                        delta=0.1),
+                          None, "box", np.zeros(2), MinMaxConfig(k_iters=2),
+                          horizon=2, init_state=np.zeros(2), num_actions=2,
+                          warm=[]),
+     "warm masks start only a tabular solve"),
     *((f"solve_minmax/{i}", lambda kw=kw: solve(**kw), msg)
       for i, (kw, msg) in zip(GAME_IDS, GAME_CASES)),
     *((f"game_value_lp/{i}", lambda kw=kw: lp(**kw), msg)

@@ -13,6 +13,7 @@ from ilfo_lab.envs import (
     Policy,
     TabularMdp,
     Trajectory,
+    best_response_tables,
     best_response_tabular,
     occupancy_exact,
     openloop_search,
@@ -947,17 +948,21 @@ def _optimal_dp_reference(mdp, cost_table):
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), S=st.integers(1, 6),
        A=st.integers(1, 4), H=st.integers(1, 6), deterministic=st.booleans(),
-       state_cost=st.booleans(), copies=st.integers(0, 3))
+       state_cost=st.booleans(), copies=st.integers(0, 3),
+       stack=st.integers(1, 4))
 @example(seed=0, S=1, A=1, H=1, deterministic=True, state_cost=False,
-         copies=0)
+         copies=0, stack=1)
 @example(seed=1, S=5, A=3, H=4, deterministic=False, state_cost=False,
-         copies=3)
+         copies=3, stack=4)
 def test_best_response_tabular_matches_reference_dp(seed, S, A, H,
                                                     deterministic,
-                                                    state_cost, copies):
+                                                    state_cost, copies,
+                                                    stack):
     # 0/1 kernels and costs on a 1/2 grid make ties common, and an action
     # whose kernel rows and costs are copied from another's ties with it
-    # in every Q row; ties go to the lowest action index
+    # in every Q row; ties go to the lowest action index. A stack of the
+    # cost and stack - 1 integer costs, which tie often, gives each slice
+    # the one-cost call's table
     rng = np.random.default_rng(seed)
     if deterministic:
         P = np.eye(S)[rng.integers(0, S, size=(S, A))]
@@ -975,6 +980,14 @@ def test_best_response_tabular_matches_reference_dp(seed, S, A, H,
     pol = best_response_tabular(mdp, mdp.cost if state_cost else table)
     assert np.array_equal(pol.action_table,
                           _optimal_dp_reference(mdp, table))
+    costs = np.concatenate([table[None], rng.integers(
+        -1, 2, size=(stack - 1, S, A)).astype(float)])
+    tables = best_response_tables(mdp, costs)
+    assert tables.shape == (stack, H, S)
+    for cost, got in zip(costs, tables):
+        one = best_response_tabular(mdp, cost).action_table
+        assert got.dtype == one.dtype and got.tobytes() == one.tobytes()
+        assert np.array_equal(got, _optimal_dp_reference(mdp, cost))
 
 
 def test_state_values_slice_is_the_policy_value():
@@ -1006,17 +1019,22 @@ def _sparse_mdp(rng, S, A, H):
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), S=st.integers(1, 30),
-       A=st.integers(1, 5), H=st.integers(1, 15))
-@example(seed=0, S=1, A=1, H=1)
-@example(seed=1, S=1, A=3, H=4)
-@example(seed=2, S=4, A=1, H=3)
-@example(seed=3, S=5, A=2, H=1)
-def test_table_occupancy_equals_one_hot_occupancy_bytes(seed, S, A, H):
+       A=st.integers(1, 5), H=st.integers(1, 15), stack=st.integers(1, 4))
+@example(seed=0, S=1, A=1, H=1, stack=1)
+@example(seed=1, S=1, A=3, H=4, stack=2)
+@example(seed=2, S=4, A=1, H=3, stack=3)
+@example(seed=3, S=5, A=2, H=1, stack=4)
+def test_table_occupancy_equals_one_hot_occupancy_bytes(seed, S, A, H,
+                                                         stack):
     # every start state, on a sparse kernel: the forward pass over the
-    # action table gives the bytes of the one-hot cube's occupancy_exact
+    # action table gives the bytes of the one-hot cube's occupancy_exact,
+    # and each slice of a stack of the table and stack - 1 others the
+    # bytes of its one-table call
     rng = np.random.default_rng(seed)
     mdp = _sparse_mdp(rng, S, A, H)
     table = rng.integers(0, A, size=(H, S))
+    tables = np.concatenate([table[None],
+                             rng.integers(0, A, size=(stack - 1, H, S))])
     for init in range(S):
         start = dataclasses.replace(mdp, init_state=init)
         got = table_occupancy(start, table)
@@ -1024,21 +1042,29 @@ def test_table_occupancy_equals_one_hot_occupancy_bytes(seed, S, A, H):
             start, Policy.deterministic(table, num_actions=A)).mean(axis=0)
         assert got.shape == (S, A)
         assert got.tobytes() == want.tobytes()
+        occs = table_occupancy(start, tables)
+        assert occs.shape == (stack, S, A)
+        for one, occ in zip(tables, occs):
+            assert occ.tobytes() == table_occupancy(start, one).tobytes()
 
 
 def test_table_occupancy_holds_one_kernel_block_at_a_time():
-    # an (H, S, S) gather of every step's kernel rows would take 64 MB here
+    # an (H, S, S) gather of every step's kernel rows would take 64 MB
+    # per table here
     S, A, H = 400, 4, 50
     rng = np.random.default_rng(31)
     mdp = _sparse_mdp(rng, S, A, H)
     table = rng.integers(0, A, size=(H, S))
-    tracemalloc.start()
-    try:
-        occ = table_occupancy(mdp, table)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # one (S, S) float64 block, plus the (H, S) masses and kernel-row
-    # indices and the (S, A) bincount, fits in two blocks
-    assert peak <= 2 * S * S * 8
-    assert abs(occ.sum() - 1.0) <= 1e-12
+    stack = rng.integers(0, A, size=(3, H, S))
+    for tables, k in ((table, 1), (stack, 3)):
+        tracemalloc.start()
+        try:
+            occ = table_occupancy(mdp, tables)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one (K, S, S) float64 block, plus the (H, K, S) masses and
+        # kernel-row indices and the (K, S, A) bincount, fits in K + 1
+        # blocks
+        assert peak <= (k + 1) * S * S * 8
+        assert np.all(np.abs(occ.sum(axis=(-2, -1)) - 1.0) <= 1e-12)

@@ -356,6 +356,59 @@ class TestBlockEvaluation:
             assert r.args[3] >= 0.0
 
 
+class TestWarmStart:
+    """Every box solve of a tabular run is warm-started from the masks of
+    the run's last solve; dropping the list changes no byte of the record
+    and no component table."""
+
+    @staticmethod
+    def run(monkeypatch, env, mode, k_iters, drop):
+        _, data = expert_for(env, n=30)
+        cfg = MobileConfig(t_iters=30, n_expert=30, bonus_mode=mode,
+                           minmax=MinMaxConfig(k_iters=k_iters))
+        mixtures, warms = [], []
+
+        def capture(*args, warm, **kwargs):
+            warms.append(warm)
+            mixture, objective = solve_minmax(
+                *args, warm=None if drop else warm, **kwargs)
+            mixtures.append(mixture)
+            return mixture, objective
+
+        with monkeypatch.context() as m:
+            m.setattr(loop, "solve_minmax", capture)
+            _, rec = run_mobile(env, data, cfg, np.random.default_rng(4))
+        return rec, mixtures, warms
+
+    @pytest.mark.parametrize("world, mode, k_iters", [
+        ("chain", "theory", 200), ("lock", "theory", 2),
+        ("lock", "ensemble", 2), ("lock", "off", 2)])
+    def test_dropping_the_warm_list_changes_no_byte(self, monkeypatch, world,
+                                                    mode, k_iters):
+        env = make_chain() if world == "chain" else make_combination_lock()
+        rec, mixtures, warms = self.run(monkeypatch, env, mode, k_iters,
+                                        drop=False)
+        ref, ref_mixtures, _ = self.run(monkeypatch, env, mode, k_iters,
+                                        drop=True)
+        # one list serves every solve of the run
+        assert isinstance(warms[0], list)
+        assert all(w is warms[0] for w in warms)
+        for f in dataclasses.fields(RunRecord):
+            got, want = getattr(rec, f.name), getattr(ref, f.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert got == want
+        assert len(mixtures) == len(ref_mixtures) == 30
+        for mix, ref_mix in zip(mixtures, ref_mixtures):
+            assert mix.inverse.tobytes() == ref_mix.inverse.tobytes()
+            assert mix.weights.tobytes() == ref_mix.weights.tobytes()
+            for comp, ref_comp in zip(mix.distinct, ref_mix.distinct):
+                assert (comp.action_table.tobytes()
+                        == ref_comp.action_table.tobytes())
+
+
 class TestRunMobileKnr:
     def _expert_data(self, system, rng, n=12):
         pol = Policy.open_loop([1] * system.horizon)

@@ -301,34 +301,57 @@ class TestSolveMinmaxTabular:
                                         k_iters, with_bonus, init):
         # a repeated witness reuses its best response: same tables and
         # objective as the unmemoized solver, one Policy object per
-        # distinct witness, and one DP per distinct witness
+        # distinct witness, and one DP per distinct witness. A warm list
+        # changes none of it: with no list, an empty one, the masks a
+        # solve on another model used, or every mask when S <= 4, the
+        # solve gives the same tables, inverse and objective bytes, calls
+        # best_response_tabular once per used mask not in the list, and
+        # leaves the used masks in the list in order of first use
         rng = np.random.default_rng(seed)
         model, bonus, d_e = self.random_game(rng, s_dim, a_dim, horizon,
                                              with_bonus)
         init %= s_dim
-        calls = []
-        best_response = planner.best_response_tabular
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return best_response(*args, **kwargs)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(planner, "best_response_tabular", counted)
-            mix, obj = solve_minmax(model, bonus, "box", d_e,
-                                    MinMaxConfig(k_iters=k_iters),
-                                    horizon=horizon, init_state=init)
+        cfg = MinMaxConfig(k_iters=k_iters)
+        other_masks = []
+        solve_minmax(self.random_game(rng, s_dim, a_dim, horizon)[0], bonus,
+                     "box", d_e, cfg, horizon=horizon, init_state=init,
+                     warm=other_masks)
+        warms = [None, [], other_masks]
+        if s_dim <= 4:
+            warms.append([bytes(m)
+                          for m in itertools.product((0, 1), repeat=s_dim)])
         tables, witnesses, ref_obj = self.reference_fw_box(
             model, bonus, d_e, k_iters, horizon, init)
-        assert len(mix.components) == k_iters
-        for comp, table in zip(mix.components, tables):
-            assert np.array_equal(comp.action_table, table)
-        assert obj == ref_obj
-        first = {}
-        for comp, f in zip(mix.components, witnesses):
-            assert first.setdefault(f.tobytes(), comp) is comp
-        assert len({id(c) for c in mix.components}) == len(first)
-        assert len(calls) == len(first)
+        used = list(dict.fromkeys(f.astype(bool).tobytes()
+                                  for f in witnesses))
+        best_response = planner.best_response_tabular
+        inverses = []
+        for warm in warms:
+            before = [] if warm is None else list(warm)
+            calls = []
+
+            def counted(*args, **kwargs):
+                calls.append(args)
+                return best_response(*args, **kwargs)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(planner, "best_response_tabular", counted)
+                mix, obj = solve_minmax(model, bonus, "box", d_e, cfg,
+                                        horizon=horizon, init_state=init,
+                                        warm=warm)
+            assert len(mix.components) == k_iters
+            for comp, table in zip(mix.components, tables):
+                assert np.array_equal(comp.action_table, table)
+            assert np.float64(obj).tobytes() == np.float64(ref_obj).tobytes()
+            first = {}
+            for comp, f in zip(mix.components, witnesses):
+                assert first.setdefault(f.tobytes(), comp) is comp
+            assert len({id(c) for c in mix.components}) == len(first)
+            assert len(calls) == len([m for m in used if m not in before])
+            if warm is not None:
+                assert warm == used
+            inverses.append(mix.inverse.tobytes())
+        assert len(set(inverses)) == 1
 
     def test_solve_logs_distinct_best_responses(self, caplog):
         mdp = make_chain()
@@ -337,9 +360,13 @@ class TestSolveMinmaxTabular:
         d_e = rng.dirichlet(np.ones(mdp.num_states))
         bonus = rng.uniform(0, 0.1, size=(mdp.num_states, mdp.num_actions))
         cfg = MinMaxConfig(k_iters=200)
+        # warm-started from all 2^S masks: the record counts the responses
+        # the rounds used, not the pre-solved ones
+        warm = [bytes(m)
+                for m in itertools.product((0, 1), repeat=mdp.num_states)]
         with caplog.at_level(logging.DEBUG, logger="ilfo_lab"):
             mix, obj = solve_minmax(model, bonus, "box", d_e, cfg,
-                                    horizon=mdp.horizon)
+                                    horizon=mdp.horizon, warm=warm)
         records = [r for r in caplog.records if r.name == "ilfo_lab.planner"]
         assert len(records) == 1
         assert records[0].levelno == logging.DEBUG
@@ -348,6 +375,7 @@ class TestSolveMinmaxTabular:
         assert distinct == len({id(c) for c in mix.components})
         assert len(mix.distinct) == distinct
         assert distinct < cfg.k_iters
+        assert len(warm) == distinct
         assert logged_obj == obj
 
     def test_final_objective_not_above_initial(self):
