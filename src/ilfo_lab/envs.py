@@ -334,13 +334,17 @@ AnyPolicy = Union[Policy, MixedPolicy]
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States s_0..s_H and actions a_0..a_{H-1}."""
+    """States s_0..s_H, integer indices or float vectors, and actions
+    a_0..a_{H-1}."""
 
     states: Array
     actions: Array
 
     def __post_init__(self):
         states = np.asarray(self.states)
+        if states.dtype.kind not in "iuf":
+            raise ConfigurationError(
+                f"states must be integers or floats, got {states.dtype}")
         actions = _int_actions("actions", self.actions)
         if len(states) != len(actions) + 1:
             raise ConfigurationError("need H+1 states for H actions")
@@ -535,13 +539,14 @@ def _as_items(policy: AnyPolicy | Sequence[AnyPolicy]) -> tuple[list, bool]:
     return list(policy), False
 
 
-def occupancy_stack(mdp, policies: Sequence[Policy]) -> Array:
-    """(K, H, S, A) per-step occupancies of K policies.
+def occupancy_stack(mdp, probs: Array) -> Array:
+    """(K, H, S, A) per-step occupancies of a (K, H, S, A) stack of action
+    distributions, which is not checked against ``mdp``.
 
     One forward pass batched over K; each slice equals the one-policy
-    dynamic program bit for bit.
+    dynamic program bit for bit, so stochastic rows and the one-hot cubes
+    of action tables can share a pass.
     """
-    probs = _probs_stack(mdp, policies)
     K, H, S, _ = probs.shape
     d = np.empty_like(probs)
     # step-major views: indexing them is cheaper than d[:, h]
@@ -568,7 +573,7 @@ def occupancy_exact(mdp: TabularMdp,
     """
     items, single = _as_items(policy)
     comps, rows = _stack_index(items)
-    d = occupancy_stack(mdp, comps)
+    d = occupancy_stack(mdp, _probs_stack(mdp, comps))
     out = [np.tensordot(pol.weights, d[r], axes=1)
            if isinstance(pol, MixedPolicy) else d[r]
            for pol, r in zip(items, rows)]
@@ -669,39 +674,6 @@ def best_response_tabular(mdp, cost) -> Policy:
     c = _cost_table(cost, mdp.num_states, mdp.num_actions)
     return Policy.deterministic(best_response_tables(mdp, c[None])[0],
                                 num_actions=mdp.num_actions)
-
-
-def table_occupancy(mdp, actions: Array) -> Array:
-    """(S, A) average occupancy of one (H, S) action table on ``mdp``, or
-    the (K, S, A) occupancies of a (K, H, S) stack of them.
-
-    The forward pass of ``occupancy_exact`` without the one-hot cube:
-    step h moves each table's state distribution p_h through the S kernel
-    rows P(.|s, pi_h(s)), gathered for that step alone, so the pass holds
-    one (K, S, S) block at a time. The averages are one ``bincount`` of
-    the p_h over the visited (s, pi_h(s)) cells, offset by S A per table,
-    divided by H. The cube's zeros add exactly and both sums run in order,
-    so each table's result equals
-    ``occupancy_exact(mdp, Policy.deterministic(table, A)).mean(axis=0)``
-    bit for bit. ``actions`` is not checked; it is a policy's
-    ``action_table`` on ``mdp``, or a stack of them.
-    """
-    if actions.ndim == 2:
-        return table_occupancy(mdp, actions[None])[0]
-    K, H, S = actions.shape
-    A = mdp.transitions.shape[1]
-    rows = mdp.transitions.reshape(S * A, S)
-    # step-major: the kernel row of each (s, pi_h(s)) of each table
-    cells = (actions + np.arange(S) * A).swapaxes(0, 1)
-    mass = np.zeros((H, K, S))
-    mass[0, :, mdp.init_state] = 1.0
-    for h in range(H - 1):
-        np.einsum("ks,kst->kt", mass[h], rows.take(cells[h], axis=0),
-                  out=mass[h + 1])
-    # each table's cells offset into its own S A bins
-    cells = cells + np.arange(K)[:, None] * (S * A)
-    return np.bincount(cells.ravel(), weights=mass.ravel(),
-                       minlength=K * S * A).reshape(K, S, A) / H
 
 
 class OpenLoopTree:

@@ -75,13 +75,15 @@ class TabularBuffer:
 
     def append(self, s, a, s_next) -> None:
         """Keep (s, a, s'), or raise ConfigurationError unless each is an
-        integer index in range; a bool is not an action."""
-        self._extend([s], [_as_int("tabular action", a, "integer index")],
-                     [s_next])
+        integer index in range; a bool is neither a state nor an action."""
+        self._extend([_as_int("tabular state", s, "integer index")],
+                     [_as_int("tabular action", a, "integer index")],
+                     [_as_int("tabular next state", s_next, "integer index")])
 
     def extend_trajectory(self, traj: Trajectory) -> None:
         """Keep the episode's H transitions, or none, raising
-        ConfigurationError, unless each is integer indices in range."""
+        ConfigurationError, unless each is integer indices in range (a
+        ``Trajectory`` holds no bool states)."""
         self._extend(traj.states[:-1], traj.actions, traj.states[1:])
 
     def _extend(self, s, a, s_next) -> None:

@@ -8,7 +8,8 @@ Frank-Wolfe / fictitious play with 1/k averaging: against the box class
 (closed-form witness 1{d_pi > d_e}) on tabular models, against an MMD
 witness on KNR models.  Each returns a uniform mixture of the per-round
 best responses.  A tabular solve can start from the box-witness masks an
-earlier solve used, whose best responses it solves in one stacked pass.
+earlier solve used: their best responses come from one stacked DP, and
+their occupancies share one forward pass with the uniform start.
 A linear program over the occupancy polytope provides an independent
 value oracle for small tabular games; scipy is loaded only when that
 oracle is called.
@@ -16,7 +17,6 @@ oracle is called.
 
 from __future__ import annotations
 
-import functools
 import logging
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -26,9 +26,9 @@ import numpy as np
 from .discriminators import (RffFeatureMap, box_witness, mmd_update,
                              tv_best_response)
 from .envs import (ConfigurationError, MixedPolicy, OpenLoopTree, Policy,
-                   _checked_start, _int_fields, best_response_tables,
-                   best_response_tabular, occupancy_exact, openloop_search,
-                   table_occupancy)
+                   _checked_start, _int_fields, _one_hot, best_response_tables,
+                   best_response_tabular, occupancy_exact, occupancy_stack,
+                   openloop_search)
 from .models import BonusFunction, KnrModel, TabularModel
 
 Array = np.ndarray
@@ -176,11 +176,13 @@ def solve_minmax(model: TabularModel | KnrModel, bonus, disc_class, expert,
 
     ``warm`` is a tabular solve's list of box-witness masks, each the
     ``tobytes()`` of an (S,) boolean mask, most usefully the ones an
-    earlier solve of the same run used. Their best responses are solved
-    together in one stacked pass before the first round; the solve then
-    overwrites the list with the masks its own rounds used, in order of
-    first use. A response is a pure function of the game and its mask,
-    so nothing returned depends on ``warm``.
+    earlier solve of the same run used. Before the first round, their best
+    responses are solved together in one stacked DP, and one forward pass
+    over the uniform start policy and their action tables gives the
+    starting occupancy and each response's; a mask that no list holds is
+    solved alone. The solve then overwrites the list with the masks its
+    own rounds used, in order of first use. A response is a pure function
+    of the game and its mask, so nothing returned depends on ``warm``.
     """
     if isinstance(model, KnrModel):
         if warm is not None:
@@ -196,14 +198,6 @@ def solve_minmax(model: TabularModel | KnrModel, bonus, disc_class, expert,
                              warm)
     raise ConfigurationError(
         f"tabular solving needs disc_class 'box', got {disc_class!r}")
-
-
-@functools.lru_cache(maxsize=32)
-def _uniform_policy(horizon: int, num_states: int, num_actions: int) -> Policy:
-    """The uniform (H, S, A) policy that starts every box solve; a Policy is
-    frozen, so one object per shape serves every solve."""
-    return Policy.tabular(np.full((horizon, num_states, num_actions),
-                                  1.0 / num_actions))
 
 
 def _warm_witnesses(warm, num_states: int) -> Array:
@@ -223,25 +217,28 @@ def _warm_witnesses(warm, num_states: int) -> Array:
 def _solve_fw_box(model, bonus, expert, cfg, horizon, init_state, warm):
     game = _tabular_game(model, bonus, expert, horizon, init_state)
     d_e, b_table = game.d_e, game.bonus
-    uniform = _uniform_policy(game.horizon, game.num_states, game.num_actions)
-    d_bar = occupancy_exact(game, uniform).mean(axis=0)
+    H, S, A = game.horizon, game.num_states, game.num_actions
     # the best response and its occupancy are pure functions of the box
     # witness 1{d_bar(s) > d_e(s)}, so the masks of the warm list are
-    # solved together in one stacked pass, a repeated mask reuses its
+    # solved together in one stacked DP, a repeated mask reuses its
     # response (and the same Policy), and a new one is solved alone
-    solved = {}
-    if warm is not None:
-        f = _warm_witnesses(warm, game.num_states)
-        if len(f):
-            tables = best_response_tables(game, f[:, :, None] - b_table)
-            solved = dict(zip(warm, zip(tables,
-                                        table_occupancy(game, tables))))
+    masks = [] if warm is None else warm
+    f = _warm_witnesses(masks, S)
+    tables = (best_response_tables(game, f[:, :, None] - b_table) if len(f)
+              else np.empty((0, H, S), dtype=int))
+    # one forward pass: row 0 the uniform start, then each warm table's cube
+    probs = np.empty((1 + len(tables), H, S, A))
+    probs[0] = 1.0 / A
+    probs[1:] = _one_hot(tables, A)
+    occs = occupancy_stack(game, probs).mean(axis=1)
+    d_bar = occs[0]
+    solved = dict(zip(masks, zip(tables, occs[1:])))
     # round k adds occ / k with k from ks, worked out once per response
     ks = np.arange(1, cfg.k_iters + 1, dtype=float)[:, None, None]
     responses = {}
     components = []
-    d_state = np.empty(game.num_states)
-    mask = np.empty(game.num_states, dtype=bool)
+    d_state = np.empty(S)
+    mask = np.empty(S, dtype=bool)
     for k in range(1, cfg.k_iters + 1):
         np.add.reduce(d_bar, 1, None, d_state)
         np.greater(d_state, d_e, out=mask)
@@ -250,11 +247,11 @@ def _solve_fw_box(model, bonus, expert, cfg, horizon, init_state, warm):
         if response is None:
             if key in solved:
                 table, occ = solved[key]
-                pi = Policy.deterministic(table, game.num_actions)
+                pi = Policy.deterministic(table, A)
             else:
                 f_k = box_witness(d_state, d_e)
                 pi = best_response_tabular(game, f_k[:, None] - b_table)
-                occ = table_occupancy(game, pi.action_table)
+                occ = occupancy_exact(game, pi).mean(axis=0)
             response = responses[key] = (pi, occ / ks)
         pi_k, steps = response
         components.append(pi_k)
@@ -267,8 +264,12 @@ def _solve_fw_box(model, bonus, expert, cfg, horizon, init_state, warm):
                           weights=np.full(len(components),
                                           1.0 / len(components)))
     objective = box_objective(d_bar, d_e, b_table)
-    logger.debug("box Frank-Wolfe: %d rounds, %d distinct best responses, "
-                 "objective %.17g", cfg.k_iters, len(responses), objective)
+    if logger.isEnabledFor(logging.DEBUG):
+        hits = sum(key in solved for key in responses)
+        logger.debug("box Frank-Wolfe: %d rounds, %d distinct best responses "
+                     "(%d warm hits, %d misses), %d unused warm masks, "
+                     "objective %.17g", cfg.k_iters, len(responses), hits,
+                     len(responses) - hits, len(solved) - hits, objective)
     return mixture, objective
 
 

@@ -196,6 +196,9 @@ CASES = [
     ("Trajectory/actions_string",
      lambda: Trajectory(states=[0, 1], actions=["1"]),
      "actions must be integers, got <U1"),
+    ("Trajectory/states_bool",
+     lambda: Trajectory(states=np.array([True, False]), actions=[0]),
+     "states must be integers or floats, got bool"),
     ("ExpertDataset/states_nan",
      lambda: ExpertDataset(trajectories=[[[0.0, 1.0], [np.nan, 0.0]]]),
      "expert dataset states must be finite"),
@@ -265,6 +268,18 @@ CASES = [
        lambda a=a: TabularBuffer(2, 2).append(0, a, 1),
        f"tabular action {a!r} needs an integer index")
       for i, a in (("bool", True), ("np_bool", np.True_))),
+    *((f"TabularBuffer/append_{i}",
+       lambda args=args: TabularBuffer(2, 2).append(*args),
+       f"tabular {name} {x!r} needs an integer index")
+      for i, name, x, args in (
+          ("state_bool", "state", True, (True, 0, 1)),
+          ("state_np_bool", "state", np.True_, (np.True_, 0, 1)),
+          ("next_state_bool", "next state", True, (0, 0, True)),
+          ("next_state_np_bool", "next state", np.True_, (0, 0, np.True_)))),
+    ("TabularBuffer/extend_trajectory_bool_states",
+     lambda: TabularBuffer(2, 2).extend_trajectory(
+         Trajectory(states=np.array([True, False]), actions=[0])),
+     "states must be integers or floats, got bool"),
     *((f"KnrBuffer/append_action_{i}",
        lambda a=a: knr_buffer().append(np.zeros(2), a, np.ones(2)),
        f"KNR action {a!r} needs an integer index")

@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from ilfo_lab.envs import (
     rollout,
     rollouts,
     state_values,
-    table_occupancy,
     value_eval_mc,
     value_eval_tabular,
 )
@@ -1007,64 +1005,3 @@ def test_state_values_slice_is_the_policy_value():
         state_values(mdp, mix, mdp.cost)
 
 
-def _sparse_mdp(rng, S, A, H):
-    """Dirichlet rows with most entries zeroed: each row keeps at least one
-    positive entry and is renormalized."""
-    P = rng.dirichlet(np.ones(S), size=(S, A))
-    P *= rng.random((S, A, S)) < 0.3
-    P[np.arange(S)[:, None], np.arange(A), rng.integers(0, S, (S, A))] += 0.5
-    P /= P.sum(axis=2, keepdims=True)
-    return TabularMdp(horizon=H, transitions=P, cost=np.zeros(S), init_state=0)
-
-
-@settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), S=st.integers(1, 30),
-       A=st.integers(1, 5), H=st.integers(1, 15), stack=st.integers(1, 4))
-@example(seed=0, S=1, A=1, H=1, stack=1)
-@example(seed=1, S=1, A=3, H=4, stack=2)
-@example(seed=2, S=4, A=1, H=3, stack=3)
-@example(seed=3, S=5, A=2, H=1, stack=4)
-def test_table_occupancy_equals_one_hot_occupancy_bytes(seed, S, A, H,
-                                                         stack):
-    # every start state, on a sparse kernel: the forward pass over the
-    # action table gives the bytes of the one-hot cube's occupancy_exact,
-    # and each slice of a stack of the table and stack - 1 others the
-    # bytes of its one-table call
-    rng = np.random.default_rng(seed)
-    mdp = _sparse_mdp(rng, S, A, H)
-    table = rng.integers(0, A, size=(H, S))
-    tables = np.concatenate([table[None],
-                             rng.integers(0, A, size=(stack - 1, H, S))])
-    for init in range(S):
-        start = dataclasses.replace(mdp, init_state=init)
-        got = table_occupancy(start, table)
-        want = occupancy_exact(
-            start, Policy.deterministic(table, num_actions=A)).mean(axis=0)
-        assert got.shape == (S, A)
-        assert got.tobytes() == want.tobytes()
-        occs = table_occupancy(start, tables)
-        assert occs.shape == (stack, S, A)
-        for one, occ in zip(tables, occs):
-            assert occ.tobytes() == table_occupancy(start, one).tobytes()
-
-
-def test_table_occupancy_holds_one_kernel_block_at_a_time():
-    # an (H, S, S) gather of every step's kernel rows would take 64 MB
-    # per table here
-    S, A, H = 400, 4, 50
-    rng = np.random.default_rng(31)
-    mdp = _sparse_mdp(rng, S, A, H)
-    table = rng.integers(0, A, size=(H, S))
-    stack = rng.integers(0, A, size=(3, H, S))
-    for tables, k in ((table, 1), (stack, 3)):
-        tracemalloc.start()
-        try:
-            occ = table_occupancy(mdp, tables)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # one (K, S, S) float64 block, plus the (H, K, S) masses and
-        # kernel-row indices and the (K, S, A) bincount, fits in K + 1
-        # blocks
-        assert peak <= (k + 1) * S * S * 8
-        assert np.all(np.abs(occ.sum(axis=(-2, -1)) - 1.0) <= 1e-12)

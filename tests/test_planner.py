@@ -296,9 +296,10 @@ class TestSolveMinmaxTabular:
     @given(seed=st.integers(0, 2**32 - 1), s_dim=st.integers(1, 6),
            a_dim=st.integers(1, 3), horizon=st.integers(1, 5),
            k_iters=st.integers(1, 200), with_bonus=st.booleans(),
-           init=st.integers(0, 5))
+           init=st.integers(0, 5), integer_bonus=st.booleans())
     def test_memo_matches_unmemoized_fw(self, seed, s_dim, a_dim, horizon,
-                                        k_iters, with_bonus, init):
+                                        k_iters, with_bonus, init,
+                                        integer_bonus):
         # a repeated witness reuses its best response: same tables and
         # objective as the unmemoized solver, one Policy object per
         # distinct witness, and one DP per distinct witness. A warm list
@@ -310,6 +311,9 @@ class TestSolveMinmaxTabular:
         rng = np.random.default_rng(seed)
         model, bonus, d_e = self.random_game(rng, s_dim, a_dim, horizon,
                                              with_bonus)
+        if with_bonus and integer_bonus:
+            # costs f - b in {-1, 0, 1}: the DP's actions tie often
+            bonus = rng.integers(0, 2, size=(s_dim, a_dim)).astype(float)
         init %= s_dim
         cfg = MinMaxConfig(k_iters=k_iters)
         other_masks = []
@@ -352,6 +356,35 @@ class TestSolveMinmaxTabular:
                 assert warm == used
             inverses.append(mix.inverse.tobytes())
         assert len(set(inverses)) == 1
+        # from every start state, warm-started from every mask used above:
+        # the one forward pass stacks the uniform policy and the one-hot
+        # cubes of the stacked DP's tables, and its step averages are the
+        # bytes of each one's own occupancy_exact
+        from ilfo_lab import occupancy_exact
+        uniform = Policy.tabular(
+            np.full((horizon, s_dim, a_dim), 1.0 / a_dim))
+        for start in range(s_dim):
+            seen = {}
+
+            def recorded(name):
+                fn = getattr(planner, name)
+                return lambda *args: seen.setdefault(name, fn(*args))
+
+            with pytest.MonkeyPatch.context() as mp:
+                for name in ("best_response_tables", "occupancy_stack"):
+                    mp.setattr(planner, name, recorded(name))
+                solve_minmax(model, bonus, "box", d_e, cfg, horizon=horizon,
+                             init_state=start, warm=list(used))
+            view = model_view(model, horizon, start)
+            tables = seen["best_response_tables"]
+            occs = seen["occupancy_stack"].mean(axis=1)
+            assert len(occs) == 1 + len(used) == 1 + len(tables)
+            assert (occs[0].tobytes()
+                    == occupancy_exact(view, uniform).mean(axis=0).tobytes())
+            for table, occ in zip(tables, occs[1:]):
+                want = occupancy_exact(
+                    view, Policy.deterministic(table, a_dim)).mean(axis=0)
+                assert occ.tobytes() == want.tobytes()
 
     def test_solve_logs_distinct_best_responses(self, caplog):
         mdp = make_chain()
@@ -370,13 +403,65 @@ class TestSolveMinmaxTabular:
         records = [r for r in caplog.records if r.name == "ilfo_lab.planner"]
         assert len(records) == 1
         assert records[0].levelno == logging.DEBUG
-        rounds, distinct, logged_obj = records[0].args
+        rounds, distinct, hits, misses, unused, logged_obj = records[0].args
         assert rounds == cfg.k_iters
         assert distinct == len({id(c) for c in mix.components})
         assert len(mix.distinct) == distinct
         assert distinct < cfg.k_iters
         assert len(warm) == distinct
+        # every used mask was in the list; the rest went unused
+        assert (hits, misses, unused) == (distinct, 0, 2 ** mdp.num_states
+                                          - distinct)
         assert logged_obj == obj
+        # a cold solve misses every mask it uses
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="ilfo_lab"):
+            solve_minmax(model, bonus, "box", d_e, cfg, horizon=mdp.horizon)
+        _, distinct, hits, misses, unused, _ = caplog.records[0].args
+        assert (hits, misses, unused) == (0, distinct, 0)
+
+    def test_warm_hits_share_one_forward_pass(self):
+        # a solve warm-started from its own masks hits every one: one
+        # stacked DP and one forward pass, and no one-mask DP or
+        # occupancy_exact call; a cold solve reaches both of those
+        mdp = make_chain()
+        model = tabular_model(mdp.transitions)
+        rng = np.random.default_rng(23)
+        d_e = rng.dirichlet(np.ones(mdp.num_states))
+        bonus = rng.uniform(0, 0.1, size=(mdp.num_states, mdp.num_actions))
+        names = ("occupancy_stack", "best_response_tables",
+                 "best_response_tabular", "occupancy_exact")
+
+        def counted_solve(warm):
+            calls = dict.fromkeys(names, 0)
+
+            def counted(name):
+                fn = getattr(planner, name)
+
+                def call(*args):
+                    calls[name] += 1
+                    return fn(*args)
+                return call
+
+            with pytest.MonkeyPatch.context() as mp:
+                for name in names:
+                    mp.setattr(planner, name, counted(name))
+                mix, obj = solve_minmax(model, bonus, "box", d_e,
+                                        MinMaxConfig(k_iters=200),
+                                        horizon=mdp.horizon, warm=warm)
+            return mix, obj, calls
+
+        warm = []
+        cold_mix, cold_obj, calls = counted_solve(warm)
+        distinct = len(cold_mix.distinct)
+        assert calls == {"occupancy_stack": 1, "best_response_tables": 0,
+                         "best_response_tabular": distinct,
+                         "occupancy_exact": distinct}
+        mix, obj, calls = counted_solve(warm)
+        assert calls == {"occupancy_stack": 1, "best_response_tables": 1,
+                         "best_response_tabular": 0, "occupancy_exact": 0}
+        assert np.float64(obj).tobytes() == np.float64(cold_obj).tobytes()
+        assert mix.inverse.tobytes() == cold_mix.inverse.tobytes()
 
     def test_final_objective_not_above_initial(self):
         rng = np.random.default_rng(8)
