@@ -13,7 +13,7 @@ from __future__ import annotations
 import contextlib
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence, Union
 
@@ -294,39 +294,99 @@ def _one_hot(actions: Array, num_actions: int) -> Array:
     return np.eye(num_actions).take(actions, axis=0)
 
 
-@dataclass(frozen=True)
 class MixedPolicy:
-    """Explicit finite mixture of policies.
+    """Explicit finite mixture of K policies, in one of two forms.
+
+    The component form, ``MixedPolicy(components, weights)``, holds the K
+    policies themselves, of any form; ``distinct`` holds each component
+    object once, in order of first occurrence. The table form,
+    ``MixedPolicy.from_tables(tables, num_actions, inverse, weights)``,
+    holds one frozen (D, H, S) integer stack ``tables`` of deterministic
+    action tables, one row per distinct component, and builds no
+    ``Policy`` until one is read: ``distinct`` and ``components`` are
+    ``Policy`` views of its rows, built on first read and kept. In both
+    forms the (K,) ``inverse`` gives each component's row of
+    ``distinct``, so ``distinct[inverse[i]] is components[i]``;
+    ``tables`` and ``num_actions`` are None in the component form.
 
     Components are never collapsed for sampling or weights: a component
-    listed twice is drawn and weighted twice. Exact evaluation dedupes by
-    identity: ``distinct`` holds each component object once, in order of
-    first occurrence, and ``distinct[inverse[i]] is components[i]``.
+    listed twice is drawn and weighted twice.
     """
 
-    components: tuple
-    weights: Array
-    distinct: tuple = field(init=False, repr=False, compare=False)
-    inverse: Array = field(init=False, repr=False, compare=False)
+    tables: Array | None = None
+    num_actions: int | None = None
 
-    def __post_init__(self):
-        comps = tuple(self.components)
+    def __init__(self, components, weights):
+        comps = tuple(components)
         if not comps:
             raise ConfigurationError("mixture needs at least one component")
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (len(comps),):
-            raise ConfigurationError("one weight per component required")
-        if not ((w >= 0).all() and abs(w.sum() - 1.0) <= ROW_TOL):
-            raise ConfigurationError("weights must be nonnegative and sum to 1")
         slots = {}
-        inverse = np.array([slots.setdefault(id(c), len(slots))
-                            for c in comps])
-        inverse.setflags(write=False)
-        distinct = {id(c): c for c in comps}
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "weights", _frozen(w))
-        object.__setattr__(self, "distinct", tuple(distinct.values()))
-        object.__setattr__(self, "inverse", inverse)
+        inverse = [slots.setdefault(id(c), len(slots)) for c in comps]
+        self.__dict__.update(
+            components=comps,
+            distinct=tuple({id(c): c for c in comps}.values()),
+            inverse=_frozen(inverse),
+            weights=_checked_weights(weights, len(comps)))
+
+    @classmethod
+    def from_tables(cls, tables, num_actions, inverse,
+                    weights) -> "MixedPolicy":
+        """The table form: row j of the (D, H, S) integer stack ``tables``
+        is the action table of distinct component j, ``inverse[i]`` the
+        row of component i and ``weights[i]`` its weight. The stack is
+        checked once, as a whole: integer dtype, ndim 3 and every action
+        in [0, num_actions)."""
+        tables = np.asarray(tables)
+        if tables.ndim != 3 or tables.dtype.kind not in "iu":
+            raise ConfigurationError("tables must be a (D, H, S) integer stack")
+        num_actions = _as_int("num_actions", num_actions)
+        if num_actions < 1:
+            raise ConfigurationError("an action table needs num_actions >= 1")
+        if tables.size and (tables.min() < 0 or tables.max() >= num_actions):
+            raise ConfigurationError("action index out of range")
+        inverse = np.asarray(inverse)
+        if not inverse.size:
+            raise ConfigurationError("mixture needs at least one component")
+        if inverse.ndim != 1 or inverse.dtype.kind not in "iu":
+            raise ConfigurationError("inverse must be (K,) integers")
+        if inverse.min() < 0 or inverse.max() >= len(tables):
+            raise ConfigurationError("inverse index out of range")
+        mixture = cls.__new__(cls)
+        # one key dtype, so that equal tables have equal bytes
+        stack = np.array(tables, dtype=np.intp)
+        stack.setflags(write=False)
+        mixture.__dict__.update(
+            tables=stack, num_actions=num_actions, inverse=_frozen(inverse),
+            weights=_checked_weights(weights, len(inverse)))
+        return mixture
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MixedPolicy is frozen: cannot set {name!r}")
+
+    @cached_property
+    def distinct(self) -> tuple:
+        """One ``Policy`` per row of ``tables`` (table form only; the
+        component form sets it at construction)."""
+        return tuple(Policy(action_table=table, num_actions=self.num_actions)
+                     for table in self.tables)
+
+    @cached_property
+    def components(self) -> tuple:
+        """The K components, each the ``distinct`` view of its row (table
+        form only; the component form sets it at construction)."""
+        distinct = self.distinct
+        return tuple(distinct[j] for j in self.inverse.tolist())
+
+
+def _checked_weights(weights, k: int) -> Array:
+    """Frozen float (k,) mixture weights, nonnegative and summing to 1
+    within ``ROW_TOL``; written so that a NaN weight fails."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (k,):
+        raise ConfigurationError("one weight per component required")
+    if not ((w >= 0).all() and abs(w.sum() - 1.0) <= ROW_TOL):
+        raise ConfigurationError("weights must be nonnegative and sum to 1")
+    return _frozen(w)
 
 
 AnyPolicy = Union[Policy, MixedPolicy]
@@ -383,9 +443,9 @@ def _draw(cdf: Array, u: Array) -> Array:
 
 
 def _components(mixture: MixedPolicy, u: Array) -> Array:
-    """Each episode's index into ``mixture.distinct``, from its uniform,
-    drawn as ``Generator.choice(K, p=weights)`` draws it from the same
-    uniform."""
+    """Each episode's row of ``mixture.distinct`` (and of its ``tables``),
+    from its uniform, drawn as ``Generator.choice(K, p=weights)`` draws
+    it from the same uniform."""
     cdf = mixture.weights.cumsum()
     cdf /= cdf[-1]
     return mixture.inverse[cdf.searchsorted(u, side="right")]
@@ -402,29 +462,37 @@ def rollouts(env, policy: AnyPolicy, n: int,
     component's uniform first, then per step a uniform for the action
     (an action table consumes it too) and one for the next state on a
     ``TabularMdp``, or its (H, state_dim) noise on a noisy ``KnrSystem``.
+    A table-form mixture is checked against a ``TabularMdp`` as one stack
+    and its episodes index that stack; a component-form mixture checks
+    and stacks its distinct components.
     """
     if n < 1:
         raise ConfigurationError("need at least one episode")
-    comps = policy.distinct if isinstance(policy, MixedPolicy) else (policy,)
     if isinstance(env, TabularMdp):
-        return _tabular_rollouts(env, policy, comps, n, rng)
+        return _tabular_rollouts(env, policy, n, rng)
     if isinstance(env, KnrSystem):
-        return _knr_rollouts(env, policy, comps, n, rng)
+        return _knr_rollouts(env, policy, n, rng)
     raise ConfigurationError(f"unsupported environment type {type(env).__name__}")
 
 
-def _tabular_rollouts(mdp, policy, comps, n, rng):
+def _tabular_rollouts(mdp, policy, n, rng):
     H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
-    for pol in comps:
-        _check_tabular(pol, H, S, A)
     mixed = isinstance(policy, MixedPolicy)
+    # action tables are looked up; any stochastic component draws every action
+    if mixed and policy.tables is not None:
+        _check_tables(policy, H, S, A)
+        tables = policy.tables
+    else:
+        comps = policy.distinct if mixed else (policy,)
+        for pol in comps:
+            _check_tabular(pol, H, S, A)
+        tables = _action_tables(comps)
+    action_cdf = None if tables is not None else _cdf_table(
+        np.array([pol.action_probs for pol in comps]))
     u = rng.random((n, 2 * H + mixed))
     which = _components(policy, u[:, 0]) if mixed else np.zeros(n, dtype=int)
     # (n, H) views: the uniforms of each step's action and next state
     u_action, u_next = u[:, mixed::2], u[:, mixed + 1::2]
-    # action tables are looked up; any stochastic component draws every action
-    tables = _action_tables(comps)
-    action_cdf = None if tables is not None else _cdf_table(_probs_stack(mdp, comps))
     states = np.empty((n, H + 1), dtype=int)
     states[:, 0] = mdp.init_state
     actions = np.empty((n, H), dtype=int)
@@ -436,7 +504,8 @@ def _tabular_rollouts(mdp, policy, comps, n, rng):
     return states, actions
 
 
-def _knr_rollouts(env, policy, comps, n, rng):
+def _knr_rollouts(env, policy, n, rng):
+    comps = policy.distinct if isinstance(policy, MixedPolicy) else (policy,)
     if any(pol.horizon != env.horizon for pol in comps):
         raise ConfigurationError("policy horizon does not match environment")
     if not all(pol.is_open_loop for pol in comps):
@@ -483,6 +552,37 @@ def _check_tabular(pol: Policy, H: int, S: int, A: int) -> None:
             "action probabilities do not match environment")
 
 
+def _check_tables(mixture: MixedPolicy, H: int, S: int, A: int) -> None:
+    """Reject a table-form mixture whose stack is not (D, H, S) over A
+    actions."""
+    if mixture.num_actions != A or mixture.tables.shape[1:] != (H, S):
+        raise ConfigurationError(
+            f"action tables with (H, S) = {mixture.tables.shape[1:]} and "
+            f"num_actions = {mixture.num_actions} do not match the "
+            f"environment's (H, S) = {(H, S)} and num_actions = {A}")
+
+
+def _check_items(mdp, items: Sequence[AnyPolicy]) -> None:
+    """Check every policy and mixture of a sequence against ``mdp``: a
+    table-form mixture as one stack, anything else per component."""
+    H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
+    if not items:
+        raise ConfigurationError("need at least one policy to evaluate")
+    for pol in items:
+        if isinstance(pol, MixedPolicy):
+            if pol.tables is not None:
+                _check_tables(pol, H, S, A)
+                continue
+            comps = pol.distinct
+        elif isinstance(pol, Policy):
+            comps = (pol,)
+        else:
+            raise ConfigurationError(
+                f"expected a Policy or MixedPolicy, got {type(pol).__name__}")
+        for comp in comps:
+            _check_tabular(comp, H, S, A)
+
+
 def _action_tables(policies: Sequence[Policy]) -> Array | None:
     """(K, H, S) action tables of K policies, or None if any is stochastic."""
     if all(pol.action_table is not None for pol in policies):
@@ -491,45 +591,61 @@ def _action_tables(policies: Sequence[Policy]) -> Array | None:
     return None
 
 
-def _probs_stack(mdp, policies: Sequence[Policy]) -> Array:
-    """(K, H, S, A) action distributions of K tabular policies on ``mdp``.
+def _stack_rows(policy: AnyPolicy) -> list:
+    """(key, row) of each row that a policy or mixture adds to a stacked
+    pass: one for a ``Policy``, one per row of ``distinct`` (or of
+    ``tables``) for a mixture.
 
-    A stack of action tables becomes exact one-hot cubes in one indexing
-    call; if any policy is stochastic, each gives its own ``action_probs``.
+    An action table's row is its (H, S) table, keyed on its bytes as
+    ``intp``, so equal tables share a key whichever object or form holds
+    them; a stochastic policy's row is its (H, S, A) ``probs``, keyed on
+    the object's identity. The policies are not checked.
     """
-    H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
-    for pol in policies:
-        _check_tabular(pol, H, S, A)
-    tables = _action_tables(policies)
-    if tables is not None:
-        return _one_hot(tables, A)
-    return np.array([pol.action_probs for pol in policies])
-
-
-def _stack_index(items: Sequence[AnyPolicy]) -> tuple[tuple, list]:
-    """The distinct components of a sequence of policies and mixtures, and
-    each item's rows into them.
-
-    Components are deduped by identity across the whole sequence, in order
-    of first occurrence, so a one-mixture sequence stacks exactly its
-    ``distinct``. A mixture's rows are one per component (its ``inverse``
-    mapped into the stack); a policy's row is one int.
-    """
-    slots = {}
+    if isinstance(policy, MixedPolicy):
+        if policy.tables is not None:
+            return [(table.tobytes(), table) for table in policy.tables]
+        comps = policy.distinct
+    else:
+        comps = (policy,)
     rows = []
-    for pol in items:
-        if isinstance(pol, MixedPolicy):
-            at = np.array([slots.setdefault(id(c), (len(slots), c))[0]
-                           for c in pol.distinct])
-            rows.append(at[pol.inverse])
-        elif isinstance(pol, Policy):
-            rows.append(slots.setdefault(id(pol), (len(slots), pol))[0])
+    for pol in comps:
+        if pol.action_table is None:
+            rows.append((id(pol), pol.probs))
         else:
-            raise ConfigurationError(
-                f"expected a Policy or MixedPolicy, got {type(pol).__name__}")
-    if not rows:
-        raise ConfigurationError("need at least one policy to evaluate")
-    return tuple(comp for _, comp in slots.values()), rows
+            table = np.asarray(pol.action_table, dtype=np.intp)
+            rows.append((table.tobytes(), table))
+    return rows
+
+
+def _stack(mdp, items: Sequence[AnyPolicy]) -> tuple[Array, list]:
+    """The (K, H, S, A) action distributions that a sequence of policies
+    and mixtures runs through one pass, and each item's rows into them.
+
+    Every item is checked against ``mdp`` first. The rows are those of
+    ``_stack_rows``, deduped by key across the whole sequence in order of
+    first occurrence: an action table is stacked once per content, a
+    stochastic policy once per object. A mixture's rows are one per
+    component (its ``inverse`` mapped into the stack); a policy's row is
+    one int. A stack of action tables becomes exact one-hot cubes in one
+    indexing call; if any row is stochastic, each table row is its own
+    one-hot cube.
+    """
+    _check_items(mdp, items)
+    slots, entries, rows = {}, [], []
+    for pol in items:
+        at = []
+        for key, entry in _stack_rows(pol):
+            slot = slots.setdefault(key, len(entries))
+            if slot == len(entries):
+                entries.append(entry)
+            at.append(slot)
+        rows.append(np.array(at)[pol.inverse]
+                    if isinstance(pol, MixedPolicy) else at[0])
+    A = mdp.num_actions
+    if all(entry.ndim == 2 for entry in entries):
+        return _one_hot(np.array(entries), A), rows
+    return np.array([_one_hot(entry, A) if entry.ndim == 2 else entry
+                     for entry in entries]), rows
 
 
 def _as_items(policy: AnyPolicy | Sequence[AnyPolicy]) -> tuple[list, bool]:
@@ -564,16 +680,19 @@ def occupancy_exact(mdp: TabularMdp,
                     policy: AnyPolicy | Sequence[AnyPolicy]) -> Array:
     """Forward dynamic program for d_h(s, a); mixtures combine exactly.
 
-    ``policy`` is a policy or a mixture, which returns its (H, S, A)
-    per-step occupancy, or a sequence of them, which returns the
-    (n, H, S, A) stack of its items'. The distinct components of the whole
-    sequence run one forward pass; a mixture then expands its rows back to
-    one per component before the weighted sum over all K rows, so every
-    item equals its own one-item call bit for bit.
+    ``policy`` is a policy or a mixture of either form, which returns its
+    (H, S, A) per-step occupancy, or a sequence of them, which returns
+    the (n, H, S, A) stack of its items'. The rows of the whole sequence
+    (each distinct action table by content, each stochastic component by
+    identity; see ``_stack``) run one forward pass; a mixture then
+    expands its rows back to one per component before the weighted sum
+    over all K rows, so every item equals its own one-item call, and a
+    table-form mixture its component-form twin, bit for bit.
     """
     items, single = _as_items(policy)
-    comps, rows = _stack_index(items)
-    d = occupancy_stack(mdp, _probs_stack(mdp, comps))
+    probs, rows = _stack(mdp, items)
+    d = occupancy_stack(mdp, probs)
+    del probs   # freed before the per-item sums allocate theirs
     out = [np.tensordot(pol.weights, d[r], axes=1)
            if isinstance(pol, MixedPolicy) else d[r]
            for pol, r in zip(items, rows)]
@@ -590,13 +709,13 @@ def _cost_table(cost, S: int, A: int) -> Array:
     raise ConfigurationError("cost must be (S,) or (S, A)")
 
 
-def _values_stack(mdp, policies: Sequence[Policy], cost) -> Array:
-    """(K, H+1, S) backward state values of K policies; step H is zero.
+def _values_stack(mdp, probs: Array, cost) -> Array:
+    """(K, H+1, S) backward state values of a (K, H, S, A) stack of action
+    distributions; step H is zero.
 
     One backward pass batched over K; each slice equals the one-policy
     dynamic program bit for bit.
     """
-    probs = _probs_stack(mdp, policies)
     n, H, S, A = probs.shape
     c = _cost_table(cost, S, A)
     probs_steps = probs.swapaxes(0, 1)
@@ -619,23 +738,26 @@ def state_values(mdp, policy: Policy, cost) -> Array:
         raise ConfigurationError(
             "state values take one Policy, not a mixture: got "
             f"{type(policy).__name__}")
-    return _values_stack(mdp, [policy], cost)[0]
+    return _values_stack(mdp, _stack(mdp, [policy])[0], cost)[0]
 
 
 def value_eval_tabular(mdp, policy: AnyPolicy | Sequence[AnyPolicy],
                        cost) -> float | Array:
     """Expected total cost from ``mdp.init_state``.
 
-    ``policy`` is a policy, a mixture, or a sequence of them; a sequence
-    returns an (n,) array, one value per item, and a single policy or
-    mixture returns a float as its one-item case. The distinct components
-    of the whole sequence run one backward pass; a mixture weights its
-    components' step-0 values. Each value equals H * <d_avg, cost> from
-    ``occupancy_exact``, and its own one-item call bit for bit.
+    ``policy`` is a policy, a mixture of either form, or a sequence of
+    them; a sequence returns an (n,) array, one value per item, and a
+    single policy or mixture returns a float as its one-item case. The
+    rows of the whole sequence (each distinct action table by content,
+    each stochastic component by identity; see ``_stack``) run one
+    backward pass; a mixture weights its components' step-0 values. Each
+    value equals H * <d_avg, cost> from ``occupancy_exact``, and its own
+    one-item call, and a table-form mixture its component-form twin, bit
+    for bit.
     """
     items, single = _as_items(policy)
-    comps, rows = _stack_index(items)
-    v0 = _values_stack(mdp, comps, cost)[:, 0, mdp.init_state]
+    probs, rows = _stack(mdp, items)
+    v0 = _values_stack(mdp, probs, cost)[:, 0, mdp.init_state]
     # v0[r] is contiguous, so a weighted sum matches one over a list of floats
     out = [float(np.dot(pol.weights, v0[r])) if isinstance(pol, MixedPolicy)
            else float(v0[r]) for pol, r in zip(items, rows)]

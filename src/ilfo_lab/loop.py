@@ -25,6 +25,7 @@ from .envs import (
     MixedPolicy,
     TabularMdp,
     _int_fields,
+    _stack_rows,
     occupancy_exact,
     rollout,
     value_eval_mc,
@@ -267,9 +268,10 @@ def run_mobile(env, expert_dataset: ExpertDataset, cfg: MobileConfig,
     a block fills and at the last iteration. Nothing the loop reads depends
     on them, so the block length changes no digit. A tabular block is
     ``TABULAR_EVAL_BLOCK`` iterations: its mixtures take one exact value
-    pass and one occupancy pass over their distinct components. A KNR block
-    is one iteration, since ``value_eval_mc`` draws from ``rng`` before the
-    next rollout. Each block logs one DEBUG record.
+    pass and one occupancy pass over their distinct action tables, deduped
+    by content across the block. A KNR block is one iteration, since
+    ``value_eval_mc`` draws from ``rng`` before the next rollout. Each
+    block logs one DEBUG record.
     """
     if not isinstance(env, (TabularMdp, KnrSystem)):
         raise ConfigurationError(f"unsupported environment type: {type(env)!r}")
@@ -327,14 +329,17 @@ def run_mobile(env, expert_dataset: ExpertDataset, cfg: MobileConfig,
 
 def _evaluate_block(family, pending: list, t: int) -> list:
     """``family.evaluate(pending)``, the block of iterations that ends at t,
-    logged as one DEBUG record."""
+    logged as one DEBUG record: the iterations, the rows a stacked pass
+    runs for them (each distinct action table by content, each other
+    component by identity) and the seconds taken."""
     start = time.perf_counter()
     results = family.evaluate(pending)
     if logger.isEnabledFor(logging.DEBUG):
-        distinct = {id(c) for _, mixture, _ in pending
-                    for c in mixture.distinct}
-        logger.debug("evaluated iterations %d-%d: %d distinct components "
-                     "in %.6f s", t - len(pending) + 1, t, len(distinct),
+        # the rows a stacked pass runs: each action table once by content
+        rows = {key for _, mixture, _ in pending
+                for key, _ in _stack_rows(mixture)}
+        logger.debug("evaluated iterations %d-%d: %d stacked rows in %.6f s",
+                     t - len(pending) + 1, t, len(rows),
                      time.perf_counter() - start)
     return results
 

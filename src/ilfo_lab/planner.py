@@ -7,9 +7,10 @@ models, open-loop sequence search for KNR models.  The outer loop is
 Frank-Wolfe / fictitious play with 1/k averaging: against the box class
 (closed-form witness 1{d_pi > d_e}) on tabular models, against an MMD
 witness on KNR models.  Each returns a uniform mixture of the per-round
-best responses.  A tabular solve can start from the box-witness masks an
-earlier solve used: their best responses come from one stacked DP, and
-their occupancies share one forward pass with the uniform start.
+best responses; a tabular one is a stack of their action tables.  A
+tabular solve can start from the box-witness masks an earlier solve used:
+their best responses come from one stacked DP, and their occupancies
+share one forward pass with the uniform start.
 A linear program over the occupancy polytope provides an independent
 value oracle for small tabular games; scipy is loaded only when that
 oracle is called.
@@ -165,24 +166,29 @@ def solve_minmax(model: TabularModel | KnrModel, bonus, disc_class, expert,
     """Solve the occupancy-matching game under the learned model.
 
     Returns a uniform mixture of the per-round best responses and the
-    final sup-over-witnesses objective at that mixture.  Both families
-    run Frank-Wolfe: a tabular model against the box class (disc_class
-    "box", expert the (S,) state distribution d_e), a KNR model against
-    the unit-ball witnesses on an RffFeatureMap's features (disc_class
-    the feature map, expert the (m,) mean embedding of the expert states
-    under it).  Any other disc_class raises
-    ConfigurationError, and so do a tabular horizon or init_state that
-    ``TabularMdp`` would reject.
+    final sup-over-witnesses objective at that mixture: for a tabular
+    model the table form of ``MixedPolicy``, one row per response used,
+    in order of first use, for a KNR model the component form of its
+    open-loop sequences.  Both families run Frank-Wolfe: a tabular model
+    against the box class (disc_class "box", expert the (S,) state
+    distribution d_e), a KNR model against the unit-ball witnesses on an
+    RffFeatureMap's features (disc_class the feature map, expert the (m,)
+    mean embedding of the expert states under it).  Any other disc_class
+    raises ConfigurationError, and so do a tabular horizon or init_state
+    that ``TabularMdp`` would reject.
 
     ``warm`` is a tabular solve's list of box-witness masks, each the
     ``tobytes()`` of an (S,) boolean mask, most usefully the ones an
     earlier solve of the same run used. Before the first round, their best
     responses are solved together in one stacked DP, and one forward pass
     over the uniform start policy and their action tables gives the
-    starting occupancy and each response's; a mask that no list holds is
-    solved alone. The solve then overwrites the list with the masks its
-    own rounds used, in order of first use. A response is a pure function
-    of the game and its mask, so nothing returned depends on ``warm``.
+    starting occupancy and each response's. A warm hit is a row of that
+    DP's tables and builds no ``Policy``; a mask that no list holds is
+    solved alone, through ``best_response_tabular`` and
+    ``occupancy_exact``. The solve then overwrites the list with the
+    masks its own rounds used, in order of first use. A response is a
+    pure function of the game and its mask, so nothing returned depends
+    on ``warm``.
     """
     if isinstance(model, KnrModel):
         if warm is not None:
@@ -221,7 +227,8 @@ def _solve_fw_box(model, bonus, expert, cfg, horizon, init_state, warm):
     # the best response and its occupancy are pure functions of the box
     # witness 1{d_bar(s) > d_e(s)}, so the masks of the warm list are
     # solved together in one stacked DP, a repeated mask reuses its
-    # response (and the same Policy), and a new one is solved alone
+    # response (the same row of the mixture's stack), and a new one is
+    # solved alone
     masks = [] if warm is None else warm
     f = _warm_witnesses(masks, S)
     tables = (best_response_tables(game, f[:, :, None] - b_table) if len(f)
@@ -235,8 +242,11 @@ def _solve_fw_box(model, bonus, expert, cfg, horizon, init_state, warm):
     solved = dict(zip(masks, zip(tables, occs[1:])))
     # round k adds occ / k with k from ks, worked out once per response
     ks = np.arange(1, cfg.k_iters + 1, dtype=float)[:, None, None]
+    # each used response is a row of the mixture's table stack, in order
+    # of first use; picks holds each round's row
     responses = {}
-    components = []
+    used = []
+    picks = np.empty(cfg.k_iters, dtype=np.intp)
     d_state = np.empty(S)
     mask = np.empty(S, dtype=bool)
     for k in range(1, cfg.k_iters + 1):
@@ -247,22 +257,21 @@ def _solve_fw_box(model, bonus, expert, cfg, horizon, init_state, warm):
         if response is None:
             if key in solved:
                 table, occ = solved[key]
-                pi = Policy.deterministic(table, A)
             else:
                 f_k = box_witness(d_state, d_e)
                 pi = best_response_tabular(game, f_k[:, None] - b_table)
+                table = pi.action_table
                 occ = occupancy_exact(game, pi).mean(axis=0)
-            response = responses[key] = (pi, occ / ks)
-        pi_k, steps = response
-        components.append(pi_k)
+            response = responses[key] = (len(used), occ / ks)
+            used.append(table)
+        picks[k - 1], steps = response
         # d_bar <- (1 - 1/k) d_bar + occ_k / k, in place
         np.multiply(d_bar, 1.0 - 1.0 / k, out=d_bar)
         np.add(d_bar, steps[k - 1], out=d_bar)
     if warm is not None:
         warm[:] = list(responses)
-    mixture = MixedPolicy(components=tuple(components),
-                          weights=np.full(len(components),
-                                          1.0 / len(components)))
+    mixture = MixedPolicy.from_tables(used, A, picks,
+                                      np.full(cfg.k_iters, 1.0 / cfg.k_iters))
     objective = box_objective(d_bar, d_e, b_table)
     if logger.isEnabledFor(logging.DEBUG):
         hits = sum(key in solved for key in responses)

@@ -14,7 +14,8 @@ import pytest
 
 from ilfo_lab.discriminators import RffFeatureMap, rff_featurize
 from ilfo_lab.envs import (ConfigurationError, MixedPolicy, Policy,
-                           TabularMdp, Trajectory, state_values)
+                           TabularMdp, Trajectory, occupancy_exact, rollouts,
+                           state_values, value_eval_tabular)
 from ilfo_lab.expert import ExpertDataset
 from ilfo_lab.loop import MobileConfig
 from ilfo_lab.mab import BanditConfig, MabInstance, run_bandits
@@ -86,6 +87,27 @@ def lp(bonus=GAME[1], expert=GAME[2], horizon=2, init_state=0):
 
 
 STEADY = Policy.deterministic(np.zeros((2, 2), dtype=int), num_actions=1)
+
+
+def table_mixture(tables=np.zeros((2, 2, 2), dtype=int), num_actions=1,
+                  inverse=(0, 1), weights=np.full(2, 0.5)):
+    return MixedPolicy.from_tables(tables, num_actions, inverse, weights)
+
+
+# a table mixture against the (H, S) = (2, 2), one-action mdp()
+TABLE_MISMATCHES = [
+    ("horizon", dict(tables=np.zeros((1, 3, 2), dtype=int), inverse=[0],
+                     weights=[1.0]), (3, 2), 1),
+    ("states", dict(tables=np.zeros((1, 2, 3), dtype=int), inverse=[0],
+                    weights=[1.0]), (2, 3), 1),
+    ("num_actions", dict(num_actions=2), (2, 2), 2),
+]
+TABLE_EVALUATIONS = [
+    ("rollouts", lambda mix: rollouts(mdp(), mix, 1, np.random.default_rng(0))),
+    ("occupancy_exact", lambda mix: occupancy_exact(mdp(), mix)),
+    ("value_eval_tabular",
+     lambda mix: value_eval_tabular(mdp(), [STEADY, mix], np.zeros(2))),
+]
 BANDWIDTH_MESSAGE = "bandwidth must be a finite number > 0"
 INT_CONFIG_FIELDS = [
     (MobileConfig, "t_iters"), (MobileConfig, "n_expert"),
@@ -220,6 +242,43 @@ CASES = [
      lambda: MixedPolicy(components=(Policy.open_loop([0]),) * 2,
                          weights=np.array([np.nan, np.nan])),
      "weights must be nonnegative and sum to 1"),
+    ("MixedPolicy.from_tables/float_tables",
+     lambda: table_mixture(tables=np.zeros((2, 2, 2))),
+     "tables must be a (D, H, S) integer stack"),
+    ("MixedPolicy.from_tables/two_dim_tables",
+     lambda: table_mixture(tables=np.zeros((2, 2), dtype=int)),
+     "tables must be a (D, H, S) integer stack"),
+    ("MixedPolicy.from_tables/action_equal_to_A",
+     lambda: table_mixture(tables=np.ones((2, 2, 2), dtype=int)),
+     "action index out of range"),
+    ("MixedPolicy.from_tables/negative_action",
+     lambda: table_mixture(tables=np.full((2, 2, 2), -1)),
+     "action index out of range"),
+    ("MixedPolicy.from_tables/num_actions_zero",
+     lambda: table_mixture(num_actions=0),
+     "an action table needs num_actions >= 1"),
+    ("MixedPolicy.from_tables/empty_inverse",
+     lambda: table_mixture(inverse=[], weights=[]),
+     "mixture needs at least one component"),
+    ("MixedPolicy.from_tables/float_inverse",
+     lambda: table_mixture(inverse=[0.0, 1.0]),
+     "inverse must be (K,) integers"),
+    ("MixedPolicy.from_tables/inverse_past_the_stack",
+     lambda: table_mixture(inverse=[0, 2]), "inverse index out of range"),
+    ("MixedPolicy.from_tables/negative_inverse",
+     lambda: table_mixture(inverse=[-1, 1]), "inverse index out of range"),
+    ("MixedPolicy.from_tables/weight_count",
+     lambda: table_mixture(weights=np.full(3, 1 / 3)),
+     "one weight per component required"),
+    ("MixedPolicy.from_tables/weight_sum",
+     lambda: table_mixture(weights=np.full(2, 0.4)),
+     "weights must be nonnegative and sum to 1"),
+    *((f"{call}/table_mixture_{name}",
+       lambda evaluate=evaluate, kw=kw: evaluate(table_mixture(**kw)),
+       f"action tables with (H, S) = {shape} and num_actions = {actions} "
+       "do not match the environment's (H, S) = (2, 2) and num_actions = 1")
+      for name, kw, shape, actions in TABLE_MISMATCHES
+      for call, evaluate in TABLE_EVALUATIONS),
     ("BonusFunction/table_range",
      lambda: BonusFunction(upper=1.0, table=np.array([[1.5]])),
      "bonus table out of [0, upper]"),

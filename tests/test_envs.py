@@ -1005,3 +1005,145 @@ def test_state_values_slice_is_the_policy_value():
         state_values(mdp, mix, mdp.cost)
 
 
+
+
+# -- the table form of a mixture against its component-form twin --
+
+def kernel_of(rng, S, A, sparse):
+    """A dense Dirichlet kernel, or a near-sparse one: most entries exactly
+    zero, some of the rest tiny, every row summing to 1."""
+    P = rng.dirichlet(np.ones(S), size=(S, A))
+    if sparse:
+        P *= rng.random((S, A, S)) < 0.3
+        P += 1e-9 * (rng.random((S, A, S)) < 0.2)
+        P[..., -1] += P.sum(axis=-1) == 0
+        P /= P.sum(axis=-1, keepdims=True)
+    return P
+
+
+def table_mixture_and_twin(rng, tables, A, pattern):
+    """A table-form mixture over the rows of ``tables`` that ``pattern``
+    picks, and its component-form twin, whose components are one
+    ``Policy`` per row (a row picked twice is one object)."""
+    D = len(tables)
+    inverse = np.array([j % D for j in pattern])
+    weights = rng.dirichlet(np.ones(len(pattern)))
+    row_policies = [Policy.deterministic(t, A) for t in tables]
+    twin = MixedPolicy(components=tuple(row_policies[j] for j in inverse),
+                       weights=weights)
+    return MixedPolicy.from_tables(tables, A, inverse, weights), twin
+
+
+def random_tables(rng, D, H, S, A, equal_rows):
+    """(D, H, S) random action tables; with ``equal_rows`` every second
+    row repeats the first, as a separate array."""
+    tables = rng.integers(0, A, size=(D, H, S))
+    if equal_rows:
+        tables[1::2] = tables[0]
+    return tables
+
+
+table_cases = dict(
+    seed=st.integers(0, 2**32 - 1), S=st.integers(1, 6),
+    A=st.integers(1, 4), H=st.integers(1, 6), init=st.integers(0, 5),
+    sparse=st.booleans(), D=st.integers(1, 5), equal_rows=st.booleans(),
+    pattern=st.lists(st.integers(0, 4), min_size=1, max_size=12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 40), **table_cases)
+def test_table_mixture_rollouts_equal_component_twin(seed, S, A, H, init,
+                                                     sparse, D, equal_rows,
+                                                     pattern, n):
+    rng = np.random.default_rng(seed)
+    mdp = TabularMdp(horizon=H, transitions=kernel_of(rng, S, A, sparse),
+                     cost=rng.random(S), init_state=init % S)
+    mix, twin = table_mixture_and_twin(
+        rng, random_tables(rng, D, H, S, A, equal_rows), A, pattern)
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(2):
+        states, actions = rollouts(mdp, mix, n, rng_a)
+        twin_states, twin_actions = rollouts(mdp, twin, n, rng_b)
+        assert_same_bits(states, twin_states)
+        assert_same_bits(actions, twin_actions)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    # the episodes indexed the stack: no Policy view was built
+    assert "distinct" not in vars(mix)
+
+
+@settings(max_examples=150, deadline=None)
+@given(items=st.lists(st.sampled_from(
+           ["table", "twin", "policy", "copy", "stochastic", "components"]),
+           min_size=1, max_size=8),
+       signed=st.booleans(), **table_cases)
+def test_table_mixture_evaluation_equals_component_twin(seed, S, A, H, init,
+                                                        sparse, D,
+                                                        equal_rows, pattern,
+                                                        items, signed):
+    # a sequence of table mixtures, their twins, policies holding equal
+    # tables under other objects, stochastic policies and component
+    # mixtures of both kinds of policy gives the bytes of the same
+    # sequence with every table mixture replaced by its twin, and of each
+    # item's own one-item call
+    rng = np.random.default_rng(seed)
+    mdp = TabularMdp(horizon=H, transitions=kernel_of(rng, S, A, sparse),
+                     cost=rng.random(S), init_state=init % S)
+    tables = random_tables(rng, D, H, S, A, equal_rows)
+    stochastic = Policy.tabular(rng.dirichlet(np.ones(A), size=(H, S)))
+    seq, twins = [], []
+    for i, kind in enumerate(items):
+        if kind in ("table", "twin"):
+            mix, twin = table_mixture_and_twin(rng, tables, A,
+                                               pattern[i:] or pattern)
+            seq.append(mix if kind == "table" else twin)
+            twins.append(twin)
+            continue
+        if kind == "policy":
+            item = Policy.deterministic(tables[i % D], A)
+        elif kind == "copy":
+            # an equal table in a fresh array and a fresh object
+            item = Policy.deterministic(np.array(tables[i % D], dtype=np.int32),
+                                        A)
+        elif kind == "stochastic":
+            item = stochastic
+        else:
+            comps = (Policy.deterministic(tables[i % D], A), stochastic,
+                     Policy.deterministic(tables[0], A))
+            item = MixedPolicy(components=comps,
+                               weights=rng.dirichlet(np.ones(3)))
+        seq.append(item)
+        twins.append(item)
+    cost = rng.uniform(-1.0, 1.0, size=(S, A)) if signed else mdp.cost
+    values = value_eval_tabular(mdp, seq, cost)
+    occupancies = occupancy_exact(mdp, seq)
+    assert_same_bits(values, value_eval_tabular(mdp, twins, cost))
+    assert_same_bits(occupancies, occupancy_exact(mdp, twins))
+    for item, twin, value, occ in zip(seq, twins, values, occupancies):
+        assert (np.float64(value_eval_tabular(mdp, twin, cost)).tobytes()
+                == value.tobytes())
+        assert_same_bits(occupancy_exact(mdp, item), occ)
+    assert not any("distinct" in vars(item) for item in seq
+                   if isinstance(item, MixedPolicy) and item.tables is not None)
+
+
+def test_table_mixture_views_build_on_first_read():
+    tables = np.array([[[0, 1]], [[1, 1]], [[0, 1]]])
+    mix = MixedPolicy.from_tables(tables, 2, [2, 0, 2, 1],
+                                  np.full(4, 0.25))
+    assert mix.tables.dtype == np.intp and not mix.tables.flags.writeable
+    assert not mix.inverse.flags.writeable
+    assert "distinct" not in vars(mix) and "components" not in vars(mix)
+    assert len(mix.distinct) == 3
+    for table, pol in zip(tables, mix.distinct):
+        assert pol.num_actions == 2
+        assert np.array_equal(pol.action_table, table)
+    assert mix.distinct is mix.distinct
+    assert len(mix.components) == 4
+    for i, comp in enumerate(mix.components):
+        assert mix.distinct[mix.inverse[i]] is comp
+    with pytest.raises(AttributeError, match="frozen"):
+        mix.weights = np.ones(4) / 4
+    component_form = MixedPolicy(components=mix.components,
+                                 weights=mix.weights)
+    assert component_form.tables is None and component_form.num_actions is None
+    assert component_form.inverse.tolist() == [0, 1, 0, 2]

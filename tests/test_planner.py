@@ -463,6 +463,63 @@ class TestSolveMinmaxTabular:
         assert np.float64(obj).tobytes() == np.float64(cold_obj).tobytes()
         assert mix.inverse.tobytes() == cold_mix.inverse.tobytes()
 
+    def test_only_misses_build_a_policy(self):
+        # a response is a row of the mixture's table stack: a fully warm
+        # solve builds no Policy, and the first read of distinct builds one
+        # per row; a cold solve builds one per miss, each in the
+        # best_response_tabular call it makes once per distinct mask
+        mdp = make_chain()
+        model = tabular_model(mdp.transitions)
+        rng = np.random.default_rng(31)
+        d_e = rng.dirichlet(np.ones(mdp.num_states))
+        bonus = rng.uniform(0, 0.1, size=(mdp.num_states, mdp.num_actions))
+        calls = {"Policy": 0, "best_response_tabular": 0,
+                 "occupancy_exact": 0}
+        post_init = Policy.__post_init__
+
+        def counted_post_init(self):
+            calls["Policy"] += 1
+            post_init(self)
+
+        def counted(name):
+            fn = getattr(planner, name)
+
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        def solve(warm):
+            for name in calls:
+                calls[name] = 0
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(Policy, "__post_init__", counted_post_init)
+                for name in ("best_response_tabular", "occupancy_exact"):
+                    mp.setattr(planner, name, counted(name))
+                mix, _ = solve_minmax(model, bonus, "box", d_e,
+                                      MinMaxConfig(k_iters=200),
+                                      horizon=mdp.horizon, warm=warm)
+                built = dict(calls)
+                distinct = mix.distinct
+                views = calls["Policy"] - built["Policy"]
+            return mix, built, distinct, views
+
+        warm = []
+        cold, built, distinct, views = solve(warm)
+        D = len(cold.tables)
+        assert 1 < D == len(warm) == len(distinct) == views
+        assert built == {"Policy": D, "best_response_tabular": D,
+                         "occupancy_exact": D}
+        mix, built, distinct, views = solve(warm)
+        assert built == {"Policy": 0, "best_response_tabular": 0,
+                         "occupancy_exact": 0}
+        assert views == D == len(distinct)
+        assert mix.tables.tobytes() == cold.tables.tobytes()
+        for i, comp in enumerate(mix.components):
+            assert distinct[mix.inverse[i]] is comp
+            assert np.array_equal(comp.action_table,
+                                  mix.tables[mix.inverse[i]])
+
     def test_final_objective_not_above_initial(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
