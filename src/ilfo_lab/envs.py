@@ -23,9 +23,6 @@ Array = np.ndarray
 
 ROW_TOL = 1e-12
 
-_OPEN_LOOP_ON_TABULAR = "an open-loop policy runs only on a KnrSystem"
-
-
 def _frozen(arr: Array) -> Array:
     out = np.array(arr, copy=True)
     out.setflags(write=False)
@@ -210,11 +207,13 @@ class Policy:
     """Nonstationary policy in one of three forms.
 
     A deterministic tabular policy is an (H, S) ``action_table`` of action
-    indices in [0, num_actions); a stochastic one is an (H, S, A)
-    ``probs`` distribution; an open-loop policy is a flat ``action_seq``,
-    which runs only on a ``KnrSystem``.
+    indices in [0, num_actions), held as ``intp``; a stochastic one is an
+    (H, S, A) ``probs`` distribution; an open-loop policy is a flat
+    ``action_seq``, which runs only on a ``KnrSystem``.
     ``action_probs`` reads as the (H, S, A) distribution of either tabular
     form: for an action table it is the exact one-hot cube, built on demand.
+    ``rows`` is the policy as the one-row stack that a ``MixedPolicy``
+    holds.
     """
 
     action_table: Array | None = None
@@ -238,7 +237,9 @@ class Policy:
                 raise ConfigurationError("an action table needs num_actions >= 1")
             if table.size and (table.min() < 0 or table.max() >= num_actions):
                 raise ConfigurationError("action index out of range")
-            object.__setattr__(self, "action_table", _frozen(table))
+            # one dtype, so that equal tables have equal bytes
+            object.__setattr__(self, "action_table",
+                               _frozen(table.astype(np.intp, copy=False)))
             object.__setattr__(self, "num_actions", num_actions)
         elif self.probs is not None:
             probs = np.asarray(self.probs, dtype=float)
@@ -274,12 +275,16 @@ class Policy:
         return self.action_seq is not None
 
     @property
+    def rows(self) -> Array:
+        """The (1, H, S) action table, (1, H, S, A) probabilities or (1, H)
+        action sequence: this policy as a one-row stack."""
+        form = next(f for f in (self.action_table, self.probs,
+                                self.action_seq) if f is not None)
+        return form[None]
+
+    @property
     def horizon(self) -> int:
-        if self.action_seq is not None:
-            return len(self.action_seq)
-        if self.action_table is not None:
-            return self.action_table.shape[0]
-        return self.probs.shape[0]
+        return self.rows.shape[1]
 
     @property
     def action_probs(self) -> Array | None:
@@ -295,85 +300,116 @@ def _one_hot(actions: Array, num_actions: int) -> Array:
 
 
 class MixedPolicy:
-    """Explicit finite mixture of K policies, in one of two forms.
+    """Explicit finite mixture of K policies, held as one frozen stack of
+    rows.
 
-    The component form, ``MixedPolicy(components, weights)``, holds the K
-    policies themselves, of any form; ``distinct`` holds each component
-    object once, in order of first occurrence. The table form,
-    ``MixedPolicy.from_tables(tables, num_actions, inverse, weights)``,
-    holds one frozen (D, H, S) integer stack ``tables`` of deterministic
-    action tables, one row per distinct component, and builds no
-    ``Policy`` until one is read: ``distinct`` and ``components`` are
-    ``Policy`` views of its rows, built on first read and kept. In both
-    forms the (K,) ``inverse`` gives each component's row of
-    ``distinct``, so ``distinct[inverse[i]] is components[i]``;
-    ``tables`` and ``num_actions`` are None in the component form.
+    ``rows`` is a stack of one kind: (D, H, S) ``intp`` action tables over
+    ``num_actions`` actions, (D, H) ``intp`` open-loop sequences, or
+    (D, H, S, A) float action distributions; ``num_actions`` is None for
+    the latter two. The (K,) ``inverse`` gives each component's row and
+    the (K,) ``weights`` its weight. Components are never collapsed for
+    sampling or weights: a component listed twice is drawn and weighted
+    twice.
 
-    Components are never collapsed for sampling or weights: a component
-    listed twice is drawn and weighted twice.
+    ``MixedPolicy(components, weights)`` stacks K ``Policy`` objects by
+    content, one row per distinct row bytes in order of first occurrence,
+    whichever objects hold them. Action tables mixed with distributions
+    become one distribution stack, each table its exact one-hot cube.
+    Anything that is not a ``Policy``, and components that no one stack
+    holds (open-loop with tabular, action tables over different action
+    counts, rows of different shapes), are refused. ``MixedPolicy.uniform``
+    builds the uniform mixture of an integer stack directly.
+    ``distinct`` and ``components`` are ``Policy`` views of the rows,
+    built on first read and kept, so ``distinct[inverse[i]] is
+    components[i]``.
     """
-
-    tables: Array | None = None
-    num_actions: int | None = None
 
     def __init__(self, components, weights):
         comps = tuple(components)
         if not comps:
             raise ConfigurationError("mixture needs at least one component")
-        slots = {}
-        inverse = [slots.setdefault(id(c), len(slots)) for c in comps]
-        self.__dict__.update(
-            components=comps,
-            distinct=tuple({id(c): c for c in comps}.values()),
-            inverse=_frozen(inverse),
-            weights=_checked_weights(weights, len(comps)))
+        for comp in comps:
+            if not isinstance(comp, Policy):
+                raise ConfigurationError(
+                    "a mixture component must be a Policy, got "
+                    f"{type(comp).__name__}")
+        ndims = {comp.rows.ndim for comp in comps}
+        if 2 in ndims and len(ndims) > 1:
+            raise ConfigurationError(
+                "open-loop and tabular components cannot share one mixture")
+        counts = {comp.num_actions for comp in comps}
+        if ndims == {3} and len(counts) > 1:
+            raise ConfigurationError(
+                f"action tables over num_actions {sorted(counts)} cannot "
+                "share one mixture")
+        rows = [comp.action_probs if 4 in ndims else comp.rows[0]
+                for comp in comps]
+        shapes = {row.shape for row in rows}
+        if len(shapes) > 1:
+            raise ConfigurationError(
+                f"components of row shapes {sorted(shapes)} cannot share one "
+                "mixture")
+        distinct = {}
+        inverse = [distinct.setdefault(row.tobytes(), (len(distinct), row))[0]
+                   for row in rows]
+        self._hold(np.array([row for _, row in distinct.values()]),
+                   counts.pop() if ndims == {3} else None, inverse,
+                   _checked_weights(weights, len(comps)))
 
     @classmethod
-    def from_tables(cls, tables, num_actions, inverse,
-                    weights) -> "MixedPolicy":
-        """The table form: row j of the (D, H, S) integer stack ``tables``
-        is the action table of distinct component j, ``inverse[i]`` the
-        row of component i and ``weights[i]`` its weight. The stack is
-        checked once, as a whole: integer dtype, ndim 3 and every action
-        in [0, num_actions)."""
-        tables = np.asarray(tables)
-        if tables.ndim != 3 or tables.dtype.kind not in "iu":
-            raise ConfigurationError("tables must be a (D, H, S) integer stack")
-        num_actions = _as_int("num_actions", num_actions)
-        if num_actions < 1:
-            raise ConfigurationError("an action table needs num_actions >= 1")
-        if tables.size and (tables.min() < 0 or tables.max() >= num_actions):
-            raise ConfigurationError("action index out of range")
+    def uniform(cls, rows, inverse, num_actions=None) -> "MixedPolicy":
+        """The uniform mixture whose component i is row ``inverse[i]`` of
+        ``rows``: a (D, H, S) integer stack of action tables over
+        ``num_actions`` actions, or a (D, H) integer stack of open-loop
+        sequences with no ``num_actions``. The stack is checked once, as a
+        whole: integer dtype, its axes and every table action in
+        [0, num_actions)."""
+        rows = np.asarray(rows)
+        if rows.ndim not in (2, 3) or rows.dtype.kind not in "iu":
+            raise ConfigurationError(
+                "rows must be a (D, H, S) stack of action tables or a (D, H) "
+                "stack of action sequences, of integers")
+        if rows.ndim == 3:
+            num_actions = _as_int("num_actions", num_actions)
+            if num_actions < 1:
+                raise ConfigurationError(
+                    "an action table needs num_actions >= 1")
+            if rows.size and (rows.min() < 0 or rows.max() >= num_actions):
+                raise ConfigurationError("action index out of range")
+        elif num_actions is not None:
+            raise ConfigurationError("action sequences take no num_actions")
         inverse = np.asarray(inverse)
         if not inverse.size:
             raise ConfigurationError("mixture needs at least one component")
         if inverse.ndim != 1 or inverse.dtype.kind not in "iu":
             raise ConfigurationError("inverse must be (K,) integers")
-        if inverse.min() < 0 or inverse.max() >= len(tables):
+        if inverse.min() < 0 or inverse.max() >= len(rows):
             raise ConfigurationError("inverse index out of range")
         mixture = cls.__new__(cls)
-        # one key dtype, so that equal tables have equal bytes
-        stack = np.array(tables, dtype=np.intp)
-        stack.setflags(write=False)
-        mixture.__dict__.update(
-            tables=stack, num_actions=num_actions, inverse=_frozen(inverse),
-            weights=_checked_weights(weights, len(inverse)))
+        mixture._hold(np.array(rows, dtype=np.intp), num_actions, inverse,
+                      _frozen(np.full(len(inverse), 1.0 / len(inverse))))
         return mixture
+
+    def _hold(self, rows, num_actions, inverse, weights) -> None:
+        rows.setflags(write=False)
+        self.__dict__.update(rows=rows, num_actions=num_actions,
+                             inverse=_frozen(inverse), weights=weights)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"MixedPolicy is frozen: cannot set {name!r}")
 
     @cached_property
     def distinct(self) -> tuple:
-        """One ``Policy`` per row of ``tables`` (table form only; the
-        component form sets it at construction)."""
-        return tuple(Policy(action_table=table, num_actions=self.num_actions)
-                     for table in self.tables)
+        """One ``Policy`` per row, built on first read."""
+        # the Policy field of a row, by the stack's number of axes
+        field = {2: "action_seq", 3: "action_table",
+                 4: "probs"}[self.rows.ndim]
+        return tuple(Policy(**{field: row}, num_actions=self.num_actions)
+                     for row in self.rows)
 
     @cached_property
     def components(self) -> tuple:
-        """The K components, each the ``distinct`` view of its row (table
-        form only; the component form sets it at construction)."""
+        """The K components, each the ``distinct`` view of its row."""
         distinct = self.distinct
         return tuple(distinct[j] for j in self.inverse.tolist())
 
@@ -443,9 +479,8 @@ def _draw(cdf: Array, u: Array) -> Array:
 
 
 def _components(mixture: MixedPolicy, u: Array) -> Array:
-    """Each episode's row of ``mixture.distinct`` (and of its ``tables``),
-    from its uniform, drawn as ``Generator.choice(K, p=weights)`` draws
-    it from the same uniform."""
+    """Each episode's row of ``mixture.rows``, from its uniform, drawn as
+    ``Generator.choice(K, p=weights)`` draws it from the same uniform."""
     cdf = mixture.weights.cumsum()
     cdf /= cdf[-1]
     return mixture.inverse[cdf.searchsorted(u, side="right")]
@@ -462,10 +497,11 @@ def rollouts(env, policy: AnyPolicy, n: int,
     component's uniform first, then per step a uniform for the action
     (an action table consumes it too) and one for the next state on a
     ``TabularMdp``, or its (H, state_dim) noise on a noisy ``KnrSystem``.
-    A table-form mixture is checked against a ``TabularMdp`` as one stack
-    and its episodes index that stack; a component-form mixture checks
-    and stacks its distinct components.
+    A policy draws no component uniform. The rows of the policy or
+    mixture are checked against ``env`` as one stack, and its episodes
+    index that stack.
     """
+    n = _as_int("n", n)
     if n < 1:
         raise ConfigurationError("need at least one episode")
     if isinstance(env, TabularMdp):
@@ -477,18 +513,10 @@ def rollouts(env, policy: AnyPolicy, n: int,
 
 def _tabular_rollouts(mdp, policy, n, rng):
     H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
+    rows = _tabular_rows(policy, H, S, A)
     mixed = isinstance(policy, MixedPolicy)
-    # action tables are looked up; any stochastic component draws every action
-    if mixed and policy.tables is not None:
-        _check_tables(policy, H, S, A)
-        tables = policy.tables
-    else:
-        comps = policy.distinct if mixed else (policy,)
-        for pol in comps:
-            _check_tabular(pol, H, S, A)
-        tables = _action_tables(comps)
-    action_cdf = None if tables is not None else _cdf_table(
-        np.array([pol.action_probs for pol in comps]))
+    # action tables are looked up; action distributions draw every action
+    action_cdf = None if rows.ndim == 3 else _cdf_table(rows)
     u = rng.random((n, 2 * H + mixed))
     which = _components(policy, u[:, 0]) if mixed else np.zeros(n, dtype=int)
     # (n, H) views: the uniforms of each step's action and next state
@@ -498,19 +526,18 @@ def _tabular_rollouts(mdp, policy, n, rng):
     actions = np.empty((n, H), dtype=int)
     for h in range(H):
         s = states[:, h]
-        a = actions[:, h] = (tables[which, h, s] if tables is not None
+        a = actions[:, h] = (rows[which, h, s] if action_cdf is None
                              else _draw(action_cdf[which, h, s], u_action[:, h]))
         states[:, h + 1] = _draw(mdp.cdf[s, a], u_next[:, h])
     return states, actions
 
 
 def _knr_rollouts(env, policy, n, rng):
-    comps = policy.distinct if isinstance(policy, MixedPolicy) else (policy,)
-    if any(pol.horizon != env.horizon for pol in comps):
-        raise ConfigurationError("policy horizon does not match environment")
-    if not all(pol.is_open_loop for pol in comps):
+    seqs = _rows(policy)
+    if seqs.ndim != 2:
         raise ConfigurationError("tabular policies are not defined on vector states")
-    seqs = np.array([pol.action_seq for pol in comps])
+    if seqs.shape[1] != env.horizon:
+        raise ConfigurationError("policy horizon does not match environment")
     if seqs.min() < 0 or seqs.max() >= env.num_actions:
         raise ConfigurationError("action index out of range")
     H, d = env.horizon, env.state_dim
@@ -538,82 +565,30 @@ def rollout(env, policy: AnyPolicy, rng: np.random.Generator) -> Trajectory:
     return Trajectory(states=states[0], actions=actions[0])
 
 
-def _check_tabular(pol: Policy, H: int, S: int, A: int) -> None:
-    """Reject a policy that is not a tabular policy on (H, S, A)."""
-    if pol.horizon != H:
-        raise ConfigurationError("policy horizon does not match environment")
-    if pol.action_table is not None:
-        if pol.num_actions != A or pol.action_table.shape != (H, S):
-            raise ConfigurationError("action table does not match environment")
-    elif pol.probs is None:
-        raise ConfigurationError(_OPEN_LOOP_ON_TABULAR)
-    elif pol.probs.shape != (H, S, A):
+def _rows(policy: AnyPolicy) -> Array:
+    """The row stack of a policy or mixture; anything else is refused."""
+    if not isinstance(policy, (Policy, MixedPolicy)):
         raise ConfigurationError(
-            "action probabilities do not match environment")
+            f"expected a Policy or MixedPolicy, got {type(policy).__name__}")
+    return policy.rows
 
 
-def _check_tables(mixture: MixedPolicy, H: int, S: int, A: int) -> None:
-    """Reject a table-form mixture whose stack is not (D, H, S) over A
-    actions."""
-    if mixture.num_actions != A or mixture.tables.shape[1:] != (H, S):
-        raise ConfigurationError(
-            f"action tables with (H, S) = {mixture.tables.shape[1:]} and "
-            f"num_actions = {mixture.num_actions} do not match the "
-            f"environment's (H, S) = {(H, S)} and num_actions = {A}")
-
-
-def _check_items(mdp, items: Sequence[AnyPolicy]) -> None:
-    """Check every policy and mixture of a sequence against ``mdp``: a
-    table-form mixture as one stack, anything else per component."""
-    H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
-    if not items:
-        raise ConfigurationError("need at least one policy to evaluate")
-    for pol in items:
-        if isinstance(pol, MixedPolicy):
-            if pol.tables is not None:
-                _check_tables(pol, H, S, A)
-                continue
-            comps = pol.distinct
-        elif isinstance(pol, Policy):
-            comps = (pol,)
-        else:
+def _tabular_rows(policy: AnyPolicy, H: int, S: int, A: int) -> Array:
+    """The row stack of a policy or mixture, refused unless it is action
+    tables or distributions on (H, S, A)."""
+    rows = _rows(policy)
+    if rows.ndim == 2:
+        raise ConfigurationError("an open-loop policy runs only on a KnrSystem")
+    if rows.ndim == 3:
+        if policy.num_actions != A or rows.shape[1:] != (H, S):
             raise ConfigurationError(
-                f"expected a Policy or MixedPolicy, got {type(pol).__name__}")
-        for comp in comps:
-            _check_tabular(comp, H, S, A)
-
-
-def _action_tables(policies: Sequence[Policy]) -> Array | None:
-    """(K, H, S) action tables of K policies, or None if any is stochastic."""
-    if all(pol.action_table is not None for pol in policies):
-        # np.array stacks the equal-shape tables faster than np.stack
-        return np.array([pol.action_table for pol in policies])
-    return None
-
-
-def _stack_rows(policy: AnyPolicy) -> list:
-    """(key, row) of each row that a policy or mixture adds to a stacked
-    pass: one for a ``Policy``, one per row of ``distinct`` (or of
-    ``tables``) for a mixture.
-
-    An action table's row is its (H, S) table, keyed on its bytes as
-    ``intp``, so equal tables share a key whichever object or form holds
-    them; a stochastic policy's row is its (H, S, A) ``probs``, keyed on
-    the object's identity. The policies are not checked.
-    """
-    if isinstance(policy, MixedPolicy):
-        if policy.tables is not None:
-            return [(table.tobytes(), table) for table in policy.tables]
-        comps = policy.distinct
-    else:
-        comps = (policy,)
-    rows = []
-    for pol in comps:
-        if pol.action_table is None:
-            rows.append((id(pol), pol.probs))
-        else:
-            table = np.asarray(pol.action_table, dtype=np.intp)
-            rows.append((table.tobytes(), table))
+                f"action tables with (H, S) = {rows.shape[1:]} and "
+                f"num_actions = {policy.num_actions} do not match the "
+                f"environment's (H, S) = {(H, S)} and num_actions = {A}")
+    elif rows.shape[1:] != (H, S, A):
+        raise ConfigurationError(
+            f"action distributions with (H, S, A) = {rows.shape[1:]} do not "
+            f"match the environment's (H, S, A) = {(H, S, A)}")
     return rows
 
 
@@ -621,31 +596,33 @@ def _stack(mdp, items: Sequence[AnyPolicy]) -> tuple[Array, list]:
     """The (K, H, S, A) action distributions that a sequence of policies
     and mixtures runs through one pass, and each item's rows into them.
 
-    Every item is checked against ``mdp`` first. The rows are those of
-    ``_stack_rows``, deduped by key across the whole sequence in order of
-    first occurrence: an action table is stacked once per content, a
-    stochastic policy once per object. A mixture's rows are one per
-    component (its ``inverse`` mapped into the stack); a policy's row is
-    one int. A stack of action tables becomes exact one-hot cubes in one
-    indexing call; if any row is stochastic, each table row is its own
-    one-hot cube.
+    Every item's rows are checked against ``mdp`` first, then deduped by
+    content across the whole sequence, in order of first occurrence: equal
+    rows are stacked once, whichever items hold them. If any item holds
+    distributions, every action table is first its exact one-hot cube.
+    A mixture's rows are one per component (its ``inverse`` mapped into
+    the stack); a policy's row is one int. A stack of action tables
+    becomes one-hot cubes in one indexing call.
     """
-    _check_items(mdp, items)
-    slots, entries, rows = {}, [], []
-    for pol in items:
-        at = []
-        for key, entry in _stack_rows(pol):
-            slot = slots.setdefault(key, len(entries))
+    if not items:
+        raise ConfigurationError("need at least one policy to evaluate")
+    H, S, A = mdp.horizon, mdp.num_states, mdp.num_actions
+    stacks = [_tabular_rows(pol, H, S, A) for pol in items]
+    if any(rows.ndim == 4 for rows in stacks):
+        stacks = [rows if rows.ndim == 4 else _one_hot(rows, A)
+                  for rows in stacks]
+    slots, entries, at = {}, [], []
+    for pol, rows in zip(items, stacks):
+        item = []
+        for row in rows:
+            slot = slots.setdefault(row.tobytes(), len(entries))
             if slot == len(entries):
-                entries.append(entry)
-            at.append(slot)
-        rows.append(np.array(at)[pol.inverse]
-                    if isinstance(pol, MixedPolicy) else at[0])
-    A = mdp.num_actions
-    if all(entry.ndim == 2 for entry in entries):
-        return _one_hot(np.array(entries), A), rows
-    return np.array([_one_hot(entry, A) if entry.ndim == 2 else entry
-                     for entry in entries]), rows
+                entries.append(row)
+            item.append(slot)
+        at.append(np.array(item)[pol.inverse]
+                  if isinstance(pol, MixedPolicy) else item[0])
+    probs = np.array(entries)
+    return (probs if probs.ndim == 4 else _one_hot(probs, A)), at
 
 
 def _as_items(policy: AnyPolicy | Sequence[AnyPolicy]) -> tuple[list, bool]:
@@ -680,14 +657,14 @@ def occupancy_exact(mdp: TabularMdp,
                     policy: AnyPolicy | Sequence[AnyPolicy]) -> Array:
     """Forward dynamic program for d_h(s, a); mixtures combine exactly.
 
-    ``policy`` is a policy or a mixture of either form, which returns its
-    (H, S, A) per-step occupancy, or a sequence of them, which returns
-    the (n, H, S, A) stack of its items'. The rows of the whole sequence
-    (each distinct action table by content, each stochastic component by
-    identity; see ``_stack``) run one forward pass; a mixture then
-    expands its rows back to one per component before the weighted sum
-    over all K rows, so every item equals its own one-item call, and a
-    table-form mixture its component-form twin, bit for bit.
+    ``policy`` is a policy or a mixture, which returns its (H, S, A)
+    per-step occupancy, or a sequence of them, which returns the
+    (n, H, S, A) stack of its items'. The rows of the whole sequence
+    (each distinct row once, by content; see ``_stack``) run one forward
+    pass, whose slices do not depend on the rest of the batch; a mixture
+    then expands its rows back to one per component before the weighted
+    sum over all K rows, so every item equals its own one-item call, and
+    the evaluation of one component per row, bit for bit.
     """
     items, single = _as_items(policy)
     probs, rows = _stack(mdp, items)
@@ -745,15 +722,15 @@ def value_eval_tabular(mdp, policy: AnyPolicy | Sequence[AnyPolicy],
                        cost) -> float | Array:
     """Expected total cost from ``mdp.init_state``.
 
-    ``policy`` is a policy, a mixture of either form, or a sequence of
-    them; a sequence returns an (n,) array, one value per item, and a
-    single policy or mixture returns a float as its one-item case. The
-    rows of the whole sequence (each distinct action table by content,
-    each stochastic component by identity; see ``_stack``) run one
-    backward pass; a mixture weights its components' step-0 values. Each
-    value equals H * <d_avg, cost> from ``occupancy_exact``, and its own
-    one-item call, and a table-form mixture its component-form twin, bit
-    for bit.
+    ``policy`` is a policy, a mixture, or a sequence of them; a sequence
+    returns an (n,) array, one value per item, and a single policy or
+    mixture returns a float as its one-item case. The rows of the whole
+    sequence (each distinct row once, by content; see ``_stack``) run
+    one backward pass, whose slices do not depend on the rest of the
+    batch; a mixture weights its components' step-0 values. Each value
+    equals H * <d_avg, cost> from ``occupancy_exact``, and its own
+    one-item call, and the evaluation of one component per row, bit for
+    bit.
     """
     items, single = _as_items(policy)
     probs, rows = _stack(mdp, items)
@@ -908,6 +885,7 @@ def value_eval_mc(
     ``cost_fn`` maps the (n_rollouts, H, ...) decision states to
     (n_rollouts, H) costs in one call; a scalar return is every state's cost.
     """
+    n_rollouts = _as_int("n_rollouts", n_rollouts)
     if n_rollouts < 2:
         raise ConfigurationError("n_rollouts must be >= 2")
     H = env.horizon

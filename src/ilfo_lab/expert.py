@@ -16,6 +16,7 @@ from .envs import (
     OpenLoopTree,
     Policy,
     TabularMdp,
+    _as_int,
     _frozen,
     best_response_tabular,
     openloop_search,
@@ -97,6 +98,7 @@ def solve_openloop_knr(system: KnrSystem) -> Policy:
 def sample_expert_states(env, expert: Policy, n_trajectories: int,
                          rng: np.random.Generator) -> ExpertDataset:
     """Roll the expert ``n_trajectories`` times and keep only the states."""
+    n_trajectories = _as_int("n_trajectories", n_trajectories)
     if n_trajectories < 1:
         raise ConfigurationError("need at least one trajectory")
     states, _ = rollouts(env, expert, n_trajectories, rng)

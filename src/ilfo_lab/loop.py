@@ -25,7 +25,6 @@ from .envs import (
     MixedPolicy,
     TabularMdp,
     _int_fields,
-    _stack_rows,
     occupancy_exact,
     rollout,
     value_eval_mc,
@@ -330,14 +329,13 @@ def run_mobile(env, expert_dataset: ExpertDataset, cfg: MobileConfig,
 def _evaluate_block(family, pending: list, t: int) -> list:
     """``family.evaluate(pending)``, the block of iterations that ends at t,
     logged as one DEBUG record: the iterations, the rows a stacked pass
-    runs for them (each distinct action table by content, each other
-    component by identity) and the seconds taken."""
+    runs for them (each distinct row of their mixtures, by content) and
+    the seconds taken."""
     start = time.perf_counter()
     results = family.evaluate(pending)
     if logger.isEnabledFor(logging.DEBUG):
-        # the rows a stacked pass runs: each action table once by content
-        rows = {key for _, mixture, _ in pending
-                for key, _ in _stack_rows(mixture)}
+        rows = {row.tobytes() for _, mixture, _ in pending
+                for row in mixture.rows}
         logger.debug("evaluated iterations %d-%d: %d stacked rows in %.6f s",
                      t - len(pending) + 1, t, len(rows),
                      time.perf_counter() - start)

@@ -7,7 +7,8 @@ models, open-loop sequence search for KNR models.  The outer loop is
 Frank-Wolfe / fictitious play with 1/k averaging: against the box class
 (closed-form witness 1{d_pi > d_e}) on tabular models, against an MMD
 witness on KNR models.  Each returns a uniform mixture of the per-round
-best responses; a tabular one is a stack of their action tables.  A
+best responses, held as one stack of the distinct responses: action
+tables for a tabular model, open-loop sequences for a KNR model.  A
 tabular solve can start from the box-witness masks an earlier solve used:
 their best responses come from one stacked DP, and their occupancies
 share one forward pass with the uniform start.
@@ -166,10 +167,10 @@ def solve_minmax(model: TabularModel | KnrModel, bonus, disc_class, expert,
     """Solve the occupancy-matching game under the learned model.
 
     Returns a uniform mixture of the per-round best responses and the
-    final sup-over-witnesses objective at that mixture: for a tabular
-    model the table form of ``MixedPolicy``, one row per response used,
-    in order of first use, for a KNR model the component form of its
-    open-loop sequences.  Both families run Frank-Wolfe: a tabular model
+    final sup-over-witnesses objective at that mixture, built by
+    ``MixedPolicy.uniform`` with one row per distinct response, in order
+    of first use: an action table for a tabular model, an open-loop
+    sequence for a KNR model.  Both families run Frank-Wolfe: a tabular model
     against the box class (disc_class "box", expert the (S,) state
     distribution d_e), a KNR model against the unit-ball witnesses on an
     RffFeatureMap's features (disc_class the feature map, expert the (m,)
@@ -270,8 +271,7 @@ def _solve_fw_box(model, bonus, expert, cfg, horizon, init_state, warm):
         np.add(d_bar, steps[k - 1], out=d_bar)
     if warm is not None:
         warm[:] = list(responses)
-    mixture = MixedPolicy.from_tables(used, A, picks,
-                                      np.full(cfg.k_iters, 1.0 / cfg.k_iters))
+    mixture = MixedPolicy.uniform(used, picks, A)
     objective = box_objective(d_bar, d_e, b_table)
     if logger.isEnabledFor(logging.DEBUG):
         hits = sum(key in solved for key in responses)
@@ -319,7 +319,10 @@ def _solve_fw_mmd(model, bonus, fmap, mean_e, cfg, horizon, num_actions,
         return m
 
     mean_bar = embedding(np.zeros(horizon, dtype=np.int64))
-    components = []
+    # each used sequence is a row of the mixture's stack, in order of first
+    # use; picks holds each round's row
+    used = {}
+    picks = np.empty(cfg.k_iters, dtype=np.intp)
     path_bonuses = []
     for k in range(1, cfg.k_iters + 1):
         w = mmd_update(mean_bar, mean_e)
@@ -327,13 +330,11 @@ def _solve_fw_mmd(model, bonus, fmap, mean_e, cfg, horizon, num_actions,
                                  horizon, num_actions, init_state,
                                  cfg.knr_search, rng, tree=tree)
         seq = pi_k.action_seq
-        components.append(pi_k)
+        picks[k - 1] = used.setdefault(seq.tobytes(), (len(used), seq))[0]
         path_bonuses.append(0.0 if bonus is None else
                             float(np.mean(tree.path(seq)[1])))
         mean_bar = (1 - 1.0 / k) * mean_bar + embedding(seq) / k
-    mixture = MixedPolicy(components=tuple(components),
-                          weights=np.full(len(components),
-                                          1.0 / len(components)))
+    mixture = MixedPolicy.uniform([seq for _, seq in used.values()], picks)
     mean_b = float(np.mean(path_bonuses))
     return mixture, float(np.linalg.norm(mean_bar - mean_e)) - mean_b
 

@@ -12,6 +12,8 @@ import importlib
 import inspect
 import json
 import os
+import re
+import subprocess
 import sys
 import types
 
@@ -169,3 +171,16 @@ def test_short_knr_run_passes_the_benchmark_checks(checks):
     checks.check_info_gain(record, env.horizon)
     checks.check_mean_bonus(record, cfg.bonus_mode, env.horizon,
                             cfg.lam_bonus)
+
+
+def test_selftest_catches_every_perturbation():
+    # the selftest builds user mixtures from Policy components and reads
+    # components' action_probs and the KNR expert's action_seq; it writes
+    # only under perfbench/out/
+    done = subprocess.run([sys.executable, os.path.join(PERFBENCH,
+                                                        "selftest.py")],
+                          capture_output=True, text=True, timeout=600,
+                          cwd=os.path.dirname(PERFBENCH))
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert re.search(r"^(\d+) of \1 perturbations caught$", done.stdout,
+                     re.MULTILINE), done.stdout

@@ -15,8 +15,8 @@ import pytest
 from ilfo_lab.discriminators import RffFeatureMap, rff_featurize
 from ilfo_lab.envs import (ConfigurationError, MixedPolicy, Policy,
                            TabularMdp, Trajectory, occupancy_exact, rollouts,
-                           state_values, value_eval_tabular)
-from ilfo_lab.expert import ExpertDataset
+                           state_values, value_eval_mc, value_eval_tabular)
+from ilfo_lab.expert import ExpertDataset, sample_expert_states
 from ilfo_lab.loop import MobileConfig
 from ilfo_lab.mab import BanditConfig, MabInstance, run_bandits
 from ilfo_lab.models import (BonusFunction, KnrBuffer, TabularBuffer,
@@ -89,19 +89,28 @@ def lp(bonus=GAME[1], expert=GAME[2], horizon=2, init_state=0):
 STEADY = Policy.deterministic(np.zeros((2, 2), dtype=int), num_actions=1)
 
 
-def table_mixture(tables=np.zeros((2, 2, 2), dtype=int), num_actions=1,
-                  inverse=(0, 1), weights=np.full(2, 0.5)):
-    return MixedPolicy.from_tables(tables, num_actions, inverse, weights)
+def table_mixture(rows=np.zeros((2, 2, 2), dtype=int), inverse=(0, 1),
+                  num_actions=1):
+    return MixedPolicy.uniform(rows, inverse, num_actions)
+
+
+def mixture_of(*components):
+    return MixedPolicy(components=components,
+                       weights=np.full(len(components), 1 / len(components)))
 
 
 # a table mixture against the (H, S) = (2, 2), one-action mdp()
 TABLE_MISMATCHES = [
-    ("horizon", dict(tables=np.zeros((1, 3, 2), dtype=int), inverse=[0],
-                     weights=[1.0]), (3, 2), 1),
-    ("states", dict(tables=np.zeros((1, 2, 3), dtype=int), inverse=[0],
-                    weights=[1.0]), (2, 3), 1),
+    ("horizon", dict(rows=np.zeros((1, 3, 2), dtype=int), inverse=[0]),
+     (3, 2), 1),
+    ("states", dict(rows=np.zeros((1, 2, 3), dtype=int), inverse=[0]),
+     (2, 3), 1),
     ("num_actions", dict(num_actions=2), (2, 2), 2),
 ]
+ROWS_MESSAGE = ("rows must be a (D, H, S) stack of action tables or a (D, H) "
+                "stack of action sequences, of integers")
+SEQUENCE = Policy.open_loop([0, 1])
+KNR = make_knr_example(horizon=2)
 TABLE_EVALUATIONS = [
     ("rollouts", lambda mix: rollouts(mdp(), mix, 1, np.random.default_rng(0))),
     ("occupancy_exact", lambda mix: occupancy_exact(mdp(), mix)),
@@ -242,37 +251,80 @@ CASES = [
      lambda: MixedPolicy(components=(Policy.open_loop([0]),) * 2,
                          weights=np.array([np.nan, np.nan])),
      "weights must be nonnegative and sum to 1"),
-    ("MixedPolicy.from_tables/float_tables",
-     lambda: table_mixture(tables=np.zeros((2, 2, 2))),
-     "tables must be a (D, H, S) integer stack"),
-    ("MixedPolicy.from_tables/two_dim_tables",
-     lambda: table_mixture(tables=np.zeros((2, 2), dtype=int)),
-     "tables must be a (D, H, S) integer stack"),
-    ("MixedPolicy.from_tables/action_equal_to_A",
-     lambda: table_mixture(tables=np.ones((2, 2, 2), dtype=int)),
+    ("MixedPolicy/nested_mixture",
+     lambda: mixture_of(mixture_of(STEADY)),
+     "a mixture component must be a Policy, got MixedPolicy"),
+    ("MixedPolicy/raw_array",
+     lambda: mixture_of(np.zeros((2, 3), dtype=int)),
+     "a mixture component must be a Policy, got ndarray"),
+    ("MixedPolicy/open_loop_with_table",
+     lambda: mixture_of(STEADY, Policy.open_loop([0, 0])),
+     "open-loop and tabular components cannot share one mixture"),
+    ("MixedPolicy/open_loop_with_probs",
+     lambda: mixture_of(Policy.open_loop([0, 0]),
+                        Policy.tabular(np.ones((2, 2, 1)))),
+     "open-loop and tabular components cannot share one mixture"),
+    ("MixedPolicy/num_actions_differ",
+     lambda: mixture_of(STEADY, Policy.deterministic(np.zeros((2, 2), int),
+                                                     num_actions=2)),
+     "action tables over num_actions [1, 2] cannot share one mixture"),
+    ("MixedPolicy/table_shapes_differ",
+     lambda: mixture_of(STEADY, Policy.deterministic(np.zeros((3, 2), int),
+                                                     num_actions=1)),
+     "components of row shapes [(2, 2), (3, 2)] cannot share one mixture"),
+    ("MixedPolicy/table_and_probs_shapes_differ",
+     lambda: mixture_of(STEADY, Policy.tabular(np.full((2, 2, 2), 0.5))),
+     "components of row shapes [(2, 2, 1), (2, 2, 2)] cannot share one "
+     "mixture"),
+    ("MixedPolicy/sequence_lengths_differ",
+     lambda: mixture_of(SEQUENCE, Policy.open_loop([0])),
+     "components of row shapes [(1,), (2,)] cannot share one mixture"),
+    ("MixedPolicy.uniform/float_tables",
+     lambda: table_mixture(rows=np.zeros((2, 2, 2))), ROWS_MESSAGE),
+    ("MixedPolicy.uniform/one_dim_rows",
+     lambda: table_mixture(rows=np.zeros(2, dtype=int)), ROWS_MESSAGE),
+    ("MixedPolicy.uniform/four_dim_rows",
+     lambda: table_mixture(rows=np.zeros((2, 2, 2, 1), dtype=int)),
+     ROWS_MESSAGE),
+    ("MixedPolicy.uniform/action_equal_to_A",
+     lambda: table_mixture(rows=np.ones((2, 2, 2), dtype=int)),
      "action index out of range"),
-    ("MixedPolicy.from_tables/negative_action",
-     lambda: table_mixture(tables=np.full((2, 2, 2), -1)),
+    ("MixedPolicy.uniform/negative_action",
+     lambda: table_mixture(rows=np.full((2, 2, 2), -1)),
      "action index out of range"),
-    ("MixedPolicy.from_tables/num_actions_zero",
+    ("MixedPolicy.uniform/num_actions_zero",
      lambda: table_mixture(num_actions=0),
      "an action table needs num_actions >= 1"),
-    ("MixedPolicy.from_tables/empty_inverse",
-     lambda: table_mixture(inverse=[], weights=[]),
+    ("MixedPolicy.uniform/tables_without_num_actions",
+     lambda: table_mixture(num_actions=None),
+     "num_actions None needs an integer"),
+    ("MixedPolicy.uniform/sequences_with_num_actions",
+     lambda: table_mixture(rows=np.zeros((2, 2), dtype=int)),
+     "action sequences take no num_actions"),
+    ("MixedPolicy.uniform/empty_inverse",
+     lambda: table_mixture(inverse=[]),
      "mixture needs at least one component"),
-    ("MixedPolicy.from_tables/float_inverse",
+    ("MixedPolicy.uniform/float_inverse",
      lambda: table_mixture(inverse=[0.0, 1.0]),
      "inverse must be (K,) integers"),
-    ("MixedPolicy.from_tables/inverse_past_the_stack",
+    ("MixedPolicy.uniform/inverse_past_the_stack",
      lambda: table_mixture(inverse=[0, 2]), "inverse index out of range"),
-    ("MixedPolicy.from_tables/negative_inverse",
+    ("MixedPolicy.uniform/negative_inverse",
      lambda: table_mixture(inverse=[-1, 1]), "inverse index out of range"),
-    ("MixedPolicy.from_tables/weight_count",
-     lambda: table_mixture(weights=np.full(3, 1 / 3)),
-     "one weight per component required"),
-    ("MixedPolicy.from_tables/weight_sum",
-     lambda: table_mixture(weights=np.full(2, 0.4)),
-     "weights must be nonnegative and sum to 1"),
+    *((f"rollouts/n_{i}",
+       lambda n=n: rollouts(mdp(), STEADY, n, np.random.default_rng(0)),
+       f"n {n!r} needs an integer")
+      for i, n in (("fractional", 2.5), ("bool", True))),
+    *((f"value_eval_mc/n_rollouts_{i}",
+       lambda n=n: value_eval_mc(KNR, SEQUENCE, KNR.cost_of, n,
+                                 np.random.default_rng(0)),
+       f"n_rollouts {n!r} needs an integer")
+      for i, n in (("fractional", 2.5), ("bool", True))),
+    *((f"sample_expert_states/n_trajectories_{i}",
+       lambda n=n: sample_expert_states(KNR, SEQUENCE, n,
+                                        np.random.default_rng(0)),
+       f"n_trajectories {n!r} needs an integer")
+      for i, n in (("fractional", 2.5), ("bool", True))),
     *((f"{call}/table_mixture_{name}",
        lambda evaluate=evaluate, kw=kw: evaluate(table_mixture(**kw)),
        f"action tables with (H, S) = {shape} and num_actions = {actions} "

@@ -130,7 +130,8 @@ def test_rollout_matches_stored_kernel_frequency():
 def test_rollout_horizon_mismatch_rejected():
     mdp = make_two_state(0.5, horizon=2)
     pol = Policy.deterministic(np.zeros((1, 2), dtype=int), num_actions=1)
-    with pytest.raises(ConfigurationError, match="horizon"):
+    with pytest.raises(ConfigurationError,
+                       match=r"\(H, S\) = \(1, 2\) .* \(H, S\) = \(2, 2\)"):
         rollout(mdp, pol, np.random.default_rng(0))
 
 
@@ -515,9 +516,10 @@ def test_batched_value_equals_per_component_reference(spec):
        pattern=st.lists(st.integers(0, 5), min_size=1, max_size=40))
 def test_distinct_evaluation_equals_one_row_per_component(
         seed, S, A, H, init, pool_size, pattern):
-    # rows that share one Policy object are evaluated once and expanded
-    # back to K rows: bit-identical to the same mixture built from fresh,
-    # equal objects, where every row is its own distinct component
+    # components with equal content are one row of the stack, evaluated
+    # once and expanded back to K rows: bit-identical to each component
+    # evaluated alone, and a mixture of fresh, equal-content copies
+    # stacks, evaluates and samples as the one built from shared objects
     rng = np.random.default_rng(seed)
     mdp = TabularMdp(horizon=H,
                      transitions=rng.dirichlet(np.ones(S), size=(S, A)),
@@ -534,21 +536,27 @@ def test_distinct_evaluation_equals_one_row_per_component(
     weights = rng.dirichlet(np.ones(len(rows)))
     mix = MixedPolicy(components=tuple(pool[j] for j in rows),
                       weights=weights)
-    order = list(dict.fromkeys(rows))
-    assert len(mix.distinct) == len(order)
-    assert all(c is pool[j] for c, j in zip(mix.distinct, order))
-    assert mix.inverse.tolist() == [order.index(j) for j in rows]
+    # a stack of tables if every component is one, else of distributions
+    tables = all(pool[j].action_table is not None for j in rows)
+    want = [pool[j].action_table if tables else pool[j].action_probs
+            for j in rows]
+    keys = list(dict.fromkeys(row.tobytes() for row in want))
+    assert [row.tobytes() for row in mix.rows] == keys
+    assert mix.inverse.tolist() == [keys.index(row.tobytes()) for row in want]
+    assert mix.num_actions == (A if tables else None)
     for i, comp in enumerate(mix.components):
         assert mix.distinct[mix.inverse[i]] is comp
+        assert comp.action_probs.tobytes() == pool[rows[i]].action_probs.tobytes()
 
     def fresh(pol):
         if pol.action_table is not None:
             return Policy.deterministic(pol.action_table.copy(), A)
         return Policy.tabular(pol.probs.copy())
 
-    ref = MixedPolicy(components=tuple(fresh(c) for c in mix.components),
+    ref = MixedPolicy(components=tuple(fresh(pool[j]) for j in rows),
                       weights=weights)
-    assert len(ref.distinct) == len(rows)
+    assert ref.rows.tobytes() == mix.rows.tobytes()
+    assert ref.inverse.tobytes() == mix.inverse.tobytes()
     occ = occupancy_exact(mdp, mix)
     assert np.array_equal(occ, occupancy_exact(mdp, ref))
     # and to the weighted sum of each row's single-policy occupancy
@@ -557,8 +565,17 @@ def test_distinct_evaluation_equals_one_row_per_component(
     assert np.array_equal(occ, np.tensordot(weights, singles, axes=1))
     signed = rng.uniform(-1.0, 1.0, size=(S, A))
     for cost in (mdp.cost, signed):
-        assert value_eval_tabular(mdp, mix, cost) == value_eval_tabular(
-            mdp, ref, cost)
+        value = value_eval_tabular(mdp, mix, cost)
+        assert value == value_eval_tabular(mdp, ref, cost)
+        singles = [value_eval_tabular(mdp, c, cost) for c in mix.components]
+        assert value == float(np.dot(weights, singles))
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    for n in (1, 7):
+        states, actions = rollouts(mdp, mix, n, rng_a)
+        ref_states, ref_actions = rollouts(mdp, ref, n, rng_b)
+        assert_same_bits(states, ref_states)
+        assert_same_bits(actions, ref_actions)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 @settings(max_examples=150, deadline=None)
@@ -624,7 +641,10 @@ def test_mixture_components_must_match_environment():
         Policy.open_loop([0, 1]),
     ]
     for pol in wrong:
-        for policy in (pol, MixedPolicy(components=(ok, pol),
+        # beside ok, no one stack holds it: refused at construction
+        with pytest.raises(ConfigurationError, match="cannot share"):
+            MixedPolicy(components=(ok, pol), weights=np.full(2, 0.5))
+        for policy in (pol, MixedPolicy(components=(pol, pol),
                                         weights=np.full(2, 0.5))):
             with pytest.raises(ConfigurationError):
                 occupancy_exact(mdp, policy)
@@ -1007,7 +1027,7 @@ def test_state_values_slice_is_the_policy_value():
 
 
 
-# -- the table form of a mixture against its component-form twin --
+# -- a mixture built on a table stack against its twin built on policies --
 
 def kernel_of(rng, S, A, sparse):
     """A dense Dirichlet kernel, or a near-sparse one: most entries exactly
@@ -1021,17 +1041,17 @@ def kernel_of(rng, S, A, sparse):
     return P
 
 
-def table_mixture_and_twin(rng, tables, A, pattern):
-    """A table-form mixture over the rows of ``tables`` that ``pattern``
-    picks, and its component-form twin, whose components are one
-    ``Policy`` per row (a row picked twice is one object)."""
+def table_mixture_and_twin(tables, A, pattern):
+    """The uniform mixture over the rows of ``tables`` that ``pattern``
+    picks, built on the stack itself, and its twin built on one ``Policy``
+    per row (a row picked twice is one object), which stacks equal rows
+    once."""
     D = len(tables)
     inverse = np.array([j % D for j in pattern])
-    weights = rng.dirichlet(np.ones(len(pattern)))
     row_policies = [Policy.deterministic(t, A) for t in tables]
     twin = MixedPolicy(components=tuple(row_policies[j] for j in inverse),
-                       weights=weights)
-    return MixedPolicy.from_tables(tables, A, inverse, weights), twin
+                       weights=np.full(len(pattern), 1 / len(pattern)))
+    return MixedPolicy.uniform(tables, inverse, A), twin
 
 
 def random_tables(rng, D, H, S, A, equal_rows):
@@ -1059,7 +1079,7 @@ def test_table_mixture_rollouts_equal_component_twin(seed, S, A, H, init,
     mdp = TabularMdp(horizon=H, transitions=kernel_of(rng, S, A, sparse),
                      cost=rng.random(S), init_state=init % S)
     mix, twin = table_mixture_and_twin(
-        rng, random_tables(rng, D, H, S, A, equal_rows), A, pattern)
+        random_tables(rng, D, H, S, A, equal_rows), A, pattern)
     rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(2):
         states, actions = rollouts(mdp, mix, n, rng_a)
@@ -1093,7 +1113,7 @@ def test_table_mixture_evaluation_equals_component_twin(seed, S, A, H, init,
     seq, twins = [], []
     for i, kind in enumerate(items):
         if kind in ("table", "twin"):
-            mix, twin = table_mixture_and_twin(rng, tables, A,
+            mix, twin = table_mixture_and_twin(tables, A,
                                                pattern[i:] or pattern)
             seq.append(mix if kind == "table" else twin)
             twins.append(twin)
@@ -1123,15 +1143,16 @@ def test_table_mixture_evaluation_equals_component_twin(seed, S, A, H, init,
                 == value.tobytes())
         assert_same_bits(occupancy_exact(mdp, item), occ)
     assert not any("distinct" in vars(item) for item in seq
-                   if isinstance(item, MixedPolicy) and item.tables is not None)
+                   if isinstance(item, MixedPolicy))
 
 
 def test_table_mixture_views_build_on_first_read():
     tables = np.array([[[0, 1]], [[1, 1]], [[0, 1]]])
-    mix = MixedPolicy.from_tables(tables, 2, [2, 0, 2, 1],
-                                  np.full(4, 0.25))
-    assert mix.tables.dtype == np.intp and not mix.tables.flags.writeable
+    mix = MixedPolicy.uniform(tables, [2, 0, 2, 1], 2)
+    assert mix.rows.dtype == np.intp and not mix.rows.flags.writeable
     assert not mix.inverse.flags.writeable
+    assert mix.weights.tolist() == [0.25] * 4
+    assert not mix.weights.flags.writeable
     assert "distinct" not in vars(mix) and "components" not in vars(mix)
     assert len(mix.distinct) == 3
     for table, pol in zip(tables, mix.distinct):
@@ -1143,7 +1164,14 @@ def test_table_mixture_views_build_on_first_read():
         assert mix.distinct[mix.inverse[i]] is comp
     with pytest.raises(AttributeError, match="frozen"):
         mix.weights = np.ones(4) / 4
-    component_form = MixedPolicy(components=mix.components,
-                                 weights=mix.weights)
-    assert component_form.tables is None and component_form.num_actions is None
-    assert component_form.inverse.tolist() == [0, 1, 0, 2]
+    # built on the views, equal tables are one row, in order of first use
+    restacked = MixedPolicy(components=mix.components, weights=mix.weights)
+    assert restacked.rows.tolist() == [[[0, 1]], [[1, 1]]]
+    assert restacked.num_actions == 2
+    assert restacked.inverse.tolist() == [0, 0, 0, 1]
+    # a stack of sequences has Policy.open_loop views and no num_actions
+    seqs = MixedPolicy.uniform(np.array([[0, 1], [1, 0]]), [1, 1, 0])
+    assert seqs.num_actions is None and seqs.rows.dtype == np.intp
+    assert [c.action_seq.tolist() for c in seqs.components] == [
+        [1, 0], [1, 0], [0, 1]]
+    assert all(c.is_open_loop for c in seqs.distinct)

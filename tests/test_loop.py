@@ -354,7 +354,7 @@ class TestBlockEvaluation:
         for r, (first, last) in zip(records, spans):
             # the rows the stacked pass ran: distinct tables by content
             rows = {table.tobytes() for mix in mixtures[first - 1:last]
-                    for table in mix.tables}
+                    for table in mix.rows}
             assert r.args[2] == len(rows)
             assert r.args[3] >= 0.0
 

@@ -506,7 +506,7 @@ class TestSolveMinmaxTabular:
 
         warm = []
         cold, built, distinct, views = solve(warm)
-        D = len(cold.tables)
+        D = len(cold.rows)
         assert 1 < D == len(warm) == len(distinct) == views
         assert built == {"Policy": D, "best_response_tabular": D,
                          "occupancy_exact": D}
@@ -514,11 +514,11 @@ class TestSolveMinmaxTabular:
         assert built == {"Policy": 0, "best_response_tabular": 0,
                          "occupancy_exact": 0}
         assert views == D == len(distinct)
-        assert mix.tables.tobytes() == cold.tables.tobytes()
+        assert mix.rows.tobytes() == cold.rows.tobytes()
         for i, comp in enumerate(mix.components):
             assert distinct[mix.inverse[i]] is comp
             assert np.array_equal(comp.action_table,
-                                  mix.tables[mix.inverse[i]])
+                                  mix.rows[mix.inverse[i]])
 
     def test_final_objective_not_above_initial(self):
         rng = np.random.default_rng(8)
@@ -791,6 +791,11 @@ class TestKnrSearchTree:
         assert len(mix.components) == k_iters
         for comp, seq in zip(mix.components, seqs):
             assert np.array_equal(comp.action_seq, seq)
+        # one row per distinct sequence, in order of first use
+        used = list(dict.fromkeys(tuple(np.asarray(seq).tolist())
+                                  for seq in seqs))
+        assert [tuple(row) for row in mix.rows.tolist()] == used
+        assert mix.weights.tolist() == [1 / k_iters] * k_iters
         assert obj == ref_obj
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
