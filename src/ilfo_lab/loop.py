@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -76,6 +77,17 @@ class MobileConfig:
     def __post_init__(self):
         _int_fields(self, "t_iters", "n_expert", "buffer_capacity",
                     "mmd_features", "knr_eval_rollouts")
+        # numbers as the JSON config takes them, so not a bool
+        for name in ("delta", "lam_bonus", "lam_ridge", "w_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (
+                    isinstance(value, numbers.Real)
+                    or name == "lam_ridge" and value is None):
+                raise ConfigurationError(
+                    f"{name} must be a number, got {value!r}")
+        if not isinstance(self.minmax, MinMaxConfig):
+            raise ConfigurationError(
+                f"minmax must be a MinMaxConfig, got {self.minmax!r}")
         if self.t_iters < 1:
             raise ConfigurationError("t_iters must be >= 1")
         if self.n_expert < 1:
@@ -282,6 +294,7 @@ def run_mobile(env, expert_dataset: ExpertDataset, cfg: MobileConfig,
         raise ConfigurationError(
             f"n_expert {cfg.n_expert} does not match the expert dataset's "
             f"{expert_dataset.num_trajectories} trajectories")
+    _check_expert_states(env, expert_dataset)
     if isinstance(env, TabularMdp):
         family = _tabular_family(env, expert_dataset, cfg, expert_value)
     else:
@@ -324,6 +337,29 @@ def run_mobile(env, expert_dataset: ExpertDataset, cfg: MobileConfig,
         objective=objective, horizon=env.horizon, delta=cfg.delta,
         n_expert=expert_dataset.num_trajectories, **family.record_fields)
     return mixture, record
+
+
+def _check_expert_states(env, expert_dataset: ExpertDataset) -> None:
+    """Refuse, before the first iteration, expert states that ``env``
+    cannot hold: integer indices in [0, S) for a ``TabularMdp``, real
+    vectors of its state dimension for a ``KnrSystem``."""
+    trajs = expert_dataset.trajectories
+    found = f"{trajs.dtype} states of shape {trajs.shape}"
+    if isinstance(env, TabularMdp):
+        fits = trajs.ndim == 2 and trajs.dtype.kind in "iu"
+        if fits:
+            lo, hi = trajs.min(), trajs.max()
+            found += f" in [{lo}, {hi}]"
+            fits = 0 <= lo and hi < env.num_states
+        wanted = f"integer states in [0, {env.num_states})"
+    else:
+        fits = (trajs.ndim == 3 and trajs.shape[2] == env.state_dim
+                and trajs.dtype.kind in "iuf")
+        wanted = f"real states of dimension {env.state_dim}"
+    if not fits:
+        raise ConfigurationError(
+            f"the expert dataset's {found} do not fit the "
+            f"{type(env).__name__}, which takes {wanted}")
 
 
 def _evaluate_block(family, pending: list, t: int) -> list:

@@ -185,11 +185,14 @@ def bootstrap_buffers(buffer: TabularBuffer | KnrBuffer,
             for _ in range(2)]
 
 
-def _check_index(t: int, delta: float) -> None:
+def _checked_index(t, delta: float) -> int:
+    """An integer round index t >= 1, with delta in (0, 1)."""
+    t = _as_int("model index t", t)
     if t < 1:
         raise ConfigurationError("model index t must be >= 1")
     if not 0 < delta < 1:
         raise ConfigurationError("delta must lie in (0, 1)")
+    return t
 
 
 @dataclass(frozen=True)
@@ -269,7 +272,7 @@ def fit_tabular(buffer: TabularBuffer, t: int, delta: float) -> TabularModel:
 
     Unvisited (s, a) pairs fall back to the uniform row and the full cap.
     """
-    _check_index(t, delta)
+    t = _checked_index(t, delta)
     counts = buffer.counts_sas
     s_dim, a_dim = counts.shape[0], counts.shape[1]
     n_sa = counts.sum(axis=2)
@@ -298,8 +301,7 @@ def fit_knr_ridge(buffer: KnrBuffer) -> tuple[Array, Array]:
 def knr_beta(t: int, delta: float, lam_ridge: float, noise_std: float,
              w_max: float, state_dim: int, cov: Array) -> float:
     """Elliptical confidence radius for the ridge estimate at round t."""
-    if t < 1:
-        raise ConfigurationError("model index t must be >= 1")
+    t = _checked_index(t, delta)
     d = cov.shape[0]
     sign, logdet = np.linalg.slogdet(cov)
     if sign <= 0:
@@ -315,7 +317,7 @@ def knr_beta(t: int, delta: float, lam_ridge: float, noise_std: float,
 def fit_knr_model(buffer: KnrBuffer, noise_std: float, w_max: float,
                   t: int, delta: float) -> KnrModel:
     """The ridge model of the buffer, on its feature map and lam."""
-    _check_index(t, delta)
+    t = _checked_index(t, delta)
     w_hat, cov = fit_knr_ridge(buffer)
     beta = knr_beta(t, delta, buffer.lam_ridge, noise_std, w_max,
                     buffer.state_dim, cov)
@@ -332,56 +334,36 @@ def knr_uncertainty(model: KnrModel, s, a):
     return model.beta / model.noise_std * np.sqrt(np.maximum(quad, 0.0))
 
 
-@dataclass(frozen=True)
-class BonusFunction:
-    """Per-(s, a) exploration bonus with a known upper bound: a tabular
-    bonus is its (S, A) ``table``, a KNR bonus is its ``fn``.
-
-    A call maps (...) states, (..., d) on KNR, and (...) actions to (...)
-    bonuses; a KNR ``fn`` must round each row as it would that row alone.
-    """
-
-    upper: float
-    table: Array | None = None
-    fn: Callable | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.table is not None:
-            tab = np.asarray(self.table, dtype=float)
-            if not ((tab >= 0) & (tab <= self.upper + 1e-12)).all():
-                raise ConfigurationError("bonus table out of [0, upper]")
-            object.__setattr__(self, "table", _frozen(tab))
-
-    def __call__(self, s, a):
-        if self.table is not None:
-            return self.table[s, a]
-        return self.fn(s, a)
-
-
 def mean_bonus_on_path(bonus, states, actions) -> float:
-    """Mean of b(s_h, a_h) over a path's decision steps; 0 without a bonus."""
+    """Mean of b(s_h, a_h) over a path's decision steps: an (S, A) table is
+    indexed, a KNR bonus function called; 0 without a bonus."""
     if bonus is None:
         return 0.0
-    return float(np.mean(bonus(states[:len(actions)], actions)))
+    states = states[:len(actions)]
+    return float(np.mean(bonus(states, actions) if callable(bonus)
+                         else bonus[states, actions]))
 
 
 def theory_bonus(model: TabularModel | KnrModel,
-                 horizon: int) -> BonusFunction:
-    """b(s, a) = H * min{sigma(s, a), 2}, so b is bounded by 2H."""
+                 horizon: int) -> Array | Callable:
+    """b(s, a) = H * min{sigma(s, a), 2}, so b is bounded by 2H: a frozen
+    (S, A) table for a ``TabularModel``, the last-axis function
+    (s, a) -> b for a ``KnrModel``."""
+    horizon = _as_int("horizon", horizon)
     if horizon < 1:
         raise ConfigurationError("horizon must be >= 1")
     if isinstance(model, TabularModel):
-        table = horizon * np.minimum(model.sigma_table, SIGMA_CAP)
-        return BonusFunction(upper=SIGMA_CAP * horizon, table=table)
-    fn = lambda s, a: horizon * np.minimum(model.sigma(s, a), SIGMA_CAP)
-    return BonusFunction(upper=SIGMA_CAP * horizon, fn=fn)
+        return _frozen(horizon * np.minimum(model.sigma_table, SIGMA_CAP))
+    return lambda s, a: horizon * np.minimum(model.sigma(s, a), SIGMA_CAP)
 
 
 def ensemble_bonus(model_a: TabularModel | KnrModel,
                    model_b: TabularModel | KnrModel,
                    buffer: TabularBuffer | KnrBuffer,
-                   lam_bonus: float) -> BonusFunction:
-    """Disagreement bonus b = lam * min{1, delta(s,a) / delta_max}.
+                   lam_bonus: float) -> Array | Callable:
+    """Disagreement bonus b = lam * min{1, delta(s,a) / delta_max}, so b is
+    bounded by lam: a frozen (S, A) table for two ``TabularModel``s, the
+    last-axis function (s, a) -> b for two ``KnrModel``s.
 
     delta(s, a) is the L2 gap between the two models' mean predictions
     and delta_max its maximum over the buffer.  An all-zero disagreement
@@ -405,7 +387,7 @@ def ensemble_bonus(model_a: TabularModel | KnrModel,
             table = np.zeros_like(gaps)
         else:
             table = lam_bonus * np.minimum(1.0, gaps / delta_max)
-        return BonusFunction(upper=lam_bonus, table=table)
+        return _frozen(table)
 
     if not model_a.features == model_b.features == buffer.features:
         raise ConfigurationError(
@@ -418,8 +400,6 @@ def ensemble_bonus(model_a: TabularModel | KnrModel,
 
     delta_max = float(gap(buffer.feature_rows()).max(initial=0.0))
     if delta_max == 0.0:
-        fn = lambda s, a: np.zeros(np.shape(a))[()]
-    else:
-        fn = lambda s, a: lam_bonus * np.minimum(1.0, gap(np.asarray(
-            model_a.features(s, a), dtype=float)) / delta_max)
-    return BonusFunction(upper=lam_bonus, fn=fn)
+        return lambda s, a: np.zeros(np.shape(a))[()]
+    return lambda s, a: lam_bonus * np.minimum(1.0, gap(np.asarray(
+        model_a.features(s, a), dtype=float)) / delta_max)

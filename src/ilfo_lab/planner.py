@@ -31,7 +31,7 @@ from .envs import (ConfigurationError, MixedPolicy, OpenLoopTree, Policy,
                    _checked_start, _int_fields, _one_hot, best_response_tables,
                    best_response_tabular, occupancy_exact, occupancy_stack,
                    openloop_search)
-from .models import BonusFunction, KnrModel, TabularModel
+from .models import KnrModel, TabularModel
 
 Array = np.ndarray
 
@@ -63,6 +63,9 @@ class MinMaxConfig:
         _int_fields(self, "k_iters")
         if self.k_iters < 1:
             raise ConfigurationError("k_iters must be >= 1")
+        if not isinstance(self.knr_search, KnrSearchConfig):
+            raise ConfigurationError(f"knr_search must be a KnrSearchConfig, "
+                                     f"got {self.knr_search!r}")
 
 
 def best_response_knr(model: KnrModel, cost_fn: Callable, bonus,
@@ -144,10 +147,9 @@ def _tabular_game(model: TabularModel, bonus, expert, horizon: int,
     if bonus is None:
         return _TabularGame(horizon, model.p_hat, init_state, d_e,
                             np.zeros((s_dim, a_dim)))
-    table = bonus.table if isinstance(bonus, BonusFunction) else bonus
-    if not isinstance(table, np.ndarray) or table.shape != (s_dim, a_dim):
+    if not isinstance(bonus, np.ndarray) or bonus.shape != (s_dim, a_dim):
         raise ConfigurationError("a tabular solve needs an (S, A) bonus table")
-    table = np.asarray(table, dtype=float)
+    table = np.asarray(bonus, dtype=float)
     if not np.isfinite(table).all():
         raise ConfigurationError("a tabular solve needs a finite bonus table")
     return _TabularGame(horizon, model.p_hat, init_state, d_e, table)
@@ -178,6 +180,11 @@ def solve_minmax(model: TabularModel | KnrModel, bonus, disc_class, expert,
     raises ConfigurationError, and so do a tabular horizon or init_state
     that ``TabularMdp`` would reject.
 
+    ``bonus`` is None (no bonus) or what ``theory_bonus`` and
+    ``ensemble_bonus`` give for the model's family: a finite (S, A) table
+    for a tabular model, the last-axis function (s, a) -> b for a KNR
+    model.
+
     ``warm`` is a tabular solve's list of box-witness masks, each the
     ``tobytes()`` of an (S,) boolean mask, most usefully the ones an
     earlier solve of the same run used. Before the first round, their best
@@ -198,6 +205,8 @@ def solve_minmax(model: TabularModel | KnrModel, bonus, disc_class, expert,
             raise ConfigurationError("knr solving needs an RffFeatureMap")
         if num_actions is None:
             raise ConfigurationError("knr solving needs num_actions")
+        if bonus is not None and not callable(bonus):
+            raise ConfigurationError("knr solving needs a bonus function")
         return _solve_fw_mmd(model, bonus, disc_class, expert, cfg,
                              horizon, num_actions, init_state, rng)
     if isinstance(disc_class, str) and disc_class == "box":
@@ -291,10 +300,12 @@ def _solve_fw_mmd(model, bonus, fmap, mean_e, cfg, horizon, num_actions,
     ``OpenLoopTree`` holds each depth's states, witness features
     ``fmap(s)`` and edge bonuses, and a round rescores a depth with
     ``np.vecdot(F, w)``, which rounds each row as the one-state score
-    ``fmap(s) @ w`` does.  The path states and bonuses of each
-    round's sequence are read off the tree.  A path's mean embedding
-    featurizes its (H, d) states as one batch, which rounds differently
-    from one-state calls, so it is computed once per distinct path.
+    ``fmap(s) @ w`` does.  ``bonus`` is None or the last-axis function
+    (s, a) -> b that the tree calls on its edges.  Each distinct path,
+    the start path included, is read off the tree once, right after the
+    search that found it; its mean embedding (its (H, d) states
+    featurized as one batch, which rounds differently from one-state
+    calls) and mean edge bonus are cached.
     """
     mean_e = np.asarray(mean_e)
     if mean_e.shape != (fmap.num_features,):
@@ -309,16 +320,19 @@ def _solve_fw_mmd(model, bonus, fmap, mean_e, cfg, horizon, num_actions,
     total = num_actions ** horizon
     tree.layers(np.arange(total) if total <= cfg.knr_search.exhaustive_limit
                 else np.zeros(1, dtype=np.int64))
-    embeddings = {}
+    # each distinct path's mean embedding and mean edge bonus
+    paths = {}
 
-    def embedding(seq):
+    def path_means(seq):
         key = seq.tobytes()
-        m = embeddings.get(key)
-        if m is None:
-            m = embeddings[key] = fmap(tree.path(seq)[0]).mean(axis=0)
-        return m
+        means = paths.get(key)
+        if means is None:
+            states, bonuses = tree.path(seq)
+            means = paths[key] = (fmap(states).mean(axis=0), 0.0 if bonuses
+                                  is None else float(np.mean(bonuses)))
+        return means
 
-    mean_bar = embedding(np.zeros(horizon, dtype=np.int64))
+    mean_bar, _ = path_means(np.zeros(horizon, dtype=np.int64))
     # each used sequence is a row of the mixture's stack, in order of first
     # use; picks holds each round's row
     used = {}
@@ -331,9 +345,9 @@ def _solve_fw_mmd(model, bonus, fmap, mean_e, cfg, horizon, num_actions,
                                  cfg.knr_search, rng, tree=tree)
         seq = pi_k.action_seq
         picks[k - 1] = used.setdefault(seq.tobytes(), (len(used), seq))[0]
-        path_bonuses.append(0.0 if bonus is None else
-                            float(np.mean(tree.path(seq)[1])))
-        mean_bar = (1 - 1.0 / k) * mean_bar + embedding(seq) / k
+        embedding, path_bonus = path_means(seq)
+        path_bonuses.append(path_bonus)
+        mean_bar = (1 - 1.0 / k) * mean_bar + embedding / k
     mixture = MixedPolicy.uniform([seq for _, seq in used.values()], picks)
     mean_b = float(np.mean(path_bonuses))
     return mixture, float(np.linalg.norm(mean_bar - mean_e)) - mean_b

@@ -17,10 +17,11 @@ from ilfo_lab.envs import (ConfigurationError, MixedPolicy, Policy,
                            TabularMdp, Trajectory, occupancy_exact, rollouts,
                            state_values, value_eval_mc, value_eval_tabular)
 from ilfo_lab.expert import ExpertDataset, sample_expert_states
-from ilfo_lab.loop import MobileConfig
+from ilfo_lab.loop import MobileConfig, run_mobile
 from ilfo_lab.mab import BanditConfig, MabInstance, run_bandits
-from ilfo_lab.models import (BonusFunction, KnrBuffer, TabularBuffer,
-                             TabularModel, fit_knr_model, fit_tabular)
+from ilfo_lab.models import (KnrBuffer, TabularBuffer, TabularModel,
+                             fit_knr_model, fit_tabular, knr_beta,
+                             theory_bonus)
 from ilfo_lab.planner import (KnrSearchConfig, MinMaxConfig, game_value_lp,
                               solve_minmax)
 from ilfo_lab.worlds import make_knr_example
@@ -118,6 +119,49 @@ TABLE_EVALUATIONS = [
      lambda mix: value_eval_tabular(mdp(), [STEADY, mix], np.zeros(2))),
 ]
 BANDWIDTH_MESSAGE = "bandwidth must be a finite number > 0"
+# an integer argument takes no fractional float, bool or NaN
+NOT_INTEGERS = [("fractional", 2.5), ("bool", True), ("nan", np.nan)]
+MODEL_INDEX_CALLS = [
+    ("fit_tabular", lambda t: fit_tabular(TabularBuffer(2, 1), t, 0.1)),
+    ("fit_knr_model",
+     lambda t: fit_knr_model(knr_buffer(), 0.05, 2.0, t=t, delta=0.1)),
+    ("knr_beta", lambda t: knr_beta(t, 0.1, 0.3, 0.05, 2.0, 2, np.eye(2))),
+]
+
+
+def run_on(env, states):
+    """One iteration of ``run_mobile`` on an expert dataset of ``states``."""
+    return run_mobile(env, ExpertDataset(trajectories=states),
+                      MobileConfig(t_iters=1, n_expert=len(states)),
+                      np.random.default_rng(0), expert_value=0.0)
+
+
+def expert_states_message(found, env, wanted):
+    return (f"the expert dataset's {found} do not fit the {env}, which takes "
+            f"{wanted}")
+
+
+TABULAR_STATES = "integer states in [0, 2)"
+EXPERT_STATES = [
+    ("float_states", mdp(), np.full((5, 3), 0.7),
+     expert_states_message("float64 states of shape (5, 3)", "TabularMdp",
+                           TABULAR_STATES)),
+    ("bool_states", mdp(), np.ones((5, 3), dtype=bool),
+     expert_states_message("bool states of shape (5, 3)", "TabularMdp",
+                           TABULAR_STATES)),
+    ("negative_state", mdp(), np.array([[0, 1, -1]] * 5),
+     expert_states_message("int64 states of shape (5, 3) in [-1, 1]",
+                           "TabularMdp", TABULAR_STATES)),
+    ("state_past_the_end", mdp(), np.array([[0, 1, 2]] * 5),
+     expert_states_message("int64 states of shape (5, 3) in [0, 2]",
+                           "TabularMdp", TABULAR_STATES)),
+    ("knr_state_dim", KNR, np.zeros((5, 3, 3)),
+     expert_states_message("float64 states of shape (5, 3, 3)", "KnrSystem",
+                           "real states of dimension 2")),
+    ("knr_index_states", KNR, np.zeros((5, 3), dtype=int),
+     expert_states_message("int64 states of shape (5, 3)", "KnrSystem",
+                           "real states of dimension 2")),
+]
 INT_CONFIG_FIELDS = [
     (MobileConfig, "t_iters"), (MobileConfig, "n_expert"),
     (MobileConfig, "buffer_capacity"), (MobileConfig, "mmd_features"),
@@ -138,7 +182,7 @@ GAME_CASES = [
     (dict(expert=np.array([np.nan, 1.0])), EXPERT_MESSAGE),
     (dict(expert=np.array([np.inf, 0.0])), EXPERT_MESSAGE),
     (dict(bonus=np.zeros((2, 1))), "a tabular solve needs an (S, A) bonus table"),
-    (dict(bonus=BonusFunction(upper=1.0, fn=lambda s, a: 0.0)),
+    (dict(bonus=lambda s, a: 0.0),
      "a tabular solve needs an (S, A) bonus table"),
     (dict(bonus=np.array([[0.0, np.nan], [0.0, 0.0]])),
      "a tabular solve needs a finite bonus table"),
@@ -331,12 +375,6 @@ CASES = [
        "do not match the environment's (H, S) = (2, 2) and num_actions = 1")
       for name, kw, shape, actions in TABLE_MISMATCHES
       for call, evaluate in TABLE_EVALUATIONS),
-    ("BonusFunction/table_range",
-     lambda: BonusFunction(upper=1.0, table=np.array([[1.5]])),
-     "bonus table out of [0, upper]"),
-    ("BonusFunction/table_nan",
-     lambda: BonusFunction(upper=1.0, table=np.array([[np.nan]])),
-     "bonus table out of [0, upper]"),
     ("MabInstance/mu_star_nan",
      lambda: MabInstance(means=[0.0, 0.5], mu_star=np.nan),
      "revealed optimal mean must be finite"),
@@ -366,6 +404,27 @@ CASES = [
       for cls, name in INT_CONFIG_FIELDS),
     ("MinMaxConfig/k_iters_bool", lambda: MinMaxConfig(k_iters=True),
      "k_iters True needs an integer"),
+    ("MinMaxConfig/knr_search_dict",
+     lambda: MinMaxConfig(knr_search={"x": 1}),
+     "knr_search must be a KnrSearchConfig, got {'x': 1}"),
+    ("MobileConfig/minmax_none", lambda: MobileConfig(minmax=None),
+     "minmax must be a MinMaxConfig, got None"),
+    *((f"MobileConfig/{name}_bool", lambda name=name: MobileConfig(
+        **{name: True}), f"{name} must be a number, got True")
+      for name in ("lam_bonus", "w_max", "lam_ridge", "delta")),
+    ("MobileConfig/lam_bonus_string", lambda: MobileConfig(lam_bonus="1"),
+     "lam_bonus must be a number, got '1'"),
+    *((f"theory_bonus/horizon_{i}",
+       lambda h=h: theory_bonus(tabular_model(), h),
+       f"horizon {h!r} needs an integer") for i, h in NOT_INTEGERS),
+    *((f"{call}/t_{i}", lambda fit=fit, t=t: fit(t),
+       f"model index t {t!r} needs an integer")
+      for call, fit in MODEL_INDEX_CALLS for i, t in NOT_INTEGERS),
+    ("knr_beta/delta_one",
+     lambda: knr_beta(1, 1.0, 0.3, 0.05, 2.0, 2, np.eye(2)),
+     "delta must lie in (0, 1)"),
+    *((f"run_mobile/expert_{i}", lambda env=env, states=states:
+       run_on(env, states), msg) for i, env, states, msg in EXPERT_STATES),
     ("run_bandits/horizon_bool",
      lambda: run_bandits([MabInstance(means=[0.0, 0.5], mu_star=0.5)],
                          "ucb1", True, [np.random.default_rng(0)]),
@@ -423,6 +482,15 @@ CASES = [
                           None, "box", np.zeros(2), MinMaxConfig(k_iters=2),
                           horizon=2, init_state=np.zeros(2), num_actions=2),
      "knr solving needs an RffFeatureMap"),
+    ("solve_minmax/knr_bonus_table",
+     lambda: solve_minmax(fit_knr_model(knr_buffer(), 0.05, 2.0, t=1,
+                                        delta=0.1),
+                          np.zeros((2, 2)), rff_featurize(
+                              np.zeros((3, 2)), m=2, bandwidth=1.0,
+                              rng=np.random.default_rng(0))[0],
+                          np.zeros(2), MinMaxConfig(k_iters=2), horizon=2,
+                          init_state=np.zeros(2), num_actions=2),
+     "knr solving needs a bonus function"),
     *((f"solve_minmax/warm_{i}", lambda warm=warm: solve(warm=warm),
        "a warm mask must be S = 2 bytes of 0 or 1")
       for i, warm in (("short", [b"\x01"]), ("long", [b"\x00\x01\x00"]),

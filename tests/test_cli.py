@@ -294,9 +294,10 @@ class TestRunExperiment:
         assert written == expected
 
     # short mobile runs: chain with the theory bonus, lock with the
-    # ensemble bonus over a buffer that evicts, and KNR runs: exhaustive,
-    # ensemble over a buffer that evicts, and random shooting; a digit
-    # that moves in any of their CSVs fails the test
+    # ensemble bonus over a buffer that evicts and with no bonus, and KNR
+    # runs: exhaustive, ensemble over a buffer that evicts, random
+    # shooting and no bonus; a digit that moves in any of their CSVs
+    # fails the test
     MOBILE_PINS = {
         "chain": ({"subcommand": "mobile-tabular", "env": {"kind": "chain"},
                    "mobile": {"t_iters": 8, "n_expert": 20},
@@ -360,6 +361,29 @@ class TestRunExperiment:
                 "5451312e443d917f37d2e94309d8eccbfca79f2216794f2818b1958adc37bf3d",
             "summary.csv":
                 "3721d9bca33f98eb76d6fc3d2d9a84171af6d6059ca10c9bb0799223a5876a14",
+        }),
+        "lock_off": ({"subcommand": "mobile-tabular", "env": {"kind": "lock"},
+                      "mobile": {"t_iters": 10, "n_expert": 20,
+                                 "bonus_mode": "off",
+                                 "minmax": {"k_iters": 2}},
+                      "seeds": [0, 1]}, {
+            "mobile-tabular-seed0.csv":
+                "db9a0f4f4aaa878cf8d066eadc7c7479e7e75552601c2c1f8fa0a3499729ba27",
+            "mobile-tabular-seed1.csv":
+                "9fdab0c9cefc12f9d5394c546448fff724cadc6f2c71d51e232ab288045858b7",
+            "summary.csv":
+                "228fd2014cbdaf5deb532fc8ae764814a4177a688389da0fbb209889bdccc291",
+        }),
+        "knr_off": ({"subcommand": "mobile-knr",
+                     "env": {"kind": "knr_example", "horizon": 3},
+                     "mobile": {"t_iters": 4, "n_expert": 8, "mmd_features": 8,
+                                "knr_eval_rollouts": 4, "bonus_mode": "off",
+                                "minmax": {"k_iters": 2}},
+                     "seeds": [0]}, {
+            "mobile-knr-seed0.csv":
+                "bacc0beac7ae47fb5c4ef0ff6e338c3caa55684e4ebc60e927386bebf808739f",
+            "summary.csv":
+                "956fe0e0c634a062a3dd973cd3c725234d64606306a893016e4f7098a8e32a98",
         }),
     }
 

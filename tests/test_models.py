@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from ilfo_lab import ConfigurationError, Policy, Trajectory, rollout
 from ilfo_lab.models import (
-    BonusFunction,
     KnrBuffer,
     KnrModel,
     SIGMA_CAP,
@@ -17,6 +16,7 @@ from ilfo_lab.models import (
     fit_tabular,
     knr_beta,
     knr_uncertainty,
+    mean_bonus_on_path,
     TabularModel,
     theory_bonus,
 )
@@ -294,16 +294,18 @@ class TestBonuses:
         model = TabularModel(p_hat=p,
                              sigma_table=np.zeros((2, 1)))
         b = theory_bonus(model, horizon=3)
-        assert b(0, 0) == 0.0
-        assert b.upper == 6.0
+        # the bonus is its frozen (S, A) table
+        assert isinstance(b, np.ndarray) and b.shape == (2, 1)
+        assert not b.flags.writeable
+        assert b[0, 0] == 0.0
 
     def test_theory_bonus_caps_width_at_two(self):
         p = np.full((2, 1, 2), 0.5)
         model = TabularModel(p_hat=p,
                              sigma_table=np.array([[5.0], [0.5]]))
         b = theory_bonus(model, horizon=3)
-        assert b(0, 0) == 6.0   # H * min(5, 2)
-        assert b(1, 0) == 1.5   # H * 0.5
+        assert b[0, 0] == 6.0   # H * min(5, 2)
+        assert b[1, 0] == 1.5   # H * 0.5
 
     def test_theory_bonus_range(self):
         rng = np.random.default_rng(23)
@@ -311,8 +313,8 @@ class TestBonuses:
         buf = filled_buffer(rng, mdp, n_episodes=5)
         model = fit_tabular(buf, t=1, delta=0.1)
         b = theory_bonus(model, horizon=mdp.horizon)
-        vals = [b(s, a) for s in range(4) for a in range(3)]
-        assert all(0 <= v <= 2 * mdp.horizon for v in vals)
+        assert b.shape == (4, 3)
+        assert ((0 <= b) & (b <= 2 * mdp.horizon)).all()
 
     def test_ensemble_identical_models_zero(self):
         rng = np.random.default_rng(29)
@@ -320,7 +322,8 @@ class TestBonuses:
         buf = filled_buffer(rng, mdp, n_episodes=10)
         model = fit_tabular(buf, t=1, delta=0.1)
         b = ensemble_bonus(model, model, buf, lam_bonus=1.0)
-        assert all(b(s, a) == 0.0 for s in range(3) for a in range(2))
+        assert b.shape == (3, 2) and not b.flags.writeable
+        assert (b == 0.0).all()
 
     def test_ensemble_hits_lambda_at_buffer_max(self):
         rng = np.random.default_rng(31)
@@ -331,10 +334,10 @@ class TestBonuses:
         m_b = fit_tabular(pair[1], t=1, delta=0.1)
         lam = 0.7
         b = ensemble_bonus(m_a, m_b, buf, lam_bonus=lam)
-        buffer_vals = [b(s, a) for s, a, _ in buf]
+        buffer_vals = [b[s, a] for s, a, _ in buf]
         assert max(buffer_vals) == pytest.approx(lam, abs=1e-12)
-        all_vals = [b(s, a) for s in range(4) for a in range(2)]
-        assert all(0 <= v <= lam + 1e-12 for v in all_vals)
+        assert b.shape == (4, 2)
+        assert ((0 <= b) & (b <= lam + 1e-12)).all()
 
     def test_ensemble_empty_buffer_zero(self):
         p = np.full((2, 1, 2), 0.5)
@@ -346,7 +349,7 @@ class TestBonuses:
                            sigma_table=np.zeros((2, 1)))
         buf = TabularBuffer(2, 1)
         b = ensemble_bonus(m_a, m_b, buf, lam_bonus=1.0)
-        assert b(0, 0) == 0.0
+        assert b.shape == (2, 1) and (b == 0.0).all()
 
     def test_ensemble_ignores_evicted_pair(self):
         # state 0 has the largest gap, but FIFO eviction drops its pair
@@ -364,9 +367,9 @@ class TestBonuses:
         lam = 0.8
         b = ensemble_bonus(m_a, m_b, buf, lam_bonus=lam)
         retained = [s for s, _, _ in buf]
-        assert [s for s in retained if b(s, 0) == lam] == [1]
-        assert b(2, 0) == pytest.approx(lam / 2, abs=1e-12)
-        assert b(0, 0) == lam   # the evicted pair's ratio is capped at 1
+        assert [s for s in retained if b[s, 0] == lam] == [1]
+        assert b[2, 0] == pytest.approx(lam / 2, abs=1e-12)
+        assert b[0, 0] == lam   # the evicted pair's ratio is capped at 1
 
     def test_ensemble_rejects_knr_models_on_two_feature_maps(self):
         sys_ = make_knr_example()
@@ -381,9 +384,20 @@ class TestBonuses:
             with pytest.raises(ConfigurationError, match="one feature map"):
                 ensemble_bonus(*models_, buf, lam_bonus=1.0)
 
-    def test_bonus_table_out_of_range_rejected(self):
-        with pytest.raises(ConfigurationError):
-            BonusFunction(upper=1.0, table=np.array([[1.5]]))
+    def test_mean_bonus_on_path_indexes_a_table_and_calls_a_function(self):
+        table = np.array([[0.5, 1.0], [2.0, 4.0]])
+        states, actions = np.array([0, 1, 1]), np.array([1, 0])
+        # the last state takes no action
+        assert mean_bonus_on_path(table, states, actions) == 1.5
+        calls = []
+
+        def fn(s, a):
+            calls.append((s.tolist(), a.tolist()))
+            return table[s, a]
+
+        assert mean_bonus_on_path(fn, states, actions) == 1.5
+        assert calls == [([0, 1], [1, 0])]
+        assert mean_bonus_on_path(None, states, actions) == 0.0
 
 
 class TestModelValidation:
@@ -544,8 +558,8 @@ def reference_ensemble_bonus(model_a, model_b, buffer, lam_bonus):
         for s in range(model_a.num_states):
             for a in range(model_a.num_actions):
                 table[s, a] = fn(s, a)
-        return BonusFunction(upper=lam_bonus, table=table)
-    return BonusFunction(upper=lam_bonus, fn=one_row_at_a_time(fn))
+        return table
+    return one_row_at_a_time(fn)
 
 
 @st.composite
@@ -629,11 +643,10 @@ class TestEnsembleCountsDifferential:
             m_a, m_b = (fit_tabular(h, t=1, delta=0.1) for h in halves)
         got = ensemble_bonus(m_a, m_b, buf, lam_bonus=lam)
         want = reference_ensemble_bonus(m_a, m_b, buf, lam_bonus=lam)
-        assert np.array_equal(got.table, want.table)
-        assert got.upper == want.upper
-        for s in range(s_dim):
-            for a in range(a_dim):
-                assert got(s, a) == want(s, a)
+        # the bonus is its frozen (S, A) float table
+        assert isinstance(got, np.ndarray) and not got.flags.writeable
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(n_items=st.integers(0, 30), capacity=st.sampled_from([0, 9]),
@@ -662,11 +675,12 @@ class TestEnsembleCountsDifferential:
                     for h in halves)
         got = ensemble_bonus(m_a, m_b, buf, lam_bonus=lam)
         want = reference_ensemble_bonus(m_a, m_b, twin, lam_bonus=lam)
-        assert got.table is None and want.table is None
+        # the bonus is its function
+        assert callable(got) and not isinstance(got, np.ndarray)
         probes = [(s, a) for s, a, _ in twin] + [(np.zeros(state_dim), 0),
                                                  (np.ones(state_dim), 1)]
         for s, a in probes:
-            assert got.fn(s, a) == want.fn(s, a)
+            assert got(s, a) == want(s, a)
 
 
 def reference_fit_knr_ridge(buffer):

@@ -13,7 +13,6 @@ from ilfo_lab.discriminators import RffFeatureMap, mmd_update, rff_featurize
 from ilfo_lab.envs import KnrSystem, OpenLoopTree, openloop_search
 from ilfo_lab.expert import ExpertDataset, solve_optimal_tabular
 from ilfo_lab.models import (
-    BonusFunction,
     KnrBuffer,
     KnrModel,
     TabularModel,
@@ -150,8 +149,7 @@ class TestBestResponseKnr:
     def test_dominant_bonus_selects_high_uncertainty_action(self):
         sys_ = make_knr_example(noise_std=0.0)
         model = knr_model_from_system(sys_)
-        bonus = BonusFunction(fn=lambda s, a: 10.0 * (np.asarray(a) == 1),
-                              upper=10.0)
+        bonus = lambda s, a: 10.0 * (np.asarray(a) == 1)
         pol = best_response_knr(model, lambda s: np.sum(s**2, axis=-1), bonus,
                                 horizon=2, num_actions=2,
                                 init_state=np.zeros(2),
@@ -193,8 +191,7 @@ class TestBestResponseKnr:
         # A^H = 1024: ids come from rng.choice, without repeats
         model = knr_model_from_system(make_knr_example(noise_std=0.0))
         cost = lambda s: s[..., 0] - s[..., 1]
-        bonus = BonusFunction(fn=lambda s, a: 0.05 * a * s[..., 1] ** 2,
-                              upper=1.0)
+        bonus = lambda s, a: 0.05 * a * s[..., 1] ** 2
         got, want, ids = self.shooting_reference(
             model, cost, bonus, 10,
             lambda r, total, n: np.sort(r.choice(total, size=n,
@@ -610,7 +607,10 @@ class TestSolveMinmaxTabular:
     def test_bonus_without_table_raises(self):
         rng = np.random.default_rng(16)
         model, _, d_e = self.random_game(rng)
-        callable_only = BonusFunction(fn=lambda s, a: 0.1, upper=1.0)
+
+        def callable_only(s, a):   # a last-axis bonus, as on a KNR model
+            return np.full(np.shape(a), 0.1)
+
         wrong_shape = np.zeros((2, 2))
         for bonus in (callable_only, lambda s, a: 0.1, wrong_shape):
             with pytest.raises(ConfigurationError, match="bonus table"):
@@ -802,14 +802,14 @@ class TestKnrSearchTree:
     @staticmethod
     def counted_solve(k_iters, A=2, H=4):
         """Calls and rows of the model steps, bonuses, node featurizations
-        and path featurizations of one exhaustive solve, and its
-        sequences."""
+        and path featurizations of one exhaustive solve, its tree path
+        walks, and its sequences."""
         rng = np.random.default_rng(23)
         system = random_knr_system(rng, 2, A, H)
         model = knr_model_from_system(system)
         fmap, mean_e = TestKnrSearchTree.witness(rng, system, 8)
         theory = theory_bonus(model, H)
-        calls = dict.fromkeys(("step", "bonus", "node", "path"), 0)
+        calls = dict.fromkeys(("step", "bonus", "node", "path", "walk"), 0)
         rows = dict(calls)
 
         def count(name, batch):
@@ -821,6 +821,11 @@ class TestKnrSearchTree:
             return theory(s, a)
 
         step, featurize = KnrModel.mean_prediction, RffFeatureMap.__call__
+        walk = OpenLoopTree.path
+
+        def counted_walk(self, seq):
+            count("walk", seq)
+            return walk(self, seq)
 
         def counted_step(self, s, a):
             count("step", a)
@@ -834,6 +839,7 @@ class TestKnrSearchTree:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(KnrModel, "mean_prediction", counted_step)
             mp.setattr(RffFeatureMap, "__call__", counted_featurize)
+            mp.setattr(OpenLoopTree, "path", counted_walk)
             mix, _ = solve_minmax(model, bonus, fmap, mean_e,
                                   MinMaxConfig(k_iters=k_iters), horizon=H,
                                   num_actions=A, init_state=system.init_state,
@@ -857,12 +863,14 @@ class TestKnrSearchTree:
         for name in ("step", "node", "bonus"):
             assert one_calls[name] == calls[name]
             assert one_rows[name] == rows[name]
-        # a path's mean embedding is one (H, d) batch per distinct path,
-        # the all-zeros start path included
+        # a path is walked on the tree once, and its mean embedding is one
+        # (H, d) batch, per distinct path, the all-zeros start path included
         paths = {np.asarray(s).tobytes() for s in seqs}
         paths.add(np.zeros(H, dtype=np.asarray(seqs[0]).dtype).tobytes())
         assert calls["path"] == len(paths)
         assert rows["path"] == H * len(paths)
+        assert calls["walk"] == len(paths)
+        assert len(paths) < 1 + len(seqs)   # a path repeats: the cache is read
 
 
 def same_bits(got, want):
@@ -911,8 +919,9 @@ class TestKnrBatchContract:
         acts = rng.integers(A, size=tuple(lead))
         # the raw width too: sigma and the theory bonus cap it at 2
         width = lambda s, a: knr_uncertainty(model, s, a)
-        for fn in (model.mean_prediction, width, model.sigma, theory.fn,
-                   theory, ensemble.fn, ensemble):
+        # each bonus is its function
+        for fn in (model.mean_prediction, width, model.sigma, theory,
+                   ensemble):
             got = fn(S, acts)
             assert np.shape(got)[:len(lead)] == tuple(lead)
             for i in np.ndindex(*lead):
